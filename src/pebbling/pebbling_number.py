@@ -1,30 +1,37 @@
-"""Exact pebbling numbers by exhaustive ascending-size scans.
+"""Exact pebbling numbers from the down-set of unsolvable configurations.
 
 pi_rooted(G, r) is the least k such that every size-k configuration with
-no pebble on r is solvable. The scan starts at 2^ecc(r): a stack of
-2^ecc(r) - 1 pebbles on a farthest vertex has potential below 1, so
-pi_rooted is at least that power of two. Sizes are scanned upward and
-the first size with zero unsolvable configurations is the answer.
+no pebble on r is solvable. Solvability is monotone under adding
+pebbles, so the unsolvable root-free configurations form a down-set:
+removing a pebble from an unsolvable configuration of size s+1 leaves an
+unsolvable configuration of size s. The down-set is built level by level
+from the empty configuration; level s+1 is every unsolvable
+configuration that is a member of level s plus one pebble.
 
-Stop rule: one empty size suffices. Solvability is monotone under
-adding pebbles, so removing a pebble from an unsolvable configuration
-of size s+1 leaves an unsolvable configuration of size s; hence empty
-levels stay empty upward. This rule is unit-tested against full scans.
+Stop rule: the first empty level ends the down-set. This is structural,
+not a search heuristic: an unsolvable configuration of any larger size
+would contain one of this size. Every level below it is non-empty (the
+empty configuration is unsolvable), so pi_rooted is the number of levels.
 
-Scans only visit configurations with p(v) < 2^d(v,r) for every v: a
-larger stack is solvable outright, so such configurations can never be
-the unsolvable ones the scan is looking for. This capping is what makes
-exhaustive search tractable well past toy sizes.
+Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
+larger stack is solvable outright. With symmetry each level keeps one
+canonical representative per orbit of the stored generators.
+
+The levels also answer every weight-function question on the graph: the
+largest weight of an unsolvable configuration is a maximum over them.
+They are cached on the graph, so repeated certificate checks on one
+graph reuse one enumeration.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 
-from .configurations import Configuration, _iter_counts, _symmetry_mode, canonical_counts
+from .configurations import Configuration, canonical_counts
 from .errors import BadParameterError, GraphMismatchError, PebblingError
 from .graphs import Graph, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
@@ -32,11 +39,14 @@ from .solver import SearchLimits, Solver, shared_solver
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """Which sizes were fully enumerated and under which reductions."""
+    """Which sizes were enumerated and whether orbits were reduced.
+
+    ``sizes`` runs from 0 to the pebbling number: every level of the
+    down-set, then the empty level that ends it.
+    """
 
     sizes: tuple[int, ...]
     symmetry_used: bool
-    stack_caps_used: bool = True
 
 
 @dataclass(frozen=True)
@@ -46,42 +56,41 @@ class PiResult:
     exhaustiveness: ScanRecord
 
 
-# Structural cache: rooted pebbling numbers are graph properties, so two
-# identically-built graphs share one scan.
-_PI_CACHE: dict[tuple, tuple[int, tuple[int, ...], tuple[int, ...], bool]] = {}
+def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[set, ...]:
+    """The unsolvable root-free configurations of g, one set per size.
 
-
-def _scan_chunk(args):
-    graph, chunk, target, max_nodes, max_seconds = args
-    solver = Solver(graph, target, SearchLimits(max_nodes, max_seconds))
-    for counts in chunk:
-        if not solver.decide(counts):
-            return counts
-    return None
-
-
-def _first_unsolvable_of_size(g, solver, size, caps, use_symmetry, threads):
-    stream = _iter_counts(g, size, exclude_root=True, use_symmetry=use_symmetry, caps=caps)
-    if threads <= 1:
-        for counts in stream:
-            if not solver.decide(counts):
-                return counts
-        return None
-    items = list(stream)
-    if not items:
-        return None
-    n_chunks = max(1, min(len(items), threads * 4))
-    step = (len(items) + n_chunks - 1) // n_chunks
-    chunks = [items[i : i + step] for i in range(0, len(items), step)]
-    jobs = [
-        (g, chunk, solver.target, solver.limits.max_nodes, solver.limits.max_seconds)
-        for chunk in chunks
-    ]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for hit in pool.map(_scan_chunk, jobs):
-            if hit is not None:
-                return hit
-    return None
+    Cached on the graph, keyed by ``use_symmetry``, only once complete:
+    a resource limit hit part-way leaves nothing behind.
+    """
+    use_symmetry = use_symmetry and bool(g.symmetry)
+    key = ("unsolvable_levels", use_symmetry)
+    cache = g._cache
+    if key in cache:
+        return cache[key]
+    dist = distances_from(g, g.root)
+    top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
+    level = {(0,) * g.vertex_count}
+    levels = []
+    while level:
+        levels.append(level)
+        tried: set[tuple[int, ...]] = set()
+        nxt = set()
+        for p in level:
+            solver.check_deadline()
+            for v, cap in top:
+                if p[v] < cap:
+                    q = list(p)
+                    q[v] += 1
+                    q = tuple(q)
+                    if use_symmetry:
+                        q = canonical_counts(g, q)
+                    if q not in tried:
+                        tried.add(q)
+                        if not solver.decide(q):
+                            nxt.add(q)
+        level = nxt
+    cache[key] = levels = tuple(levels)
+    return levels
 
 
 def pi_rooted(
@@ -91,46 +100,22 @@ def pi_rooted(
     limits: SearchLimits | None = None,
     threads: int = 1,
 ) -> PiResult:
-    """Exact rooted pebbling number with a maximal unsolvable witness."""
-    key = (g.vertex_count, g.edges, g.root, use_symmetry)
-    hit = _PI_CACHE.get(key)
-    if hit is not None:
-        value, witness_counts, sizes, sym = hit
-        return PiResult(value, Configuration(g, witness_counts), ScanRecord(sizes, sym))
+    """Exact rooted pebbling number with a maximal unsolvable witness.
 
+    The witness is the lexicographically greatest configuration of the
+    last level. It is re-verified by a new solver, so the check does not
+    lean on the memo that admitted it. ``threads`` is accepted for
+    compatibility and selects nothing: the levels are built in this
+    process.
+    """
     solver = shared_solver(g, 1, limits)
     solver.restart_clock()
-    dist = distances_from(g, g.root)
-    ecc = max(dist)
-    caps = tuple((1 << d) - 1 for d in dist)
-    start = 1 << ecc
-    witnesses: dict[int, tuple[int, ...]] = {}
-    sizes: list[int] = []
-    size = start
-    while True:
-        sizes.append(size)
-        bad = _first_unsolvable_of_size(g, solver, size, caps, use_symmetry, threads)
-        if bad is None:
-            value = size
-            break
-        witnesses[size] = bad
-        size += 1
-
-    if value - 1 in witnesses:
-        witness_counts = witnesses[value - 1]
-    else:
-        # value == start: the classic stuck stack on a farthest vertex
-        arr = [0] * g.vertex_count
-        if ecc > 0:
-            far = min(v for v in range(g.vertex_count) if dist[v] == ecc)
-            arr[far] = (1 << ecc) - 1
-        witness_counts = tuple(arr)
-
-    if solver.decide(witness_counts):
+    levels = _unsolvable_levels(g, solver, use_symmetry)
+    witness = max(levels[-1])
+    if Solver(g, 1, solver.limits).decide(witness):
         raise PebblingError("internal error: witness re-verification failed")
-
-    _PI_CACHE[key] = (value, witness_counts, tuple(sizes), use_symmetry)
-    return PiResult(value, Configuration(g, witness_counts), ScanRecord(tuple(sizes), use_symmetry))
+    value = len(levels)
+    return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1)), use_symmetry))
 
 
 def _reroot(g: Graph, r: int) -> Graph:
@@ -158,7 +143,6 @@ def pi_global(
     *,
     use_symmetry: bool = True,
     limits: SearchLimits | None = None,
-    threads: int = 1,
 ) -> int:
     """max over roots of pi_rooted; vertex-transitive graphs need one root.
 
@@ -166,17 +150,17 @@ def pi_global(
     automorphisms, never assumed from the family name.
     """
     if _verified_transitive(g):
-        return pi_rooted(g, use_symmetry=use_symmetry, limits=limits, threads=threads).value
+        return pi_rooted(g, use_symmetry=use_symmetry, limits=limits).value
     best = 0
     for r in range(g.vertex_count):
         h = g if r == g.root else _reroot(g, r)
-        best = max(best, pi_rooted(h, use_symmetry=use_symmetry, limits=limits, threads=threads).value)
+        best = max(best, pi_rooted(h, use_symmetry=use_symmetry, limits=limits).value)
     return best
 
 
-def is_class0(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1) -> bool:
+def is_class0(g: Graph, *, limits: SearchLimits | None = None) -> bool:
     """Whether the pebbling number equals the number of vertices."""
-    return pi_global(g, limits=limits, threads=threads) == g.vertex_count
+    return pi_global(g, limits=limits) == g.vertex_count
 
 
 def _weight_respects_symmetry(g: Graph, weights) -> bool:
@@ -193,71 +177,27 @@ def max_unsolvable_weight(
 ) -> tuple[Fraction, Configuration]:
     """Maximum of w(p) over unsolvable configurations of size <= size_bound.
 
-    Branch-and-bound over capped counts: a branch is cut when even
-    filling the remaining budget at the best remaining weight cannot
-    beat the incumbent. Callers must pass size_bound >= pi_rooted - 1 to
-    cover every unsolvable configuration. Symmetry reduction is applied
-    only when the weight function is constant on the stored orbits.
+    A maximum of the integer-scaled w(p) over levels 0..size_bound of the
+    down-set; ties go to the lexicographically greatest configuration.
+    Callers must pass size_bound >= pi_rooted - 1 to cover every
+    unsolvable configuration. The orbit-reduced levels are read only
+    when the weight function is constant on the stored orbits, so that
+    each representative weighs what its whole orbit does.
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
     if size_bound < 0:
         raise BadParameterError("size_bound must be nonnegative")
     weights = w.weights
-    n = g.vertex_count
-    dist = distances_from(g, g.root)
     solver = shared_solver(g, 1, limits)
     solver.restart_clock()
+    symmetric = use_symmetry and _weight_respects_symmetry(g, weights)
+    levels = _unsolvable_levels(g, solver, symmetric)
 
     den = lcm(*(f.denominator for f in weights))
     wi = [int(f * den) for f in weights]
-
-    caps = [min((1 << dist[v]) - 1, size_bound) for v in range(n)]
-    caps[g.root] = 0
-
-    prev: dict[int, int] = {}
-    group_filter = False
-    if use_symmetry and _weight_respects_symmetry(g, weights):
-        kind, data = _symmetry_mode(g)
-        if kind == "blocks":
-            prev = data[1]
-        elif kind == "group":
-            group_filter = True
-
-    suffix_maxw = [0] * (n + 1)
-    suffix_caps = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_maxw[i] = max(suffix_maxw[i + 1], wi[i])
-        suffix_caps[i] = suffix_caps[i + 1] + caps[i]
-
-    best = 0  # the empty configuration is always unsolvable
-    best_counts = (0,) * n
-    acc = [0] * n
-    leaves = 0
-
-    def rec(i: int, budget: int, wsum: int) -> None:
-        nonlocal best, best_counts, leaves
-        if i == n:
-            leaves += 1
-            if not leaves % 8192:
-                solver.check_deadline()
-            if wsum > best:
-                counts = tuple(acc)
-                if group_filter and canonical_counts(g, counts) != counts:
-                    return
-                if not solver.decide(counts):
-                    best = wsum
-                    best_counts = counts
-            return
-        if wsum + min(budget, suffix_caps[i]) * suffix_maxw[i] <= best:
-            return
-        hi = min(caps[i], budget)
-        if i in prev:
-            hi = min(hi, acc[prev[i]])
-        for c in range(hi, -1, -1):
-            acc[i] = c
-            rec(i + 1, budget - c, wsum + c * wi[i])
-        acc[i] = 0
-
-    rec(0, size_bound, 0)
-    return Fraction(best, den), Configuration(g, best_counts)
+    best = max(
+        chain.from_iterable(levels[: size_bound + 1]),
+        key=lambda counts: (sum(map(mul, wi, counts)), counts),
+    )
+    return Fraction(sum(map(mul, wi, best)), den), Configuration(g, best)

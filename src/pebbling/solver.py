@@ -31,14 +31,24 @@ DEFAULT_MAX_NODES = 10**8
 Move = tuple[int, int]
 
 
+def _env_number(name: str, parse, default):
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        return parse(raw)
+    except ValueError:
+        raise BadParameterError(f"{name}={raw!r} is not a number") from None
+
+
 def default_max_nodes() -> int:
-    env = os.environ.get("PEBBLE_MAX_NODES")
-    return int(env) if env else DEFAULT_MAX_NODES
+    """The node cap: PEBBLE_MAX_NODES when set, else DEFAULT_MAX_NODES."""
+    return _env_number("PEBBLE_MAX_NODES", int, DEFAULT_MAX_NODES)
 
 
 def default_max_seconds() -> float | None:
-    env = os.environ.get("PEBBLE_MAX_SECONDS")
-    return float(env) if env else None
+    """The wall-clock cap: PEBBLE_MAX_SECONDS when set, else none."""
+    return _env_number("PEBBLE_MAX_SECONDS", float, None)
 
 
 @dataclass
@@ -79,8 +89,6 @@ class Solver:
 
     The memo table persists across calls, so scanning many
     configurations of one graph amortizes the shared search space.
-    Instances are single-process; parallel scans give each worker its
-    own solver, which yields identical verdicts by determinism.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):

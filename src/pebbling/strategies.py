@@ -10,9 +10,13 @@ weight. Three verification routes produce certificates:
   every supported vertex not adjacent to the root weighs at most half
   its parent; this is the classic sufficient condition,
 * exhaustive oracle: compute pi_rooted, then maximize w over all
-  unsolvable configurations and compare against w(1_G),
+  unsolvable configurations and compare against w(1_G); both read one
+  down-set of unsolvable configurations cached on the graph,
 * combination: conic combinations and exact decompositions into already
   certified functions on embedded subgraphs.
+
+Every certificate status names a check made in this process; no
+validity is taken on record.
 
 All arithmetic is exact (fractions end to end); validity hinges on
 comparisons like 46/3 vs 15 that floats would get wrong.
@@ -47,8 +51,7 @@ TREE_CHECKED = "tree-checked"
 ORACLE_CHECKED = "oracle-checked"
 COMPOSED = "composed"
 DECOMPOSED = "decomposed"
-RECORDED = "recorded"
-_CERTIFIED = {TREE_CHECKED, ORACLE_CHECKED, COMPOSED, DECOMPOSED, RECORDED}
+_CERTIFIED = {TREE_CHECKED, ORACLE_CHECKED, COMPOSED, DECOMPOSED}
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,13 +190,14 @@ def verify_validity_oracle(
     Requires strictly positive weights off the root. Computes pi_rooted
     itself (an underestimated bound would silently skip counterexamples)
     and then maximizes w over every unsolvable configuration of size up
-    to pi_rooted - 1.
+    to pi_rooted - 1; both read the down-set cached on the graph.
+    ``threads`` is accepted for compatibility and selects nothing.
     """
     if w.graph is not g:
         raise GraphMismatchError("weights belong to a different graph")
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
         raise WeightNotPositiveError("every non-root vertex needs positive weight")
-    pi = pi_rooted(g, use_symmetry=use_symmetry, limits=limits, threads=threads)
+    pi = pi_rooted(g, use_symmetry=use_symmetry, limits=limits)
     worst, achiever = max_unsolvable_weight(
         g, w, pi.value - 1, use_symmetry=use_symmetry, limits=limits
     )
@@ -467,38 +471,17 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
         raise BadParameterError(f"bad parameters {params} for {name!r}") from exc
 
 
-# Constructions whose exhaustive validation is too heavy for interactive
-# use; their oracle runs are part of the test suite and of the slow
-# reproduction targets (`pebble paper lemma5`, `pebble paper thm3-n2`).
-_RECORDED_VALID = {
-    ("lemma5",): "exhaustively validated over all unsolvable configurations; rerun via `pebble paper lemma5`",
-    ("conjecture", 4): "exhaustively validated; rerun via `pebble paper conj-n4`",
-    ("lollipop", 2): "exhaustively validated with arm symmetry; rerun via `pebble paper thm3-n2`",
-}
-
-# Oracle certification is considered cheap when the capped search box,
-# divided by the symmetry order, stays below this many configurations.
-_AUTO_ORACLE_BOX = 100_000
-
-
-def _box_estimate(g: Graph) -> int:
-    dist = distances_from(g, g.root)
-    box = 1
-    for v in range(g.vertex_count):
-        if v != g.root:
-            box *= 1 << dist[v]
-    order = max(1, len(g.symmetry) + 1)
-    return box // order
-
-
 def construction_certificate(name: str, *params: int, method: str = "auto") -> Certificate:
-    """Certificate for a named construction.
+    """Certificate for a named construction, checked in this process.
 
-    method "auto" tries the tree check, then the exhaustive oracle when
-    the capped search space is small, then falls back to the recorded
-    registry for the hand-countable heavy cases. "tree", "oracle" and
-    "recorded" force one route.
+    method "auto" tries the tree check and falls back to the exhaustive
+    oracle when the support is not a tree; "tree" and "oracle" force one
+    route. cycle_combined is certified as the conic combination of its
+    two path strategies and q4star as the four-copy decomposition of
+    lemma5, whose base certificate takes the same ``method``.
     """
+    if method not in ("auto", "tree", "oracle"):
+        raise BadParameterError(f"unknown certification method {method!r}")
     g, w = construction(name, *params)
     if name == "cycle_combined":
         a, b = cycle_strategy_pair(*params)
@@ -506,28 +489,14 @@ def construction_certificate(name: str, *params: int, method: str = "auto") -> C
     if name == "q4star":
         copies = [(emb, construction_certificate("lemma5", method=method)) for emb in q4_copy_embeddings()]
         return certify_by_decomposition(g, w, copies)
-
-    def recorded() -> Certificate:
-        note = _RECORDED_VALID.get((name, *params))
-        if note is None:
-            raise UncertifiedWeightError(
-                f"no recorded validation for {name}{params}; run the oracle explicitly"
-            )
-        return Certificate(w, RECORDED, notes=note)
-
-    if method == "recorded":
-        return recorded()
     if method == "tree":
         return certify_tree(g, w)
-    if method == "oracle":
-        return certify_by_oracle(g, w)
-    try:
-        return certify_tree(g, w)
-    except NotATreeError:
-        pass
-    if _box_estimate(g) <= _AUTO_ORACLE_BOX:
-        return certify_by_oracle(g, w)
-    return recorded()
+    if method == "auto":
+        try:
+            return certify_tree(g, w)
+        except NotATreeError:
+            pass
+    return certify_by_oracle(g, w)
 
 
 def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:

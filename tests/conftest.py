@@ -91,6 +91,45 @@ def naive_pi_rooted(g, extra=2, size_cap=40):
     raise AssertionError(f"no clean size found up to {size_cap} (last unsolvable at {last_bad})")
 
 
+def naive_unsolvable_levels(g):
+    """Reference down-set: the root-free configurations naive_solvable
+    rejects, one set per size, up to and including the first empty size."""
+    levels = []
+    while True:
+        level = {c for c in root_zero_counts(g, len(levels)) if not naive_solvable(g, c)}
+        levels.append(level)
+        if not level:
+            return levels
+
+
+def symmetry_closure(g):
+    """Every permutation generated by the graph's stored symmetry, by BFS."""
+    identity = tuple(range(g.vertex_count))
+    group = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gen in g.symmetry:
+                q = tuple(gen[p[v]] for v in identity)
+                if q not in group:
+                    group.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return group
+
+
+def orbit(group, counts):
+    """All images of a counts tuple under a permutation group."""
+    images = set()
+    for perm in group:
+        moved = [0] * len(counts)
+        for v, c in enumerate(counts):
+            moved[perm[v]] = c
+        images.add(tuple(moved))
+    return images
+
+
 def random_connected_graph(rng, n_min=2, n_max=8, max_extra=3):
     n = rng.randint(n_min, n_max)
     edges = {(rng.randrange(v), v) for v in range(1, n)}

@@ -4,7 +4,6 @@ import sys
 import pytest
 
 import pebbling as pb
-from pebbling import pebbling_number as engine
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
 
@@ -236,7 +235,7 @@ class TestPaperTargets:
         assert fields["generalized_valid"] == "true"
 
     def test_long_target_gated(self, capsys):
-        code, _, err = run_cli(capsys, "paper", "q4-bruteforce")
+        code, _, err = run_cli(capsys, "paper", "conj-n5")
         assert code == 2
         assert "--allow-long" in err
 
@@ -245,12 +244,12 @@ class TestPaperTargets:
         assert code == 2
 
     def test_thread_count_does_not_change_results(self, capsys):
-        engine._PI_CACHE.clear()
+        pb.cycle_graph(3)._cache.clear()
         _, first, _ = run_cli(capsys, "paper", "thm1-k1", "--threads", "1")
-        engine._PI_CACHE.clear()
+        pb.cycle_graph(3)._cache.clear()
         _, second, _ = run_cli(capsys, "paper", "thm1-k1", "--threads", "2")
         assert first == second
-        engine._PI_CACHE.clear()
+        pb.rooted_cube(3)._cache.clear()
         _, third, _ = run_cli(capsys, "paper", "prop-fig2", "--threads", "2")
         _, fourth, _ = run_cli(capsys, "paper", "prop-fig2", "--threads", "1")
         assert third == fourth
@@ -271,10 +270,12 @@ class TestPlumbing:
         code, _, _ = run_cli(capsys, "pi", "-g", str(tmp_path / "nope.graph"))
         assert code == 2
 
-    def test_env_threads_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("PEBBLE_THREADS", "2")
-        code, results, _ = run_cli(capsys, "paper", "thm1-k1")
-        assert code == 0
+    def test_malformed_env_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("PEBBLE_MAX_NODES", "abc")
+        for target in ("prop-q3", "lemma5"):
+            code, results, err = run_cli(capsys, "paper", target)
+            assert code == 2, target
+            assert results == [] and "PEBBLE_MAX_NODES" in err, target
 
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run(

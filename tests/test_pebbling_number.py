@@ -1,16 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 import pebbling as pb
-from conftest import naive_pi_rooted, naive_solvable, root_zero_counts
+from conftest import (
+    naive_pi_rooted,
+    naive_solvable,
+    naive_unsolvable_levels,
+    orbit,
+    random_connected_graph,
+    root_zero_counts,
+    symmetry_closure,
+)
 from pebbling import pebbling_number as engine
 
 
-def fresh(builder, *args, **kwargs):
-    """Bypass the structural result cache so scans really run."""
-    engine._PI_CACHE.clear()
-    return builder(*args, **kwargs)
+def fresh(builder, g, **kwargs):
+    """Drop the graph's cached down-set so the computation really runs."""
+    g._cache.clear()
+    return builder(g, **kwargs)
 
 
 class TestPiRooted:
@@ -53,11 +62,9 @@ class TestPiRooted:
             assert not naive_solvable(g, w.counts)
 
     def test_scan_record(self, c5):
+        # every level of the down-set, then the empty level that ends it
         res = pb.pi_rooted(c5)
-        sizes = res.exhaustiveness.sizes
-        assert sizes[0] == 2 ** pb.eccentricity(c5, c5.root)
-        assert sizes[-1] == res.value
-        assert list(sizes) == list(range(sizes[0], res.value + 1))
+        assert res.exhaustiveness.sizes == tuple(range(res.value + 1))
 
     def test_diameter_lower_bound_invariant(self):
         for g in [pb.path_graph(3), pb.cycle_graph(5), pb.cycle_graph(7), pb.hypercube(3), pb.lollipop(1, 4)]:
@@ -87,10 +94,45 @@ class TestPiRooted:
     def test_wall_clock_cap_raises(self):
         from pebbling.errors import ResourceLimitError
 
-        engine._PI_CACHE.clear()
+        q4 = pb.hypercube(4)
+        q4._cache.clear()
         with pytest.raises(ResourceLimitError):
-            pb.pi_rooted(pb.hypercube(4), limits=pb.SearchLimits(max_seconds=0.3))
-        engine._PI_CACHE.clear()
+            pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.3))
+        # a run cut short leaves no partial down-set behind
+        assert ("unsolvable_levels", True) not in q4._cache
+
+
+def _down_set_cases():
+    named = [pb.path_graph(k) for k in range(1, 5)]
+    named += [pb.cycle_graph(n) for n in range(3, 7)]
+    named += [pb.named_graph("fig2"), pb.hypercube(3), pb.lollipop(1, 3)]
+    rng = random.Random(40_321)  # the random graphs of test_properties
+    return named + [random_connected_graph(rng, n_min=2, n_max=5) for _ in range(30)]
+
+
+class TestUnsolvableDownSet:
+    def test_levels_match_reference_oracles(self):
+        for g in _down_set_cases():
+            reference = naive_unsolvable_levels(g)
+            group = symmetry_closure(g)
+            for use_symmetry in (False, True):
+                g._cache.clear()
+                levels = engine._unsolvable_levels(g, pb.Solver(g), use_symmetry)
+                # the engine stops at the first empty level; the reference keeps it
+                assert len(levels) == len(reference) - 1, (g.edges, g.root, use_symmetry)
+                for size, level in enumerate(levels):
+                    if use_symmetry:
+                        orbits = [orbit(group, c) for c in level]
+                        expanded = set().union(*orbits)
+                        # one representative per orbit
+                        assert len(expanded) == sum(map(len, orbits)), (g.edges, size)
+                    else:
+                        expanded = level
+                    assert expanded == reference[size], (g.edges, g.root, use_symmetry, size)
+                res = pb.pi_rooted(g, use_symmetry=use_symmetry)
+                assert res.value == len(levels)
+                assert res.witness_unsolvable.counts == max(levels[-1])
+                assert res.witness_unsolvable.counts == max(reference[-2])
 
 
 class TestPiGlobal:

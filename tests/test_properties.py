@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import pebbling as pb
 from conftest import naive_pi_rooted, naive_solvable, random_connected_graph, random_counts
-from pebbling import pebbling_number as engine
 
 RELAXED = settings(
     max_examples=120,
@@ -80,16 +79,15 @@ def test_pi_rooted_matches_naive_on_random_graphs():
     rng = random.Random(40_321)
     for _ in range(30):
         g = random_connected_graph(rng, n_min=2, n_max=5)
-        engine._PI_CACHE.clear()
         assert pb.pi_rooted(g).value == naive_pi_rooted(g), (g.edges, g.root)
 
 
 def test_pi_rooted_symmetry_flag_is_value_neutral():
     rng = random.Random(555)
     for g in [pb.cycle_graph(5), pb.hypercube(3), pb.lollipop(1, 3)]:
-        engine._PI_CACHE.clear()
+        g._cache.clear()
         with_sym = pb.pi_rooted(g, use_symmetry=True).value
-        engine._PI_CACHE.clear()
+        g._cache.clear()
         without = pb.pi_rooted(g, use_symmetry=False).value
         assert with_sym == without
 

@@ -176,7 +176,8 @@ class TestDecomposition:
 
     def test_certify_by_decomposition(self):
         q4, w_star = pb.construction("q4star")
-        base = pb.construction_certificate("lemma5", method="recorded")
+        base = pb.construction_certificate("lemma5")
+        assert base.status == "oracle-checked"
         cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in pb.q4_copy_embeddings()])
         assert cert.status == "decomposed"
         assert len(cert.components) == 4
@@ -274,11 +275,6 @@ class TestCertificateRouting:
         cert = pb.construction_certificate("fig2")
         assert cert.status == "oracle-checked"
 
-    def test_recorded_route(self):
-        cert = pb.construction_certificate("lemma5", method="recorded")
-        assert cert.status == "recorded"
-        assert "pebble paper lemma5" in cert.notes
-
-    def test_unknown_recorded_refused(self):
-        with pytest.raises(UncertifiedWeightError):
-            pb.construction_certificate("conjecture", 3, method="recorded")
+    def test_unknown_method_refused(self):
+        with pytest.raises(BadParameterError):
+            pb.construction_certificate("lemma5", method="recorded")
