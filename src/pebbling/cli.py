@@ -357,7 +357,10 @@ def _target_prop_q3(args) -> int:
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
     q4, w_star = construction("q4star")
-    base = construction_certificate("lemma5")
+    g, w = construction("lemma5")
+    watched = shared_solver(g, 1, _limits(args))
+    nodes_before = watched.stats.nodes
+    base = certify_by_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
     copies = [(emb, base) for emb in q4_copy_embeddings()]
     ok = verify_decomposition(q4, w_star, [(emb, base.weight_function) for emb, _ in copies])
     cert = certify_by_decomposition(q4, w_star, copies)
@@ -372,7 +375,7 @@ def _target_thm2_q4(args) -> int:
         upper_method="weight cap of the four-copy decomposition",
         certificates=(base.status, cert.status),
         elapsed=time.monotonic() - start,
-        nodes=0,
+        nodes=watched.stats.nodes - nodes_before,
     )
     note(f"base certificate: {base.notes}")
     note(report.summary())

@@ -1,10 +1,14 @@
 """Exact-rational linear programming over strategy sets.
 
-A dense two-phase tableau simplex over fractions with Bland's
-least-index pivot rule, which cannot cycle. Instances here stay tiny
-(one variable per non-root vertex, one row per certificate), so no
-sparse machinery is warranted. The optimal basis also yields exact dual
-values, giving an independently checkable optimality certificate.
+A dense two-phase simplex on an integer-preserving tableau (Edmonds'
+fraction-free pivots, Bareiss 1968) with Bland's least-index rule,
+which cannot cycle. Each row and the objective are scaled to integers
+once; every pivot then divides exactly by the previous pivot, so the
+loop runs on plain ints with no gcd. The dual is read from the final
+reduced costs of the slack columns, giving an independently checkable
+optimality certificate. Instances here stay tiny (one variable per
+non-root vertex, one row per certificate), so no sparse machinery is
+warranted.
 
 The pebbling application: every unsolvable configuration is a feasible
 integer point of { p >= 0 : w_i . p <= w_i(1) for every certificate },
@@ -20,6 +24,7 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     EmptyStrategySetError,
+    LpError,
     UnboundedCoverageError,
 )
 from .graphs import Graph
@@ -56,166 +61,166 @@ def linear_program(objective, rows, rhs) -> LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """point, optimum and dual are all set exactly when status is OPTIMAL."""
+
     status: str
     optimum: Fraction | None
     point: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
 
 
-def _pivot(tab, basis, row, col):
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for i, r in enumerate(tab):
-        if i != row and r[col] != 0:
-            factor = r[col]
-            tab[i] = [a - factor * b for a, b in zip(r, tab[row])]
-    basis[row] = col
+def _integers(values) -> tuple[list[int], int]:
+    """values times the lcm of their denominators, and that lcm."""
+    values = [Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _run_simplex(tab, basis, cost, n_cols):
-    """Bland's rule on [rows | rhs] with a separate reduced-cost row.
+def _pivot(tab, row, col, det):
+    """Edmonds' integer-preserving pivot on tab[row][col]; returns the new det.
 
-    cost is mutated in place; entry cost[-1] accumulates -objective.
-    Returns "optimal" or "unbounded".
+    Every row holds det times its rational counterpart, so the exact
+    quotient by the previous pivot ``det`` keeps all entries integral.
+    The pivot row itself is unchanged.
     """
+    prow = tab[row]
+    p = prow[col]
+    for i, r in enumerate(tab):
+        if i == row:
+            continue
+        f = r[col]
+        if f:
+            tab[i] = [(a * p - f * b) // det for a, b in zip(r, prow)]
+        elif p != det:
+            tab[i] = [a * p // det for a in r]
+    return p
+
+
+def _run_simplex(tab, basis, n_cols, det):
+    """Bland's rule on [rows | rhs]; the last row of tab is the cost row.
+
+    det > 0, so signs and ratio orders read off the integers match the
+    rational tableau. Returns the status and the final det.
+    """
+    m = len(basis)
     while True:
-        enter = -1
-        for j in range(n_cols):
-            if cost[j] > 0:
-                enter = j
-                break
+        cost = tab[m]
+        enter = next((j for j in range(n_cols) if cost[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, det
         leave = -1
-        best = None
-        for i, row in enumerate(tab):
-            a = row[enter]
+        for i in range(m):
+            a = tab[i][enter]
             if a > 0:
-                ratio = row[-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
+                if leave < 0:
+                    leave, num, den = i, tab[i][-1], a
+                    continue
+                # least ratio rhs / a, ties to the smaller basis index
+                lhs, rhs = tab[i][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], a
         if leave < 0:
-            return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
-        factor = cost[enter]
-        cost[:] = [a - factor * b for a, b in zip(cost, tab[leave])]
+            return UNBOUNDED, det
+        det = _pivot(tab, leave, enter, det)
+        basis[leave] = enter
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact simplex; deterministic by least-index pivoting."""
     m, n = len(lp.rows), len(lp.objective)
-    zero = Fraction(0)
 
-    # columns: n structural, m slacks, then artificials as needed, rhs last
+    # columns: n structural, m slacks, then artificials as needed, rhs last;
+    # row i is scaled to integers by scales[i] and its slack by 1/scales[i]
     need_artificial = [b < 0 for b in lp.rhs]
     n_art = sum(need_artificial)
     n_cols = n + m + n_art
-    tab: list[list[Fraction]] = []
+    tab: list[list[int]] = []
     basis: list[int] = []
+    scales: list[int] = []
     art_col = n + m
     for i in range(m):
-        row = [zero] * (n_cols + 1)
+        values, scale = _integers((*lp.rows[i], lp.rhs[i]))
         sign = -1 if need_artificial[i] else 1
-        for j, a in enumerate(lp.rows[i]):
-            row[j] = sign * a
-        row[n + i] = Fraction(sign)
-        row[-1] = sign * lp.rhs[i]
+        row = [0] * (n_cols + 1)
+        row[:n] = [sign * a for a in values[:n]]
+        row[n + i] = sign
+        row[-1] = sign * values[-1]
         if need_artificial[i]:
-            row[art_col] = Fraction(1)
+            row[art_col] = 1
             basis.append(art_col)
             art_col += 1
         else:
             basis.append(n + i)
         tab.append(row)
+        scales.append(scale)
 
-    kept_rows = list(range(m))
+    det = 1
     if n_art:
         # phase one: maximize minus the artificial sum
-        cost = [zero] * (n_cols + 1)
+        cost = [0] * (n_cols + 1)
         for j in range(n + m, n_cols):
-            cost[j] = Fraction(-1)
+            cost[j] = -1
         for i, b in enumerate(basis):
-            if cost[b] != 0:
-                factor = cost[b]
-                cost = [a - factor * x for a, x in zip(cost, tab[i])]
-        _run_simplex(tab, basis, cost, n_cols)
-        if -cost[-1] < 0:
+            if b >= n + m:
+                cost = [a + x for a, x in zip(cost, tab[i])]
+        tab.append(cost)
+        _, det = _run_simplex(tab, basis, n_cols, det)
+        if tab.pop()[-1] > 0:
             return LpSolution(INFEASIBLE, None, None, None)
-        # pivot any leftover artificial out on a real column; an all-zero
-        # row is a redundant constraint and is dropped
-        drop = []
-        for i in range(len(tab)):
+        # pivot any leftover artificial out on a real column; B^-1 [A | ±I]
+        # has full row rank, so every row has one
+        for i in range(m):
             if basis[i] >= n + m:
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        _pivot(tab, basis, i, j)
-                        break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab[i], basis[i], kept_rows[i]
-        for i in range(len(tab)):
-            tab[i] = tab[i][: n + m] + [tab[i][-1]]
+                j = next(j for j in range(n + m) if tab[i][j])
+                det = _pivot(tab, i, j, det)
+                basis[i] = j
+                if det < 0:
+                    tab = [[-a for a in row] for row in tab]
+                    det = -det
+        tab = [row[: n + m] + row[-1:] for row in tab]
         n_cols = n + m
 
-    cost = [zero] * (n_cols + 1)
-    for j in range(n):
-        cost[j] = lp.objective[j]
+    objective, obj_scale = _integers(lp.objective)
+    cost = [det * c for c in objective] + [0] * (n_cols + 1 - n)
     for i, b in enumerate(basis):
-        if cost[b] != 0:
-            factor = cost[b]
+        if b < n and objective[b]:
+            factor = objective[b]
             cost = [a - factor * x for a, x in zip(cost, tab[i])]
-    status = _run_simplex(tab, basis, cost, n_cols)
+    tab.append(cost)
+    status, det = _run_simplex(tab, basis, n_cols, det)
+    cost = tab.pop()
     if status == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, None)
 
-    point = [zero] * n
+    point = [Fraction(0)] * n
     for i, b in enumerate(basis):
         if b < n:
-            point[b] = tab[i][-1]
-    optimum = -cost[-1]
-    try:
-        dual = _dual_values(lp, basis, kept_rows)
-    except (ValueError, StopIteration):
-        # degenerate bases involving dropped redundant rows
-        dual = None
+            point[b] = Fraction(tab[i][-1], det)
+    denominator = det * obj_scale
+    optimum = Fraction(-cost[-1], denominator)
+    # y_i is minus the reduced cost of slack i, undone for both scalings
+    dual = tuple(Fraction(-cost[n + i] * scales[i], denominator) for i in range(m))
     return LpSolution(OPTIMAL, optimum, tuple(point), dual)
 
 
-def _dual_values(lp, basis, kept_rows):
-    """Solve y . B = c_B exactly for the optimal basis; dropped rows get 0."""
-    n = len(lp.objective)
-    m = len(kept_rows)
-    zero = Fraction(0)
-    cols = []
-    cb = []
-    for b in basis:
-        if b < n:
-            cols.append([lp.rows[r][b] for r in kept_rows])
-            cb.append(lp.objective[b])
-        else:
-            col = [zero] * m
-            col[kept_rows.index(b - n)] = Fraction(1)
-            cols.append(col)
-            cb.append(zero)
-    # equations: sum_i y_i * cols[j][i] = cb[j]
-    aug = [[cols[j][i] for i in range(m)] + [cb[j]] for j in range(m)]
-    for c in range(m):
-        pivot_row = next(r for r in range(c, m) if aug[r][c] != 0)
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for r in range(m):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    partial = [aug[i][-1] for i in range(m)]
-    dual = [zero] * len(lp.rows)
-    for pos, r in enumerate(kept_rows):
-        dual[r] = partial[pos]
-    return tuple(dual)
+def _dual_problem(lp: LinearProgram, sol: LpSolution) -> str | None:
+    """Why sol.dual fails to prove sol.optimum, or None when it does.
+
+    Weak duality: y >= 0 and yA >= c bound every feasible c.x by y.b,
+    so y.b = optimum proves that no feasible point exceeds the optimum,
+    the direction the pebbling bound rests on.
+    """
+    y = sol.dual
+    if y is None or len(y) != len(lp.rows):
+        return "the optimal solution carries no dual of the right length"
+    if any(v < 0 for v in y):
+        return "negative dual value"
+    for j, c in enumerate(lp.objective):
+        if sum(v * row[j] for v, row in zip(y, lp.rows)) < c:
+            return f"dual violates column {j}"
+    if sum(v * b for v, b in zip(y, lp.rhs)) != sol.optimum:
+        return "dual objective differs from the optimum"
+    return None
 
 
 def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
@@ -225,7 +230,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     size, one row per certificate capping its weighted sum at the
     certificate's all-ones weight. Every non-root vertex must carry
     positive weight in some certificate, otherwise stacking pebbles
-    there is unconstrained and the program is unbounded.
+    there is unconstrained and the program is unbounded. The optimum is
+    re-proved from its dual before it is returned.
     """
     certs = list(certs)
     if not certs:
@@ -246,6 +252,9 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise UnboundedCoverageError(f"strategy LP ended {sol.status}")
+    problem = _dual_problem(lp, sol)
+    if problem:
+        raise LpError(f"internal error: {problem}")
     bound = math.floor(sol.optimum) + 1
     if return_lp:
         return sol.optimum, bound, lp, sol

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +223,13 @@ class TestPaperTargets:
         fields = result_map(results[0])
         assert fields["lower"] == fields["upper"] == fields["pi"] == "16"
 
+    def test_thm2_q4_honours_limits(self, capsys):
+        # the lemma5 base is certified by the oracle under the run's limits
+        pb.rooted_cube(4)._cache.clear()
+        code, results, err = run_cli(capsys, "paper", "thm2-q4", "--max-seconds", "0.00001")
+        assert code == 3
+        assert results == [] and "resource limit" in err
+
     def test_conj_n3(self, capsys):
         code, results, _ = run_cli(capsys, "paper", "conj-n3")
         assert code == 0
@@ -278,11 +287,15 @@ class TestPlumbing:
             assert results == [] and "PEBBLE_MAX_NODES" in err, target
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(pb.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "pebbling", "paper", "prop-fig2"],
             capture_output=True,
             text=True,
             timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "RESULT valid=true" in proc.stdout

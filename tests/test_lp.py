@@ -1,14 +1,18 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from conftest import reference_solve_lp
 from scipy.optimize import linprog
 
 import pebbling as pb
+import pebbling.lp as lp_module
 from pebbling.errors import (
     DimensionMismatchError,
     EmptyStrategySetError,
+    LpError,
     UnboundedCoverageError,
 )
 from pebbling.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, linear_program, solve_lp
@@ -130,9 +134,104 @@ class TestSolveLp:
             # exact feasibility and duality of our certificate
             for row, b in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(row, sol.point)) <= b
-            if sol.dual is not None:
-                assert all(y >= 0 for y in sol.dual)
-                assert sum(y * b for y, b in zip(sol.dual, rhs)) == sol.optimum
+            assert sol.dual is not None
+            assert all(y >= 0 for y in sol.dual)
+            assert sum(y * b for y, b in zip(sol.dual, rhs)) == sol.optimum
+            for j, c in enumerate(obj):
+                assert sum(y * row[j] for y, row in zip(sol.dual, rows)) >= c
+
+
+def random_program(rng, equalities=False):
+    """Small LP with signed fractional data; equalities add -a.x <= -b twins."""
+    n, m = rng.randint(1, 5), rng.randint(0 if not equalities else 1, 5)
+
+    def q():
+        return Fraction(rng.randint(-5, 8), rng.choice((1, 1, 2, 3, 4)))
+
+    rows, rhs = [], []
+    for _ in range(m):
+        row = [q() if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+        b = q() if rng.random() < 0.85 else Fraction(0)
+        rows.append(row)
+        rhs.append(b)
+        if equalities and rng.random() < 0.6:
+            rows.append([-a for a in row])
+            rhs.append(-b)
+        if equalities and rng.random() < 0.3:
+            c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+            rows.append([c * a for a in row])
+            rhs.append(c * b)
+    return linear_program([q() for _ in range(n)], rows, rhs)
+
+
+def induced_tree_weights(g, rng, size):
+    """Seeded induced tree at the root; parents weigh twice their children."""
+    depth = {g.root: 0}
+    while len(depth) <= size:
+        frontier = [
+            v
+            for v in range(g.vertex_count)
+            if v not in depth and sum(u in depth for u in g.neighbors[v]) == 1
+        ]
+        if not frontier:
+            break
+        v = rng.choice(frontier)
+        depth[v] = 1 + next(depth[u] for u in g.neighbors[v] if u in depth)
+    top = max(depth.values())
+    return [0 if v == g.root or v not in depth else 1 << (top - depth[v]) for v in range(g.vertex_count)]
+
+
+class TestAgainstReference:
+    """solve_lp must reproduce the Fraction tableau simplex exactly."""
+
+    def test_random_programs(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(400):
+            lp = random_program(rng)
+            sol = solve_lp(lp)
+            assert sol == reference_solve_lp(lp)
+            seen.add((sol.status, any(b < 0 for b in lp.rhs)))
+        # every status, and optima reached both with and without phase one
+        assert {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True), (UNBOUNDED, False)} <= seen
+
+    def test_degenerate_programs(self, monkeypatch):
+        # equality twins leave artificials basic at zero after phase one,
+        # so the clean-up pivots run, some of them on negative entries
+        negative = []
+        pivot = lp_module._pivot
+
+        def watched(tab, row, col, det):
+            negative.append(tab[row][col] < 0)
+            return pivot(tab, row, col, det)
+
+        monkeypatch.setattr(lp_module, "_pivot", watched)
+        rng = random.Random(77)
+        optimal = 0
+        for _ in range(300):
+            lp = random_program(rng, equalities=True)
+            sol = solve_lp(lp)
+            assert sol == reference_solve_lp(lp)
+            optimal += sol.status == OPTIMAL
+        assert optimal >= 30 and any(negative)
+
+    def test_strategy_programs_on_q4(self):
+        q4 = pb.hypercube(4)
+        variables = [v for v in range(q4.vertex_count) if v != q4.root]
+        for seed in range(3):
+            rng = random.Random(seed)
+            rows = []
+            # at least 12 strategies, and every variable in one, so the LP is bounded
+            while len(rows) < 12 or any(all(row[v] == 0 for row in rows) for v in variables):
+                rows.append(induced_tree_weights(q4, rng, 7))
+            lp = linear_program(
+                [1] * len(variables),
+                [[row[v] for v in variables] for row in rows],
+                [sum(row) for row in rows],
+            )
+            sol = solve_lp(lp)
+            assert sol.status == OPTIMAL
+            assert sol == reference_solve_lp(lp)
 
 
 class TestPebblingBound:
@@ -170,6 +269,17 @@ class TestPebblingBound:
         optimum, _ = pb.lp_pebbling_bound(c5, certs)
         witness = pb.pi_rooted(c5).witness_unsolvable
         assert optimum >= witness.size
+
+    def test_wrong_dual_is_an_internal_error(self, c5, monkeypatch):
+        solve = lp_module.solve_lp
+
+        def off_by_one(lp):
+            sol = solve(lp)
+            return replace(sol, dual=(sol.dual[0] + 1,) + sol.dual[1:])
+
+        monkeypatch.setattr(lp_module, "solve_lp", off_by_one)
+        with pytest.raises(LpError, match="internal error"):
+            pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
 
     def test_empty_set(self, c5):
         with pytest.raises(EmptyStrategySetError):
