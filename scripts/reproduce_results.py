@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
-The 14 default targets, brute-force Q4 (2-3 s) and the 16-arm lollipop
-(8-11 s) included, took 12-15 s in all over three runs on a shared
-2-vCPU Xeon virtual machine. Pass --allow-long to also run the
-dimension-5 reciprocal weights (conj-n5), which took a further 97 s and
-330 MB there; under a node or wall-clock cap it may end with exit code 3.
+The 14 default targets, brute-force Q4 (2.2-2.5 s) and the 16-arm
+lollipop (6-9 s) included, took 8-12 s in all over three runs on a
+shared 2-vCPU Xeon virtual machine. Pass --allow-long to also run the
+dimension-5 reciprocal weights (conj-n5), which took a further 91 s and
+109 MB there; under a node or wall-clock cap it may end with exit code 3.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]
@@ -16,8 +16,14 @@ import contextlib
 import io
 import sys
 import time
+from pathlib import Path
 
-from pebbling.cli import DEFAULT_TARGETS, LONG_TARGETS, main
+try:
+    from pebbling.cli import DEFAULT_TARGETS, LONG_TARGETS, main
+except ModuleNotFoundError:
+    # a plain checkout: the package lives in the repository's src/
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from pebbling.cli import DEFAULT_TARGETS, LONG_TARGETS, main
 
 
 def run_target(target, allow_long):

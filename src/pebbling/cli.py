@@ -3,7 +3,8 @@
 Machine-readable ``RESULT key=value`` lines go to stdout and are stable;
 human prose goes to stderr. Exit codes: 0 success or valid, 1 a
 counterexample or bound mismatch was found, 2 usage or parse error, 3 a
-resource limit was hit.
+resource limit was hit, 4 an internal error (a fault in this package,
+never a verdict).
 
 ``pebble paper <id>`` reproduces the named results bundled with the
 library end to end (exhaustive searches, certificate checks, LP
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -27,6 +29,7 @@ from pathlib import Path
 from .configurations import Configuration
 from .errors import (
     FormatError,
+    InternalError,
     NotATreeError,
     PebblingError,
     ResourceLimitError,
@@ -473,9 +476,16 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         note(f"error: {exc}")
         return 2
+    except InternalError as exc:
+        note(f"error: {exc}")
+        return 4
     except PebblingError as exc:
         note(f"error: {exc}")
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        note(f"internal error: {type(exc).__name__}: {exc}")
+        return 4
 
 
 if __name__ == "__main__":

@@ -57,6 +57,10 @@ class ResourceLimitError(PebblingError, RuntimeError):
     """A configured node or size cap was exceeded; not a verdict."""
 
 
+class InternalError(PebblingError, RuntimeError):
+    """A result failed its own re-check: a fault in this package, not a verdict."""
+
+
 class NotATreeError(PebblingError, ValueError):
     """Positive-weight support plus the root does not induce a tree."""
 

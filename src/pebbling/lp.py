@@ -24,10 +24,16 @@ from fractions import Fraction
 from .errors import (
     DimensionMismatchError,
     EmptyStrategySetError,
+    InternalError,
     LpError,
     UnboundedCoverageError,
 )
 from .graphs import Graph
+
+
+class _DualCheckError(LpError, InternalError):
+    """The dual certificate of an optimal solution failed its exact re-check."""
+
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -254,7 +260,7 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
         raise UnboundedCoverageError(f"strategy LP ended {sol.status}")
     problem = _dual_problem(lp, sol)
     if problem:
-        raise LpError(f"internal error: {problem}")
+        raise _DualCheckError(f"internal error: {problem}")
     bound = math.floor(sol.optimum) + 1
     if return_lp:
         return sol.optimum, bound, lp, sol

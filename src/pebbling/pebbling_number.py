@@ -17,6 +17,19 @@ Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
 larger stack is solvable outright. With symmetry each level keeps one
 canonical representative per orbit of the stored generators.
 
+Each candidate is decided by one step on level s, with no search. A
+candidate q of size s+1 is unsolvable exactly when every legal move
+u -> v (q(u) >= 2) leaves a child that, canonicalized under symmetry,
+is in level s. A solving sequence starts with one move, and its child
+either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
+or is a root-free configuration of size s below the caps. The first two
+are solvable and in no level (the stored symmetries fix the root, so
+they keep distances); the third is unsolvable exactly when level s
+holds it, one representative per orbit, by induction on s. So one set
+lookup decides each move. Moves are tried in the solver's order, toward
+the root first, so a solvable candidate stops early, and each candidate
+counts as one search node against the solver's limits.
+
 The levels also answer every weight-function question on the graph: the
 largest weight of an unsolvable configuration is a maximum over them.
 They are cached on the graph, so repeated certificate checks on one
@@ -32,7 +45,7 @@ from math import lcm
 from operator import mul
 
 from .configurations import Configuration, canonical_counts
-from .errors import BadParameterError, GraphMismatchError, PebblingError
+from .errors import BadParameterError, GraphMismatchError, InternalError
 from .graphs import Graph, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
 
@@ -57,7 +70,8 @@ class PiResult:
 
 
 def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[set, ...]:
-    """The unsolvable root-free configurations of g, one set per size.
+    """The unsolvable root-free configurations of g, one set per size,
+    each level decided from the one below (see the module docstring).
 
     Cached on the graph, keyed by ``use_symmetry``, only once complete:
     a resource limit hit part-way leaves nothing behind.
@@ -84,10 +98,22 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
                     q = tuple(q)
                     if use_symmetry:
                         q = canonical_counts(g, q)
-                    if q not in tried:
-                        tried.add(q)
-                        if not solver.decide(q):
-                            nxt.add(q)
+                    if q in tried:
+                        continue
+                    tried.add(q)
+                    solver.count_node()
+                    for a, b in solver._moves:
+                        if q[a] >= 2:
+                            child = list(q)
+                            child[a] -= 2
+                            child[b] += 1
+                            child = tuple(child)
+                            if use_symmetry:
+                                child = canonical_counts(g, child)
+                            if child not in level:
+                                break
+                    else:
+                        nxt.add(q)
         level = nxt
     cache[key] = levels = tuple(levels)
     return levels
@@ -113,7 +139,7 @@ def pi_rooted(
     levels = _unsolvable_levels(g, solver, use_symmetry)
     witness = max(levels[-1])
     if Solver(g, 1, solver.limits).decide(witness):
-        raise PebblingError("internal error: witness re-verification failed")
+        raise InternalError("internal error: witness re-verification failed")
     value = len(levels)
     return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1)), use_symmetry))
 

@@ -87,8 +87,7 @@ def potential(g: Graph, p: Configuration) -> Fraction:
 class Solver:
     """Reusable decision engine for one graph and one target count.
 
-    The memo table persists across calls, so scanning many
-    configurations of one graph amortizes the shared search space.
+    The memo table persists across calls on the same solver.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -122,15 +121,21 @@ class Solver:
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise ResourceLimitError(f"search exceeded {self.limits.max_seconds} seconds")
 
-    # -- decision without witness -------------------------------------
-
-    def decide(self, counts: tuple[int, ...]) -> bool:
+    def count_node(self) -> None:
+        """Count one search node against the node cap and, every 4096
+        nodes, the deadline."""
         stats = self.stats
         stats.nodes += 1
         if stats.nodes > self.limits.max_nodes:
             raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
         if self._deadline is not None and not stats.nodes % 4096:
             self.check_deadline()
+
+    # -- decision without witness -------------------------------------
+
+    def decide(self, counts: tuple[int, ...]) -> bool:
+        self.count_node()
+        stats = self.stats
         thr = self.stack_threshold
         pot = 0
         pw = self._pot
@@ -171,12 +176,8 @@ class Solver:
         return moves
 
     def _witness(self, counts: tuple[int, ...]) -> list[Move] | None:
+        self.count_node()
         stats = self.stats
-        stats.nodes += 1
-        if stats.nodes > self.limits.max_nodes:
-            raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
-        if self._deadline is not None and not stats.nodes % 4096:
-            self.check_deadline()
         if counts[self.graph.root] >= self.target:
             return []
         thr = self.stack_threshold

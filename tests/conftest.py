@@ -6,7 +6,10 @@ memoization; agreement between the two is the backbone of the solver
 tests. naive_pi_rooted likewise scans sizes with raw stars-and-bars
 enumeration and double-checks two sizes past the stopping point.
 reference_solve_lp is the earlier Fraction tableau simplex, whose
-results the integer-pivot solve_lp must reproduce exactly.
+results the integer-pivot solve_lp must reproduce exactly, and
+reference_unsolvable_levels the earlier down-set builder, which asks
+the memoized solver about every candidate; the one-step recurrence of
+pebbling_number must reproduce its levels exactly.
 """
 
 from collections import deque
@@ -16,6 +19,8 @@ from itertools import combinations
 import pytest
 
 import pebbling as pb
+from pebbling.configurations import canonical_counts
+from pebbling.graphs import distances_from
 from pebbling.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
 ACCEPTANCE_LINES: list[str] = []
@@ -104,6 +109,36 @@ def naive_unsolvable_levels(g):
         levels.append(level)
         if not level:
             return levels
+
+
+def reference_unsolvable_levels(g, solver, use_symmetry):
+    """The down-set built by deciding every candidate with ``solver``:
+    each level is the level below plus one pebble (p(v) < 2^d(v,r)),
+    kept where the solver finds it unsolvable. Nothing is cached."""
+    use_symmetry = use_symmetry and bool(g.symmetry)
+    dist = distances_from(g, g.root)
+    top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
+    level = {(0,) * g.vertex_count}
+    levels = []
+    while level:
+        levels.append(level)
+        tried: set[tuple[int, ...]] = set()
+        nxt = set()
+        for p in level:
+            solver.check_deadline()
+            for v, cap in top:
+                if p[v] < cap:
+                    q = list(p)
+                    q[v] += 1
+                    q = tuple(q)
+                    if use_symmetry:
+                        q = canonical_counts(g, q)
+                    if q not in tried:
+                        tried.add(q)
+                        if not solver.decide(q):
+                            nxt.add(q)
+        level = nxt
+    return tuple(levels)
 
 
 def symmetry_closure(g):

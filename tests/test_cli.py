@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import pebbling as pb
+from pebbling import cli, pebbling_number
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
 
@@ -286,6 +287,26 @@ class TestPlumbing:
             assert code == 2, target
             assert results == [] and "PEBBLE_MAX_NODES" in err, target
 
+    def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+        code, results, err = run_cli(capsys, "gen", "hypercube", "3")
+        assert code == 4
+        assert results == [] and "internal error: RuntimeError: boom" in err
+
+    def test_failed_witness_reverification_exits_4(self, capsys, monkeypatch, c5_file):
+        class AlwaysSolvable(pb.Solver):
+            def decide(self, counts):
+                return True
+
+        # only the re-verification builds its own solver
+        monkeypatch.setattr(pebbling_number, "Solver", AlwaysSolvable)
+        code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
+        assert code == 4
+        assert results == [] and "witness re-verification failed" in err
+
     def test_module_entry_point(self, tmp_path):
         # the child imports the same package as this process, installed or not
         src = str(Path(pb.__file__).resolve().parent.parent)
@@ -299,3 +320,18 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert "RESULT valid=true" in proc.stdout
+
+    def test_reproduce_script_runs_from_a_plain_checkout(self, tmp_path):
+        # no PYTHONPATH: the script finds the repository's src/ itself
+        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_results.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        proc = subprocess.run(
+            [sys.executable, str(script), "--help"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            cwd=tmp_path,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "--allow-long" in proc.stdout

@@ -10,10 +10,13 @@ from conftest import (
     naive_unsolvable_levels,
     orbit,
     random_connected_graph,
+    reference_unsolvable_levels,
     root_zero_counts,
     symmetry_closure,
 )
 from pebbling import pebbling_number as engine
+from pebbling.errors import ResourceLimitError
+from pebbling.fileformats import parse_graph, serialize_graph
 
 
 def fresh(builder, g, **kwargs):
@@ -92,14 +95,20 @@ class TestPiRooted:
         assert sequential.witness_unsolvable.counts == parallel.witness_unsolvable.counts
 
     def test_wall_clock_cap_raises(self):
-        from pebbling.errors import ResourceLimitError
-
         q4 = pb.hypercube(4)
         q4._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.3))
         # a run cut short leaves no partial down-set behind
         assert ("unsolvable_levels", True) not in q4._cache
+
+    def test_node_cap_stops_the_scan(self):
+        # each candidate the down-set builder decides is one search node
+        c7 = pb.cycle_graph(7)
+        c7._cache.clear()
+        with pytest.raises(ResourceLimitError):
+            pb.pi_rooted(c7, limits=pb.SearchLimits(max_nodes=50))
+        assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in c7._cache)
 
 
 def _down_set_cases():
@@ -133,6 +142,34 @@ class TestUnsolvableDownSet:
                 assert res.value == len(levels)
                 assert res.witness_unsolvable.counts == max(levels[-1])
                 assert res.witness_unsolvable.counts == max(reference[-2])
+
+
+def _relabeled_path_from_file(k, seed):
+    """A seeded relabeling of path_graph(k), read back through the file
+    format, so it carries no stored symmetry."""
+    g = pb.path_graph(k)
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    moved = pb.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges], root=perm[g.root])
+    return parse_graph(serialize_graph(moved))
+
+
+class TestAgainstReferenceBuilder:
+    def test_levels_match_the_solver_driven_builder(self):
+        # graphs too large for naive_unsolvable_levels
+        graphs = [
+            pb.cycle_graph(7),
+            pb.cycle_graph(9),
+            pb.rooted_cube(4),
+            pb.lollipop(2, 3),
+            _relabeled_path_from_file(6, 7_919),
+        ]
+        for g in graphs:
+            for use_symmetry in (False, True) if g.symmetry else (False,):
+                reference = reference_unsolvable_levels(g, pb.Solver(g), use_symmetry)
+                g._cache.clear()
+                levels = engine._unsolvable_levels(g, pb.Solver(g), use_symmetry)
+                assert levels == reference, (g.edges, g.root, use_symmetry)
 
 
 class TestPiGlobal:
