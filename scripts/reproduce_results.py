@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
-The 14 default targets, brute-force Q4 (2.2-2.5 s) and the 16-arm
-lollipop (6-9 s) included, took 8-12 s in all over three runs on a
-shared 2-vCPU Xeon virtual machine. Pass --allow-long to also run the
-dimension-5 reciprocal weights (conj-n5), which took a further 91 s and
-109 MB there; under a node or wall-clock cap it may end with exit code 3.
+The 14 default targets, brute-force Q4 (0.4-0.5 s) and the 16-arm
+lollipop (6.6-8.3 s) included, took 7.4-9.2 s in all over three runs on
+a shared 2-vCPU Xeon virtual machine. Pass --allow-long to also run the
+dimension-5 reciprocal weights (conj-n5), which took a further 17-20 s
+there; under a node or wall-clock cap it may end with exit code 3.
+
+Each row also shows the peak resident set size of this process so far.
+Run alone, q4-bruteforce peaked at 31 MB (86 MB with --no-symmetry) and
+conj-n5 at 426 MB; after the defaults the table shows 32 MB and 441 MB.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]
@@ -14,6 +18,7 @@ Usage:
 import argparse
 import contextlib
 import io
+import resource
 import sys
 import time
 from pathlib import Path
@@ -24,6 +29,12 @@ except ModuleNotFoundError:
     # a plain checkout: the package lives in the repository's src/
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
     from pebbling.cli import DEFAULT_TARGETS, LONG_TARGETS, main
+
+
+def peak_rss_mb():
+    """The peak resident set size of this process so far, in MB."""
+    # ru_maxrss is in kilobytes on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_target(target, allow_long):
@@ -46,13 +57,13 @@ def main_script():
 
     targets = list(DEFAULT_TARGETS) + (list(LONG_TARGETS) if args.allow_long else [])
     failures = 0
-    print(f"{'target':<14} {'exit':<5} {'time':>8}  result")
+    print(f"{'target':<14} {'exit':<5} {'time':>8} {'peak RSS':>9}  result")
     for target in targets:
         code, elapsed, results = run_target(target, args.allow_long)
         if code != 0:
             failures += 1
         summary = "; ".join(results) if results else "(no RESULT lines)"
-        print(f"{target:<14} {code:<5} {elapsed:>7.1f}s  {summary}")
+        print(f"{target:<14} {code:<5} {elapsed:>7.1f}s {peak_rss_mb():>6.0f} MB  {summary}")
     print(f"\n{len(targets) - failures}/{len(targets)} targets succeeded")
     return 1 if failures else 0
 

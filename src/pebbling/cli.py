@@ -133,7 +133,10 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--max-nodes", type=int, default=None,
-            help="search-node cap per operation (default: PEBBLE_MAX_NODES, else 10^8; exit 3 when exceeded)",
+            help=(
+                "search-node cap per operation; a down-set scan counts one node per candidate it decides "
+                "(default: PEBBLE_MAX_NODES, else 10^8; exit 3 when exceeded)"
+            ),
         )
         p.add_argument(
             "--max-seconds", type=float, default=None,
@@ -468,7 +471,8 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
-        note(f"resource limit: {exc}")
+        proven = "" if exc.pi_lower is None else f"; proven pi >= {exc.pi_lower}"
+        note(f"resource limit: {exc}{proven}")
         return 3
     except (FormatError, UnknownFamilyError, WeightNotPositiveError) as exc:
         note(f"error: {exc}")

@@ -54,7 +54,13 @@ class InsufficientPebblesError(MoveError):
 
 
 class ResourceLimitError(PebblingError, RuntimeError):
-    """A configured node or size cap was exceeded; not a verdict."""
+    """A configured node or size cap was exceeded; not a verdict.
+
+    ``pi_lower`` is set when the cap stopped a down-set build: that many
+    levels were complete, so the rooted pebbling number is at least it.
+    """
+
+    pi_lower: int | None = None
 
 
 class InternalError(PebblingError, RuntimeError):

@@ -27,8 +27,20 @@ are solvable and in no level (the stored symmetries fix the root, so
 they keep distances); the third is unsolvable exactly when level s
 holds it, one representative per orbit, by induction on s. So one set
 lookup decides each move. Moves are tried in the solver's order, toward
-the root first, so a solvable candidate stops early, and each candidate
-counts as one search node against the solver's limits.
+the root first, so a solvable candidate stops early.
+
+How a child is looked up depends on the symmetry. Without it the child
+is looked up as it is. Under block symmetry (transpositions only) it is
+canonicalized first. Under a stored closure group, which is small, the
+builder keeps beside each level of representatives the set of all their
+orbit members, so a child is looked up as it is, with no
+canonicalization; only the representatives are extended, and an orbit
+is expanded once, when a candidate of it is found unsolvable (orderly
+generation, McKay 1998). Each candidate decision counts as one search
+node against the solver's limits. In group mode a solvable candidate is
+not remembered, so one reached from several representatives is decided,
+and counted, each time. A limit hit part-way reports the number of
+complete levels, a proven lower bound on pi_rooted.
 
 The levels also answer every weight-function question on the graph: the
 largest weight of an unsolvable configuration is a maximum over them.
@@ -43,9 +55,10 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import mul
+from typing import Iterator
 
-from .configurations import Configuration, canonical_counts
-from .errors import BadParameterError, GraphMismatchError, InternalError
+from .configurations import Configuration, _symmetry_mode, canonical_counts
+from .errors import BadParameterError, GraphMismatchError, InternalError, ResourceLimitError
 from .graphs import Graph, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
 
@@ -74,7 +87,8 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
     each level decided from the one below (see the module docstring).
 
     Cached on the graph, keyed by ``use_symmetry``, only once complete:
-    a resource limit hit part-way leaves nothing behind.
+    a resource limit hit part-way leaves nothing behind, and the error
+    carries the number of levels completed as ``pi_lower``.
     """
     use_symmetry = use_symmetry and bool(g.symmetry)
     key = ("unsolvable_levels", use_symmetry)
@@ -83,10 +97,29 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
         return cache[key]
     dist = distances_from(g, g.root)
     top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
-    level = {(0,) * g.vertex_count}
+    kind, data = _symmetry_mode(g) if use_symmetry else ("none", None)
+    if kind == "group":
+        built = _levels_from_orbits(g, solver, top, data)
+    else:
+        built = _levels_from_representatives(g, solver, top, kind == "blocks")
     levels = []
+    try:
+        for level in built:
+            levels.append(level)
+    except ResourceLimitError as exc:
+        # levels 0..len(levels)-1 are complete and non-empty
+        exc.pi_lower = len(levels)
+        raise
+    cache[key] = levels = tuple(levels)
+    return levels
+
+
+def _levels_from_representatives(g: Graph, solver: Solver, top, canonicalize: bool) -> Iterator[set]:
+    """Yield the levels, each child canonicalized when ``canonicalize``
+    (block symmetry) and looked up in the level below."""
+    level = {(0,) * g.vertex_count}
     while level:
-        levels.append(level)
+        yield level
         tried: set[tuple[int, ...]] = set()
         nxt = set()
         for p in level:
@@ -96,7 +129,7 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
                     q = list(p)
                     q[v] += 1
                     q = tuple(q)
-                    if use_symmetry:
+                    if canonicalize:
                         q = canonical_counts(g, q)
                     if q in tried:
                         continue
@@ -108,15 +141,54 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
                             child[a] -= 2
                             child[b] += 1
                             child = tuple(child)
-                            if use_symmetry:
+                            if canonicalize:
                                 child = canonical_counts(g, child)
                             if child not in level:
                                 break
                     else:
                         nxt.add(q)
         level = nxt
-    cache[key] = levels = tuple(levels)
-    return levels
+
+
+def _levels_from_orbits(g: Graph, solver: Solver, top, getters) -> Iterator[set]:
+    """Yield the levels as orbit representatives, looking children up
+    among every orbit member of the level below.
+
+    Only the representatives are extended; a candidate is skipped once
+    its orbit is known unsolvable, and its orbit is expanded, with one
+    ``itemgetter`` per closure permutation, only when it is found
+    unsolvable. Solvable candidates are not remembered: deciding one
+    again costs less than expanding its orbit.
+    """
+    moves = solver._moves
+    reps = {(0,) * g.vertex_count}
+    members = reps
+    while reps:
+        yield reps
+        nxt_reps = set()
+        nxt_members: set[tuple[int, ...]] = set()
+        for p in reps:
+            solver.check_deadline()
+            for v, cap in top:
+                if p[v] < cap:
+                    q = list(p)
+                    q[v] += 1
+                    q = tuple(q)
+                    if q in nxt_members:
+                        continue
+                    solver.count_node()
+                    for a, b in moves:
+                        if q[a] >= 2:
+                            child = list(q)
+                            child[a] -= 2
+                            child[b] += 1
+                            if tuple(child) not in members:
+                                break
+                    else:
+                        images = {perm(q) for perm in getters}
+                        nxt_members |= images
+                        nxt_reps.add(max(images))
+        reps, members = nxt_reps, nxt_members
 
 
 def pi_rooted(

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,13 @@ class TestPaperTargets:
         code, results, err = run_cli(capsys, "paper", "thm2-q4", "--max-seconds", "0.00001")
         assert code == 3
         assert results == [] and "resource limit" in err
+
+    def test_cap_reports_proven_lower_bound(self, capsys):
+        pb.cycle_graph(9)._cache.clear()
+        code, results, err = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", "2000")
+        assert code == 3 and results == []
+        proven = re.search(r"proven pi >= (\d+)", err)
+        assert proven and 1 <= int(proven.group(1)) < 21, err
 
     def test_conj_n3(self, capsys):
         code, results, _ = run_cli(capsys, "paper", "conj-n3")

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,8 +98,9 @@ class TestPiRooted:
     def test_wall_clock_cap_raises(self):
         q4 = pb.hypercube(4)
         q4._cache.clear()
+        # the symmetric Q4 down-set takes about 0.4 s, eight times the cap
         with pytest.raises(ResourceLimitError):
-            pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.3))
+            pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.05))
         # a run cut short leaves no partial down-set behind
         assert ("unsolvable_levels", True) not in q4._cache
 
@@ -109,6 +111,16 @@ class TestPiRooted:
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(c7, limits=pb.SearchLimits(max_nodes=50))
         assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in c7._cache)
+
+    def test_cap_reports_complete_levels(self):
+        # the levels finished before the cap are a proven lower bound on pi
+        c9 = pb.cycle_graph(9)
+        for use_symmetry in (True, False):
+            c9._cache.clear()
+            with pytest.raises(ResourceLimitError) as caught:
+                pb.pi_rooted(c9, use_symmetry=use_symmetry, limits=pb.SearchLimits(max_nodes=2_000))
+            assert 1 <= caught.value.pi_lower < 21, use_symmetry
+        assert ResourceLimitError("plain cap").pi_lower is None
 
 
 def _down_set_cases():
@@ -170,6 +182,38 @@ class TestAgainstReferenceBuilder:
                 g._cache.clear()
                 levels = engine._unsolvable_levels(g, pb.Solver(g), use_symmetry)
                 assert levels == reference, (g.edges, g.root, use_symmetry)
+
+
+class TestOrbitBuilder:
+    """The group-mode builder: levels of representatives, looked up
+    among every orbit member of the level below."""
+
+    def test_q4_levels_expand_to_the_full_down_set(self):
+        q4 = pb.hypercube(4)
+        group = symmetry_closure(q4)
+        assert len(group) == 24
+        q4._cache.clear()
+        full = engine._unsolvable_levels(q4, pb.Solver(q4), False)
+        reduced = engine._unsolvable_levels(q4, pb.Solver(q4), True)
+        assert len(reduced) == len(full) == 16
+        for size, (level, reference) in enumerate(zip(reduced, full)):
+            orbits = [orbit(group, c) for c in level]
+            expanded = set().union(*orbits)
+            assert len(expanded) == sum(map(len, orbits)), size
+            assert all(c == max(o) for c, o in zip(level, orbits)), size
+            assert expanded == reference, size
+        q4._cache.clear()  # the full Q4 down-set holds about 60 MB
+
+    def test_never_canonicalizes(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("canonical_counts called by the group-mode builder")
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("pebbling") and getattr(module, "canonical_counts", None):
+                monkeypatch.setattr(module, "canonical_counts", refuse)
+        for g, pi in ((pb.cycle_graph(9), 21), (pb.rooted_cube(4), 16)):
+            g._cache.clear()
+            assert len(engine._unsolvable_levels(g, pb.Solver(g), True)) == pi
 
 
 class TestPiGlobal:
