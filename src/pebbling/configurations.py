@@ -1,11 +1,12 @@
-"""Pebble configurations, moves, and exhaustive enumeration.
+"""Pebble configurations, moves, exhaustive enumeration and canonical forms.
 
 Configurations are immutable value objects bound to one graph, so they
-can serve as memo keys. Enumeration streams are deterministic:
+can serve as memo keys. Enumeration produces every configuration of a
+size, with no symmetry reduction, in one deterministic order:
 lexicographic in vertex index with counts descending, which makes runs
 reproducible.
 
-Symmetry reduction uses only the generators stored on the graph. Two
+Canonical forms use only the generators stored on the graph. Two
 regimes are handled exactly: when every generator is a transposition the
 closure is a product of symmetric groups over "blocks" of
 interchangeable vertices and the canonical form sorts each block's
@@ -100,7 +101,8 @@ def _compose(p, q):
 def _symmetry_mode(g: Graph):
     """Resolve the stored generators into one of three regimes.
 
-    Returns ("none", None), ("blocks", (blocks, prev_in_block)), or
+    Returns ("none", None), ("blocks", blocks) with each block a sorted
+    tuple of interchangeable vertices, or
     ("group", getters) with one ``itemgetter`` per permutation of the
     full closure, so applying a permutation is one C call. Cached per
     graph.
@@ -135,12 +137,7 @@ def _symmetry_mode(g: Graph):
             groups: dict[int, list[int]] = {}
             for v in range(n):
                 groups.setdefault(find(v), []).append(v)
-            blocks = tuple(tuple(sorted(b)) for b in sorted(groups.values()) if len(b) > 1)
-            prev = {}
-            for block in blocks:
-                for a, b in zip(block, block[1:]):
-                    prev[b] = a
-            mode = ("blocks", (blocks, prev))
+            mode = ("blocks", tuple(tuple(sorted(b)) for b in sorted(groups.values()) if len(b) > 1))
         else:
             identity = tuple(range(n))
             group = {identity}
@@ -178,9 +175,8 @@ def canonical_counts(g: Graph, counts: tuple[int, ...]) -> tuple[int, ...]:
     if kind == "none":
         return counts
     if kind == "blocks":
-        blocks, _ = data
         out = list(counts)
-        for block in blocks:
+        for block in data:
             vals = sorted((counts[v] for v in block), reverse=True)
             for v, val in zip(block, vals):
                 out[v] = val
@@ -201,89 +197,32 @@ def canonical_form(g: Graph, p: Configuration) -> Configuration:
 # ---------------------------------------------------------------------------
 
 
-def _iter_counts(
-    g: Graph,
-    size: int,
-    exclude_root: bool = False,
-    use_symmetry: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Raw counts tuples of total ``size``.
-
-    With symmetry, only canonical representatives are produced: natively
-    for block symmetry (counts within a block are forced descending),
-    by filtering against ``canonical_counts`` for closure groups.
-    """
+def enumerate_configurations(g: Graph, size: int, exclude_root: bool = False) -> Iterator[Configuration]:
+    """Stream every configuration of exactly ``size`` pebbles, each once,
+    in descending lexicographic order. With ``exclude_root`` the root is
+    forced to 0."""
+    if size < 0:
+        raise BadParameterError("size must be nonnegative")
     n = g.vertex_count
     limit = [size] * n
     if exclude_root:
         limit[g.root] = 0
-
-    prev: dict[int, int] = {}
-    group_filter = False
-    if use_symmetry:
-        kind, data = _symmetry_mode(g)
-        if kind == "blocks":
-            prev = data[1]
-        elif kind == "group":
-            group_filter = True
-
-    block_of: dict[int, int] = {}
-    if prev:
-        for b, a in prev.items():
-            root_id = block_of.get(a, a)
-            block_of[a] = root_id
-            block_of[b] = root_id
-
-    # Capacity bookkeeping for pruning: once vertex i takes value c, its
-    # later block mates can hold at most c each, other vertices their cap.
+    # suffix_caps[i]: the most pebbles vertices i.. can hold, for pruning
     suffix_caps = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_caps[i] = suffix_caps[i + 1] + limit[i]
-    mates_after = [0] * n
-    mate_caps_after = [0] * n
-    for i in range(n):
-        if i in block_of:
-            mates = [j for j in range(i + 1, n) if block_of.get(j) == block_of[i]]
-            mates_after[i] = len(mates)
-            mate_caps_after[i] = sum(limit[j] for j in mates)
-
     acc = [0] * n
 
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, remaining: int) -> Iterator[Configuration]:
         if i == n:
-            if remaining == 0:
-                c = tuple(acc)
-                if not group_filter or canonical_counts(g, c) == c:
-                    yield c
+            # the pruning below leaves no pebble over at the last vertex
+            yield Configuration(g, tuple(acc))
             return
-        hi = min(limit[i], remaining)
-        if i in prev:
-            hi = min(hi, acc[prev[i]])
-        for c in range(hi, -1, -1):
-            cap_after = suffix_caps[i + 1] - mate_caps_after[i] + mates_after[i] * c
-            if remaining - c > cap_after:
+        for c in range(min(limit[i], remaining), -1, -1):
+            if remaining - c > suffix_caps[i + 1]:
                 break
             acc[i] = c
             yield from rec(i + 1, remaining - c)
         acc[i] = 0
 
     yield from rec(0, size)
-
-
-def enumerate_configurations(
-    g: Graph,
-    size: int,
-    exclude_root: bool = False,
-    use_symmetry: bool = False,
-) -> Iterator[Configuration]:
-    """Stream every configuration of exactly ``size`` pebbles, each once.
-
-    With ``exclude_root`` the root is forced to 0. With ``use_symmetry``
-    exactly one representative per orbit of the stored generators is
-    produced, and every configuration of that size is reachable from
-    some yielded representative by a composition of generators.
-    """
-    if size < 0:
-        raise BadParameterError("size must be nonnegative")
-    for counts in _iter_counts(g, size, exclude_root=exclude_root, use_symmetry=use_symmetry):
-        yield Configuration(g, counts)

@@ -34,8 +34,7 @@ class Graph:
     """Immutable rooted graph.
 
     Equality is identity; configurations and weight functions are bound
-    to one specific Graph object. Immutability makes instances safely
-    shareable across worker processes.
+    to one specific Graph object.
     """
 
     vertex_count: int
@@ -52,17 +51,6 @@ class Graph:
             nbrs[v].append(u)
         object.__setattr__(self, "neighbors", tuple(tuple(sorted(a)) for a in nbrs))
         object.__setattr__(self, "_cache", {})
-
-    # The per-instance cache holds distance tables, symmetry closures and
-    # warm solvers; it must not travel to worker processes.
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_cache", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__dict__["_cache"] = {}
 
     @property
     def edge_set(self) -> frozenset[Edge]:
@@ -349,25 +337,23 @@ def lollipop(n: int, m: int | None = None) -> Graph:
     return build_graph(n + m + 2, edges, root=0, labels=labels, symmetry=tuple(swaps))
 
 
-_NAMED = {"fig2": lambda: rooted_cube(3), "lemma5": lambda: rooted_cube(4)}
-
-
-def named_graph(name: str) -> Graph:
-    try:
-        return _NAMED[name]()
-    except KeyError:
-        raise UnknownFamilyError(f"unknown named graph {name!r}") from None
-
-
 _FAMILIES = {
     "path": (path_graph, 1),
     "cycle": (cycle_graph, 1),
     "hypercube": (hypercube, 1),
     "rooted_cube": (rooted_cube, 1),
     "lollipop": (lollipop, (1, 2)),
-    "fig2": (lambda: named_graph("fig2"), 0),
-    "lemma5": (lambda: named_graph("lemma5"), 0),
+    "fig2": (lambda: rooted_cube(3), 0),
+    "lemma5": (lambda: rooted_cube(4), 0),
 }
+
+
+def named_graph(name: str) -> Graph:
+    """Build a zero-parameter family by name, e.g. named_graph("fig2")."""
+    fn, arity = _FAMILIES.get(name, (None, None))
+    if arity != 0:
+        raise UnknownFamilyError(f"unknown named graph {name!r}")
+    return fn()
 
 
 def generate(family: str, *params: int) -> Graph:

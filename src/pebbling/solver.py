@@ -13,6 +13,13 @@ memo is sound. Exactly two shortcuts are used, both of which are exact:
 No dominance tables or other heuristics take part in the verdict, which
 keeps the oracle auditable. Move ordering prefers moves toward the root;
 it only affects how fast witnesses are found.
+
+A witness is read off ``decide`` rather than searched for again: from
+the queried configuration, until the root holds the target, take the
+first stack that suffices (in vertex order), else the first move whose
+child ``decide`` accepts, mostly a memo hit. Every witness is then replayed through
+``apply_move``; a replay that does not reach the target raises
+InternalError.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .configurations import Configuration, canonical_counts
-from .errors import BadParameterError, GraphMismatchError, ResourceLimitError
+from .configurations import Configuration, apply_move, canonical_counts
+from .errors import BadParameterError, GraphMismatchError, InternalError, MoveError, ResourceLimitError
 from .graphs import Graph, distances_from, shortest_path
 
 DEFAULT_MAX_NODES = 10**8
@@ -87,7 +94,9 @@ def potential(g: Graph, p: Configuration) -> Fraction:
 class Solver:
     """Reusable decision engine for one graph and one target count.
 
-    The memo table persists across calls on the same solver.
+    The memo table persists across calls on the same solver. Witness
+    queries leave solvable (True) entries in it as well as unsolvable
+    ones, and count a node for every ``decide`` call along the walk.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -176,35 +185,39 @@ class Solver:
         return moves
 
     def _witness(self, counts: tuple[int, ...]) -> list[Move] | None:
-        self.count_node()
-        stats = self.stats
-        if counts[self.graph.root] >= self.target:
-            return []
-        thr = self.stack_threshold
-        pot = 0
-        pw = self._pot
-        for v, c in enumerate(counts):
-            if c:
-                if c >= thr[v]:
-                    return self._stack_witness(counts, v)
-                pot += c * pw[v]
-        if pot < self._pot_target:
+        """The witness read off ``decide`` (see the module docstring), or None."""
+        if not self.decide(counts):
             return None
-        key = canonical_counts(self.graph, counts)
-        if self.memo.get(key) is False:
-            stats.memo_hits += 1
-            return None
-        for u, v in self._moves:
-            if counts[u] >= 2:
-                child = list(counts)
-                child[u] -= 2
-                child[v] += 1
-                tail = self._witness(tuple(child))
-                if tail is not None:
-                    tail.insert(0, (u, v))
-                    return tail
-        self.memo[key] = False
-        return None
+        root, target, thr = self.graph.root, self.target, self.stack_threshold
+        moves: list[Move] = []
+        while counts[root] < target:
+            stack = next((v for v, c in enumerate(counts) if c >= thr[v]), None)
+            if stack is not None:
+                moves += self._stack_witness(counts, stack)
+                break
+            for u, v in self._moves:
+                if counts[u] >= 2:
+                    child = list(counts)
+                    child[u] -= 2
+                    child[v] += 1
+                    child = tuple(child)
+                    if self.decide(child):
+                        moves.append((u, v))
+                        counts = child
+                        break
+            else:
+                raise InternalError("internal error: a solvable configuration has no solvable child")
+        return moves
+
+    def _replay(self, p: Configuration, moves: list[Move]) -> None:
+        """Check a witness through ``apply_move``, independently of the search."""
+        try:
+            for u, v in moves:
+                p = apply_move(self.graph, p, u, v)
+        except MoveError as exc:
+            raise InternalError(f"internal error: witness replay failed: {exc}") from None
+        if p.counts[self.graph.root] < self.target:
+            raise InternalError("internal error: witness replay falls short of the target")
 
     def solve(self, p: Configuration, want_witness: bool = False) -> SolveOutcome:
         if p.graph is not self.graph:
@@ -213,7 +226,9 @@ class Solver:
         if want_witness:
             moves = self._witness(p.counts)
             solvable = moves is not None
-            witness = tuple(moves) if moves is not None else None
+            if solvable:
+                self._replay(p, moves)
+            witness = tuple(moves) if solvable else None
         else:
             solvable = self.decide(p.counts)
             witness = None

@@ -9,7 +9,9 @@ reference_solve_lp is the earlier Fraction tableau simplex, whose
 results the integer-pivot solve_lp must reproduce exactly, and
 reference_unsolvable_levels the earlier down-set builder, which asks
 the memoized solver about every candidate; the one-step recurrence of
-pebbling_number must reproduce its levels exactly.
+pebbling_number must reproduce its levels exactly. reference_witness is
+the earlier recursive witness search, whose moves the witnesses read
+off Solver.decide must equal.
 """
 
 from collections import deque
@@ -139,6 +141,48 @@ def reference_unsolvable_levels(g, solver, use_symmetry):
                             nxt.add(q)
         level = nxt
     return tuple(levels)
+
+
+def reference_witness(g, counts, t=1):
+    """The earlier witness search: a second recursive copy of
+    Solver.decide that carries the moves, with its own memo of
+    unsolvable (False) entries only. Solver witnesses must equal its
+    result exactly."""
+    solver = pb.Solver(g, t)
+    memo = {}
+
+    def witness(counts):
+        solver.count_node()
+        stats = solver.stats
+        if counts[solver.graph.root] >= solver.target:
+            return []
+        thr = solver.stack_threshold
+        pot = 0
+        pw = solver._pot
+        for v, c in enumerate(counts):
+            if c:
+                if c >= thr[v]:
+                    return solver._stack_witness(counts, v)
+                pot += c * pw[v]
+        if pot < solver._pot_target:
+            return None
+        key = canonical_counts(solver.graph, counts)
+        if memo.get(key) is False:
+            stats.memo_hits += 1
+            return None
+        for u, v in solver._moves:
+            if counts[u] >= 2:
+                child = list(counts)
+                child[u] -= 2
+                child[v] += 1
+                tail = witness(tuple(child))
+                if tail is not None:
+                    tail.insert(0, (u, v))
+                    return tail
+        memo[key] = False
+        return None
+
+    return witness(tuple(counts))
 
 
 def symmetry_closure(g):

@@ -315,6 +315,18 @@ class TestPlumbing:
         assert code == 4
         assert results == [] and "witness re-verification failed" in err
 
+    def test_failed_witness_replay_exits_4(self, capsys, monkeypatch, tmp_path, c5_file, c5):
+        def short(self, counts, v):
+            return original(self, counts, v)[:-1]
+
+        original = pb.Solver._stack_witness
+        monkeypatch.setattr(pb.Solver, "_stack_witness", short)
+        cfg = tmp_path / "p.config"
+        cfg.write_text(serialize_config(pb.configuration(c5, {2: 4})), encoding="utf-8")
+        code, results, err = run_cli(capsys, "solve", "-g", str(c5_file), "-c", str(cfg), "--witness")
+        assert code == 4
+        assert results == [] and "witness replay" in err
+
     def test_module_entry_point(self, tmp_path):
         # the child imports the same package as this process, installed or not
         src = str(Path(pb.__file__).resolve().parent.parent)

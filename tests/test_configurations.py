@@ -2,7 +2,7 @@ import math
 import pytest
 
 import pebbling as pb
-from conftest import all_counts
+from conftest import all_counts, orbit, symmetry_closure
 from pebbling.errors import (
     GraphMismatchError,
     InsufficientPebblesError,
@@ -80,15 +80,19 @@ class TestEnumerate:
         g = pb.lollipop(1, 4)
         plain = [p.counts for p in pb.enumerate_configurations(g, 2, exclude_root=True)]
         assert len(plain) == 21
-        quotient = {c[:3] + tuple(sorted(c[3:], reverse=True)) for c in plain}
-        reduced = [p.counts for p in pb.enumerate_configurations(g, 2, exclude_root=True, use_symmetry=True)]
-        assert len(reduced) == len(set(reduced)) == len(quotient) == 7
+        forms = set()
+        for c in plain:
+            form = pb.canonical_form(g, pb.configuration(g, c)).counts
+            assert form == c[:3] + tuple(sorted(c[3:], reverse=True))
+            forms.add(form)
+        assert len(forms) == 7
 
     def test_symmetry_orbit_coverage(self, q3):
-        # every configuration reaches its representative through stored generators
-        reps = {p.counts for p in pb.enumerate_configurations(q3, 2, exclude_root=True, use_symmetry=True)}
+        # every configuration's canonical form is the greatest member of its orbit
+        group = symmetry_closure(q3)
         for p in pb.enumerate_configurations(q3, 2, exclude_root=True):
-            assert pb.canonical_form(q3, p).counts in reps
+            images = orbit(group, p.counts)
+            assert pb.canonical_form(q3, p).counts == max(images)
 
     def test_stream_is_descending_lex(self, c4):
         for s in (3, 5):
@@ -131,16 +135,15 @@ class TestCanonicalForm:
 class TestHypercubeOrbitCounts:
     def test_q3_one_pebble_orbits(self, q3):
         # coordinate permutations split single pebbles by root distance
-        reps = list(pb.enumerate_configurations(q3, 1, exclude_root=True, use_symmetry=True))
-        assert len(reps) == 3
+        forms = {pb.canonical_form(q3, p).counts for p in pb.enumerate_configurations(q3, 1, exclude_root=True)}
+        assert len(forms) == 3
 
     def test_q3_orbit_count_agrees_with_burnside_free_quotient(self, q3):
-        # independent: canonicalize every configuration and count distinct forms
+        # independent: the orbits of the explicit closure group, one form each
+        group = symmetry_closure(q3)
         for s in (2, 3):
-            everything = {
-                pb.canonical_form(q3, p).counts
-                for p in pb.enumerate_configurations(q3, s, exclude_root=True)
-            }
-            reps = list(pb.enumerate_configurations(q3, s, exclude_root=True, use_symmetry=True))
-            assert len(reps) == len(everything)
-            assert {p.counts for p in reps} == everything
+            plain = list(pb.enumerate_configurations(q3, s, exclude_root=True))
+            orbits = {frozenset(orbit(group, p.counts)) for p in plain}
+            forms = {pb.canonical_form(q3, p).counts for p in plain}
+            assert len(forms) == len(orbits)
+            assert forms == {max(o) for o in orbits}

@@ -150,6 +150,12 @@ class TestGenerate:
         with pytest.raises(BadParameterError):
             pb.generate("cycle", 2)
 
+    def test_named_graph_builds_only_zero_parameter_families(self):
+        assert pb.named_graph("lemma5") is pb.rooted_cube(4)
+        for name in ("cycle", "lollipop", "petersen"):
+            with pytest.raises(UnknownFamilyError):
+                pb.named_graph(name)
+
     def test_symmetry_permutations_are_root_fixing_automorphisms(self):
         for g in [pb.cycle_graph(9), pb.hypercube(4), pb.rooted_cube(4), pb.lollipop(2)]:
             for p in g.symmetry:

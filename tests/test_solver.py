@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 import pebbling as pb
-from conftest import all_counts, naive_solvable, root_zero_counts
-from pebbling.errors import ResourceLimitError
+from conftest import (
+    all_counts,
+    naive_solvable,
+    random_connected_graph,
+    random_counts,
+    reference_witness,
+    root_zero_counts,
+)
+from pebbling.errors import InternalError, ResourceLimitError
 
 
 def replay(g, p, witness):
@@ -104,6 +111,30 @@ class TestWitness:
         out = pb.is_solvable(p3, p, t=2, want_witness=True)
         assert out.solvable
         assert replay(p3, p, out.witness).on(p3.root) >= 2
+
+    def test_matches_reference_witness(self):
+        # the moves read off decide equal the earlier recursive search's
+        rng = random.Random(4242)
+        cases = [(random_connected_graph(rng, n_max=7), 8) for _ in range(30)]
+        cases += [(pb.cycle_graph(9), 24), (pb.rooted_cube(4), 16), (pb.hypercube(3), 12), (pb.lollipop(1, 4), 12)]
+        for g, max_total in cases:
+            for t in (1, 2):
+                for _ in range(20):
+                    counts = list(random_counts(rng, g, max_total=max_total * t))
+                    counts[g.root] = 0
+                    out = pb.is_solvable(g, pb.configuration(g, counts), t=t, want_witness=True)
+                    expected = reference_witness(g, counts, t)
+                    assert out.witness == (None if expected is None else tuple(expected)), (g.edges, counts, t)
+                    assert out.solvable == (expected is not None)
+
+    def test_short_witness_fails_the_replay(self, monkeypatch, c5):
+        def short(self, counts, v):
+            return original(self, counts, v)[:-1]
+
+        original = pb.Solver._stack_witness
+        monkeypatch.setattr(pb.Solver, "_stack_witness", short)
+        with pytest.raises(InternalError, match="replay"):
+            pb.is_solvable(c5, pb.configuration(c5, {2: 4}), want_witness=True)
 
 
 class TestPathExactness:
