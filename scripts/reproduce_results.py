@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
-The 14 default targets, brute-force Q4 (0.4-0.5 s) and the 16-arm
-lollipop (6.6-8.3 s) included, took 7.4-9.2 s in all over three runs on
+The 14 default targets, brute-force Q4 (0.3 s) and the 16-arm
+lollipop (3.3-3.7 s) included, took 4.0-4.3 s in all over three runs on
 a shared 2-vCPU Xeon virtual machine. Pass --allow-long to also run the
-dimension-5 reciprocal weights (conj-n5), which took a further 17-20 s
+dimension-5 reciprocal weights (conj-n5), which took a further 11-14 s
 there; under a node or wall-clock cap it may end with exit code 3.
 
 Each row also shows the peak resident set size of this process so far.
-Run alone, q4-bruteforce peaked at 31 MB (86 MB with --no-symmetry) and
-conj-n5 at 426 MB; after the defaults the table shows 32 MB and 441 MB.
+Run alone, q4-bruteforce peaked at 30 MB (46 MB with --no-symmetry) and
+conj-n5 at 426 MB.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]

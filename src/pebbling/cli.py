@@ -33,7 +33,6 @@ from .errors import (
     NotATreeError,
     PebblingError,
     ResourceLimitError,
-    UncertifiedWeightError,
     UnknownFamilyError,
     WeightNotPositiveError,
 )
@@ -50,10 +49,9 @@ from .lp import lp_pebbling_bound
 from .pebbling_number import pi_rooted
 from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
-    Certificate,
+    certify,
     certify_by_decomposition,
     certify_by_oracle,
-    certify_tree,
     check_tree_strategy,
     conic_combine,
     construction,
@@ -249,17 +247,6 @@ def _cmd_verify(args) -> int:
     return 1
 
 
-def _certify(g, w, how: str, args) -> Certificate:
-    if how == "tree":
-        return certify_tree(g, w)
-    if how == "auto":
-        try:
-            return certify_tree(g, w)
-        except (NotATreeError, UncertifiedWeightError):
-            pass
-    return certify_by_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
-
-
 def _cmd_bound(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
     watched = shared_solver(g, 1, _limits(args))
@@ -267,7 +254,7 @@ def _cmd_bound(args) -> int:
     certs = []
     for i, path in enumerate(args.weights):
         w = parse_weights(path.read_text(encoding="utf-8"), g)
-        cert = _certify(g, w, args.certify, args)
+        cert = certify(g, w, args.certify, use_symmetry=not args.no_symmetry, limits=_limits(args))
         certs.append(cert)
         try:
             single = weight_function_bound(cert)
@@ -341,23 +328,24 @@ def _target_odd_cycle(k: int, args) -> int:
 
 
 def _oracle_target(name: str, params: tuple[int, ...], args, extra=None) -> int:
+    """Verify a construction with the oracle and emit its RESULT line,
+    followed by ``extra`` fields; exit 0 only if every boolean field is true."""
     g, w = construction(name, *params)
     result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
     fields = {"valid": result.valid, "max_weight": result.max_unsolvable, "cap": result.cap}
     if extra:
         fields.update(extra)
     emit(**fields)
-    return 0 if result.valid else 1
+    return 0 if all(v for v in fields.values() if isinstance(v, bool)) else 1
 
 
 def _target_prop_q3(args) -> int:
     q3 = hypercube(3)
     _, w_prime = construction("q3prime")
-    base = construction_certificate("fig2")
+    base = construction_certificate("fig2", use_symmetry=not args.no_symmetry, limits=_limits(args))
     combined = conic_combine(q3, [(1, base, emb) for emb in cube_copy_embeddings(3)])
     same = combined.weight_function.weights == w_prime.weights
-    rc = _oracle_target("q3prime", (), args, extra={"decomposition": same})
-    return rc if same else 1
+    return _oracle_target("q3prime", (), args, extra={"decomposition": same})
 
 
 def _target_thm2_q4(args) -> int:
@@ -393,21 +381,11 @@ def _target_thm2_q4(args) -> int:
     return 0 if ok and lower == upper == 16 else 1
 
 
-def _target_thm3(n: int, args, generalized: bool) -> int:
-    g, w = construction("lollipop", n)
-    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
-    fields = {"valid": result.valid, "max_weight": result.max_unsolvable, "cap": result.cap}
-    rc = 0 if result.valid else 1
-    if generalized:
-        m = (1 << (n + 1)) + 2
-        gg, gw = construction("lollipop_general", n, m)
-        gen_result = verify_validity_oracle(gg, gw, use_symmetry=not args.no_symmetry, limits=_limits(args))
-        fields["generalized_m"] = m
-        fields["generalized_valid"] = gen_result.valid
-        if not gen_result.valid:
-            rc = 1
-    emit(**fields)
-    return rc
+def _target_thm3_n1(args) -> int:
+    m = (1 << (1 + 1)) + 2  # Theorem 3's generalized form: more than 2^(n+1) parallel paths
+    g, w = construction("lollipop_general", 1, m)
+    general = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    return _oracle_target("lollipop", (1,), args, extra={"generalized_m": m, "generalized_valid": general.valid})
 
 
 def _target_q4_bruteforce(args) -> int:
@@ -431,9 +409,9 @@ _TARGETS = {
     "conj-n3": (partial(_oracle_target, "conjecture", (3,)), False),
     "conj-n4": (partial(_oracle_target, "conjecture", (4,)), False),
     "conj-n5": (partial(_oracle_target, "conjecture", (5,)), True),
-    "thm3-n1": (partial(_target_thm3, 1, generalized=True), False),
-    "thm3-n2": (partial(_target_thm3, 2, generalized=False), False),
-    "thm3-n3": (partial(_target_thm3, 3, generalized=False), False),
+    "thm3-n1": (_target_thm3_n1, False),
+    "thm3-n2": (partial(_oracle_target, "lollipop", (2,)), False),
+    "thm3-n3": (partial(_oracle_target, "lollipop", (3,)), False),
 }
 DEFAULT_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if not long)
 LONG_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if long)

@@ -15,7 +15,9 @@ empty configuration is unsolvable), so pi_rooted is the number of levels.
 
 Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
 larger stack is solvable outright. With symmetry each level keeps one
-canonical representative per orbit of the stored generators.
+representative per orbit of the stored generators: the lexicographic
+maximum, which under block symmetry (transpositions only) is the tuple
+sorted descending within each block.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate q of size s+1 is unsolvable exactly when every legal move
@@ -29,18 +31,30 @@ holds it, one representative per orbit, by induction on s. So one set
 lookup decides each move. Moves are tried in the solver's order, toward
 the root first, so a solvable candidate stops early.
 
+Candidates are generated in order (orderly generation, McKay 1998): a
+representative p of level s is extended only at root-free vertices
+v >= last(p), its last nonzero vertex, and under block symmetry only
+where p(prev(v)) > p(v), prev(v) being the vertex before v in its
+block, so that the extension stays block-sorted. This misses nothing.
+If q is the maximum of its orbit under a group of vertex permutations
+and L = last(q), then q - e_L is the maximum of its own orbit: an image
+beating it at a first index i < L would beat q there too, and one
+beating it at i >= L would hold more pebbles than it. Solvability is
+monotone, so q - e_L is unsolvable when q is, and q is its extension at
+L >= last(q - e_L). Without symmetry and under block symmetry every
+candidate is a representative and is generated, and decided, once.
+
 How a child is looked up depends on the symmetry. Without it the child
-is looked up as it is. Under block symmetry (transpositions only) it is
-canonicalized first. Under a stored closure group, which is small, the
-builder keeps beside each level of representatives the set of all their
-orbit members, so a child is looked up as it is, with no
-canonicalization; only the representatives are extended, and an orbit
-is expanded once, when a candidate of it is found unsolvable (orderly
-generation, McKay 1998). Each candidate decision counts as one search
-node against the solver's limits. In group mode a solvable candidate is
-not remembered, so one reached from several representatives is decided,
-and counted, each time. A limit hit part-way reports the number of
-complete levels, a proven lower bound on pi_rooted.
+is looked up as it is. Under block symmetry it is canonicalized first.
+Under a stored closure group, which is small, the builder keeps beside
+each level of representatives the set of all their orbit members, so a
+child is looked up as it is, with no canonicalization; an extension
+need not be a representative there, and one whose orbit is already
+known unsolvable is skipped. An orbit is expanded once, when a
+candidate of it is found unsolvable. Each candidate decision counts as
+one search node against the solver's limits. A limit hit part-way
+reports the number of complete levels, a proven lower bound on
+pi_rooted.
 
 The levels also answer every weight-function question on the graph: the
 largest weight of an unsolvable configuration is a maximum over them.
@@ -95,16 +109,9 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
     cache = g._cache
     if key in cache:
         return cache[key]
-    dist = distances_from(g, g.root)
-    top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
-    kind, data = _symmetry_mode(g) if use_symmetry else ("none", None)
-    if kind == "group":
-        built = _levels_from_orbits(g, solver, top, data)
-    else:
-        built = _levels_from_representatives(g, solver, top, kind == "blocks")
     levels = []
     try:
-        for level in built:
+        for level in _levels(g, solver, use_symmetry):
             levels.append(level)
     except ResourceLimitError as exc:
         # levels 0..len(levels)-1 are complete and non-empty
@@ -114,81 +121,60 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
     return levels
 
 
-def _levels_from_representatives(g: Graph, solver: Solver, top, canonicalize: bool) -> Iterator[set]:
-    """Yield the levels, each child canonicalized when ``canonicalize``
-    (block symmetry) and looked up in the level below."""
-    level = {(0,) * g.vertex_count}
-    while level:
-        yield level
-        tried: set[tuple[int, ...]] = set()
-        nxt = set()
-        for p in level:
-            solver.check_deadline()
-            for v, cap in top:
-                if p[v] < cap:
-                    q = list(p)
-                    q[v] += 1
-                    q = tuple(q)
-                    if canonicalize:
-                        q = canonical_counts(g, q)
-                    if q in tried:
-                        continue
-                    tried.add(q)
-                    solver.count_node()
-                    for a, b in solver._moves:
-                        if q[a] >= 2:
-                            child = list(q)
-                            child[a] -= 2
-                            child[b] += 1
-                            child = tuple(child)
-                            if canonicalize:
-                                child = canonical_counts(g, child)
-                            if child not in level:
-                                break
-                    else:
-                        nxt.add(q)
-        level = nxt
+def _levels(g: Graph, solver: Solver, use_symmetry: bool) -> Iterator[set]:
+    """Yield the levels as orbit representatives, generated in order
+    (see the module docstring).
 
-
-def _levels_from_orbits(g: Graph, solver: Solver, top, getters) -> Iterator[set]:
-    """Yield the levels as orbit representatives, looking children up
-    among every orbit member of the level below.
-
-    Only the representatives are extended; a candidate is skipped once
-    its orbit is known unsolvable, and its orbit is expanded, with one
-    ``itemgetter`` per closure permutation, only when it is found
-    unsolvable. Solvable candidates are not remembered: deciding one
-    again costs less than expanding its orbit.
+    Under a stored closure group each orbit found unsolvable is
+    expanded, with one ``itemgetter`` per closure permutation, into the
+    member set that answers the lookups of the next level.
     """
+    kind, data = _symmetry_mode(g) if use_symmetry else ("none", None)
+    group = data if kind == "group" else None
+    blocks = data if kind == "blocks" else ()
+    prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
+    dist = distances_from(g, g.root)
+    # descending, so that the walk over p can stop at last(p)
+    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(g.vertex_count)) if v != g.root]
     moves = solver._moves
-    reps = {(0,) * g.vertex_count}
-    members = reps
+
+    def unsolvable(q):
+        # one lookup per legal move in the level below
+        solver.count_node()
+        for a, t in moves:
+            if q[a] >= 2:
+                child = list(q)
+                child[a] -= 2
+                child[t] += 1
+                child = tuple(child)
+                if blocks:
+                    child = canonical_counts(g, child)
+                if child not in members:
+                    return False
+        return True
+
+    reps = members = {(0,) * g.vertex_count}
     while reps:
         yield reps
-        nxt_reps = set()
+        nxt: set[tuple[int, ...]] = set()
         nxt_members: set[tuple[int, ...]] = set()
         for p in reps:
             solver.check_deadline()
-            for v, cap in top:
-                if p[v] < cap:
-                    q = list(p)
-                    q[v] += 1
-                    q = tuple(q)
-                    if q in nxt_members:
-                        continue
-                    solver.count_node()
-                    for a, b in moves:
-                        if q[a] >= 2:
-                            child = list(q)
-                            child[a] -= 2
-                            child[b] += 1
-                            if tuple(child) not in members:
-                                break
-                    else:
-                        images = {perm(q) for perm in getters}
-                        nxt_members |= images
-                        nxt_reps.add(max(images))
-        reps, members = nxt_reps, nxt_members
+            for v, cap, u in top:
+                c = p[v]
+                if c < cap and (u is None or p[u] > c):
+                    q = p[:v] + (c + 1,) + p[v + 1 :]
+                    if q not in nxt_members and unsolvable(q):
+                        if group is None:
+                            nxt.add(q)
+                        else:
+                            images = {perm(q) for perm in group}
+                            nxt_members |= images
+                            nxt.add(max(images))
+                if c:
+                    break
+        reps = nxt
+        members = nxt if group is None else nxt_members
 
 
 def pi_rooted(

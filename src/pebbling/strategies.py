@@ -363,14 +363,16 @@ def diameter_lower_bound(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _weights_by_distance(g: Graph, table) -> WeightFunction:
+def _weights_by_distance(g: Graph, table) -> tuple[Graph, WeightFunction]:
     dist = distances_from(g, g.root)
-    return WeightFunction(
+    return g, WeightFunction(
         g, tuple(Fraction(0) if v == g.root else Fraction(table[dist[v]]) for v in range(g.vertex_count))
     )
 
 
 def _path_weights(k: int) -> tuple[Graph, WeightFunction]:
+    if k < 1:
+        raise BadParameterError("path length must be at least 1")
     g = path_graph(k)
     arr = [Fraction(0)] * (k + 1)
     for i in range(k):
@@ -381,6 +383,8 @@ def _path_weights(k: int) -> tuple[Graph, WeightFunction]:
 def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
     # mirror-symmetric sum of the two path strategies around the cycle:
     # 2^k, ..., 2^2 down each side, 3 on both farthest vertices
+    if k < 1:
+        raise BadParameterError("need an odd cycle of length at least 3")
     g = cycle_graph(2 * k + 1)
     arr = [Fraction(0)] * (2 * k + 1)
     for i in range(1, k):
@@ -420,41 +424,30 @@ def _lollipop_weights(n: int, m: int | None = None) -> tuple[Graph, WeightFuncti
     return g, WeightFunction(g, tuple(arr))
 
 
-def _construction(name: str, *params: int):
-    if name == "fig2":
-        return rooted_cube(3), _weights_by_distance(rooted_cube(3), {1: 2, 2: Fraction(2, 3), 3: Fraction(1, 3)})
-    if name == "q3prime":
-        return hypercube(3), _weights_by_distance(hypercube(3), {1: 2, 2: Fraction(4, 3), 3: 1})
-    if name == "lemma5":
-        return rooted_cube(4), _weights_by_distance(rooted_cube(4), {1: 4, 2: 2, 3: Fraction(4, 3), 4: 1})
-    if name == "q4star":
-        g = hypercube(4)
-        return g, _weights_by_distance(g, {d: 4 for d in range(1, 5)})
-    if name == "conjecture":
-        (n,) = params
-        if n < 3:
-            raise BadParameterError("reciprocal-distance weights start at dimension 3")
-        g = rooted_cube(n)
-        return g, _weights_by_distance(g, {d: Fraction(1, d) for d in range(1, n + 1)})
-    if name == "lollipop":
-        (n,) = params
-        return _lollipop_weights(n)
-    if name == "lollipop_general":
-        n, m = params
-        if m < (1 << (n + 1)) + 1:
-            raise BadParameterError(f"generalized form needs at least {(1 << (n + 1)) + 1} parallel paths")
-        return _lollipop_weights(n, m)
-    if name == "cycle_combined":
-        (k,) = params
-        if k < 1:
-            raise BadParameterError("need an odd cycle of length at least 3")
-        return _cycle_combined(k)
-    if name == "path":
-        (k,) = params
-        if k < 1:
-            raise BadParameterError("path length must be at least 1")
-        return _path_weights(k)
-    raise UnknownFamilyError(f"unknown construction {name!r}")
+def _conjecture_weights(n: int) -> tuple[Graph, WeightFunction]:
+    if n < 3:
+        raise BadParameterError("reciprocal-distance weights start at dimension 3")
+    return _weights_by_distance(rooted_cube(n), {d: Fraction(1, d) for d in range(1, n + 1)})
+
+
+def _lollipop_general_weights(n: int, m: int) -> tuple[Graph, WeightFunction]:
+    if m < (1 << (n + 1)) + 1:
+        raise BadParameterError(f"generalized form needs at least {(1 << (n + 1)) + 1} parallel paths")
+    return _lollipop_weights(n, m)
+
+
+# name -> (builder of the graph and its weights, number of parameters)
+_CONSTRUCTIONS = {
+    "fig2": (lambda: _weights_by_distance(rooted_cube(3), {1: 2, 2: Fraction(2, 3), 3: Fraction(1, 3)}), 0),
+    "q3prime": (lambda: _weights_by_distance(hypercube(3), {1: 2, 2: Fraction(4, 3), 3: 1}), 0),
+    "lemma5": (lambda: _weights_by_distance(rooted_cube(4), {1: 4, 2: 2, 3: Fraction(4, 3), 4: 1}), 0),
+    "q4star": (lambda: _weights_by_distance(hypercube(4), dict.fromkeys(range(1, 5), 4)), 0),
+    "conjecture": (_conjecture_weights, 1),
+    "lollipop": (_lollipop_weights, 1),
+    "lollipop_general": (_lollipop_general_weights, 2),
+    "cycle_combined": (_cycle_combined, 1),
+    "path": (_path_weights, 1),
+}
 
 
 def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
@@ -463,22 +456,58 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
     Names: fig2, q3prime, lemma5, q4star, conjecture(n), lollipop(n),
     lollipop_general(n, m), cycle_combined(k), path(k).
     """
+    if name not in _CONSTRUCTIONS:
+        raise UnknownFamilyError(f"unknown construction {name!r}")
+    build, arity = _CONSTRUCTIONS[name]
+    bad = BadParameterError(f"bad parameters {params} for {name!r}")
+    if len(params) != arity:
+        raise bad
     try:
-        return _construction(name, *params)
-    except ValueError as exc:
-        if isinstance(exc, (UnknownFamilyError, BadParameterError)):
-            raise
-        raise BadParameterError(f"bad parameters {params} for {name!r}") from exc
+        return build(*params)
+    except BadParameterError:
+        raise
+    except ValueError as exc:  # e.g. a negative shift count
+        raise bad from exc
 
 
-def construction_certificate(name: str, *params: int, method: str = "auto") -> Certificate:
+def certify(
+    g: Graph,
+    w: WeightFunction,
+    method: str = "auto",
+    *,
+    use_symmetry: bool = True,
+    limits: SearchLimits | None = None,
+) -> Certificate:
+    """Certificate for w on g, checked in this process.
+
+    method "tree" runs the tree check, "oracle" the exhaustive oracle
+    under ``use_symmetry`` and ``limits``, and "auto" the tree check,
+    falling back to the oracle when it cannot certify w.
+    """
+    if method not in ("auto", "tree", "oracle"):
+        raise BadParameterError(f"unknown certification method {method!r}")
+    if method != "oracle":
+        try:
+            return certify_tree(g, w)
+        except (NotATreeError, UncertifiedWeightError):
+            if method == "tree":
+                raise
+    return certify_by_oracle(g, w, use_symmetry=use_symmetry, limits=limits)
+
+
+def construction_certificate(
+    name: str,
+    *params: int,
+    method: str = "auto",
+    use_symmetry: bool = True,
+    limits: SearchLimits | None = None,
+) -> Certificate:
     """Certificate for a named construction, checked in this process.
 
-    method "auto" tries the tree check and falls back to the exhaustive
-    oracle when the support is not a tree; "tree" and "oracle" force one
-    route. cycle_combined is certified as the conic combination of its
-    two path strategies and q4star as the four-copy decomposition of
-    lemma5, whose base certificate takes the same ``method``.
+    ``method``, ``use_symmetry`` and ``limits`` are those of ``certify``.
+    cycle_combined is certified as the conic combination of its two
+    path strategies and q4star as the four-copy decomposition of
+    lemma5, whose base certificate takes the same arguments.
     """
     if method not in ("auto", "tree", "oracle"):
         raise BadParameterError(f"unknown certification method {method!r}")
@@ -487,16 +516,9 @@ def construction_certificate(name: str, *params: int, method: str = "auto") -> C
         a, b = cycle_strategy_pair(*params)
         return conic_combine(g, [(1, a, None), (1, b, None)])
     if name == "q4star":
-        copies = [(emb, construction_certificate("lemma5", method=method)) for emb in q4_copy_embeddings()]
-        return certify_by_decomposition(g, w, copies)
-    if method == "tree":
-        return certify_tree(g, w)
-    if method == "auto":
-        try:
-            return certify_tree(g, w)
-        except NotATreeError:
-            pass
-    return certify_by_oracle(g, w)
+        base = construction_certificate("lemma5", method=method, use_symmetry=use_symmetry, limits=limits)
+        return certify_by_decomposition(g, w, [(emb, base) for emb in q4_copy_embeddings()])
+    return certify(g, w, method, use_symmetry=use_symmetry, limits=limits)
 
 
 def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:

@@ -219,6 +219,16 @@ class TestPaperTargets:
         fields = result_map(results[0])
         assert fields["valid"] == "true" and fields["decomposition"] == "true"
 
+    def test_prop_q3_honours_no_symmetry(self, capsys):
+        # the fig2 base is certified by the oracle under the run's flags
+        fig2 = pb.rooted_cube(3)
+        fig2._cache.clear()
+        pb.hypercube(3)._cache.clear()
+        code, results, _ = run_cli(capsys, "paper", "prop-q3", "--no-symmetry")
+        assert code == 0 and result_map(results[0])["decomposition"] == "true"
+        assert ("unsolvable_levels", False) in fig2._cache
+        assert ("unsolvable_levels", True) not in fig2._cache
+
     def test_thm2_q4(self, capsys):
         code, results, _ = run_cli(capsys, "paper", "thm2-q4")
         assert code == 0

@@ -98,7 +98,7 @@ class TestPiRooted:
     def test_wall_clock_cap_raises(self):
         q4 = pb.hypercube(4)
         q4._cache.clear()
-        # the symmetric Q4 down-set takes about 0.4 s, eight times the cap
+        # the symmetric Q4 down-set takes about 0.3 s, six times the cap
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.05))
         # a run cut short leaves no partial down-set behind
@@ -156,14 +156,17 @@ class TestUnsolvableDownSet:
                 assert res.witness_unsolvable.counts == max(reference[-2])
 
 
-def _relabeled_path_from_file(k, seed):
-    """A seeded relabeling of path_graph(k), read back through the file
-    format, so it carries no stored symmetry."""
-    g = pb.path_graph(k)
+def _relabeled_from_file(g, seed):
+    """A seeded relabeling of g, read back through the file format, so
+    it carries no stored symmetry."""
     perm = list(range(g.vertex_count))
     random.Random(seed).shuffle(perm)
     moved = pb.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges], root=perm[g.root])
     return parse_graph(serialize_graph(moved))
+
+
+def _relabeled_path_from_file(k, seed):
+    return _relabeled_from_file(pb.path_graph(k), seed)
 
 
 class TestAgainstReferenceBuilder:
@@ -214,6 +217,46 @@ class TestOrbitBuilder:
         for g, pi in ((pb.cycle_graph(9), 21), (pb.rooted_cube(4), 16)):
             g._cache.clear()
             assert len(engine._unsolvable_levels(g, pb.Solver(g), True)) == pi
+
+
+def _last(counts):
+    """The last vertex holding a pebble (0 for the empty configuration)."""
+    return max((v for v, c in enumerate(counts) if c), default=0)
+
+
+class TestOrderlyGeneration:
+    """The builder extends a representative p only at vertices
+    v >= last(p) and only to the maximum of an orbit (under block
+    symmetry, a block-sorted tuple)."""
+
+    def test_last_pebble_parent_is_a_representative(self):
+        for g in (pb.cycle_graph(9), pb.rooted_cube(4), pb.hypercube(3), pb.lollipop(2, 3)):
+            group = symmetry_closure(g)
+            g._cache.clear()
+            levels = engine._unsolvable_levels(g, pb.Solver(g), True)
+            for size in range(1, len(levels)):
+                for q in levels[size]:
+                    assert q == max(orbit(group, q)), (g.edges, q)
+                    last = _last(q)
+                    parent = q[:last] + (q[last] - 1,) + q[last + 1 :]
+                    assert parent in levels[size - 1], (g.edges, q)
+
+    def test_each_candidate_is_decided_once(self):
+        # one search node per extension the rule admits: none is decided twice
+        for g in (_relabeled_from_file(pb.cycle_graph(9), 11), pb.lollipop(2, 3)):
+            group = symmetry_closure(g)
+            dist = pb.distances_from(g, g.root)
+            g._cache.clear()
+            solver = pb.Solver(g)
+            levels = engine._unsolvable_levels(g, solver, True)
+            admitted = 0
+            for level in levels:
+                for p in level:
+                    for v in range(_last(p), g.vertex_count):
+                        if v != g.root and p[v] + 1 < 1 << dist[v]:
+                            q = p[:v] + (p[v] + 1,) + p[v + 1 :]
+                            admitted += q == max(orbit(group, q))
+            assert solver.stats.nodes == admitted, g.edges
 
 
 class TestPiGlobal:

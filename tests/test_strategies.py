@@ -8,9 +8,11 @@ from pebbling.errors import (
     BadParameterError,
     NegativeCoefficientError,
     NotATreeError,
+    ResourceLimitError,
     UncertifiedComponentError,
     UncertifiedWeightError,
     UncoveredVertexError,
+    UnknownFamilyError,
     WeightNotPositiveError,
 )
 
@@ -278,3 +280,26 @@ class TestCertificateRouting:
     def test_unknown_method_refused(self):
         with pytest.raises(BadParameterError):
             pb.construction_certificate("lemma5", method="recorded")
+
+    def test_tree_route_does_not_fall_back(self):
+        with pytest.raises(NotATreeError):
+            pb.construction_certificate("fig2", method="tree")
+
+    def test_oracle_route_takes_the_limits(self):
+        lemma5 = pb.rooted_cube(4)
+        lemma5._cache.clear()
+        with pytest.raises(ResourceLimitError):
+            pb.construction_certificate("q4star", limits=pb.SearchLimits(max_nodes=10))
+        assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in lemma5._cache)
+        pb.construction_certificate("lemma5", use_symmetry=False)
+        assert ("unsolvable_levels", True) not in lemma5._cache
+
+    def test_construction_arity_and_names(self):
+        with pytest.raises(BadParameterError):
+            pb.construction("fig2", 3)
+        with pytest.raises(BadParameterError):
+            pb.construction("path", 1, 2)
+        with pytest.raises(BadParameterError):
+            pb.construction("lollipop_general", -2, 5)
+        with pytest.raises(UnknownFamilyError):
+            pb.construction("recorded")
