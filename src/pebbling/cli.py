@@ -21,21 +21,12 @@ import argparse
 import sys
 import time
 import traceback
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from .configurations import Configuration
-from .errors import (
-    FormatError,
-    InternalError,
-    NotATreeError,
-    PebblingError,
-    ResourceLimitError,
-    UnknownFamilyError,
-    WeightNotPositiveError,
-)
+from .errors import InternalError, NotATreeError, PebblingError, ResourceLimitError, WeightNotPositiveError
 from .fileformats import (
     format_fraction,
     parse_config,
@@ -44,22 +35,18 @@ from .fileformats import (
     parse_weights,
     serialize_graph,
 )
-from .graphs import cycle_graph, generate, hypercube
+from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
 from .pebbling_number import pi_rooted
 from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
     certify,
-    certify_by_decomposition,
-    certify_by_oracle,
     check_tree_strategy,
     conic_combine,
     construction,
     construction_certificate,
-    cycle_strategy_pair,
     cube_copy_embeddings,
     diameter_lower_bound,
-    q4_copy_embeddings,
     verify_decomposition,
     verify_validity_oracle,
     weight_function_bound,
@@ -83,35 +70,15 @@ def note(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Provenance record for a bound computation; rendered as prose.
-
-    The stable machine interface is the RESULT lines; timing and node
-    counts live here and on stderr only.
-    """
-
-    graph: str
-    root: int
-    lower: int
-    lower_method: str
-    upper: int
-    upper_method: str
-    certificates: tuple[str, ...]
-    elapsed: float
-    nodes: int
-
-    def summary(self) -> str:
-        certs = ", ".join(self.certificates) if self.certificates else "none"
-        return (
-            f"{self.graph} rooted at {self.root}: "
-            f"lower {self.lower} ({self.lower_method}), upper {self.upper} ({self.upper_method}); "
-            f"certificates: {certs}; {self.elapsed:.2f}s, {self.nodes} search nodes"
-        )
-
-
-def _describe(g) -> str:
-    return f"graph<{g.vertex_count} vertices, {len(g.edges)} edges>"
+def _report(g, lower, lower_method, upper, upper_method, certs, start, nodes) -> None:
+    """The provenance of a bound as one line of prose on stderr; the
+    stable machine interface is the RESULT lines."""
+    statuses = ", ".join(c.status for c in certs) or "none"
+    note(
+        f"graph<{g.vertex_count} vertices, {len(g.edges)} edges> rooted at {g.root}: "
+        f"lower {lower} ({lower_method}), upper {upper} ({upper_method}); "
+        f"certificates: {statuses}; {time.monotonic() - start:.2f}s, {nodes} search nodes"
+    )
 
 
 def _limits(args) -> SearchLimits:
@@ -124,11 +91,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pebble", description="graph pebbling toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument(
-            "--threads", type=int, default=1,
-            help="accepted for compatibility; selects nothing, every search runs in this process",
-        )
+    def limits(p):
         p.add_argument(
             "--max-nodes", type=int, default=None,
             help=(
@@ -140,7 +103,6 @@ def _parser() -> argparse.ArgumentParser:
             "--max-seconds", type=float, default=None,
             help="wall-clock cap per search operation (default: PEBBLE_MAX_SECONDS, else none; exit 3 when exceeded)",
         )
-        p.add_argument("--no-symmetry", action="store_true", help="disable orbit reduction")
 
     p = sub.add_parser("gen", help="generate a graph family instance")
     p.add_argument("family")
@@ -149,37 +111,41 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="exact rooted pebbling number")
     p.add_argument("-g", "--graph", type=Path, required=True)
-    common(p)
+    limits(p)
 
     p = sub.add_parser("solve", help="decide solvability of a configuration")
     p.add_argument("-g", "--graph", type=Path, required=True)
     p.add_argument("-c", "--config", type=Path, required=True)
     p.add_argument("--target", type=int, default=1)
     p.add_argument("--witness", action="store_true", help="print a move sequence when solvable")
-    common(p)
+    limits(p)
 
     p = sub.add_parser("verify", help="check a weight-function certificate")
     p.add_argument("-g", "--graph", type=Path, required=True)
     p.add_argument("-w", "--weights", type=Path, required=True)
     p.add_argument("--mode", choices=("tree", "oracle"), default="oracle")
-    common(p)
+    limits(p)
 
     p = sub.add_parser("bound", help="single-certificate and LP bounds")
     p.add_argument("-g", "--graph", type=Path, required=True)
     p.add_argument("-w", "--weights", type=Path, action="append", required=True)
     p.add_argument("--certify", choices=("auto", "tree", "oracle"), default="auto")
-    common(p)
+    limits(p)
 
     p = sub.add_parser("decompose", help="verify a copies-sum decomposition")
     p.add_argument("-g", "--graph", type=Path, required=True)
     p.add_argument("-w", "--weights", type=Path, required=True)
     p.add_argument("--copies", type=Path, required=True)
-    common(p)
 
     p = sub.add_parser("paper", help="reproduce a named bundled result")
     p.add_argument("result_id")
     p.add_argument("--allow-long", action="store_true")
-    common(p)
+    p.add_argument("--no-symmetry", action="store_true", help="disable orbit reduction")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; selects nothing, every search runs in this process",
+    )
+    limits(p)
 
     return parser
 
@@ -203,7 +169,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_pi(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
-    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    result = pi_rooted(g, limits=_limits(args))
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
     emit(pi=result.value)
     return 0
@@ -234,7 +200,7 @@ def _cmd_verify(args) -> int:
             return 0
         emit(valid=False, reason="parent-halving")
         return 1
-    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    result = verify_validity_oracle(g, w, limits=_limits(args))
     if result.valid:
         emit(valid=True, max_weight=result.max_unsolvable, cap=result.cap)
         return 0
@@ -254,7 +220,7 @@ def _cmd_bound(args) -> int:
     certs = []
     for i, path in enumerate(args.weights):
         w = parse_weights(path.read_text(encoding="utf-8"), g)
-        cert = certify(g, w, args.certify, use_symmetry=not args.no_symmetry, limits=_limits(args))
+        cert = certify(g, w, args.certify, limits=_limits(args))
         certs.append(cert)
         try:
             single = weight_function_bound(cert)
@@ -263,18 +229,7 @@ def _cmd_bound(args) -> int:
         emit(**{f"cert{i}_bound": single})
     optimum, bound = lp_pebbling_bound(g, certs)
     lower = diameter_lower_bound(g)
-    report = BoundReport(
-        graph=_describe(g),
-        root=g.root,
-        lower=lower,
-        lower_method="diameter stack",
-        upper=bound,
-        upper_method="strategy LP",
-        certificates=tuple(c.status for c in certs),
-        elapsed=time.monotonic() - start,
-        nodes=watched.stats.nodes,
-    )
-    note(report.summary())
+    _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, watched.stats.nodes)
     emit(bound=bound, optimum=optimum)
     emit(lower=lower)
     return 0 if lower <= bound else 1
@@ -301,28 +256,20 @@ def _target_odd_cycle(k: int, args) -> int:
     start = time.monotonic()
     nodes_before = watched.stats.nodes
     result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
-    cert_a, cert_b = cycle_strategy_pair(k)
-    combined = conic_combine(g, [(1, cert_a, None), (1, cert_b, None)])
+    combined = construction_certificate("cycle_combined", k)
     upper = weight_function_bound(combined)
-    optimum, lp_bound = lp_pebbling_bound(g, [cert_a, cert_b])
+    optimum, lp_bound = lp_pebbling_bound(g, combined.components)
     stack = (1 << (k + 1)) // 3
     counts = [0] * (2 * k + 1)
     counts[k] = stack
     counts[k + 1] = stack
     stuck = Configuration(g, tuple(counts))
     lower = stuck.size + 1 if not is_solvable(g, stuck, limits=_limits(args)).solvable else 0
-    report = BoundReport(
-        graph=_describe(g),
-        root=g.root,
-        lower=lower,
-        lower_method="stuck configuration on the two farthest vertices",
-        upper=min(upper, lp_bound),
-        upper_method="combined weight cap and strategy LP",
-        certificates=(cert_a.status, cert_b.status, combined.status),
-        elapsed=time.monotonic() - start,
-        nodes=watched.stats.nodes - nodes_before,
+    _report(
+        g, lower, "stuck configuration on the two farthest vertices",
+        min(upper, lp_bound), "combined weight cap and strategy LP",
+        (*combined.components, combined), start, watched.stats.nodes - nodes_before,
     )
-    note(report.summary())
     emit(pi=result.value, lower=lower, upper=upper, bound=lp_bound, optimum=optimum)
     return 0 if result.value == expected == lower == upper == lp_bound else 1
 
@@ -350,35 +297,23 @@ def _target_prop_q3(args) -> int:
 
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
-    q4, w_star = construction("q4star")
-    g, w = construction("lemma5")
-    watched = shared_solver(g, 1, _limits(args))
+    watched = shared_solver(rooted_cube(4), 1, _limits(args))  # the lemma5 base graph
     nodes_before = watched.stats.nodes
-    base = certify_by_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
-    copies = [(emb, base) for emb in q4_copy_embeddings()]
-    ok = verify_decomposition(q4, w_star, [(emb, base.weight_function) for emb, _ in copies])
-    cert = certify_by_decomposition(q4, w_star, copies)
+    # raises, and so exits 2, unless the four lemma5 copies sum to q4star
+    cert = construction_certificate("q4star", use_symmetry=not args.no_symmetry, limits=_limits(args))
+    base = cert.components[0]
     upper = weight_function_bound(cert)
-    lower = diameter_lower_bound(q4)
-    report = BoundReport(
-        graph=_describe(q4),
-        root=q4.root,
-        lower=lower,
-        lower_method="diameter stack",
-        upper=upper,
-        upper_method="weight cap of the four-copy decomposition",
-        certificates=(base.status, cert.status),
-        elapsed=time.monotonic() - start,
-        nodes=watched.stats.nodes - nodes_before,
-    )
+    lower = diameter_lower_bound(cert.graph)
     note(f"base certificate: {base.notes}")
-    note(report.summary())
+    _report(
+        cert.graph, lower, "diameter stack", upper, "weight cap of the four-copy decomposition",
+        (base, cert), start, watched.stats.nodes - nodes_before,
+    )
     fields = {"lower": lower, "upper": upper}
     if lower == upper:
         fields["pi"] = lower
-    fields["decompose"] = ok
-    emit(**fields)
-    return 0 if ok and lower == upper == 16 else 1
+    emit(**fields, decompose=True)
+    return 0 if lower == upper == 16 else 1
 
 
 def _target_thm3_n1(args) -> int:
@@ -452,16 +387,10 @@ def main(argv=None) -> int:
         proven = "" if exc.pi_lower is None else f"; proven pi >= {exc.pi_lower}"
         note(f"resource limit: {exc}{proven}")
         return 3
-    except (FormatError, UnknownFamilyError, WeightNotPositiveError) as exc:
-        note(f"error: {exc}")
-        return 2
-    except FileNotFoundError as exc:
-        note(f"error: {exc}")
-        return 2
     except InternalError as exc:
         note(f"error: {exc}")
         return 4
-    except PebblingError as exc:
+    except (PebblingError, FileNotFoundError) as exc:
         note(f"error: {exc}")
         return 2
     except Exception as exc:

@@ -71,34 +71,36 @@ def format_fraction(x: Fraction) -> str:
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     _check_header(lines, GRAPH_HEADER)
-    n = None
-    root = None
+    header: dict[str, int] = {}
     edges = []
-    labels: dict[int, str] = {}
+    labels: dict[int, tuple[int, str]] = {}
     for idx, line in lines:
         parts = line.split()
         kind = parts[0]
-        if kind == "vertices" and len(parts) == 2:
-            n = _int(idx, parts[1])
-        elif kind == "root" and len(parts) == 2:
-            root = _int(idx, parts[1])
+        if kind in ("vertices", "root") and len(parts) == 2:
+            if kind in header:
+                raise ParseError(idx, f"duplicate {kind!r} record")
+            header[kind] = _int(idx, parts[1])
         elif kind == "edge" and len(parts) == 3:
             edges.append((_int(idx, parts[1]), _int(idx, parts[2])))
         elif kind == "label" and len(parts) >= 3:
             v = _int(idx, parts[1])
             if v in labels:
                 raise ParseError(idx, f"duplicate label for vertex {v}")
-            labels[v] = line.split(None, 2)[2]
+            labels[v] = (idx, line.split(None, 2)[2])
         else:
             raise ParseError(idx, f"unrecognized record {line!r}")
-    if n is None:
-        raise ParseError(1, "missing 'vertices' record")
-    if root is None:
-        raise ParseError(1, "missing 'root' record")
+    for kind in ("vertices", "root"):
+        if kind not in header:
+            raise ParseError(1, f"missing {kind!r} record")
+    n = header["vertices"]
+    for v, (idx, _) in labels.items():
+        if not 0 <= v < n:
+            raise ParseError(idx, f"label for vertex {v} out of range [0, {n})")
     label_tuple = None
     if labels:
-        label_tuple = tuple(labels.get(v, str(v)) for v in range(n))
-    return build_graph(n, edges, root, labels=label_tuple)
+        label_tuple = tuple(labels[v][1] if v in labels else str(v) for v in range(n))
+    return build_graph(n, edges, header["root"], labels=label_tuple)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -73,7 +73,7 @@ from typing import Iterator
 
 from .configurations import Configuration, _symmetry_mode, canonical_counts
 from .errors import BadParameterError, GraphMismatchError, InternalError, ResourceLimitError
-from .graphs import Graph, build_graph, distances_from
+from .graphs import Graph, _is_automorphism, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
 
 
@@ -211,15 +211,10 @@ def _verified_transitive(g: Graph) -> bool:
     maps = g.transitive_maps
     if maps is None or len(maps) != g.vertex_count:
         return False
-    edge_set = g.edge_set
-    for target, p in enumerate(maps):
-        if p[g.root] != target or sorted(p) != list(range(g.vertex_count)):
-            return False
-        for u, v in edge_set:
-            a, b = p[u], p[v]
-            if (min(a, b), max(a, b)) not in edge_set:
-                return False
-    return True
+    return all(
+        _is_automorphism(g.vertex_count, g.edge_set, p) and p[g.root] == target
+        for target, p in enumerate(maps)
+    )
 
 
 def pi_global(

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import pebbling as pb
-from pebbling import cli, pebbling_number
+from pebbling import cli, pebbling_number, strategies
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
 
@@ -235,6 +235,13 @@ class TestPaperTargets:
         fields = result_map(results[0])
         assert fields["lower"] == fields["upper"] == fields["pi"] == "16"
 
+    def test_thm2_q4_failed_decomposition_exits_2(self, capsys, monkeypatch):
+        # three copies of the lemma5 base cannot sum to the uniform weight 4 on Q4
+        monkeypatch.setattr(strategies, "q4_copy_embeddings", lambda: strategies.cube_copy_embeddings(4)[:3])
+        code, results, err = run_cli(capsys, "paper", "thm2-q4")
+        assert code == 2
+        assert results == [] and "copies do not sum to the target weight function" in err
+
     def test_thm2_q4_honours_limits(self, capsys):
         # the lemma5 base is certified by the oracle under the run's limits
         pb.rooted_cube(4)._cache.clear()
@@ -273,7 +280,8 @@ class TestPaperTargets:
 
     def test_thread_count_does_not_change_results(self, capsys):
         pb.cycle_graph(3)._cache.clear()
-        _, first, _ = run_cli(capsys, "paper", "thm1-k1", "--threads", "1")
+        code, first, _ = run_cli(capsys, "paper", "thm1-k1", "--threads", "1")  # the bench harness's call
+        assert code == 0 and result_map(first[0])["pi"] == "3"
         pb.cycle_graph(3)._cache.clear()
         _, second, _ = run_cli(capsys, "paper", "thm1-k1", "--threads", "2")
         assert first == second
@@ -304,6 +312,28 @@ class TestPlumbing:
             code, results, err = run_cli(capsys, "paper", target)
             assert code == 2, target
             assert results == [] and "PEBBLE_MAX_NODES" in err, target
+
+    def test_flags_that_select_nothing_are_refused(self, capsys, tmp_path, c5_file, c5):
+        cfg = tmp_path / "p.config"
+        cfg.write_text(serialize_config(pb.configuration(c5, {2: 4})), encoding="utf-8")
+        weights = tmp_path / "w.weights"
+        weights.write_text("pebbleweights 1\n", encoding="utf-8")
+        copies = tmp_path / "copies.manifest"
+        copies.write_text("pebblecopies 1\n", encoding="utf-8")
+        for argv in (
+            ("pi", "-g", str(c5_file), "--no-symmetry"),
+            ("solve", "-g", str(c5_file), "-c", str(cfg), "--threads", "2"),
+            ("decompose", "-g", str(c5_file), "-w", str(weights), "--copies", str(copies), "--max-nodes", "5"),
+        ):
+            code, results, _ = run_cli(capsys, *argv)
+            assert code == 2 and results == [], argv
+
+    def test_label_for_missing_vertex_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "ghost.graph"
+        bad.write_text("pebblegraph 1\nvertices 3\nroot 0\nedge 0 1\nedge 1 2\nlabel 7 ghost\n", encoding="utf-8")
+        code, results, err = run_cli(capsys, "pi", "-g", str(bad))
+        assert code == 2
+        assert results == [] and "line 6" in err
 
     def test_unexpected_exception_exits_4(self, capsys, monkeypatch):
         def broken(args):

@@ -14,6 +14,9 @@ from pebbling.fileformats import (
     serialize_weights,
 )
 
+# the path 0-1-2 rooted at 0, five lines long
+_P2 = "pebblegraph 1\nvertices 3\nroot 0\nedge 0 1\nedge 1 2\n"
+
 
 class TestGraphFormat:
     def test_round_trip(self, c5):
@@ -55,6 +58,22 @@ class TestGraphFormat:
         g = pb.lollipop(1, 4)
         again = parse_graph(serialize_graph(g))
         assert again.labels == g.labels
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (_P2 + "label 7 ghost\n", 6),
+            (_P2 + "label -1 neg\n", 6),
+            (_P2 + "vertices 4\n", 6),
+            (_P2 + "root 2\n", 6),
+            ("pebblegraph 1\nlabel 3 early\n" + _P2.split("\n", 1)[1], 2),
+        ],
+        ids=["label-past-last-vertex", "negative-label", "second-vertices", "second-root", "label-before-vertices"],
+    )
+    def test_bad_record_rejected_with_line_number(self, text, line):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert err.value.line_number == line
 
 
 class TestConfigFormat:
