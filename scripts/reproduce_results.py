@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
-The 14 default targets, brute-force Q4 (0.3 s) and the 16-arm
-lollipop (3.3-3.7 s) included, took 4.0-4.3 s in all over three runs on
-a shared 2-vCPU Xeon virtual machine. Pass --allow-long to also run the
-dimension-5 reciprocal weights (conj-n5), which took a further 11-14 s
-there; under a node or wall-clock cap it may end with exit code 3.
+The 14 default targets, brute-force Q4 (0.1 s) and the 16-arm
+lollipop (thm3-n3, 0.6-0.7 s) included, took 0.9-1.2 s in all over three
+runs on a shared 2-vCPU Xeon virtual machine. Pass --allow-long to also
+run the dimension-5 reciprocal weights (conj-n5), which took a further
+7.4-7.9 s there; under a node or wall-clock cap it may end with exit
+code 3.
 
 Each row also shows the peak resident set size of this process so far.
-Run alone, q4-bruteforce peaked at 30 MB (46 MB with --no-symmetry) and
-conj-n5 at 426 MB.
+Run alone, q4-bruteforce peaked at 28 MB (51 MB with --no-symmetry),
+thm3-n3 at 28 MB and conj-n5 at 270 MB.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]

@@ -72,7 +72,7 @@ def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     _check_header(lines, GRAPH_HEADER)
     header: dict[str, int] = {}
-    edges = []
+    edges: dict[tuple[int, int], int] = {}
     labels: dict[int, tuple[int, str]] = {}
     for idx, line in lines:
         parts = line.split()
@@ -82,7 +82,13 @@ def parse_graph(text: str) -> Graph:
                 raise ParseError(idx, f"duplicate {kind!r} record")
             header[kind] = _int(idx, parts[1])
         elif kind == "edge" and len(parts) == 3:
-            edges.append((_int(idx, parts[1]), _int(idx, parts[2])))
+            u, v = _int(idx, parts[1]), _int(idx, parts[2])
+            if u == v:
+                raise ParseError(idx, f"self-loop at vertex {u}")
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise ParseError(idx, f"duplicate edge {edge}")
+            edges[edge] = idx
         elif kind == "label" and len(parts) >= 3:
             v = _int(idx, parts[1])
             if v in labels:
@@ -94,13 +100,16 @@ def parse_graph(text: str) -> Graph:
         if kind not in header:
             raise ParseError(1, f"missing {kind!r} record")
     n = header["vertices"]
+    for (u, v), idx in edges.items():
+        if u < 0 or v >= n:
+            raise ParseError(idx, f"edge {u} {v} out of range [0, {n})")
     for v, (idx, _) in labels.items():
         if not 0 <= v < n:
             raise ParseError(idx, f"label for vertex {v} out of range [0, {n})")
     label_tuple = None
     if labels:
         label_tuple = tuple(labels[v][1] if v in labels else str(v) for v in range(n))
-    return build_graph(n, edges, header["root"], labels=label_tuple)
+    return build_graph(n, list(edges), header["root"], labels=label_tuple)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -19,17 +19,27 @@ representative per orbit of the stored generators: the lexicographic
 maximum, which under block symmetry (transpositions only) is the tuple
 sorted descending within each block.
 
+While a level is built, each configuration is a packed integer key:
+vertex v owns a field of d(v,r)+1 bits, vertex 0 the most significant.
+A field holds every count a level or a child can reach (at most
+2^d(v,r)), so no field carries into the next, integer order is
+lexicographic order, and the orbit maxima stay the representatives.
+The cached levels are sets of counts tuples.
+
 Each candidate is decided by one step on level s, with no search. A
 candidate q of size s+1 is unsolvable exactly when every legal move
 u -> v (q(u) >= 2) leaves a child that, canonicalized under symmetry,
-is in level s. A solving sequence starts with one move, and its child
+is in level s (under block symmetry, every move that does not stay
+inside a block; see below). A solving sequence starts with one move, and its child
 either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
 or is a root-free configuration of size s below the caps. The first two
 are solvable and in no level (the stored symmetries fix the root, so
 they keep distances); the third is unsolvable exactly when level s
 holds it, one representative per orbit, by induction on s. So one set
-lookup decides each move. Moves are tried in the solver's order, toward
-the root first, so a solvable candidate stops early.
+lookup decides each move. A child is one subtraction, q - delta(u, v)
+with delta(u, v) = 2^(off(u)+1) - 2^off(v), and a representative
+carries the deltas of its legal moves: its parent's, plus the new
+vertex's once it holds 2.
 
 Candidates are generated in order (orderly generation, McKay 1998): a
 representative p of level s is extended only at root-free vertices
@@ -45,13 +55,29 @@ L >= last(q - e_L). Without symmetry and under block symmetry every
 candidate is a representative and is generated, and decided, once.
 
 How a child is looked up depends on the symmetry. Without it the child
-is looked up as it is. Under block symmetry it is canonicalized first.
-Under a stored closure group, which is small, the builder keeps beside
-each level of representatives the set of all their orbit members, so a
-child is looked up as it is, with no canonicalization; an extension
-need not be a representative there, and one whose orbit is already
-known unsolvable is skipped. An orbit is expanded once, when a
-candidate of it is found unsolvable. Each candidate decision counts as
+is looked up as it is. Under a stored closure group, which is small,
+the builder keeps beside each level of representatives the set of all
+their orbit members, so a child is looked up as it is, with no
+canonicalization; an extension need not be a representative there,
+and one whose orbit is already known unsolvable is skipped. An orbit is
+expanded once, when a candidate of it is found unsolvable, and from the
+parent's images: image k of p + e_v is image k of p plus the unit of
+perm_k^-1(v), so the |G| images cost |G| additions. When the candidate
+is not the maximum of its orbit, a row of the group's composition
+table realigns the images to the maximum. Under block symmetry a move
+that touches a block yields the block-sorted child directly, at the
+ends of value runs: the two source pebbles come off the last vertex of
+their run (one of them off the last vertex of the next run down when
+that run holds one pebble fewer), and the target pebble goes on the
+first vertex of its run. Moves from or to the same runs give the same
+child and are looked up once. A move inside one block, between
+adjacent twins a and b (N[a] = N[b]), is not looked up at all: a
+solvable q has an acyclic solving multiset of moves (the No-Cycle
+Lemma), and one with k moves a -> b stays acyclic and solving, with k
+fewer moves, when those are dropped and ceil(k/2) of b's moves, or all
+if fewer, leave from a instead (b's targets other than a are a's
+neighbours). So some solving multiset has no move inside a block, and
+its first move is one of the moves looked up. Each candidate decision counts as
 one search node against the solver's limits. A limit hit part-way
 reports the number of complete levels, a proven lower bound on
 pi_rooted.
@@ -66,12 +92,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, groupby
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterator
 
-from .configurations import Configuration, _symmetry_mode, canonical_counts
+from .configurations import Configuration, _symmetry_mode
 from .errors import BadParameterError, GraphMismatchError, InternalError, ResourceLimitError
 from .graphs import Graph, _is_automorphism, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
@@ -123,58 +149,131 @@ def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[se
 
 def _levels(g: Graph, solver: Solver, use_symmetry: bool) -> Iterator[set]:
     """Yield the levels as orbit representatives, generated in order
-    (see the module docstring).
+    and looked up as packed integer keys (see the module docstring).
 
-    Under a stored closure group each orbit found unsolvable is
-    expanded, with one ``itemgetter`` per closure permutation, into the
-    member set that answers the lookups of the next level.
+    Each representative carries its counts, the deltas of its legal
+    moves and, under a stored closure group, its images, so a child is
+    one subtraction and an orbit found unsolvable is expanded by |G|
+    additions into the member set that answers the next level's lookups.
     """
     kind, data = _symmetry_mode(g) if use_symmetry else ("none", None)
-    group = data if kind == "group" else None
-    blocks = data if kind == "blocks" else ()
-    prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
+    n = g.vertex_count
     dist = distances_from(g, g.root)
+    # vertex v owns d(v,r)+1 bits, vertex 0 the most significant
+    off = [0] * n
+    for v in reversed(range(n - 1)):
+        off[v] = off[v + 1] + dist[v + 1] + 1
+    unit = [1 << o for o in off]
+    targets: list[list[int]] = [[] for _ in range(n)]
+    for a, t in solver._moves:
+        targets[a].append(t)
+    blocks = data if kind == "blocks" else ()
+    twins = {v for block in blocks for v in block}
+    # the moves that touch no block; _block_deltas derives the others
+    delta = [
+        () if a in twins else tuple(2 * unit[a] - unit[t] for t in targets[a] if t not in twins) for a in range(n)
+    ]
+    block_deltas = _block_deltas(blocks, targets, unit) if blocks else None
+    prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
     # descending, so that the walk over p can stop at last(p)
-    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(g.vertex_count)) if v != g.root]
-    moves = solver._moves
+    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(n)) if v != g.root]
 
-    def unsolvable(q):
-        # one lookup per legal move in the level below
-        solver.count_node()
-        for a, t in moves:
-            if q[a] >= 2:
-                child = list(q)
-                child[a] -= 2
-                child[t] += 1
-                child = tuple(child)
-                if blocks:
-                    child = canonical_counts(g, child)
-                if child not in members:
-                    return False
-        return True
+    group = data if kind == "group" else ()
+    perms = [perm(tuple(range(n))) for perm in group]
+    index = {perm: k for k, perm in enumerate(perms)}
+    inverses = [sorted(range(n), key=perm.__getitem__) for perm in perms]
+    # image k of p + e_v is image k of p plus unit[perm_k^-1(v)]
+    lift = [tuple(unit[inv[v]] for inv in inverses) for v in range(n)]
+    rows: dict[int, tuple[int, ...]] = {}
 
-    reps = members = {(0,) * g.vertex_count}
+    def realign(j):
+        # image k of (image j of q) is image rows[j][k] of q
+        if j not in rows:
+            pj = perms[j]
+            rows[j] = tuple(index[tuple(map(pj.__getitem__, pk))] for pk in perms)
+        return rows[j]
+
+    count_node = solver.count_node
+    reps = {0: ((0,) * n, (), (0,) * len(perms))}
+    members = reps if not group else {0}
     while reps:
-        yield reps
-        nxt: set[tuple[int, ...]] = set()
-        nxt_members: set[tuple[int, ...]] = set()
-        for p in reps:
+        yield {counts for counts, _, _ in reps.values()}
+        nxt: dict[int, tuple] = {}
+        nxt_members = nxt if not group else set()
+        for p, (pc, legal, images) in reps.items():
             solver.check_deadline()
             for v, cap, u in top:
-                c = p[v]
-                if c < cap and (u is None or p[u] > c):
-                    q = p[:v] + (c + 1,) + p[v + 1 :]
-                    if q not in nxt_members and unsolvable(q):
-                        if group is None:
-                            nxt.add(q)
+                c = pc[v]
+                if c < cap and (u is None or pc[u] > c) and (q := p + unit[v]) not in nxt_members:
+                    q_legal = legal + delta[v] if c == 1 else legal
+                    deltas = chain(q_legal, block_deltas(pc, v)) if blocks else q_legal
+                    # one lookup per legal move in the level below
+                    count_node()
+                    if all(map(members.__contains__, map(q.__sub__, deltas))):
+                        qc = pc[:v] + (c + 1,) + pc[v + 1 :]
+                        if not group:
+                            nxt[q] = (qc, q_legal, ())
                         else:
-                            images = {perm(q) for perm in group}
-                            nxt_members |= images
-                            nxt.add(max(images))
+                            q_images = tuple(map(add, images, lift[v]))
+                            nxt_members.update(q_images)
+                            rep = max(q_images)
+                            if rep != q:
+                                j = q_images.index(rep)
+                                qc = group[j](qc)
+                                q_images = tuple(map(q_images.__getitem__, realign(j)))
+                                q_legal = tuple(chain.from_iterable(delta[a] for a, x in enumerate(qc) if x >= 2))
+                            nxt[rep] = (qc, q_legal, q_images)
                 if c:
                     break
         reps = nxt
-        members = nxt if group is None else nxt_members
+        members = nxt_members
+
+
+def _block_deltas(blocks, targets, unit):
+    """Return block_deltas(pc, v), which gives, for the block-sorted
+    q = p + e_v with pc the counts of p, the deltas q - child of q's
+    moves that touch a block but stay inside none, each child
+    block-sorted at the ends of its value runs and each taken once (see
+    the module docstring)."""
+    n = len(unit)
+    block_of = {v: b for b, block in enumerate(blocks) for v in block}
+    # twins share their neighbours outside the block, so a vertex is
+    # next to all of a block or to none of it
+    near = []  # the other blocks next to each vertex
+    for a in range(n):
+        own = block_of.get(a)
+        near.append(sorted({block_of[t] for t in targets[a] if t in block_of and block_of[t] != own}))
+    feeders = [a for a in range(n) if a not in block_of and near[a]]
+    fixed = [tuple(unit[t] for t in targets[a] if t not in block_of) if a in block_of else () for a in range(n)]
+
+    def block_deltas(pc, v):
+        counts = list(pc)
+        counts[v] += 1
+        sources = [(a, 2 * unit[a]) for a in feeders if counts[a] >= 2]
+        starts = []
+        for block in blocks:
+            runs = [list(run) for _, run in groupby(block, counts.__getitem__)]
+            starts.append([unit[run[0]] for run in runs])
+            for run, lower in zip(runs, runs[1:] + [None]):
+                x = counts[run[0]]
+                if x < 2:
+                    break
+                # the source pebbles come off the end of the run, one of
+                # them off the end of the next run down if it holds x-1
+                j = run[-1]
+                if lower is not None and counts[lower[0]] == x - 1:
+                    sources.append((j, unit[j] + unit[lower[-1]]))
+                else:
+                    sources.append((j, 2 * unit[j]))
+        out = []
+        for a, sub in sources:
+            out += [sub - t for t in fixed[a]]
+            for b in near[a]:
+                # the target pebble goes on the start of its run
+                out += [sub - s for s in starts[b]]
+        return out
+
+    return block_deltas
 
 
 def pi_rooted(

@@ -33,6 +33,7 @@ from .errors import (
     BadEmbeddingError,
     BadParameterError,
     GraphMismatchError,
+    InternalError,
     NegativeCoefficientError,
     NotATreeError,
     UncertifiedComponentError,
@@ -506,15 +507,19 @@ def construction_certificate(
 
     ``method``, ``use_symmetry`` and ``limits`` are those of ``certify``.
     cycle_combined is certified as the conic combination of its two
-    path strategies and q4star as the four-copy decomposition of
-    lemma5, whose base certificate takes the same arguments.
+    path strategies, which must equal the table's weights (InternalError
+    otherwise), and q4star as the four-copy decomposition of lemma5,
+    whose base certificate takes the same arguments.
     """
     if method not in ("auto", "tree", "oracle"):
         raise BadParameterError(f"unknown certification method {method!r}")
     g, w = construction(name, *params)
     if name == "cycle_combined":
         a, b = cycle_strategy_pair(*params)
-        return conic_combine(g, [(1, a, None), (1, b, None)])
+        cert = conic_combine(g, [(1, a, None), (1, b, None)])
+        if cert.weight_function.weights != w.weights:
+            raise InternalError("internal error: cycle_combined weights differ from its two path strategies")
+        return cert
     if name == "q4star":
         base = construction_certificate("lemma5", method=method, use_symmetry=use_symmetry, limits=limits)
         return certify_by_decomposition(g, w, [(emb, base) for emb in q4_copy_embeddings()])

@@ -67,8 +67,20 @@ class TestGraphFormat:
             (_P2 + "vertices 4\n", 6),
             (_P2 + "root 2\n", 6),
             ("pebblegraph 1\nlabel 3 early\n" + _P2.split("\n", 1)[1], 2),
+            (_P2 + "edge 1 9\n", 6),
+            (_P2 + "edge 1 1\n", 6),
+            (_P2 + "edge 2 1\n", 6),
         ],
-        ids=["label-past-last-vertex", "negative-label", "second-vertices", "second-root", "label-before-vertices"],
+        ids=[
+            "label-past-last-vertex",
+            "negative-label",
+            "second-vertices",
+            "second-root",
+            "label-before-vertices",
+            "edge-past-last-vertex",
+            "self-loop",
+            "repeated-edge-reversed",
+        ],
     )
     def test_bad_record_rejected_with_line_number(self, text, line):
         with pytest.raises(ParseError) as err:

@@ -123,10 +123,42 @@ class TestPiRooted:
         assert ResourceLimitError("plain cap").pi_lower is None
 
 
+def _swap(n, a, b):
+    perm = list(range(n))
+    perm[a], perm[b] = b, a
+    return tuple(perm)
+
+
+def _adjacent_twin_graphs():
+    """Graphs whose stored transpositions swap adjacent twins, so a
+    move can stay inside one block, the one move the block-mode builder
+    does not look up."""
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    clique = [(u, v) for u in range(2, 6) for v in range(u + 1, 6)]
+    return [
+        # K4 rooted at 0
+        pb.build_graph(4, k4, root=0, symmetry=(_swap(4, 1, 2), _swap(4, 2, 3))),
+        # a triangle on a tail of two edges: 3 and 4 hold up to 7 pebbles
+        pb.build_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)], root=0, symmetry=(_swap(5, 3, 4),)),
+        # a triangle with one more tail beyond it
+        pb.build_graph(
+            6, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)], root=0, symmetry=(_swap(6, 2, 3),)
+        ),
+        # K4 hanging off the root's neighbour
+        pb.build_graph(
+            6,
+            [(0, 1)] + [(1, v) for v in range(2, 6)] + clique,
+            root=0,
+            symmetry=(_swap(6, 2, 3), _swap(6, 3, 4), _swap(6, 4, 5)),
+        ),
+    ]
+
+
 def _down_set_cases():
     named = [pb.path_graph(k) for k in range(1, 5)]
     named += [pb.cycle_graph(n) for n in range(3, 7)]
     named += [pb.named_graph("fig2"), pb.hypercube(3), pb.lollipop(1, 3)]
+    named += _adjacent_twin_graphs()
     rng = random.Random(40_321)  # the random graphs of test_properties
     return named + [random_connected_graph(rng, n_min=2, n_max=5) for _ in range(30)]
 
@@ -189,7 +221,8 @@ class TestAgainstReferenceBuilder:
 
 class TestOrbitBuilder:
     """The group-mode builder: levels of representatives, looked up
-    among every orbit member of the level below."""
+    among every orbit member of the level below. Block mode looks a
+    child up at the run ends of its blocks instead."""
 
     def test_q4_levels_expand_to_the_full_down_set(self):
         q4 = pb.hypercube(4)
@@ -209,12 +242,15 @@ class TestOrbitBuilder:
 
     def test_never_canonicalizes(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("canonical_counts called by the group-mode builder")
+            raise AssertionError("canonical_counts called by the down-set builder")
 
         for module in list(sys.modules.values()):
             if module.__name__.startswith("pebbling") and getattr(module, "canonical_counts", None):
                 monkeypatch.setattr(module, "canonical_counts", refuse)
-        for g, pi in ((pb.cycle_graph(9), 21), (pb.rooted_cube(4), 16)):
+        # group mode, then block mode, last with moves inside a block
+        cases = [(pb.cycle_graph(9), 21), (pb.rooted_cube(4), 16), (pb.lollipop(2, 3), 16), (pb.lollipop(2), 16)]
+        cases += [(g, len(naive_unsolvable_levels(g)) - 1) for g in _adjacent_twin_graphs()]
+        for g, pi in cases:
             g._cache.clear()
             assert len(engine._unsolvable_levels(g, pb.Solver(g), True)) == pi
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 import pebbling as pb
+from pebbling import strategies
 from pebbling.errors import (
     BadEmbeddingError,
     BadParameterError,
+    InternalError,
     NegativeCoefficientError,
     NotATreeError,
     ResourceLimitError,
@@ -293,6 +295,17 @@ class TestCertificateRouting:
         assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in lemma5._cache)
         pb.construction_certificate("lemma5", use_symmetry=False)
         assert ("unsolvable_levels", True) not in lemma5._cache
+
+    def test_cycle_combined_table_must_match_its_strategies(self, monkeypatch):
+        build, arity = strategies._CONSTRUCTIONS["cycle_combined"]
+
+        def drifted(k):
+            g, w = build(k)
+            return g, pb.weight_function(g, (w.weights[0], w.weights[1] + 1) + w.weights[2:])
+
+        monkeypatch.setitem(strategies._CONSTRUCTIONS, "cycle_combined", (drifted, arity))
+        with pytest.raises(InternalError, match="cycle_combined"):
+            pb.construction_certificate("cycle_combined", 2)
 
     def test_construction_arity_and_names(self):
         with pytest.raises(BadParameterError):
