@@ -9,8 +9,8 @@ run the dimension-5 reciprocal weights (conj-n5), which took a further
 code 3.
 
 Each row also shows the peak resident set size of this process so far.
-Run alone, q4-bruteforce peaked at 28 MB (51 MB with --no-symmetry),
-thm3-n3 at 28 MB and conj-n5 at 270 MB.
+Run alone, q4-bruteforce peaked at 28 MB, thm3-n3 at 28 MB and conj-n5
+at 270 MB.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]

@@ -140,7 +140,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paper", help="reproduce a named bundled result")
     p.add_argument("result_id")
     p.add_argument("--allow-long", action="store_true")
-    p.add_argument("--no-symmetry", action="store_true", help="disable orbit reduction")
     p.add_argument(
         "--threads", type=int, default=1,
         help="accepted for compatibility; selects nothing, every search runs in this process",
@@ -255,7 +254,7 @@ def _target_odd_cycle(k: int, args) -> int:
     watched = shared_solver(g, 1, _limits(args))
     start = time.monotonic()
     nodes_before = watched.stats.nodes
-    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    result = pi_rooted(g, limits=_limits(args))
     combined = construction_certificate("cycle_combined", k)
     upper = weight_function_bound(combined)
     optimum, lp_bound = lp_pebbling_bound(g, combined.components)
@@ -278,7 +277,7 @@ def _oracle_target(name: str, params: tuple[int, ...], args, extra=None) -> int:
     """Verify a construction with the oracle and emit its RESULT line,
     followed by ``extra`` fields; exit 0 only if every boolean field is true."""
     g, w = construction(name, *params)
-    result = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    result = verify_validity_oracle(g, w, limits=_limits(args))
     fields = {"valid": result.valid, "max_weight": result.max_unsolvable, "cap": result.cap}
     if extra:
         fields.update(extra)
@@ -289,7 +288,7 @@ def _oracle_target(name: str, params: tuple[int, ...], args, extra=None) -> int:
 def _target_prop_q3(args) -> int:
     q3 = hypercube(3)
     _, w_prime = construction("q3prime")
-    base = construction_certificate("fig2", use_symmetry=not args.no_symmetry, limits=_limits(args))
+    base = construction_certificate("fig2", limits=_limits(args))
     combined = conic_combine(q3, [(1, base, emb) for emb in cube_copy_embeddings(3)])
     same = combined.weight_function.weights == w_prime.weights
     return _oracle_target("q3prime", (), args, extra={"decomposition": same})
@@ -300,7 +299,7 @@ def _target_thm2_q4(args) -> int:
     watched = shared_solver(rooted_cube(4), 1, _limits(args))  # the lemma5 base graph
     nodes_before = watched.stats.nodes
     # raises, and so exits 2, unless the four lemma5 copies sum to q4star
-    cert = construction_certificate("q4star", use_symmetry=not args.no_symmetry, limits=_limits(args))
+    cert = construction_certificate("q4star", limits=_limits(args))
     base = cert.components[0]
     upper = weight_function_bound(cert)
     lower = diameter_lower_bound(cert.graph)
@@ -319,13 +318,13 @@ def _target_thm2_q4(args) -> int:
 def _target_thm3_n1(args) -> int:
     m = (1 << (1 + 1)) + 2  # Theorem 3's generalized form: more than 2^(n+1) parallel paths
     g, w = construction("lollipop_general", 1, m)
-    general = verify_validity_oracle(g, w, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    general = verify_validity_oracle(g, w, limits=_limits(args))
     return _oracle_target("lollipop", (1,), args, extra={"generalized_m": m, "generalized_valid": general.valid})
 
 
 def _target_q4_bruteforce(args) -> int:
     g = hypercube(4)
-    result = pi_rooted(g, use_symmetry=not args.no_symmetry, limits=_limits(args))
+    result = pi_rooted(g, limits=_limits(args))
     emit(pi=result.value)
     return 0 if result.value == 16 else 1
 

@@ -82,10 +82,14 @@ one search node against the solver's limits. A limit hit part-way
 reports the number of complete levels, a proven lower bound on
 pi_rooted.
 
-The levels also answer every weight-function question on the graph: the
-largest weight of an unsolvable configuration is a maximum over them.
-They are cached on the graph, so repeated certificate checks on one
-graph reuse one enumeration.
+The stored symmetry is a property of the graph, so each graph has one
+down-set. It answers every weight-function question on the graph: the
+largest weight of an unsolvable configuration is a maximum over the
+orbits of the representatives, whatever the weights (see
+max_unsolvable_weight). The levels are cached on the graph, so repeated
+certificate checks on one graph reuse one enumeration. A graph built
+without symmetry (a graph file, or build_graph with no generators) is
+scanned in full.
 """
 
 from __future__ import annotations
@@ -98,21 +102,20 @@ from operator import add, mul
 from typing import Iterator
 
 from .configurations import Configuration, _symmetry_mode
-from .errors import BadParameterError, GraphMismatchError, InternalError, ResourceLimitError
+from .errors import GraphMismatchError, InternalError, ResourceLimitError
 from .graphs import Graph, _is_automorphism, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
 
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """Which sizes were enumerated and whether orbits were reduced.
+    """Which sizes were enumerated.
 
     ``sizes`` runs from 0 to the pebbling number: every level of the
     down-set, then the empty level that ends it.
     """
 
     sizes: tuple[int, ...]
-    symmetry_used: bool
 
 
 @dataclass(frozen=True)
@@ -122,32 +125,31 @@ class PiResult:
     exhaustiveness: ScanRecord
 
 
-def _unsolvable_levels(g: Graph, solver: Solver, use_symmetry: bool) -> tuple[set, ...]:
+def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     """The unsolvable root-free configurations of g, one set per size,
-    each level decided from the one below (see the module docstring).
+    one representative per orbit of the stored symmetry, each level
+    decided from the one below (see the module docstring).
 
-    Cached on the graph, keyed by ``use_symmetry``, only once complete:
-    a resource limit hit part-way leaves nothing behind, and the error
-    carries the number of levels completed as ``pi_lower``.
+    Cached on the graph only once complete: a resource limit hit
+    part-way leaves nothing behind, and the error carries the number of
+    levels completed as ``pi_lower``.
     """
-    use_symmetry = use_symmetry and bool(g.symmetry)
-    key = ("unsolvable_levels", use_symmetry)
     cache = g._cache
-    if key in cache:
-        return cache[key]
+    if "unsolvable_levels" in cache:
+        return cache["unsolvable_levels"]
     levels = []
     try:
-        for level in _levels(g, solver, use_symmetry):
+        for level in _levels(g, solver):
             levels.append(level)
     except ResourceLimitError as exc:
         # levels 0..len(levels)-1 are complete and non-empty
         exc.pi_lower = len(levels)
         raise
-    cache[key] = levels = tuple(levels)
+    cache["unsolvable_levels"] = levels = tuple(levels)
     return levels
 
 
-def _levels(g: Graph, solver: Solver, use_symmetry: bool) -> Iterator[set]:
+def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     """Yield the levels as orbit representatives, generated in order
     and looked up as packed integer keys (see the module docstring).
 
@@ -156,7 +158,7 @@ def _levels(g: Graph, solver: Solver, use_symmetry: bool) -> Iterator[set]:
     one subtraction and an orbit found unsolvable is expanded by |G|
     additions into the member set that answers the next level's lookups.
     """
-    kind, data = _symmetry_mode(g) if use_symmetry else ("none", None)
+    kind, data = _symmetry_mode(g)
     n = g.vertex_count
     dist = distances_from(g, g.root)
     # vertex v owns d(v,r)+1 bits, vertex 0 the most significant
@@ -276,13 +278,7 @@ def _block_deltas(blocks, targets, unit):
     return block_deltas
 
 
-def pi_rooted(
-    g: Graph,
-    *,
-    use_symmetry: bool = True,
-    limits: SearchLimits | None = None,
-    threads: int = 1,
-) -> PiResult:
+def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1) -> PiResult:
     """Exact rooted pebbling number with a maximal unsolvable witness.
 
     The witness is the lexicographically greatest configuration of the
@@ -293,12 +289,12 @@ def pi_rooted(
     """
     solver = shared_solver(g, 1, limits)
     solver.restart_clock()
-    levels = _unsolvable_levels(g, solver, use_symmetry)
+    levels = _unsolvable_levels(g, solver)
     witness = max(levels[-1])
     if Solver(g, 1, solver.limits).decide(witness):
         raise InternalError("internal error: witness re-verification failed")
     value = len(levels)
-    return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1)), use_symmetry))
+    return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1))))
 
 
 def _reroot(g: Graph, r: int) -> Graph:
@@ -316,23 +312,18 @@ def _verified_transitive(g: Graph) -> bool:
     )
 
 
-def pi_global(
-    g: Graph,
-    *,
-    use_symmetry: bool = True,
-    limits: SearchLimits | None = None,
-) -> int:
+def pi_global(g: Graph, *, limits: SearchLimits | None = None) -> int:
     """max over roots of pi_rooted; vertex-transitive graphs need one root.
 
     Transitivity is certified by directly checking the stored per-vertex
     automorphisms, never assumed from the family name.
     """
     if _verified_transitive(g):
-        return pi_rooted(g, use_symmetry=use_symmetry, limits=limits).value
+        return pi_rooted(g, limits=limits).value
     best = 0
     for r in range(g.vertex_count):
         h = g if r == g.root else _reroot(g, r)
-        best = max(best, pi_rooted(h, use_symmetry=use_symmetry, limits=limits).value)
+        best = max(best, pi_rooted(h, limits=limits).value)
     return best
 
 
@@ -345,37 +336,49 @@ def _weight_respects_symmetry(g: Graph, weights) -> bool:
     return all(all(weights[p[v]] == weights[v] for v in range(g.vertex_count)) for p in g.symmetry)
 
 
-def max_unsolvable_weight(
-    g: Graph,
-    w,
-    size_bound: int,
-    *,
-    use_symmetry: bool = True,
-    limits: SearchLimits | None = None,
-) -> tuple[Fraction, Configuration]:
-    """Maximum of w(p) over unsolvable configurations of size <= size_bound.
+def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) -> tuple[Fraction, Configuration]:
+    """Maximum of w(p) over the unsolvable root-free configurations p.
 
-    A maximum of the integer-scaled w(p) over levels 0..size_bound of the
-    down-set; ties go to the lexicographically greatest configuration.
-    Callers must pass size_bound >= pi_rooted - 1 to cover every
-    unsolvable configuration. The orbit-reduced levels are read only
-    when the weight function is constant on the stored orbits, so that
-    each representative weighs what its whole orbit does.
+    A maximum of the integer-scaled w(p) over the down-set; ties go to
+    the lexicographically greatest configuration. Each representative
+    stands for its orbit's heaviest member under that order: itself when
+    w is constant on the stored orbits; otherwise, under a closure
+    group, its best image, and under block symmetry the block's counts
+    sorted descending onto the block's vertices ordered by (-w(v), v),
+    which is the heaviest arrangement (rearrangement inequality) and the
+    greatest among the heaviest, block by block. The stored symmetries
+    preserve solvability, so every orbit is unsolvable whole, and the
+    maximum over the orbits is the (value, achiever) pair that the full
+    down-set gives.
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
-    if size_bound < 0:
-        raise BadParameterError("size_bound must be nonnegative")
     weights = w.weights
     solver = shared_solver(g, 1, limits)
     solver.restart_clock()
-    symmetric = use_symmetry and _weight_respects_symmetry(g, weights)
-    levels = _unsolvable_levels(g, solver, symmetric)
+    levels = _unsolvable_levels(g, solver)
 
     den = lcm(*(f.denominator for f in weights))
     wi = [int(f * den) for f in weights]
-    best = max(
-        chain.from_iterable(levels[: size_bound + 1]),
-        key=lambda counts: (sum(map(mul, wi, counts)), counts),
-    )
-    return Fraction(sum(map(mul, wi, best)), den), Configuration(g, best)
+
+    def score(counts):
+        return sum(map(mul, wi, counts)), counts
+
+    members = chain.from_iterable(levels)
+    # a representative weighs what its orbit does when w is constant on it
+    kind, data = ("none", None) if _weight_respects_symmetry(g, weights) else _symmetry_mode(g)
+    if kind == "group":
+        members = (max((perm(c) for perm in data), key=score) for c in members)
+    elif kind == "blocks":
+        orders = [sorted(block, key=lambda v: (-wi[v], v)) for block in data]
+
+        def heaviest(c):
+            out = list(c)
+            for block, order in zip(data, orders):
+                for v, x in zip(order, sorted(map(c.__getitem__, block), reverse=True)):
+                    out[v] = x
+            return tuple(out)
+
+        members = map(heaviest, members)
+    best = max(members, key=score)
+    return Fraction(score(best)[0], den), Configuration(g, best)

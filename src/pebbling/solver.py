@@ -63,6 +63,12 @@ class SearchLimits:
     max_nodes: int = field(default_factory=default_max_nodes)
     max_seconds: float | None = field(default_factory=default_max_seconds)
 
+    def __post_init__(self):
+        # NaN fails every comparison, so a NaN cap would never be hit
+        for name, value in (("max_nodes", self.max_nodes), ("max_seconds", self.max_seconds)):
+            if value is not None and not value >= 0:
+                raise BadParameterError(f"{name} must be a nonnegative number, not {value!r}")
+
     def deadline(self) -> float | None:
         return None if self.max_seconds is None else time.monotonic() + self.max_seconds
 

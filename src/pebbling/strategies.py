@@ -10,8 +10,9 @@ weight. Three verification routes produce certificates:
   every supported vertex not adjacent to the root weighs at most half
   its parent; this is the classic sufficient condition,
 * exhaustive oracle: compute pi_rooted, then maximize w over all
-  unsolvable configurations and compare against w(1_G); both read one
-  down-set of unsolvable configurations cached on the graph,
+  unsolvable configurations and compare against w(1_G); both read the
+  graph's one down-set of unsolvable configurations, kept as orbit
+  representatives of its stored symmetry whatever the weights,
 * combination: conic combinations and exact decompositions into already
   certified functions on embedded subgraphs.
 
@@ -182,26 +183,22 @@ def verify_validity_oracle(
     g: Graph,
     w: WeightFunction,
     *,
-    use_symmetry: bool = True,
     limits: SearchLimits | None = None,
     threads: int = 1,
 ) -> ValidityResult:
     """Exhaustive validity decision.
 
     Requires strictly positive weights off the root. Computes pi_rooted
-    itself (an underestimated bound would silently skip counterexamples)
-    and then maximizes w over every unsolvable configuration of size up
-    to pi_rooted - 1; both read the down-set cached on the graph.
+    itself, then maximizes w over every unsolvable configuration; both
+    read the one down-set cached on the graph.
     ``threads`` is accepted for compatibility and selects nothing.
     """
     if w.graph is not g:
         raise GraphMismatchError("weights belong to a different graph")
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
         raise WeightNotPositiveError("every non-root vertex needs positive weight")
-    pi = pi_rooted(g, use_symmetry=use_symmetry, limits=limits)
-    worst, achiever = max_unsolvable_weight(
-        g, w, pi.value - 1, use_symmetry=use_symmetry, limits=limits
-    )
+    pi = pi_rooted(g, limits=limits)
+    worst, achiever = max_unsolvable_weight(g, w, limits=limits)
     cap = w.total
     if worst <= cap:
         return ValidityResult(True, None, worst, cap, pi)
@@ -476,14 +473,13 @@ def certify(
     w: WeightFunction,
     method: str = "auto",
     *,
-    use_symmetry: bool = True,
     limits: SearchLimits | None = None,
 ) -> Certificate:
     """Certificate for w on g, checked in this process.
 
     method "tree" runs the tree check, "oracle" the exhaustive oracle
-    under ``use_symmetry`` and ``limits``, and "auto" the tree check,
-    falling back to the oracle when it cannot certify w.
+    under ``limits``, and "auto" the tree check, falling back to the
+    oracle when it cannot certify w.
     """
     if method not in ("auto", "tree", "oracle"):
         raise BadParameterError(f"unknown certification method {method!r}")
@@ -493,19 +489,18 @@ def certify(
         except (NotATreeError, UncertifiedWeightError):
             if method == "tree":
                 raise
-    return certify_by_oracle(g, w, use_symmetry=use_symmetry, limits=limits)
+    return certify_by_oracle(g, w, limits=limits)
 
 
 def construction_certificate(
     name: str,
     *params: int,
     method: str = "auto",
-    use_symmetry: bool = True,
     limits: SearchLimits | None = None,
 ) -> Certificate:
     """Certificate for a named construction, checked in this process.
 
-    ``method``, ``use_symmetry`` and ``limits`` are those of ``certify``.
+    ``method`` and ``limits`` are those of ``certify``.
     cycle_combined is certified as the conic combination of its two
     path strategies, which must equal the table's weights (InternalError
     otherwise), and q4star as the four-copy decomposition of lemma5,
@@ -521,9 +516,9 @@ def construction_certificate(
             raise InternalError("internal error: cycle_combined weights differ from its two path strategies")
         return cert
     if name == "q4star":
-        base = construction_certificate("lemma5", method=method, use_symmetry=use_symmetry, limits=limits)
-        return certify_by_decomposition(g, w, [(emb, base) for emb in q4_copy_embeddings()])
-    return certify(g, w, method, use_symmetry=use_symmetry, limits=limits)
+        base = construction_certificate("lemma5", method=method, limits=limits)
+        return certify_by_decomposition(g, w, [(emb, base) for emb in cube_copy_embeddings(4)])
+    return certify(g, w, method, limits=limits)
 
 
 def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:
@@ -547,7 +542,3 @@ def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:
             emb[1 + c] = image
         embs.append(tuple(emb))
     return tuple(embs)
-
-
-def q4_copy_embeddings() -> tuple[tuple[int, ...], ...]:
-    return cube_copy_embeddings(4)

@@ -113,11 +113,17 @@ def naive_unsolvable_levels(g):
             return levels
 
 
-def reference_unsolvable_levels(g, solver, use_symmetry):
+def stripped(g):
+    """A copy of g without its stored symmetry, so that every
+    computation on it runs without orbit reduction."""
+    return pb.build_graph(g.vertex_count, g.edges, g.root, labels=g.labels)
+
+
+def reference_unsolvable_levels(g, solver):
     """The down-set built by deciding every candidate with ``solver``:
     each level is the level below plus one pebble (p(v) < 2^d(v,r)),
-    kept where the solver finds it unsolvable. Nothing is cached."""
-    use_symmetry = use_symmetry and bool(g.symmetry)
+    canonicalized under the stored symmetry and kept where the solver
+    finds it unsolvable. Nothing is cached."""
     dist = distances_from(g, g.root)
     top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
     level = {(0,) * g.vertex_count}
@@ -132,9 +138,7 @@ def reference_unsolvable_levels(g, solver, use_symmetry):
                 if p[v] < cap:
                     q = list(p)
                     q[v] += 1
-                    q = tuple(q)
-                    if use_symmetry:
-                        q = canonical_counts(g, q)
+                    q = canonical_counts(g, tuple(q))
                     if q not in tried:
                         tried.add(q)
                         if not solver.decide(q):

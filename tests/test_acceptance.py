@@ -111,7 +111,7 @@ def test_criterion_4_q4_pipeline(lemma5_validation):
     start = time.monotonic()
     base = pb.Certificate(w5, "oracle-checked", notes="validated by the criterion 3 oracle run")
     q4, w_star = pb.construction("q4star")
-    embeddings = pb.q4_copy_embeddings()
+    embeddings = pb.cube_copy_embeddings(4)
     decomposes = pb.verify_decomposition(q4, w_star, [(emb, w5) for emb in embeddings])
     cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in embeddings])
     upper = pb.weight_function_bound(cert)
@@ -140,7 +140,7 @@ def test_criterion_5_lollipop_certificates():
 
     g2, w2 = pb.construction("lollipop", 2)
     start = time.monotonic()
-    valid2 = pb.verify_validity_oracle(g2, w2, use_symmetry=True).valid
+    valid2 = pb.verify_validity_oracle(g2, w2).valid
     t2 = time.monotonic() - start
 
     gg, wg = pb.construction("lollipop_general", 1, 6)

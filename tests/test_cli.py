@@ -219,16 +219,6 @@ class TestPaperTargets:
         fields = result_map(results[0])
         assert fields["valid"] == "true" and fields["decomposition"] == "true"
 
-    def test_prop_q3_honours_no_symmetry(self, capsys):
-        # the fig2 base is certified by the oracle under the run's flags
-        fig2 = pb.rooted_cube(3)
-        fig2._cache.clear()
-        pb.hypercube(3)._cache.clear()
-        code, results, _ = run_cli(capsys, "paper", "prop-q3", "--no-symmetry")
-        assert code == 0 and result_map(results[0])["decomposition"] == "true"
-        assert ("unsolvable_levels", False) in fig2._cache
-        assert ("unsolvable_levels", True) not in fig2._cache
-
     def test_thm2_q4(self, capsys):
         code, results, _ = run_cli(capsys, "paper", "thm2-q4")
         assert code == 0
@@ -237,7 +227,8 @@ class TestPaperTargets:
 
     def test_thm2_q4_failed_decomposition_exits_2(self, capsys, monkeypatch):
         # three copies of the lemma5 base cannot sum to the uniform weight 4 on Q4
-        monkeypatch.setattr(strategies, "q4_copy_embeddings", lambda: strategies.cube_copy_embeddings(4)[:3])
+        embeddings = strategies.cube_copy_embeddings
+        monkeypatch.setattr(strategies, "cube_copy_embeddings", lambda n: embeddings(n)[:3])
         code, results, err = run_cli(capsys, "paper", "thm2-q4")
         assert code == 2
         assert results == [] and "copies do not sum to the target weight function" in err
@@ -313,6 +304,19 @@ class TestPlumbing:
             assert code == 2, target
             assert results == [] and "PEBBLE_MAX_NODES" in err, target
 
+    def test_nan_or_negative_cap_exits_2(self, capsys, monkeypatch, c5_file):
+        # a NaN cap compares false with everything, so it would never be hit
+        for flags in (("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-3")):
+            code, results, err = run_cli(capsys, "pi", "-g", str(c5_file), *flags)
+            assert code == 2 and results == [], flags
+            assert "must be a nonnegative number" in err, flags
+        for name, value in (("PEBBLE_MAX_SECONDS", "nan"), ("PEBBLE_MAX_SECONDS", "-2"), ("PEBBLE_MAX_NODES", "-3")):
+            monkeypatch.setenv(name, value)
+            code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
+            assert code == 2 and results == [], (name, value)
+            assert "must be a nonnegative number" in err, (name, value)
+            monkeypatch.delenv(name)
+
     def test_flags_that_select_nothing_are_refused(self, capsys, tmp_path, c5_file, c5):
         cfg = tmp_path / "p.config"
         cfg.write_text(serialize_config(pb.configuration(c5, {2: 4})), encoding="utf-8")
@@ -322,6 +326,7 @@ class TestPlumbing:
         copies.write_text("pebblecopies 1\n", encoding="utf-8")
         for argv in (
             ("pi", "-g", str(c5_file), "--no-symmetry"),
+            ("paper", "prop-q3", "--no-symmetry"),
             ("solve", "-g", str(c5_file), "-c", str(cfg), "--threads", "2"),
             ("decompose", "-g", str(c5_file), "-w", str(weights), "--copies", str(copies), "--max-nodes", "5"),
         ):

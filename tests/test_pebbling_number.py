@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     random_connected_graph,
     reference_unsolvable_levels,
     root_zero_counts,
+    stripped,
     symmetry_closure,
 )
 from pebbling import pebbling_number as engine
@@ -54,7 +56,7 @@ class TestPiRooted:
 
     def test_symmetry_off_matches(self, c5, q3):
         for g in (c5, q3):
-            assert fresh(pb.pi_rooted, g, use_symmetry=False).value == pb.pi_rooted(g).value
+            assert pb.pi_rooted(stripped(g)).value == fresh(pb.pi_rooted, g).value
 
     def test_witness_properties(self, c5, q3, p3):
         for g in (p3, c5, q3):
@@ -102,7 +104,7 @@ class TestPiRooted:
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.05))
         # a run cut short leaves no partial down-set behind
-        assert ("unsolvable_levels", True) not in q4._cache
+        assert "unsolvable_levels" not in q4._cache
 
     def test_node_cap_stops_the_scan(self):
         # each candidate the down-set builder decides is one search node
@@ -110,16 +112,16 @@ class TestPiRooted:
         c7._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(c7, limits=pb.SearchLimits(max_nodes=50))
-        assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in c7._cache)
+        assert "unsolvable_levels" not in c7._cache
 
     def test_cap_reports_complete_levels(self):
         # the levels finished before the cap are a proven lower bound on pi
         c9 = pb.cycle_graph(9)
-        for use_symmetry in (True, False):
-            c9._cache.clear()
+        c9._cache.clear()
+        for g in (c9, stripped(c9)):
             with pytest.raises(ResourceLimitError) as caught:
-                pb.pi_rooted(c9, use_symmetry=use_symmetry, limits=pb.SearchLimits(max_nodes=2_000))
-            assert 1 <= caught.value.pi_lower < 21, use_symmetry
+                pb.pi_rooted(g, limits=pb.SearchLimits(max_nodes=2_000))
+            assert 1 <= caught.value.pi_lower < 21, g.symmetry
         assert ResourceLimitError("plain cap").pi_lower is None
 
 
@@ -168,21 +170,21 @@ class TestUnsolvableDownSet:
         for g in _down_set_cases():
             reference = naive_unsolvable_levels(g)
             group = symmetry_closure(g)
-            for use_symmetry in (False, True):
-                g._cache.clear()
-                levels = engine._unsolvable_levels(g, pb.Solver(g), use_symmetry)
+            g._cache.clear()
+            for h in (stripped(g), g):
+                levels = engine._unsolvable_levels(h, pb.Solver(h))
                 # the engine stops at the first empty level; the reference keeps it
-                assert len(levels) == len(reference) - 1, (g.edges, g.root, use_symmetry)
+                assert len(levels) == len(reference) - 1, (g.edges, g.root, h.symmetry)
                 for size, level in enumerate(levels):
-                    if use_symmetry:
+                    if h.symmetry:
                         orbits = [orbit(group, c) for c in level]
                         expanded = set().union(*orbits)
                         # one representative per orbit
                         assert len(expanded) == sum(map(len, orbits)), (g.edges, size)
                     else:
                         expanded = level
-                    assert expanded == reference[size], (g.edges, g.root, use_symmetry, size)
-                res = pb.pi_rooted(g, use_symmetry=use_symmetry)
+                    assert expanded == reference[size], (g.edges, g.root, h.symmetry, size)
+                res = pb.pi_rooted(h)
                 assert res.value == len(levels)
                 assert res.witness_unsolvable.counts == max(levels[-1])
                 assert res.witness_unsolvable.counts == max(reference[-2])
@@ -212,11 +214,11 @@ class TestAgainstReferenceBuilder:
             _relabeled_path_from_file(6, 7_919),
         ]
         for g in graphs:
-            for use_symmetry in (False, True) if g.symmetry else (False,):
-                reference = reference_unsolvable_levels(g, pb.Solver(g), use_symmetry)
-                g._cache.clear()
-                levels = engine._unsolvable_levels(g, pb.Solver(g), use_symmetry)
-                assert levels == reference, (g.edges, g.root, use_symmetry)
+            g._cache.clear()
+            for h in (stripped(g), g) if g.symmetry else (g,):
+                reference = reference_unsolvable_levels(h, pb.Solver(h))
+                levels = engine._unsolvable_levels(h, pb.Solver(h))
+                assert levels == reference, (g.edges, g.root, h.symmetry)
 
 
 class TestOrbitBuilder:
@@ -229,8 +231,9 @@ class TestOrbitBuilder:
         group = symmetry_closure(q4)
         assert len(group) == 24
         q4._cache.clear()
-        full = engine._unsolvable_levels(q4, pb.Solver(q4), False)
-        reduced = engine._unsolvable_levels(q4, pb.Solver(q4), True)
+        plain = stripped(q4)
+        full = engine._unsolvable_levels(plain, pb.Solver(plain))
+        reduced = engine._unsolvable_levels(q4, pb.Solver(q4))
         assert len(reduced) == len(full) == 16
         for size, (level, reference) in enumerate(zip(reduced, full)):
             orbits = [orbit(group, c) for c in level]
@@ -238,7 +241,6 @@ class TestOrbitBuilder:
             assert len(expanded) == sum(map(len, orbits)), size
             assert all(c == max(o) for c, o in zip(level, orbits)), size
             assert expanded == reference, size
-        q4._cache.clear()  # the full Q4 down-set holds about 60 MB
 
     def test_never_canonicalizes(self, monkeypatch):
         def refuse(*args):
@@ -252,7 +254,7 @@ class TestOrbitBuilder:
         cases += [(g, len(naive_unsolvable_levels(g)) - 1) for g in _adjacent_twin_graphs()]
         for g, pi in cases:
             g._cache.clear()
-            assert len(engine._unsolvable_levels(g, pb.Solver(g), True)) == pi
+            assert len(engine._unsolvable_levels(g, pb.Solver(g))) == pi
 
 
 def _last(counts):
@@ -269,7 +271,7 @@ class TestOrderlyGeneration:
         for g in (pb.cycle_graph(9), pb.rooted_cube(4), pb.hypercube(3), pb.lollipop(2, 3)):
             group = symmetry_closure(g)
             g._cache.clear()
-            levels = engine._unsolvable_levels(g, pb.Solver(g), True)
+            levels = engine._unsolvable_levels(g, pb.Solver(g))
             for size in range(1, len(levels)):
                 for q in levels[size]:
                     assert q == max(orbit(group, q)), (g.edges, q)
@@ -284,7 +286,7 @@ class TestOrderlyGeneration:
             dist = pb.distances_from(g, g.root)
             g._cache.clear()
             solver = pb.Solver(g)
-            levels = engine._unsolvable_levels(g, solver, True)
+            levels = engine._unsolvable_levels(g, solver)
             admitted = 0
             for level in levels:
                 for p in level:
@@ -323,19 +325,19 @@ class TestClass0:
 class TestMaxUnsolvableWeight:
     def test_p3_doubling_weights(self, p3):
         w = pb.weight_function(p3, (1, 2, 0))
-        worst, achiever = pb.max_unsolvable_weight(p3, w, size_bound=3)
+        worst, achiever = pb.max_unsolvable_weight(p3, w)
         assert worst == 3
         assert achiever.counts == (3, 0, 0)
 
     def test_p2(self, p2):
         w = pb.weight_function(p2, (1, 0))
-        worst, achiever = pb.max_unsolvable_weight(p2, w, size_bound=1)
+        worst, achiever = pb.max_unsolvable_weight(p2, w)
         assert worst == 1 and achiever.counts == (1, 0)
 
     def test_fig2_is_tight(self, fig2):
         _, w = pb.construction("fig2")
         bound = pb.pi_rooted(fig2).value - 1
-        worst, achiever = pb.max_unsolvable_weight(fig2, w, bound)
+        worst, achiever = pb.max_unsolvable_weight(fig2, w)
         # independent recomputation over every unsolvable configuration
         best = Fraction(0)
         for size in range(0, bound + 1):
@@ -349,17 +351,101 @@ class TestMaxUnsolvableWeight:
 
     def test_achiever_is_unsolvable(self, c5):
         _, w = pb.construction("cycle_combined", 2)
-        worst, achiever = pb.max_unsolvable_weight(c5, w, size_bound=4)
+        worst, achiever = pb.max_unsolvable_weight(c5, w)
         assert not pb.is_solvable(c5, achiever).solvable
         assert worst <= w.total
 
-    def test_asymmetric_weights_disable_reduction_but_stay_exact(self, q3):
-        # weight function not constant on orbits: reduction must not be used
+    def test_asymmetric_weights_stay_exact(self, q3):
+        # a weight function not constant on the orbits reads the same down-set
         w = pb.weight_function(q3, (0, 8, 4, 2, 2, 1, 1, 1))
-        worst, achiever = pb.max_unsolvable_weight(q3, w, size_bound=7)
+        worst, achiever = pb.max_unsolvable_weight(q3, w)
         best = Fraction(0)
         for size in range(0, 8):
             for counts in root_zero_counts(q3, size):
                 if not naive_solvable(q3, counts):
                     best = max(best, sum(c * w.weights[v] for v, c in enumerate(counts)))
         assert worst == best
+        assert not naive_solvable(q3, achiever.counts)
+
+
+def _heaviest(g, weights):
+    worst, achiever = pb.max_unsolvable_weight(g, pb.weight_function(g, weights))
+    return worst, achiever.counts
+
+
+def _random_weights(rng, g):
+    # few distinct values, so that ties reach the lexicographic tie-break
+    weights = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(g.vertex_count)]
+    weights[g.root] = Fraction(0)
+    return weights
+
+
+def _planted_twin_graph(rng):
+    """A random connected graph on 2-4 vertices with 1-3 planted twins,
+    relabeled at random. A twin copies a non-root vertex's neighbours:
+    open twins are not adjacent, adjacent twins are, and each class of
+    twins is of one kind. Every twin pair is stored as a transposition,
+    so the classes are the blocks of block mode."""
+    n = rng.randint(2, 4)
+    base = random_connected_graph(rng, n_min=n, n_max=n, max_extra=1)
+    classes = [[v] for v in range(n)]
+    adjacent = {}
+    for _ in range(rng.randint(1, 3)):
+        v = rng.choice([u for u in range(n) if u != base.root])
+        adjacent.setdefault(v, rng.random() < 0.5)
+        classes[v].append(sum(map(len, classes)))
+    edges = [(a, b) for u, v in base.edges for a in classes[u] for b in classes[v]]
+    edges += [(a, b) for v, twin in adjacent.items() if twin for a, b in combinations(classes[v], 2)]
+    total = sum(map(len, classes))
+    label = list(range(total))
+    rng.shuffle(label)
+    swaps = []
+    for members in classes:
+        for x in members[1:]:
+            perm = list(range(total))
+            perm[label[members[0]]], perm[label[x]] = label[x], label[members[0]]
+            swaps.append(tuple(perm))
+    moved = [(label[a], label[b]) for a, b in edges]
+    return pb.build_graph(total, moved, root=label[base.root], symmetry=tuple(swaps))
+
+
+class TestOneDownSet:
+    """Each graph holds one down-set, one representative per orbit of
+    its stored symmetry, and every weight function is read from it."""
+
+    def test_asymmetric_weights_build_no_second_down_set(self):
+        g = pb.rooted_cube(4)
+        g._cache.clear()
+        weights = [Fraction(0) if v == g.root else Fraction(v) for v in range(g.vertex_count)]
+        w = pb.weight_function(g, weights)
+        assert not engine._weight_respects_symmetry(g, w.weights)
+        pb.verify_validity_oracle(g, w)
+        held = [k for k in g._cache if "unsolvable_levels" in (k if isinstance(k, tuple) else (k,))]
+        assert held == ["unsolvable_levels"]
+
+    def test_asymmetric_weights_match_the_stripped_graph(self):
+        # group mode on the first three, block mode on the lollipop
+        rng = random.Random(8_191)
+        for g in (pb.rooted_cube(4), pb.cycle_graph(9), pb.hypercube(3), pb.lollipop(2, 3)):
+            plain = stripped(g)
+            for _ in range(4):
+                weights = _random_weights(rng, g)
+                assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, weights)
+
+    def test_planted_twins(self):
+        # block mode against the plain builder: levels and weight maxima
+        rng = random.Random(60_013)
+        for _ in range(40):
+            g = _planted_twin_graph(rng)
+            plain = stripped(g)
+            group = symmetry_closure(g)
+            levels = engine._unsolvable_levels(g, pb.Solver(g))
+            full = engine._unsolvable_levels(plain, pb.Solver(plain))
+            assert len(levels) == len(full), (g.edges, g.root)
+            for level, reference in zip(levels, full):
+                orbits = [orbit(group, c) for c in level]
+                assert all(c == max(o) for c, o in zip(level, orbits)), g.edges
+                assert set().union(*orbits) == reference, (g.edges, g.root)
+            for _ in range(3):
+                weights = _random_weights(rng, g)
+                assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, g.root, weights)

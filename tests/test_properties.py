@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pebbling as pb
-from conftest import naive_pi_rooted, naive_solvable, random_connected_graph, random_counts
+from conftest import naive_pi_rooted, naive_solvable, random_connected_graph, random_counts, stripped
 
 RELAXED = settings(
     max_examples=120,
@@ -86,9 +86,8 @@ def test_pi_rooted_symmetry_flag_is_value_neutral():
     rng = random.Random(555)
     for g in [pb.cycle_graph(5), pb.hypercube(3), pb.lollipop(1, 3)]:
         g._cache.clear()
-        with_sym = pb.pi_rooted(g, use_symmetry=True).value
-        g._cache.clear()
-        without = pb.pi_rooted(g, use_symmetry=False).value
+        with_sym = pb.pi_rooted(g).value
+        without = pb.pi_rooted(stripped(g)).value
         assert with_sym == without
 
 
@@ -124,12 +123,11 @@ def test_max_unsolvable_weight_matches_bruteforce_on_random_weights():
         weights = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(g.vertex_count)]
         weights[g.root] = Fraction(0)
         w = pb.WeightFunction(g, tuple(weights))
-        bound = rng.randint(0, 6)
-        worst, achiever = pb.max_unsolvable_weight(g, w, bound)
+        worst, achiever = pb.max_unsolvable_weight(g, w)
         best = Fraction(0)
         from conftest import root_zero_counts
 
-        for size in range(0, bound + 1):
+        for size in range(0, naive_pi_rooted(g)):
             for counts in root_zero_counts(g, size):
                 if not naive_solvable(g, counts):
                     best = max(best, sum(c * w.weights[v] for v, c in enumerate(counts)))

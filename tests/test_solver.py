@@ -12,7 +12,7 @@ from conftest import (
     reference_witness,
     root_zero_counts,
 )
-from pebbling.errors import InternalError, ResourceLimitError
+from pebbling.errors import BadParameterError, InternalError, ResourceLimitError
 
 
 def replay(g, p, witness):
@@ -84,6 +84,14 @@ class TestIsSolvable:
         solver = pb.Solver(c5, limits=pb.SearchLimits(max_nodes=1))
         with pytest.raises(ResourceLimitError):
             solver.decide((0, 1, 2, 2, 1))
+
+    def test_nan_or_negative_cap_is_refused(self):
+        nan = float("nan")
+        for caps in ({"max_seconds": nan}, {"max_seconds": -0.5}, {"max_nodes": -3}, {"max_nodes": nan}):
+            with pytest.raises(BadParameterError):
+                pb.SearchLimits(**caps)
+        zero = pb.SearchLimits(max_nodes=0, max_seconds=0.0)
+        assert (zero.max_nodes, zero.max_seconds) == (0, 0.0)
 
     def test_stats_counted(self, c5):
         out = pb.is_solvable(c5, pb.configuration(c5, {2: 2, 3: 2}))

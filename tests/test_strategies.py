@@ -149,7 +149,7 @@ class TestDecomposition:
     def test_q4star_from_four_lemma5_copies(self):
         q4, w_star = pb.construction("q4star")
         _, base = pb.construction("lemma5")
-        copies = [(emb, base) for emb in pb.q4_copy_embeddings()]
+        copies = [(emb, base) for emb in pb.cube_copy_embeddings(4)]
         assert pb.verify_decomposition(q4, w_star, copies)
 
     def test_q3prime_from_three_fig2_copies(self, q3):
@@ -161,7 +161,7 @@ class TestDecomposition:
     def test_omitted_copy_fails(self):
         q4, w_star = pb.construction("q4star")
         _, base = pb.construction("lemma5")
-        copies = [(emb, base) for emb in pb.q4_copy_embeddings()[:3]]
+        copies = [(emb, base) for emb in pb.cube_copy_embeddings(4)[:3]]
         assert not pb.verify_decomposition(q4, w_star, copies)
 
     def test_non_induced_embedding_rejected(self):
@@ -182,7 +182,7 @@ class TestDecomposition:
         q4, w_star = pb.construction("q4star")
         base = pb.construction_certificate("lemma5")
         assert base.status == "oracle-checked"
-        cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in pb.q4_copy_embeddings()])
+        cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in pb.cube_copy_embeddings(4)])
         assert cert.status == "decomposed"
         assert len(cert.components) == 4
 
@@ -292,9 +292,7 @@ class TestCertificateRouting:
         lemma5._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.construction_certificate("q4star", limits=pb.SearchLimits(max_nodes=10))
-        assert not any(isinstance(k, tuple) and k[0] == "unsolvable_levels" for k in lemma5._cache)
-        pb.construction_certificate("lemma5", use_symmetry=False)
-        assert ("unsolvable_levels", True) not in lemma5._cache
+        assert "unsolvable_levels" not in lemma5._cache
 
     def test_cycle_combined_table_must_match_its_strategies(self, monkeypatch):
         build, arity = strategies._CONSTRUCTIONS["cycle_combined"]
