@@ -11,8 +11,8 @@ regimes are handled exactly: when every generator is a transposition the
 closure is a product of symmetric groups over "blocks" of
 interchangeable vertices and the canonical form sorts each block's
 counts descending; otherwise the whole closure group is enumerated, up
-to a configurable size cap beyond which symmetry is ignored rather than
-risk unsound deduplication.
+to a fixed size cap (GROUP_SIZE_CAP) beyond which symmetry is ignored
+rather than risk unsound deduplication.
 """
 
 from __future__ import annotations

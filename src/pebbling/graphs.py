@@ -67,6 +67,8 @@ class Graph:
     def vertex_by_label(self, text: str) -> int:
         if self.labels is None:
             raise BadParameterError("graph carries no labels")
+        if text not in self.labels:
+            raise BadParameterError(f"no vertex labelled {text!r}")
         return self.labels.index(text)
 
     def has_edge(self, u: int, v: int) -> bool:

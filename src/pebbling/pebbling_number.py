@@ -51,35 +51,36 @@ and L = last(q), then q - e_L is the maximum of its own orbit: an image
 beating it at a first index i < L would beat q there too, and one
 beating it at i >= L would hold more pebbles than it. Solvability is
 monotone, so q - e_L is unsolvable when q is, and q is its extension at
-L >= last(q - e_L). Without symmetry and under block symmetry every
-candidate is a representative and is generated, and decided, once.
+L >= last(q - e_L). It is its only one: an extension at v < L would
+need v >= last(q - e_v) = L. So the builder decides an extension only
+when it is the maximum of its orbit (under block symmetry, every
+extension it generates is), and in every mode each candidate decided
+is a representative and is decided once.
 
 How a child is looked up depends on the symmetry. Without it the child
-is looked up as it is. Under a stored closure group, which is small,
-the builder keeps beside each level of representatives the set of all
-their orbit members, so a child is looked up as it is, with no
-canonicalization; an extension need not be a representative there,
-and one whose orbit is already known unsolvable is skipped. An orbit is
-expanded once, when a candidate of it is found unsolvable, and from the
-parent's images: image k of p + e_v is image k of p plus the unit of
-perm_k^-1(v), so the |G| images cost |G| additions. When the candidate
-is not the maximum of its orbit, a row of the group's composition
-table realigns the images to the maximum. Under block symmetry a move
-that touches a block yields the block-sorted child directly, at the
-ends of value runs: the two source pebbles come off the last vertex of
-their run (one of them off the last vertex of the next run down when
-that run holds one pebble fewer), and the target pebble goes on the
-first vertex of its run. Moves from or to the same runs give the same
-child and are looked up once. A move inside one block, between
-adjacent twins a and b (N[a] = N[b]), is not looked up at all: a
-solvable q has an acyclic solving multiset of moves (the No-Cycle
+is looked up as it is. Under a stored closure group, which is small, the
+builder keeps beside each level of representatives the set of all their
+orbit members, so a child is looked up as it is, with no
+canonicalization. A representative carries its |G| images, image k
+holding p(v) pebbles on perm_k(v); those of p + e_v add the unit of
+perm_k(v) to image k, so they cost |G| additions. They are computed
+before a candidate is decided, to tell whether it is its orbit's
+maximum, and become members of the next level when it is unsolvable.
+Under block symmetry a move that touches a block yields the block-sorted
+child directly, at the ends of value runs: the two source pebbles come
+off the last vertex of their run (one of them off the last vertex of the
+next run down when that run holds one pebble fewer), and the target
+pebble goes on the first vertex of its run. Moves from or to the same
+runs give the same child and are looked up once. A move inside one
+block, between adjacent twins a and b (N[a] = N[b]), is not looked up at
+all: a solvable q has an acyclic solving multiset of moves (the No-Cycle
 Lemma), and one with k moves a -> b stays acyclic and solving, with k
 fewer moves, when those are dropped and ceil(k/2) of b's moves, or all
 if fewer, leave from a instead (b's targets other than a are a's
 neighbours). So some solving multiset has no move inside a block, and
-its first move is one of the moves looked up. Each candidate decision counts as
-one search node against the solver's limits. A limit hit part-way
-reports the number of complete levels, a proven lower bound on
+its first move is one of the moves looked up. Each candidate decision
+counts as one search node against the solver's limits. A limit hit
+part-way reports the number of complete levels, a proven lower bound on
 pi_rooted.
 
 The stored symmetry is a property of the graph, so each graph has one
@@ -155,8 +156,10 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
 
     Each representative carries its counts, the deltas of its legal
     moves and, under a stored closure group, its images, so a child is
-    one subtraction and an orbit found unsolvable is expanded by |G|
-    additions into the member set that answers the next level's lookups.
+    one subtraction and an extension's images cost |G| additions: they
+    tell whether it is its orbit's maximum, the only extension decided,
+    and when it is unsolvable they join the member set that answers the
+    next level's lookups.
     """
     kind, data = _symmetry_mode(g)
     n = g.vertex_count
@@ -181,19 +184,10 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(n)) if v != g.root]
 
     group = data if kind == "group" else ()
+    # the images of p are sum over v of p(v) unit[perm_k(v)], one per k,
+    # so those of p + e_v add unit[perm_k(v)] to each
     perms = [perm(tuple(range(n))) for perm in group]
-    index = {perm: k for k, perm in enumerate(perms)}
-    inverses = [sorted(range(n), key=perm.__getitem__) for perm in perms]
-    # image k of p + e_v is image k of p plus unit[perm_k^-1(v)]
-    lift = [tuple(unit[inv[v]] for inv in inverses) for v in range(n)]
-    rows: dict[int, tuple[int, ...]] = {}
-
-    def realign(j):
-        # image k of (image j of q) is image rows[j][k] of q
-        if j not in rows:
-            pj = perms[j]
-            rows[j] = tuple(index[tuple(map(pj.__getitem__, pk))] for pk in perms)
-        return rows[j]
+    lift = [tuple(unit[perm[v]] for perm in perms) for v in range(n)]
 
     count_node = solver.count_node
     reps = {0: ((0,) * n, (), (0,) * len(perms))}
@@ -206,25 +200,19 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
             solver.check_deadline()
             for v, cap, u in top:
                 c = pc[v]
-                if c < cap and (u is None or pc[u] > c) and (q := p + unit[v]) not in nxt_members:
-                    q_legal = legal + delta[v] if c == 1 else legal
-                    deltas = chain(q_legal, block_deltas(pc, v)) if blocks else q_legal
-                    # one lookup per legal move in the level below
-                    count_node()
-                    if all(map(members.__contains__, map(q.__sub__, deltas))):
-                        qc = pc[:v] + (c + 1,) + pc[v + 1 :]
-                        if not group:
-                            nxt[q] = (qc, q_legal, ())
-                        else:
-                            q_images = tuple(map(add, images, lift[v]))
-                            nxt_members.update(q_images)
-                            rep = max(q_images)
-                            if rep != q:
-                                j = q_images.index(rep)
-                                qc = group[j](qc)
-                                q_images = tuple(map(q_images.__getitem__, realign(j)))
-                                q_legal = tuple(chain.from_iterable(delta[a] for a, x in enumerate(qc) if x >= 2))
-                            nxt[rep] = (qc, q_legal, q_images)
+                if c < cap and (u is None or pc[u] > c):
+                    q = p + unit[v]
+                    q_images = tuple(map(add, images, lift[v])) if group else ()
+                    # an orbit's maximum is generated once, so skip the rest
+                    if not q_images or max(q_images) == q:
+                        q_legal = legal + delta[v] if c == 1 else legal
+                        deltas = chain(q_legal, block_deltas(pc, v)) if blocks else q_legal
+                        # one lookup per legal move in the level below
+                        count_node()
+                        if all(map(members.__contains__, map(q.__sub__, deltas))):
+                            nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images)
+                            if group:
+                                nxt_members.update(q_images)
                 if c:
                     break
         reps = nxt

@@ -176,6 +176,14 @@ class TestGenerate:
             xs = {j for j in (1, 2, 3) if g.has_edge(by_label[f"y_{i}"], by_label[f"x_{j}"])}
             assert xs == {1, 2, 3} - {i}
 
+    def test_vertex_by_label(self):
+        g = pb.rooted_cube(4)
+        assert g.labels[g.vertex_by_label("z")] == "z"
+        with pytest.raises(BadParameterError, match="'nope'"):
+            g.vertex_by_label("nope")
+        with pytest.raises(BadParameterError, match="no labels"):
+            pb.build_graph(2, [(0, 1)], 0).vertex_by_label("z")
+
 
 class TestInducedSubgraph:
     def test_q3_slice_is_fig2_shaped(self, q3):

@@ -262,6 +262,21 @@ def _last(counts):
     return max((v for v, c in enumerate(counts) if c), default=0)
 
 
+def _admitted(g, levels):
+    """The number of extensions p + e_v (v >= last(p), below the cap)
+    of the representatives p that are the maximum of their orbit."""
+    group = symmetry_closure(g)
+    dist = pb.distances_from(g, g.root)
+    admitted = 0
+    for level in levels:
+        for p in level:
+            for v in range(_last(p), g.vertex_count):
+                if v != g.root and p[v] + 1 < 1 << dist[v]:
+                    q = p[:v] + (p[v] + 1,) + p[v + 1 :]
+                    admitted += q == max(orbit(group, q))
+    return admitted
+
+
 class TestOrderlyGeneration:
     """The builder extends a representative p only at vertices
     v >= last(p) and only to the maximum of an orbit (under block
@@ -280,21 +295,20 @@ class TestOrderlyGeneration:
                     assert parent in levels[size - 1], (g.edges, q)
 
     def test_each_candidate_is_decided_once(self):
-        # one search node per extension the rule admits: none is decided twice
-        for g in (_relabeled_from_file(pb.cycle_graph(9), 11), pb.lollipop(2, 3)):
-            group = symmetry_closure(g)
-            dist = pb.distances_from(g, g.root)
+        # one search node per extension the rule admits: none is decided
+        # twice, and under a closure group no non-maximum is decided
+        graphs = (
+            _relabeled_from_file(pb.cycle_graph(9), 11),
+            pb.lollipop(2, 3),
+            pb.cycle_graph(9),
+            pb.rooted_cube(4),
+            pb.hypercube(3),
+        )
+        for g in graphs:
             g._cache.clear()
             solver = pb.Solver(g)
             levels = engine._unsolvable_levels(g, solver)
-            admitted = 0
-            for level in levels:
-                for p in level:
-                    for v in range(_last(p), g.vertex_count):
-                        if v != g.root and p[v] + 1 < 1 << dist[v]:
-                            q = p[:v] + (p[v] + 1,) + p[v + 1 :]
-                            admitted += q == max(orbit(group, q))
-            assert solver.stats.nodes == admitted, g.edges
+            assert solver.stats.nodes == _admitted(g, levels), g.edges
 
 
 class TestPiGlobal:
@@ -409,6 +423,59 @@ def _planted_twin_graph(rng):
     return pb.build_graph(total, moved, root=label[base.root], symmetry=tuple(swaps))
 
 
+def _planted_rotation_graph(rng):
+    """k = 2 or 3 copies of a random rooted graph on 2-3 vertices, glued
+    at the root, with 0-2 orbits of cross edges between the copies,
+    relabeled at random. The rotation of the copies is the one stored
+    generator, so the closure is cyclic of order k. Two copies take three
+    vertices, because the rotation of two one-vertex copies is a
+    transposition (block mode)."""
+    k = rng.randint(2, 3)
+    n = 3 if k == 2 else rng.randint(2, 3)
+    base = random_connected_graph(rng, n_min=n, n_max=n, max_extra=1)
+    free = [v for v in range(n) if v != base.root]
+    # vertex 0 is the root; copy i of free[j] is 1 + j*k + i
+    at = {(v, i): 1 + j * k + i for j, v in enumerate(free) for i in range(k)}
+    at.update({(base.root, i): 0 for i in range(k)})
+    pairs = {(at[u, i], at[v, i]) for u, v in base.edges for i in range(k)}
+    for _ in range(rng.randint(0, 2)):
+        a, b, shift = rng.choice(free), rng.choice(free), rng.randrange(1, k)
+        pairs |= {(at[a, i], at[b, (i + shift) % k]) for i in range(k)}
+    total = 1 + len(free) * k
+    spin = [0] * total
+    for v in free:
+        for i in range(k):
+            spin[at[v, i]] = at[v, (i + 1) % k]
+    label = list(range(total))
+    rng.shuffle(label)
+    edges = {(min(label[a], label[b]), max(label[a], label[b])) for a, b in pairs}
+    perm = [0] * total
+    for x in range(total):
+        perm[label[x]] = label[spin[x]]
+    return pb.build_graph(total, sorted(edges), root=label[0], symmetry=(tuple(perm),))
+
+
+def _assert_matches_stripped(g, rng):
+    """The levels of g, expanded into orbits, are those of g without
+    symmetry; every representative is its orbit's maximum, each decided
+    once; and random weights give the plain graph's maximum and
+    achiever."""
+    plain = stripped(g)
+    group = symmetry_closure(g)
+    solver = pb.Solver(g)
+    levels = engine._unsolvable_levels(g, solver)
+    full = engine._unsolvable_levels(plain, pb.Solver(plain))
+    assert len(levels) == len(full), (g.edges, g.root)
+    for level, reference in zip(levels, full):
+        orbits = [orbit(group, c) for c in level]
+        assert all(c == max(o) for c, o in zip(level, orbits)), g.edges
+        assert set().union(*orbits) == reference, (g.edges, g.root)
+    assert solver.stats.nodes == _admitted(g, levels), g.edges
+    for _ in range(3):
+        weights = _random_weights(rng, g)
+        assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, g.root, weights)
+
+
 class TestOneDownSet:
     """Each graph holds one down-set, one representative per orbit of
     its stored symmetry, and every weight function is read from it."""
@@ -436,16 +503,12 @@ class TestOneDownSet:
         # block mode against the plain builder: levels and weight maxima
         rng = random.Random(60_013)
         for _ in range(40):
-            g = _planted_twin_graph(rng)
-            plain = stripped(g)
-            group = symmetry_closure(g)
-            levels = engine._unsolvable_levels(g, pb.Solver(g))
-            full = engine._unsolvable_levels(plain, pb.Solver(plain))
-            assert len(levels) == len(full), (g.edges, g.root)
-            for level, reference in zip(levels, full):
-                orbits = [orbit(group, c) for c in level]
-                assert all(c == max(o) for c, o in zip(level, orbits)), g.edges
-                assert set().union(*orbits) == reference, (g.edges, g.root)
-            for _ in range(3):
-                weights = _random_weights(rng, g)
-                assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, g.root, weights)
+            _assert_matches_stripped(_planted_twin_graph(rng), rng)
+
+    def test_planted_rotations(self):
+        # group mode against the plain builder, on graphs beyond the families
+        rng = random.Random(70_001)
+        for _ in range(40):
+            g = _planted_rotation_graph(rng)
+            assert engine._symmetry_mode(g)[0] == "group", g.symmetry
+            _assert_matches_stripped(g, rng)
