@@ -2,8 +2,8 @@
 
 Machine-readable ``RESULT key=value`` lines go to stdout and are stable;
 human prose goes to stderr. Exit codes: 0 success or valid, 1 a
-counterexample or bound mismatch was found, 2 usage or parse error, 3 a
-resource limit was hit, 4 an internal error (a fault in this package,
+counterexample or bound mismatch was found, 2 a usage, parse or read
+error, 3 a resource limit was hit, 4 an internal error (a fault in this package,
 never a verdict).
 
 ``pebble paper <id>`` reproduces the named results bundled with the
@@ -214,7 +214,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
-    watched = shared_solver(g, 1, _limits(args))
+    watched = shared_solver(g)
     start = time.monotonic()
     certs = []
     for i, path in enumerate(args.weights):
@@ -251,7 +251,7 @@ def _cmd_decompose(args) -> int:
 def _target_odd_cycle(k: int, args) -> int:
     g = cycle_graph(2 * k + 1)
     expected = 2 * ((1 << (k + 1)) // 3) + 1
-    watched = shared_solver(g, 1, _limits(args))
+    watched = shared_solver(g)
     start = time.monotonic()
     nodes_before = watched.stats.nodes
     result = pi_rooted(g, limits=_limits(args))
@@ -296,7 +296,7 @@ def _target_prop_q3(args) -> int:
 
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
-    watched = shared_solver(rooted_cube(4), 1, _limits(args))  # the lemma5 base graph
+    watched = shared_solver(rooted_cube(4))  # the lemma5 base graph
     nodes_before = watched.stats.nodes
     # raises, and so exits 2, unless the four lemma5 copies sum to q4star
     cert = construction_certificate("q4star", limits=_limits(args))
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         note(f"error: {exc}")
         return 4
-    except (PebblingError, FileNotFoundError) as exc:
+    except (PebblingError, OSError, UnicodeDecodeError) as exc:
         note(f"error: {exc}")
         return 2
     except Exception as exc:

@@ -271,15 +271,14 @@ def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1)
 
     The witness is the lexicographically greatest configuration of the
     last level. It is re-verified by a new solver, so the check does not
-    lean on the memo that admitted it. ``threads`` is accepted for
+    lean on the memo that admitted it; the down-set build and that
+    check each get the full ``limits``. ``threads`` is accepted for
     compatibility and selects nothing: the levels are built in this
     process.
     """
-    solver = shared_solver(g, 1, limits)
-    solver.restart_clock()
-    levels = _unsolvable_levels(g, solver)
+    levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
     witness = max(levels[-1])
-    if Solver(g, 1, solver.limits).decide(witness):
+    if Solver(g, 1, limits).decide(witness):
         raise InternalError("internal error: witness re-verification failed")
     value = len(levels)
     return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1))))
@@ -342,9 +341,7 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
     weights = w.weights
-    solver = shared_solver(g, 1, limits)
-    solver.restart_clock()
-    levels = _unsolvable_levels(g, solver)
+    levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
 
     den = lcm(*(f.denominator for f in weights))
     wi = [int(f * den) for f in weights]

@@ -100,9 +100,11 @@ def potential(g: Graph, p: Configuration) -> Fraction:
 class Solver:
     """Reusable decision engine for one graph and one target count.
 
-    The memo table persists across calls on the same solver. Witness
-    queries leave solvable (True) entries in it as well as unsolvable
-    ones, and count a node for every ``decide`` call along the walk.
+    The memo table and ``stats`` persist across calls on the same
+    solver; limits do not: ``begin(limits)`` gives the operation that
+    follows its own node and time budget. Witness queries leave solvable
+    (True) entries in the memo as well as unsolvable ones, and count a
+    node for every ``decide`` call along the walk.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -110,7 +112,6 @@ class Solver:
             raise BadParameterError("target pebble count must be at least 1")
         self.graph = graph
         self.target = target
-        self.limits = limits or SearchLimits()
         dist = distances_from(graph, graph.root)
         self.dist = dist
         depth = max(dist)
@@ -126,11 +127,15 @@ class Solver:
         self._moves = tuple(moves)
         self.memo: dict[tuple[int, ...], bool] = {}
         self.stats = SolveStats()
-        self._deadline = self.limits.deadline()
+        self.begin(limits)
 
-    def restart_clock(self) -> None:
-        """Re-anchor the wall-clock budget; call at operation entry."""
+    def begin(self, limits: SearchLimits | None) -> Solver:
+        """Start an operation: it may count ``limits.max_nodes`` more
+        nodes and run ``limits.max_seconds`` from now. Returns self."""
+        self.limits = limits or SearchLimits()
+        self._node_cap = self.stats.nodes + self.limits.max_nodes
         self._deadline = self.limits.deadline()
+        return self
 
     def check_deadline(self) -> None:
         if self._deadline is not None and time.monotonic() > self._deadline:
@@ -141,7 +146,7 @@ class Solver:
         nodes, the deadline."""
         stats = self.stats
         stats.nodes += 1
-        if stats.nodes > self.limits.max_nodes:
+        if stats.nodes > self._node_cap:
             raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
         if self._deadline is not None and not stats.nodes % 4096:
             self.check_deadline()
@@ -242,14 +247,13 @@ class Solver:
         return SolveOutcome(solvable, witness, stats)
 
 
-def shared_solver(g: Graph, target: int = 1, limits: SearchLimits | None = None) -> Solver:
-    """Per-graph cached solver so repeated scans reuse one memo table."""
-    limits = limits or SearchLimits()
-    key = ("solver", target, limits.max_nodes, limits.max_seconds)
+def shared_solver(g: Graph, target: int = 1) -> Solver:
+    """The graph's one cached solver for ``target``: every query reuses
+    its memo, whatever its limits, after ``begin(limits)``."""
     cache = g._cache
-    if key not in cache:
-        cache[key] = Solver(g, target, limits)
-    return cache[key]
+    if ("solver", target) not in cache:
+        cache["solver", target] = Solver(g, target)
+    return cache["solver", target]
 
 
 def is_solvable(
@@ -260,6 +264,4 @@ def is_solvable(
     limits: SearchLimits | None = None,
 ) -> SolveOutcome:
     """Decide whether some move sequence puts at least t pebbles on the root."""
-    solver = shared_solver(g, t, limits)
-    solver.restart_clock()
-    return solver.solve(p, want_witness=want_witness)
+    return shared_solver(g, t).begin(limits).solve(p, want_witness=want_witness)

@@ -10,6 +10,7 @@ import pebbling as pb
 from pebbling import cli, pebbling_number, strategies
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
+from pebbling.solver import shared_solver
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +100,16 @@ class TestVerify:
         code, results, _ = run_cli(capsys, "verify", "-g", str(gp), "-w", str(wp), "--mode", "tree")
         assert code == 1
         assert result_map(results[0]) == {"valid": "false", "reason": "not-a-tree"}
+
+    def test_tree_mode_parent_halving_fails(self, capsys, tmp_path):
+        g = pb.path_graph(3)
+        gp = tmp_path / "p4.graph"
+        wp = tmp_path / "flat.weights"
+        gp.write_text(serialize_graph(g), encoding="utf-8")
+        wp.write_text(serialize_weights(pb.weight_function(g, {0: 1, 1: 1, 2: 1})), encoding="utf-8")
+        code, results, _ = run_cli(capsys, "verify", "-g", str(gp), "-w", str(wp), "--mode", "tree")
+        assert code == 1
+        assert result_map(results[0]) == {"valid": "false", "reason": "parent-halving"}
 
     def test_oracle_mode_valid(self, capsys, tmp_path, fig2):
         _, w = pb.construction("fig2")
@@ -247,6 +258,31 @@ class TestPaperTargets:
         proven = re.search(r"proven pi >= (\d+)", err)
         assert proven and 1 <= int(proven.group(1)) < 21, err
 
+    def test_thm1_k4_fits_the_largest_single_search(self, capsys):
+        # the cap bounds each call: the down-set build is the largest,
+        # and the stuck check and witness re-check after it get their own
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        pb.pi_rooted(c9)
+        build = shared_solver(c9).stats.nodes
+        c9._cache.clear()
+        code, results, _ = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(build))
+        assert code == 0 and result_map(results[0])["pi"] == "21"
+        c9._cache.clear()
+        code, results, err = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(build - 1))
+        assert code == 3 and results == []
+        assert "proven pi >= 21" in err
+
+    def test_q4_bruteforce(self, capsys):
+        q4 = pb.hypercube(4)
+        q4._cache.clear()
+        code, results, err = run_cli(capsys, "paper", "q4-bruteforce", "--max-nodes", "5000")
+        assert code == 3 and results == []
+        assert "proven pi >= 8" in err
+        code, results, _ = run_cli(capsys, "paper", "q4-bruteforce")
+        assert code == 0
+        assert results == ["RESULT pi=16"]
+
     def test_conj_n3(self, capsys):
         code, results, _ = run_cli(capsys, "paper", "conj-n3")
         assert code == 0
@@ -296,6 +332,18 @@ class TestPlumbing:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "pi", "-g", str(tmp_path / "nope.graph"))
         assert code == 2
+
+    def test_unreadable_input_exits_2(self, capsys, tmp_path):
+        binary = tmp_path / "latin1.graph"
+        binary.write_bytes("pebblegraph 1\n# caf\xe9\n".encode("latin-1"))
+        for argv in (
+            ("pi", "-g", str(binary)),
+            ("pi", "-g", str(tmp_path)),
+            ("gen", "path", "3", "-o", str(tmp_path)),
+        ):
+            code, results, err = run_cli(capsys, *argv)
+            assert code == 2 and results == [], argv
+            assert "error:" in err and "Traceback" not in err, argv
 
     def test_malformed_env_limit_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("PEBBLE_MAX_NODES", "abc")

@@ -13,6 +13,7 @@ from conftest import (
     root_zero_counts,
 )
 from pebbling.errors import BadParameterError, InternalError, ResourceLimitError
+from pebbling.solver import shared_solver
 
 
 def replay(g, p, witness):
@@ -84,6 +85,9 @@ class TestIsSolvable:
         solver = pb.Solver(c5, limits=pb.SearchLimits(max_nodes=1))
         with pytest.raises(ResourceLimitError):
             solver.decide((0, 1, 2, 2, 1))
+        # begin gives the next operation a node budget of its own
+        assert solver.begin(pb.SearchLimits(max_nodes=1)) is solver
+        assert solver.decide((1, 0, 0, 0, 0))  # one node: the root holds the target
 
     def test_nan_or_negative_cap_is_refused(self):
         nan = float("nan")
@@ -96,6 +100,59 @@ class TestIsSolvable:
     def test_stats_counted(self, c5):
         out = pb.is_solvable(c5, pb.configuration(c5, {2: 2, 3: 2}))
         assert out.stats.nodes > 0
+
+
+class TestLimitsPerCall:
+    """Each operation gets the full caps, however many came before it
+    on the graph's one shared solver."""
+
+    def test_repeated_query_fits_its_own_count(self):
+        g = pb.path_graph(5)
+        p = pb.Configuration(g, (31, 1, 0, 0, 0, 0))
+        own = pb.Solver(g).solve(p).stats.nodes
+        assert own > 1
+        g._cache.clear()
+        limits = pb.SearchLimits(max_nodes=own)
+        for _ in range(3):  # the repeats are memo hits
+            assert pb.is_solvable(g, p, limits=limits).solvable
+
+    def test_trivial_query_after_a_capped_scan(self):
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        pb.pi_rooted(c9)
+        limits = pb.SearchLimits(max_nodes=shared_solver(c9).stats.nodes // 2)
+        c9._cache.clear()
+        with pytest.raises(ResourceLimitError):
+            pb.pi_rooted(c9, limits=limits)
+        assert pb.is_solvable(c9, pb.configuration(c9, {c9.root: 1}), limits=limits).solvable
+        with pytest.raises(ResourceLimitError):  # the scan itself still hits the cap
+            pb.pi_rooted(c9, limits=limits)
+
+    def test_stuck_check_after_pi_under_the_scans_own_count(self):
+        # Theorem 1, k = 4: pi(C9) = 21, and 10 + 10 on the two farthest vertices is stuck
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        pb.pi_rooted(c9)
+        limits = pb.SearchLimits(max_nodes=shared_solver(c9).stats.nodes)
+        c9._cache.clear()
+        assert pb.pi_rooted(c9, limits=limits).value == 21
+        stuck = pb.configuration(c9, {4: 10, 5: 10})
+        assert not pb.is_solvable(c9, stuck, limits=limits).solvable
+
+    def test_one_solver_whatever_the_limits(self, c5):
+        c5._cache.clear()
+        solver = shared_solver(c5)
+        p = pb.configuration(c5, {2: 2, 3: 2})
+        calls = (
+            lambda: pb.is_solvable(c5, p, limits=pb.SearchLimits(max_nodes=10**6)),
+            lambda: pb.is_solvable(c5, p, want_witness=True, limits=pb.SearchLimits(max_seconds=60.0)),
+            lambda: pb.pi_rooted(c5, limits=pb.SearchLimits(max_nodes=10**7, max_seconds=60.0)),
+        )
+        for call in calls:
+            before = solver.stats.nodes
+            call()
+            assert shared_solver(c5) is solver
+            assert solver.stats.nodes > before  # the call searched on this solver
 
 
 class TestWitness:

@@ -49,6 +49,13 @@ class TestTreeChecker:
         with pytest.raises(NotATreeError):
             pb.check_tree_strategy(fig2, w)
 
+    def test_support_cut_off_from_the_root(self):
+        # a positive triangle behind the zero-weight vertex 1: n - 1 edges, but no path to the root
+        g = pb.build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)], root=0)
+        w = pb.weight_function(g, {2: 1, 3: 1, 4: 1})
+        with pytest.raises(NotATreeError, match="not connected to the root"):
+            pb.check_tree_strategy(g, w)
+
     def test_partial_support_tree_inside_cycle(self, c5):
         # zero weights prune the support down to an induced path
         w = pb.weight_function(c5, {1: 4, 2: 2, 3: 1})
