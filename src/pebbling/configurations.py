@@ -1,24 +1,14 @@
-"""Pebble configurations, moves, exhaustive enumeration and canonical forms.
+"""Pebble configurations, moves and exhaustive enumeration.
 
-Configurations are immutable value objects bound to one graph, so they
-can serve as memo keys. Enumeration produces every configuration of a
-size, with no symmetry reduction, in one deterministic order:
-lexicographic in vertex index with counts descending, which makes runs
-reproducible.
-
-Canonical forms use only the generators stored on the graph. Two
-regimes are handled exactly: when every generator is a transposition the
-closure is a product of symmetric groups over "blocks" of
-interchangeable vertices and the canonical form sorts each block's
-counts descending; otherwise the whole closure group is enumerated, up
-to a fixed size cap (GROUP_SIZE_CAP) beyond which symmetry is ignored
-rather than risk unsound deduplication.
+Configurations are immutable value objects bound to one graph.
+Enumeration produces every configuration of a size, with no symmetry
+reduction, in one deterministic order: lexicographic in vertex index
+with counts descending, which makes runs reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator
 
 from .errors import (
@@ -27,11 +17,7 @@ from .errors import (
     InsufficientPebblesError,
     NotAdjacentError,
 )
-from .graphs import Graph
-
-# Closure groups larger than this are not enumerated; symmetry is then
-# ignored for canonicalization (soundness over speed).
-GROUP_SIZE_CAP = 10_000
+from .graphs import Graph, _check_vertex
 
 
 @dataclass(frozen=True)
@@ -60,6 +46,7 @@ def configuration(g: Graph, counts) -> Configuration:
     if isinstance(counts, dict):
         arr = [0] * g.vertex_count
         for v, c in counts.items():
+            _check_vertex(g, v)
             arr[v] = c
         counts = arr
     return Configuration(g, tuple(counts))
@@ -86,110 +73,6 @@ def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:
     arr[frm] -= 2
     arr[to] += 1
     return Configuration(g, tuple(arr))
-
-
-# ---------------------------------------------------------------------------
-# symmetry machinery
-# ---------------------------------------------------------------------------
-
-
-def _compose(p, q):
-    # (p . q)[v] = p[q[v]]
-    return tuple(p[x] for x in q)
-
-
-def _symmetry_mode(g: Graph):
-    """Resolve the stored generators into one of three regimes.
-
-    Returns ("none", None), ("blocks", blocks) with each block a sorted
-    tuple of interchangeable vertices, or
-    ("group", getters) with one ``itemgetter`` per permutation of the
-    full closure, so applying a permutation is one C call. Cached per
-    graph.
-    """
-    cache = g._cache
-    if "symmetry_mode" in cache:
-        return cache["symmetry_mode"]
-
-    gens = g.symmetry
-    n = g.vertex_count
-    mode = ("none", None)
-    if gens:
-        swaps = []
-        for p in gens:
-            moved = [v for v in range(n) if p[v] != v]
-            if len(moved) != 2:
-                swaps = None
-                break
-            swaps.append(tuple(moved))
-        if swaps is not None:
-            # union the swapped pairs into interchangeable blocks
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in swaps:
-                parent[find(a)] = find(b)
-            groups: dict[int, list[int]] = {}
-            for v in range(n):
-                groups.setdefault(find(v), []).append(v)
-            mode = ("blocks", tuple(tuple(sorted(b)) for b in sorted(groups.values()) if len(b) > 1))
-        else:
-            identity = tuple(range(n))
-            group = {identity}
-            frontier = [identity]
-            overflow = False
-            while frontier and not overflow:
-                nxt = []
-                for p in frontier:
-                    for gperm in gens:
-                        q = _compose(gperm, p)
-                        if q not in group:
-                            group.add(q)
-                            nxt.append(q)
-                            if len(group) > GROUP_SIZE_CAP:
-                                overflow = True
-                                break
-                    if overflow:
-                        break
-                frontier = nxt
-            if not overflow:
-                mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
-
-    cache["symmetry_mode"] = mode
-    return mode
-
-
-def canonical_counts(g: Graph, counts: tuple[int, ...]) -> tuple[int, ...]:
-    """Deterministic orbit representative of a raw counts tuple.
-
-    The representative is the lexicographically greatest tuple in the
-    orbit, i.e. the first member the enumeration order would emit; for
-    transposition blocks this is a descending sort within each block.
-    """
-    kind, data = _symmetry_mode(g)
-    if kind == "none":
-        return counts
-    if kind == "blocks":
-        out = list(counts)
-        for block in data:
-            vals = sorted((counts[v] for v in block), reverse=True)
-            for v, val in zip(block, vals):
-                out[v] = val
-        return tuple(out)
-    # the closure holds the identity, so counts itself is a candidate
-    return max(perm(counts) for perm in data)
-
-
-def canonical_form(g: Graph, p: Configuration) -> Configuration:
-    if p.graph is not g:
-        raise GraphMismatchError("configuration belongs to a different graph")
-    c = canonical_counts(g, p.counts)
-    return p if c == p.counts else Configuration(g, c)
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     certs = list(certs)
     if not certs:
         raise EmptyStrategySetError("need at least one certificate")
+    if any(c.graph is not g for c in certs):
+        raise DimensionMismatchError("certificate lives on a different graph")
     variables = [v for v in range(g.vertex_count) if v != g.root]
     for v in variables:
         if all(c.weight_function.weights[v] == 0 for c in certs):
@@ -250,8 +252,6 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     rhs = []
     for c in certs:
         wf = c.weight_function
-        if wf.graph is not g:
-            raise DimensionMismatchError("certificate lives on a different graph")
         rows.append([wf.weights[v] for v in variables])
         rhs.append(wf.total)
     lp = linear_program([1] * len(variables), rows, rhs)

@@ -17,7 +17,9 @@ Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
 larger stack is solvable outright. With symmetry each level keeps one
 representative per orbit of the stored generators: the lexicographic
 maximum, which under block symmetry (transpositions only) is the tuple
-sorted descending within each block.
+sorted descending within each block. This module is the only one that
+reduces orbits: _symmetry_mode resolves the stored generators into a
+regime, and the solver memoizes configurations as they are.
 
 While a level is built, each configuration is a packed integer key:
 vertex v owns a field of d(v,r)+1 bits, vertex 0 the most significant.
@@ -28,9 +30,9 @@ The cached levels are sets of counts tuples.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate q of size s+1 is unsolvable exactly when every legal move
-u -> v (q(u) >= 2) leaves a child that, canonicalized under symmetry,
-is in level s (under block symmetry, every move that does not stay
-inside a block; see below). A solving sequence starts with one move, and its child
+u -> v (q(u) >= 2) leaves a child whose orbit is in level s (under
+block symmetry, every move that does not stay inside a block; see
+below). A solving sequence starts with one move, and its child
 either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
 or is a root-free configuration of size s below the caps. The first two
 are solvable and in no level (the stored symmetries fix the root, so
@@ -99,10 +101,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterator
 
-from .configurations import Configuration, _symmetry_mode
+from .configurations import Configuration
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
 from .graphs import Graph, _is_automorphism, build_graph, distances_from
 from .solver import SearchLimits, Solver, shared_solver
@@ -126,14 +128,94 @@ class PiResult:
     exhaustiveness: ScanRecord
 
 
+# Closure groups larger than this are not enumerated; the down-set is
+# then built in full, without symmetry (soundness over speed).
+GROUP_SIZE_CAP = 10_000
+
+
+def _compose(p, q):
+    # (p . q)[v] = p[q[v]]
+    return tuple(p[x] for x in q)
+
+
+def _symmetry_mode(g: Graph):
+    """Resolve the stored generators into one of three regimes.
+
+    Returns ("none", None), ("blocks", blocks) with each block a sorted
+    tuple of interchangeable vertices, or
+    ("group", getters) with one ``itemgetter`` per permutation of the
+    full closure, so applying a permutation is one C call. Cached per
+    graph.
+    """
+    cache = g._cache
+    if "symmetry_mode" in cache:
+        return cache["symmetry_mode"]
+
+    gens = g.symmetry
+    n = g.vertex_count
+    mode = ("none", None)
+    if gens:
+        swaps = []
+        for p in gens:
+            moved = [v for v in range(n) if p[v] != v]
+            if len(moved) != 2:
+                swaps = None
+                break
+            swaps.append(tuple(moved))
+        if swaps is not None:
+            # union the swapped pairs into interchangeable blocks
+            parent = list(range(n))
+
+            def find(x):
+                while parent[x] != x:
+                    parent[x] = parent[parent[x]]
+                    x = parent[x]
+                return x
+
+            for a, b in swaps:
+                parent[find(a)] = find(b)
+            groups: dict[int, list[int]] = {}
+            for v in range(n):
+                groups.setdefault(find(v), []).append(v)
+            mode = ("blocks", tuple(tuple(sorted(b)) for b in sorted(groups.values()) if len(b) > 1))
+        else:
+            identity = tuple(range(n))
+            group = {identity}
+            frontier = [identity]
+            overflow = False
+            while frontier and not overflow:
+                nxt = []
+                for p in frontier:
+                    for gperm in gens:
+                        q = _compose(gperm, p)
+                        if q not in group:
+                            group.add(q)
+                            nxt.append(q)
+                            if len(group) > GROUP_SIZE_CAP:
+                                overflow = True
+                                break
+                    if overflow:
+                        break
+                frontier = nxt
+            if not overflow:
+                mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
+
+    cache["symmetry_mode"] = mode
+    return mode
+
+
 def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     """The unsolvable root-free configurations of g, one set per size,
     one representative per orbit of the stored symmetry, each level
     decided from the one below (see the module docstring).
 
-    Cached on the graph only once complete: a resource limit hit
-    part-way leaves nothing behind, and the error carries the number of
-    levels completed as ``pi_lower``.
+    The greatest member of the last level, pi's witness, is then
+    re-verified by a new solver under the same limits, so the check
+    does not lean on the builder or on a shared memo; it runs once per
+    build, for every reader of the down-set. Cached on the graph only
+    once complete and checked: a resource limit hit part-way leaves
+    nothing behind, and the error carries the number of levels
+    completed as ``pi_lower``.
     """
     cache = g._cache
     if "unsolvable_levels" in cache:
@@ -142,6 +224,8 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     try:
         for level in _levels(g, solver):
             levels.append(level)
+        if Solver(g, 1, solver.limits).decide(max(levels[-1])):
+            raise InternalError("internal error: witness re-verification failed")
     except ResourceLimitError as exc:
         # levels 0..len(levels)-1 are complete and non-empty
         exc.pi_lower = len(levels)
@@ -270,18 +354,14 @@ def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1)
     """Exact rooted pebbling number with a maximal unsolvable witness.
 
     The witness is the lexicographically greatest configuration of the
-    last level. It is re-verified by a new solver, so the check does not
-    lean on the memo that admitted it; the down-set build and that
-    check each get the full ``limits``. ``threads`` is accepted for
-    compatibility and selects nothing: the levels are built in this
-    process.
+    last level, re-verified by a new solver when the down-set is built
+    (see _unsolvable_levels); the build and that check each get the
+    full ``limits``. ``threads`` is accepted for compatibility and
+    selects nothing: the levels are built in this process.
     """
     levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
-    witness = max(levels[-1])
-    if Solver(g, 1, limits).decide(witness):
-        raise InternalError("internal error: witness re-verification failed")
     value = len(levels)
-    return PiResult(value, Configuration(g, witness), ScanRecord(tuple(range(value + 1))))
+    return PiResult(value, Configuration(g, max(levels[-1])), ScanRecord(tuple(range(value + 1))))
 
 
 def _reroot(g: Graph, r: int) -> Graph:

@@ -1,9 +1,10 @@
 """Exact root-solvability decisions.
 
-Depth-first search over pebbling moves with memoization on
-symmetry-canonical configurations. Every move shrinks the configuration
-by one pebble, so the search graph is acyclic and a plain two-valued
-memo is sound. Exactly two shortcuts are used, both of which are exact:
+Depth-first search over pebbling moves with memoization on the
+configurations as they are; the solver ignores the graph's stored
+symmetry, which only the down-set builder in pebbling_number uses.
+Every move shrinks the configuration by one pebble, so the search graph
+is acyclic and a plain two-valued memo is sound. Exactly two shortcuts are used, both of which are exact:
 
 * a configuration whose distance potential sum(p(v) * 2^-d(v,r)) is
   below the target can never reach the root (moves never increase the
@@ -29,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .configurations import Configuration, apply_move, canonical_counts
+from .configurations import Configuration, apply_move
 from .errors import BadParameterError, GraphMismatchError, InternalError, MoveError, ResourceLimitError
 from .graphs import Graph, distances_from, shortest_path
 
@@ -100,11 +101,14 @@ def potential(g: Graph, p: Configuration) -> Fraction:
 class Solver:
     """Reusable decision engine for one graph and one target count.
 
-    The memo table and ``stats`` persist across calls on the same
-    solver; limits do not: ``begin(limits)`` gives the operation that
-    follows its own node and time budget. Witness queries leave solvable
-    (True) entries in the memo as well as unsolvable ones, and count a
-    node for every ``decide`` call along the walk.
+    The memo is keyed on raw counts tuples, so a solver on a graph with
+    stored symmetry searches exactly as one on the same graph without
+    it: same verdicts, witnesses, node counts and memo. The memo table
+    and ``stats`` persist across calls on the same solver; limits do
+    not: ``begin(limits)`` gives the operation that follows its own node
+    and time budget. Witness queries leave solvable (True) entries in
+    the memo as well as unsolvable ones, and count a node for every
+    ``decide`` call along the walk.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -166,8 +170,7 @@ class Solver:
                 pot += c * pw[v]
         if pot < self._pot_target:
             return False
-        key = canonical_counts(self.graph, counts)
-        cached = self.memo.get(key)
+        cached = self.memo.get(counts)
         if cached is not None:
             stats.memo_hits += 1
             return cached
@@ -180,7 +183,7 @@ class Solver:
                 if self.decide(tuple(child)):
                     result = True
                     break
-        self.memo[key] = result
+        self.memo[counts] = result
         return result
 
     # -- witness construction ------------------------------------------

@@ -9,10 +9,10 @@ weight. Three verification routes produce certificates:
 * tree check: the positive support plus the root induces a tree and
   every supported vertex not adjacent to the root weighs at most half
   its parent; this is the classic sufficient condition,
-* exhaustive oracle: compute pi_rooted, then maximize w over all
-  unsolvable configurations and compare against w(1_G); both read the
-  graph's one down-set of unsolvable configurations, kept as orbit
-  representatives of its stored symmetry whatever the weights,
+* exhaustive oracle: maximize w over all unsolvable configurations and
+  compare against w(1_G), reading the graph's one down-set of
+  unsolvable configurations, kept as orbit representatives of its
+  stored symmetry whatever the weights,
 * combination: conic combinations and exact decompositions into already
   certified functions on embedded subgraphs.
 
@@ -44,7 +44,8 @@ from .errors import (
     WeightNotPositiveError,
 )
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
-from .pebbling_number import PiResult, max_unsolvable_weight, pi_rooted
+from .graphs import _check_vertex
+from .pebbling_number import max_unsolvable_weight
 from .solver import SearchLimits
 
 Rational = Fraction
@@ -93,6 +94,7 @@ def weight_function(g: Graph, values) -> WeightFunction:
     if isinstance(values, dict):
         arr = [Fraction(0)] * g.vertex_count
         for v, x in values.items():
+            _check_vertex(g, v)
             arr[v] = Fraction(x)
         values = arr
     return WeightFunction(g, tuple(Fraction(x) for x in values))
@@ -176,7 +178,6 @@ class ValidityResult:
     counterexample: Configuration | None
     max_unsolvable: Fraction
     cap: Fraction
-    pi: PiResult
 
 
 def verify_validity_oracle(
@@ -188,21 +189,20 @@ def verify_validity_oracle(
 ) -> ValidityResult:
     """Exhaustive validity decision.
 
-    Requires strictly positive weights off the root. Computes pi_rooted
-    itself, then maximizes w over every unsolvable configuration; both
-    read the one down-set cached on the graph.
+    Requires strictly positive weights off the root. Maximizes w over
+    every unsolvable configuration, read from the one down-set cached on
+    the graph, whose witness check runs when it is built.
     ``threads`` is accepted for compatibility and selects nothing.
     """
     if w.graph is not g:
         raise GraphMismatchError("weights belong to a different graph")
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
         raise WeightNotPositiveError("every non-root vertex needs positive weight")
-    pi = pi_rooted(g, limits=limits)
     worst, achiever = max_unsolvable_weight(g, w, limits=limits)
     cap = w.total
     if worst <= cap:
-        return ValidityResult(True, None, worst, cap, pi)
-    return ValidityResult(False, achiever, worst, cap, pi)
+        return ValidityResult(True, None, worst, cap)
+    return ValidityResult(False, achiever, worst, cap)
 
 
 def certify_by_oracle(g: Graph, w: WeightFunction, **kwargs) -> Certificate:

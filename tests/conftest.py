@@ -21,7 +21,6 @@ from itertools import combinations
 import pytest
 
 import pebbling as pb
-from pebbling.configurations import canonical_counts
 from pebbling.graphs import distances_from
 from pebbling.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
 
@@ -122,8 +121,10 @@ def stripped(g):
 def reference_unsolvable_levels(g, solver):
     """The down-set built by deciding every candidate with ``solver``:
     each level is the level below plus one pebble (p(v) < 2^d(v,r)),
-    canonicalized under the stored symmetry and kept where the solver
-    finds it unsolvable. Nothing is cached."""
+    replaced by the greatest member of its orbit under the stored
+    symmetry and kept where the solver finds it unsolvable. Nothing is
+    cached."""
+    group = symmetry_closure(g)
     dist = distances_from(g, g.root)
     top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
     level = {(0,) * g.vertex_count}
@@ -138,7 +139,7 @@ def reference_unsolvable_levels(g, solver):
                 if p[v] < cap:
                     q = list(p)
                     q[v] += 1
-                    q = canonical_counts(g, tuple(q))
+                    q = max(orbit(group, q))
                     if q not in tried:
                         tried.add(q)
                         if not solver.decide(q):
@@ -170,8 +171,7 @@ def reference_witness(g, counts, t=1):
                 pot += c * pw[v]
         if pot < solver._pot_target:
             return None
-        key = canonical_counts(solver.graph, counts)
-        if memo.get(key) is False:
+        if memo.get(counts) is False:
             stats.memo_hits += 1
             return None
         for u, v in solver._moves:
@@ -183,7 +183,7 @@ def reference_witness(g, counts, t=1):
                 if tail is not None:
                     tail.insert(0, (u, v))
                     return tail
-        memo[key] = False
+        memo[counts] = False
         return None
 
     return witness(tuple(counts))

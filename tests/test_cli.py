@@ -259,17 +259,20 @@ class TestPaperTargets:
         assert proven and 1 <= int(proven.group(1)) < 21, err
 
     def test_thm1_k4_fits_the_largest_single_search(self, capsys):
-        # the cap bounds each call: the down-set build is the largest,
-        # and the stuck check and witness re-check after it get their own
+        # the cap bounds each call: the down-set build, the witness
+        # re-check by a new solver and the stuck check each get their own
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
-        pb.pi_rooted(c9)
+        witness = pb.pi_rooted(c9).witness_unsolvable
         build = shared_solver(c9).stats.nodes
+        recheck = pb.Solver(c9).solve(witness).stats.nodes
+        stuck = pb.is_solvable(c9, pb.configuration(c9, {4: 10, 5: 10})).stats.nodes
+        largest = max(build, recheck, stuck)
         c9._cache.clear()
-        code, results, _ = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(build))
+        code, results, _ = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(largest))
         assert code == 0 and result_map(results[0])["pi"] == "21"
         c9._cache.clear()
-        code, results, err = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(build - 1))
+        code, results, err = run_cli(capsys, "paper", "thm1-k4", "--max-nodes", str(largest - 1))
         assert code == 3 and results == []
         assert "proven pi >= 21" in err
 

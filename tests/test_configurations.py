@@ -4,10 +4,12 @@ import pytest
 import pebbling as pb
 from conftest import all_counts, orbit, symmetry_closure
 from pebbling.errors import (
+    BadParameterError,
     GraphMismatchError,
     InsufficientPebblesError,
     NotAdjacentError,
 )
+from pebbling.pebbling_number import _symmetry_mode
 
 
 class TestApplyMove:
@@ -53,6 +55,15 @@ class TestUniform:
         assert pb.uniform_configuration(pb.lollipop(1, 4)).size == 7
 
 
+class TestMappingConstructor:
+    def test_key_outside_the_vertices_refused(self):
+        # -1 would index the root, and 4 would raise a bare IndexError
+        g = pb.path_graph(3)
+        for key in (-1, -4, 4, 9):
+            with pytest.raises(BadParameterError):
+                pb.configuration(g, {key: 3})
+
+
 class TestEnumerate:
     def test_three_vertices_size_two(self):
         g = pb.path_graph(2)
@@ -78,21 +89,24 @@ class TestEnumerate:
     def test_lollipop_symmetry_representatives(self):
         # independent quotient: sort the four interchangeable arm counts
         g = pb.lollipop(1, 4)
+        assert _symmetry_mode(g) == ("blocks", ((3, 4, 5, 6),))
+        group = symmetry_closure(g)
         plain = [p.counts for p in pb.enumerate_configurations(g, 2, exclude_root=True)]
         assert len(plain) == 21
         forms = set()
         for c in plain:
-            form = pb.canonical_form(g, pb.configuration(g, c)).counts
+            form = max(orbit(group, c))
             assert form == c[:3] + tuple(sorted(c[3:], reverse=True))
             forms.add(form)
         assert len(forms) == 7
 
     def test_symmetry_orbit_coverage(self, q3):
-        # every configuration's canonical form is the greatest member of its orbit
+        # the stored closure's images of a configuration are its whole orbit
+        kind, perms = _symmetry_mode(q3)
+        assert kind == "group"
         group = symmetry_closure(q3)
         for p in pb.enumerate_configurations(q3, 2, exclude_root=True):
-            images = orbit(group, p.counts)
-            assert pb.canonical_form(q3, p).counts == max(images)
+            assert {perm(p.counts) for perm in perms} == orbit(group, p.counts)
 
     def test_stream_is_descending_lex(self, c4):
         for s in (3, 5):
@@ -100,50 +114,19 @@ class TestEnumerate:
             assert got == sorted(got, reverse=True)
 
 
-class TestCanonicalForm:
-    def test_arm_counts_sorted_descending(self):
-        g = pb.lollipop(1, 4)
-        p = pb.configuration(g, (0, 0, 0, 0, 2, 0, 1))
-        assert pb.canonical_form(g, p).counts == (0, 0, 0, 2, 1, 0, 0)
-
-    def test_idempotent(self, q3):
-        for p in pb.enumerate_configurations(q3, 3, exclude_root=True):
-            c = pb.canonical_form(q3, p)
-            assert pb.canonical_form(q3, c) == c
-
-    def test_q3_single_pebbles_share_form(self, q3):
-        a = pb.configuration(q3, {1: 1})  # (1,0,0)
-        b = pb.configuration(q3, {2: 1})  # (0,1,0)
-        assert pb.canonical_form(q3, a).counts == pb.canonical_form(q3, b).counts
-
-    def test_constant_on_generator_images(self):
-        for g in [pb.hypercube(3), pb.rooted_cube(4), pb.lollipop(1, 4)]:
-            for p in pb.enumerate_configurations(g, 2, exclude_root=True):
-                canon = pb.canonical_form(g, p).counts
-                for perm in g.symmetry:
-                    moved = [0] * g.vertex_count
-                    for v, c in enumerate(p.counts):
-                        moved[perm[v]] = c
-                    q = pb.configuration(g, moved)
-                    assert pb.canonical_form(g, q).counts == canon
-
-    def test_no_symmetry_is_identity(self, p3):
-        p = pb.configuration(p3, (3, 1, 0))
-        assert pb.canonical_form(p3, p) is p
-
-
 class TestHypercubeOrbitCounts:
     def test_q3_one_pebble_orbits(self, q3):
         # coordinate permutations split single pebbles by root distance
-        forms = {pb.canonical_form(q3, p).counts for p in pb.enumerate_configurations(q3, 1, exclude_root=True)}
-        assert len(forms) == 3
+        _, perms = _symmetry_mode(q3)
+        plain = pb.enumerate_configurations(q3, 1, exclude_root=True)
+        assert len({max(perm(p.counts) for perm in perms) for p in plain}) == 3
 
     def test_q3_orbit_count_agrees_with_burnside_free_quotient(self, q3):
-        # independent: the orbits of the explicit closure group, one form each
+        # independent: the orbits of the explicit closure group, one maximum each
+        _, perms = _symmetry_mode(q3)
         group = symmetry_closure(q3)
         for s in (2, 3):
             plain = list(pb.enumerate_configurations(q3, s, exclude_root=True))
             orbits = {frozenset(orbit(group, p.counts)) for p in plain}
-            forms = {pb.canonical_form(q3, p).counts for p in plain}
-            assert len(forms) == len(orbits)
+            forms = {max(perm(p.counts) for perm in perms) for p in plain}
             assert forms == {max(o) for o in orbits}

@@ -285,6 +285,19 @@ class TestPebblingBound:
         with pytest.raises(EmptyStrategySetError):
             pb.lp_pebbling_bound(c5, [])
 
+    def test_certificate_from_another_graph(self, c5):
+        # checked before any weight is read: a bigger graph would index
+        # past the weights, and a smaller one report a vertex uncovered
+        path_cert = pb.construction_certificate("path", 2)
+        cases = [
+            (pb.hypercube(3), list(pb.cycle_strategy_pair(2))),
+            (pb.path_graph(3), [path_cert]),
+            (c5, [*pb.cycle_strategy_pair(2), path_cert]),
+        ]
+        for g, certs in cases:
+            with pytest.raises(DimensionMismatchError):
+                pb.lp_pebbling_bound(g, certs)
+
     def test_uncovered_vertex(self, c5):
         a, _ = pb.cycle_strategy_pair(2)
         with pytest.raises(UnboundedCoverageError):

@@ -11,6 +11,7 @@ from conftest import (
     random_counts,
     reference_witness,
     root_zero_counts,
+    stripped,
 )
 from pebbling.errors import BadParameterError, InternalError, ResourceLimitError
 from pebbling.solver import shared_solver
@@ -132,8 +133,10 @@ class TestLimitsPerCall:
         # Theorem 1, k = 4: pi(C9) = 21, and 10 + 10 on the two farthest vertices is stuck
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
-        pb.pi_rooted(c9)
-        limits = pb.SearchLimits(max_nodes=shared_solver(c9).stats.nodes)
+        witness = pb.pi_rooted(c9).witness_unsolvable
+        # the larger of the down-set build and the witness re-check
+        recheck = pb.Solver(c9).solve(witness).stats.nodes
+        limits = pb.SearchLimits(max_nodes=max(shared_solver(c9).stats.nodes, recheck))
         c9._cache.clear()
         assert pb.pi_rooted(c9, limits=limits).value == 21
         stuck = pb.configuration(c9, {4: 10, 5: 10})
@@ -153,6 +156,26 @@ class TestLimitsPerCall:
             call()
             assert shared_solver(c5) is solver
             assert solver.stats.nodes > before  # the call searched on this solver
+
+
+class TestSymmetryAgnostic:
+    """The memo holds configurations as they are, so a graph's stored
+    symmetry changes nothing in a search."""
+
+    def test_same_search_as_without_the_stored_symmetry(self):
+        c9 = pb.cycle_graph(9)
+        for g in (c9, pb.hypercube(3), pb.rooted_cube(4)):
+            witness = pb.pi_rooted(g).witness_unsolvable.counts
+            # pi's witness, then one pebble more on each vertex: solvable
+            queries = [witness] + [witness[:v] + (witness[v] + 1,) + witness[v + 1 :] for v in range(g.vertex_count)]
+            if g is c9:
+                queries.insert(0, pb.configuration(c9, {4: 10, 5: 10}).counts)
+            runs = []
+            for h in (g, stripped(g)):
+                solver = pb.Solver(h)
+                outcomes = [solver.solve(pb.Configuration(h, counts), want_witness=True) for counts in queries]
+                runs.append([(out.solvable, out.witness, out.stats.nodes) for out in outcomes] + [len(solver.memo)])
+            assert runs[0] == runs[1], g.edges
 
 
 class TestWitness:

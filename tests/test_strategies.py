@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import pebbling as pb
+from pebbling import pebbling_number as engine
 from pebbling import strategies
 from pebbling.errors import (
     BadEmbeddingError,
@@ -32,6 +33,15 @@ class TestEvaluate:
     def test_empty(self, c5):
         _, w = pb.construction("cycle_combined", 2)
         assert pb.evaluate(w, pb.empty_configuration(c5)) == 0
+
+
+class TestWeightFunction:
+    def test_mapping_key_outside_the_vertices_refused(self):
+        # -2 would weight vertex n-2, and 4 would raise a bare IndexError
+        g = pb.path_graph(3)
+        for key in (-2, -5, 4, 9):
+            with pytest.raises(BadParameterError):
+                pb.weight_function(g, {key: 5})
 
 
 class TestTreeChecker:
@@ -101,6 +111,32 @@ class TestOracle:
         _, w = pb.construction("fig2")
         assert pb.verify_validity_oracle(fig2, w.scaled(2)).valid
         assert pb.verify_validity_oracle(fig2, w.scaled(Fraction(1, 3))).valid
+
+    def test_checks_the_witness_without_pi(self, monkeypatch, p3):
+        # a down-set whose last level gains a solvable maximum, (4, 0, 0)
+        levels = engine._levels
+
+        def tampered(g, solver):
+            *below, last = levels(g, solver)
+            yield from below
+            yield last | {(4, 0, 0)}
+
+        p3._cache.clear()
+        monkeypatch.setattr(engine, "_levels", tampered)
+        w = pb.weight_function(p3, (2, 1, 0))
+        with pytest.raises(InternalError, match="re-verification"):
+            pb.verify_validity_oracle(p3, w)
+        assert "unsolvable_levels" not in p3._cache
+
+    def test_never_computes_pi(self, monkeypatch, lemma5_graph):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_rooted called by the oracle")
+
+        monkeypatch.setattr(engine, "pi_rooted", refuse)
+        monkeypatch.setattr(strategies, "pi_rooted", refuse, raising=False)
+        lemma5_graph._cache.clear()
+        _, w = pb.construction("lemma5")
+        assert pb.verify_validity_oracle(lemma5_graph, w).valid
 
 
 class TestConicCombine:
