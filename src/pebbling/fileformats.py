@@ -71,7 +71,7 @@ def format_fraction(x: Fraction) -> str:
 def parse_graph(text: str) -> Graph:
     lines = _content_lines(text)
     _check_header(lines, GRAPH_HEADER)
-    header: dict[str, int] = {}
+    header: dict[str, tuple[int, int]] = {}
     edges: dict[tuple[int, int], int] = {}
     labels: dict[int, tuple[int, str]] = {}
     for idx, line in lines:
@@ -80,7 +80,7 @@ def parse_graph(text: str) -> Graph:
         if kind in ("vertices", "root") and len(parts) == 2:
             if kind in header:
                 raise ParseError(idx, f"duplicate {kind!r} record")
-            header[kind] = _int(idx, parts[1])
+            header[kind] = (idx, _int(idx, parts[1]))
         elif kind == "edge" and len(parts) == 3:
             u, v = _int(idx, parts[1]), _int(idx, parts[2])
             if u == v:
@@ -99,7 +99,11 @@ def parse_graph(text: str) -> Graph:
     for kind in ("vertices", "root"):
         if kind not in header:
             raise ParseError(1, f"missing {kind!r} record")
-    n = header["vertices"]
+    (n_idx, n), (root_idx, root) = header["vertices"], header["root"]
+    if n < 1:
+        raise ParseError(n_idx, "vertex count must be at least 1")
+    if not 0 <= root < n:
+        raise ParseError(root_idx, f"root {root} out of range [0, {n})")
     for (u, v), idx in edges.items():
         if u < 0 or v >= n:
             raise ParseError(idx, f"edge {u} {v} out of range [0, {n})")
@@ -109,7 +113,7 @@ def parse_graph(text: str) -> Graph:
     label_tuple = None
     if labels:
         label_tuple = tuple(labels[v][1] if v in labels else str(v) for v in range(n))
-    return build_graph(n, list(edges), header["root"], labels=label_tuple)
+    return build_graph(n, list(edges), root, labels=label_tuple)
 
 
 def serialize_graph(g: Graph) -> str:

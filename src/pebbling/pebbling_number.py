@@ -31,8 +31,9 @@ The cached levels are sets of counts tuples.
 Each candidate is decided by one step on level s, with no search. A
 candidate q of size s+1 is unsolvable exactly when every legal move
 u -> v (q(u) >= 2) leaves a child whose orbit is in level s (under
-block symmetry, every move that does not stay inside a block; see
-below). A solving sequence starts with one move, and its child
+block symmetry, every move that does not stay inside a block and
+enters a block only at its first vertex; see below). A solving sequence
+starts with one move (under block symmetry, one of those), and its child
 either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
 or is a root-free configuration of size s below the caps. The first two
 are solvable and in no level (the stored symmetries fix the root, so
@@ -68,22 +69,50 @@ holding p(v) pebbles on perm_k(v); those of p + e_v add the unit of
 perm_k(v) to image k, so they cost |G| additions. They are computed
 before a candidate is decided, to tell whether it is its orbit's
 maximum, and become members of the next level when it is unsolvable.
-Under block symmetry a move that touches a block yields the block-sorted
-child directly, at the ends of value runs: the two source pebbles come
-off the last vertex of their run (one of them off the last vertex of the
-next run down when that run holds one pebble fewer), and the target
-pebble goes on the first vertex of its run. Moves from or to the same
-runs give the same child and are looked up once. A move inside one
-block, between adjacent twins a and b (N[a] = N[b]), is not looked up at
-all: a solvable q has an acyclic solving multiset of moves (the No-Cycle
-Lemma), and one with k moves a -> b stays acyclic and solving, with k
-fewer moves, when those are dropped and ceil(k/2) of b's moves, or all
-if fewer, leave from a instead (b's targets other than a are a's
-neighbours). So some solving multiset has no move inside a block, and
-its first move is one of the moves looked up. Each candidate decision
-counts as one search node against the solver's limits. A limit hit
-part-way reports the number of complete levels, a proven lower bound on
-pi_rooted.
+Under block symmetry a move out of a block yields the block-sorted
+child directly: the two source pebbles come off the last vertex of their
+run of equal counts (one of them off the last vertex of the next run
+down when that run holds one pebble fewer), so the moves from one run to
+one target give one child. A move into a block lands on the block's
+first vertex, which holds its most pebbles, so that child is sorted too
+and a move from outside the blocks is one fixed delta, taken once
+whichever twin it names. No move inside a block, or onto a twin below
+its block's most, is looked up, and this misses no solvable q.
+
+Proof. A multiset M of moves solves q when every balance
+b(z) = q(z) + in(z) - 2 out(z) is nonnegative and b(r) >= 1. One with
+the fewest moves has no cycle (dropping one leaves a smaller solution),
+so its moves can be made in some order (the No-Cycle Lemma, Milans and
+Clark 2006): a source a, a vertex with no incoming move, can make its
+moves first, and M less a -> v solves q - 2e_a + e_v. Nor has it a move
+inside a block: k moves a -> b between adjacent twins (N[a] = N[b]) can
+be dropped, with ceil(k/2) of b's moves, or all if fewer, sent from a
+instead (b's other targets are a's neighbours). Twins share their
+outside neighbours, so moving an end of a move to another twin of its
+block keeps it legal, and if no balance turns negative the result again
+solves q with the fewest moves. Suppose no such solution has a source
+move a -> v with v outside the blocks or q(v) = max_B q, B being v's
+block; take one with a -> v entering B below its most, held by t. A move
+u -> t could trade targets with a -> v, giving a -> t, so in(t) = 0.
+Sending a's pebble to t instead of v also gives a -> t, and keeps every
+balance nonnegative if b(v) > 0. Otherwise v has a move
+(2 out(v) = q(v) + in(v) > 0), and sending it from t as well does so if
+b(t) > 0, as does sending one more of v's incoming moves to t besides if
+in(v) > 1. So b(v) = b(t) = 0, in(v) = 1, and t is a source with
+out(t) = q(t)/2 >= 1 (q(t) > q(v) and b(t) = 0). Any move z -> w leaving
+B can trade targets with one of t's moves, making t the source of a move
+to w; trades change no balance or in-count. By induction along the order
+of M, every move of M enters a block below its most, held by a source: a
+source's moves do by the argument above; any other sender z receives a
+move, so it is such a twin, and its moves trade targets with that
+source. So nothing reaches the root, which is in no block: a
+contradiction. The source move found has a child in the orbit of one
+looked up (transpose v with its block's first vertex and a with the end
+of its run), so that lookup finds q solvable.
+
+Each candidate decision counts as one search node against the solver's
+limits. A limit hit part-way reports the number of complete levels, a
+proven lower bound on pi_rooted.
 
 The stored symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph: the
@@ -257,12 +286,15 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     for a, t in solver._moves:
         targets[a].append(t)
     blocks = data if kind == "blocks" else ()
-    twins = {v for block in blocks for v in block}
-    # the moves that touch no block; _block_deltas derives the others
-    delta = [
-        () if a in twins else tuple(2 * unit[a] - unit[t] for t in targets[a] if t not in twins) for a in range(n)
+    # a move into a block lands on its first vertex; none stays inside one
+    head = {v: block[0] for block in blocks for v in block}
+    lands = [
+        tuple(dict.fromkeys(unit[head.get(t, t)] for t in targets[a] if head.get(t, t) != head.get(a, a)))
+        for a in range(n)
     ]
-    block_deltas = _block_deltas(blocks, targets, unit) if blocks else None
+    # the moves from outside the blocks; _block_deltas derives the others
+    delta = [() if a in head else tuple(2 * unit[a] - t for t in lands[a]) for a in range(n)]
+    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit) if blocks else None
     prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
     # descending, so that the walk over p can stop at last(p)
     top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(n)) if v != g.root]
@@ -303,31 +335,19 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
         members = nxt_members
 
 
-def _block_deltas(blocks, targets, unit):
+def _block_deltas(blocks, lands, unit):
     """Return block_deltas(pc, v), which gives, for the block-sorted
     q = p + e_v with pc the counts of p, the deltas q - child of q's
-    moves that touch a block but stay inside none, each child
-    block-sorted at the ends of its value runs and each taken once (see
-    the module docstring)."""
-    n = len(unit)
-    block_of = {v: b for b, block in enumerate(blocks) for v in block}
-    # twins share their neighbours outside the block, so a vertex is
-    # next to all of a block or to none of it
-    near = []  # the other blocks next to each vertex
-    for a in range(n):
-        own = block_of.get(a)
-        near.append(sorted({block_of[t] for t in targets[a] if t in block_of and block_of[t] != own}))
-    feeders = [a for a in range(n) if a not in block_of and near[a]]
-    fixed = [tuple(unit[t] for t in targets[a] if t not in block_of) if a in block_of else () for a in range(n)]
+    moves out of a block: one source per run of equal counts of at least
+    2, paired with each landing unit of the block in ``lands`` (see the
+    module docstring)."""
 
     def block_deltas(pc, v):
         counts = list(pc)
         counts[v] += 1
-        sources = [(a, 2 * unit[a]) for a in feeders if counts[a] >= 2]
-        starts = []
-        for block in blocks:
+        out = []
+        for block, landing in zip(blocks, lands):
             runs = [list(run) for _, run in groupby(block, counts.__getitem__)]
-            starts.append([unit[run[0]] for run in runs])
             for run, lower in zip(runs, runs[1:] + [None]):
                 x = counts[run[0]]
                 if x < 2:
@@ -335,16 +355,8 @@ def _block_deltas(blocks, targets, unit):
                 # the source pebbles come off the end of the run, one of
                 # them off the end of the next run down if it holds x-1
                 j = run[-1]
-                if lower is not None and counts[lower[0]] == x - 1:
-                    sources.append((j, unit[j] + unit[lower[-1]]))
-                else:
-                    sources.append((j, 2 * unit[j]))
-        out = []
-        for a, sub in sources:
-            out += [sub - t for t in fixed[a]]
-            for b in near[a]:
-                # the target pebble goes on the start of its run
-                out += [sub - s for s in starts[b]]
+                sub = unit[j] + unit[lower[-1] if lower and counts[lower[0]] == x - 1 else j]
+                out += [sub - t for t in landing]
         return out
 
     return block_deltas

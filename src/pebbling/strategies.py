@@ -369,13 +369,7 @@ def _weights_by_distance(g: Graph, table) -> tuple[Graph, WeightFunction]:
 
 
 def _path_weights(k: int) -> tuple[Graph, WeightFunction]:
-    if k < 1:
-        raise BadParameterError("path length must be at least 1")
-    g = path_graph(k)
-    arr = [Fraction(0)] * (k + 1)
-    for i in range(k):
-        arr[i] = Fraction(1 << i)
-    return g, WeightFunction(g, tuple(arr))
+    return _weights_by_distance(path_graph(k), {d: 1 << (k - d) for d in range(1, k + 1)})
 
 
 def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
@@ -383,14 +377,7 @@ def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
     # 2^k, ..., 2^2 down each side, 3 on both farthest vertices
     if k < 1:
         raise BadParameterError("need an odd cycle of length at least 3")
-    g = cycle_graph(2 * k + 1)
-    arr = [Fraction(0)] * (2 * k + 1)
-    for i in range(1, k):
-        arr[i] = Fraction(1 << (k + 1 - i))
-        arr[2 * k + 1 - i] = Fraction(1 << (k + 1 - i))
-    arr[k] = Fraction(3)
-    arr[k + 1] = Fraction(3)
-    return g, WeightFunction(g, tuple(arr))
+    return _weights_by_distance(cycle_graph(2 * k + 1), {d: 1 << (k + 1 - d) for d in range(1, k)} | {k: 3})
 
 
 def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
@@ -411,15 +398,9 @@ def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
 
 
 def _lollipop_weights(n: int, m: int | None = None) -> tuple[Graph, WeightFunction]:
-    g = lollipop(n, m)
-    arr = [Fraction(0)] * g.vertex_count
-    for v in range(1, g.vertex_count):
-        name = g.label(v)
-        if name.startswith("v_"):
-            arr[v] = Fraction(1 << int(name[2:]))
-        else:
-            arr[v] = Fraction(1)
-    return g, WeightFunction(g, tuple(arr))
+    # 2^n, ..., 2 along the path from the root, 1 on the bundle
+    table = {d: 1 << (n + 1 - d) for d in range(1, n + 1)}
+    return _weights_by_distance(lollipop(n, m), table | {n + 1: 1, n + 2: 1})
 
 
 def _conjecture_weights(n: int) -> tuple[Graph, WeightFunction]:

@@ -332,6 +332,18 @@ class TestPlumbing:
         code, _, err = run_cli(capsys, "pi", "-g", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("pebblegraph 1\nvertices 0\nroot 0\n", 2), ("pebblegraph 1\nvertices 3\nroot 7\nedge 0 1\n", 3)],
+        ids=["no-vertices", "root-past-last-vertex"],
+    )
+    def test_bad_header_record_exits_2_with_its_line(self, capsys, tmp_path, text, line):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "pi", "-g", str(bad))
+        assert code == 2
+        assert f"line {line}:" in err
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "pi", "-g", str(tmp_path / "nope.graph"))
         assert code == 2

@@ -70,6 +70,9 @@ class TestGraphFormat:
             (_P2 + "edge 1 9\n", 6),
             (_P2 + "edge 1 1\n", 6),
             (_P2 + "edge 2 1\n", 6),
+            (_P2.replace("root 0", "root 7"), 3),
+            (_P2.replace("root 0", "root -1"), 3),
+            ("pebblegraph 1\nvertices 0\nroot 0\n", 2),
         ],
         ids=[
             "label-past-last-vertex",
@@ -80,6 +83,9 @@ class TestGraphFormat:
             "edge-past-last-vertex",
             "self-loop",
             "repeated-edge-reversed",
+            "root-past-last-vertex",
+            "negative-root",
+            "no-vertices",
         ],
     )
     def test_bad_record_rejected_with_line_number(self, text, line):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, prod
 
 import pytest
 
@@ -398,8 +399,7 @@ def _planted_twin_graph(rng):
     """A random connected graph on 2-4 vertices with 1-3 planted twins,
     relabeled at random. A twin copies a non-root vertex's neighbours:
     open twins are not adjacent, adjacent twins are, and each class of
-    twins is of one kind. Every twin pair is stored as a transposition,
-    so the classes are the blocks of block mode."""
+    twins is of one kind."""
     n = rng.randint(2, 4)
     base = random_connected_graph(rng, n_min=n, n_max=n, max_extra=1)
     classes = [[v] for v in range(n)]
@@ -408,6 +408,43 @@ def _planted_twin_graph(rng):
         v = rng.choice([u for u in range(n) if u != base.root])
         adjacent.setdefault(v, rng.random() < 0.5)
         classes[v].append(sum(map(len, classes)))
+    return _with_twins(rng, base, classes, adjacent)
+
+
+def _multi_block_graph(rng):
+    """A random connected graph on 3-6 vertices in which 2-3 non-root
+    vertices within distance 2 of the root each become a class of 2-4
+    open or adjacent twins, relabeled at random. Half the time two of
+    the classes come from the ends of one edge, so that moves run from
+    one block into another. The largest classes shrink until the graph
+    has at most 8 vertices and the stored group at most 48 elements,
+    which keeps the plain down-set and the reference orbits small."""
+    n = rng.randint(3, 6)
+    base = random_connected_graph(rng, n_min=n, n_max=n, max_extra=1)
+    dist = pb.distances_from(base, base.root)
+    near = [v for v in range(n) if 0 < dist[v] <= 2]
+    if len(near) < 2:
+        return _multi_block_graph(rng)
+    between = [e for e in base.edges if set(e) <= set(near)]
+    chosen = list(rng.choice(between)) if between and rng.random() < 0.5 else rng.sample(near, 2)
+    if n < 6 and len(near) > 2 and rng.random() < 0.3:
+        chosen.append(rng.choice([v for v in near if v not in chosen]))
+    sizes = {v: rng.randint(2, 4) for v in chosen}
+    while n + sum(sizes.values()) - len(sizes) > 8 or prod(map(factorial, sizes.values())) > 48:
+        sizes[max(sizes, key=sizes.get)] -= 1
+    classes = [[v] for v in range(n)]
+    adjacent = {}
+    for v in chosen:
+        adjacent[v] = rng.random() < 0.5
+        classes[v] += [sum(map(len, classes)) + i for i in range(sizes[v] - 1)]
+    return _with_twins(rng, base, classes, adjacent)
+
+
+def _with_twins(rng, base, classes, adjacent):
+    """base with each vertex v replaced by the twins classes[v] (adjacent
+    to each other when adjacent.get(v)), relabeled at random. Every twin
+    pair is stored as a transposition, so the classes are the blocks of
+    block mode."""
     edges = [(a, b) for u, v in base.edges for a in classes[u] for b in classes[v]]
     edges += [(a, b) for v, twin in adjacent.items() if twin for a, b in combinations(classes[v], 2)]
     total = sum(map(len, classes))
@@ -504,6 +541,20 @@ class TestOneDownSet:
         rng = random.Random(60_013)
         for _ in range(40):
             _assert_matches_stripped(_planted_twin_graph(rng), rng)
+
+    def test_moves_between_blocks(self):
+        # block mode with two or more blocks, often adjacent, so that a
+        # move leaves one block and lands on the first vertex of another
+        rng = random.Random(80_021)
+        adjacent = 0
+        for _ in range(40):
+            g = _multi_block_graph(rng)
+            kind, blocks = engine._symmetry_mode(g)
+            assert kind == "blocks" and len(blocks) >= 2, g.symmetry
+            block_of = {v: b for b, block in enumerate(blocks) for v in block}
+            adjacent += any(u in block_of and v in block_of and block_of[u] != block_of[v] for u, v in g.edges)
+            _assert_matches_stripped(g, rng)
+        assert adjacent >= 10
 
     def test_planted_rotations(self):
         # group mode against the plain builder, on graphs beyond the families
