@@ -37,8 +37,8 @@ from .fileformats import (
 )
 from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
-from .pebbling_number import pi_rooted
-from .solver import SearchLimits, is_solvable, shared_solver
+from .pebbling_number import pi_rooted, search_nodes
+from .solver import SearchLimits, is_solvable
 from .strategies import (
     certify,
     check_tree_strategy,
@@ -214,7 +214,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_bound(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
-    watched = shared_solver(g)
     start = time.monotonic()
     certs = []
     for i, path in enumerate(args.weights):
@@ -228,7 +227,7 @@ def _cmd_bound(args) -> int:
         emit(**{f"cert{i}_bound": single})
     optimum, bound = lp_pebbling_bound(g, certs)
     lower = diameter_lower_bound(g)
-    _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, watched.stats.nodes)
+    _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, search_nodes(g))
     emit(bound=bound, optimum=optimum)
     emit(lower=lower)
     return 0 if lower <= bound else 1
@@ -251,9 +250,8 @@ def _cmd_decompose(args) -> int:
 def _target_odd_cycle(k: int, args) -> int:
     g = cycle_graph(2 * k + 1)
     expected = 2 * ((1 << (k + 1)) // 3) + 1
-    watched = shared_solver(g)
     start = time.monotonic()
-    nodes_before = watched.stats.nodes
+    nodes_before = search_nodes(g)
     result = pi_rooted(g, limits=_limits(args))
     combined = construction_certificate("cycle_combined", k)
     upper = weight_function_bound(combined)
@@ -267,7 +265,7 @@ def _target_odd_cycle(k: int, args) -> int:
     _report(
         g, lower, "stuck configuration on the two farthest vertices",
         min(upper, lp_bound), "combined weight cap and strategy LP",
-        (*combined.components, combined), start, watched.stats.nodes - nodes_before,
+        (*combined.components, combined), start, search_nodes(g) - nodes_before,
     )
     emit(pi=result.value, lower=lower, upper=upper, bound=lp_bound, optimum=optimum)
     return 0 if result.value == expected == lower == upper == lp_bound else 1
@@ -296,8 +294,8 @@ def _target_prop_q3(args) -> int:
 
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
-    watched = shared_solver(rooted_cube(4))  # the lemma5 base graph
-    nodes_before = watched.stats.nodes
+    base_graph = rooted_cube(4)  # the lemma5 base graph
+    nodes_before = search_nodes(base_graph)
     # raises, and so exits 2, unless the four lemma5 copies sum to q4star
     cert = construction_certificate("q4star", limits=_limits(args))
     base = cert.components[0]
@@ -306,7 +304,7 @@ def _target_thm2_q4(args) -> int:
     note(f"base certificate: {base.notes}")
     _report(
         cert.graph, lower, "diameter stack", upper, "weight cap of the four-copy decomposition",
-        (base, cert), start, watched.stats.nodes - nodes_before,
+        (base, cert), start, search_nodes(base_graph) - nodes_before,
     )
     fields = {"lower": lower, "upper": upper}
     if lower == upper:

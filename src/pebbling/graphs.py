@@ -4,9 +4,7 @@ Vertices are dense 0-based indices; human-readable names (coordinate
 tuples, path positions) live in the optional ``labels`` field only, so
 search structures stay flat arrays. ``symmetry`` stores root-fixing
 automorphism generators used for orbit reduction; generated families
-populate it, hand-built graphs leave it empty. ``transitive_maps``, when
-present, holds one automorphism per vertex sending the root there, which
-lets the global pebbling number reuse a single rooted computation.
+populate it, hand-built graphs leave it empty.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ class Graph:
     root: int
     labels: tuple[str, ...] | None = None
     symmetry: tuple[Perm, ...] = ()
-    transitive_maps: tuple[Perm, ...] | None = None
 
     def __post_init__(self):
         nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -97,7 +94,6 @@ def build_graph(
     root: int,
     labels=None,
     symmetry: tuple[Perm, ...] = (),
-    transitive_maps: tuple[Perm, ...] | None = None,
 ) -> Graph:
     """Validate and construct a rooted graph.
 
@@ -151,15 +147,8 @@ def build_graph(
     for p in symmetry:
         if not _is_automorphism(vertex_count, edge_set, p) or p[root] != root:
             raise BadParameterError(f"stored symmetry {p} is not a root-fixing automorphism")
-    if transitive_maps is not None:
-        transitive_maps = tuple(tuple(p) for p in transitive_maps)
-        if len(transitive_maps) != vertex_count:
-            raise BadParameterError("transitive_maps must give one map per vertex")
-        for target, p in enumerate(transitive_maps):
-            if not _is_automorphism(vertex_count, edge_set, p) or p[root] != target:
-                raise BadParameterError(f"map for vertex {target} is not an automorphism sending root there")
 
-    return Graph(vertex_count, tuple(norm), root, labels, symmetry, transitive_maps)
+    return Graph(vertex_count, tuple(norm), root, labels, symmetry)
 
 
 def distances_from(g: Graph, src: int) -> tuple[int, ...]:
@@ -248,8 +237,7 @@ def cycle_graph(length: int) -> Graph:
         raise BadParameterError("cycle length must be at least 3")
     edges = [(i, (i + 1) % length) for i in range(length)]
     reflection = tuple((-i) % length for i in range(length))
-    rotations = tuple(tuple((i + t) % length for i in range(length)) for t in range(length))
-    return build_graph(length, edges, root=0, symmetry=(reflection,), transitive_maps=rotations)
+    return build_graph(length, edges, root=0, symmetry=(reflection,))
 
 
 @lru_cache(maxsize=None)
@@ -266,8 +254,7 @@ def hypercube(n: int) -> Graph:
                 edges.append((v, u))
     labels = tuple(_coordinate_label(v, n) for v in range(size))
     symmetry = tuple(_bit_swap_perm(n, i, i + 1) for i in range(n - 1))
-    xor_maps = tuple(tuple(v ^ t for v in range(size)) for t in range(size))
-    return build_graph(size, edges, root=0, labels=labels, symmetry=symmetry, transitive_maps=xor_maps)
+    return build_graph(size, edges, root=0, labels=labels, symmetry=symmetry)
 
 
 _LEMMA5_DOUBLE_NAMES = {3: "y_3", 5: "y_2", 6: "y_1"}

@@ -21,10 +21,11 @@ sorted descending within each block. This module is the only one that
 reduces orbits: _symmetry_mode resolves the stored generators into a
 regime, and the solver memoizes configurations as they are.
 
-While a level is built, each configuration is a packed integer key:
-vertex v owns a field of d(v,r)+1 bits, vertex 0 the most significant.
-A field holds every count a level or a child can reach (at most
-2^d(v,r)), so no field carries into the next, integer order is
+While a level is built, each configuration is a packed integer key in
+the layout the solver keys its memo on (solver.packed_units) at target
+1: vertex v owns a field of d(v,r)+1 bits, vertex 0 the most
+significant. A field holds every count a level or a child can reach (at
+most 2^d(v,r)), so no field carries into the next, integer order is
 lexicographic order, and the orbit maxima stay the representatives.
 The cached levels are sets of counts tuples.
 
@@ -135,8 +136,8 @@ from typing import Iterator
 
 from .configurations import Configuration
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
-from .graphs import Graph, _is_automorphism, build_graph, distances_from
-from .solver import SearchLimits, Solver, shared_solver
+from .graphs import Graph, distances_from
+from .solver import SearchLimits, Solver, packed_units, shared_solver
 
 
 @dataclass(frozen=True)
@@ -241,10 +242,10 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     The greatest member of the last level, pi's witness, is then
     re-verified by a new solver under the same limits, so the check
     does not lean on the builder or on a shared memo; it runs once per
-    build, for every reader of the down-set. Cached on the graph only
-    once complete and checked: a resource limit hit part-way leaves
-    nothing behind, and the error carries the number of levels
-    completed as ``pi_lower``.
+    build, for every reader of the down-set, and its stats are kept for
+    search_nodes. Cached on the graph only once complete and checked: a
+    resource limit hit part-way leaves nothing behind, and the error
+    carries the number of levels completed as ``pi_lower``.
     """
     cache = g._cache
     if "unsolvable_levels" in cache:
@@ -253,14 +254,23 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     try:
         for level in _levels(g, solver):
             levels.append(level)
-        if Solver(g, 1, solver.limits).decide(max(levels[-1])):
+        check = Solver(g, 1, solver.limits)
+        if check.decide(max(levels[-1])):
             raise InternalError("internal error: witness re-verification failed")
     except ResourceLimitError as exc:
         # levels 0..len(levels)-1 are complete and non-empty
         exc.pi_lower = len(levels)
         raise
+    cache["witness_check"] = check.stats
     cache["unsolvable_levels"] = levels = tuple(levels)
     return levels
+
+
+def search_nodes(g: Graph) -> int:
+    """The search nodes counted on g so far: by its shared solver and
+    by the witness re-check of its down-set."""
+    check = g._cache.get("witness_check")
+    return shared_solver(g).stats.nodes + (check.nodes if check else 0)
 
 
 def _levels(g: Graph, solver: Solver) -> Iterator[set]:
@@ -277,11 +287,8 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     kind, data = _symmetry_mode(g)
     n = g.vertex_count
     dist = distances_from(g, g.root)
-    # vertex v owns d(v,r)+1 bits, vertex 0 the most significant
-    off = [0] * n
-    for v in reversed(range(n - 1)):
-        off[v] = off[v + 1] + dist[v + 1] + 1
-    unit = [1 << o for o in off]
+    # the solver's layout at target 1: vertex v owns d(v,r)+1 bits
+    unit = packed_units(dist)
     targets: list[list[int]] = [[] for _ in range(n)]
     for a, t in solver._moves:
         targets[a].append(t)
@@ -374,41 +381,6 @@ def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1)
     levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
     value = len(levels)
     return PiResult(value, Configuration(g, max(levels[-1])), ScanRecord(tuple(range(value + 1))))
-
-
-def _reroot(g: Graph, r: int) -> Graph:
-    kept = tuple(p for p in g.symmetry if p[r] == r)
-    return build_graph(g.vertex_count, g.edges, root=r, labels=g.labels, symmetry=kept)
-
-
-def _verified_transitive(g: Graph) -> bool:
-    maps = g.transitive_maps
-    if maps is None or len(maps) != g.vertex_count:
-        return False
-    return all(
-        _is_automorphism(g.vertex_count, g.edge_set, p) and p[g.root] == target
-        for target, p in enumerate(maps)
-    )
-
-
-def pi_global(g: Graph, *, limits: SearchLimits | None = None) -> int:
-    """max over roots of pi_rooted; vertex-transitive graphs need one root.
-
-    Transitivity is certified by directly checking the stored per-vertex
-    automorphisms, never assumed from the family name.
-    """
-    if _verified_transitive(g):
-        return pi_rooted(g, limits=limits).value
-    best = 0
-    for r in range(g.vertex_count):
-        h = g if r == g.root else _reroot(g, r)
-        best = max(best, pi_rooted(h, limits=limits).value)
-    return best
-
-
-def is_class0(g: Graph, *, limits: SearchLimits | None = None) -> bool:
-    """Whether the pebbling number equals the number of vertices."""
-    return pi_global(g, limits=limits) == g.vertex_count
 
 
 def _weight_respects_symmetry(g: Graph, weights) -> bool:

@@ -15,12 +15,23 @@ No dominance tables or other heuristics take part in the verdict, which
 keeps the oracle auditable. Move ordering prefers moves toward the root;
 it only affects how fast witnesses are found.
 
+The memo is keyed on packed integers (packed_units): vertex v owns
+d(v,r) + bitlen(t) bits, vertex 0 the most significant. A memoized
+configuration has passed the stack test, so p(v) < t * 2^d(v,r) <
+2^(d(v,r) + bitlen(t)) fits its field, no field carries into the next,
+and the key is injective. ``decide`` packs the query once; below it, one
+counts list is moved in place and restored after each child. A child
+differs from its parent only at the move's ends u -> v, and the parent
+held no stack, so its checks are O(1): a stack test on v, then its
+potential and key, each the parent's plus a constant of the move.
+
 A witness is read off ``decide`` rather than searched for again: from
 the queried configuration, until the root holds the target, take the
 first stack that suffices (in vertex order), else the first move whose
-child ``decide`` accepts, mostly a memo hit. Every witness is then replayed through
-``apply_move``; a replay that does not reach the target raises
-InternalError.
+child ``decide`` accepts, mostly a memo hit; a stack moves only its
+t * 2^d(v,r) pebbles, in t * (2^d(v,r) - 1) moves. Every witness is then
+replayed through ``apply_move``; a replay that does not reach the
+target raises InternalError.
 """
 
 from __future__ import annotations
@@ -29,6 +40,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .configurations import Configuration, apply_move
 from .errors import BadParameterError, GraphMismatchError, InternalError, MoveError, ResourceLimitError
@@ -98,17 +110,30 @@ def potential(g: Graph, p: Configuration) -> Fraction:
     )
 
 
+def packed_units(dist: tuple[int, ...], target: int = 1) -> tuple[int, ...]:
+    """The unit of each vertex's field when a configuration is packed
+    into one integer: vertex v owns d(v,r) + target.bit_length() bits,
+    vertex 0 the most significant. Shared by the solver's memo and, at
+    target 1, the down-set builder."""
+    width, off, units = target.bit_length(), 0, []
+    for d in reversed(dist):
+        units.append(1 << off)
+        off += d + width
+    return tuple(reversed(units))
+
+
 class Solver:
     """Reusable decision engine for one graph and one target count.
 
-    The memo is keyed on raw counts tuples, so a solver on a graph with
-    stored symmetry searches exactly as one on the same graph without
-    it: same verdicts, witnesses, node counts and memo. The memo table
-    and ``stats`` persist across calls on the same solver; limits do
-    not: ``begin(limits)`` gives the operation that follows its own node
-    and time budget. Witness queries leave solvable (True) entries in
-    the memo as well as unsolvable ones, and count a node for every
-    ``decide`` call along the walk.
+    The memo is keyed on packed counts and each move is one precomputed
+    step (u, v, potential change, key change). Neither reads the stored
+    symmetry, so a solver on a graph with it searches exactly as one on
+    the same graph without: same verdicts, witnesses, node counts and
+    memo. The memo table and ``stats`` persist across calls on the same
+    solver; limits do not: ``begin(limits)`` gives the operation that
+    follows its own node and time budget. Witness queries leave solvable
+    (True) entries in the memo as well as unsolvable ones, and count a
+    node for every ``decide`` call along the walk.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -129,7 +154,9 @@ class Solver:
                 moves.append((u, v))
         moves.sort(key=lambda m: (0 if dist[m[1]] < dist[m[0]] else 1, dist[m[0]], m))
         self._moves = tuple(moves)
-        self.memo: dict[tuple[int, ...], bool] = {}
+        pot, unit = self._pot, packed_units(dist, target)
+        self._unit, self._steps = unit, tuple((u, v, pot[v] - 2 * pot[u], unit[v] - 2 * unit[u]) for u, v in moves)
+        self.memo: dict[int, bool] = {}
         self.stats = SolveStats()
         self.begin(limits)
 
@@ -150,16 +177,18 @@ class Solver:
         nodes, the deadline."""
         stats = self.stats
         stats.nodes += 1
-        if stats.nodes > self._node_cap:
+        if stats.nodes > self._node_cap or not stats.nodes & 4095:
+            self._check_limits()
+
+    def _check_limits(self) -> None:
+        if self.stats.nodes > self._node_cap:
             raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
-        if self._deadline is not None and not stats.nodes % 4096:
-            self.check_deadline()
+        self.check_deadline()
 
     # -- decision without witness -------------------------------------
 
     def decide(self, counts: tuple[int, ...]) -> bool:
         self.count_node()
-        stats = self.stats
         thr = self.stack_threshold
         pot = 0
         pw = self._pot
@@ -170,28 +199,49 @@ class Solver:
                 pot += c * pw[v]
         if pot < self._pot_target:
             return False
-        cached = self.memo.get(counts)
+        return self._search(list(counts), sum(map(mul, counts, self._unit)), pot)
+
+    def _search(self, cnt: list[int], key: int, pot: int) -> bool:
+        """Whether ``cnt``, counted as a node, holding no stack, of
+        potential ``pot`` at least the target and packed as ``key``, is
+        solvable. Each child is one step on ``cnt``, undone after it."""
+        cached = self.memo.get(key)
         if cached is not None:
-            stats.memo_hits += 1
+            self.stats.memo_hits += 1
             return cached
+        stats, cap, thr, floor = self.stats, self._node_cap, self.stack_threshold, self._pot_target
         result = False
-        for u, v in self._moves:
-            if counts[u] >= 2:
-                child = list(counts)
-                child[u] -= 2
-                child[v] += 1
-                if self.decide(tuple(child)):
+        for u, v, dpot, dkey in self._steps:
+            if cnt[u] >= 2:
+                # count_node, inlined
+                stats.nodes = nodes = stats.nodes + 1
+                if nodes > cap or not nodes & 4095:
+                    self._check_limits()
+                c = cnt[v] + 1
+                if c >= thr[v]:
                     result = True
                     break
-        self.memo[counts] = result
+                if pot + dpot < floor:
+                    continue
+                cnt[u] -= 2
+                cnt[v] = c
+                found = self._search(cnt, key + dkey, pot + dpot)
+                cnt[u] += 2
+                cnt[v] = c - 1
+                if found:
+                    result = True
+                    break
+        self.memo[key] = result
         return result
 
     # -- witness construction ------------------------------------------
 
-    def _stack_witness(self, counts: tuple[int, ...], v: int) -> list[Move]:
+    def _stack_witness(self, v: int) -> list[Move]:
+        """The moves that carry a stack of t * 2^d(v,r) from v to the
+        root along a shortest path; pebbles beyond it stay on v."""
         path = shortest_path(self.graph, v, self.graph.root)
         moves: list[Move] = []
-        carry = counts[v]
+        carry = self.stack_threshold[v]
         for a, b in zip(path, path[1:]):
             k = carry // 2
             moves.extend([(a, b)] * k)
@@ -207,7 +257,7 @@ class Solver:
         while counts[root] < target:
             stack = next((v for v, c in enumerate(counts) if c >= thr[v]), None)
             if stack is not None:
-                moves += self._stack_witness(counts, stack)
+                moves += self._stack_witness(stack)
                 break
             for u, v in self._moves:
                 if counts[u] >= 2:

@@ -11,7 +11,9 @@ reference_unsolvable_levels the earlier down-set builder, which asks
 the memoized solver about every candidate; the one-step recurrence of
 pebbling_number must reproduce its levels exactly. reference_witness is
 the earlier recursive witness search, whose moves the witnesses read
-off Solver.decide must equal.
+off Solver.decide must equal, and reference_decide the earlier
+tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
+memo size the packed-key search must reproduce.
 """
 
 from collections import deque
@@ -148,6 +150,39 @@ def reference_unsolvable_levels(g, solver):
     return tuple(levels)
 
 
+def reference_decide(solver, counts):
+    """The earlier Solver.decide, verbatim but for ``self``: each child
+    a new counts tuple, the memo keyed on the tuples themselves. Run on
+    a solver of its own, which only it searches."""
+    solver.count_node()
+    stats = solver.stats
+    thr = solver.stack_threshold
+    pot = 0
+    pw = solver._pot
+    for v, c in enumerate(counts):
+        if c:
+            if c >= thr[v]:
+                return True
+            pot += c * pw[v]
+    if pot < solver._pot_target:
+        return False
+    cached = solver.memo.get(counts)
+    if cached is not None:
+        stats.memo_hits += 1
+        return cached
+    result = False
+    for u, v in solver._moves:
+        if counts[u] >= 2:
+            child = list(counts)
+            child[u] -= 2
+            child[v] += 1
+            if reference_decide(solver, tuple(child)):
+                result = True
+                break
+    solver.memo[counts] = result
+    return result
+
+
 def reference_witness(g, counts, t=1):
     """The earlier witness search: a second recursive copy of
     Solver.decide that carries the moves, with its own memo of
@@ -167,7 +202,7 @@ def reference_witness(g, counts, t=1):
         for v, c in enumerate(counts):
             if c:
                 if c >= thr[v]:
-                    return solver._stack_witness(counts, v)
+                    return solver._stack_witness(v)
                 pot += c * pw[v]
         if pot < solver._pot_target:
             return None

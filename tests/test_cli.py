@@ -276,6 +276,16 @@ class TestPaperTargets:
         assert code == 3 and results == []
         assert "proven pi >= 21" in err
 
+    def test_thm1_k4_reports_every_search_node(self, capsys):
+        # the down-set build 9,654, the witness re-check by a new solver
+        # 10,757 and the stuck check 6,713; a repeat reads the cached
+        # down-set and finds the stuck check in the memo
+        pb.cycle_graph(9)._cache.clear()
+        code, _, err = run_cli(capsys, "paper", "thm1-k4")
+        assert code == 0 and err.endswith(", 27124 search nodes\n"), err
+        code, _, err = run_cli(capsys, "paper", "thm1-k4")
+        assert code == 0 and err.endswith(", 1 search nodes\n"), err
+
     def test_q4_bruteforce(self, capsys):
         q4 = pb.hypercube(4)
         q4._cache.clear()
@@ -424,8 +434,8 @@ class TestPlumbing:
         assert results == [] and "witness re-verification failed" in err
 
     def test_failed_witness_replay_exits_4(self, capsys, monkeypatch, tmp_path, c5_file, c5):
-        def short(self, counts, v):
-            return original(self, counts, v)[:-1]
+        def short(self, v):
+            return original(self, v)[:-1]
 
         original = pb.Solver._stack_witness
         monkeypatch.setattr(pb.Solver, "_stack_witness", short)

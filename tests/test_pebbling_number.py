@@ -312,31 +312,6 @@ class TestOrderlyGeneration:
             assert solver.stats.nodes == _admitted(g, levels), g.edges
 
 
-class TestPiGlobal:
-    def test_c5_via_certified_transitivity(self, c5):
-        assert pb.pi_global(c5) == 5
-
-    def test_p3_loops_all_roots(self, p3):
-        best = max(
-            naive_pi_rooted(pb.build_graph(3, [(0, 1), (1, 2)], root=r)) for r in range(3)
-        )
-        assert pb.pi_global(p3) == best == 4
-
-    def test_q3(self, q3):
-        assert pb.pi_global(q3) == 8
-
-
-class TestClass0:
-    def test_q3_true(self, q3):
-        assert pb.is_class0(q3)
-
-    def test_p3_false(self, p3):
-        assert not pb.is_class0(p3)
-
-    def test_c5_true(self, c5):
-        assert pb.is_class0(c5)
-
-
 class TestMaxUnsolvableWeight:
     def test_p3_doubling_weights(self, p3):
         w = pb.weight_function(p3, (1, 2, 0))

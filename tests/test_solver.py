@@ -9,6 +9,7 @@ from conftest import (
     naive_solvable,
     random_connected_graph,
     random_counts,
+    reference_decide,
     reference_witness,
     root_zero_counts,
     stripped,
@@ -178,6 +179,69 @@ class TestSymmetryAgnostic:
             assert runs[0] == runs[1], g.edges
 
 
+class TestPackedSearch:
+    """The search on packed keys against the earlier tuple-keyed decide
+    (conftest.reference_decide), each on a solver of its own: the same
+    verdicts, node counts, memo hits and memo size, query after query."""
+
+    @staticmethod
+    def queries(rng, g, t):
+        top = tuple(x - 1 for x in pb.Solver(g, t).stack_threshold)
+        # every field at the top value of a memoized count, then with
+        # one vertex emptied, then each vertex drawn from 0, top or between
+        yield top
+        for v in range(g.vertex_count):
+            yield top[:v] + (0,) + top[v + 1 :]
+        for _ in range(12):
+            yield tuple(rng.choice((0, x, rng.randint(0, x))) for x in top)
+        for _ in range(12):
+            counts = list(random_counts(rng, g, max_total=6 * t))
+            counts[g.root] = min(counts[g.root], t - 1)
+            yield tuple(counts)
+
+    @staticmethod
+    def observed(solver):
+        return solver.stats.nodes, solver.stats.memo_hits, len(solver.memo)
+
+    def test_matches_the_tuple_keyed_decide(self):
+        rng = random.Random(16_016)
+        for _ in range(24):
+            g = random_connected_graph(rng, n_max=6)
+            for t in (1, 2, 3, 4):
+                packed, tupled = pb.Solver(g, t), pb.Solver(g, t)
+                for counts in self.queries(rng, g, t):
+                    assert packed.decide(counts) == reference_decide(tupled, counts), (g.edges, t, counts)
+                    assert self.observed(packed) == self.observed(tupled), (g.edges, t, counts)
+
+    def test_node_cap_hit_at_the_same_node(self):
+        rng = random.Random(16_017)
+        c7 = pb.cycle_graph(7)
+        # two full searches (unsolvable), then the query that takes the
+        # most nodes on a fresh solver, per random graph and target
+        cases = [(c7, 1, (0, 0, 0, 5, 5, 0, 0)), (c7, 3, (0, 0, 3, 7, 7, 3, 0))]
+        for _ in range(8):
+            g = random_connected_graph(rng, n_min=4, n_max=6)
+            for t in (1, 2, 3, 4):
+                cases.append((g, t, max(self.queries(rng, g, t), key=lambda c: self.nodes(g, t, c))))
+        for g, t, counts in cases:
+            total = self.nodes(g, t, counts)
+            for k in sorted({*range(min(total, 40) + 1), *range(0, total, 1 + total // 40), total - 1, total}):
+                outcomes = []
+                for decide in (pb.Solver.decide, reference_decide):
+                    solver = pb.Solver(g, t, pb.SearchLimits(max_nodes=k))
+                    try:
+                        verdict = decide(solver, counts)
+                    except ResourceLimitError:
+                        verdict = "capped"
+                    outcomes.append((verdict, self.observed(solver)))
+                assert outcomes[0] == outcomes[1], (g.edges, t, counts, k)
+                assert (outcomes[0][0] == "capped") == (k < total)
+
+    @staticmethod
+    def nodes(g, t, counts):
+        return pb.Solver(g, t).solve(pb.Configuration(g, counts)).stats.nodes
+
+
 class TestWitness:
     def test_replay_reaches_root(self, c5, q3):
         for g, spots in ((c5, {1: 2}), (c5, {2: 4}), (q3, {7: 8}), (q3, {3: 2, 5: 2})):
@@ -215,9 +279,19 @@ class TestWitness:
                     assert out.witness == (None if expected is None else tuple(expected)), (g.edges, counts, t)
                     assert out.solvable == (expected is not None)
 
+    def test_stack_witness_carries_only_the_stack(self):
+        # a stack of t * 2^d reaches the root in t * (2^d - 1) moves, however large
+        for g, v, t, size in ((pb.path_graph(3), 0, 1, 1_000_001), (pb.path_graph(4), 0, 3, 48), (pb.cycle_graph(9), 4, 2, 77)):
+            p = pb.configuration(g, {v: size})
+            out = pb.is_solvable(g, p, t=t, want_witness=True)
+            d = pb.distances_from(g, g.root)[v]
+            assert len(out.witness) == t * ((1 << d) - 1)
+            assert replay(g, p, out.witness).on(g.root) == t
+            assert out.witness == tuple(reference_witness(g, p.counts, t))
+
     def test_short_witness_fails_the_replay(self, monkeypatch, c5):
-        def short(self, counts, v):
-            return original(self, counts, v)[:-1]
+        def short(self, v):
+            return original(self, v)[:-1]
 
         original = pb.Solver._stack_witness
         monkeypatch.setattr(pb.Solver, "_stack_witness", short)
