@@ -203,6 +203,10 @@ class TestPackedSearch:
     def observed(solver):
         return solver.stats.nodes, solver.stats.memo_hits, len(solver.memo)
 
+    @staticmethod
+    def nodes(g, t, counts):
+        return pb.Solver(g, t).solve(pb.Configuration(g, counts)).stats.nodes
+
     def test_matches_the_tuple_keyed_decide(self):
         rng = random.Random(16_016)
         for _ in range(24):
@@ -236,10 +240,6 @@ class TestPackedSearch:
                     outcomes.append((verdict, self.observed(solver)))
                 assert outcomes[0] == outcomes[1], (g.edges, t, counts, k)
                 assert (outcomes[0][0] == "capped") == (k < total)
-
-    @staticmethod
-    def nodes(g, t, counts):
-        return pb.Solver(g, t).solve(pb.Configuration(g, counts)).stats.nodes
 
 
 class TestWitness:
