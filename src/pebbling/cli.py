@@ -37,7 +37,7 @@ from .fileformats import (
 )
 from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
-from .pebbling_number import pi_rooted, search_nodes
+from .pebbling_number import _symmetry_mode, pi_rooted, search_nodes
 from .solver import SearchLimits, is_solvable
 from .strategies import (
     certify,
@@ -79,6 +79,16 @@ def _report(g, lower, lower_method, upper, upper_method, certs, start, nodes) ->
         f"lower {lower} ({lower_method}), upper {upper} ({upper_method}); "
         f"certificates: {statuses}; {time.monotonic() - start:.2f}s, {nodes} search nodes"
     )
+
+
+def _note_symmetry(g) -> None:
+    """Name the regime the down-set is reduced by: ``blocks`` with the
+    size of each block of twins, or ``none`` (a graph file stores no
+    generators, so no closure group)."""
+    kind, data = _symmetry_mode(g)
+    if kind == "blocks":
+        kind += " " + ",".join(str(len(block)) for block in data)
+    note(f"symmetry: {kind}")
 
 
 def _limits(args) -> SearchLimits:
@@ -168,6 +178,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_pi(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
+    _note_symmetry(g)
     result = pi_rooted(g, limits=_limits(args))
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
     emit(pi=result.value)
@@ -199,6 +210,7 @@ def _cmd_verify(args) -> int:
             return 0
         emit(valid=False, reason="parent-halving")
         return 1
+    _note_symmetry(g)
     result = verify_validity_oracle(g, w, limits=_limits(args))
     if result.valid:
         emit(valid=True, max_weight=result.max_unsolvable, cap=result.cap)

@@ -3,8 +3,9 @@
 Vertices are dense 0-based indices; human-readable names (coordinate
 tuples, path positions) live in the optional ``labels`` field only, so
 search structures stay flat arrays. ``symmetry`` stores root-fixing
-automorphism generators used for orbit reduction; generated families
-populate it, hand-built graphs leave it empty.
+automorphism generators used for orbit reduction: cycles and cubes
+store theirs, hand-built graphs and graph files none. Twins need no
+storing: twin_classes finds them from the edges.
 """
 
 from __future__ import annotations
@@ -149,6 +150,27 @@ def build_graph(
             raise BadParameterError(f"stored symmetry {p} is not a root-fixing automorphism")
 
     return Graph(vertex_count, tuple(norm), root, labels, symmetry)
+
+
+def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """The classes of two or more twins off the root, each sorted.
+
+    Swapping two non-root vertices a, b is an automorphism exactly when
+    N(a) - {b} = N(b) - {a}: when they are open twins (N(a) = N(b), so
+    never adjacent) or adjacent twins (N[a] = N[b]). Both relations are
+    equivalences, and no vertex has twins of both kinds: an adjacent
+    twin c of a is in N(a) = N(b) for an open twin b, so b would be in
+    N[c] = N[a]. So the classes are disjoint. Cached on the graph.
+    """
+    cache = g._cache
+    if "twin_classes" not in cache:
+        classes: dict[tuple, list[int]] = {}
+        for v, nbrs in enumerate(g.neighbors):
+            if v != g.root:
+                classes.setdefault((False, nbrs), []).append(v)
+                classes.setdefault((True, tuple(sorted(nbrs + (v,)))), []).append(v)
+        cache["twin_classes"] = tuple(sorted(tuple(c) for c in classes.values() if len(c) > 1))
+    return cache["twin_classes"]
 
 
 def distances_from(g: Graph, src: int) -> tuple[int, ...]:
@@ -303,7 +325,8 @@ def lollipop(n: int, m: int | None = None) -> Graph:
     length-2 paths sharing both endpoints.
 
     Ids: root 0, then v_n .. v_1 along the path, u_0 (far shared
-    endpoint), u_1 .. u_m (middles). Defaults to m = 2^(n+1) arms.
+    endpoint), u_1 .. u_m (middles, which are twins). Defaults to
+    m = 2^(n+1) arms.
     """
     if n < 1:
         raise BadParameterError("path length must be at least 1")
@@ -318,12 +341,7 @@ def lollipop(n: int, m: int | None = None) -> Graph:
         edges.append((v1, u0 + i))
         edges.append((u0, u0 + i))
     labels = ("r",) + tuple(f"v_{n - i}" for i in range(n)) + ("u_0",) + tuple(f"u_{i}" for i in range(1, m + 1))
-    swaps = []
-    for i in range(1, m):
-        p = list(range(n + m + 2))
-        p[u0 + i], p[u0 + i + 1] = p[u0 + i + 1], p[u0 + i]
-        swaps.append(tuple(p))
-    return build_graph(n + m + 2, edges, root=0, labels=labels, symmetry=tuple(swaps))
+    return build_graph(n + m + 2, edges, root=0, labels=labels)
 
 
 _FAMILIES = {

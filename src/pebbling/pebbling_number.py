@@ -15,11 +15,11 @@ empty configuration is unsolvable), so pi_rooted is the number of levels.
 
 Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
 larger stack is solvable outright. With symmetry each level keeps one
-representative per orbit of the stored generators: the lexicographic
-maximum, which under block symmetry (transpositions only) is the tuple
-sorted descending within each block. This module is the only one that
-reduces orbits: _symmetry_mode resolves the stored generators into a
-regime, and the solver memoizes configurations as they are.
+representative per orbit: the lexicographic maximum, which under block
+symmetry (the twin classes) is the tuple sorted descending within each
+block. This module is the only one that reduces orbits: _symmetry_mode
+resolves the stored generators and the twins into a regime, and the
+solver memoizes configurations as they are.
 
 While a level is built, each configuration is a packed integer key in
 the layout the solver keys its memo on (solver.packed_units) at target
@@ -37,8 +37,8 @@ enters a block only at its first vertex; see below). A solving sequence
 starts with one move (under block symmetry, one of those), and its child
 either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
 or is a root-free configuration of size s below the caps. The first two
-are solvable and in no level (the stored symmetries fix the root, so
-they keep distances); the third is unsolvable exactly when level s
+are solvable and in no level (the symmetries fix the root, so they
+keep distances); the third is unsolvable exactly when level s
 holds it, one representative per orbit, by induction on s. So one set
 lookup decides each move. A child is one subtraction, q - delta(u, v)
 with delta(u, v) = 2^(off(u)+1) - 2^off(v), and a representative
@@ -115,14 +115,14 @@ Each candidate decision counts as one search node against the solver's
 limits. A limit hit part-way reports the number of complete levels, a
 proven lower bound on pi_rooted.
 
-The stored symmetry is a property of the graph, so each graph has one
+The symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph: the
 largest weight of an unsolvable configuration is a maximum over the
 orbits of the representatives, whatever the weights (see
 max_unsolvable_weight). The levels are cached on the graph, so repeated
-certificate checks on one graph reuse one enumeration. A graph built
-without symmetry (a graph file, or build_graph with no generators) is
-scanned in full.
+certificate checks on one graph reuse one enumeration. A graph with no
+stored generators and no twins (a relabeled cycle or cube read from a
+graph file, say) is scanned in full.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, groupby
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, ne
 from typing import Iterator
 
 from .configurations import Configuration
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
-from .graphs import Graph, distances_from
+from .graphs import Graph, distances_from, twin_classes
 from .solver import SearchLimits, Solver, packed_units, shared_solver
 
 
@@ -163,72 +163,35 @@ class PiResult:
 GROUP_SIZE_CAP = 10_000
 
 
-def _compose(p, q):
-    # (p . q)[v] = p[q[v]]
-    return tuple(p[x] for x in q)
-
-
 def _symmetry_mode(g: Graph):
-    """Resolve the stored generators into one of three regimes.
+    """Resolve the graph's symmetry into one of three regimes.
 
-    Returns ("none", None), ("blocks", blocks) with each block a sorted
-    tuple of interchangeable vertices, or
-    ("group", getters) with one ``itemgetter`` per permutation of the
-    full closure, so applying a permutation is one C call. Cached per
-    graph.
+    When the stored generators are all transpositions, or absent, the
+    regime is the twin classes (graphs.twin_classes), which hold every
+    root-fixing transposition: ("blocks", blocks), each block a sorted
+    tuple of interchangeable vertices, or ("none", None) with no twins.
+    Otherwise it is ("group", getters), one ``itemgetter`` per
+    permutation of the stored generators' closure, so applying one is a
+    C call. Cached per graph.
     """
     cache = g._cache
     if "symmetry_mode" in cache:
         return cache["symmetry_mode"]
 
     gens = g.symmetry
-    n = g.vertex_count
+    identity = tuple(range(g.vertex_count))
     mode = ("none", None)
-    if gens:
-        swaps = []
-        for p in gens:
-            moved = [v for v in range(n) if p[v] != v]
-            if len(moved) != 2:
-                swaps = None
-                break
-            swaps.append(tuple(moved))
-        if swaps is not None:
-            # union the swapped pairs into interchangeable blocks
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in swaps:
-                parent[find(a)] = find(b)
-            groups: dict[int, list[int]] = {}
-            for v in range(n):
-                groups.setdefault(find(v), []).append(v)
-            mode = ("blocks", tuple(tuple(sorted(b)) for b in sorted(groups.values()) if len(b) > 1))
-        else:
-            identity = tuple(range(n))
-            group = {identity}
-            frontier = [identity]
-            overflow = False
-            while frontier and not overflow:
-                nxt = []
-                for p in frontier:
-                    for gperm in gens:
-                        q = _compose(gperm, p)
-                        if q not in group:
-                            group.add(q)
-                            nxt.append(q)
-                            if len(group) > GROUP_SIZE_CAP:
-                                overflow = True
-                                break
-                    if overflow:
-                        break
-                frontier = nxt
-            if not overflow:
-                mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
+    if all(sum(map(ne, p, identity)) == 2 for p in gens):
+        if twin_classes(g):
+            mode = ("blocks", twin_classes(g))
+    else:
+        group, frontier = {identity}, [identity]
+        while frontier and len(group) <= GROUP_SIZE_CAP:
+            # (gperm . p)[v] = gperm[p[v]]
+            frontier = {tuple(map(gperm.__getitem__, p)) for p in frontier for gperm in gens} - group
+            group |= frontier
+        if len(group) <= GROUP_SIZE_CAP:
+            mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
 
     cache["symmetry_mode"] = mode
     return mode
@@ -236,7 +199,7 @@ def _symmetry_mode(g: Graph):
 
 def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     """The unsolvable root-free configurations of g, one set per size,
-    one representative per orbit of the stored symmetry, each level
+    one representative per orbit of its symmetry, each level
     decided from the one below (see the module docstring).
 
     The greatest member of the last level, pi's witness, is then
@@ -384,7 +347,12 @@ def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1)
 
 
 def _weight_respects_symmetry(g: Graph, weights) -> bool:
-    return all(all(weights[p[v]] == weights[v] for v in range(g.vertex_count)) for p in g.symmetry)
+    """Whether the weights are constant on the orbits the down-set
+    reduces by: on each block, or under each stored generator."""
+    kind, data = _symmetry_mode(g)
+    if kind == "blocks":
+        return all(len({weights[v] for v in block}) == 1 for block in data)
+    return all(weights[p[v]] == weights[v] for p in g.symmetry for v in range(g.vertex_count))
 
 
 def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) -> tuple[Fraction, Configuration]:
@@ -393,14 +361,14 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     A maximum of the integer-scaled w(p) over the down-set; ties go to
     the lexicographically greatest configuration. Each representative
     stands for its orbit's heaviest member under that order: itself when
-    w is constant on the stored orbits; otherwise, under a closure
-    group, its best image, and under block symmetry the block's counts
-    sorted descending onto the block's vertices ordered by (-w(v), v),
-    which is the heaviest arrangement (rearrangement inequality) and the
-    greatest among the heaviest, block by block. The stored symmetries
-    preserve solvability, so every orbit is unsolvable whole, and the
-    maximum over the orbits is the (value, achiever) pair that the full
-    down-set gives.
+    w is constant on the orbits (_weight_respects_symmetry); otherwise,
+    under a closure group, its best image, and under block symmetry the
+    block's counts sorted descending onto the block's vertices ordered
+    by (-w(v), v), which is the heaviest arrangement (rearrangement
+    inequality) and the greatest among the heaviest, block by block.
+    The symmetries preserve solvability, so every orbit is unsolvable
+    whole, and the maximum over the orbits is the (value, achiever) pair
+    that the full down-set gives.
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")

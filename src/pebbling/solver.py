@@ -1,8 +1,8 @@
 """Exact root-solvability decisions.
 
 Depth-first search over pebbling moves with memoization on the
-configurations as they are; the solver ignores the graph's stored
-symmetry, which only the down-set builder in pebbling_number uses.
+configurations as they are; the solver ignores the graph's symmetry
+(stored generators and twins), which only the down-set builder uses.
 Every move shrinks the configuration by one pebble, so the search graph
 is acyclic and a plain two-valued memo is sound. Exactly two shortcuts are used, both of which are exact:
 
@@ -126,7 +126,7 @@ class Solver:
     """Reusable decision engine for one graph and one target count.
 
     The memo is keyed on packed counts and each move is one precomputed
-    step (u, v, potential change, key change). Neither reads the stored
+    step (u, v, potential change, key change). Neither reads the graph's
     symmetry, so a solver on a graph with it searches exactly as one on
     the same graph without: same verdicts, witnesses, node counts and
     memo. The memo table and ``stats`` persist across calls on the same

@@ -12,7 +12,7 @@ weight. Three verification routes produce certificates:
 * exhaustive oracle: maximize w over all unsolvable configurations and
   compare against w(1_G), reading the graph's one down-set of
   unsolvable configurations, kept as orbit representatives of its
-  stored symmetry whatever the weights,
+  symmetry (stored generators or twins) whatever the weights,
 * combination: conic combinations and exact decompositions into already
   certified functions on embedded subgraphs.
 

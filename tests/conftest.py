@@ -13,12 +13,17 @@ pebbling_number must reproduce its levels exactly. reference_witness is
 the earlier recursive witness search, whose moves the witnesses read
 off Solver.decide must equal, and reference_decide the earlier
 tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
-memo size the packed-key search must reproduce.
+memo size the packed-key search must reproduce. twin_transpositions
+finds the interchangeable vertices by applying every root-fixing
+transposition to the edge set, and symmetry_orbit expands a
+representative into its orbit (block by block for twins, over the
+closure for stored generators), so that a reduced down-set can be
+checked against a full one.
 """
 
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -115,18 +120,19 @@ def naive_unsolvable_levels(g):
 
 
 def stripped(g):
-    """A copy of g without its stored symmetry, so that every
-    computation on it runs without orbit reduction."""
+    """A copy of g without its stored generators. Its twins are still
+    found from the edges, so a scan with no orbit reduction comes from
+    naive_unsolvable_levels or reference_unsolvable_levels(..., full=True)."""
     return pb.build_graph(g.vertex_count, g.edges, g.root, labels=g.labels)
 
 
-def reference_unsolvable_levels(g, solver):
+def reference_unsolvable_levels(g, solver, full=False):
     """The down-set built by deciding every candidate with ``solver``:
     each level is the level below plus one pebble (p(v) < 2^d(v,r)),
-    replaced by the greatest member of its orbit under the stored
-    symmetry and kept where the solver finds it unsolvable. Nothing is
-    cached."""
-    group = symmetry_closure(g)
+    replaced by the greatest member of its orbit (symmetry_orbit, or
+    itself alone when ``full``) and kept where the solver finds it
+    unsolvable. Nothing is cached."""
+    orbit_of = (lambda counts: (counts,)) if full else symmetry_orbit(g)
     dist = distances_from(g, g.root)
     top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
     level = {(0,) * g.vertex_count}
@@ -141,7 +147,7 @@ def reference_unsolvable_levels(g, solver):
                 if p[v] < cap:
                     q = list(p)
                     q[v] += 1
-                    q = max(orbit(group, q))
+                    q = max(orbit_of(tuple(q)))
                     if q not in tried:
                         tried.add(q)
                         if not solver.decide(q):
@@ -224,15 +230,16 @@ def reference_witness(g, counts, t=1):
     return witness(tuple(counts))
 
 
-def symmetry_closure(g):
-    """Every permutation generated by the graph's stored symmetry, by BFS."""
+def symmetry_closure(g, gens=None):
+    """Every permutation generated by ``gens`` (the graph's stored
+    symmetry by default), by BFS."""
     identity = tuple(range(g.vertex_count))
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in g.symmetry:
+            for gen in g.symmetry if gens is None else gens:
                 q = tuple(gen[p[v]] for v in identity)
                 if q not in group:
                     group.add(q)
@@ -250,6 +257,76 @@ def orbit(group, counts):
             moved[perm[v]] = c
         images.add(tuple(moved))
     return images
+
+
+def twin_transpositions(g):
+    """Every transposition of two non-root vertices that maps the edge
+    set onto itself, found by applying it to each edge."""
+    edges = set(g.edges)
+    out = []
+    for a, b in combinations([v for v in range(g.vertex_count) if v != g.root], 2):
+        perm = list(range(g.vertex_count))
+        perm[a], perm[b] = b, a
+        if {(min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges} == edges:
+            out.append(tuple(perm))
+    return out
+
+
+def twin_blocks(g):
+    """The classes of vertices that twin_transpositions links, merged
+    pair by pair, each sorted, in order of their first vertex."""
+    blocks = []
+    for perm in twin_transpositions(g):
+        pair = {v for v, x in enumerate(perm) if x != v}
+        touching = [block for block in blocks if block & pair]
+        blocks = [block for block in blocks if not block & pair] + [pair.union(*touching)]
+    return sorted(tuple(sorted(block)) for block in blocks)
+
+
+def arrangements(values):
+    """The distinct orderings of a multiset, from the ascending one,
+    one next-permutation step each."""
+    a = sorted(values)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
+
+
+def block_orbit(blocks, counts):
+    """All images of a counts tuple when the vertices of each block are
+    permuted freely: one image per choice of each block's distinct
+    arrangement of its counts, so one step per orbit member rather than
+    one per group element."""
+    images = set()
+    for choice in product(*(arrangements([counts[v] for v in block]) for block in blocks)):
+        moved = list(counts)
+        for block, values in zip(blocks, choice):
+            for v, x in zip(block, values):
+                moved[v] = x
+        images.add(tuple(moved))
+    return images
+
+
+def symmetry_orbit(g):
+    """The orbit map of the symmetry the down-set is reduced by, derived
+    without pebbling_number: the closure of the stored generators when
+    one of them is not a transposition, else the arrangements within
+    the blocks of twin_transpositions (no blocks: each configuration
+    alone)."""
+    if any(sum(x != v for v, x in enumerate(p)) != 2 for p in g.symmetry):
+        group = symmetry_closure(g)
+        return lambda counts: orbit(group, counts)
+    blocks = twin_blocks(g)
+    return lambda counts: block_orbit(blocks, counts)
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, max_extra=3):

@@ -45,6 +45,17 @@ class TestGen:
         assert code == 0
         assert results == ["RESULT pi=8"]
 
+    def test_pi_names_the_symmetry_regime(self, capsys, tmp_path, c5_file):
+        # a lollipop file's middles are twins, found from its edges
+        out = tmp_path / "l3.graph"
+        run_cli(capsys, "gen", "lollipop", "3", "-o", str(out))
+        code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-seconds", "10")
+        assert (code, results) == (0, ["RESULT pi=32"])
+        assert "symmetry: blocks 16\n" in err
+        code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
+        assert (code, results) == (0, ["RESULT pi=5"])
+        assert "symmetry: none\n" in err
+
     def test_gen_stdout(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "hypercube", "3")
         assert code == 0
@@ -121,6 +132,18 @@ class TestVerify:
         assert code == 0
         fields = result_map(results[0])
         assert fields["valid"] == "true" and fields["cap"] == "11/3"
+
+    def test_oracle_mode_twins_with_different_weights(self, capsys, tmp_path):
+        # the four middles of a lollipop file are twins with four weights:
+        # the heaviest unsolvable arrangement exceeds w(1_G) = 6
+        gp = tmp_path / "l.graph"
+        wp = tmp_path / "l.weights"
+        gp.write_text(serialize_graph(pb.lollipop(1, 4)), encoding="utf-8")
+        wp.write_text("pebbleweights 1\nw 1 2\nw 2 1/2\nw 3 1/2\nw 4 3/4\nw 5 1\nw 6 5/4\n", encoding="utf-8")
+        code, results, err = run_cli(capsys, "verify", "-g", str(gp), "-w", str(wp))
+        assert code == 1
+        assert results == ["RESULT valid=false counterexample=0,0,1,1,1,1,3 weight=13/2 cap=6/1"]
+        assert "symmetry: blocks 4\n" in err
 
     def test_oracle_mode_counterexample(self, capsys, tmp_path, p3):
         gp = tmp_path / "p3.graph"

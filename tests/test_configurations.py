@@ -2,7 +2,7 @@ import math
 import pytest
 
 import pebbling as pb
-from conftest import all_counts, orbit, symmetry_closure
+from conftest import all_counts, block_orbit, orbit, symmetry_closure, twin_blocks, twin_transpositions
 from pebbling.errors import (
     BadParameterError,
     GraphMismatchError,
@@ -90,7 +90,14 @@ class TestEnumerate:
         # independent quotient: sort the four interchangeable arm counts
         g = pb.lollipop(1, 4)
         assert _symmetry_mode(g) == ("blocks", ((3, 4, 5, 6),))
-        group = symmetry_closure(g)
+        # the twins found by applying every transposition to the edges
+        assert twin_blocks(g) == [(3, 4, 5, 6)]
+        group = symmetry_closure(g, twin_transpositions(g))
+        assert len(group) == 24
+        for size in range(5):
+            for p in pb.enumerate_configurations(g, size, exclude_root=True):
+                # the block-aware orbit agrees with the closure's
+                assert block_orbit(twin_blocks(g), p.counts) == orbit(group, p.counts)
         plain = [p.counts for p in pb.enumerate_configurations(g, 2, exclude_root=True)]
         assert len(plain) == 21
         forms = set()

@@ -1,7 +1,11 @@
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
 
 import pebbling as pb
+from conftest import random_connected_graph, twin_transpositions
 from pebbling.errors import (
     BadParameterError,
     DisconnectedError,
@@ -11,6 +15,7 @@ from pebbling.errors import (
     SelfLoopError,
     UnknownFamilyError,
 )
+from pebbling.graphs import twin_classes
 
 FIG2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
 
@@ -158,7 +163,11 @@ class TestGenerate:
 
     def test_symmetry_permutations_are_root_fixing_automorphisms(self):
         for g in [pb.cycle_graph(9), pb.hypercube(4), pb.rooted_cube(4), pb.lollipop(2)]:
-            for p in g.symmetry:
+            # the lollipop stores none: the swaps of its twins stand in
+            swaps = _class_swaps(g)
+            assert swaps == set(twin_transpositions(g))
+            assert g.symmetry or swaps
+            for p in (*g.symmetry, *swaps):
                 assert p[g.root] == g.root
                 mapped = {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges}
                 assert mapped == set(g.edges)
@@ -183,6 +192,55 @@ class TestGenerate:
             g.vertex_by_label("nope")
         with pytest.raises(BadParameterError, match="no labels"):
             pb.build_graph(2, [(0, 1)], 0).vertex_by_label("z")
+
+
+def _class_swaps(g):
+    """The transpositions of two vertices of one twin class."""
+    swaps = set()
+    for block in twin_classes(g):
+        for a, b in combinations(block, 2):
+            perm = list(range(g.vertex_count))
+            perm[a], perm[b] = b, a
+            swaps.add(tuple(perm))
+    return swaps
+
+
+class TestTwinClasses:
+    """graphs.twin_classes against conftest.twin_transpositions, which
+    applies every transposition of two non-root vertices to the edges."""
+
+    def test_bundled_families(self):
+        cases = [
+            (pb.cycle_graph(3), ((1, 2),)),
+            (pb.cycle_graph(4), ((1, 3),)),
+            (pb.hypercube(2), ((1, 2),)),
+            (pb.rooted_cube(3), ((2, 3),)),
+            (pb.lollipop(1), (tuple(range(3, 7)),)),
+            (pb.lollipop(2), (tuple(range(4, 12)),)),
+            (pb.lollipop(3), (tuple(range(5, 21)),)),
+            (pb.lollipop(1, 6), (tuple(range(3, 9)),)),
+            (pb.lollipop(2, 3), ((4, 5, 6),)),
+        ]
+        cases += [(g, ()) for g in (pb.cycle_graph(5), pb.cycle_graph(9), pb.hypercube(3), pb.hypercube(4))]
+        cases += [(g, ()) for g in (pb.rooted_cube(4), pb.rooted_cube(5), pb.path_graph(6))]
+        for g, classes in cases:
+            assert twin_classes(g) == classes, g.edges
+            assert _class_swaps(g) == set(twin_transpositions(g)), g.edges
+
+    def test_random_graphs(self):
+        # sparse graphs share leaves (open twins), dense ones cliques
+        # (adjacent twins); the classes are disjoint and avoid the root
+        rng = random.Random(27_183)
+        with_twins = 0
+        for _ in range(300):
+            g = random_connected_graph(rng, n_min=2, n_max=8, max_extra=rng.choice((0, 3, 20)))
+            classes = twin_classes(g)
+            covered = [v for block in classes for v in block]
+            assert len(covered) == len(set(covered)) and g.root not in covered, g.edges
+            assert all(len(block) >= 2 and list(block) == sorted(block) for block in classes)
+            assert _class_swaps(g) == set(twin_transpositions(g)), (g.edges, g.root)
+            with_twins += bool(classes)
+        assert with_twins >= 100
 
 
 class TestInducedSubgraph:

@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
-from itertools import combinations
-from math import factorial, prod
+from itertools import chain, combinations
+from math import factorial, lcm, prod
+from operator import mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from conftest import (
     root_zero_counts,
     stripped,
     symmetry_closure,
+    symmetry_orbit,
 )
 from pebbling import pebbling_number as engine
 from pebbling.errors import ResourceLimitError
@@ -184,20 +186,19 @@ class TestUnsolvableDownSet:
     def test_levels_match_reference_oracles(self):
         for g in _down_set_cases():
             reference = naive_unsolvable_levels(g)
-            group = symmetry_closure(g)
             g._cache.clear()
             for h in (stripped(g), g):
+                # the stored generators' orbits, else the twins' (if any)
+                orbit_of = symmetry_orbit(h)
                 levels = engine._unsolvable_levels(h, pb.Solver(h))
                 # the engine stops at the first empty level; the reference keeps it
                 assert len(levels) == len(reference) - 1, (g.edges, g.root, h.symmetry)
                 for size, level in enumerate(levels):
-                    if h.symmetry:
-                        orbits = [orbit(group, c) for c in level]
-                        expanded = set().union(*orbits)
-                        # one representative per orbit
-                        assert len(expanded) == sum(map(len, orbits)), (g.edges, size)
-                    else:
-                        expanded = level
+                    orbits = [orbit_of(c) for c in level]
+                    expanded = set().union(*orbits)
+                    # one representative per orbit, its greatest member
+                    assert len(expanded) == sum(map(len, orbits)), (g.edges, size)
+                    assert all(c == max(o) for c, o in zip(level, orbits)), (g.edges, size)
                     assert expanded == reference[size], (g.edges, g.root, h.symmetry, size)
                 res = pb.pi_rooted(h)
                 assert res.value == len(levels)
@@ -230,10 +231,17 @@ class TestAgainstReferenceBuilder:
         ]
         for g in graphs:
             g._cache.clear()
-            for h in (stripped(g), g) if g.symmetry else (g,):
-                reference = reference_unsolvable_levels(h, pb.Solver(h))
+            full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
+            reduced = reference_unsolvable_levels(g, pb.Solver(g))
+            for h in (stripped(g), g):
                 levels = engine._unsolvable_levels(h, pb.Solver(h))
-                assert levels == reference, (g.edges, g.root, h.symmetry)
+                # each representative is the greatest of its orbit, and
+                # the orbits make up the full scan
+                orbit_of = symmetry_orbit(h)
+                orbits = [[orbit_of(c) for c in level] for level in levels]
+                assert all(c == max(o) for level, os in zip(levels, orbits) for c, o in zip(level, os)), g.edges
+                assert tuple(set().union(*os) for os in orbits) == full, (g.edges, g.root, h.symmetry)
+            assert levels == reduced, (g.edges, g.root, g.symmetry)
 
 
 class TestOrbitBuilder:
@@ -266,7 +274,7 @@ def _last(counts):
 def _admitted(g, levels):
     """The number of extensions p + e_v (v >= last(p), below the cap)
     of the representatives p that are the maximum of their orbit."""
-    group = symmetry_closure(g)
+    orbit_of = symmetry_orbit(g)
     dist = pb.distances_from(g, g.root)
     admitted = 0
     for level in levels:
@@ -274,7 +282,7 @@ def _admitted(g, levels):
             for v in range(_last(p), g.vertex_count):
                 if v != g.root and p[v] + 1 < 1 << dist[v]:
                     q = p[:v] + (p[v] + 1,) + p[v + 1 :]
-                    admitted += q == max(orbit(group, q))
+                    admitted += q == max(orbit_of(q))
     return admitted
 
 
@@ -285,12 +293,12 @@ class TestOrderlyGeneration:
 
     def test_last_pebble_parent_is_a_representative(self):
         for g in (pb.cycle_graph(9), pb.rooted_cube(4), pb.hypercube(3), pb.lollipop(2, 3)):
-            group = symmetry_closure(g)
+            orbit_of = symmetry_orbit(g)
             g._cache.clear()
             levels = engine._unsolvable_levels(g, pb.Solver(g))
             for size in range(1, len(levels)):
                 for q in levels[size]:
-                    assert q == max(orbit(group, q)), (g.edges, q)
+                    assert q == max(orbit_of(q)), (g.edges, q)
                     last = _last(q)
                     parent = q[:last] + (q[last] - 1,) + q[last + 1 :]
                     assert parent in levels[size - 1], (g.edges, q)
@@ -358,6 +366,29 @@ class TestMaxUnsolvableWeight:
         assert not naive_solvable(q3, achiever.counts)
 
 
+class TestTwinsFromTheEdges:
+    """A graph file stores no generators; its twins are found from the
+    edges, and weights that differ between them must still be scored at
+    each orbit's heaviest arrangement, not at the block-sorted
+    representative."""
+
+    def test_differing_twin_weights(self):
+        g = parse_graph(serialize_graph(pb.lollipop(1, 4)))
+        assert g.symmetry == () and engine._symmetry_mode(g) == ("blocks", ((3, 4, 5, 6),))
+        # four different weights on the four middles u_1 .. u_4
+        w = pb.weight_function(g, (0, 2, Fraction(1, 2), Fraction(1, 2), Fraction(3, 4), 1, Fraction(5, 4)))
+        assert not engine._weight_respects_symmetry(g, w.weights)
+        worst, achiever = pb.max_unsolvable_weight(g, w)
+        reference = naive_unsolvable_levels(g)
+        best = max((sum(map(mul, w.weights, c)), c) for level in reference for c in level)
+        assert (worst, achiever.counts) == best
+        assert not naive_solvable(g, achiever.counts)
+        # the block-sorted representatives alone top out at w(1_G) = 6
+        assert worst == Fraction(13, 2) > w.total
+        res = pb.verify_validity_oracle(g, w)
+        assert not res.valid and res.max_unsolvable == worst
+
+
 def _heaviest(g, weights):
     worst, achiever = pb.max_unsolvable_weight(g, pb.weight_function(g, weights))
     return worst, achiever.counts
@@ -389,7 +420,8 @@ def _planted_twin_graph(rng):
 def _multi_block_graph(rng):
     """A random connected graph on 3-6 vertices in which 2-3 non-root
     vertices within distance 2 of the root each become a class of 2-4
-    open or adjacent twins, relabeled at random. Half the time two of
+    open or adjacent twins (no two of them twins already, which would
+    merge their classes), relabeled at random. Half the time two of
     the classes come from the ends of one edge, so that moves run from
     one block into another. The largest classes shrink until the graph
     has at most 8 vertices and the stored group at most 48 elements,
@@ -404,6 +436,9 @@ def _multi_block_graph(rng):
     chosen = list(rng.choice(between)) if between and rng.random() < 0.5 else rng.sample(near, 2)
     if n < 6 and len(near) > 2 and rng.random() < 0.3:
         chosen.append(rng.choice([v for v in near if v not in chosen]))
+    if any(set(base.neighbors[u]) - {v} == set(base.neighbors[v]) - {u} for u, v in combinations(chosen, 2)):
+        # twins in the base would grow into one class, not two
+        return _multi_block_graph(rng)
     sizes = {v: rng.randint(2, 4) for v in chosen}
     while n + sum(sizes.values()) - len(sizes) > 8 or prod(map(factorial, sizes.values())) > 48:
         sizes[max(sizes, key=sizes.get)] -= 1
@@ -418,8 +453,8 @@ def _multi_block_graph(rng):
 def _with_twins(rng, base, classes, adjacent):
     """base with each vertex v replaced by the twins classes[v] (adjacent
     to each other when adjacent.get(v)), relabeled at random. Every twin
-    pair is stored as a transposition, so the classes are the blocks of
-    block mode."""
+    pair is stored as a transposition; block mode finds the same classes
+    from the edges, merged with any twins the base already had."""
     edges = [(a, b) for u, v in base.edges for a in classes[u] for b in classes[v]]
     edges += [(a, b) for v, twin in adjacent.items() if twin for a, b in combinations(classes[v], 2)]
     total = sum(map(len, classes))
@@ -467,25 +502,36 @@ def _planted_rotation_graph(rng):
     return pb.build_graph(total, sorted(edges), root=label[0], symmetry=(tuple(perm),))
 
 
+def _full_heaviest(full, weights):
+    """The heaviest configuration of a full down-set under ``weights``,
+    ties to the lexicographically greatest, as max_unsolvable_weight
+    reports it."""
+    den = lcm(*(w.denominator for w in weights))
+    scaled = [int(w * den) for w in weights]
+    best = max(chain.from_iterable(full), key=lambda c: (sum(map(mul, scaled, c)), c))
+    return Fraction(sum(map(mul, scaled, best)), den), best
+
+
 def _assert_matches_stripped(g, rng):
-    """The levels of g, expanded into orbits, are those of g without
-    symmetry; every representative is its orbit's maximum, each decided
-    once; and random weights give the plain graph's maximum and
+    """The levels of g, expanded into orbits, are the full scan's (the
+    solver-driven reference on g without stored symmetry, with no orbit
+    reduction); every representative is its orbit's maximum, each
+    decided once; and random weights give the full scan's maximum and
     achiever."""
     plain = stripped(g)
-    group = symmetry_closure(g)
+    orbit_of = symmetry_orbit(g)
     solver = pb.Solver(g)
     levels = engine._unsolvable_levels(g, solver)
-    full = engine._unsolvable_levels(plain, pb.Solver(plain))
+    full = reference_unsolvable_levels(plain, pb.Solver(plain), full=True)
     assert len(levels) == len(full), (g.edges, g.root)
     for level, reference in zip(levels, full):
-        orbits = [orbit(group, c) for c in level]
+        orbits = [orbit_of(c) for c in level]
         assert all(c == max(o) for c, o in zip(level, orbits)), g.edges
         assert set().union(*orbits) == reference, (g.edges, g.root)
     assert solver.stats.nodes == _admitted(g, levels), g.edges
     for _ in range(3):
         weights = _random_weights(rng, g)
-        assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, g.root, weights)
+        assert _heaviest(g, weights) == _full_heaviest(full, weights), (g.edges, g.root, weights)
 
 
 class TestOneDownSet:
@@ -503,13 +549,18 @@ class TestOneDownSet:
         assert held == ["unsolvable_levels"]
 
     def test_asymmetric_weights_match_the_stripped_graph(self):
-        # group mode on the first three, block mode on the lollipop
+        # group mode on the first three, block mode on the lollipop (and on
+        # its stripped copy, whose twins are found from the edges)
         rng = random.Random(8_191)
         for g in (pb.rooted_cube(4), pb.cycle_graph(9), pb.hypercube(3), pb.lollipop(2, 3)):
             plain = stripped(g)
+            # the full down-set: g's representatives expanded into their orbits
+            orbit_of = symmetry_orbit(g)
+            full = [set().union(*map(orbit_of, level)) for level in engine._unsolvable_levels(g, pb.Solver(g))]
             for _ in range(4):
                 weights = _random_weights(rng, g)
-                assert _heaviest(g, weights) == _heaviest(plain, weights), (g.edges, weights)
+                expected = _full_heaviest(full, weights)
+                assert _heaviest(g, weights) == _heaviest(plain, weights) == expected, (g.edges, weights)
 
     def test_planted_twins(self):
         # block mode against the plain builder: levels and weight maxima
