@@ -178,8 +178,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_pi(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
+    limits = _limits(args)
     _note_symmetry(g)
-    result = pi_rooted(g, limits=_limits(args))
+    result = pi_rooted(g, limits=limits)
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
     emit(pi=result.value)
     return 0
@@ -210,8 +211,9 @@ def _cmd_verify(args) -> int:
             return 0
         emit(valid=False, reason="parent-halving")
         return 1
+    limits = _limits(args)
     _note_symmetry(g)
-    result = verify_validity_oracle(g, w, limits=_limits(args))
+    result = verify_validity_oracle(g, w, limits=limits)
     if result.valid:
         emit(valid=True, max_weight=result.max_unsolvable, cap=result.cap)
         return 0

@@ -1,8 +1,10 @@
 """Exact-rational linear programming over strategy sets.
 
-A dense two-phase simplex on an integer-preserving tableau (Edmonds'
-fraction-free pivots, Bareiss 1968) with Bland's least-index rule,
-which cannot cycle. Each row and the objective are scaled to integers
+A dense one-phase simplex from the slack basis on an integer-preserving
+tableau (Edmonds' fraction-free pivots, Bareiss 1968) with Bland's
+least-index rule, which cannot cycle. No phase one is needed:
+``LinearProgram`` refuses a negative right-hand side, so x = 0 is
+always feasible. Each row and the objective are scaled to integers
 once; every pivot then divides exactly by the previous pivot, so the
 loop runs on plain ints with no gcd. The dual is read from the final
 reduced costs of the slack columns, giving an independently checkable
@@ -13,6 +15,8 @@ warranted.
 The pebbling application: every unsolvable configuration is a feasible
 integer point of { p >= 0 : w_i . p <= w_i(1) for every certificate },
 so floor(LP optimum) + 1 bounds the rooted pebbling number from above.
+Each row is a weight function, which has no negative weight, and each
+cap is its total, so every strategy program starts at x = 0.
 """
 
 from __future__ import annotations
@@ -37,12 +41,11 @@ class _DualCheckError(LpError, InternalError):
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
-INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x subject to rows . x <= rhs, x >= 0."""
+    """maximize objective . x subject to rows . x <= rhs, x >= 0, rhs >= 0."""
 
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
@@ -55,6 +58,9 @@ class LinearProgram:
         for row in self.rows:
             if len(row) != n:
                 raise DimensionMismatchError("row length does not match the objective")
+        for i, b in enumerate(self.rhs):
+            if b < 0:
+                raise LpError(f"right-hand side {i} is {b}; solve_lp needs a nonnegative right-hand side")
 
 
 def linear_program(objective, rows, rhs) -> LinearProgram:
@@ -102,18 +108,36 @@ def _pivot(tab, row, col, det):
     return p
 
 
-def _run_simplex(tab, basis, n_cols, det):
-    """Bland's rule on [rows | rhs]; the last row of tab is the cost row.
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Exact simplex from the slack basis; deterministic by least-index pivoting.
 
-    det > 0, so signs and ratio orders read off the integers match the
-    rational tableau. Returns the status and the final det.
+    Bland's rule: the first column with a positive reduced cost enters,
+    the least ratio rhs / entry leaves, ties to the smaller basis index.
+    Every pivot entry is positive, so det stays positive and signs and
+    ratio orders read off the integers match the rational tableau.
     """
-    m = len(basis)
+    m, n = len(lp.rows), len(lp.objective)
+
+    # columns: n structural, m slacks, rhs last; row i is scaled to
+    # integers by scales[i] and its slack by 1/scales[i]; the cost row is last
+    tab: list[list[int]] = []
+    scales: list[int] = []
+    for i in range(m):
+        values, scale = _integers((*lp.rows[i], lp.rhs[i]))
+        row = values[:n] + [0] * m + values[-1:]
+        row[n + i] = 1
+        tab.append(row)
+        scales.append(scale)
+    basis = list(range(n, n + m))
+    objective, obj_scale = _integers(lp.objective)
+    tab.append(objective + [0] * (m + 1))
+
+    det = 1
     while True:
         cost = tab[m]
-        enter = next((j for j in range(n_cols) if cost[j] > 0), -1)
+        enter = next((j for j in range(n + m) if cost[j] > 0), -1)
         if enter < 0:
-            return OPTIMAL, det
+            break
         leave = -1
         for i in range(m):
             a = tab[i][enter]
@@ -121,82 +145,13 @@ def _run_simplex(tab, basis, n_cols, det):
                 if leave < 0:
                     leave, num, den = i, tab[i][-1], a
                     continue
-                # least ratio rhs / a, ties to the smaller basis index
                 lhs, rhs = tab[i][-1] * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave, num, den = i, tab[i][-1], a
         if leave < 0:
-            return UNBOUNDED, det
+            return LpSolution(UNBOUNDED, None, None, None)
         det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Exact simplex; deterministic by least-index pivoting."""
-    m, n = len(lp.rows), len(lp.objective)
-
-    # columns: n structural, m slacks, then artificials as needed, rhs last;
-    # row i is scaled to integers by scales[i] and its slack by 1/scales[i]
-    need_artificial = [b < 0 for b in lp.rhs]
-    n_art = sum(need_artificial)
-    n_cols = n + m + n_art
-    tab: list[list[int]] = []
-    basis: list[int] = []
-    scales: list[int] = []
-    art_col = n + m
-    for i in range(m):
-        values, scale = _integers((*lp.rows[i], lp.rhs[i]))
-        sign = -1 if need_artificial[i] else 1
-        row = [0] * (n_cols + 1)
-        row[:n] = [sign * a for a in values[:n]]
-        row[n + i] = sign
-        row[-1] = sign * values[-1]
-        if need_artificial[i]:
-            row[art_col] = 1
-            basis.append(art_col)
-            art_col += 1
-        else:
-            basis.append(n + i)
-        tab.append(row)
-        scales.append(scale)
-
-    det = 1
-    if n_art:
-        # phase one: maximize minus the artificial sum
-        cost = [0] * (n_cols + 1)
-        for j in range(n + m, n_cols):
-            cost[j] = -1
-        for i, b in enumerate(basis):
-            if b >= n + m:
-                cost = [a + x for a, x in zip(cost, tab[i])]
-        tab.append(cost)
-        _, det = _run_simplex(tab, basis, n_cols, det)
-        if tab.pop()[-1] > 0:
-            return LpSolution(INFEASIBLE, None, None, None)
-        # pivot any leftover artificial out on a real column; B^-1 [A | ±I]
-        # has full row rank, so every row has one
-        for i in range(m):
-            if basis[i] >= n + m:
-                j = next(j for j in range(n + m) if tab[i][j])
-                det = _pivot(tab, i, j, det)
-                basis[i] = j
-                if det < 0:
-                    tab = [[-a for a in row] for row in tab]
-                    det = -det
-        tab = [row[: n + m] + row[-1:] for row in tab]
-        n_cols = n + m
-
-    objective, obj_scale = _integers(lp.objective)
-    cost = [det * c for c in objective] + [0] * (n_cols + 1 - n)
-    for i, b in enumerate(basis):
-        if b < n and objective[b]:
-            factor = objective[b]
-            cost = [a - factor * x for a, x in zip(cost, tab[i])]
-    tab.append(cost)
-    status, det = _run_simplex(tab, basis, n_cols, det)
-    cost = tab.pop()
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None, None)
 
     point = [Fraction(0)] * n
     for i, b in enumerate(basis):
@@ -236,8 +191,9 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     size, one row per certificate capping its weighted sum at the
     certificate's all-ones weight. Every non-root vertex must carry
     positive weight in some certificate, otherwise stacking pebbles
-    there is unconstrained and the program is unbounded. The optimum is
-    re-proved from its dual before it is returned.
+    there is unconstrained and the program is unbounded. Weights and caps
+    are nonnegative, so the simplex starts at x = 0 with no phase one.
+    The optimum is re-proved from its dual before it is returned.
     """
     certs = list(certs)
     if not certs:

@@ -129,7 +129,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain
 from math import lcm
 from operator import add, itemgetter, mul, ne
 from typing import Iterator
@@ -317,15 +317,15 @@ def _block_deltas(blocks, lands, unit):
         counts[v] += 1
         out = []
         for block, landing in zip(blocks, lands):
-            runs = [list(run) for _, run in groupby(block, counts.__getitem__)]
-            for run, lower in zip(runs, runs[1:] + [None]):
-                x = counts[run[0]]
+            # a sorted block holds each count in one run, largest first,
+            # so last maps the runs' counts, in order, to their ends
+            last = {counts[j]: j for j in block}
+            for x, j in last.items():
                 if x < 2:
                     break
                 # the source pebbles come off the end of the run, one of
-                # them off the end of the next run down if it holds x-1
-                j = run[-1]
-                sub = unit[j] + unit[lower[-1] if lower and counts[lower[0]] == x - 1 else j]
+                # them off the end of the run of x-1 if there is one
+                sub = unit[j] + unit[last.get(x - 1, j)]
                 out += [sub - t for t in landing]
         return out
 

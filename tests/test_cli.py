@@ -400,17 +400,25 @@ class TestPlumbing:
             assert code == 2, target
             assert results == [] and "PEBBLE_MAX_NODES" in err, target
 
-    def test_nan_or_negative_cap_exits_2(self, capsys, monkeypatch, c5_file):
-        # a NaN cap compares false with everything, so it would never be hit
-        for flags in (("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-3")):
-            code, results, err = run_cli(capsys, "pi", "-g", str(c5_file), *flags)
-            assert code == 2 and results == [], flags
-            assert "must be a nonnegative number" in err, flags
+    def test_nan_or_negative_cap_exits_2(self, capsys, monkeypatch, tmp_path, c5_file):
+        # a NaN cap compares false with everything, so it would never be hit;
+        # a refused cap is reported before the symmetry note of a search
+        weights = tmp_path / "w.weights"
+        weights.write_text("pebbleweights 1\nw 1 1\n", encoding="utf-8")
+        searches = (("pi", "-g", str(c5_file)), ("verify", "-g", str(c5_file), "-w", str(weights)))
+        for argv in searches:
+            for flags in (("--max-seconds", "nan"), ("--max-seconds", "-1"), ("--max-nodes", "-3")):
+                code, results, err = run_cli(capsys, *argv, *flags)
+                assert code == 2 and results == [], (argv, flags)
+                assert "must be a nonnegative number" in err, (argv, flags)
+                assert "symmetry:" not in err, (argv, flags)
         for name, value in (("PEBBLE_MAX_SECONDS", "nan"), ("PEBBLE_MAX_SECONDS", "-2"), ("PEBBLE_MAX_NODES", "-3")):
             monkeypatch.setenv(name, value)
-            code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
-            assert code == 2 and results == [], (name, value)
-            assert "must be a nonnegative number" in err, (name, value)
+            for argv in searches:
+                code, results, err = run_cli(capsys, *argv)
+                assert code == 2 and results == [], (argv, name, value)
+                assert "must be a nonnegative number" in err, (argv, name, value)
+                assert "symmetry:" not in err, (argv, name, value)
             monkeypatch.delenv(name)
 
     def test_flags_that_select_nothing_are_refused(self, capsys, tmp_path, c5_file, c5):

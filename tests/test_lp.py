@@ -15,7 +15,7 @@ from pebbling.errors import (
     LpError,
     UnboundedCoverageError,
 )
-from pebbling.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, linear_program, solve_lp
+from pebbling.lp import OPTIMAL, UNBOUNDED, linear_program, solve_lp
 
 
 def two_var_vertex_optimum(rows, rhs):
@@ -68,23 +68,32 @@ class TestSolveLp:
         assert sol.status == UNBOUNDED
 
     def test_lower_bounded_only_is_unbounded(self):
-        # max x subject to x >= 1 (written -x <= -1)
-        sol = solve_lp(linear_program([1], [[-1]], [-1]))
+        # max x subject to -x <= 0, a row that does not bound x
+        sol = solve_lp(linear_program([1], [[-1]], [0]))
         assert sol.status == UNBOUNDED
 
-    def test_infeasible(self):
-        # x <= 1 and x >= 3 cannot both hold
-        sol = solve_lp(linear_program([1], [[1], [-1]], [1, -3]))
-        assert sol.status == INFEASIBLE
+    def test_negative_rhs_is_refused(self):
+        # x >= 3 (written -x <= -3) leaves x = 0 infeasible, so the
+        # program is refused before any simplex could start from it
+        with pytest.raises(LpError, match="nonnegative right-hand side"):
+            linear_program([1], [[1], [-1]], [1, -3])
 
-    def test_negative_rhs_phase_one(self):
-        # x >= 2 (as -x <= -2), x <= 5
-        sol = solve_lp(linear_program([1], [[-1], [1]], [-2, 5]))
-        assert sol.status == OPTIMAL and sol.optimum == 5
+    def test_optimum_needs_pivots(self, monkeypatch):
+        # max x + 2y subject to x + y <= 4 and y - x <= 2: x enters, then y
+        pivots = count_pivots(monkeypatch)
+        lp = linear_program([1, 2], [[1, 1], [-1, 1]], [4, 2])
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and sol.optimum == 7
+        assert sol.point == (1, 3) and sol.dual == (Fraction(3, 2), Fraction(1, 2))
+        assert len(pivots) == 2 and all(entry > 0 for entry, _ in pivots)
 
-    def test_minimize_direction_via_negation(self):
-        sol = solve_lp(linear_program([-1], [[-1], [1]], [-2, 5]))
-        assert sol.status == OPTIMAL and sol.optimum == -2
+    def test_minimize_direction_via_negation(self, monkeypatch):
+        # min y - 3x subject to x - y <= 1 and x + y <= 5 is -7, as max 3x - y is 7
+        pivots = count_pivots(monkeypatch)
+        sol = solve_lp(linear_program([3, -1], [[1, -1], [1, 1]], [1, 5]))
+        assert sol.status == OPTIMAL and sol.optimum == 7
+        assert sol.point == (3, 2)
+        assert len(pivots) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -141,9 +150,26 @@ class TestSolveLp:
                 assert sum(y * row[j] for y, row in zip(sol.dual, rows)) >= c
 
 
-def random_program(rng, equalities=False):
-    """Small LP with signed fractional data; equalities add -a.x <= -b twins."""
-    n, m = rng.randint(1, 5), rng.randint(0 if not equalities else 1, 5)
+def count_pivots(monkeypatch):
+    """Record (pivot entry, right-hand side of the leaving row) per pivot."""
+    pivots = []
+    pivot = lp_module._pivot
+
+    def watched(tab, row, col, det):
+        pivots.append((tab[row][col], tab[row][-1]))
+        return pivot(tab, row, col, det)
+
+    monkeypatch.setattr(lp_module, "_pivot", watched)
+    return pivots
+
+
+def random_program(rng, degenerate=False):
+    """Objective, rows and rhs of a small LP with signed fractional data.
+
+    degenerate: every right-hand side is nonnegative and many are 0, and
+    rows get scaled duplicates, so ratio ties and pivots at 0 are common.
+    """
+    n, m = rng.randint(1, 5), rng.randint(0 if not degenerate else 1, 5)
 
     def q():
         return Fraction(rng.randint(-5, 8), rng.choice((1, 1, 2, 3, 4)))
@@ -152,16 +178,15 @@ def random_program(rng, equalities=False):
     for _ in range(m):
         row = [q() if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
         b = q() if rng.random() < 0.85 else Fraction(0)
+        if degenerate and (b < 0 or rng.random() < 0.4):
+            b = Fraction(0)
         rows.append(row)
         rhs.append(b)
-        if equalities and rng.random() < 0.6:
-            rows.append([-a for a in row])
-            rhs.append(-b)
-        if equalities and rng.random() < 0.3:
+        if degenerate and rng.random() < 0.6:
             c = Fraction(rng.randint(1, 4), rng.randint(1, 3))
             rows.append([c * a for a in row])
             rhs.append(c * b)
-    return linear_program([q() for _ in range(n)], rows, rhs)
+    return [q() for _ in range(n)], rows, rhs
 
 
 def induced_tree_weights(g, rng, size):
@@ -188,32 +213,32 @@ class TestAgainstReference:
         rng = random.Random(2024)
         seen = set()
         for _ in range(400):
-            lp = random_program(rng)
+            objective, rows, rhs = random_program(rng)
+            if any(b < 0 for b in rhs):
+                with pytest.raises(LpError, match="nonnegative right-hand side"):
+                    linear_program(objective, rows, rhs)
+                seen.add("refused")
+                continue
+            lp = linear_program(objective, rows, rhs)
             sol = solve_lp(lp)
             assert sol == reference_solve_lp(lp)
-            seen.add((sol.status, any(b < 0 for b in lp.rhs)))
-        # every status, and optima reached both with and without phase one
-        assert {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True), (UNBOUNDED, False)} <= seen
+            seen.add(sol.status)
+        assert {OPTIMAL, UNBOUNDED, "refused"} <= seen
 
     def test_degenerate_programs(self, monkeypatch):
-        # equality twins leave artificials basic at zero after phase one,
-        # so the clean-up pivots run, some of them on negative entries
-        negative = []
-        pivot = lp_module._pivot
-
-        def watched(tab, row, col, det):
-            negative.append(tab[row][col] < 0)
-            return pivot(tab, row, col, det)
-
-        monkeypatch.setattr(lp_module, "_pivot", watched)
+        # zero right-hand sides and scaled duplicate rows make pivots
+        # that leave the point where it is; each pivot entry stays positive
+        pivots = count_pivots(monkeypatch)
         rng = random.Random(77)
         optimal = 0
         for _ in range(300):
-            lp = random_program(rng, equalities=True)
+            lp = linear_program(*random_program(rng, degenerate=True))
             sol = solve_lp(lp)
             assert sol == reference_solve_lp(lp)
             optimal += sol.status == OPTIMAL
-        assert optimal >= 30 and any(negative)
+        assert optimal >= 30
+        assert all(entry > 0 for entry, _ in pivots)
+        assert any(b == 0 for _, b in pivots)
 
     def test_strategy_programs_on_q4(self):
         q4 = pb.hypercube(4)
