@@ -347,6 +347,7 @@ _TARGETS = {
     "thm1-k2": (partial(_target_odd_cycle, 2), False),
     "thm1-k3": (partial(_target_odd_cycle, 3), False),
     "thm1-k4": (partial(_target_odd_cycle, 4), False),
+    "thm1-k5": (partial(_target_odd_cycle, 5), True),
     "prop-fig2": (partial(_oracle_target, "fig2", ()), False),
     "prop-q3": (_target_prop_q3, False),
     "lemma5": (partial(_oracle_target, "lemma5", ()), False),

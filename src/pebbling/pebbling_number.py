@@ -30,17 +30,21 @@ lexicographic order, and the orbit maxima stay the representatives.
 The cached levels are sets of counts tuples.
 
 Each candidate is decided by one step on level s, with no search. A
-candidate q of size s+1 is unsolvable exactly when every legal move
-u -> v (q(u) >= 2) leaves a child whose orbit is in level s (under
-block symmetry, every move that does not stay inside a block and
-enters a block only at its first vertex; see below). A solving sequence
-starts with one move (under block symmetry, one of those), and its child
-either holds a pebble on the root, or holds a stack of 2^d(v,r) on v,
-or is a root-free configuration of size s below the caps. The first two
-are solvable and in no level (the symmetries fix the root, so they
-keep distances); the third is unsolvable exactly when level s
-holds it, one representative per orbit, by induction on s. So one set
-lookup decides each move. A child is one subtraction, q - delta(u, v)
+candidate whose distance potential sum q(v) 2^-d(v,r) is below 1 is
+admitted outright, with no lookup: a move u -> v changes the potential
+by 2^-d(v,r) - 2^(1-d(u,r)) <= 0, as d(v,r) >= d(u,r) - 1, and a pebble
+on r alone is worth 1. The symmetries keep distances, so the whole
+orbit is unsolvable. Any other candidate q of size s+1 is unsolvable
+exactly when every legal move u -> v (q(u) >= 2) leaves a child whose
+orbit is in level s (under block symmetry, every move that does not
+stay inside a block and enters a block only at its first vertex; see
+below). A solving sequence starts with one move (under block symmetry,
+one of those), and its child either holds a pebble on the root, or
+holds a stack of 2^d(v,r) on v, or is a root-free configuration of
+size s below the caps. The first two are solvable and in no level (the
+symmetries fix the root, so they keep distances); the third is
+unsolvable exactly when level s holds it, one representative per
+orbit, by induction on s. So one set lookup decides each move. A child is one subtraction, q - delta(u, v)
 with delta(u, v) = 2^(off(u)+1) - 2^off(v), and a representative
 carries the deltas of its legal moves: its parent's, plus the new
 vertex's once it holds 2.
@@ -241,11 +245,13 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     and looked up as packed integer keys (see the module docstring).
 
     Each representative carries its counts, the deltas of its legal
-    moves and, under a stored closure group, its images, so a child is
-    one subtraction and an extension's images cost |G| additions: they
-    tell whether it is its orbit's maximum, the only extension decided,
-    and when it is unsolvable they join the member set that answers the
-    next level's lookups.
+    moves, its potential scaled by 2^max(dist) (the solver's integer
+    potential, so an extension's is one addition) and, under a stored
+    closure group, its images, so a child is one subtraction and an
+    extension's images cost |G| additions: they tell whether it is its
+    orbit's maximum, the only extension decided, and when it is
+    unsolvable they join the member set that answers the next level's
+    lookups.
     """
     kind, data = _symmetry_mode(g)
     n = g.vertex_count
@@ -275,14 +281,19 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     perms = [perm(tuple(range(n))) for perm in group]
     lift = [tuple(unit[perm[v]] for perm in perms) for v in range(n)]
 
+    # the solver's potential, scaled by 2^max(dist); the root's weight is
+    # the target-1 floor, below which a configuration is unsolvable
+    pw = solver._pot
+    floor = pw[g.root]
+
     count_node = solver.count_node
-    reps = {0: ((0,) * n, (), (0,) * len(perms))}
+    reps = {0: ((0,) * n, (), (0,) * len(perms), 0)}
     members = reps if not group else {0}
     while reps:
-        yield {counts for counts, _, _ in reps.values()}
+        yield {counts for counts, _, _, _ in reps.values()}
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
-        for p, (pc, legal, images) in reps.items():
+        for p, (pc, legal, images, pot) in reps.items():
             solver.check_deadline()
             for v, cap, u in top:
                 c = pc[v]
@@ -292,11 +303,14 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
                     # an orbit's maximum is generated once, so skip the rest
                     if not q_images or max(q_images) == q:
                         q_legal = legal + delta[v] if c == 1 else legal
-                        deltas = chain(q_legal, block_deltas(pc, v)) if blocks else q_legal
-                        # one lookup per legal move in the level below
+                        q_pot = pot + pw[v]
                         count_node()
-                        if all(map(members.__contains__, map(q.__sub__, deltas))):
-                            nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images)
+                        # below the floor q is unsolvable outright, else
+                        # one lookup per legal move in the level below
+                        if q_pot < floor or all(
+                            map(members.__contains__, map(q.__sub__, chain(q_legal, block_deltas(pc, v)) if blocks else q_legal))
+                        ):
+                            nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images, q_pot)
                             if group:
                                 nxt_members.update(q_images)
                 if c:

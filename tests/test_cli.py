@@ -337,6 +337,19 @@ class TestPaperTargets:
         assert code == 2
         assert "--allow-long" in err
 
+    def test_thm1_k5_is_long(self, capsys):
+        code, results, err = run_cli(capsys, "paper", "thm1-k5")
+        assert code == 2 and results == []
+        assert "--allow-long" in err
+
+    def test_thm1_k5_honours_the_node_cap(self, capsys):
+        # the full run decides 853,669 candidates on C11 (pi = 43)
+        pb.cycle_graph(11)._cache.clear()
+        code, results, err = run_cli(capsys, "paper", "thm1-k5", "--allow-long", "--max-nodes", "5000")
+        assert code == 3 and results == []
+        proven = re.search(r"proven pi >= (\d+)", err)
+        assert proven and 1 <= int(proven.group(1)) < 43, err
+
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "paper", "thm9-k9")
         assert code == 2

@@ -308,6 +308,8 @@ class TestOrderlyGeneration:
         # twice, and under a closure group no non-maximum is decided
         graphs = (
             _relabeled_from_file(pb.cycle_graph(9), 11),
+            # every unsolvable candidate here is below the potential floor
+            _relabeled_path_from_file(6, 7_919),
             pb.lollipop(2, 3),
             pb.cycle_graph(9),
             pb.rooted_cube(4),
@@ -318,6 +320,19 @@ class TestOrderlyGeneration:
             solver = pb.Solver(g)
             levels = engine._unsolvable_levels(g, solver)
             assert solver.stats.nodes == _admitted(g, levels), g.edges
+
+
+class TestPotentialFloor:
+    """A candidate of distance potential below 1 is admitted without a
+    lookup; one of potential exactly 1 is still decided by lookups."""
+
+    def test_potential_one_is_not_below_the_floor(self, p3):
+        p3._cache.clear()
+        levels = engine._unsolvable_levels(p3, pb.Solver(p3))
+        # (2, 1, 0) has potential 2/4 + 1/2 = 1 and is solvable: 0 -> 1, 1 -> r
+        assert (2, 1, 0) not in levels[3]
+        # (3, 0, 0) has potential 3/4
+        assert (3, 0, 0) in levels[3]
 
 
 class TestMaxUnsolvableWeight:
