@@ -22,7 +22,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from .configurations import Configuration
@@ -97,6 +97,7 @@ def _limits(args) -> SearchLimits:
     return SearchLimits(**{k: v for k, v in given.items() if v is not None})
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pebble", description="graph pebbling toolbox")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,8 +30,8 @@ class Configuration:
     def __post_init__(self):
         if len(self.counts) != self.graph.vertex_count:
             raise BadParameterError("counts length does not match the graph")
-        if any(c < 0 for c in self.counts):
-            raise BadParameterError("pebble counts must be nonnegative")
+        if not all(isinstance(c, int) and c >= 0 for c in self.counts):
+            raise BadParameterError("pebble counts must be nonnegative integers")
 
     @property
     def size(self) -> int:

@@ -4,7 +4,9 @@ All three formats share the shape: a mandatory version header, then one
 record per line, '#' starting comment lines, UTF-8 with LF endings.
 Serialization is canonical (sorted ids, reduced fractions, zero records
 omitted), so parse-serialize round-trips are byte identical on
-canonical files.
+canonical files. Configuration (``p``) and weight (``w``) files are
+both ``<tag> <vertex> <value>`` records, read by one record reader and
+written by one record writer.
 """
 
 from __future__ import annotations
@@ -126,66 +128,57 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
-# -- configurations ----------------------------------------------------------
+# -- configurations and weight functions --------------------------------------
 
 
-def parse_config(text: str, g: Graph) -> Configuration:
+def _parse_records(text: str, g: Graph, header: str, tag: str, what: str, parse_value, zero) -> tuple:
+    """Per-vertex values from ``<tag> <vertex> <value>`` records; unlisted
+    vertices get ``zero``."""
     lines = _content_lines(text)
-    _check_header(lines, CONFIG_HEADER)
-    counts = [0] * g.vertex_count
+    _check_header(lines, header)
+    values = [zero] * g.vertex_count
     seen = set()
     for idx, line in lines:
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "p":
-            raise ParseError(idx, f"unrecognized record {line!r}")
-        v, c = _int(idx, parts[1]), _int(idx, parts[2])
-        if not 0 <= v < g.vertex_count:
-            raise ParseError(idx, f"vertex {v} out of range")
-        if v in seen:
-            raise ParseError(idx, f"duplicate count for vertex {v}")
-        if c < 0:
-            raise ParseError(idx, "counts must be nonnegative")
-        seen.add(v)
-        counts[v] = c
-    return Configuration(g, tuple(counts))
-
-
-def serialize_config(p: Configuration) -> str:
-    out = [f"{CONFIG_HEADER} {FORMAT_VERSION}"]
-    for v, c in enumerate(p.counts):
-        if c:
-            out.append(f"p {v} {c}")
-    return "\n".join(out) + "\n"
-
-
-# -- weight functions ---------------------------------------------------------
-
-
-def parse_weights(text: str, g: Graph) -> WeightFunction:
-    lines = _content_lines(text)
-    _check_header(lines, WEIGHTS_HEADER)
-    weights = [Fraction(0)] * g.vertex_count
-    seen = set()
-    for idx, line in lines:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != "w":
+        if len(parts) != 3 or parts[0] != tag:
             raise ParseError(idx, f"unrecognized record {line!r}")
         v = _int(idx, parts[1])
         if not 0 <= v < g.vertex_count:
             raise ParseError(idx, f"vertex {v} out of range")
         if v in seen:
-            raise ParseError(idx, f"duplicate weight for vertex {v}")
+            raise ParseError(idx, f"duplicate {what} for vertex {v}")
         seen.add(v)
-        weights[v] = parse_fraction(idx, parts[2])
-    return WeightFunction(g, tuple(weights))
+        values[v] = parse_value(idx, parts[2])
+    return tuple(values)
+
+
+def _serialize_records(header: str, tag: str, values, format_value=str) -> str:
+    out = [f"{header} {FORMAT_VERSION}"]
+    out += [f"{tag} {v} {format_value(x)}" for v, x in enumerate(values) if x]
+    return "\n".join(out) + "\n"
+
+
+def _count(idx: int, token: str) -> int:
+    c = _int(idx, token)
+    if c < 0:
+        raise ParseError(idx, "counts must be nonnegative")
+    return c
+
+
+def parse_config(text: str, g: Graph) -> Configuration:
+    return Configuration(g, _parse_records(text, g, CONFIG_HEADER, "p", "count", _count, 0))
+
+
+def serialize_config(p: Configuration) -> str:
+    return _serialize_records(CONFIG_HEADER, "p", p.counts)
+
+
+def parse_weights(text: str, g: Graph) -> WeightFunction:
+    return WeightFunction(g, _parse_records(text, g, WEIGHTS_HEADER, "w", "weight", parse_fraction, Fraction(0)))
 
 
 def serialize_weights(w: WeightFunction) -> str:
-    out = [f"{WEIGHTS_HEADER} {FORMAT_VERSION}"]
-    for v, x in enumerate(w.weights):
-        if x:
-            out.append(f"w {v} {format_fraction(x)}")
-    return "\n".join(out) + "\n"
+    return _serialize_records(WEIGHTS_HEADER, "w", w.weights, format_fraction)
 
 
 # -- decomposition manifests ---------------------------------------------------

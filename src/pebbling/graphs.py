@@ -6,6 +6,11 @@ search structures stay flat arrays. ``symmetry`` stores root-fixing
 automorphism generators used for orbit reduction: cycles and cubes
 store theirs, hand-built graphs and graph files none. Twins need no
 storing: twin_classes finds them from the edges.
+
+build_graph checks connectivity with the one BFS of distances_from and
+leaves the root's distances cached, so the solver and the down-set
+builder run no second BFS from the root. rooted_cube(n) is built from
+hypercube(n - 1) plus a pendant root, generators included.
 """
 
 from __future__ import annotations
@@ -121,35 +126,20 @@ def build_graph(
         norm.append(e)
     norm.sort()
 
-    adj: list[list[int]] = [[] for _ in range(vertex_count)]
-    for u, v in norm:
-        adj[u].append(v)
-        adj[v].append(u)
-    reached = {root}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in reached:
-                reached.add(y)
-                queue.append(y)
-    if len(reached) != vertex_count:
-        raise DisconnectedError(
-            f"graph is disconnected: reached {len(reached)} of {vertex_count} vertices"
-        )
-
-    if labels is not None:
-        labels = tuple(labels)
-        if len(labels) != vertex_count:
-            raise BadParameterError("labels length mismatch")
-
-    edge_set = frozenset(norm)
+    labels = None if labels is None else tuple(labels)
     symmetry = tuple(tuple(p) for p in symmetry)
+    g = Graph(vertex_count, tuple(norm), root, labels, symmetry)
+    unreached = distances_from(g, root).count(-1)
+    if unreached:
+        raise DisconnectedError(
+            f"graph is disconnected: reached {vertex_count - unreached} of {vertex_count} vertices"
+        )
+    if labels is not None and len(labels) != vertex_count:
+        raise BadParameterError("labels length mismatch")
     for p in symmetry:
-        if not _is_automorphism(vertex_count, edge_set, p) or p[root] != root:
+        if not _is_automorphism(vertex_count, g.edge_set, p) or p[root] != root:
             raise BadParameterError(f"stored symmetry {p} is not a root-fixing automorphism")
-
-    return Graph(vertex_count, tuple(norm), root, labels, symmetry)
+    return g
 
 
 def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -230,13 +220,13 @@ def _coordinate_label(value: int, n_bits: int) -> str:
     return "(" + ",".join(str((value >> i) & 1) for i in range(n_bits)) + ")"
 
 
-def _bit_swap_perm(n_bits: int, i: int, j: int, offset: int = 0, total: int | None = None) -> Perm:
+def _bit_swap_perm(n_bits: int, i: int, j: int) -> Perm:
     """Vertex permutation induced by swapping coordinate bits i and j."""
-    perm = list(range(total if total is not None else (1 << n_bits) + offset))
+    perm = list(range(1 << n_bits))
     for v in range(1 << n_bits):
         bi, bj = (v >> i) & 1, (v >> j) & 1
         if bi != bj:
-            perm[offset + v] = offset + (v ^ ((1 << i) | (1 << j)))
+            perm[v] = v ^ ((1 << i) | (1 << j))
     return tuple(perm)
 
 
@@ -286,20 +276,17 @@ _LEMMA5_DOUBLE_NAMES = {3: "y_3", 5: "y_2", 6: "y_1"}
 def rooted_cube(n: int) -> Graph:
     """A pendant root attached to the all-zeros vertex of Q_{n-1}.
 
-    Cube vertices are labelled by coordinates; the 4-dimensional
+    Built from ``hypercube(n - 1)``: cube vertex v becomes 1 + v, the
+    root 0 hangs off vertex 1, and each cube generator fixes the root.
+    Cube vertices keep their coordinate labels; the 4-dimensional
     instance instead carries the conventional u/x_i/y_i/z names of its
     figure (u adjacent to the root, z opposite).
     """
     if n < 2:
         raise BadParameterError("rooted cube needs dimension at least 2")
-    dim = n - 1
-    size = (1 << dim) + 1
-    edges = [(0, 1)]
-    for v in range(1 << dim):
-        for b in range(dim):
-            u = v ^ (1 << b)
-            if u > v:
-                edges.append((1 + v, 1 + u))
+    q = hypercube(n - 1)
+    edges = [(0, 1)] + [(1 + u, 1 + v) for u, v in q.edges]
+    cube_labels = q.labels
     if n == 4:
         cube_labels = []
         for c in range(8):
@@ -312,11 +299,8 @@ def rooted_cube(n: int) -> Graph:
                 cube_labels.append(_LEMMA5_DOUBLE_NAMES[c])
             else:
                 cube_labels.append("z")
-        labels = ("r", *cube_labels)
-    else:
-        labels = ("r",) + tuple(_coordinate_label(v, dim) for v in range(1 << dim))
-    symmetry = tuple(_bit_swap_perm(dim, i, i + 1, offset=1, total=size) for i in range(dim - 1))
-    return build_graph(size, edges, root=0, labels=labels, symmetry=symmetry)
+    symmetry = tuple((0, *(1 + x for x in p)) for p in q.symmetry)
+    return build_graph(q.vertex_count + 1, edges, root=0, labels=("r", *cube_labels), symmetry=symmetry)
 
 
 @lru_cache(maxsize=None)

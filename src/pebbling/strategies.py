@@ -48,8 +48,6 @@ from .graphs import _check_vertex
 from .pebbling_number import max_unsolvable_weight
 from .solver import SearchLimits
 
-Rational = Fraction
-
 TREE_CHECKED = "tree-checked"
 ORACLE_CHECKED = "oracle-checked"
 COMPOSED = "composed"
@@ -114,7 +112,6 @@ class Certificate:
     weight_function: WeightFunction
     status: str
     components: tuple["Certificate", ...] = ()
-    coefficients: tuple[Fraction, ...] = ()
     notes: str = ""
 
     @property
@@ -274,7 +271,6 @@ def conic_combine(g: Graph, components) -> Certificate:
     """
     total = [Fraction(0)] * g.vertex_count
     certs = []
-    coefs = []
     for coef, cert, embedding in components:
         coef = Fraction(coef)
         if coef < 0:
@@ -285,12 +281,11 @@ def conic_combine(g: Graph, components) -> Certificate:
         for v, x in enumerate(extended.weight_function.weights):
             total[v] += coef * x
         certs.append(cert)
-        coefs.append(coef)
     for v in range(g.vertex_count):
         if v != g.root and total[v] == 0:
             raise UncoveredVertexError(f"vertex {v} received zero total weight")
     wf = WeightFunction(g, tuple(total))
-    return Certificate(wf, COMPOSED, components=tuple(certs), coefficients=tuple(coefs))
+    return Certificate(wf, COMPOSED, components=tuple(certs))
 
 
 def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:

@@ -55,6 +55,15 @@ class TestUniform:
         assert pb.uniform_configuration(pb.lollipop(1, 4)).size == 7
 
 
+class TestCountsMustBeIntegers:
+    @pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+    def test_non_integer_count_refused(self, count):
+        # the solver would move two pebbles off a count of 2.5 and leave 0.5 behind
+        g = pb.path_graph(1)
+        with pytest.raises(BadParameterError):
+            pb.configuration(g, [count, 0])
+
+
 class TestMappingConstructor:
     def test_key_outside_the_vertices_refused(self):
         # -1 would index the root, and 4 would raise a bare IndexError

@@ -117,6 +117,26 @@ class TestConfigFormat:
         with pytest.raises(ParseError):
             parse_config("pebbleconfig 1\np 9 1\n", c5)
 
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            ("p 2 4\np 2 1\n", 3),
+            ("p 1 1\np 5 1\n", 3),
+            ("p -1 1\n", 2),
+            ("w 2 4\n", 2),
+            ("p 2 4 1\n", 2),
+            ("p 2\n", 2),
+            ("p 1 1\n# comment\np 2 -3\n", 4),
+            ("p 2 x\n", 2),
+        ],
+        ids=["duplicate-vertex", "vertex-past-last", "negative-vertex", "wrong-tag", "extra-token",
+             "missing-count", "negative-count", "non-integer-count"],
+    )
+    def test_bad_record_rejected_with_line_number(self, c5, records, line):
+        with pytest.raises(ParseError) as err:
+            parse_config("pebbleconfig 1\n" + records, c5)
+        assert err.value.line_number == line
+
 
 class TestWeightsFormat:
     def test_example_line(self, p3):
@@ -140,6 +160,27 @@ class TestWeightsFormat:
         with pytest.raises(ParseError) as err:
             parse_weights("w 1 4/3\n", p3)
         assert err.value.line_number == 1
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            ("w 1 1/2\nw 1 1/4\n", 3),
+            ("w 1 1/2\nw 3 1\n", 3),
+            ("w -1 1\n", 2),
+            ("p 1 1\n", 2),
+            ("w 1 1/2 1\n", 2),
+            ("w 1\n", 2),
+            ("w 1 1/2\n\nw 2 1/\n", 4),
+            ("w 1 1/0\n", 2),
+            ("w 1 0.5\n", 2),
+        ],
+        ids=["duplicate-vertex", "vertex-past-last", "negative-vertex", "wrong-tag", "extra-token",
+             "missing-weight", "malformed-fraction", "zero-denominator", "decimal-weight"],
+    )
+    def test_bad_record_rejected_with_line_number(self, p3, records, line):
+        with pytest.raises(ParseError) as err:
+            parse_weights("pebbleweights 1\n" + records, p3)
+        assert err.value.line_number == line
 
 
 class TestCopiesManifest:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import networkx as nx
 import pytest
 
 import pebbling as pb
-from conftest import random_connected_graph, twin_transpositions
+from conftest import random_connected_graph, symmetry_closure, twin_transpositions
 from pebbling.errors import (
     BadParameterError,
     DisconnectedError,
@@ -139,6 +140,22 @@ class TestGenerate:
         assert g.vertex_count == 9
         assert len(g.edges) == 13
         assert sorted(g.labels) == sorted(["r", "u", "x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "z"])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rooted_cube_matches_independent_construction(self, n):
+        g = pb.rooted_cube(n)
+        size = 1 << (n - 1)
+        edges = {(0, 1)} | {
+            (1 + a, 1 + b) for a in range(size) for b in range(a + 1, size) if (a ^ b) & ((a ^ b) - 1) == 0
+        }
+        assert g.vertex_count == size + 1 and g.root == 0
+        assert set(g.edges) == edges
+        if n != 4:
+            words = ["(" + ",".join(str((a >> i) & 1) for i in range(n - 1)) + ")" for a in range(size)]
+            assert g.labels == ("r", *words)
+        group = symmetry_closure(g)
+        assert len(group) == math.factorial(n - 1)
+        assert all(p[0] == 0 for p in group)
 
     def test_hypercube_3(self, q3):
         assert q3.vertex_count == 8
