@@ -37,9 +37,6 @@ class Configuration:
     def size(self) -> int:
         return sum(self.counts)
 
-    def on(self, v: int) -> int:
-        return self.counts[v]
-
 
 def configuration(g: Graph, counts) -> Configuration:
     """Build a configuration from a sequence or a {vertex: count} mapping."""
@@ -50,15 +47,6 @@ def configuration(g: Graph, counts) -> Configuration:
             arr[v] = c
         counts = arr
     return Configuration(g, tuple(counts))
-
-
-def empty_configuration(g: Graph) -> Configuration:
-    return Configuration(g, (0,) * g.vertex_count)
-
-
-def uniform_configuration(g: Graph) -> Configuration:
-    """One pebble on every vertex."""
-    return Configuration(g, (1,) * g.vertex_count)
 
 
 def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:

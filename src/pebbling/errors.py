@@ -25,10 +25,6 @@ class RootOutOfRangeError(GraphError):
     pass
 
 
-class RootNotIncludedError(GraphError):
-    pass
-
-
 class UnknownFamilyError(GraphError):
     pass
 

@@ -131,9 +131,10 @@ def serialize_graph(g: Graph) -> str:
 # -- configurations and weight functions --------------------------------------
 
 
-def _parse_records(text: str, g: Graph, header: str, tag: str, what: str, parse_value, zero) -> tuple:
-    """Per-vertex values from ``<tag> <vertex> <value>`` records; unlisted
-    vertices get ``zero``."""
+def _parse_records(text: str, g: Graph, header: str, tag: str, what: str, parse_value, zero, zero_root=False) -> tuple:
+    """Nonnegative per-vertex values from ``<tag> <vertex> <value>``
+    records; unlisted vertices get ``zero``, and with ``zero_root`` so
+    must the root."""
     lines = _content_lines(text)
     _check_header(lines, header)
     values = [zero] * g.vertex_count
@@ -149,6 +150,10 @@ def _parse_records(text: str, g: Graph, header: str, tag: str, what: str, parse_
             raise ParseError(idx, f"duplicate {what} for vertex {v}")
         seen.add(v)
         values[v] = parse_value(idx, parts[2])
+        if values[v] < 0:
+            raise ParseError(idx, f"{what}s must be nonnegative")
+        if zero_root and v == g.root and values[v]:
+            raise ParseError(idx, f"root {what} must be 0")
     return tuple(values)
 
 
@@ -158,15 +163,8 @@ def _serialize_records(header: str, tag: str, values, format_value=str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _count(idx: int, token: str) -> int:
-    c = _int(idx, token)
-    if c < 0:
-        raise ParseError(idx, "counts must be nonnegative")
-    return c
-
-
 def parse_config(text: str, g: Graph) -> Configuration:
-    return Configuration(g, _parse_records(text, g, CONFIG_HEADER, "p", "count", _count, 0))
+    return Configuration(g, _parse_records(text, g, CONFIG_HEADER, "p", "count", _int, 0))
 
 
 def serialize_config(p: Configuration) -> str:
@@ -174,7 +172,8 @@ def serialize_config(p: Configuration) -> str:
 
 
 def parse_weights(text: str, g: Graph) -> WeightFunction:
-    return WeightFunction(g, _parse_records(text, g, WEIGHTS_HEADER, "w", "weight", parse_fraction, Fraction(0)))
+    values = _parse_records(text, g, WEIGHTS_HEADER, "w", "weight", parse_fraction, Fraction(0), zero_root=True)
+    return WeightFunction(g, values)
 
 
 def serialize_weights(w: WeightFunction) -> str:

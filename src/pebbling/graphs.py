@@ -23,7 +23,6 @@ from .errors import (
     BadParameterError,
     DisconnectedError,
     DuplicateEdgeError,
-    RootNotIncludedError,
     RootOutOfRangeError,
     SelfLoopError,
     UnknownFamilyError,
@@ -61,18 +60,6 @@ class Graph:
         if "edge_set" not in cache:
             cache["edge_set"] = frozenset(self.edges)
         return cache["edge_set"]
-
-    def label(self, v: int) -> str:
-        if self.labels is None:
-            return str(v)
-        return self.labels[v]
-
-    def vertex_by_label(self, text: str) -> int:
-        if self.labels is None:
-            raise BadParameterError("graph carries no labels")
-        if text not in self.labels:
-            raise BadParameterError(f"no vertex labelled {text!r}")
-        return self.labels.index(text)
 
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edge_set
@@ -189,14 +176,10 @@ def distance(g: Graph, u: int, v: int) -> int:
     return distances_from(g, u)[v]
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    return max(distances_from(g, v))
-
-
 def diameter(g: Graph) -> int:
     cache = g._cache
     if "diameter" not in cache:
-        cache["diameter"] = max(eccentricity(g, v) for v in range(g.vertex_count))
+        cache["diameter"] = max(max(distances_from(g, v)) for v in range(g.vertex_count))
     return cache["diameter"]
 
 
@@ -339,14 +322,6 @@ _FAMILIES = {
 }
 
 
-def named_graph(name: str) -> Graph:
-    """Build a zero-parameter family by name, e.g. named_graph("fig2")."""
-    fn, arity = _FAMILIES.get(name, (None, None))
-    if arity != 0:
-        raise UnknownFamilyError(f"unknown named graph {name!r}")
-    return fn()
-
-
 def generate(family: str, *params: int) -> Graph:
     """Build a graph family instance by name, e.g. generate("lollipop", 1, 4)."""
     if family not in _FAMILIES:
@@ -357,22 +332,3 @@ def generate(family: str, *params: int) -> Graph:
         raise BadParameterError(f"family {family!r} takes {allowed} parameter(s), got {len(params)}")
     return fn(*params)
 
-
-def induced_subgraph(g: Graph, vertices, root: int | None = None) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph plus the embedding new-id -> old-id.
-
-    New ids follow the sorted order of the old ids. The subgraph must be
-    connected and contain the chosen root.
-    """
-    if root is None:
-        root = g.root
-    old_ids = sorted(set(vertices))
-    for v in old_ids:
-        _check_vertex(g, v)
-    if root not in old_ids:
-        raise RootNotIncludedError(f"root {root} not in the vertex set")
-    back = {old: new for new, old in enumerate(old_ids)}
-    edges = [(back[u], back[v]) for u, v in g.edges if u in back and v in back]
-    labels = None if g.labels is None else tuple(g.labels[v] for v in old_ids)
-    sub = build_graph(len(old_ids), edges, root=back[root], labels=labels)
-    return sub, tuple(old_ids)

@@ -31,8 +31,10 @@ from .errors import (
     InternalError,
     LpError,
     UnboundedCoverageError,
+    UncertifiedComponentError,
 )
 from .graphs import Graph
+from .strategies import _CERTIFIED
 
 
 class _DualCheckError(LpError, InternalError):
@@ -189,7 +191,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
 
     One nonnegative variable per non-root vertex, objective the total
     size, one row per certificate capping its weighted sum at the
-    certificate's all-ones weight. Every non-root vertex must carry
+    certificate's all-ones weight. Every certificate must carry a
+    certified status (UncertifiedComponentError otherwise). Every non-root vertex must carry
     positive weight in some certificate, otherwise stacking pebbles
     there is unconstrained and the program is unbounded. Weights and caps
     are nonnegative, so the simplex starts at x = 0 with no phase one.
@@ -200,6 +203,9 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
         raise EmptyStrategySetError("need at least one certificate")
     if any(c.graph is not g for c in certs):
         raise DimensionMismatchError("certificate lives on a different graph")
+    for c in certs:
+        if c.status not in _CERTIFIED:
+            raise UncertifiedComponentError(f"certificate status {c.status!r} is not certified")
     variables = [v for v in range(g.vertex_count) if v != g.root]
     for v in variables:
         if all(c.weight_function.weights[v] == 0 for c in certs):

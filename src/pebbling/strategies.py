@@ -63,8 +63,8 @@ class WeightFunction:
     def __post_init__(self):
         if len(self.weights) != self.graph.vertex_count:
             raise BadParameterError("weights length does not match the graph")
-        if any(x < 0 for x in self.weights):
-            raise BadParameterError("weights must be nonnegative")
+        if not all(isinstance(x, (int, Fraction)) and x >= 0 for x in self.weights):
+            raise BadParameterError("weights must be nonnegative integers or fractions")
         if self.weights[self.graph.root] != 0:
             raise BadParameterError("root weight must be 0")
 
@@ -80,12 +80,6 @@ class WeightFunction:
             raise WeightNotPositiveError("weight function has empty support")
         return min(positives)
 
-    def scaled(self, factor) -> "WeightFunction":
-        factor = Fraction(factor)
-        if factor <= 0:
-            raise BadParameterError("scale factor must be positive")
-        return WeightFunction(self.graph, tuple(x * factor for x in self.weights))
-
 
 def weight_function(g: Graph, values) -> WeightFunction:
     """Build from a sequence or a {vertex: weight} mapping (others 0)."""
@@ -96,13 +90,6 @@ def weight_function(g: Graph, values) -> WeightFunction:
             arr[v] = Fraction(x)
         values = arr
     return WeightFunction(g, tuple(Fraction(x) for x in values))
-
-
-def evaluate(w: WeightFunction, p: Configuration) -> Fraction:
-    """w(p): the exact inner product of weights and pebble counts."""
-    if p.graph is not w.graph:
-        raise GraphMismatchError("configuration and weights live on different graphs")
-    return sum((w.weights[v] * c for v, c in enumerate(p.counts) if c), start=Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -548,9 +548,9 @@ def q3():
 
 @pytest.fixture
 def fig2():
-    return pb.named_graph("fig2")
+    return pb.generate("fig2")
 
 
 @pytest.fixture
 def lemma5_graph():
-    return pb.named_graph("lemma5")
+    return pb.generate("lemma5")

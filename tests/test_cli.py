@@ -68,7 +68,7 @@ class TestGen:
 class TestSolve:
     def test_empty_configuration(self, capsys, tmp_path, c5_file, c5):
         cfg = tmp_path / "empty.config"
-        cfg.write_text(serialize_config(pb.empty_configuration(c5)), encoding="utf-8")
+        cfg.write_text(serialize_config(pb.Configuration(c5, (0,) * c5.vertex_count)), encoding="utf-8")
         code, results, _ = run_cli(capsys, "solve", "-g", str(c5_file), "-c", str(cfg))
         assert code == 0
         assert results == ["RESULT solvable=false"]

@@ -25,11 +25,11 @@ class TestApplyMove:
 
     def test_lemma5_move_off_the_far_corner(self, lemma5_graph):
         g = lemma5_graph
-        z = g.vertex_by_label("z")
-        y1 = g.vertex_by_label("y_1")
+        z = g.labels.index("z")
+        y1 = g.labels.index("y_1")
         p = pb.configuration(g, {z: 8})
         q = pb.apply_move(g, p, z, y1)
-        assert q.on(z) == 6 and q.on(y1) == 1
+        assert q.counts[z] == 6 and q.counts[y1] == 1
 
     def test_size_drops_by_one(self, c5):
         p = pb.configuration(c5, (0, 3, 0, 0, 2))
@@ -46,13 +46,6 @@ class TestApplyMove:
     def test_graph_mismatch(self, c4, c5):
         with pytest.raises(GraphMismatchError):
             pb.apply_move(c5, pb.configuration(c4, (2, 0, 0, 0)), 0, 1)
-
-
-class TestUniform:
-    def test_sizes(self, q3, p2):
-        assert pb.uniform_configuration(q3).size == 8
-        assert pb.uniform_configuration(p2).size == 2
-        assert pb.uniform_configuration(pb.lollipop(1, 4)).size == 7
 
 
 class TestCountsMustBeIntegers:

@@ -151,6 +151,10 @@ class TestWeightsFormat:
         w = parse_weights("pebbleweights 1\nw 0 2\n", p3)
         assert w.weights[0] == 2
 
+    def test_zero_root_record_accepted(self, p3):
+        w = parse_weights("pebbleweights 1\nw 2 0/1\nw 1 1\n", p3)
+        assert w.weights == (0, 1, 0)
+
     def test_round_trip(self, fig2):
         _, w = pb.construction("fig2")
         text = serialize_weights(w)
@@ -173,9 +177,13 @@ class TestWeightsFormat:
             ("w 1 1/2\n\nw 2 1/\n", 4),
             ("w 1 1/0\n", 2),
             ("w 1 0.5\n", 2),
+            ("w 1 -1/2\n", 2),
+            ("w 0 1\nw 1 1/-2\n", 3),
+            ("w 0 1\n# the root\nw 2 1/3\n", 4),
         ],
         ids=["duplicate-vertex", "vertex-past-last", "negative-vertex", "wrong-tag", "extra-token",
-             "missing-weight", "malformed-fraction", "zero-denominator", "decimal-weight"],
+             "missing-weight", "malformed-fraction", "zero-denominator", "decimal-weight",
+             "negative-weight", "negative-denominator", "nonzero-root"],
     )
     def test_bad_record_rejected_with_line_number(self, p3, records, line):
         with pytest.raises(ParseError) as err:

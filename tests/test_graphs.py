@@ -11,7 +11,6 @@ from pebbling.errors import (
     BadParameterError,
     DisconnectedError,
     DuplicateEdgeError,
-    RootNotIncludedError,
     RootOutOfRangeError,
     SelfLoopError,
     UnknownFamilyError,
@@ -47,7 +46,7 @@ class TestBuildGraph:
 
     def test_fig2_shape(self):
         g = pb.build_graph(5, FIG2_EDGES, root=0)
-        assert structure_signature(g) == structure_signature(pb.named_graph("fig2"))
+        assert structure_signature(g) == structure_signature(pb.rooted_cube(3))
 
     def test_rejects_self_loop(self):
         with pytest.raises(SelfLoopError):
@@ -164,19 +163,13 @@ class TestGenerate:
 
     def test_dispatcher(self):
         assert pb.generate("cycle", 5) is pb.cycle_graph(5)
-        assert pb.generate("fig2") is pb.named_graph("fig2")
+        assert pb.generate("fig2") is pb.rooted_cube(3)
         with pytest.raises(UnknownFamilyError):
             pb.generate("petersen")
         with pytest.raises(BadParameterError):
             pb.generate("cycle")
         with pytest.raises(BadParameterError):
             pb.generate("cycle", 2)
-
-    def test_named_graph_builds_only_zero_parameter_families(self):
-        assert pb.named_graph("lemma5") is pb.rooted_cube(4)
-        for name in ("cycle", "lollipop", "petersen"):
-            with pytest.raises(UnknownFamilyError):
-                pb.named_graph(name)
 
     def test_symmetry_permutations_are_root_fixing_automorphisms(self):
         for g in [pb.cycle_graph(9), pb.hypercube(4), pb.rooted_cube(4), pb.lollipop(2)]:
@@ -201,14 +194,6 @@ class TestGenerate:
         for i in (1, 2, 3):
             xs = {j for j in (1, 2, 3) if g.has_edge(by_label[f"y_{i}"], by_label[f"x_{j}"])}
             assert xs == {1, 2, 3} - {i}
-
-    def test_vertex_by_label(self):
-        g = pb.rooted_cube(4)
-        assert g.labels[g.vertex_by_label("z")] == "z"
-        with pytest.raises(BadParameterError, match="'nope'"):
-            g.vertex_by_label("nope")
-        with pytest.raises(BadParameterError, match="no labels"):
-            pb.build_graph(2, [(0, 1)], 0).vertex_by_label("z")
 
 
 def _class_swaps(g):
@@ -259,38 +244,3 @@ class TestTwinClasses:
             with_twins += bool(classes)
         assert with_twins >= 100
 
-
-class TestInducedSubgraph:
-    def test_q3_slice_is_fig2_shaped(self, q3):
-        vertices = [v for v in range(8) if v & 1] + [0]
-        sub, emb = pb.induced_subgraph(q3, vertices)
-        assert sub.vertex_count == 5
-        assert structure_signature(sub) == structure_signature(pb.named_graph("fig2"))
-        assert [emb[v] for v in range(5)] == sorted(vertices)
-
-    def test_q4_slice_is_lemma5_shaped(self):
-        q4 = pb.hypercube(4)
-        vertices = [v for v in range(16) if v & 1] + [0]
-        sub, _ = pb.induced_subgraph(q4, vertices)
-        assert sub.vertex_count == 9
-        assert structure_signature(sub) == structure_signature(pb.named_graph("lemma5"))
-
-    def test_identity(self, c5):
-        sub, emb = pb.induced_subgraph(c5, range(5))
-        assert emb == (0, 1, 2, 3, 4)
-        assert sub.edges == c5.edges
-
-    def test_embedding_preserves_adjacency(self):
-        g = pb.lollipop(1, 4)
-        sub, emb = pb.induced_subgraph(g, [0, 1, 3, 2])
-        for i in range(sub.vertex_count):
-            for j in range(i + 1, sub.vertex_count):
-                assert sub.has_edge(i, j) == g.has_edge(emb[i], emb[j])
-
-    def test_root_must_be_included(self, c5):
-        with pytest.raises(RootNotIncludedError):
-            pb.induced_subgraph(c5, [1, 2, 3])
-
-    def test_disconnected_rejected(self, c5):
-        with pytest.raises(DisconnectedError):
-            pb.induced_subgraph(c5, [0, 2])

@@ -14,6 +14,7 @@ from pebbling.errors import (
     EmptyStrategySetError,
     LpError,
     UnboundedCoverageError,
+    UncertifiedComponentError,
 )
 from pebbling.lp import OPTIMAL, UNBOUNDED, linear_program, solve_lp
 
@@ -322,6 +323,15 @@ class TestPebblingBound:
         for g, certs in cases:
             with pytest.raises(DimensionMismatchError):
                 pb.lp_pebbling_bound(g, certs)
+
+    def test_uncertified_certificate_refused(self):
+        # the weights (1, 1) on P2 are invalid: (3, 0) is unsolvable and
+        # weighs 3 > 2, so the LP's pi <= 3 would be wrong (pi is 4)
+        g = pb.path_graph(2)
+        made_up = pb.Certificate(pb.weight_function(g, [1, 1, 0]), "made-up")
+        with pytest.raises(UncertifiedComponentError):
+            pb.lp_pebbling_bound(g, [made_up])
+        assert pb.pi_rooted(g).value == 4
 
     def test_uncovered_vertex(self, c5):
         a, _ = pb.cycle_strategy_pair(2)

@@ -21,18 +21,15 @@ from pebbling.errors import (
 
 
 class TestEvaluate:
-    def test_fig2_all_ones(self, fig2):
+    """w(1_G), the weight of the all-ones configuration."""
+
+    def test_fig2_all_ones(self):
         _, w = pb.construction("fig2")
-        assert pb.evaluate(w, pb.uniform_configuration(fig2)) == Fraction(11, 3)
         assert w.total == Fraction(11, 3)
 
-    def test_lemma5_all_ones(self, lemma5_graph):
+    def test_lemma5_all_ones(self):
         _, w = pb.construction("lemma5")
-        assert pb.evaluate(w, pb.uniform_configuration(lemma5_graph)) == 15
-
-    def test_empty(self, c5):
-        _, w = pb.construction("cycle_combined", 2)
-        assert pb.evaluate(w, pb.empty_configuration(c5)) == 0
+        assert w.total == 15
 
 
 class TestWeightFunction:
@@ -42,6 +39,15 @@ class TestWeightFunction:
         for key in (-2, -5, 4, 9):
             with pytest.raises(BadParameterError):
                 pb.weight_function(g, {key: 5})
+
+    def test_float_weights_refused(self):
+        # floats would make w(1_G) inexact: 0.1 + 0.2 is not 3/10
+        g = pb.path_graph(2)
+        for weights in ((0.5, 1.0, 0), (0.1, 0.2, 0), (Fraction(1, 2), "1", 0)):
+            with pytest.raises(BadParameterError):
+                pb.WeightFunction(g, weights)
+        assert pb.WeightFunction(g, (1, Fraction(1, 2), 0)).total == Fraction(3, 2)
+        assert pb.weight_function(g, (0.5, 1.0, 0)).weights == (Fraction(1, 2), 1, 0)
 
 
 class TestTreeChecker:
@@ -109,8 +115,8 @@ class TestOracle:
 
     def test_scale_invariance_on_fig2(self, fig2):
         _, w = pb.construction("fig2")
-        assert pb.verify_validity_oracle(fig2, w.scaled(2)).valid
-        assert pb.verify_validity_oracle(fig2, w.scaled(Fraction(1, 3))).valid
+        for factor in (2, Fraction(1, 3)):
+            assert pb.verify_validity_oracle(fig2, pb.weight_function(fig2, [factor * x for x in w.weights])).valid
 
     def test_checks_the_witness_without_pi(self, monkeypatch, p3):
         # a down-set whose last level gains a solvable maximum, (4, 0, 0)
