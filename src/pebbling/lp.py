@@ -1,8 +1,10 @@
 """Exact-rational linear programming over strategy sets.
 
 A dense one-phase simplex from the slack basis on an integer-preserving
-tableau (Edmonds' fraction-free pivots, Bareiss 1968) with Bland's
-least-index rule, which cannot cycle. No phase one is needed:
+tableau (Edmonds' fraction-free pivots, Bareiss 1968). The column of
+largest objective improvement enters, ties to the least index, so it
+cannot cycle: in a cycle every pivot is degenerate, every gain 0, and
+the tie takes Bland's column, which never cycles. No phase one is needed:
 ``LinearProgram`` refuses a negative right-hand side, so x = 0 is
 always feasible. Each row and the objective are scaled to integers
 once; every pivot then divides exactly by the previous pivot, so the
@@ -111,12 +113,13 @@ def _pivot(tab, row, col, det):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Exact simplex from the slack basis; deterministic by least-index pivoting.
+    """Exact simplex from the slack basis; deterministic largest-improvement pivots.
 
-    Bland's rule: the first column with a positive reduced cost enters,
-    the least ratio rhs / entry leaves, ties to the smaller basis index.
-    Every pivot entry is positive, so det stays positive and signs and
-    ratio orders read off the integers match the rational tableau.
+    The column whose reduced cost times least ratio rhs / entry is largest
+    enters, ties to the least column; that row leaves, ties to the smaller
+    basis index. A positive reduced cost over no positive entry is unbounded.
+    Every pivot entry is positive, so det stays positive and signs, ratio
+    and gain orders read off the integers match the rational tableau.
     """
     m, n = len(lp.rows), len(lp.objective)
 
@@ -137,21 +140,22 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     det = 1
     while True:
         cost = tab[m]
-        enter = next((j for j in range(n + m) if cost[j] > 0), -1)
+        enter = -1
+        for j in range(n + m):
+            if cost[j] <= 0:
+                continue
+            row = -1
+            for i in range(m):
+                a = tab[i][j]
+                if a > 0 and (row < 0 or (tab[i][-1] * den, basis[i]) < (num * a, basis[row])):
+                    row, num, den = i, tab[i][-1], a
+            if row < 0:
+                return LpSolution(UNBOUNDED, None, None, None)
+            # gain cost * num / den, det * obj_scale times the rational one
+            if enter < 0 or cost[j] * num * best_den > best_num * den:
+                enter, leave, best_num, best_den = j, row, cost[j] * num, den
         if enter < 0:
             break
-        leave = -1
-        for i in range(m):
-            a = tab[i][enter]
-            if a > 0:
-                if leave < 0:
-                    leave, num, den = i, tab[i][-1], a
-                    continue
-                lhs, rhs = tab[i][-1] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, tab[i][-1], a
-        if leave < 0:
-            return LpSolution(UNBOUNDED, None, None, None)
         det = _pivot(tab, leave, enter, det)
         basis[leave] = enter
 

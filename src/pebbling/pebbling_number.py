@@ -211,8 +211,8 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     does not lean on the builder or on a shared memo; it runs once per
     build, for every reader of the down-set, and its stats are kept for
     search_nodes. Cached on the graph only once complete and checked: a
-    resource limit hit part-way leaves nothing behind, and the error
-    carries the number of levels completed as ``pi_lower``.
+    resource limit hit part-way (running out of memory is one) leaves
+    nothing behind, and its error carries the levels completed as ``pi_lower``.
     """
     cache = g._cache
     if "unsolvable_levels" in cache:
@@ -228,9 +228,16 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
         # levels 0..len(levels)-1 are complete and non-empty
         exc.pi_lower = len(levels)
         raise
-    cache["witness_check"] = check.stats
-    cache["unsolvable_levels"] = levels = tuple(levels)
-    return levels
+    except MemoryError:
+        # raised after the handler, whose traceback holds the half-built level
+        complete, levels, level = len(levels), None, None
+    else:
+        cache["witness_check"] = check.stats
+        cache["unsolvable_levels"] = levels = tuple(levels)
+        return levels
+    exc = ResourceLimitError("out of memory building the down-set")
+    exc.pi_lower = complete
+    raise exc
 
 
 def search_nodes(g: Graph) -> int:

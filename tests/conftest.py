@@ -5,8 +5,9 @@ graph with none of the package's pruning, canonicalization or
 memoization; agreement between the two is the backbone of the solver
 tests. naive_pi_rooted likewise scans sizes with raw stars-and-bars
 enumeration and double-checks two sizes past the stopping point.
-reference_solve_lp is the earlier Fraction tableau simplex, whose
-results the integer-pivot solve_lp must reproduce exactly, and
+reference_solve_lp is the earlier Fraction tableau simplex, taking the
+same largest-improvement pivots in rational arithmetic, whose results
+the integer-pivot solve_lp must reproduce exactly, and
 reference_unsolvable_levels the earlier down-set builder, which asks
 the memoized solver about every candidate; the one-step recurrence of
 pebbling_number must reproduce its levels exactly. reference_witness is
@@ -372,31 +373,27 @@ def _pivot(tab, basis, row, col):
 
 
 def _run_simplex(tab, basis, cost, n_cols):
-    """Bland's rule on [rows | rhs] with a separate reduced-cost row.
+    """Largest-improvement pivots on [rows | rhs] with a separate reduced-cost row.
 
-    cost is mutated in place; entry cost[-1] accumulates -objective.
-    Returns "optimal" or "unbounded".
+    The column of largest gain cost[j] * (its least ratio) enters, ties
+    to the least j; the least ratio leaves, ties to the smaller basis
+    index. A positive cost over a column with no positive entry is
+    unbounded. cost is mutated in place; entry cost[-1] accumulates
+    -objective. Returns "optimal" or "unbounded".
     """
     while True:
         enter = -1
         for j in range(n_cols):
-            if cost[j] > 0:
-                enter = j
-                break
+            if cost[j] <= 0:
+                continue
+            keys = [(row[-1] / row[j], basis[i], i) for i, row in enumerate(tab) if row[j] > 0]
+            if not keys:
+                return UNBOUNDED
+            ratio, _, row = min(keys)
+            if enter < 0 or cost[j] * ratio > gain:
+                enter, leave, gain = j, row, cost[j] * ratio
         if enter < 0:
             return OPTIMAL
-        leave = -1
-        best = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                ratio = row[-1] / a
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leave = i
-        if leave < 0:
-            return UNBOUNDED
         _pivot(tab, basis, leave, enter)
         factor = cost[enter]
         cost[:] = [a - factor * b for a, b in zip(cost, tab[leave])]
@@ -405,8 +402,9 @@ def _run_simplex(tab, basis, cost, n_cols):
 def reference_solve_lp(lp):
     """The earlier Fraction tableau simplex, kept as a reference for solve_lp.
 
-    Same two phases and Bland pivots, but every entry is a Fraction and
-    the dual comes from a separate elimination on the optimal basis.
+    Same pivots (the largest gain enters, ties to the least column), but
+    with a phase one kept for negative right-hand sides, every entry a
+    Fraction and the dual from a separate elimination on the optimal basis.
     """
     m, n = len(lp.rows), len(lp.objective)
     zero = Fraction(0)

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,19 @@ class TestGen:
         code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
         assert (code, results) == (0, ["RESULT pi=5"])
         assert "symmetry: none\n" in err
+
+    def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch, c5_file):
+        # the builder completes levels 0 and 1, then runs out of memory
+        levels = pebbling_number._levels
+
+        def two_then_out_of_memory(g, solver):
+            yield from islice(levels(g, solver), 2)
+            raise MemoryError
+
+        monkeypatch.setattr(pebbling_number, "_levels", two_then_out_of_memory)
+        code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
+        assert code == 3 and results == []
+        assert "proven pi >= 2" in err and "Traceback" not in err, err
 
     def test_gen_stdout(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "hypercube", "3")

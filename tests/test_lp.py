@@ -16,7 +16,7 @@ from pebbling.errors import (
     UnboundedCoverageError,
     UncertifiedComponentError,
 )
-from pebbling.lp import OPTIMAL, UNBOUNDED, linear_program, solve_lp
+from pebbling.lp import OPTIMAL, UNBOUNDED, _dual_problem, linear_program, solve_lp
 
 
 def two_var_vertex_optimum(rows, rhs):
@@ -96,6 +96,28 @@ class TestSolveLp:
         assert sol.point == (3, 2)
         assert len(pivots) == 2
 
+    def test_beale_cycling_program(self, monkeypatch):
+        # Beale (1955): the largest-coefficient rule cycles on it forever;
+        # at x = 0 only x3 has a positive gain, so no pivot is degenerate
+        pivots = count_pivots(monkeypatch)
+        lp = beale_program(1)
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and sol.optimum == Fraction(5, 4)
+        assert sol.point == (1, 0, 1, 0)
+        assert sol == reference_solve_lp(lp) and _dual_problem(lp, sol) is None
+        assert len(pivots) == 2 and all(b > 0 for _, b in pivots)
+
+    def test_beale_fully_degenerate(self, monkeypatch):
+        # with x3 <= 0 every pivot stays at x = 0, so every gain is 0 and
+        # the least-index tie makes each pivot Bland's
+        pivots = count_pivots(monkeypatch)
+        lp = beale_program(0)
+        sol = solve_lp(lp)
+        assert sol.status == OPTIMAL and sol.optimum == 0
+        assert sol.point == (0, 0, 0, 0)
+        assert sol == reference_solve_lp(lp) and _dual_problem(lp, sol) is None
+        assert pivots and all(b == 0 for _, b in pivots)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             linear_program([1, 1], [[1]], [1])
@@ -149,6 +171,15 @@ class TestSolveLp:
             assert sum(y * b for y, b in zip(sol.dual, rhs)) == sol.optimum
             for j, c in enumerate(obj):
                 assert sum(y * row[j] for y, row in zip(sol.dual, rows)) >= c
+
+
+def beale_program(x3_cap):
+    """Beale's cycling example, with x3 capped at x3_cap."""
+    return linear_program(
+        [Fraction(3, 4), -20, Fraction(1, 2), -6],
+        [[Fraction(1, 4), -8, -1, 9], [Fraction(1, 2), -12, Fraction(-1, 2), 3], [0, 0, 1, 0]],
+        [0, 0, x3_cap],
+    )
 
 
 def count_pivots(monkeypatch):
@@ -207,6 +238,20 @@ def induced_tree_weights(g, rng, size):
     return [0 if v == g.root or v not in depth else 1 << (top - depth[v]) for v in range(g.vertex_count)]
 
 
+def strategy_program(g, rng, min_rows, size):
+    """The strategy LP of at least min_rows seeded induced trees of the
+    given size, with every variable in one, so the LP is bounded."""
+    variables = [v for v in range(g.vertex_count) if v != g.root]
+    rows = []
+    while len(rows) < min_rows or any(all(row[v] == 0 for row in rows) for v in variables):
+        rows.append(induced_tree_weights(g, rng, size))
+    return linear_program(
+        [1] * len(variables),
+        [[row[v] for v in variables] for row in rows],
+        [sum(row) for row in rows],
+    )
+
+
 class TestAgainstReference:
     """solve_lp must reproduce the Fraction tableau simplex exactly."""
 
@@ -242,21 +287,21 @@ class TestAgainstReference:
         assert any(b == 0 for _, b in pivots)
 
     def test_strategy_programs_on_q4(self):
-        q4 = pb.hypercube(4)
-        variables = [v for v in range(q4.vertex_count) if v != q4.root]
         for seed in range(3):
-            rng = random.Random(seed)
-            rows = []
-            # at least 12 strategies, and every variable in one, so the LP is bounded
-            while len(rows) < 12 or any(all(row[v] == 0 for row in rows) for v in variables):
-                rows.append(induced_tree_weights(q4, rng, 7))
-            lp = linear_program(
-                [1] * len(variables),
-                [[row[v] for v in variables] for row in rows],
-                [sum(row) for row in rows],
-            )
+            lp = strategy_program(pb.hypercube(4), random.Random(seed), 12, 7)
             sol = solve_lp(lp)
             assert sol.status == OPTIMAL
+            assert sol == reference_solve_lp(lp)
+
+    def test_strategy_programs_on_q5_take_few_pivots(self, monkeypatch):
+        # 25 induced trees of 10 vertices, as in the certify benchmark;
+        # largest-improvement entry takes 11-14 pivots here, Bland's 115-168
+        pivots = count_pivots(monkeypatch)
+        for seed in range(3):
+            lp = strategy_program(pb.hypercube(5), random.Random(seed), 25, 10)
+            pivots.clear()
+            sol = solve_lp(lp)
+            assert sol.status == OPTIMAL and len(pivots) < 40
             assert sol == reference_solve_lp(lp)
 
 
