@@ -207,12 +207,17 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
     decided from the one below (see the module docstring).
 
     The greatest member of the last level, pi's witness, is then
-    re-verified by a new solver under the same limits, so the check
-    does not lean on the builder or on a shared memo; it runs once per
-    build, for every reader of the down-set, and its stats are kept for
-    search_nodes. Cached on the graph only once complete and checked: a
-    resource limit hit part-way (running out of memory is one) leaves
-    nothing behind, and its error carries the levels completed as ``pi_lower``.
+    re-verified by a new solver with a fresh memo under the same limits,
+    so the check does not lean on the builder or on a shared memo; it
+    runs once per build, for every reader of the down-set, and its stats
+    are kept for search_nodes. Once it passes, its memo joins that of
+    ``solver``, the graph's shared solver: every entry is an exact
+    verdict keyed in the same layout (both are target 1), so its
+    verdicts then serve later queries on the graph. Cached on the graph
+    only once complete and checked: a resource limit hit part-way
+    (running out of memory is one) leaves nothing behind, neither
+    levels nor memo entries, and its error carries the levels completed
+    as ``pi_lower``.
     """
     cache = g._cache
     if "unsolvable_levels" in cache:
@@ -232,6 +237,8 @@ def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
         # raised after the handler, whose traceback holds the half-built level
         complete, levels, level = len(levels), None, None
     else:
+        check.memo.update(solver.memo)
+        solver.memo = check.memo
         cache["witness_check"] = check.stats
         cache["unsolvable_levels"] = levels = tuple(levels)
         return levels
@@ -313,10 +320,18 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
                         q_pot = pot + pw[v]
                         count_node()
                         # below the floor q is unsolvable outright, else
-                        # one lookup per legal move in the level below
-                        if q_pot < floor or all(
-                            map(members.__contains__, map(q.__sub__, chain(q_legal, block_deltas(pc, v)) if blocks else q_legal))
-                        ):
+                        # one lookup per legal move in the level below;
+                        # a child missing from it makes q solvable
+                        if q_pot < floor:
+                            moves = ()
+                        elif blocks:
+                            moves = chain(q_legal, block_deltas(pc, v))
+                        else:
+                            moves = q_legal
+                        for d in moves:
+                            if q - d not in members:
+                                break
+                        else:
                             nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images, q_pot)
                             if group:
                                 nxt_members.update(q_images)

@@ -358,9 +358,6 @@ def random_counts(rng, g, max_total=10):
 # reference exact simplex
 # ---------------------------------------------------------------------------
 
-# solve_lp never reports it: LinearProgram refuses a negative right-hand side
-INFEASIBLE = "infeasible"
-
 
 def _pivot(tab, basis, row, col):
     piv = tab[row][col]
@@ -402,103 +399,46 @@ def _run_simplex(tab, basis, cost, n_cols):
 def reference_solve_lp(lp):
     """The earlier Fraction tableau simplex, kept as a reference for solve_lp.
 
-    Same pivots (the largest gain enters, ties to the least column), but
-    with a phase one kept for negative right-hand sides, every entry a
-    Fraction and the dual from a separate elimination on the optimal basis.
+    Same pivots from the slack basis (the largest gain enters, ties to
+    the least column), but every entry a Fraction and the dual from a
+    separate elimination on the optimal basis.
     """
     m, n = len(lp.rows), len(lp.objective)
     zero = Fraction(0)
 
-    # columns: n structural, m slacks, then artificials as needed, rhs last
-    need_artificial = [b < 0 for b in lp.rhs]
-    n_art = sum(need_artificial)
-    n_cols = n + m + n_art
+    # columns: n structural, m slacks, rhs last; every basic variable is
+    # a slack, of cost 0, so the cost row needs no correction
     tab: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_col = n + m
     for i in range(m):
-        row = [zero] * (n_cols + 1)
-        sign = -1 if need_artificial[i] else 1
-        for j, a in enumerate(lp.rows[i]):
-            row[j] = sign * a
-        row[n + i] = Fraction(sign)
-        row[-1] = sign * lp.rhs[i]
-        if need_artificial[i]:
-            row[art_col] = Fraction(1)
-            basis.append(art_col)
-            art_col += 1
-        else:
-            basis.append(n + i)
+        row = list(lp.rows[i]) + [zero] * m + [lp.rhs[i]]
+        row[n + i] = Fraction(1)
         tab.append(row)
-
-    kept_rows = list(range(m))
-    if n_art:
-        # phase one: maximize minus the artificial sum
-        cost = [zero] * (n_cols + 1)
-        for j in range(n + m, n_cols):
-            cost[j] = Fraction(-1)
-        for i, b in enumerate(basis):
-            if cost[b] != 0:
-                factor = cost[b]
-                cost = [a - factor * x for a, x in zip(cost, tab[i])]
-        _run_simplex(tab, basis, cost, n_cols)
-        if -cost[-1] < 0:
-            return LpSolution(INFEASIBLE, None, None, None)
-        # pivot any leftover artificial out on a real column; an all-zero
-        # row is a redundant constraint and is dropped
-        drop = []
-        for i in range(len(tab)):
-            if basis[i] >= n + m:
-                for j in range(n + m):
-                    if tab[i][j] != 0:
-                        _pivot(tab, basis, i, j)
-                        break
-                else:
-                    drop.append(i)
-        for i in reversed(drop):
-            del tab[i], basis[i], kept_rows[i]
-        for i in range(len(tab)):
-            tab[i] = tab[i][: n + m] + [tab[i][-1]]
-        n_cols = n + m
-
-    cost = [zero] * (n_cols + 1)
-    for j in range(n):
-        cost[j] = lp.objective[j]
-    for i, b in enumerate(basis):
-        if cost[b] != 0:
-            factor = cost[b]
-            cost = [a - factor * x for a, x in zip(cost, tab[i])]
-    status = _run_simplex(tab, basis, cost, n_cols)
-    if status == UNBOUNDED:
+    basis = list(range(n, n + m))
+    cost = list(lp.objective) + [zero] * (m + 1)
+    if _run_simplex(tab, basis, cost, n + m) == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None, None)
 
     point = [zero] * n
     for i, b in enumerate(basis):
         if b < n:
             point[b] = tab[i][-1]
-    optimum = -cost[-1]
-    try:
-        dual = _dual_values(lp, basis, kept_rows)
-    except (ValueError, StopIteration):
-        # degenerate bases involving dropped redundant rows
-        dual = None
-    return LpSolution(OPTIMAL, optimum, tuple(point), dual)
+    return LpSolution(OPTIMAL, -cost[-1], tuple(point), _dual_values(lp, basis))
 
 
-def _dual_values(lp, basis, kept_rows):
-    """Solve y . B = c_B exactly for the optimal basis; dropped rows get 0."""
+def _dual_values(lp, basis):
+    """Solve y . B = c_B exactly for the optimal basis."""
     n = len(lp.objective)
-    m = len(kept_rows)
+    m = len(lp.rows)
     zero = Fraction(0)
     cols = []
     cb = []
     for b in basis:
         if b < n:
-            cols.append([lp.rows[r][b] for r in kept_rows])
+            cols.append([row[b] for row in lp.rows])
             cb.append(lp.objective[b])
         else:
             col = [zero] * m
-            col[kept_rows.index(b - n)] = Fraction(1)
+            col[b - n] = Fraction(1)
             cols.append(col)
             cb.append(zero)
     # equations: sum_i y_i * cols[j][i] = cb[j]
@@ -512,11 +452,7 @@ def _dual_values(lp, basis, kept_rows):
             if r != c and aug[r][c] != 0:
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-    partial = [aug[i][-1] for i in range(m)]
-    dual = [zero] * len(lp.rows)
-    for pos, r in enumerate(kept_rows):
-        dual[r] = partial[pos]
-    return tuple(dual)
+    return tuple(aug[i][-1] for i in range(m))
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from conftest import (
     naive_unsolvable_levels,
     orbit,
     random_connected_graph,
+    random_counts,
     reference_unsolvable_levels,
     root_zero_counts,
     stripped,
@@ -140,6 +141,47 @@ class TestPiRooted:
             pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
         assert caught.value.pi_lower == 21
         assert "unsolvable_levels" not in c9._cache
+
+
+class TestWitnessCheckMemo:
+    """Once the witness re-check passes, its memo joins the graph's
+    shared solver, so later queries reuse its verdicts."""
+
+    def test_witness_query_is_one_memo_hit(self):
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        for g in (c9, stripped(c9)):
+            witness = pb.pi_rooted(g).witness_unsolvable
+            out = pb.is_solvable(g, witness)
+            assert not out.solvable, g.symmetry
+            assert (out.stats.nodes, out.stats.memo_hits) == (1, 1), g.symmetry
+
+    def test_later_queries_match_the_reference(self, c5, fig2):
+        rng = random.Random(9_173)
+        for g in (c5, pb.cycle_graph(7), pb.path_graph(3), fig2):
+            g._cache.clear()
+            pi = pb.pi_rooted(g).value
+            for i in range(40):
+                counts = random_counts(rng, g, max_total=pi + 1)
+                out = pb.is_solvable(g, pb.Configuration(g, counts), want_witness=i % 2 == 1)
+                assert out.solvable == naive_solvable(g, counts), (g.edges, counts)
+
+    def test_a_capped_check_hands_nothing_over(self):
+        # the cap lets the build finish and stops the re-check, which
+        # outgrows it on C9 (test_cap_in_the_witness_check_reports_every_level)
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        pb.pi_rooted(c9)
+        build = engine.shared_solver(c9).stats.nodes
+        c9._cache.clear()
+        solver = engine.shared_solver(c9)
+        pb.is_solvable(c9, pb.Configuration(c9, (0, 0, 3, 0, 0, 0, 0, 3, 0)))
+        memo, before = solver.memo, dict(solver.memo)
+        assert before
+        with pytest.raises(ResourceLimitError):
+            pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
+        assert engine.shared_solver(c9) is solver
+        assert solver.memo is memo and memo == before
 
 
 def _swap(n, a, b):
@@ -333,6 +375,22 @@ class TestPotentialFloor:
         assert (2, 1, 0) not in levels[3]
         # (3, 0, 0) has potential 3/4
         assert (3, 0, 0) in levels[3]
+
+    def test_no_legal_move_is_admitted(self, c4, c5):
+        # one pebble on each root neighbour: potential exactly 1, so the
+        # candidate is looked up, but it has no move to look up
+        cases = [(parse_graph(serialize_graph(c5)), "none"), (c5, "group"), (c4, "blocks")]
+        for g, kind in cases:
+            g._cache.clear()
+            assert engine._symmetry_mode(g)[0] == kind
+            dist = pb.distances_from(g, g.root)
+            q = tuple(int(d == 1) for d in dist)
+            assert pb.potential(g, pb.Configuration(g, q)) == 1
+            levels = engine._unsolvable_levels(g, pb.Solver(g))
+            assert q in levels[2], kind
+            orbit_of = symmetry_orbit(g)
+            reference = naive_unsolvable_levels(g)
+            assert [set().union(*map(orbit_of, level)) for level in levels] == reference[:-1], kind
 
 
 class TestMaxUnsolvableWeight:
