@@ -37,7 +37,7 @@ from .fileformats import (
 )
 from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
-from .pebbling_number import _symmetry_mode, pi_rooted, search_nodes
+from .pebbling_number import _symmetry_mode, down_set_sizes, pi_rooted, search_nodes
 from .solver import SearchLimits, is_solvable
 from .strategies import (
     certify,
@@ -89,6 +89,13 @@ def _note_symmetry(g) -> None:
     if kind == "blocks":
         kind += " " + ",".join(str(len(block)) for block in data)
     note(f"symmetry: {kind}")
+
+
+def _note_down_set(g) -> None:
+    """Size the down-set cached on g: its levels, the orbit
+    representatives built, and the maximal ones the graph keeps."""
+    levels, representatives, maximal = down_set_sizes(g)
+    note(f"down-set: {levels} levels, {representatives} representatives, {maximal} maximal")
 
 
 def _limits(args) -> SearchLimits:
@@ -182,6 +189,7 @@ def _cmd_pi(args) -> int:
     limits = _limits(args)
     _note_symmetry(g)
     result = pi_rooted(g, limits=limits)
+    _note_down_set(g)
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
     emit(pi=result.value)
     return 0
@@ -215,6 +223,7 @@ def _cmd_verify(args) -> int:
     limits = _limits(args)
     _note_symmetry(g)
     result = verify_validity_oracle(g, w, limits=limits)
+    _note_down_set(g)
     if result.valid:
         emit(valid=True, max_weight=result.max_unsolvable, cap=result.cap)
         return 0
@@ -360,6 +369,7 @@ _TARGETS = {
     "thm3-n1": (_target_thm3_n1, False),
     "thm3-n2": (partial(_oracle_target, "lollipop", (2,)), False),
     "thm3-n3": (partial(_oracle_target, "lollipop", (3,)), False),
+    "thm3-n4": (partial(_oracle_target, "lollipop", (4,)), True),
 }
 DEFAULT_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if not long)
 LONG_TARGETS = tuple(rid for rid, (_, long) in _TARGETS.items() if long)

@@ -27,7 +27,7 @@ the layout the solver keys its memo on (solver.packed_units) at target
 significant. A field holds every count a level or a child can reach (at
 most 2^d(v,r)), so no field carries into the next, integer order is
 lexicographic order, and the orbit maxima stay the representatives.
-The cached levels are sets of counts tuples.
+The builder yields each level as a list of counts tuples.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate whose distance potential sum q(v) 2^-d(v,r) is below 1 is
@@ -120,13 +120,21 @@ limits. A limit hit part-way reports the number of complete levels, a
 proven lower bound on pi_rooted.
 
 The symmetry is a property of the graph, so each graph has one
-down-set. It answers every weight-function question on the graph: the
-largest weight of an unsolvable configuration is a maximum over the
-orbits of the representatives, whatever the weights (see
-max_unsolvable_weight). The levels are cached on the graph, so repeated
-certificate checks on one graph reuse one enumeration. A graph with no
-stored generators and no twins (a relabeled cycle or cube read from a
-graph file, say) is scanned in full.
+down-set. It answers every weight-function question on the graph, and
+the graph keeps only what its readers need (DownSet): the number of
+levels, which is pi_rooted; the greatest member of the last level,
+pi's witness; and the maximal representatives, those p with no
+unsolvable p + e_v. Weights are nonnegative, so when p + e_v is
+unsolvable it weighs at least as much as p and is lexicographically
+greater: the heaviest unsolvable configuration, ties to the greatest,
+is maximal. Maximality holds for a whole orbit, so the largest weight
+of an unsolvable configuration is a maximum over the orbits of the
+maximal representatives, whatever the weights (see
+max_unsolvable_weight). The levels themselves are streamed: the builder
+holds two at a time, and nothing else keeps them. Repeated certificate
+checks on one graph reuse one enumeration. A graph with no stored
+generators and no twins (a relabeled cycle or cube read from a graph
+file, say) is scanned in full.
 """
 
 from __future__ import annotations
@@ -136,7 +144,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 from operator import add, itemgetter, mul, ne
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .configurations import Configuration
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
@@ -201,49 +209,67 @@ def _symmetry_mode(g: Graph):
     return mode
 
 
-def _unsolvable_levels(g: Graph, solver: Solver) -> tuple[set, ...]:
-    """The unsolvable root-free configurations of g, one set per size,
-    one representative per orbit of its symmetry, each level
-    decided from the one below (see the module docstring).
+class DownSet(NamedTuple):
+    """What a graph keeps of its down-set: the number of levels (pi),
+    the number of representatives built, the greatest member of the
+    last level (pi's witness) and the maximal representatives, one per
+    orbit of the maximal unsolvable configurations (see the module
+    docstring)."""
 
-    The greatest member of the last level, pi's witness, is then
-    re-verified by a new solver with a fresh memo under the same limits,
-    so the check does not lean on the builder or on a shared memo; it
-    runs once per build, for every reader of the down-set, and its stats
-    are kept for search_nodes. Once it passes, its memo joins that of
-    ``solver``, the graph's shared solver: every entry is an exact
-    verdict keyed in the same layout (both are target 1), so its
-    verdicts then serve later queries on the graph. Cached on the graph
-    only once complete and checked: a resource limit hit part-way
-    (running out of memory is one) leaves nothing behind, neither
-    levels nor memo entries, and its error carries the levels completed
-    as ``pi_lower``.
+    levels: int
+    representatives: int
+    witness: tuple[int, ...]
+    maximal: tuple[tuple[int, ...], ...]
+
+
+def _down_set(g: Graph, solver: Solver) -> DownSet:
+    """The down-set of g's unsolvable root-free configurations, one
+    representative per orbit of its symmetry, each level decided from
+    the one below (see the module docstring) and streamed: only its
+    DownSet summary is kept.
+
+    Every member of the last level is maximal, and its greatest, pi's
+    witness, is then re-verified by a new solver with a fresh memo under
+    the same limits, so the check does not lean on the builder or on a
+    shared memo; it runs once per build, for every reader of the
+    down-set, and its stats are kept for search_nodes. Once it passes,
+    its memo joins that of ``solver``, the graph's shared solver: every
+    entry is an exact verdict keyed in the same layout (both are target
+    1), so its verdicts then serve later queries on the graph. Cached on
+    the graph only once complete and checked: a resource limit hit
+    part-way (running out of memory is one) leaves nothing behind,
+    neither a summary nor memo entries, and its error carries the levels
+    completed as ``pi_lower``.
     """
     cache = g._cache
-    if "unsolvable_levels" in cache:
-        return cache["unsolvable_levels"]
-    levels = []
+    if "down_set" in cache:
+        return cache["down_set"]
+    levels = representatives = 0
+    maximal: list[tuple[int, ...]] = []
     try:
-        for level in _levels(g, solver):
-            levels.append(level)
+        for level in _levels(g, solver, maximal):
+            levels += 1
+            representatives += len(level)
+            last = level
+        witness = max(last)
         check = Solver(g, 1, solver.limits)
-        if check.decide(max(levels[-1])):
+        if check.decide(witness):
             raise InternalError("internal error: witness re-verification failed")
     except ResourceLimitError as exc:
-        # levels 0..len(levels)-1 are complete and non-empty
-        exc.pi_lower = len(levels)
+        # levels 0..levels-1 are complete and non-empty
+        exc.pi_lower = levels
         raise
     except MemoryError:
         # raised after the handler, whose traceback holds the half-built level
-        complete, levels, level = len(levels), None, None
+        maximal = last = level = None
     else:
         check.memo.update(solver.memo)
         solver.memo = check.memo
         cache["witness_check"] = check.stats
-        cache["unsolvable_levels"] = levels = tuple(levels)
-        return levels
+        cache["down_set"] = down = DownSet(levels, representatives, witness, tuple(maximal))
+        return down
     exc = ResourceLimitError("out of memory building the down-set")
-    exc.pi_lower = complete
+    exc.pi_lower = levels
     raise exc
 
 
@@ -254,9 +280,18 @@ def search_nodes(g: Graph) -> int:
     return shared_solver(g).stats.nodes + (check.nodes if check else 0)
 
 
-def _levels(g: Graph, solver: Solver) -> Iterator[set]:
-    """Yield the levels as orbit representatives, generated in order
-    and looked up as packed integer keys (see the module docstring).
+def down_set_sizes(g: Graph) -> tuple[int, int, int]:
+    """The levels, representatives and maximal representatives of the
+    down-set cached on g."""
+    down = g._cache["down_set"]
+    return down.levels, down.representatives, len(down.maximal)
+
+
+def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
+    """Yield the levels, each a list of the counts of its orbit
+    representatives, generated in order and looked up as packed integer
+    keys (see the module docstring); once level s+1 is built, append the
+    counts of level s's maximal representatives to ``maximal``.
 
     Each representative carries its counts, the deltas of its legal
     moves, its potential scaled by 2^max(dist) (the solver's integer
@@ -266,6 +301,14 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     orbit's maximum, the only extension decided, and when it is
     unsolvable they join the member set that answers the next level's
     lookups.
+
+    A representative p is maximal when no p + e_v is unsolvable. One
+    with an admitted extension is not, and needs no lookup. Any other
+    is looked up once level s+1 is built: each p + e_v below the caps
+    that stays block-sorted (the first vertex of a run of equal counts
+    stands for its twins in the run) among the next level's members,
+    all their images under a closure group, else their keys. It is
+    maximal when every lookup misses.
     """
     kind, data = _symmetry_mode(g)
     n = g.vertex_count
@@ -288,6 +331,9 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
     # descending, so that the walk over p can stop at last(p)
     top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(n)) if v != g.root]
+    # maximality lookups go farthest vertex first, where an extension of
+    # an unsolvable configuration most often stays unsolvable
+    far = sorted(top, key=lambda t: -dist[t[0]])
 
     group = data if kind == "group" else ()
     # the images of p are sum over v of p(v) unit[perm_k(v)], one per k,
@@ -304,11 +350,14 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
     reps = {0: ((0,) * n, (), (0,) * len(perms), 0)}
     members = reps if not group else {0}
     while reps:
-        yield {counts for counts, _, _, _ in reps.values()}
+        yield list(map(itemgetter(0), reps.values()))
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
+        # the representatives with no admitted extension
+        pending = []
         for p, (pc, legal, images, pot) in reps.items():
             solver.check_deadline()
+            extended = False
             for v, cap, u in top:
                 c = pc[v]
                 if c < cap and (u is None or pc[u] > c):
@@ -333,10 +382,20 @@ def _levels(g: Graph, solver: Solver) -> Iterator[set]:
                                 break
                         else:
                             nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images, q_pot)
+                            extended = True
                             if group:
                                 nxt_members.update(q_images)
                 if c:
                     break
+            if not extended:
+                pending.append((p, pc))
+        for p, pc in pending:
+            for v, cap, u in far:
+                c = pc[v]
+                if c < cap and (u is None or pc[u] > c) and p + unit[v] in nxt_members:
+                    break
+            else:
+                maximal.append(pc)
         reps = nxt
         members = nxt_members
 
@@ -373,13 +432,12 @@ def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1)
 
     The witness is the lexicographically greatest configuration of the
     last level, re-verified by a new solver when the down-set is built
-    (see _unsolvable_levels); the build and that check each get the
-    full ``limits``. ``threads`` is accepted for compatibility and
-    selects nothing: the levels are built in this process.
+    (see _down_set); the build and that check each get the full
+    ``limits``. ``threads`` is accepted for compatibility and selects
+    nothing: the levels are built in this process.
     """
-    levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
-    value = len(levels)
-    return PiResult(value, Configuration(g, max(levels[-1])), ScanRecord(tuple(range(value + 1))))
+    down = _down_set(g, shared_solver(g).begin(limits))
+    return PiResult(down.levels, Configuration(g, down.witness), ScanRecord(tuple(range(down.levels + 1))))
 
 
 def _weight_respects_symmetry(g: Graph, weights) -> bool:
@@ -395,21 +453,23 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     """Maximum of w(p) over the unsolvable root-free configurations p.
 
     A maximum of the integer-scaled w(p) over the down-set; ties go to
-    the lexicographically greatest configuration. Each representative
-    stands for its orbit's heaviest member under that order: itself when
-    w is constant on the orbits (_weight_respects_symmetry); otherwise,
+    the lexicographically greatest configuration. w is nonnegative, so
+    that maximum is maximal in the down-set (see the module docstring),
+    and only the maximal representatives are scored. Each stands for
+    its orbit's heaviest member under that order: itself when w is
+    constant on the orbits (_weight_respects_symmetry); otherwise,
     under a closure group, its best image, and under block symmetry the
     block's counts sorted descending onto the block's vertices ordered
     by (-w(v), v), which is the heaviest arrangement (rearrangement
     inequality) and the greatest among the heaviest, block by block.
-    The symmetries preserve solvability, so every orbit is unsolvable
-    whole, and the maximum over the orbits is the (value, achiever) pair
-    that the full down-set gives.
+    The symmetries preserve solvability and maximality, so every orbit
+    is maximal unsolvable whole, and the maximum over the orbits is the
+    (value, achiever) pair that the full down-set gives.
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
     weights = w.weights
-    levels = _unsolvable_levels(g, shared_solver(g).begin(limits))
+    members = _down_set(g, shared_solver(g).begin(limits)).maximal
 
     den = lcm(*(f.denominator for f in weights))
     wi = [int(f * den) for f in weights]
@@ -417,7 +477,6 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     def score(counts):
         return sum(map(mul, wi, counts)), counts
 
-    members = chain.from_iterable(levels)
     # a representative weighs what its orbit does when w is constant on it
     kind, data = ("none", None) if _weight_respects_symmetry(g, weights) else _symmetry_mode(g)
     if kind == "group":

@@ -10,7 +10,11 @@ same largest-improvement pivots in rational arithmetic, whose results
 the integer-pivot solve_lp must reproduce exactly, and
 reference_unsolvable_levels the earlier down-set builder, which asks
 the memoized solver about every candidate; the one-step recurrence of
-pebbling_number must reproduce its levels exactly. reference_witness is
+pebbling_number must reproduce its levels exactly. builder_levels reads
+those levels off the builder, since the graph keeps none of them, and
+maximal_elements picks out the maximal members of a full down-set,
+which the maximal representatives the graph keeps must expand to.
+reference_witness is
 the earlier recursive witness search, whose moves the witnesses read
 off Solver.decide must equal, and reference_decide the earlier
 tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
@@ -31,6 +35,7 @@ import pytest
 import pebbling as pb
 from pebbling.graphs import distances_from
 from pebbling.lp import OPTIMAL, UNBOUNDED, LpSolution
+from pebbling.pebbling_number import _levels
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -155,6 +160,25 @@ def reference_unsolvable_levels(g, solver, full=False):
                             nxt.add(q)
         level = nxt
     return tuple(levels)
+
+
+def builder_levels(g, solver=None):
+    """The levels pebbling_number._levels yields, each a set of counts
+    tuples, built with ``solver`` (a new one by default). Nothing is
+    cached, the witness is not re-checked, and the maximal
+    representatives the builder hands over are dropped."""
+    return tuple(map(set, _levels(g, solver or pb.Solver(g), [])))
+
+
+def maximal_elements(levels):
+    """The members p of a full down-set (one set per size, from size 0)
+    with no p + e_v in the next size."""
+    out = set()
+    for level, nxt in zip(levels, [*levels[1:], set()]):
+        for p in level:
+            if not any(p[:v] + (p[v] + 1,) + p[v + 1 :] in nxt for v in range(len(p))):
+                out.add(p)
+    return out
 
 
 def reference_decide(solver, counts):

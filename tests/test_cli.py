@@ -53,16 +53,18 @@ class TestGen:
         code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-seconds", "10")
         assert (code, results) == (0, ["RESULT pi=32"])
         assert "symmetry: blocks 16\n" in err
+        assert "down-set: 32 levels, 44248 representatives, 939 maximal\n" in err
         code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
         assert (code, results) == (0, ["RESULT pi=5"])
         assert "symmetry: none\n" in err
+        assert "down-set: 5 levels, 29 representatives, 6 maximal\n" in err
 
     def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch, c5_file):
         # the builder completes levels 0 and 1, then runs out of memory
         levels = pebbling_number._levels
 
-        def two_then_out_of_memory(g, solver):
-            yield from islice(levels(g, solver), 2)
+        def two_then_out_of_memory(g, solver, maximal):
+            yield from islice(levels(g, solver, maximal), 2)
             raise MemoryError
 
         monkeypatch.setattr(pebbling_number, "_levels", two_then_out_of_memory)
@@ -158,6 +160,7 @@ class TestVerify:
         assert code == 1
         assert results == ["RESULT valid=false counterexample=0,0,1,1,1,1,3 weight=13/2 cap=6/1"]
         assert "symmetry: blocks 4\n" in err
+        assert "down-set: 8 levels, 56 representatives, 7 maximal\n" in err
 
     def test_oracle_mode_counterexample(self, capsys, tmp_path, p3):
         gp = tmp_path / "p3.graph"
@@ -364,6 +367,15 @@ class TestPaperTargets:
         assert code == 3 and results == []
         proven = re.search(r"proven pi >= (\d+)", err)
         assert proven and 1 <= int(proven.group(1)) < 43, err
+
+    def test_thm3_n4_honours_the_node_cap(self, capsys):
+        # the full run decides about 9.2 million candidates on lollipop(4) (pi = 64)
+        code, results, err = run_cli(capsys, "paper", "thm3-n4")
+        assert code == 2 and results == [] and "--allow-long" in err
+        code, results, err = run_cli(capsys, "paper", "thm3-n4", "--allow-long", "--max-nodes", "5000")
+        assert code == 3 and results == []
+        proven = re.search(r"proven pi >= (\d+)", err)
+        assert proven and 1 <= int(proven.group(1)) < 64, err
 
     def test_unknown_target(self, capsys):
         code, _, _ = run_cli(capsys, "paper", "thm9-k9")

@@ -8,6 +8,8 @@ import pytest
 
 import pebbling as pb
 from conftest import (
+    builder_levels,
+    maximal_elements,
     naive_pi_rooted,
     naive_solvable,
     naive_unsolvable_levels,
@@ -107,7 +109,7 @@ class TestPiRooted:
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.05))
         # a run cut short leaves no partial down-set behind
-        assert "unsolvable_levels" not in q4._cache
+        assert "down_set" not in q4._cache
 
     def test_node_cap_stops_the_scan(self):
         # each candidate the down-set builder decides is one search node
@@ -115,7 +117,7 @@ class TestPiRooted:
         c7._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(c7, limits=pb.SearchLimits(max_nodes=50))
-        assert "unsolvable_levels" not in c7._cache
+        assert "down_set" not in c7._cache
 
     def test_cap_reports_complete_levels(self):
         # the levels finished before the cap are a proven lower bound on pi
@@ -140,7 +142,7 @@ class TestPiRooted:
         with pytest.raises(ResourceLimitError) as caught:
             pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
         assert caught.value.pi_lower == 21
-        assert "unsolvable_levels" not in c9._cache
+        assert "down_set" not in c9._cache
 
 
 class TestWitnessCheckMemo:
@@ -232,7 +234,7 @@ class TestUnsolvableDownSet:
             for h in (stripped(g), g):
                 # the stored generators' orbits, else the twins' (if any)
                 orbit_of = symmetry_orbit(h)
-                levels = engine._unsolvable_levels(h, pb.Solver(h))
+                levels = builder_levels(h)
                 # the engine stops at the first empty level; the reference keeps it
                 assert len(levels) == len(reference) - 1, (g.edges, g.root, h.symmetry)
                 for size, level in enumerate(levels):
@@ -246,6 +248,44 @@ class TestUnsolvableDownSet:
                 assert res.value == len(levels)
                 assert res.witness_unsolvable.counts == max(levels[-1])
                 assert res.witness_unsolvable.counts == max(reference[-2])
+
+
+class TestMaximalRepresentatives:
+    """The graph keeps only a summary of its down-set: the level count,
+    the representative count, pi's witness and the maximal
+    representatives, which max_unsolvable_weight scores."""
+
+    def test_expand_to_the_maximal_unsolvable_configurations(self):
+        kinds = set()
+        for g in _down_set_cases():
+            reference = naive_unsolvable_levels(g)
+            expected = maximal_elements(reference)
+            g._cache.clear()
+            for h in (stripped(g), g):
+                kinds.add(engine._symmetry_mode(h)[0])
+                orbit_of = symmetry_orbit(h)
+                down = engine._down_set(h, pb.Solver(h))
+                orbits = [orbit_of(c) for c in down.maximal]
+                expanded = set().union(*orbits)
+                # one representative per orbit, its greatest member
+                assert len(expanded) == sum(map(len, orbits)), (g.edges, h.symmetry)
+                assert all(c == max(o) for c, o in zip(down.maximal, orbits)), (g.edges, h.symmetry)
+                assert expanded == expected, (g.edges, g.root, h.symmetry)
+                # the last level is maximal whole, so it holds the witness
+                assert max(reference[-2]) in expanded and down.witness == max(reference[-2])
+                assert down.levels == len(reference) - 1
+                assert down.representatives == sum(len({max(orbit_of(c)) for c in level}) for level in reference)
+        assert kinds == {"none", "group", "blocks"}
+
+    def test_c9_keeps_612_of_7572(self):
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        down = engine._down_set(c9, pb.Solver(c9))
+        assert (down.levels, down.representatives, len(down.maximal)) == (21, 7_572, 612)
+        assert engine.down_set_sizes(c9) == (21, 7_572, 612)
+        levels = builder_levels(c9)
+        assert (len(levels), sum(map(len, levels))) == (21, 7_572)
+        assert down.witness == max(levels[-1])
 
 
 def _relabeled_from_file(g, seed):
@@ -276,13 +316,16 @@ class TestAgainstReferenceBuilder:
             full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
             reduced = reference_unsolvable_levels(g, pb.Solver(g))
             for h in (stripped(g), g):
-                levels = engine._unsolvable_levels(h, pb.Solver(h))
+                levels = builder_levels(h)
                 # each representative is the greatest of its orbit, and
                 # the orbits make up the full scan
                 orbit_of = symmetry_orbit(h)
                 orbits = [[orbit_of(c) for c in level] for level in levels]
                 assert all(c == max(o) for level, os in zip(levels, orbits) for c, o in zip(level, os)), g.edges
                 assert tuple(set().union(*os) for os in orbits) == full, (g.edges, g.root, h.symmetry)
+                # and the graph keeps the orbits of the maximal ones
+                maximal = engine._down_set(h, pb.Solver(h)).maximal
+                assert set().union(*map(orbit_of, maximal)) == maximal_elements(full), (g.edges, h.symmetry)
             assert levels == reduced, (g.edges, g.root, g.symmetry)
 
 
@@ -297,8 +340,8 @@ class TestOrbitBuilder:
         assert len(group) == 24
         q4._cache.clear()
         plain = stripped(q4)
-        full = engine._unsolvable_levels(plain, pb.Solver(plain))
-        reduced = engine._unsolvable_levels(q4, pb.Solver(q4))
+        full = builder_levels(plain)
+        reduced = builder_levels(q4)
         assert len(reduced) == len(full) == 16
         for size, (level, reference) in enumerate(zip(reduced, full)):
             orbits = [orbit(group, c) for c in level]
@@ -337,7 +380,7 @@ class TestOrderlyGeneration:
         for g in (pb.cycle_graph(9), pb.rooted_cube(4), pb.hypercube(3), pb.lollipop(2, 3)):
             orbit_of = symmetry_orbit(g)
             g._cache.clear()
-            levels = engine._unsolvable_levels(g, pb.Solver(g))
+            levels = builder_levels(g)
             for size in range(1, len(levels)):
                 for q in levels[size]:
                     assert q == max(orbit_of(q)), (g.edges, q)
@@ -360,7 +403,7 @@ class TestOrderlyGeneration:
         for g in graphs:
             g._cache.clear()
             solver = pb.Solver(g)
-            levels = engine._unsolvable_levels(g, solver)
+            levels = builder_levels(g, solver)
             assert solver.stats.nodes == _admitted(g, levels), g.edges
 
 
@@ -370,7 +413,7 @@ class TestPotentialFloor:
 
     def test_potential_one_is_not_below_the_floor(self, p3):
         p3._cache.clear()
-        levels = engine._unsolvable_levels(p3, pb.Solver(p3))
+        levels = builder_levels(p3)
         # (2, 1, 0) has potential 2/4 + 1/2 = 1 and is solvable: 0 -> 1, 1 -> r
         assert (2, 1, 0) not in levels[3]
         # (3, 0, 0) has potential 3/4
@@ -386,7 +429,7 @@ class TestPotentialFloor:
             dist = pb.distances_from(g, g.root)
             q = tuple(int(d == 1) for d in dist)
             assert pb.potential(g, pb.Configuration(g, q)) == 1
-            levels = engine._unsolvable_levels(g, pb.Solver(g))
+            levels = builder_levels(g)
             assert q in levels[2], kind
             orbit_of = symmetry_orbit(g)
             reference = naive_unsolvable_levels(g)
@@ -594,7 +637,7 @@ def _assert_matches_stripped(g, rng):
     plain = stripped(g)
     orbit_of = symmetry_orbit(g)
     solver = pb.Solver(g)
-    levels = engine._unsolvable_levels(g, solver)
+    levels = builder_levels(g, solver)
     full = reference_unsolvable_levels(plain, pb.Solver(plain), full=True)
     assert len(levels) == len(full), (g.edges, g.root)
     for level, reference in zip(levels, full):
@@ -618,8 +661,8 @@ class TestOneDownSet:
         w = pb.weight_function(g, weights)
         assert not engine._weight_respects_symmetry(g, w.weights)
         pb.verify_validity_oracle(g, w)
-        held = [k for k in g._cache if "unsolvable_levels" in (k if isinstance(k, tuple) else (k,))]
-        assert held == ["unsolvable_levels"]
+        held = [k for k in g._cache if "down_set" in (k if isinstance(k, tuple) else (k,))]
+        assert held == ["down_set"]
 
     def test_asymmetric_weights_match_the_stripped_graph(self):
         # group mode on the first three, block mode on the lollipop (and on
@@ -629,7 +672,7 @@ class TestOneDownSet:
             plain = stripped(g)
             # the full down-set: g's representatives expanded into their orbits
             orbit_of = symmetry_orbit(g)
-            full = [set().union(*map(orbit_of, level)) for level in engine._unsolvable_levels(g, pb.Solver(g))]
+            full = [set().union(*map(orbit_of, level)) for level in builder_levels(g)]
             for _ in range(4):
                 weights = _random_weights(rng, g)
                 expected = _full_heaviest(full, weights)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import pebbling as pb
 from conftest import (
+    builder_levels,
     naive_pi_rooted,
     naive_solvable,
     random_connected_graph,
@@ -22,7 +23,7 @@ from conftest import (
     stripped,
     twin_transpositions,
 )
-from pebbling.pebbling_number import _symmetry_mode, _unsolvable_levels
+from pebbling.pebbling_number import _symmetry_mode
 
 RELAXED = settings(
     max_examples=120,
@@ -124,7 +125,7 @@ def test_symmetry_reduced_scan_counts_orbits_exactly():
     g = pb.lollipop(2)
     arms = g.vertex_count - 8
     assert _symmetry_mode(g) == ("blocks", (tuple(range(arms, g.vertex_count)),))
-    levels = _unsolvable_levels(g, pb.Solver(g))
+    levels = builder_levels(g)
     for size in (1, 2, 3):
         plain = (p.counts for p in pb.enumerate_configurations(g, size, exclude_root=True))
         quotient = {c[:arms] + tuple(sorted(c[arms:], reverse=True)) for c in plain if not naive_solvable(g, c)}

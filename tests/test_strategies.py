@@ -122,17 +122,17 @@ class TestOracle:
         # a down-set whose last level gains a solvable maximum, (4, 0, 0)
         levels = engine._levels
 
-        def tampered(g, solver):
-            *below, last = levels(g, solver)
+        def tampered(g, solver, maximal):
+            *below, last = levels(g, solver, maximal)
             yield from below
-            yield last | {(4, 0, 0)}
+            yield last + [(4, 0, 0)]
 
         p3._cache.clear()
         monkeypatch.setattr(engine, "_levels", tampered)
         w = pb.weight_function(p3, (2, 1, 0))
         with pytest.raises(InternalError, match="re-verification"):
             pb.verify_validity_oracle(p3, w)
-        assert "unsolvable_levels" not in p3._cache
+        assert "down_set" not in p3._cache
 
     def test_never_computes_pi(self, monkeypatch, lemma5_graph):
         def refuse(*args, **kwargs):
@@ -341,7 +341,7 @@ class TestCertificateRouting:
         lemma5._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.construction_certificate("q4star", limits=pb.SearchLimits(max_nodes=10))
-        assert "unsolvable_levels" not in lemma5._cache
+        assert "down_set" not in lemma5._cache
 
     def test_cycle_combined_table_must_match_its_strategies(self, monkeypatch):
         build, arity = strategies._CONSTRUCTIONS["cycle_combined"]
