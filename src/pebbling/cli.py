@@ -42,7 +42,6 @@ from .solver import SearchLimits, is_solvable
 from .strategies import (
     certify,
     check_tree_strategy,
-    conic_combine,
     construction,
     construction_certificate,
     cube_copy_embeddings,
@@ -308,11 +307,9 @@ def _oracle_target(name: str, params: tuple[int, ...], args, extra=None) -> int:
 
 
 def _target_prop_q3(args) -> int:
-    q3 = hypercube(3)
-    _, w_prime = construction("q3prime")
-    base = construction_certificate("fig2", limits=_limits(args))
-    combined = conic_combine(q3, [(1, base, emb) for emb in cube_copy_embeddings(3)])
-    same = combined.weight_function.weights == w_prime.weights
+    q3, w_prime = construction("q3prime")
+    base = construction_certificate("fig2", limits=_limits(args)).weight_function
+    same = verify_decomposition(q3, w_prime, [(emb, base) for emb in cube_copy_embeddings(3)])
     return _oracle_target("q3prime", (), args, extra={"decomposition": same})
 
 
@@ -409,6 +406,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         proven = "" if exc.pi_lower is None else f"; proven pi >= {exc.pi_lower}"
         note(f"resource limit: {exc}{proven}")
+        return 3
+    except RecursionError as exc:
+        note(f"resource limit: {exc}: the search is deeper than the interpreter's stack")
         return 3
     except InternalError as exc:
         note(f"error: {exc}")

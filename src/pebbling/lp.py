@@ -36,7 +36,7 @@ from .errors import (
     UncertifiedComponentError,
 )
 from .graphs import Graph
-from .strategies import _CERTIFIED
+from .strategies import Certificate
 
 
 class _DualCheckError(LpError, InternalError):
@@ -195,8 +195,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
 
     One nonnegative variable per non-root vertex, objective the total
     size, one row per certificate capping its weighted sum at the
-    certificate's all-ones weight. Every certificate must carry a
-    certified status (UncertifiedComponentError otherwise). Every non-root vertex must carry
+    certificate's all-ones weight. Every row must be a Certificate
+    (UncertifiedComponentError otherwise). Every non-root vertex must carry
     positive weight in some certificate, otherwise stacking pebbles
     there is unconstrained and the program is unbounded. Weights and caps
     are nonnegative, so the simplex starts at x = 0 with no phase one.
@@ -205,11 +205,10 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     certs = list(certs)
     if not certs:
         raise EmptyStrategySetError("need at least one certificate")
+    if not all(isinstance(c, Certificate) for c in certs):
+        raise UncertifiedComponentError("every row must carry a certificate")
     if any(c.graph is not g for c in certs):
         raise DimensionMismatchError("certificate lives on a different graph")
-    for c in certs:
-        if c.status not in _CERTIFIED:
-            raise UncertifiedComponentError(f"certificate status {c.status!r} is not certified")
     variables = [v for v in range(g.vertex_count) if v != g.root]
     for v in variables:
         if all(c.weight_function.weights[v] == 0 for c in certs):

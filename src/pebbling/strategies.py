@@ -13,8 +13,9 @@ weight. Three verification routes produce certificates:
   compare against w(1_G), reading the graph's one down-set of
   unsolvable configurations, kept as orbit representatives of its
   symmetry (stored generators or twins) whatever the weights,
-* combination: conic combinations and exact decompositions into already
-  certified functions on embedded subgraphs.
+* combination: conic combinations of already certified functions on
+  embedded subgraphs; a decomposition is the combination with every
+  coefficient 1, checked to equal w.
 
 Every certificate status names a check made in this process; no
 validity is taken on record.
@@ -51,8 +52,7 @@ from .solver import SearchLimits
 TREE_CHECKED = "tree-checked"
 ORACLE_CHECKED = "oracle-checked"
 COMPOSED = "composed"
-DECOMPOSED = "decomposed"
-_CERTIFIED = {TREE_CHECKED, ORACLE_CHECKED, COMPOSED, DECOMPOSED}
+_CERTIFIED = {TREE_CHECKED, ORACLE_CHECKED, COMPOSED}
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +94,16 @@ def weight_function(g: Graph, values) -> WeightFunction:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A weight function together with how its validity was established."""
+    """A weight function together with the check, made in this process, that found it valid."""
 
     weight_function: WeightFunction
     status: str
     components: tuple["Certificate", ...] = ()
     notes: str = ""
+
+    def __post_init__(self):
+        if self.status not in _CERTIFIED:
+            raise UncertifiedWeightError(f"certificate status {self.status!r} is not certified")
 
     @property
     def graph(self) -> Graph:
@@ -226,26 +230,22 @@ def _check_induced_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]
     return emb
 
 
-def extend_certificate(g: Graph, cert: Certificate, embedding=None) -> Certificate:
-    """Zero-extend a subgraph certificate to the host graph.
+def _zero_extended(g: Graph, cert: Certificate, embedding) -> tuple[Fraction, ...]:
+    """A subgraph certificate's weights carried onto g, zero elsewhere.
 
     The weight cap inequality survives extension: an unsolvable
     configuration on g restricts to an unsolvable one on the embedded
     subgraph and the extension carries weight only there.
     """
-    if cert.status not in _CERTIFIED:
-        raise UncertifiedComponentError(f"component has status {cert.status!r}")
-    sub = cert.graph
     if embedding is None:
-        if sub is not g:
+        if cert.graph is not g:
             raise BadEmbeddingError("no embedding given and the graphs differ")
-        return cert
-    emb = _check_subgraph_embedding(g, sub, embedding)
+        return cert.weight_function.weights
+    emb = _check_subgraph_embedding(g, cert.graph, embedding)
     arr = [Fraction(0)] * g.vertex_count
-    for v in range(sub.vertex_count):
-        arr[emb[v]] = cert.weight_function.weights[v]
-    wf = WeightFunction(g, tuple(arr))
-    return Certificate(wf, cert.status, components=cert.components, notes="zero-extended")
+    for v, x in zip(emb, cert.weight_function.weights):
+        arr[v] = x
+    return tuple(arr)
 
 
 def conic_combine(g: Graph, components) -> Certificate:
@@ -262,10 +262,9 @@ def conic_combine(g: Graph, components) -> Certificate:
         coef = Fraction(coef)
         if coef < 0:
             raise NegativeCoefficientError(f"coefficient {coef} is negative")
-        if not isinstance(cert, Certificate) or cert.status not in _CERTIFIED:
+        if not isinstance(cert, Certificate):
             raise UncertifiedComponentError("every component must carry a certificate")
-        extended = extend_certificate(g, cert, embedding)
-        for v, x in enumerate(extended.weight_function.weights):
+        for v, x in enumerate(_zero_extended(g, cert, embedding)):
             total[v] += coef * x
         certs.append(cert)
     for v in range(g.vertex_count):
@@ -293,24 +292,18 @@ def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
 
 
 def certify_by_decomposition(g: Graph, w: WeightFunction, copies) -> Certificate:
-    """Certificate for w as an exact sum of certified embedded copies.
+    """Certificate for w as the sum of certified copies on induced embeddings.
 
-    copies: iterable of (embedding, base Certificate). The sum must
-    reproduce w exactly and every non-root vertex must be covered.
+    copies: iterable of (embedding, base Certificate). The copies must
+    sum to w exactly (UncertifiedWeightError otherwise); the result is
+    their conic combination with every coefficient 1, status composed.
     """
-    certs = []
-    pairs = []
-    for embedding, cert in copies:
-        if not isinstance(cert, Certificate) or cert.status not in _CERTIFIED:
-            raise UncertifiedComponentError("every copy must carry a certificate")
-        certs.append(cert)
-        pairs.append((embedding, cert.weight_function))
-    if not verify_decomposition(g, w, pairs):
+    copies = list(copies)
+    if not all(isinstance(cert, Certificate) for _, cert in copies):
+        raise UncertifiedComponentError("every copy must carry a certificate")
+    if not verify_decomposition(g, w, [(emb, cert.weight_function) for emb, cert in copies]):
         raise UncertifiedWeightError("copies do not sum to the target weight function")
-    for v in range(g.vertex_count):
-        if v != g.root and w.weights[v] == 0:
-            raise UncoveredVertexError(f"vertex {v} has zero weight")
-    return Certificate(w, DECOMPOSED, components=tuple(certs))
+    return conic_combine(g, [(1, cert, emb) for emb, cert in copies])
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +317,8 @@ def weight_function_bound(cert: Certificate) -> int:
     Needs strictly positive weights off the root: any size above the
     bound then forces w(p) > w(1_G), hence solvability.
     """
-    if cert.status not in _CERTIFIED:
-        raise UncertifiedWeightError(f"certificate status {cert.status!r} is not certified")
+    if not isinstance(cert, Certificate):
+        raise UncertifiedComponentError("the bound needs a certificate")
     w = cert.weight_function
     g = w.graph
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
@@ -376,7 +369,8 @@ def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
     length = 2 * k + 1
     emb_a = tuple((k + 1 - j) % length for j in range(k + 2))
     emb_b = tuple((k + j) % length for j in range(k + 2))
-    return extend_certificate(cycle, cert, emb_a), extend_certificate(cycle, cert, emb_b)
+    a, b = (WeightFunction(cycle, _zero_extended(cycle, cert, emb)) for emb in (emb_a, emb_b))
+    return Certificate(a, TREE_CHECKED), Certificate(b, TREE_CHECKED)
 
 
 def _lollipop_weights(n: int, m: int | None = None) -> tuple[Graph, WeightFunction]:
@@ -455,22 +449,15 @@ def certify(
     return certify_by_oracle(g, w, limits=limits)
 
 
-def construction_certificate(
-    name: str,
-    *params: int,
-    method: str = "auto",
-    limits: SearchLimits | None = None,
-) -> Certificate:
+def construction_certificate(name: str, *params: int, limits: SearchLimits | None = None) -> Certificate:
     """Certificate for a named construction, checked in this process.
 
-    ``method`` and ``limits`` are those of ``certify``.
-    cycle_combined is certified as the conic combination of its two
-    path strategies, which must equal the table's weights (InternalError
-    otherwise), and q4star as the four-copy decomposition of lemma5,
-    whose base certificate takes the same arguments.
+    Each is certified as ``certify`` does by default (tree check, else
+    the oracle under ``limits``), except that cycle_combined is the conic
+    combination of its two path strategies, which must equal the table's
+    weights (InternalError otherwise), and q4star the four-copy
+    decomposition of lemma5, whose base certificate takes the same limits.
     """
-    if method not in ("auto", "tree", "oracle"):
-        raise BadParameterError(f"unknown certification method {method!r}")
     g, w = construction(name, *params)
     if name == "cycle_combined":
         a, b = cycle_strategy_pair(*params)
@@ -479,9 +466,9 @@ def construction_certificate(
             raise InternalError("internal error: cycle_combined weights differ from its two path strategies")
         return cert
     if name == "q4star":
-        base = construction_certificate("lemma5", method=method, limits=limits)
+        base = construction_certificate("lemma5", limits=limits)
         return certify_by_decomposition(g, w, [(emb, base) for emb in cube_copy_embeddings(4)])
-    return certify(g, w, method, limits=limits)
+    return certify(g, w, limits=limits)
 
 
 def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:

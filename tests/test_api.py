@@ -11,6 +11,7 @@ REMOVED = [
     "induced_subgraph",
     "eccentricity",
     "evaluate",
+    "extend_certificate",
 ]
 
 

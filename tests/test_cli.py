@@ -107,6 +107,19 @@ class TestSolve:
         assert results == ["RESULT solvable=false"]
 
 
+    def test_deep_path_query_is_a_resource_limit(self, capsys, tmp_path):
+        # the far end of P12 holds a 4095 stack and one pebble: the search
+        # recurses once per move, deeper than the interpreter's stack
+        g = pb.path_graph(12)
+        gp = tmp_path / "p12.graph"
+        cfg = tmp_path / "deep.config"
+        gp.write_text(serialize_graph(g), encoding="utf-8")
+        cfg.write_text(serialize_config(pb.configuration(g, {0: 4095, 1: 1})), encoding="utf-8")
+        code, results, err = run_cli(capsys, "solve", "-g", str(gp), "-c", str(cfg))
+        assert code == 3
+        assert results == [] and err.startswith("resource limit: ") and "Traceback" not in err
+
+
 class TestVerify:
     def test_tree_mode_valid(self, capsys, tmp_path):
         g, w = pb.construction("path", 3)
@@ -200,6 +213,30 @@ class TestBound:
         code, results, _ = run_cli(capsys, "bound", "-g", str(c5_file), "-w", str(path))
         assert code == 0
         assert result_map(results[0]) == {"cert0_bound": "5"}
+
+
+    @pytest.fixture
+    def fig2_files(self, tmp_path, fig2):
+        gp = tmp_path / "fig2.graph"
+        wp = tmp_path / "fig2.weights"
+        gp.write_text(serialize_graph(fig2), encoding="utf-8")
+        wp.write_text(serialize_weights(pb.construction("fig2")[1]), encoding="utf-8")
+        return "-g", str(gp), "-w", str(wp)
+
+    def test_certify_tree_does_not_fall_back(self, capsys, fig2_files):
+        code, results, err = run_cli(capsys, "bound", *fig2_files, "--certify", "tree")
+        assert code == 2
+        assert results == [] and "does not induce a tree" in err and "oracle" not in err
+
+    def test_certify_oracle(self, capsys, fig2_files):
+        code, results, err = run_cli(capsys, "bound", *fig2_files, "--certify", "oracle")
+        assert code == 0
+        assert results == ["RESULT cert0_bound=12", "RESULT bound=12 optimum=11/1", "RESULT lower=8"]
+        assert "certificates: oracle-checked;" in err
+
+    def test_certify_unknown_method_exits_2(self, capsys, fig2_files):
+        code, results, _ = run_cli(capsys, "bound", *fig2_files, "--certify", "recorded")
+        assert code == 2 and results == []
 
 
 class TestDecompose:

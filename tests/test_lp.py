@@ -15,6 +15,7 @@ from pebbling.errors import (
     LpError,
     UnboundedCoverageError,
     UncertifiedComponentError,
+    UncertifiedWeightError,
 )
 from pebbling.lp import OPTIMAL, UNBOUNDED, _dual_problem, linear_program, solve_lp
 
@@ -371,12 +372,18 @@ class TestPebblingBound:
 
     def test_uncertified_certificate_refused(self):
         # the weights (1, 1) on P2 are invalid: (3, 0) is unsolvable and
-        # weighs 3 > 2, so the LP's pi <= 3 would be wrong (pi is 4)
+        # weighs 3 > 2, so the LP's pi <= 3 would be wrong (pi is 4);
+        # no certificate with a made-up status can be built to feed it
         g = pb.path_graph(2)
-        made_up = pb.Certificate(pb.weight_function(g, [1, 1, 0]), "made-up")
-        with pytest.raises(UncertifiedComponentError):
-            pb.lp_pebbling_bound(g, [made_up])
+        w = pb.weight_function(g, [1, 1, 0])
+        with pytest.raises(UncertifiedWeightError):
+            pb.Certificate(w, "made-up")
         assert pb.pi_rooted(g).value == 4
+
+    def test_bare_weight_function_refused(self):
+        g = pb.path_graph(2)
+        with pytest.raises(UncertifiedComponentError):
+            pb.lp_pebbling_bound(g, [pb.weight_function(g, [1, 1, 0])])
 
     def test_uncovered_vertex(self, c5):
         a, _ = pb.cycle_strategy_pair(2)

@@ -232,7 +232,7 @@ class TestDecomposition:
         base = pb.construction_certificate("lemma5")
         assert base.status == "oracle-checked"
         cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in pb.cube_copy_embeddings(4)])
-        assert cert.status == "decomposed"
+        assert cert.status == "composed"
         assert len(cert.components) == 4
 
 
@@ -291,9 +291,13 @@ class TestBounds:
 
     def test_uncertified_weight_rejected(self, fig2):
         _, w = pb.construction("fig2")
-        bogus = pb.Certificate(w, "hearsay")
         with pytest.raises(UncertifiedWeightError):
-            pb.weight_function_bound(bogus)
+            pb.Certificate(w, "hearsay")
+
+    def test_bare_weight_function_rejected(self, fig2):
+        _, w = pb.construction("fig2")
+        with pytest.raises(UncertifiedComponentError):
+            pb.weight_function_bound(w)
 
     def test_zero_weight_support_rejected(self, c5):
         a, _ = pb.cycle_strategy_pair(2)
@@ -310,7 +314,7 @@ class TestBounds:
             assert lower <= value <= upper
             assert value == upper
         q3 = pb.hypercube(3)
-        cert = pb.construction_certificate("q3prime", method="oracle")
+        cert = pb.certify_by_oracle(*pb.construction("q3prime"))
         assert pb.diameter_lower_bound(q3) <= pb.pi_rooted(q3).value <= pb.weight_function_bound(cert)
 
     def test_single_point_interval_via_uniform_cube_weights(self, q3):
@@ -330,11 +334,11 @@ class TestCertificateRouting:
 
     def test_unknown_method_refused(self):
         with pytest.raises(BadParameterError):
-            pb.construction_certificate("lemma5", method="recorded")
+            strategies.certify(*pb.construction("fig2"), "recorded")
 
     def test_tree_route_does_not_fall_back(self):
         with pytest.raises(NotATreeError):
-            pb.construction_certificate("fig2", method="tree")
+            strategies.certify(*pb.construction("fig2"), "tree")
 
     def test_oracle_route_takes_the_limits(self):
         lemma5 = pb.rooted_cube(4)
