@@ -241,7 +241,12 @@ def _cmd_bound(args) -> int:
     certs = []
     for i, path in enumerate(args.weights):
         w = parse_weights(path.read_text(encoding="utf-8"), g)
-        cert = certify(g, w, args.certify, limits=_limits(args))
+        try:
+            cert = certify(g, w, args.certify, limits=_limits(args))
+        except NotATreeError as exc:
+            note(str(exc))
+            emit(valid=False, reason="not-a-tree")
+            return 1
         certs.append(cert)
         try:
             single = weight_function_bound(cert)

@@ -50,20 +50,27 @@ carries the deltas of its legal moves: its parent's, plus the new
 vertex's once it holds 2.
 
 Candidates are generated in order (orderly generation, McKay 1998): a
-representative p of level s is extended only at root-free vertices
-v >= last(p), its last nonzero vertex, and under block symmetry only
-where p(prev(v)) > p(v), prev(v) being the vertex before v in its
-block, so that the extension stays block-sorted. This misses nothing.
-If q is the maximum of its orbit under a group of vertex permutations
-and L = last(q), then q - e_L is the maximum of its own orbit: an image
-beating it at a first index i < L would beat q there too, and one
-beating it at i >= L would hold more pebbles than it. Solvability is
-monotone, so q - e_L is unsolvable when q is, and q is its extension at
-L >= last(q - e_L). It is its only one: an extension at v < L would
-need v >= last(q - e_v) = L. So the builder decides an extension only
-when it is the maximum of its orbit (under block symmetry, every
-extension it generates is), and in every mode each candidate decided
-is a representative and is decided once.
+representative p of level s is extended only at root-free vertices v >=
+last(p), its last nonzero vertex in the builder's order, and under block
+symmetry only where p(prev(v)) > p(v), prev(v) being the vertex before v
+in its block, so that the extension stays block-sorted. This misses
+nothing. If q is the maximum of its orbit under a group of vertex
+permutations and L = last(q), then q - e_L is the maximum of its own
+orbit: an image beating it at a first index i < L would beat q there
+too, and one beating it at i >= L would hold more pebbles than it.
+Solvability is monotone, so q - e_L is unsolvable when q is, and q is
+its extension at L >= last(q - e_L). It is its only one: an extension at
+v < L would need v >= last(q - e_v) = L. So the builder decides an
+extension only when it is the maximum of its orbit (under block
+symmetry, every extension it generates is), and in every mode each
+candidate decided is a representative and is decided once. Under
+symmetry that order is the vertex ids: a closure group's representatives
+are packed-integer maxima, and on twins nearest-first measured worse
+(lollipop(3): 55,177 candidates, not 47,836). With neither (a cube read
+from a file, say) every orbit is one configuration, so any order is
+exact (the last step above holds in any), and it is nearest the root
+first, ties to the smaller id: last(p) is p's farthest pebble, worth
+least, so fewer solvable candidates are made.
 
 How a child is looked up depends on the symmetry. Without it the child
 is looked up as it is. Under a stored closure group, which is small, the
@@ -116,8 +123,9 @@ looked up (transpose v with its block's first vertex and a with the end
 of its run), so that lookup finds q solvable.
 
 Each candidate decision counts as one search node against the solver's
-limits. A limit hit part-way reports the number of complete levels, a
-proven lower bound on pi_rooted.
+limits, whose deadline is also read once per level. A limit hit part-way
+reports the number of complete levels, a proven lower bound on
+pi_rooted.
 
 The symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph, and
@@ -132,9 +140,7 @@ of an unsolvable configuration is a maximum over the orbits of the
 maximal representatives, whatever the weights (see
 max_unsolvable_weight). The levels themselves are streamed: the builder
 holds two at a time, and nothing else keeps them. Repeated certificate
-checks on one graph reuse one enumeration. A graph with no stored
-generators and no twins (a relabeled cycle or cube read from a graph
-file, say) is scanned in full.
+checks on one graph reuse one enumeration.
 """
 
 from __future__ import annotations
@@ -293,14 +299,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     keys (see the module docstring); once level s+1 is built, append the
     counts of level s's maximal representatives to ``maximal``.
 
-    Each representative carries its counts, the deltas of its legal
-    moves, its potential scaled by 2^max(dist) (the solver's integer
-    potential, so an extension's is one addition) and, under a stored
-    closure group, its images, so a child is one subtraction and an
-    extension's images cost |G| additions: they tell whether it is its
-    orbit's maximum, the only extension decided, and when it is
-    unsolvable they join the member set that answers the next level's
-    lookups.
+    Each representative carries its counts, its legal moves' deltas, its
+    potential scaled by 2^max(dist) and, under a closure group, its
+    images (see the module docstring), so an extension costs additions
+    and a child one subtraction.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
@@ -329,8 +331,9 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     delta = [() if a in head else tuple(2 * unit[a] - t for t in lands[a]) for a in range(n)]
     block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit) if blocks else None
     prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
-    # descending, so that the walk over p can stop at last(p)
-    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(range(n)) if v != g.root]
+    # descending in the builder's order, so the walk over p can stop at last(p)
+    order = sorted(range(n), key=lambda v: (dist[v], v)) if kind == "none" else range(n)
+    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(order) if v != g.root]
     # maximality lookups go farthest vertex first, where an extension of
     # an unsolvable configuration most often stays unsolvable
     far = sorted(top, key=lambda t: -dist[t[0]])
@@ -346,17 +349,17 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     pw = solver._pot
     floor = pw[g.root]
 
-    count_node = solver.count_node
+    stats, node_cap = solver.stats, solver._node_cap
     reps = {0: ((0,) * n, (), (0,) * len(perms), 0)}
     members = reps if not group else {0}
     while reps:
         yield list(map(itemgetter(0), reps.values()))
+        solver.check_deadline()
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
         # the representatives with no admitted extension
         pending = []
         for p, (pc, legal, images, pot) in reps.items():
-            solver.check_deadline()
             extended = False
             for v, cap, u in top:
                 c = pc[v]
@@ -367,7 +370,9 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
                     if not q_images or max(q_images) == q:
                         q_legal = legal + delta[v] if c == 1 else legal
                         q_pot = pot + pw[v]
-                        count_node()
+                        stats.nodes = nodes = stats.nodes + 1
+                        if nodes > node_cap or not nodes & 4095:
+                            solver._check_limits()
                         # below the floor q is unsolvable outright, else
                         # one lookup per legal move in the level below;
                         # a child missing from it makes q solvable

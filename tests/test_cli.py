@@ -224,9 +224,11 @@ class TestBound:
         return "-g", str(gp), "-w", str(wp)
 
     def test_certify_tree_does_not_fall_back(self, capsys, fig2_files):
+        # reported as `verify --mode tree` reports it: the verdict, exit 1
         code, results, err = run_cli(capsys, "bound", *fig2_files, "--certify", "tree")
-        assert code == 2
-        assert results == [] and "does not induce a tree" in err and "oracle" not in err
+        assert code == 1
+        assert results == ["RESULT valid=false reason=not-a-tree"]
+        assert "does not induce a tree" in err and "oracle" not in err
 
     def test_certify_oracle(self, capsys, fig2_files):
         code, results, err = run_cli(capsys, "bound", *fig2_files, "--certify", "oracle")

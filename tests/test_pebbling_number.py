@@ -310,6 +310,8 @@ class TestAgainstReferenceBuilder:
             pb.rooted_cube(4),
             pb.lollipop(2, 3),
             _relabeled_path_from_file(6, 7_919),
+            # ties in distance, which the nearest-first order breaks by id
+            _relabeled_from_file(pb.cycle_graph(9), 3),
         ]
         for g in graphs:
             g._cache.clear()
@@ -323,9 +325,11 @@ class TestAgainstReferenceBuilder:
                 orbits = [[orbit_of(c) for c in level] for level in levels]
                 assert all(c == max(o) for level, os in zip(levels, orbits) for c, o in zip(level, os)), g.edges
                 assert tuple(set().union(*os) for os in orbits) == full, (g.edges, g.root, h.symmetry)
-                # and the graph keeps the orbits of the maximal ones
-                maximal = engine._down_set(h, pb.Solver(h)).maximal
-                assert set().union(*map(orbit_of, maximal)) == maximal_elements(full), (g.edges, h.symmetry)
+                # and the graph keeps the orbits of the maximal ones and
+                # the greatest member of the last level
+                down = engine._down_set(h, pb.Solver(h))
+                assert set().union(*map(orbit_of, down.maximal)) == maximal_elements(full), (g.edges, h.symmetry)
+                assert down.witness == max(full[-1]), (g.edges, h.symmetry)
             assert levels == reduced, (g.edges, g.root, g.symmetry)
 
 
@@ -351,20 +355,32 @@ class TestOrbitBuilder:
             assert expanded == reference, size
 
 
-def _last(counts):
-    """The last vertex holding a pebble (0 for the empty configuration)."""
-    return max((v for v, c in enumerate(counts) if c), default=0)
+def _order(g):
+    """The builder's vertex order: nearest the root first, ties to the
+    smaller id, on a graph with no symmetry; else the vertex ids."""
+    dist = pb.distances_from(g, g.root)
+    if engine._symmetry_mode(g)[0] == "none":
+        return sorted(range(g.vertex_count), key=lambda v: (dist[v], v))
+    return list(range(g.vertex_count))
+
+
+def _last(order, counts):
+    """The position in ``order`` of the last vertex holding a pebble (0
+    for the empty configuration)."""
+    return max((i for i, v in enumerate(order) if counts[v]), default=0)
 
 
 def _admitted(g, levels):
-    """The number of extensions p + e_v (v >= last(p), below the cap)
-    of the representatives p that are the maximum of their orbit."""
+    """The number of extensions p + e_v (v at or after last(p) in the
+    builder's order, below the cap) of the representatives p that are
+    the maximum of their orbit."""
     orbit_of = symmetry_orbit(g)
     dist = pb.distances_from(g, g.root)
+    order = _order(g)
     admitted = 0
     for level in levels:
         for p in level:
-            for v in range(_last(p), g.vertex_count):
+            for v in order[_last(order, p) :]:
                 if v != g.root and p[v] + 1 < 1 << dist[v]:
                     q = p[:v] + (p[v] + 1,) + p[v + 1 :]
                     admitted += q == max(orbit_of(q))
@@ -372,19 +388,28 @@ def _admitted(g, levels):
 
 
 class TestOrderlyGeneration:
-    """The builder extends a representative p only at vertices
-    v >= last(p) and only to the maximum of an orbit (under block
-    symmetry, a block-sorted tuple)."""
+    """The builder extends a representative p only at vertices at or
+    after last(p) in its order (nearest-first with no symmetry, else the
+    ids) and only to the maximum of an orbit (under block symmetry, a
+    block-sorted tuple)."""
 
     def test_last_pebble_parent_is_a_representative(self):
-        for g in (pb.cycle_graph(9), pb.rooted_cube(4), pb.hypercube(3), pb.lollipop(2, 3)):
+        graphs = (
+            pb.cycle_graph(9),
+            pb.rooted_cube(4),
+            pb.hypercube(3),
+            pb.lollipop(2, 3),
+            _relabeled_from_file(pb.rooted_cube(4), 5),
+        )
+        for g in graphs:
             orbit_of = symmetry_orbit(g)
+            order = _order(g)
             g._cache.clear()
             levels = builder_levels(g)
             for size in range(1, len(levels)):
                 for q in levels[size]:
                     assert q == max(orbit_of(q)), (g.edges, q)
-                    last = _last(q)
+                    last = order[_last(order, q)]
                     parent = q[:last] + (q[last] - 1,) + q[last + 1 :]
                     assert parent in levels[size - 1], (g.edges, q)
 
@@ -405,6 +430,64 @@ class TestOrderlyGeneration:
             solver = pb.Solver(g)
             levels = builder_levels(g, solver)
             assert solver.stats.nodes == _admitted(g, levels), g.edges
+
+
+class TestNearestFirstOrder:
+    """With no symmetry the builder walks the vertices nearest-first, so
+    what it decides depends on the graph, not on its numbering, and
+    every order gives the same down-set."""
+
+    def _relabeled_copies_agree(self, g, copies, full):
+        # on a path every vertex has its own distance, which names it
+        dist = pb.distances_from(g, g.root)
+        expected = maximal_elements(full)
+        nodes = set()
+        for h in (g, *copies):
+            h._cache.clear()
+            assert engine._symmetry_mode(h) == ("none", None)
+            to_h = [pb.distances_from(h, h.root).index(d) for d in dist]
+
+            def moved(counts):
+                out = [0] * h.vertex_count
+                for v, c in enumerate(counts):
+                    out[to_h[v]] = c
+                return tuple(out)
+
+            res = pb.pi_rooted(h)
+            nodes.add(engine.search_nodes(h))
+            assert res.value == len(full), h.edges
+            assert res.witness_unsolvable.counts == max(map(moved, full[-1])), h.edges
+            assert set(h._cache["down_set"].maximal) == set(map(moved, expected)), h.edges
+        return nodes
+
+    def test_relabeled_paths_decide_alike(self):
+        g = pb.path_graph(6)
+        copies = [_relabeled_path_from_file(6, seed) for seed in (1, 2, 3)]
+        full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
+        # the build's 27,330 candidates and the witness re-check's one
+        # node; in vertex-id order path_graph(6) took 71,335
+        assert self._relabeled_copies_agree(g, copies, full) == {27_331}
+
+    def test_relabeled_short_paths_match_the_naive_oracle(self):
+        g = pb.path_graph(4)
+        copies = [_relabeled_path_from_file(4, seed) for seed in (1, 2, 3)]
+        full = naive_unsolvable_levels(g)[:-1]
+        assert len(self._relabeled_copies_agree(g, copies, full)) == 1
+
+    def test_wall_clock_cap_stops_the_build(self):
+        # the deadline is checked once per level and every 4,096 nodes
+        g = stripped(pb.hypercube(4))
+        assert engine._symmetry_mode(g) == ("none", None)
+        # a zero cap trips at the first level's check, before any candidate
+        solver = pb.Solver(g)
+        with pytest.raises(ResourceLimitError) as caught:
+            engine._down_set(g, solver.begin(pb.SearchLimits(max_seconds=0)))
+        assert (caught.value.pi_lower, solver.stats.nodes) == (1, 0)
+        # the full build takes about 0.5 s, ten times the cap
+        with pytest.raises(ResourceLimitError) as caught:
+            pb.pi_rooted(g, limits=pb.SearchLimits(max_seconds=0.05))
+        assert 1 <= caught.value.pi_lower < 16
+        assert "down_set" not in g._cache
 
 
 class TestPotentialFloor:
