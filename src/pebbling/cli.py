@@ -26,7 +26,8 @@ from functools import cache, partial
 from pathlib import Path
 
 from .configurations import Configuration
-from .errors import InternalError, NotATreeError, PebblingError, ResourceLimitError, WeightNotPositiveError
+from .errors import InternalError, NotATreeError, PebblingError, ResourceLimitError
+from .errors import UncertifiedWeightError, WeightNotPositiveError
 from .fileformats import (
     format_fraction,
     parse_config,
@@ -38,7 +39,7 @@ from .fileformats import (
 from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
 from .pebbling_number import _symmetry_mode, down_set_sizes, pi_rooted, search_nodes
-from .solver import SearchLimits, is_solvable
+from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
     certify,
     check_tree_strategy,
@@ -80,13 +81,15 @@ def _report(g, lower, lower_method, upper, upper_method, certs, start, nodes) ->
     )
 
 
-def _note_symmetry(g) -> None:
-    """Name the regime the down-set is reduced by: ``blocks`` with the
-    size of each block of twins, or ``none`` (a graph file stores no
-    generators, so no closure group)."""
-    kind, data = _symmetry_mode(g)
+def _note_symmetry(g, limits) -> None:
+    """Name the regime the down-set is reduced by: ``blocks`` with each
+    twin block's size, ``group`` with the order of the root-fixing
+    automorphism group (searched for under ``limits``), or ``none``."""
+    kind, data = _symmetry_mode(g, shared_solver(g).begin(limits))
     if kind == "blocks":
         kind += " " + ",".join(str(len(block)) for block in data)
+    elif kind == "group":
+        kind += f" {len(data)}"
     note(f"symmetry: {kind}")
 
 
@@ -186,7 +189,7 @@ def _cmd_gen(args) -> int:
 def _cmd_pi(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
     limits = _limits(args)
-    _note_symmetry(g)
+    _note_symmetry(g, limits)
     result = pi_rooted(g, limits=limits)
     _note_down_set(g)
     note(f"unsolvable witness of size {result.value - 1}: {_fmt(result.witness_unsolvable)}")
@@ -220,7 +223,7 @@ def _cmd_verify(args) -> int:
         emit(valid=False, reason="parent-halving")
         return 1
     limits = _limits(args)
-    _note_symmetry(g)
+    _note_symmetry(g, limits)
     result = verify_validity_oracle(g, w, limits=limits)
     _note_down_set(g)
     if result.valid:
@@ -243,9 +246,11 @@ def _cmd_bound(args) -> int:
         w = parse_weights(path.read_text(encoding="utf-8"), g)
         try:
             cert = certify(g, w, args.certify, limits=_limits(args))
-        except NotATreeError as exc:
+        except (NotATreeError, UncertifiedWeightError) as exc:
+            # only --certify tree stops at a failed tree check; else the oracle refused w
             note(str(exc))
-            emit(valid=False, reason="not-a-tree")
+            failed = "parent-halving" if args.certify == "tree" else "counterexample"
+            emit(valid=False, reason="not-a-tree" if isinstance(exc, NotATreeError) else failed)
             return 1
         certs.append(cert)
         try:

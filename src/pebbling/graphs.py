@@ -2,15 +2,13 @@
 
 Vertices are dense 0-based indices; human-readable names (coordinate
 tuples, path positions) live in the optional ``labels`` field only, so
-search structures stay flat arrays. ``symmetry`` stores root-fixing
-automorphism generators used for orbit reduction: cycles and cubes
-store theirs, hand-built graphs and graph files none. Twins need no
-storing: twin_classes finds them from the edges.
+search structures stay flat arrays. A graph stores no symmetry: the
+down-set reads it off the edges, however the graph was built, through
+twin_classes and root_automorphisms, each cached on the graph.
 
 build_graph checks connectivity with the one BFS of distances_from and
-leaves the root's distances cached, so the solver and the down-set
-builder run no second BFS from the root. rooted_cube(n) is built from
-hypercube(n - 1) plus a pendant root, generators included.
+leaves the root's distances cached, so no later reader runs a second
+BFS from the root. rooted_cube(n) is hypercube(n - 1) plus a pendant root.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ class Graph:
     edges: tuple[Edge, ...]
     root: int
     labels: tuple[str, ...] | None = None
-    symmetry: tuple[Perm, ...] = ()
 
     def __post_init__(self):
         nbrs: list[list[int]] = [[] for _ in range(self.vertex_count)]
@@ -71,28 +68,11 @@ def _check_vertex(g_or_n, v: int) -> None:
         raise BadParameterError(f"vertex {v} out of range [0, {n})")
 
 
-def _is_automorphism(n: int, edge_set: frozenset[Edge], perm: Perm) -> bool:
-    if len(perm) != n or sorted(perm) != list(range(n)):
-        return False
-    for u, v in edge_set:
-        a, b = perm[u], perm[v]
-        if (min(a, b), max(a, b)) not in edge_set:
-            return False
-    return True
-
-
-def build_graph(
-    vertex_count: int,
-    edges,
-    root: int,
-    labels=None,
-    symmetry: tuple[Perm, ...] = (),
-) -> Graph:
+def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
     """Validate and construct a rooted graph.
 
     Rejects self-loops, duplicate edges, out-of-range roots and
-    disconnected inputs. Symmetry permutations must fix the root and map
-    the edge set onto itself; this is checked by direct application.
+    disconnected inputs.
     """
     if vertex_count < 1:
         raise BadParameterError("vertex_count must be at least 1")
@@ -114,8 +94,7 @@ def build_graph(
     norm.sort()
 
     labels = None if labels is None else tuple(labels)
-    symmetry = tuple(tuple(p) for p in symmetry)
-    g = Graph(vertex_count, tuple(norm), root, labels, symmetry)
+    g = Graph(vertex_count, tuple(norm), root, labels)
     unreached = distances_from(g, root).count(-1)
     if unreached:
         raise DisconnectedError(
@@ -123,9 +102,6 @@ def build_graph(
         )
     if labels is not None and len(labels) != vertex_count:
         raise BadParameterError("labels length mismatch")
-    for p in symmetry:
-        if not _is_automorphism(vertex_count, g.edge_set, p) or p[root] != root:
-            raise BadParameterError(f"stored symmetry {p} is not a root-fixing automorphism")
     return g
 
 
@@ -148,6 +124,71 @@ def twin_classes(g: Graph) -> tuple[tuple[int, ...], ...]:
                 classes.setdefault((True, tuple(sorted(nbrs + (v,)))), []).append(v)
         cache["twin_classes"] = tuple(sorted(tuple(c) for c in classes.values() if len(c) > 1))
     return cache["twin_classes"]
+
+
+GROUP_SIZE_CAP = 10_000
+
+
+def root_automorphisms(g: Graph, check=None) -> tuple[Perm, ...] | None:
+    """Every automorphism of g that fixes the root, sorted, or None past
+    GROUP_SIZE_CAP of them. Cached on the graph once complete.
+
+    A backtracking over the vertices nearest the root first, ties to the
+    smaller id. A vertex's image is an unused neighbour of its parent's
+    image (the parent: its first neighbour placed), of the same distance
+    and degree, adjacent to the images of exactly its neighbours placed
+    before it. So every full map keeps adjacency both ways, and every
+    root-fixing automorphism meets each condition. The walk keeps its
+    own stack, so a long path does not recurse once per vertex, and
+    calls ``check`` (a deadline test, say) every 1,024 placements.
+    """
+    cache = g._cache
+    if "automorphisms" in cache:
+        return cache["automorphisms"]
+    n, nbrs, root = g.vertex_count, g.neighbors, g.root
+    dist = distances_from(g, root)
+    order = sorted(range(n), key=lambda v: (dist[v], v))
+    pos = {v: i for i, v in enumerate(order)}
+    sig = [(dist[v], len(nbrs[v])) for v in range(n)]
+    # the neighbours placed before each vertex, in order, the parent first
+    back = [sorted((u for u in nbrs[v] if pos[u] < pos[v]), key=pos.get) for v in order]
+    adjacent = [frozenset(a) for a in nbrs]
+    # image[v] is -1 until v is placed
+    image, used = [-1] * n, [False] * n
+    image[root], used[root] = root, True
+
+    def candidates(i):
+        v, seen = order[i], [image[u] for u in back[i]]
+        fits = [w for w in nbrs[seen[0]] if not used[w] and sig[w] == sig[v] and adjacent[w].issuperset(seen)]
+        return iter([w for w in fits if sum(map(used.__getitem__, nbrs[w])) == len(seen)])
+
+    group, pending, i, placed = [], [None] * n, min(n - 1, 1), 0
+    if i:
+        pending[1] = candidates(1)
+    else:
+        group.append((root,))
+    while i:
+        v = order[i]
+        if image[v] >= 0:
+            used[image[v]] = False
+        image[v] = w = next(pending[i], -1)
+        if w < 0:
+            i -= 1
+            continue
+        used[w] = True
+        placed += 1
+        if check and not placed & 1023:
+            check()
+        if i < n - 1:
+            i += 1
+            pending[i] = candidates(i)
+        else:
+            group.append(tuple(image))
+            if len(group) > GROUP_SIZE_CAP:
+                group = None
+                break
+    cache["automorphisms"] = out = None if group is None else tuple(sorted(group))
+    return out
 
 
 def distances_from(g: Graph, src: int) -> tuple[int, ...]:
@@ -203,16 +244,6 @@ def _coordinate_label(value: int, n_bits: int) -> str:
     return "(" + ",".join(str((value >> i) & 1) for i in range(n_bits)) + ")"
 
 
-def _bit_swap_perm(n_bits: int, i: int, j: int) -> Perm:
-    """Vertex permutation induced by swapping coordinate bits i and j."""
-    perm = list(range(1 << n_bits))
-    for v in range(1 << n_bits):
-        bi, bj = (v >> i) & 1, (v >> j) & 1
-        if bi != bj:
-            perm[v] = v ^ ((1 << i) | (1 << j))
-    return tuple(perm)
-
-
 @lru_cache(maxsize=None)
 def path_graph(k: int) -> Graph:
     """The path on k+1 vertices rooted at one end.
@@ -231,8 +262,7 @@ def cycle_graph(length: int) -> Graph:
     if length < 3:
         raise BadParameterError("cycle length must be at least 3")
     edges = [(i, (i + 1) % length) for i in range(length)]
-    reflection = tuple((-i) % length for i in range(length))
-    return build_graph(length, edges, root=0, symmetry=(reflection,))
+    return build_graph(length, edges, root=0)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +278,7 @@ def hypercube(n: int) -> Graph:
             if u > v:
                 edges.append((v, u))
     labels = tuple(_coordinate_label(v, n) for v in range(size))
-    symmetry = tuple(_bit_swap_perm(n, i, i + 1) for i in range(n - 1))
-    return build_graph(size, edges, root=0, labels=labels, symmetry=symmetry)
+    return build_graph(size, edges, root=0, labels=labels)
 
 
 _LEMMA5_DOUBLE_NAMES = {3: "y_3", 5: "y_2", 6: "y_1"}
@@ -260,7 +289,7 @@ def rooted_cube(n: int) -> Graph:
     """A pendant root attached to the all-zeros vertex of Q_{n-1}.
 
     Built from ``hypercube(n - 1)``: cube vertex v becomes 1 + v, the
-    root 0 hangs off vertex 1, and each cube generator fixes the root.
+    root 0 hangs off vertex 1.
     Cube vertices keep their coordinate labels; the 4-dimensional
     instance instead carries the conventional u/x_i/y_i/z names of its
     figure (u adjacent to the root, z opposite).
@@ -282,8 +311,7 @@ def rooted_cube(n: int) -> Graph:
                 cube_labels.append(_LEMMA5_DOUBLE_NAMES[c])
             else:
                 cube_labels.append("z")
-    symmetry = tuple((0, *(1 + x for x in p)) for p in q.symmetry)
-    return build_graph(q.vertex_count + 1, edges, root=0, labels=("r", *cube_labels), symmetry=symmetry)
+    return build_graph(q.vertex_count + 1, edges, root=0, labels=("r", *cube_labels))
 
 
 @lru_cache(maxsize=None)

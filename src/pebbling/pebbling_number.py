@@ -14,20 +14,18 @@ would contain one of this size. Every level below it is non-empty (the
 empty configuration is unsolvable), so pi_rooted is the number of levels.
 
 Levels only hold configurations with p(v) < 2^d(v,r) for every v: a
-larger stack is solvable outright. With symmetry each level keeps one
-representative per orbit: the lexicographic maximum, which under block
-symmetry (the twin classes) is the tuple sorted descending within each
-block. This module is the only one that reduces orbits: _symmetry_mode
-resolves the stored generators and the twins into a regime, and the
-solver memoizes configurations as they are.
+larger stack is solvable outright. With symmetry, found from the edges
+(_symmetry_mode), each level keeps one representative per orbit: its
+maximum in the builder's vertex order (below), which for twins is the
+tuple sorted descending within each block. Only this module reduces
+orbits; the solver memoizes configurations as they are.
 
-While a level is built, each configuration is a packed integer key in
-the layout the solver keys its memo on (solver.packed_units) at target
-1: vertex v owns a field of d(v,r)+1 bits, vertex 0 the most
-significant. A field holds every count a level or a child can reach (at
-most 2^d(v,r)), so no field carries into the next, integer order is
-lexicographic order, and the orbit maxima stay the representatives.
-The builder yields each level as a list of counts tuples.
+While a level is built, each configuration is a packed integer key:
+vertex v owns a field of d(v,r)+1 bits (solver.packed_units at target
+1), most significant first in the builder's order under a group and in
+the ids' otherwise. No field carries into the next (none holds
+more than 2^d(v,r)), so integer order is lexicographic order in that
+order. The builder yields each level as a list of counts tuples.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate whose distance potential sum q(v) 2^-d(v,r) is below 1 is
@@ -63,20 +61,18 @@ its extension at L >= last(q - e_L). It is its only one: an extension at
 v < L would need v >= last(q - e_v) = L. So the builder decides an
 extension only when it is the maximum of its orbit (under block
 symmetry, every extension it generates is), and in every mode each
-candidate decided is a representative and is decided once. Under
-symmetry that order is the vertex ids: a closure group's representatives
-are packed-integer maxima, and on twins nearest-first measured worse
-(lollipop(3): 55,177 candidates, not 47,836). With neither (a cube read
-from a file, say) every orbit is one configuration, so any order is
-exact (the last step above holds in any), and it is nearest the root
-first, ties to the smaller id: last(p) is p's farthest pebble, worth
-least, so fewer solvable candidates are made.
+candidate decided is a representative and is decided once. That holds
+in any order in which the packed maxima are the orbit maxima. The
+builder's is nearest the root first, ties to the smaller id: last(p)
+is p's farthest pebble, worth least, so fewer solvable candidates are
+made. On twins it is the ids, as nearest-first measured worse
+(lollipop(3): 55,177 candidates, not 47,836).
 
 How a child is looked up depends on the symmetry. Without it the child
-is looked up as it is. Under a stored closure group, which is small, the
-builder keeps beside each level of representatives the set of all their
-orbit members, so a child is looked up as it is, with no
-canonicalization. A representative carries its |G| images, image k
+is looked up as it is. Under a group of at most GROUP_SIZE_CAP
+permutations, the builder keeps beside each level of representatives
+the set of all their orbit members, so a child is looked up as it is,
+with no canonicalization. A representative carries its |G| images, image k
 holding p(v) pebbles on perm_k(v); those of p + e_v add the unit of
 perm_k(v) to image k, so they cost |G| additions. They are computed
 before a candidate is decided, to tell whether it is its orbit's
@@ -122,16 +118,16 @@ contradiction. The source move found has a child in the orbit of one
 looked up (transpose v with its block's first vertex and a with the end
 of its run), so that lookup finds q solvable.
 
-Each candidate decision counts as one search node against the solver's
-limits, whose deadline is also read once per level. A limit hit part-way
-reports the number of complete levels, a proven lower bound on
-pi_rooted.
+Each candidate decided counts as one search node against the solver's
+limits, whose deadline is also read once per level. A limit hit
+part-way reports the complete levels, a proven lower bound on pi.
 
 The symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph, and
 the graph keeps only what its readers need (DownSet): the number of
-levels, which is pi_rooted; the greatest member of the last level,
-pi's witness; and the maximal representatives, those p with no
+levels, which is pi_rooted; the greatest member of the last level in
+the ids' order, pi's witness (under a group, an image of a
+representative); and the maximal representatives, those p with no
 unsolvable p + e_v. Weights are nonnegative, so when p + e_v is
 unsolvable it weighs at least as much as p and is lexicographically
 greater: the heaviest unsolvable configuration, ties to the greatest,
@@ -149,12 +145,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, itemgetter, mul, ne
+from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .configurations import Configuration
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
-from .graphs import Graph, distances_from, twin_classes
+from .graphs import Graph, distances_from, root_automorphisms, twin_classes
 from .solver import SearchLimits, Solver, packed_units, shared_solver
 
 
@@ -176,51 +172,29 @@ class PiResult:
     exhaustiveness: ScanRecord
 
 
-# Closure groups larger than this are not enumerated; the down-set is
-# then built in full, without symmetry (soundness over speed).
-GROUP_SIZE_CAP = 10_000
-
-
-def _symmetry_mode(g: Graph):
-    """Resolve the graph's symmetry into one of three regimes.
-
-    When the stored generators are all transpositions, or absent, the
-    regime is the twin classes (graphs.twin_classes), which hold every
-    root-fixing transposition: ("blocks", blocks), each block a sorted
-    tuple of interchangeable vertices, or ("none", None) with no twins.
-    Otherwise it is ("group", getters), one ``itemgetter`` per
-    permutation of the stored generators' closure, so applying one is a
-    C call. Cached per graph.
+def _symmetry_mode(g: Graph, solver: Solver | None = None):
+    """The graph's symmetry, found from its edges, as a regime:
+    ("blocks", graphs.twin_classes) when it has twins; else ("group",
+    getters), one ``itemgetter`` per element of graphs.root_automorphisms
+    (applying one is a C call), when that group is nontrivial and within
+    the cap; else ("none", None). The group search reads the deadline of
+    ``solver``, if given. Cached per graph.
     """
     cache = g._cache
-    if "symmetry_mode" in cache:
-        return cache["symmetry_mode"]
-
-    gens = g.symmetry
-    identity = tuple(range(g.vertex_count))
-    mode = ("none", None)
-    if all(sum(map(ne, p, identity)) == 2 for p in gens):
-        if twin_classes(g):
-            mode = ("blocks", twin_classes(g))
-    else:
-        group, frontier = {identity}, [identity]
-        while frontier and len(group) <= GROUP_SIZE_CAP:
-            # (gperm . p)[v] = gperm[p[v]]
-            frontier = {tuple(map(gperm.__getitem__, p)) for p in frontier for gperm in gens} - group
-            group |= frontier
-        if len(group) <= GROUP_SIZE_CAP:
-            mode = ("group", tuple(itemgetter(*p) for p in sorted(group)))
-
-    cache["symmetry_mode"] = mode
-    return mode
+    if "symmetry_mode" not in cache:
+        mode = ("blocks", twin_classes(g)) if twin_classes(g) else ("none", None)
+        group = () if twin_classes(g) else root_automorphisms(g, solver and solver.check_deadline) or ()
+        if len(group) > 1:
+            mode = ("group", tuple(itemgetter(*p) for p in group))
+        cache["symmetry_mode"] = mode
+    return cache["symmetry_mode"]
 
 
 class DownSet(NamedTuple):
-    """What a graph keeps of its down-set: the number of levels (pi),
-    the number of representatives built, the greatest member of the
-    last level (pi's witness) and the maximal representatives, one per
-    orbit of the maximal unsolvable configurations (see the module
-    docstring)."""
+    """What a graph keeps of its down-set (see the module docstring):
+    the number of levels (pi), of representatives built, the greatest
+    member of the last level (pi's witness) and the maximal
+    representatives."""
 
     levels: int
     representatives: int
@@ -234,22 +208,21 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     the one below (see the module docstring) and streamed: only its
     DownSet summary is kept.
 
-    Every member of the last level is maximal, and its greatest, pi's
-    witness, is then re-verified by a new solver with a fresh memo under
-    the same limits, so the check does not lean on the builder or on a
-    shared memo; it runs once per build, for every reader of the
-    down-set, and its stats are kept for search_nodes. Once it passes,
-    its memo joins that of ``solver``, the graph's shared solver: every
-    entry is an exact verdict keyed in the same layout (both are target
-    1), so its verdicts then serve later queries on the graph. Cached on
-    the graph only once complete and checked: a resource limit hit
-    part-way (running out of memory is one) leaves nothing behind,
-    neither a summary nor memo entries, and its error carries the levels
-    completed as ``pi_lower``.
+    The greatest member of the last level, pi's witness, is re-verified
+    once per build by a new solver with a fresh memo under the same
+    limits, so the check leans on neither the builder nor a shared memo;
+    its stats are kept for search_nodes. Once it passes, its memo joins
+    that of ``solver``, the graph's shared solver (both key exact
+    verdicts at target 1), to serve later queries. Cached on the graph
+    only once complete and checked: a resource limit hit part-way
+    (running out of memory is one) leaves neither a summary nor memo
+    entries behind, and its error carries the levels completed as
+    ``pi_lower``.
     """
     cache = g._cache
     if "down_set" in cache:
         return cache["down_set"]
+    kind, data = _symmetry_mode(g, solver)
     levels = representatives = 0
     maximal: list[tuple[int, ...]] = []
     try:
@@ -257,7 +230,8 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
             levels += 1
             representatives += len(level)
             last = level
-        witness = max(last)
+        # a group's representatives are maxima in the builder's order only
+        witness = max(perm(c) for c in last for perm in data) if kind == "group" else max(last)
         check = Solver(g, 1, solver.limits)
         if check.decide(witness):
             raise InternalError("internal error: witness re-verification failed")
@@ -300,23 +274,25 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     counts of level s's maximal representatives to ``maximal``.
 
     Each representative carries its counts, its legal moves' deltas, its
-    potential scaled by 2^max(dist) and, under a closure group, its
-    images (see the module docstring), so an extension costs additions
-    and a child one subtraction.
+    potential scaled by 2^max(dist) and, under a group, its images, so
+    an extension costs additions and a child one subtraction.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
     is looked up once level s+1 is built: each p + e_v below the caps
     that stays block-sorted (the first vertex of a run of equal counts
     stands for its twins in the run) among the next level's members,
-    all their images under a closure group, else their keys. It is
-    maximal when every lookup misses.
+    all their images under a group. It is maximal when every lookup
+    misses.
     """
-    kind, data = _symmetry_mode(g)
+    kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
     dist = distances_from(g, g.root)
-    # the solver's layout at target 1: vertex v owns d(v,r)+1 bits
-    unit = packed_units(dist)
+    # nearest the root first, ties to the smaller id, but for twins; the
+    # fields are laid out in it only under a group (any layout is exact
+    # else, and the ids' keeps near vertices' units small on a long path)
+    order = range(n) if kind == "blocks" else sorted(range(n), key=lambda v: (dist[v], v))
+    unit = packed_units(dist, order=order if kind == "group" else None)
     targets: list[list[int]] = [[] for _ in range(n)]
     for a, t in solver._moves:
         targets[a].append(t)
@@ -332,7 +308,6 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit) if blocks else None
     prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
     # descending in the builder's order, so the walk over p can stop at last(p)
-    order = sorted(range(n), key=lambda v: (dist[v], v)) if kind == "none" else range(n)
     top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(order) if v != g.root]
     # maximality lookups go farthest vertex first, where an extension of
     # an unsolvable configuration most often stays unsolvable
@@ -433,25 +408,12 @@ def _block_deltas(blocks, lands, unit):
 
 
 def pi_rooted(g: Graph, *, limits: SearchLimits | None = None, threads: int = 1) -> PiResult:
-    """Exact rooted pebbling number with a maximal unsolvable witness.
-
-    The witness is the lexicographically greatest configuration of the
-    last level, re-verified by a new solver when the down-set is built
-    (see _down_set); the build and that check each get the full
-    ``limits``. ``threads`` is accepted for compatibility and selects
-    nothing: the levels are built in this process.
-    """
+    """Exact rooted pebbling number with a maximal unsolvable witness,
+    the greatest configuration of the last level (see _down_set, whose
+    build and witness check each get the full ``limits``). ``threads``
+    is accepted for compatibility and selects nothing."""
     down = _down_set(g, shared_solver(g).begin(limits))
     return PiResult(down.levels, Configuration(g, down.witness), ScanRecord(tuple(range(down.levels + 1))))
-
-
-def _weight_respects_symmetry(g: Graph, weights) -> bool:
-    """Whether the weights are constant on the orbits the down-set
-    reduces by: on each block, or under each stored generator."""
-    kind, data = _symmetry_mode(g)
-    if kind == "blocks":
-        return all(len({weights[v] for v in block}) == 1 for block in data)
-    return all(weights[p[v]] == weights[v] for p in g.symmetry for v in range(g.vertex_count))
 
 
 def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) -> tuple[Fraction, Configuration]:
@@ -460,16 +422,15 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     A maximum of the integer-scaled w(p) over the down-set; ties go to
     the lexicographically greatest configuration. w is nonnegative, so
     that maximum is maximal in the down-set (see the module docstring),
-    and only the maximal representatives are scored. Each stands for
-    its orbit's heaviest member under that order: itself when w is
-    constant on the orbits (_weight_respects_symmetry); otherwise,
-    under a closure group, its best image, and under block symmetry the
-    block's counts sorted descending onto the block's vertices ordered
-    by (-w(v), v), which is the heaviest arrangement (rearrangement
-    inequality) and the greatest among the heaviest, block by block.
-    The symmetries preserve solvability and maximality, so every orbit
-    is maximal unsolvable whole, and the maximum over the orbits is the
-    (value, achiever) pair that the full down-set gives.
+    and only the maximal representatives are scored, each at its
+    orbit's heaviest member under that order. Under a group that is its
+    best image, as a representative is the maximum in the builder's
+    order, not the ids' (when w is constant on the orbits, only the
+    heaviest are imaged). Under block symmetry it is the block's counts
+    sorted descending onto its vertices ordered by (-w(v), v): the
+    heaviest arrangement (rearrangement inequality), and the greatest
+    among them. Symmetries preserve solvability and maximality, so this
+    is the (value, achiever) pair the full down-set gives.
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
@@ -482,9 +443,12 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     def score(counts):
         return sum(map(mul, wi, counts)), counts
 
-    # a representative weighs what its orbit does when w is constant on it
-    kind, data = ("none", None) if _weight_respects_symmetry(g, weights) else _symmetry_mode(g)
+    kind, data = _symmetry_mode(g)
     if kind == "group":
+        if all(perm(wi) == tuple(wi) for perm in data):
+            # w is constant on the orbits: only the heaviest reach the tie-break
+            top = max(map(score, members))[0]
+            members = [c for c in members if score(c)[0] == top]
         members = (max((perm(c) for perm in data), key=score) for c in members)
     elif kind == "blocks":
         orders = [sorted(block, key=lambda v: (-wi[v], v)) for block in data]

@@ -2,7 +2,8 @@
 
 Depth-first search over pebbling moves with memoization on the
 configurations as they are; the solver ignores the graph's symmetry
-(stored generators and twins), which only the down-set builder uses.
+(its twins and root-fixing automorphisms), which only the down-set
+builder uses.
 Every move shrinks the configuration by one pebble, so the search graph
 is acyclic and a plain two-valued memo is sound. Exactly two shortcuts are used, both of which are exact:
 
@@ -110,16 +111,16 @@ def potential(g: Graph, p: Configuration) -> Fraction:
     )
 
 
-def packed_units(dist: tuple[int, ...], target: int = 1) -> tuple[int, ...]:
+def packed_units(dist: tuple[int, ...], target: int = 1, order=None) -> tuple[int, ...]:
     """The unit of each vertex's field when a configuration is packed
     into one integer: vertex v owns d(v,r) + target.bit_length() bits,
-    vertex 0 the most significant. Shared by the solver's memo and, at
-    target 1, the down-set builder."""
-    width, off, units = target.bit_length(), 0, []
-    for d in reversed(dist):
-        units.append(1 << off)
-        off += d + width
-    return tuple(reversed(units))
+    the first of ``order`` (by default the ids) the most significant.
+    The solver's memo and, at target 1, the down-set builder pack so."""
+    width, off, units = target.bit_length(), 0, [0] * len(dist)
+    for v in reversed(order or range(len(dist))):
+        units[v] = 1 << off
+        off += dist[v] + width
+    return tuple(units)
 
 
 class Solver:

@@ -12,7 +12,7 @@ weight. Three verification routes produce certificates:
 * exhaustive oracle: maximize w over all unsolvable configurations and
   compare against w(1_G), reading the graph's one down-set of
   unsolvable configurations, kept as orbit representatives of its
-  symmetry (stored generators or twins) whatever the weights,
+  symmetry (twins or the root-fixing group) whatever the weights,
 * combination: conic combinations of already certified functions on
   embedded subgraphs; a decomposition is the combination with every
   coefficient 1, checked to equal w.

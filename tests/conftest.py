@@ -20,12 +20,15 @@ off Solver.decide must equal, and reference_decide the earlier
 tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
 memo size the packed-key search must reproduce. twin_transpositions
 finds the interchangeable vertices by applying every root-fixing
-transposition to the edge set, and symmetry_orbit expands a
-representative into its orbit (block by block for twins, over the
-closure for stored generators), so that a reduced down-set can be
-checked against a full one.
+transposition to the edge set, root_fixing_automorphisms asks networkx
+for the graph's root-fixing automorphism group, and symmetry_orbit
+expands a representative into its orbit (block by block for twins, over
+that group otherwise), so that a reduced down-set can be checked
+against a full one; greatest picks an orbit's representative, its
+greatest member in the builder's vertex order.
 """
 
+import weakref
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -33,7 +36,7 @@ from itertools import combinations, product
 import pytest
 
 import pebbling as pb
-from pebbling.graphs import distances_from
+from pebbling.graphs import GROUP_SIZE_CAP, distances_from, twin_classes
 from pebbling.lp import OPTIMAL, UNBOUNDED, LpSolution
 from pebbling.pebbling_number import _levels
 
@@ -125,20 +128,31 @@ def naive_unsolvable_levels(g):
             return levels
 
 
+# the copies stripped() made, which symmetry_orbit reduces by twins only
+_STRIPPED = weakref.WeakSet()
+
+
 def stripped(g):
-    """A copy of g without its stored generators. Its twins are still
-    found from the edges, so a scan with no orbit reduction comes from
+    """A copy of g whose down-set is reduced by its twins only, or not at
+    all: its symmetry regime is seeded with its twin blocks, else none,
+    so no automorphism group is looked for. A scan of a copy with no
+    twins is a scan with no orbit reduction, as from
     naive_unsolvable_levels or reference_unsolvable_levels(..., full=True)."""
-    return pb.build_graph(g.vertex_count, g.edges, g.root, labels=g.labels)
+    h = pb.build_graph(g.vertex_count, g.edges, g.root, labels=g.labels)
+    blocks = twin_classes(h)
+    h._cache["symmetry_mode"] = ("blocks", blocks) if blocks else ("none", None)
+    _STRIPPED.add(h)
+    return h
 
 
 def reference_unsolvable_levels(g, solver, full=False):
     """The down-set built by deciding every candidate with ``solver``:
     each level is the level below plus one pebble (p(v) < 2^d(v,r)),
-    replaced by the greatest member of its orbit (symmetry_orbit, or
-    itself alone when ``full``) and kept where the solver finds it
+    replaced by its orbit's representative (greatest over symmetry_orbit,
+    or itself alone when ``full``) and kept where the solver finds it
     unsolvable. Nothing is cached."""
     orbit_of = (lambda counts: (counts,)) if full else symmetry_orbit(g)
+    representative = greatest(g)
     dist = distances_from(g, g.root)
     top = [(v, (1 << dist[v]) - 1) for v in range(g.vertex_count) if v != g.root]
     level = {(0,) * g.vertex_count}
@@ -153,7 +167,7 @@ def reference_unsolvable_levels(g, solver, full=False):
                 if p[v] < cap:
                     q = list(p)
                     q[v] += 1
-                    q = max(orbit_of(tuple(q)))
+                    q = representative(orbit_of(tuple(q)))
                     if q not in tried:
                         tried.add(q)
                         if not solver.decide(q):
@@ -255,16 +269,35 @@ def reference_witness(g, counts, t=1):
     return witness(tuple(counts))
 
 
+def root_fixing_automorphisms(g):
+    """Every automorphism of g that fixes the root, as permutation
+    tuples, from networkx's GraphMatcher with the root pinned by a node
+    attribute. The nodes go in breadth-first from the root, an order in
+    which the matcher stays fast on a relabeled cube."""
+    from networkx import Graph, bfs_tree
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    plain = Graph(g.edges)
+    plain.add_nodes_from(range(g.vertex_count))
+    h = Graph()
+    h.add_nodes_from((v, {"root": v == g.root}) for v in bfs_tree(plain, g.root))
+    h.add_edges_from(g.edges)
+    matcher = GraphMatcher(h, h, node_match=lambda a, b: a["root"] == b["root"])
+    return {tuple(m[v] for v in range(g.vertex_count)) for m in matcher.isomorphisms_iter()}
+
+
 def symmetry_closure(g, gens=None):
-    """Every permutation generated by ``gens`` (the graph's stored
-    symmetry by default), by BFS."""
+    """Every permutation generated by ``gens``, by BFS; by default g's
+    root-fixing automorphism group (root_fixing_automorphisms)."""
+    if gens is None:
+        return root_fixing_automorphisms(g)
     identity = tuple(range(g.vertex_count))
     group = {identity}
     frontier = [identity]
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in g.symmetry if gens is None else gens:
+            for gen in gens:
                 q = tuple(gen[p[v]] for v in identity)
                 if q not in group:
                     group.add(q)
@@ -343,15 +376,33 @@ def block_orbit(blocks, counts):
 
 def symmetry_orbit(g):
     """The orbit map of the symmetry the down-set is reduced by, derived
-    without pebbling_number: the closure of the stored generators when
-    one of them is not a transposition, else the arrangements within
-    the blocks of twin_transpositions (no blocks: each configuration
-    alone)."""
-    if any(sum(x != v for v, x in enumerate(p)) != 2 for p in g.symmetry):
-        group = symmetry_closure(g)
-        return lambda counts: orbit(group, counts)
+    without pebbling_number: the arrangements within the blocks of
+    twin_transpositions when g has twins; else, unless g is a stripped
+    copy, the orbits of root_fixing_automorphisms when there are at
+    most GROUP_SIZE_CAP; else each configuration alone."""
     blocks = twin_blocks(g)
+    if not blocks and g not in _STRIPPED:
+        group = root_fixing_automorphisms(g)
+        if len(group) <= GROUP_SIZE_CAP:
+            return lambda counts: orbit(group, counts)
     return lambda counts: block_orbit(blocks, counts)
+
+
+def builder_order(g):
+    """The down-set builder's vertex order, derived without
+    pebbling_number: the ids when g has twins, else nearest the root
+    first, ties to the smaller id."""
+    if twin_blocks(g):
+        return list(range(g.vertex_count))
+    dist = distances_from(g, g.root)
+    return sorted(range(g.vertex_count), key=lambda v: (dist[v], v))
+
+
+def greatest(g):
+    """The representative of an orbit (a collection of counts tuples):
+    its greatest member in builder_order(g)."""
+    order = builder_order(g)
+    return lambda configurations: max(configurations, key=lambda c: [c[v] for v in order])
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, max_extra=3):

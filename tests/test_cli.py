@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from itertools import islice
 from pathlib import Path
 
@@ -47,7 +48,8 @@ class TestGen:
         assert results == ["RESULT pi=8"]
 
     def test_pi_names_the_symmetry_regime(self, capsys, tmp_path, c5_file):
-        # a lollipop file's middles are twins, found from its edges
+        # found from the edges: a lollipop file's middles are twins, a C5
+        # file has its reflection, and a path has no symmetry
         out = tmp_path / "l3.graph"
         run_cli(capsys, "gen", "lollipop", "3", "-o", str(out))
         code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-seconds", "10")
@@ -56,8 +58,33 @@ class TestGen:
         assert "down-set: 32 levels, 44248 representatives, 939 maximal\n" in err
         code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
         assert (code, results) == (0, ["RESULT pi=5"])
+        assert "symmetry: group 2\n" in err
+        assert "down-set: 5 levels, 17 representatives, 4 maximal\n" in err
+        out = tmp_path / "p4.graph"
+        run_cli(capsys, "gen", "path", "4", "-o", str(out))
+        code, results, err = run_cli(capsys, "pi", "-g", str(out))
+        assert (code, results) == (0, ["RESULT pi=16"])
         assert "symmetry: none\n" in err
-        assert "down-set: 5 levels, 29 representatives, 6 maximal\n" in err
+
+    def test_group_search_runs_under_the_deadline(self, capsys, tmp_path):
+        # Q8's root-fixing group has 8! elements, past the cap; finding
+        # that takes longer than the two seconds allowed
+        out = tmp_path / "q8.graph"
+        run_cli(capsys, "gen", "hypercube", "8", "-o", str(out))
+        start = time.monotonic()
+        code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-seconds", "2")
+        assert (code, results) == (3, []) and "search exceeded 2.0 seconds" in err
+        assert time.monotonic() - start < 5
+
+    def test_long_path_file_ends_at_the_node_cap(self, capsys, tmp_path):
+        # 1,500 vertices, more than the interpreter's recursion limit: the
+        # group search keeps its own stack, and the scan stops at the cap
+        out = tmp_path / "long.graph"
+        edges = "".join(f"edge {v} {v + 1}\n" for v in range(1_499))
+        out.write_text(f"pebblegraph 1\nvertices 1500\nroot 1499\n{edges}", encoding="utf-8")
+        code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-nodes", "100")
+        assert (code, results) == (3, [])
+        assert "symmetry: none\n" in err and "search exceeded 100 nodes" in err
 
     def test_out_of_memory_is_a_resource_limit(self, capsys, monkeypatch, c5_file):
         # the builder completes levels 0 and 1, then runs out of memory
@@ -236,6 +263,19 @@ class TestBound:
         assert results == ["RESULT cert0_bound=12", "RESULT bound=12 optimum=11/1", "RESULT lower=8"]
         assert "certificates: oracle-checked;" in err
 
+    def test_rejected_certificate_is_a_verdict(self, capsys, tmp_path):
+        # weight 1 on every vertex of `gen path 3` off the root: no parent
+        # weighs twice its child, and 7 pebbles on the far end are stuck
+        gp = tmp_path / "p3.graph"
+        wp = tmp_path / "flat.weights"
+        gp.write_text(serialize_graph(pb.path_graph(3)), encoding="utf-8")
+        wp.write_text("pebbleweights 1\nw 0 1\nw 1 1\nw 2 1\n", encoding="utf-8")
+        reasons = {"tree": "parent-halving", "oracle": "counterexample", "auto": "counterexample"}
+        for mode, reason in reasons.items():
+            code, results, err = run_cli(capsys, "bound", "-g", str(gp), "-w", str(wp), "--certify", mode)
+            assert (code, results) == (1, [f"RESULT valid=false reason={reason}"]), mode
+            assert "error" not in err, mode
+
     def test_certify_unknown_method_exits_2(self, capsys, fig2_files):
         code, results, _ = run_cli(capsys, "bound", *fig2_files, "--certify", "recorded")
         assert code == 2 and results == []
@@ -356,13 +396,13 @@ class TestPaperTargets:
         assert "proven pi >= 21" in err
 
     def test_thm1_k4_reports_every_search_node(self, capsys):
-        # the down-set build 9,654, the witness re-check by a new solver
+        # the down-set build 9,394, the witness re-check by a new solver
         # 10,757 and the stuck check 317, which runs on the re-check's
         # memo handed to the shared solver; a repeat reads the cached
         # down-set and finds the stuck check in the memo
         pb.cycle_graph(9)._cache.clear()
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
-        assert code == 0 and err.endswith(", 20728 search nodes\n"), err
+        assert code == 0 and err.endswith(", 20468 search nodes\n"), err
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
         assert code == 0 and err.endswith(", 1 search nodes\n"), err
 

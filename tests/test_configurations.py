@@ -110,7 +110,8 @@ class TestEnumerate:
         assert len(forms) == 7
 
     def test_symmetry_orbit_coverage(self, q3):
-        # the stored closure's images of a configuration are its whole orbit
+        # the group's images of a configuration are its whole orbit (the
+        # group from networkx, the getters from the edge search)
         kind, perms = _symmetry_mode(q3)
         assert kind == "group"
         group = symmetry_closure(q3)
@@ -131,7 +132,7 @@ class TestHypercubeOrbitCounts:
         assert len({max(perm(p.counts) for perm in perms) for p in plain}) == 3
 
     def test_q3_orbit_count_agrees_with_burnside_free_quotient(self, q3):
-        # independent: the orbits of the explicit closure group, one maximum each
+        # independent: the orbits of networkx's root-fixing group, one maximum each
         _, perms = _symmetry_mode(q3)
         group = symmetry_closure(q3)
         for s in (2, 3):

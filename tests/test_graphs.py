@@ -6,16 +6,19 @@ import networkx as nx
 import pytest
 
 import pebbling as pb
-from conftest import random_connected_graph, symmetry_closure, twin_transpositions
+from conftest import random_connected_graph, root_fixing_automorphisms, symmetry_closure, twin_transpositions
 from pebbling.errors import (
     BadParameterError,
     DisconnectedError,
     DuplicateEdgeError,
+    ResourceLimitError,
     RootOutOfRangeError,
     SelfLoopError,
     UnknownFamilyError,
 )
-from pebbling.graphs import twin_classes
+from pebbling.fileformats import parse_graph, serialize_graph
+from pebbling.graphs import GROUP_SIZE_CAP, root_automorphisms, twin_classes
+from pebbling.pebbling_number import _symmetry_mode
 
 FIG2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
 
@@ -67,10 +70,6 @@ class TestBuildGraph:
     def test_rejects_bad_endpoint(self):
         with pytest.raises(BadParameterError):
             pb.build_graph(2, [(0, 5)], root=0)
-
-    def test_rejects_bogus_symmetry(self):
-        with pytest.raises(BadParameterError):
-            pb.build_graph(3, [(0, 1), (1, 2)], root=0, symmetry=((1, 0, 2),))
 
 
 class TestDistances:
@@ -173,11 +172,13 @@ class TestGenerate:
 
     def test_symmetry_permutations_are_root_fixing_automorphisms(self):
         for g in [pb.cycle_graph(9), pb.hypercube(4), pb.rooted_cube(4), pb.lollipop(2)]:
-            # the lollipop stores none: the swaps of its twins stand in
+            # the swaps of the twins, and the group found from the edges
             swaps = _class_swaps(g)
             assert swaps == set(twin_transpositions(g))
-            assert g.symmetry or swaps
-            for p in (*g.symmetry, *swaps):
+            # (the lollipop's 8! arm permutations are past the cap)
+            group = root_automorphisms(g) or ()
+            assert len(group) > 1 or swaps
+            for p in (*group, *swaps):
                 assert p[g.root] == g.root
                 mapped = {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges}
                 assert mapped == set(g.edges)
@@ -244,3 +245,64 @@ class TestTwinClasses:
             with_twins += bool(classes)
         assert with_twins >= 100
 
+
+
+def _relabeled_file_copy(g, seed):
+    """A seeded relabeling of g, written and read back in the file format."""
+    perm = list(range(g.vertex_count))
+    random.Random(seed).shuffle(perm)
+    moved = pb.build_graph(g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges], root=perm[g.root])
+    return parse_graph(serialize_graph(moved))
+
+
+class TestRootAutomorphisms:
+    """graphs.root_automorphisms against networkx's GraphMatcher with the
+    root pinned (conftest.root_fixing_automorphisms)."""
+
+    @staticmethod
+    def _agrees(g):
+        group = root_automorphisms(g)
+        assert group[0] == tuple(range(g.vertex_count)) and list(group) == sorted(set(group)), g.edges
+        assert set(group) == root_fixing_automorphisms(g), (g.edges, g.root)
+        return len(group)
+
+    def test_families_and_their_file_copies(self):
+        graphs = [pb.cycle_graph(n) for n in range(3, 13)]
+        graphs += [pb.hypercube(n) for n in range(1, 6)] + [pb.rooted_cube(n) for n in range(2, 6)]
+        for seed, g in enumerate(graphs):
+            order = self._agrees(g)
+            assert self._agrees(_relabeled_file_copy(g, seed)) == order, g.edges
+        assert [len(root_automorphisms(pb.cycle_graph(n))) for n in (3, 12)] == [2, 2]
+        assert [len(root_automorphisms(pb.hypercube(n))) for n in range(1, 6)] == [1, 2, 6, 24, 120]
+        assert [len(root_automorphisms(pb.rooted_cube(n))) for n in range(2, 6)] == [1, 2, 6, 24]
+
+    def test_random_graphs(self):
+        rng = random.Random(31_415)
+        orders = set()
+        for _ in range(200):
+            g = random_connected_graph(rng, n_min=1, n_max=8, max_extra=rng.choice((0, 3, 12)))
+            orders.add(self._agrees(g))
+        assert {1, 2, 6} <= orders
+
+    def test_a_group_past_the_cap_is_not_enumerated(self):
+        # eight legs of length 2 off the root: 8! = 40,320 root-fixing
+        # automorphisms and no twins, so no orbit reduction at all
+        legs = 8
+        edges = [(0, 1 + i) for i in range(legs)] + [(1 + i, 1 + legs + i) for i in range(legs)]
+        g = pb.build_graph(1 + 2 * legs, edges, root=0)
+        assert math.factorial(legs) > GROUP_SIZE_CAP and twin_classes(g) == ()
+        assert root_automorphisms(g) is None
+        assert "automorphisms" in g._cache
+        assert _symmetry_mode(g) == ("none", None)
+
+    def test_check_is_called_during_the_search(self):
+        # the deadline test stops the search part-way and nothing is cached
+        g = pb.hypercube(6)
+
+        def stop():
+            raise ResourceLimitError("stopped")
+
+        g._cache.pop("automorphisms", None)
+        with pytest.raises(ResourceLimitError):
+            root_automorphisms(g, stop)
+        assert "automorphisms" not in g._cache

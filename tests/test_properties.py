@@ -21,7 +21,7 @@ from conftest import (
     random_counts,
     reference_unsolvable_levels,
     stripped,
-    twin_transpositions,
+    symmetry_closure,
 )
 from pebbling.pebbling_number import _symmetry_mode
 
@@ -111,8 +111,8 @@ def test_solvability_invariant_under_stored_symmetry():
         for _ in range(50):
             counts = random_counts(rng, g, max_total=8)
             base = solver.decide(counts)
-            # the lollipop stores no generators: its twins swap
-            for perm in (*g.symmetry, *twin_transpositions(g)):
+            # every root-fixing automorphism, twin swaps included
+            for perm in symmetry_closure(g):
                 moved = [0] * g.vertex_count
                 for v, c in enumerate(counts):
                     moved[perm[v]] = c

@@ -158,8 +158,8 @@ class TestLimitsPerCall:
 
 
 class TestSymmetryAgnostic:
-    """The memo holds configurations as they are, so a graph's stored
-    symmetry changes nothing in a search."""
+    """The memo holds configurations as they are, so a graph's symmetry
+    changes nothing in a search: the same as on its stripped copy."""
 
     def test_same_search_as_without_the_stored_symmetry(self):
         c9 = pb.cycle_graph(9)
