@@ -9,6 +9,7 @@ with counts descending, which makes runs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterator
 
 from .errors import (
@@ -36,6 +37,13 @@ class Configuration:
     @property
     def size(self) -> int:
         return sum(self.counts)
+
+
+def _integers(values) -> tuple[list[int], int]:
+    """Exact rationals (ints or Fractions) times the lcm of their denominators, and that lcm."""
+    denominators = [v.denominator for v in values]
+    scale = lcm(*denominators)
+    return [v.numerator * (scale // d) for v, d in zip(values, denominators)], scale
 
 
 def configuration(g: Graph, counts) -> Configuration:

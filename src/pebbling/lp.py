@@ -9,10 +9,11 @@ the tie takes Bland's column, which never cycles. No phase one is needed:
 always feasible. Each row and the objective are scaled to integers
 once; every pivot then divides exactly by the previous pivot, so the
 loop runs on plain ints with no gcd. The dual is read from the final
-reduced costs of the slack columns, giving an independently checkable
-optimality certificate. Instances here stay tiny (one variable per
-non-root vertex, one row per certificate), so no sparse machinery is
-warranted.
+reduced costs of the slack columns, an optimality certificate that
+_dual_problem re-checks on integers of its own scaling. Fractions are
+built only for what is returned: the optimum, the point and the dual.
+Instances stay small (one variable per non-root vertex, one row per
+certificate), so no sparse machinery is warranted.
 
 The pebbling application: every unsolvable configuration is a feasible
 integer point of { p >= 0 : w_i . p <= w_i(1) for every certificate },
@@ -26,7 +27,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
+from .configurations import _integers
 from .errors import (
     DimensionMismatchError,
     EmptyStrategySetError,
@@ -57,6 +60,8 @@ class LinearProgram:
 
     def __post_init__(self):
         n = len(self.objective)
+        if not all(isinstance(x, (int, Fraction)) for part in (self.objective, self.rhs, *self.rows) for x in part):
+            raise LpError("entries must be integers or fractions; linear_program converts other numbers")
         if len(self.rows) != len(self.rhs):
             raise DimensionMismatchError("row and right-hand-side counts differ")
         for row in self.rows:
@@ -68,11 +73,11 @@ class LinearProgram:
 
 
 def linear_program(objective, rows, rhs) -> LinearProgram:
-    return LinearProgram(
-        tuple(Fraction(x) for x in objective),
-        tuple(tuple(Fraction(x) for x in row) for row in rows),
-        tuple(Fraction(x) for x in rhs),
-    )
+    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
+        exact = [tuple(map(Fraction, v)) for v in (objective, rhs, *rows)]
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise LpError(f"entry is not an exact rational: {exc}") from exc
+    return LinearProgram(exact[0], tuple(exact[2:]), exact[1])
 
 
 @dataclass(frozen=True)
@@ -83,13 +88,6 @@ class LpSolution:
     optimum: Fraction | None
     point: tuple[Fraction, ...] | None
     dual: tuple[Fraction, ...] | None
-
-
-def _integers(values) -> tuple[list[int], int]:
-    """values times the lcm of their denominators, and that lcm."""
-    values = [Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _pivot(tab, row, col, det):
@@ -175,17 +173,26 @@ def _dual_problem(lp: LinearProgram, sol: LpSolution) -> str | None:
 
     Weak duality: y >= 0 and yA >= c bound every feasible c.x by y.b,
     so y.b = optimum proves that no feasible point exceeds the optimum,
-    the direction the pebbling bound rests on.
+    the direction the pebbling bound rests on. Checked cross-multiplied on
+    integers scaled from lp and sol alone, never from the solver's tableau.
     """
     y = sol.dual
     if y is None or len(y) != len(lp.rows):
         return "the optimal solution carries no dual of the right length"
-    if any(v < 0 for v in y):
+    u, dual_scale = _integers(y)
+    if any(v < 0 for v in u):
         return "negative dual value"
-    for j, c in enumerate(lp.objective):
-        if sum(v * row[j] for v, row in zip(y, lp.rows)) < c:
+    rows = [_integers((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
+    row_scale = math.lcm(*(s for _, s in rows))
+    weights = [v * (row_scale // s) for v, (_, s) in zip(u, rows)]
+    # y.[A | b] times dual_scale * row_scale, column by column
+    sums = [sum(map(mul, weights, col)) for col in zip(*(r for r, _ in rows))] or [0] * (len(lp.objective) + 1)
+    objective, obj_scale = _integers(lp.objective)
+    scale = dual_scale * row_scale
+    for j, (total, c) in enumerate(zip(sums, objective)):
+        if total * obj_scale < c * scale:
             return f"dual violates column {j}"
-    if sum(v * b for v, b in zip(y, lp.rhs)) != sol.optimum:
+    if sums[-1] * sol.optimum.denominator != sol.optimum.numerator * scale:
         return "dual objective differs from the optimum"
     return None
 
@@ -210,16 +217,12 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     if any(c.graph is not g for c in certs):
         raise DimensionMismatchError("certificate lives on a different graph")
     variables = [v for v in range(g.vertex_count) if v != g.root]
+    scaled = [_integers(c.weight_function.weights) for c in certs]
     for v in variables:
-        if all(c.weight_function.weights[v] == 0 for c in certs):
+        if not any(ints[v] for ints, _ in scaled):
             raise UnboundedCoverageError(f"vertex {v} has zero weight in every certificate")
-    rows = []
-    rhs = []
-    for c in certs:
-        wf = c.weight_function
-        rows.append([wf.weights[v] for v in variables])
-        rhs.append(wf.total)
-    lp = linear_program([1] * len(variables), rows, rhs)
+    rows = tuple(tuple(c.weight_function.weights[v] for v in variables) for c in certs)
+    lp = LinearProgram((1,) * len(variables), rows, tuple(Fraction(sum(ints), s) for ints, s in scaled))
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise UnboundedCoverageError(f"strategy LP ended {sol.status}")

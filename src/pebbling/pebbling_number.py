@@ -144,11 +144,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .configurations import Configuration
+from .configurations import Configuration, _integers
 from .errors import GraphMismatchError, InternalError, ResourceLimitError
 from .graphs import Graph, distances_from, root_automorphisms, twin_classes
 from .solver import SearchLimits, Solver, packed_units, shared_solver
@@ -434,11 +433,8 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     """
     if w.graph is not g:
         raise GraphMismatchError("weight function belongs to a different graph")
-    weights = w.weights
     members = _down_set(g, shared_solver(g).begin(limits)).maximal
-
-    den = lcm(*(f.denominator for f in weights))
-    wi = [int(f * den) for f in weights]
+    wi, den = _integers(w.weights)
 
     def score(counts):
         return sum(map(mul, wi, counts)), counts

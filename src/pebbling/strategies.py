@@ -20,8 +20,9 @@ weight. Three verification routes produce certificates:
 Every certificate status names a check made in this process; no
 validity is taken on record.
 
-All arithmetic is exact (fractions end to end); validity hinges on
-comparisons like 46/3 vs 15 that floats would get wrong.
+All arithmetic is exact: weights are Fractions, summed and compared as
+integers over their common denominator (configurations._integers), as
+validity hinges on comparisons like 46/3 vs 15 that floats get wrong.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration
+from .configurations import Configuration, _integers
 from .errors import (
     BadEmbeddingError,
     BadParameterError,
@@ -71,7 +72,8 @@ class WeightFunction:
     @property
     def total(self) -> Fraction:
         """w(1_G): the weight of the all-ones configuration."""
-        return sum(self.weights, start=Fraction(0))
+        ints, scale = _integers(self.weights)
+        return Fraction(sum(ints), scale)
 
     @property
     def min_positive(self) -> Fraction:
@@ -124,7 +126,8 @@ def check_tree_strategy(g: Graph, w: WeightFunction) -> bool:
     """
     if w.graph is not g:
         raise GraphMismatchError("weights belong to a different graph")
-    support = [v for v in range(g.vertex_count) if w.weights[v] > 0]
+    wi, _ = _integers(w.weights)
+    support = [v for v in range(g.vertex_count) if wi[v] > 0]
     nodes = set(support) | {g.root}
     edges = [(u, v) for u, v in g.edges if u in nodes and v in nodes]
     if len(edges) != len(nodes) - 1:
@@ -149,7 +152,7 @@ def check_tree_strategy(g: Graph, w: WeightFunction) -> bool:
         up = parent[v]
         if up == g.root:
             continue
-        if w.weights[up] < 2 * w.weights[v]:
+        if wi[up] < 2 * wi[v]:
             return False
     return True
 

@@ -7,7 +7,9 @@ tests. naive_pi_rooted likewise scans sizes with raw stars-and-bars
 enumeration and double-checks two sizes past the stopping point.
 reference_solve_lp is the earlier Fraction tableau simplex, taking the
 same largest-improvement pivots in rational arithmetic, whose results
-the integer-pivot solve_lp must reproduce exactly, and
+the integer-pivot solve_lp must reproduce exactly; reference_dual_problem
+is the earlier weak-duality check in plain Fraction sums, whose verdict
+the integer re-check lp._dual_problem must match; and
 reference_unsolvable_levels the earlier down-set builder, which asks
 the memoized solver about every candidate; the one-step recurrence of
 pebbling_number must reproduce its levels exactly. builder_levels reads
@@ -528,6 +530,25 @@ def _dual_values(lp, basis):
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
     return tuple(aug[i][-1] for i in range(m))
+
+
+def reference_dual_problem(lp, sol):
+    """The earlier Fraction weak-duality check, kept as a reference for lp._dual_problem.
+
+    Same checks in the same order: the dual's length, y >= 0, yA >= c
+    column by column and y.b = optimum, every sum a plain Fraction sum.
+    """
+    y = sol.dual
+    if y is None or len(y) != len(lp.rows):
+        return "the optimal solution carries no dual of the right length"
+    if any(v < 0 for v in y):
+        return "negative dual value"
+    for j, c in enumerate(lp.objective):
+        if sum(v * row[j] for v, row in zip(y, lp.rows)) < c:
+            return f"dual violates column {j}"
+    if sum(v * b for v, b in zip(y, lp.rhs)) != sol.optimum:
+        return "dual objective differs from the optimum"
+    return None
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from conftest import reference_solve_lp
+from conftest import reference_dual_problem, reference_solve_lp
 from scipy.optimize import linprog
 
 import pebbling as pb
@@ -17,7 +17,7 @@ from pebbling.errors import (
     UncertifiedComponentError,
     UncertifiedWeightError,
 )
-from pebbling.lp import OPTIMAL, UNBOUNDED, _dual_problem, linear_program, solve_lp
+from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, _dual_problem, linear_program, solve_lp
 
 
 def two_var_vertex_optimum(rows, rhs):
@@ -304,6 +304,103 @@ class TestAgainstReference:
             sol = solve_lp(lp)
             assert sol.status == OPTIMAL and len(pivots) < 40
             assert sol == reference_solve_lp(lp)
+
+
+class TestEntries:
+    """LinearProgram holds exact rationals only; linear_program reads the rest."""
+
+    def test_non_rational_entries_refused(self):
+        cases = [
+            ((1.0,), ((1,),), (1,)),
+            ((1,), ((0.5,),), (1,)),
+            ((1,), ((1,),), (1.5,)),
+            ((1,), (("1",),), (1,)),
+            ((None,), ((1,),), (1,)),
+        ]
+        for objective, rows, rhs in cases:
+            with pytest.raises(LpError, match="integers or fractions"):
+                LinearProgram(objective, rows, rhs)
+        # ints and Fractions mix freely: max x + y/2 with 2x + y/3 <= 3/2 takes y = 9/2
+        lp = LinearProgram((1, Fraction(1, 2)), ((2, Fraction(1, 3)),), (Fraction(3, 2),))
+        assert solve_lp(lp).optimum == Fraction(9, 4)
+
+    def test_linear_program_reads_exact_values(self):
+        lp = linear_program([1, "2/3"], [[0.5, "1/7"]], ["3"])
+        assert lp == LinearProgram((1, Fraction(2, 3)), ((Fraction(1, 2), Fraction(1, 7)),), (3,))
+        assert all(type(x) is Fraction for x in (*lp.objective, *lp.rows[0], *lp.rhs))
+
+    def test_nan_infinities_and_unreadable_strings_are_lp_errors(self):
+        for bad in (float("nan"), float("inf"), float("-inf"), "one third", "1/0"):
+            for objective, rows, rhs in (([bad], [[1]], [1]), ([1], [[bad]], [1]), ([1], [[1]], [bad])):
+                with pytest.raises(LpError, match="not an exact rational"):
+                    linear_program(objective, rows, rhs)
+
+    def test_shape_and_sign_errors_keep_their_messages(self):
+        # the conversion guard must not swallow LinearProgram's own errors
+        with pytest.raises(DimensionMismatchError):
+            linear_program([1, 1], [[1, "1/2"]], [1, 2])
+        with pytest.raises(LpError, match="nonnegative right-hand side"):
+            linear_program([1], [[1]], ["-1/3"])
+
+
+def perturbed_duals(rng, dual):
+    """The true dual, then duals nudged by a random unit fraction: one
+    entry made negative, all shrunk or grown, one raised or lowered."""
+    yield dual
+    if not dual:
+        return
+    i = rng.randrange(len(dual))
+    nudge = Fraction(1, rng.choice((2, 3, 5, 7, 97)))
+    yield dual[:i] + (-nudge,) + dual[i + 1 :]
+    yield tuple(v * (1 - nudge) for v in dual)
+    yield tuple(v * (1 + nudge) for v in dual)
+    yield dual[:i] + (dual[i] + nudge,) + dual[i + 1 :]
+    yield dual[:i] + (max(dual[i] - nudge, Fraction(0)),) + dual[i + 1 :]
+
+
+def mixed_denominator_programs(rng):
+    """Seeded bounded and unbounded programs whose rows have different
+    denominators: random signed programs, and Q4 strategy programs with
+    each row scaled by its own fraction, as a weight function may be."""
+    for _ in range(150):
+        objective, rows, rhs = random_program(rng)
+        if all(b >= 0 for b in rhs):
+            yield linear_program(objective, rows, rhs)
+    for seed in range(4):
+        lp = strategy_program(pb.hypercube(4), random.Random(seed), 10, 6)
+        factors = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 7, 12))) for _ in lp.rows]
+        yield linear_program(
+            lp.objective,
+            [[a * f for a in row] for row, f in zip(lp.rows, factors)],
+            [b * f for b, f in zip(lp.rhs, factors)],
+        )
+
+
+class TestDualCheck:
+    """_dual_problem re-checks on integers; the Fraction reference must agree."""
+
+    def test_agrees_with_the_fraction_reference(self):
+        rng = random.Random(2801)
+        seen = set()
+        for lp in mixed_denominator_programs(rng):
+            sol = solve_lp(lp)
+            if sol.status != OPTIMAL:
+                continue
+            assert _dual_problem(lp, sol) is None
+            for dual in perturbed_duals(rng, sol.dual):
+                wrong = replace(sol, dual=dual)
+                problem = _dual_problem(lp, wrong)
+                assert problem == reference_dual_problem(lp, wrong)
+                seen.add(problem if problem is None or not problem.startswith("dual violates column") else "column")
+        assert seen == {None, "negative dual value", "column", "dual objective differs from the optimum"}
+
+    def test_missing_or_short_dual(self):
+        lp = linear_program([1, 1], [(2, "1/3"), ("1/2", 2)], [7, "7/5"])
+        sol = solve_lp(lp)
+        for dual in (None, sol.dual[:1], sol.dual + (Fraction(0),)):
+            wrong = replace(sol, dual=dual)
+            assert _dual_problem(lp, wrong) == reference_dual_problem(lp, wrong)
+            assert "no dual of the right length" in _dual_problem(lp, wrong)
 
 
 class TestPebblingBound:

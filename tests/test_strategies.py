@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,18 @@ class TestEvaluate:
     def test_lemma5_all_ones(self):
         _, w = pb.construction("lemma5")
         assert w.total == 15
+
+    def test_total_is_the_fraction_sum(self):
+        # summed as integers over the common denominator; ints and Fractions mixed
+        rng = random.Random(2802)
+        g = pb.hypercube(4)
+        for _ in range(200):
+            weights = [
+                0 if v == g.root else rng.choice((rng.randint(0, 9), Fraction(rng.randint(0, 40), rng.randint(1, 30))))
+                for v in range(g.vertex_count)
+            ]
+            total = pb.WeightFunction(g, tuple(weights)).total
+            assert type(total) is Fraction and total == sum(weights, start=Fraction(0))
 
 
 class TestWeightFunction:
@@ -76,6 +89,22 @@ class TestTreeChecker:
         # zero weights prune the support down to an induced path
         w = pb.weight_function(c5, {1: 4, 2: 2, 3: 1})
         assert pb.check_tree_strategy(c5, w)
+
+    def test_halving_boundary_with_mixed_denominators(self):
+        # path 0 - 1 - 2 - root 3: vertex 2 is unconstrained, 1 needs at
+        # most half of 2, and 0 at most half of 1; 2/3 over 1/3 is exactly
+        # half, and 1/97 more tips it
+        g = pb.path_graph(3)
+        assert pb.check_tree_strategy(g, pb.weight_function(g, {2: Fraction(7, 5), 1: Fraction(2, 3), 0: Fraction(1, 3)}))
+        over = pb.weight_function(g, {2: Fraction(7, 5), 1: Fraction(2, 3), 0: Fraction(1, 3) + Fraction(1, 97)})
+        assert not pb.check_tree_strategy(g, over)
+        with pytest.raises(UncertifiedWeightError):
+            pb.certify_tree(g, over)
+        # and at the unconstrained vertex's child: 4/3 over 2/3 passes, 4/3 - 1/97 fails
+        assert pb.check_tree_strategy(g, pb.weight_function(g, {2: Fraction(4, 3), 1: Fraction(2, 3), 0: Fraction(1, 5)}))
+        assert not pb.check_tree_strategy(
+            g, pb.weight_function(g, {2: Fraction(4, 3) - Fraction(1, 97), 1: Fraction(2, 3), 0: Fraction(1, 5)})
+        )
 
     def test_root_adjacent_vertices_unconstrained(self):
         g = pb.build_graph(3, [(0, 1), (0, 2)], root=0)
