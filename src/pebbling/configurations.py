@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterator
 
-from .errors import (
-    BadParameterError,
-    GraphMismatchError,
-    InsufficientPebblesError,
-    NotAdjacentError,
-)
+from .errors import BadParameterError, MoveError
 from .graphs import Graph, _check_vertex
 
 
@@ -60,11 +55,11 @@ def configuration(g: Graph, counts) -> Configuration:
 def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:
     """Remove two pebbles from ``frm`` and place one on the adjacent ``to``."""
     if p.graph is not g:
-        raise GraphMismatchError("configuration belongs to a different graph")
+        raise BadParameterError("configuration belongs to a different graph")
     if not g.has_edge(frm, to):
-        raise NotAdjacentError(f"{frm} and {to} are not adjacent")
+        raise MoveError(f"{frm} and {to} are not adjacent")
     if p.counts[frm] < 2:
-        raise InsufficientPebblesError(f"vertex {frm} holds {p.counts[frm]} < 2 pebbles")
+        raise MoveError(f"vertex {frm} holds {p.counts[frm]} < 2 pebbles")
     arr = list(p.counts)
     arr[frm] -= 2
     arr[to] += 1

@@ -1,52 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only when some caller handles it differently from its
+base, or when it carries data; every other failure raises the kept class
+whose meaning it has, with its own message. ``pebble`` maps
+ResourceLimitError to exit 3, InternalError to exit 4 and every other
+PebblingError to exit 2.
+"""
 
 
 class PebblingError(Exception):
     """Base class for every error raised by this package."""
 
 
-class GraphError(PebblingError, ValueError):
-    """Invalid graph construction or family parameters."""
-
-
-class SelfLoopError(GraphError):
-    pass
-
-
-class DuplicateEdgeError(GraphError):
-    pass
-
-
-class DisconnectedError(GraphError):
-    pass
-
-
-class RootOutOfRangeError(GraphError):
-    pass
-
-
-class UnknownFamilyError(GraphError):
-    pass
-
-
-class BadParameterError(GraphError):
-    pass
-
-
-class GraphMismatchError(PebblingError, ValueError):
-    """An object bound to one graph was used with another."""
+class BadParameterError(PebblingError, ValueError):
+    """Invalid graph, family parameters, embedding or other argument."""
 
 
 class MoveError(PebblingError, ValueError):
-    pass
-
-
-class NotAdjacentError(MoveError):
-    pass
-
-
-class InsufficientPebblesError(MoveError):
-    pass
+    """A pebbling move between non-adjacent vertices or from fewer than 2 pebbles."""
 
 
 class ResourceLimitError(PebblingError, RuntimeError):
@@ -68,58 +39,20 @@ class NotATreeError(PebblingError, ValueError):
 
 
 class WeightNotPositiveError(PebblingError, ValueError):
-    """A validity check requires every non-root weight to be positive."""
+    """A check requires every non-root vertex to carry positive weight."""
 
 
-class CertificateError(PebblingError, ValueError):
-    pass
-
-
-class UncertifiedComponentError(CertificateError):
-    pass
-
-
-class UncertifiedWeightError(CertificateError):
-    pass
-
-
-class NegativeCoefficientError(CertificateError):
-    pass
-
-
-class UncoveredVertexError(CertificateError):
-    """Some non-root vertex received zero total weight in a combination."""
-
-
-class BadEmbeddingError(CertificateError):
-    pass
+class UncertifiedWeightError(PebblingError, ValueError):
+    """A weight function or component lacks a certificate, or fails its check."""
 
 
 class LpError(PebblingError, ValueError):
-    pass
+    """A malformed linear program or strategy set."""
 
 
-class DimensionMismatchError(LpError):
-    pass
+class ParseError(PebblingError, ValueError):
+    """A malformed text file; the message starts with the offending line."""
 
-
-class EmptyStrategySetError(LpError):
-    pass
-
-
-class UnboundedCoverageError(LpError):
-    """Some variable appears in no constraint, so the program is unbounded."""
-
-
-class FormatError(PebblingError, ValueError):
-    pass
-
-
-class ParseError(FormatError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class VersionMismatchError(FormatError):
-    pass

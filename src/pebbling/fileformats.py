@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .configurations import Configuration
-from .errors import ParseError, VersionMismatchError
+from .errors import ParseError
 from .graphs import Graph, build_graph
 from .strategies import WeightFunction
 
@@ -43,7 +43,7 @@ def _check_header(lines, expected: str):
     if len(parts) != 2 or parts[0] != expected:
         raise ParseError(idx, f"expected {expected!r} header, got {line!r}")
     if parts[1] != str(FORMAT_VERSION):
-        raise VersionMismatchError(f"unsupported {expected} version {parts[1]!r}")
+        raise ParseError(idx, f"unsupported {expected} version {parts[1]!r}")
 
 
 def _int(idx: int, token: str) -> int:

@@ -17,14 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    BadParameterError,
-    DisconnectedError,
-    DuplicateEdgeError,
-    RootOutOfRangeError,
-    SelfLoopError,
-    UnknownFamilyError,
-)
+from .errors import BadParameterError
 
 Perm = tuple[int, ...]
 Edge = tuple[int, int]
@@ -77,7 +70,7 @@ def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
     if vertex_count < 1:
         raise BadParameterError("vertex_count must be at least 1")
     if not (0 <= root < vertex_count):
-        raise RootOutOfRangeError(f"root {root} out of range [0, {vertex_count})")
+        raise BadParameterError(f"root {root} out of range [0, {vertex_count})")
 
     norm: list[Edge] = []
     seen: set[Edge] = set()
@@ -85,10 +78,10 @@ def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
         _check_vertex(vertex_count, u)
         _check_vertex(vertex_count, v)
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise BadParameterError(f"self-loop at vertex {u}")
         e = (min(u, v), max(u, v))
         if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge {e}")
+            raise BadParameterError(f"duplicate edge {e}")
         seen.add(e)
         norm.append(e)
     norm.sort()
@@ -97,7 +90,7 @@ def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
     g = Graph(vertex_count, tuple(norm), root, labels)
     unreached = distances_from(g, root).count(-1)
     if unreached:
-        raise DisconnectedError(
+        raise BadParameterError(
             f"graph is disconnected: reached {vertex_count - unreached} of {vertex_count} vertices"
         )
     if labels is not None and len(labels) != vertex_count:
@@ -353,7 +346,7 @@ _FAMILIES = {
 def generate(family: str, *params: int) -> Graph:
     """Build a graph family instance by name, e.g. generate("lollipop", 1, 4)."""
     if family not in _FAMILIES:
-        raise UnknownFamilyError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
+        raise BadParameterError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
     fn, arity = _FAMILIES[family]
     allowed = (arity,) if isinstance(arity, int) else arity
     if len(params) not in allowed:

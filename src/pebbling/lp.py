@@ -30,14 +30,7 @@ from fractions import Fraction
 from operator import mul
 
 from .configurations import _integers
-from .errors import (
-    DimensionMismatchError,
-    EmptyStrategySetError,
-    InternalError,
-    LpError,
-    UnboundedCoverageError,
-    UncertifiedComponentError,
-)
+from .errors import InternalError, LpError, UncertifiedWeightError
 from .graphs import Graph
 from .strategies import Certificate
 
@@ -63,10 +56,10 @@ class LinearProgram:
         if not all(isinstance(x, (int, Fraction)) for part in (self.objective, self.rhs, *self.rows) for x in part):
             raise LpError("entries must be integers or fractions; linear_program converts other numbers")
         if len(self.rows) != len(self.rhs):
-            raise DimensionMismatchError("row and right-hand-side counts differ")
+            raise LpError("row and right-hand-side counts differ")
         for row in self.rows:
             if len(row) != n:
-                raise DimensionMismatchError("row length does not match the objective")
+                raise LpError("row length does not match the objective")
         for i, b in enumerate(self.rhs):
             if b < 0:
                 raise LpError(f"right-hand side {i} is {b}; solve_lp needs a nonnegative right-hand side")
@@ -203,7 +196,7 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     One nonnegative variable per non-root vertex, objective the total
     size, one row per certificate capping its weighted sum at the
     certificate's all-ones weight. Every row must be a Certificate
-    (UncertifiedComponentError otherwise). Every non-root vertex must carry
+    (UncertifiedWeightError otherwise). Every non-root vertex must carry
     positive weight in some certificate, otherwise stacking pebbles
     there is unconstrained and the program is unbounded. Weights and caps
     are nonnegative, so the simplex starts at x = 0 with no phase one.
@@ -211,21 +204,21 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     """
     certs = list(certs)
     if not certs:
-        raise EmptyStrategySetError("need at least one certificate")
+        raise LpError("need at least one certificate")
     if not all(isinstance(c, Certificate) for c in certs):
-        raise UncertifiedComponentError("every row must carry a certificate")
+        raise UncertifiedWeightError("every row must carry a certificate")
     if any(c.graph is not g for c in certs):
-        raise DimensionMismatchError("certificate lives on a different graph")
+        raise LpError("certificate lives on a different graph")
     variables = [v for v in range(g.vertex_count) if v != g.root]
     scaled = [_integers(c.weight_function.weights) for c in certs]
     for v in variables:
         if not any(ints[v] for ints, _ in scaled):
-            raise UnboundedCoverageError(f"vertex {v} has zero weight in every certificate")
+            raise LpError(f"vertex {v} has zero weight in every certificate")
     rows = tuple(tuple(c.weight_function.weights[v] for v in variables) for c in certs)
     lp = LinearProgram((1,) * len(variables), rows, tuple(Fraction(sum(ints), s) for ints, s in scaled))
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
-        raise UnboundedCoverageError(f"strategy LP ended {sol.status}")
+        raise LpError(f"strategy LP ended {sol.status}")
     problem = _dual_problem(lp, sol)
     if problem:
         raise _DualCheckError(f"internal error: {problem}")

@@ -148,7 +148,7 @@ from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .configurations import Configuration, _integers
-from .errors import GraphMismatchError, InternalError, ResourceLimitError
+from .errors import BadParameterError, InternalError, ResourceLimitError
 from .graphs import Graph, distances_from, root_automorphisms, twin_classes
 from .solver import SearchLimits, Solver, packed_units, shared_solver
 
@@ -432,7 +432,7 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     is the (value, achiever) pair the full down-set gives.
     """
     if w.graph is not g:
-        raise GraphMismatchError("weight function belongs to a different graph")
+        raise BadParameterError("weight function belongs to a different graph")
     members = _down_set(g, shared_solver(g).begin(limits)).maximal
     wi, den = _integers(w.weights)
 

@@ -44,7 +44,7 @@ from fractions import Fraction
 from operator import mul
 
 from .configurations import Configuration, apply_move
-from .errors import BadParameterError, GraphMismatchError, InternalError, MoveError, ResourceLimitError
+from .errors import BadParameterError, InternalError, MoveError, ResourceLimitError
 from .graphs import Graph, distances_from, shortest_path
 
 DEFAULT_MAX_NODES = 10**8
@@ -103,7 +103,7 @@ class SolveOutcome:
 def potential(g: Graph, p: Configuration) -> Fraction:
     """sum over vertices of p(v) * 2^-d(v, root), exactly."""
     if p.graph is not g:
-        raise GraphMismatchError("configuration belongs to a different graph")
+        raise BadParameterError("configuration belongs to a different graph")
     dist = distances_from(g, g.root)
     return sum(
         (Fraction(c, 1 << dist[v]) for v, c in enumerate(p.counts) if c),
@@ -286,7 +286,7 @@ class Solver:
 
     def solve(self, p: Configuration, want_witness: bool = False) -> SolveOutcome:
         if p.graph is not self.graph:
-            raise GraphMismatchError("configuration belongs to a different graph")
+            raise BadParameterError("configuration belongs to a different graph")
         nodes0, hits0 = self.stats.nodes, self.stats.memo_hits
         if want_witness:
             moves = self._witness(p.counts)

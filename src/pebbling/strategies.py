@@ -32,19 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configurations import Configuration, _integers
-from .errors import (
-    BadEmbeddingError,
-    BadParameterError,
-    GraphMismatchError,
-    InternalError,
-    NegativeCoefficientError,
-    NotATreeError,
-    UncertifiedComponentError,
-    UncertifiedWeightError,
-    UncoveredVertexError,
-    UnknownFamilyError,
-    WeightNotPositiveError,
-)
+from .errors import BadParameterError, InternalError, NotATreeError, UncertifiedWeightError, WeightNotPositiveError
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
 from .graphs import _check_vertex
 from .pebbling_number import max_unsolvable_weight
@@ -86,12 +74,16 @@ class WeightFunction:
 def weight_function(g: Graph, values) -> WeightFunction:
     """Build from a sequence or a {vertex: weight} mapping (others 0)."""
     if isinstance(values, dict):
-        arr = [Fraction(0)] * g.vertex_count
+        arr = [0] * g.vertex_count
         for v, x in values.items():
             _check_vertex(g, v)
-            arr[v] = Fraction(x)
+            arr[v] = x
         values = arr
-    return WeightFunction(g, tuple(Fraction(x) for x in values))
+    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
+        exact = tuple(Fraction(x) for x in values)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise BadParameterError(f"weight is not an exact rational: {exc}") from exc
+    return WeightFunction(g, exact)
 
 
 @dataclass(frozen=True)
@@ -125,7 +117,7 @@ def check_tree_strategy(g: Graph, w: WeightFunction) -> bool:
     tree are unconstrained.
     """
     if w.graph is not g:
-        raise GraphMismatchError("weights belong to a different graph")
+        raise BadParameterError("weights belong to a different graph")
     wi, _ = _integers(w.weights)
     support = [v for v in range(g.vertex_count) if wi[v] > 0]
     nodes = set(support) | {g.root}
@@ -186,7 +178,7 @@ def verify_validity_oracle(
     ``threads`` is accepted for compatibility and selects nothing.
     """
     if w.graph is not g:
-        raise GraphMismatchError("weights belong to a different graph")
+        raise BadParameterError("weights belong to a different graph")
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
         raise WeightNotPositiveError("every non-root vertex needs positive weight")
     worst, achiever = max_unsolvable_weight(g, w, limits=limits)
@@ -213,14 +205,14 @@ def certify_by_oracle(g: Graph, w: WeightFunction, **kwargs) -> Certificate:
 def _check_subgraph_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]:
     emb = tuple(embedding)
     if len(emb) != sub.vertex_count:
-        raise BadEmbeddingError("embedding length does not match the subgraph")
+        raise BadParameterError("embedding length does not match the subgraph")
     if len(set(emb)) != len(emb) or any(not 0 <= x < g.vertex_count for x in emb):
-        raise BadEmbeddingError("embedding must be injective into the host graph")
+        raise BadParameterError("embedding must be injective into the host graph")
     if emb[sub.root] != g.root:
-        raise BadEmbeddingError("embedding must send root to root")
+        raise BadParameterError("embedding must send root to root")
     for u, v in sub.edges:
         if not g.has_edge(emb[u], emb[v]):
-            raise BadEmbeddingError(f"edge ({u},{v}) has no image edge")
+            raise BadParameterError(f"edge ({u},{v}) has no image edge")
     return emb
 
 
@@ -229,7 +221,7 @@ def _check_induced_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]
     for i in range(sub.vertex_count):
         for j in range(i + 1, sub.vertex_count):
             if g.has_edge(emb[i], emb[j]) and not sub.has_edge(i, j):
-                raise BadEmbeddingError("embedding is not induced: image has an extra edge")
+                raise BadParameterError("embedding is not induced: image has an extra edge")
     return emb
 
 
@@ -242,7 +234,7 @@ def _zero_extended(g: Graph, cert: Certificate, embedding) -> tuple[Fraction, ..
     """
     if embedding is None:
         if cert.graph is not g:
-            raise BadEmbeddingError("no embedding given and the graphs differ")
+            raise BadParameterError("no embedding given and the graphs differ")
         return cert.weight_function.weights
     emb = _check_subgraph_embedding(g, cert.graph, embedding)
     arr = [Fraction(0)] * g.vertex_count
@@ -264,15 +256,15 @@ def conic_combine(g: Graph, components) -> Certificate:
     for coef, cert, embedding in components:
         coef = Fraction(coef)
         if coef < 0:
-            raise NegativeCoefficientError(f"coefficient {coef} is negative")
+            raise BadParameterError(f"coefficient {coef} is negative")
         if not isinstance(cert, Certificate):
-            raise UncertifiedComponentError("every component must carry a certificate")
+            raise UncertifiedWeightError("every component must carry a certificate")
         for v, x in enumerate(_zero_extended(g, cert, embedding)):
             total[v] += coef * x
         certs.append(cert)
     for v in range(g.vertex_count):
         if v != g.root and total[v] == 0:
-            raise UncoveredVertexError(f"vertex {v} received zero total weight")
+            raise WeightNotPositiveError(f"vertex {v} received zero total weight")
     wf = WeightFunction(g, tuple(total))
     return Certificate(wf, COMPOSED, components=tuple(certs))
 
@@ -281,11 +273,11 @@ def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
     """Check that base weights on induced embedded copies sum to w exactly.
 
     copies: iterable of (embedding, base WeightFunction). Embeddings
-    must be induced and root-preserving (BadEmbeddingError otherwise);
+    must be induced and root-preserving (BadParameterError otherwise);
     an exact per-vertex sum mismatch returns False.
     """
     if w.graph is not g:
-        raise GraphMismatchError("weights belong to a different graph")
+        raise BadParameterError("weights belong to a different graph")
     total = [Fraction(0)] * g.vertex_count
     for embedding, base in copies:
         emb = _check_induced_embedding(g, base.graph, embedding)
@@ -303,7 +295,7 @@ def certify_by_decomposition(g: Graph, w: WeightFunction, copies) -> Certificate
     """
     copies = list(copies)
     if not all(isinstance(cert, Certificate) for _, cert in copies):
-        raise UncertifiedComponentError("every copy must carry a certificate")
+        raise UncertifiedWeightError("every copy must carry a certificate")
     if not verify_decomposition(g, w, [(emb, cert.weight_function) for emb, cert in copies]):
         raise UncertifiedWeightError("copies do not sum to the target weight function")
     return conic_combine(g, [(1, cert, emb) for emb, cert in copies])
@@ -321,7 +313,7 @@ def weight_function_bound(cert: Certificate) -> int:
     bound then forces w(p) > w(1_G), hence solvability.
     """
     if not isinstance(cert, Certificate):
-        raise UncertifiedComponentError("the bound needs a certificate")
+        raise UncertifiedWeightError("the bound needs a certificate")
     w = cert.weight_function
     g = w.graph
     if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
@@ -415,7 +407,7 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
     lollipop_general(n, m), cycle_combined(k), path(k).
     """
     if name not in _CONSTRUCTIONS:
-        raise UnknownFamilyError(f"unknown construction {name!r}")
+        raise BadParameterError(f"unknown construction {name!r}")
     build, arity = _CONSTRUCTIONS[name]
     bad = BadParameterError(f"bad parameters {params} for {name!r}")
     if len(params) != arity:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import pebbling as pb
-from pebbling import cli, pebbling_number, strategies
+from pebbling import cli, errors, lp, pebbling_number, strategies
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
 from pebbling.solver import shared_solver
@@ -28,6 +28,14 @@ def result_map(line):
         key, _, value = token.partition("=")
         fields[key] = value
     return fields
+
+
+# every error class the package defines, found by walking the module, so
+# a new class must end in one of the three exit codes below
+ERROR_CLASSES = [
+    *(c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PebblingError)),
+    lp._DualCheckError,
+]
 
 
 @pytest.fixture
@@ -486,8 +494,12 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("pebblegraph 1\nvertices 0\nroot 0\n", 2), ("pebblegraph 1\nvertices 3\nroot 7\nedge 0 1\n", 3)],
-        ids=["no-vertices", "root-past-last-vertex"],
+        [
+            ("pebblegraph 1\nvertices 0\nroot 0\n", 2),
+            ("pebblegraph 1\nvertices 3\nroot 7\nedge 0 1\n", 3),
+            ("# c\npebblegraph 2\nvertices 2\nroot 0\nedge 0 1\n", 2),
+        ],
+        ids=["no-vertices", "root-past-last-vertex", "version-after-a-comment"],
     )
     def test_bad_header_record_exits_2_with_its_line(self, capsys, tmp_path, text, line):
         bad = tmp_path / "bad.graph"
@@ -571,6 +583,23 @@ class TestPlumbing:
         code, results, err = run_cli(capsys, "gen", "hypercube", "3")
         assert code == 4
         assert results == [] and "internal error: RuntimeError: boom" in err
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_every_error_class_has_its_exit_code(self, capsys, monkeypatch, cls):
+        exc = cls(7, "boom") if issubclass(cls, errors.ParseError) else cls("boom")
+
+        def broken(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+        code, results, err = run_cli(capsys, "gen", "hypercube", "3")
+        assert results == [] and "Traceback" not in err
+        if issubclass(cls, errors.ResourceLimitError):
+            assert code == 3 and "resource limit: boom" in err
+        elif issubclass(cls, errors.InternalError):
+            assert code == 4 and f"error: {exc}" in err
+        else:
+            assert code == 2 and f"error: {exc}" in err
 
     def test_failed_witness_reverification_exits_4(self, capsys, monkeypatch, c5_file):
         class AlwaysSolvable(pb.Solver):

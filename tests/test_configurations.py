@@ -3,12 +3,7 @@ import pytest
 
 import pebbling as pb
 from conftest import all_counts, block_orbit, orbit, symmetry_closure, twin_blocks, twin_transpositions
-from pebbling.errors import (
-    BadParameterError,
-    GraphMismatchError,
-    InsufficientPebblesError,
-    NotAdjacentError,
-)
+from pebbling.errors import BadParameterError, MoveError
 from pebbling.pebbling_number import _symmetry_mode
 
 
@@ -36,15 +31,15 @@ class TestApplyMove:
         assert pb.apply_move(c5, p, 1, 0).size == p.size - 1
 
     def test_not_adjacent(self, c5):
-        with pytest.raises(NotAdjacentError):
+        with pytest.raises(MoveError, match="1 and 3 are not adjacent"):
             pb.apply_move(c5, pb.configuration(c5, (0, 2, 0, 0, 0)), 1, 3)
 
     def test_insufficient(self, c5):
-        with pytest.raises(InsufficientPebblesError):
+        with pytest.raises(MoveError, match="vertex 1 holds 1 < 2 pebbles"):
             pb.apply_move(c5, pb.configuration(c5, (0, 1, 0, 0, 0)), 1, 2)
 
     def test_graph_mismatch(self, c4, c5):
-        with pytest.raises(GraphMismatchError):
+        with pytest.raises(BadParameterError, match="configuration belongs to a different graph"):
             pb.apply_move(c5, pb.configuration(c4, (2, 0, 0, 0)), 0, 1)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import pebbling as pb
-from pebbling.errors import ParseError, VersionMismatchError
+from pebbling.errors import ParseError
 from pebbling.fileformats import (
     parse_config,
     parse_copies_manifest,
@@ -43,7 +43,7 @@ class TestGraphFormat:
         assert err.value.line_number == 1
 
     def test_version_mismatch(self):
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(ParseError, match="line 1: unsupported pebblegraph version '2'"):
             parse_graph("pebblegraph 2\nvertices 2\nroot 0\nedge 0 1\n")
 
     def test_unknown_record(self):

@@ -9,14 +9,7 @@ from scipy.optimize import linprog
 
 import pebbling as pb
 import pebbling.lp as lp_module
-from pebbling.errors import (
-    DimensionMismatchError,
-    EmptyStrategySetError,
-    LpError,
-    UnboundedCoverageError,
-    UncertifiedComponentError,
-    UncertifiedWeightError,
-)
+from pebbling.errors import LpError, UncertifiedWeightError
 from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, _dual_problem, linear_program, solve_lp
 
 
@@ -120,7 +113,7 @@ class TestSolveLp:
         assert pivots and all(b == 0 for _, b in pivots)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LpError, match="row length does not match the objective"):
             linear_program([1, 1], [[1]], [1])
 
     def test_row_order_independence(self):
@@ -337,7 +330,7 @@ class TestEntries:
 
     def test_shape_and_sign_errors_keep_their_messages(self):
         # the conversion guard must not swallow LinearProgram's own errors
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(LpError, match="row and right-hand-side counts differ"):
             linear_program([1, 1], [[1, "1/2"]], [1, 2])
         with pytest.raises(LpError, match="nonnegative right-hand side"):
             linear_program([1], [[1]], ["-1/3"])
@@ -451,7 +444,7 @@ class TestPebblingBound:
             pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
 
     def test_empty_set(self, c5):
-        with pytest.raises(EmptyStrategySetError):
+        with pytest.raises(LpError, match="need at least one certificate"):
             pb.lp_pebbling_bound(c5, [])
 
     def test_certificate_from_another_graph(self, c5):
@@ -464,7 +457,7 @@ class TestPebblingBound:
             (c5, [*pb.cycle_strategy_pair(2), path_cert]),
         ]
         for g, certs in cases:
-            with pytest.raises(DimensionMismatchError):
+            with pytest.raises(LpError, match="certificate lives on a different graph"):
                 pb.lp_pebbling_bound(g, certs)
 
     def test_uncertified_certificate_refused(self):
@@ -479,10 +472,10 @@ class TestPebblingBound:
 
     def test_bare_weight_function_refused(self):
         g = pb.path_graph(2)
-        with pytest.raises(UncertifiedComponentError):
+        with pytest.raises(UncertifiedWeightError, match="every row must carry a certificate"):
             pb.lp_pebbling_bound(g, [pb.weight_function(g, [1, 1, 0])])
 
     def test_uncovered_vertex(self, c5):
         a, _ = pb.cycle_strategy_pair(2)
-        with pytest.raises(UnboundedCoverageError):
+        with pytest.raises(LpError, match="vertex 4 has zero weight in every certificate"):
             pb.lp_pebbling_bound(c5, [a])
