@@ -26,7 +26,7 @@ class Configuration:
     def __post_init__(self):
         if len(self.counts) != self.graph.vertex_count:
             raise BadParameterError("counts length does not match the graph")
-        if not all(isinstance(c, int) and c >= 0 for c in self.counts):
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in self.counts):
             raise BadParameterError("pebble counts must be nonnegative integers")
 
     @property
@@ -34,11 +34,11 @@ class Configuration:
         return sum(self.counts)
 
 
-def _integers(values) -> tuple[list[int], int]:
+def _integers(values) -> tuple[tuple[int, ...], int]:
     """Exact rationals (ints or Fractions) times the lcm of their denominators, and that lcm."""
     denominators = [v.denominator for v in values]
     scale = lcm(*denominators)
-    return [v.numerator * (scale // d) for v, d in zip(values, denominators)], scale
+    return tuple([v.numerator * (scale // d) for v, d in zip(values, denominators)]), scale
 
 
 def configuration(g: Graph, counts) -> Configuration:

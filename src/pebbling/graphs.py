@@ -64,8 +64,8 @@ def _check_vertex(g_or_n, v: int) -> None:
 def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
     """Validate and construct a rooted graph.
 
-    Rejects self-loops, duplicate edges, out-of-range roots and
-    disconnected inputs.
+    Rejects self-loops, duplicate edges, out-of-range roots,
+    disconnected inputs and labels that a graph file cannot carry.
     """
     if vertex_count < 1:
         raise BadParameterError("vertex_count must be at least 1")
@@ -95,6 +95,11 @@ def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
         )
     if labels is not None and len(labels) != vertex_count:
         raise BadParameterError("labels length mismatch")
+    for v, label in enumerate(labels or ()):  # a graph file holds each label on one stripped line
+        if not (isinstance(label, str) and label == label.strip() and label.splitlines() == [label]):
+            raise BadParameterError(
+                f"label of vertex {v} is {label!r}, not a non-empty one-line string without outer spaces"
+            )
     return g
 
 

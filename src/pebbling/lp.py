@@ -6,11 +6,12 @@ largest objective improvement enters, ties to the least index, so it
 cannot cycle: in a cycle every pivot is degenerate, every gain 0, and
 the tie takes Bland's column, which never cycles. No phase one is needed:
 ``LinearProgram`` refuses a negative right-hand side, so x = 0 is
-always feasible. Each row and the objective are scaled to integers
-once; every pivot then divides exactly by the previous pivot, so the
-loop runs on plain ints with no gcd. The dual is read from the final
-reduced costs of the slack columns, an optimality certificate that
-_dual_problem re-checks on integers of its own scaling. Fractions are
+always feasible. Each row with its right-hand side, and the objective,
+is scaled to integers once, when the LinearProgram is built; every pivot
+then divides exactly by the previous pivot, so the loop runs on plain
+ints with no gcd. The dual is read from the final reduced costs of the
+slack columns, an optimality certificate that _dual_problem re-checks on
+that scaling and the dual's own, never on the tableau. Fractions are
 built only for what is returned: the optimum, the point and the dual.
 Instances stay small (one variable per non-root vertex, one row per
 certificate), so no sparse machinery is warranted.
@@ -63,6 +64,9 @@ class LinearProgram:
         for i, b in enumerate(self.rhs):
             if b < 0:
                 raise LpError(f"right-hand side {i} is {b}; solve_lp needs a nonnegative right-hand side")
+        # each [row | rhs] and the objective as (ints, scale), read by solve_lp and _dual_problem
+        object.__setattr__(self, "integer_rows", tuple(_integers((*row, b)) for row, b in zip(self.rows, self.rhs)))
+        object.__setattr__(self, "integer_objective", _integers(self.objective))
 
 
 def linear_program(objective, rows, rhs) -> LinearProgram:
@@ -115,18 +119,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     m, n = len(lp.rows), len(lp.objective)
 
     # columns: n structural, m slacks, rhs last; row i is scaled to
-    # integers by scales[i] and its slack by 1/scales[i]; the cost row is last
+    # integers by its scale and its slack by 1/scale; the cost row is last
     tab: list[list[int]] = []
-    scales: list[int] = []
-    for i in range(m):
-        values, scale = _integers((*lp.rows[i], lp.rhs[i]))
-        row = values[:n] + [0] * m + values[-1:]
+    for i, (values, _) in enumerate(lp.integer_rows):
+        row = [*values[:n], *[0] * m, values[-1]]
         row[n + i] = 1
         tab.append(row)
-        scales.append(scale)
     basis = list(range(n, n + m))
-    objective, obj_scale = _integers(lp.objective)
-    tab.append(objective + [0] * (m + 1))
+    objective, obj_scale = lp.integer_objective
+    tab.append([*objective, *[0] * (m + 1)])
 
     det = 1
     while True:
@@ -157,7 +158,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     denominator = det * obj_scale
     optimum = Fraction(-cost[-1], denominator)
     # y_i is minus the reduced cost of slack i, undone for both scalings
-    dual = tuple(Fraction(-cost[n + i] * scales[i], denominator) for i in range(m))
+    dual = tuple(Fraction(-cost[n + i] * scale, denominator) for i, (_, scale) in enumerate(lp.integer_rows))
     return LpSolution(OPTIMAL, optimum, tuple(point), dual)
 
 
@@ -175,12 +176,12 @@ def _dual_problem(lp: LinearProgram, sol: LpSolution) -> str | None:
     u, dual_scale = _integers(y)
     if any(v < 0 for v in u):
         return "negative dual value"
-    rows = [_integers((*row, b)) for row, b in zip(lp.rows, lp.rhs)]
+    rows = lp.integer_rows
     row_scale = math.lcm(*(s for _, s in rows))
     weights = [v * (row_scale // s) for v, (_, s) in zip(u, rows)]
     # y.[A | b] times dual_scale * row_scale, column by column
     sums = [sum(map(mul, weights, col)) for col in zip(*(r for r, _ in rows))] or [0] * (len(lp.objective) + 1)
-    objective, obj_scale = _integers(lp.objective)
+    objective, obj_scale = lp.integer_objective
     scale = dual_scale * row_scale
     for j, (total, c) in enumerate(zip(sums, objective)):
         if total * obj_scale < c * scale:
@@ -210,12 +211,12 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     if any(c.graph is not g for c in certs):
         raise LpError("certificate lives on a different graph")
     variables = [v for v in range(g.vertex_count) if v != g.root]
-    scaled = [_integers(c.weight_function.weights) for c in certs]
+    scaled = [c.weight_function.integers[0] for c in certs]
     for v in variables:
-        if not any(ints[v] for ints, _ in scaled):
+        if not any(ints[v] for ints in scaled):
             raise LpError(f"vertex {v} has zero weight in every certificate")
     rows = tuple(tuple(c.weight_function.weights[v] for v in variables) for c in certs)
-    lp = LinearProgram((1,) * len(variables), rows, tuple(Fraction(sum(ints), s) for ints, s in scaled))
+    lp = LinearProgram((1,) * len(variables), rows, tuple(c.weight_function.total for c in certs))
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise LpError(f"strategy LP ended {sol.status}")

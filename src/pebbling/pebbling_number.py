@@ -147,7 +147,7 @@ from itertools import chain
 from operator import add, itemgetter, mul
 from typing import Iterator, NamedTuple
 
-from .configurations import Configuration, _integers
+from .configurations import Configuration
 from .errors import BadParameterError, InternalError, ResourceLimitError
 from .graphs import Graph, distances_from, root_automorphisms, twin_classes
 from .solver import SearchLimits, Solver, packed_units, shared_solver
@@ -434,14 +434,14 @@ def max_unsolvable_weight(g: Graph, w, *, limits: SearchLimits | None = None) ->
     if w.graph is not g:
         raise BadParameterError("weight function belongs to a different graph")
     members = _down_set(g, shared_solver(g).begin(limits)).maximal
-    wi, den = _integers(w.weights)
+    wi, den = w.integers
 
     def score(counts):
         return sum(map(mul, wi, counts)), counts
 
     kind, data = _symmetry_mode(g)
     if kind == "group":
-        if all(perm(wi) == tuple(wi) for perm in data):
+        if all(perm(wi) == wi for perm in data):
             # w is constant on the orbits: only the heaviest reach the tie-break
             top = max(map(score, members))[0]
             members = [c for c in members if score(c)[0] == top]

@@ -21,8 +21,10 @@ Every certificate status names a check made in this process; no
 validity is taken on record.
 
 All arithmetic is exact: weights are Fractions, summed and compared as
-integers over their common denominator (configurations._integers), as
-validity hinges on comparisons like 46/3 vs 15 that floats get wrong.
+integers over their common denominator, as validity hinges on
+comparisons like 46/3 vs 15 that floats get wrong. A WeightFunction
+scales itself once, when it is built (``integers``), and the total, the
+tree check, the oracle and the strategy LP all read that scaling.
 """
 
 from __future__ import annotations
@@ -52,15 +54,19 @@ class WeightFunction:
     def __post_init__(self):
         if len(self.weights) != self.graph.vertex_count:
             raise BadParameterError("weights length does not match the graph")
-        if not all(isinstance(x, (int, Fraction)) and x >= 0 for x in self.weights):
+        if not all(isinstance(x, (int, Fraction)) for x in self.weights):
             raise BadParameterError("weights must be nonnegative integers or fractions")
-        if self.weights[self.graph.root] != 0:
+        object.__setattr__(self, "integers", _integers(self.weights))
+        ints = self.integers[0]
+        if any(x < 0 for x in ints):
+            raise BadParameterError("weights must be nonnegative integers or fractions")
+        if ints[self.graph.root] != 0:
             raise BadParameterError("root weight must be 0")
 
     @property
     def total(self) -> Fraction:
         """w(1_G): the weight of the all-ones configuration."""
-        ints, scale = _integers(self.weights)
+        ints, scale = self.integers
         return Fraction(sum(ints), scale)
 
     @property
@@ -118,7 +124,7 @@ def check_tree_strategy(g: Graph, w: WeightFunction) -> bool:
     """
     if w.graph is not g:
         raise BadParameterError("weights belong to a different graph")
-    wi, _ = _integers(w.weights)
+    wi = w.integers[0]
     support = [v for v in range(g.vertex_count) if wi[v] > 0]
     nodes = set(support) | {g.root}
     edges = [(u, v) for u, v in g.edges if u in nodes and v in nodes]
@@ -179,7 +185,7 @@ def verify_validity_oracle(
     """
     if w.graph is not g:
         raise BadParameterError("weights belong to a different graph")
-    if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
+    if any(x <= 0 for v, x in enumerate(w.integers[0]) if v != g.root):
         raise WeightNotPositiveError("every non-root vertex needs positive weight")
     worst, achiever = max_unsolvable_weight(g, w, limits=limits)
     cap = w.total
@@ -316,7 +322,7 @@ def weight_function_bound(cert: Certificate) -> int:
         raise UncertifiedWeightError("the bound needs a certificate")
     w = cert.weight_function
     g = w.graph
-    if any(w.weights[v] <= 0 for v in range(g.vertex_count) if v != g.root):
+    if any(x <= 0 for v, x in enumerate(w.integers[0]) if v != g.root):
         raise WeightNotPositiveError("bound requires positive weight on every non-root vertex")
     return math.floor(w.total / w.min_positive) + 1
 

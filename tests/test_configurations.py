@@ -44,9 +44,10 @@ class TestApplyMove:
 
 
 class TestCountsMustBeIntegers:
-    @pytest.mark.parametrize("count", [2.5, 2.0, "2"])
+    @pytest.mark.parametrize("count", [2.5, 2.0, "2", True])
     def test_non_integer_count_refused(self, count):
-        # the solver would move two pebbles off a count of 2.5 and leave 0.5 behind
+        # the solver would move two pebbles off a count of 2.5 and leave 0.5 behind;
+        # a config file would hold True as "p 0 True", which parse_config refuses
         g = pb.path_graph(1)
         with pytest.raises(BadParameterError):
             pb.configuration(g, [count, 0])

@@ -9,7 +9,7 @@ import pebbling as pb
 from conftest import random_connected_graph, root_fixing_automorphisms, symmetry_closure, twin_transpositions
 from pebbling.errors import BadParameterError, ResourceLimitError
 from pebbling.fileformats import parse_graph, serialize_graph
-from pebbling.graphs import GROUP_SIZE_CAP, root_automorphisms, twin_classes
+from pebbling.graphs import _FAMILIES, GROUP_SIZE_CAP, root_automorphisms, twin_classes
 from pebbling.pebbling_number import _symmetry_mode
 
 FIG2_EDGES = [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]
@@ -62,6 +62,27 @@ class TestBuildGraph:
     def test_rejects_bad_endpoint(self):
         with pytest.raises(BadParameterError):
             pb.build_graph(2, [(0, 5)], root=0)
+
+    def test_rejects_labels_the_file_format_cannot_carry(self):
+        # a graph file writes "label <v> <label>" on one line and strips it, so
+        # these would fail to parse or come back changed
+        for bad in ("", "a\nb", "a\r", "a\x1cb", " a", "b ", "\ta", 7, None, ("a",)):
+            with pytest.raises(BadParameterError, match="label of vertex 1"):
+                pb.build_graph(3, [(0, 1), (1, 2)], root=0, labels=("r", bad, "c"))
+        g = pb.build_graph(3, [(0, 1), (1, 2)], root=0, labels=("r", "a b", "(0,1)"))
+        text = serialize_graph(g)
+        assert parse_graph(text).labels == g.labels and serialize_graph(parse_graph(text)) == text
+
+    def test_every_family_round_trips_byte_identically(self):
+        seen = 0
+        for family, (_, arity) in _FAMILIES.items():
+            for count in (arity,) if isinstance(arity, int) else arity:
+                g = pb.generate(family, *{0: (), 1: (3,), 2: (1, 3)}[count])
+                text = serialize_graph(g)
+                again = parse_graph(text)
+                assert serialize_graph(again) == text and again.labels == g.labels, family
+                seen += 1
+        assert seen == 8
 
 
 class TestDistances:

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,8 @@ from scipy.optimize import linprog
 
 import pebbling as pb
 import pebbling.lp as lp_module
+from pebbling import configurations, pebbling_number, strategies
+from pebbling.configurations import _integers
 from pebbling.errors import LpError, UncertifiedWeightError
 from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, _dual_problem, linear_program, solve_lp
 
@@ -479,3 +482,74 @@ class TestPebblingBound:
         a, _ = pb.cycle_strategy_pair(2)
         with pytest.raises(LpError, match="vertex 4 has zero weight in every certificate"):
             pb.lp_pebbling_bound(c5, [a])
+
+
+def count_scalings(monkeypatch):
+    """Record the length of every vector scaled by _integers, in each module
+    that uses it or might (pebbling_number reads WeightFunction.integers)."""
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return _integers(values)
+
+    for module in (configurations, strategies, lp_module, pebbling_number):
+        monkeypatch.setattr(module, "_integers", counted, raising=False)
+    return calls
+
+
+def mixed_weights(g, rng):
+    """Seeded weights, positive off the root, with mixed denominators."""
+    return [
+        0 if v == g.root else Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 5, 12))) for v in range(g.vertex_count)
+    ]
+
+
+class TestScaledOnce:
+    """Each vector is scaled to integers where it is built, and read from there."""
+
+    def test_strategy_lp_scales_each_row_once(self, monkeypatch):
+        # as in the certify benchmark: weight functions built first, then
+        # tree checks and the LP; at most one scaling per LP row, one for
+        # the objective and one for the dual
+        q5 = pb.hypercube(5)
+        calls = count_scalings(monkeypatch)
+        for seed in range(3):
+            program = strategy_program(q5, random.Random(seed), 25, 10)
+            # vertex 0 is the root, which the program has no variable for
+            functions = [pb.weight_function(q5, [0, *row]) for row in program.rows]
+            calls.clear()
+            certs = [pb.certify_tree(q5, w) for w in functions]
+            optimum, _ = pb.lp_pebbling_bound(q5, certs)
+            assert len(certs) >= 25 and len(calls) <= len(certs) + 2
+            assert optimum == solve_lp(program).optimum
+
+    def test_oracle_scales_nothing(self, monkeypatch, c5, q3, fig2):
+        # cycle (group), hypercube (group) and rooted cube (twin blocks)
+        calls = count_scalings(monkeypatch)
+        rng = random.Random(3001)
+        for g in (c5, q3, fig2):
+            for _ in range(3):
+                w = pb.weight_function(g, mixed_weights(g, rng))
+                calls.clear()
+                pb.verify_validity_oracle(g, w)
+                assert calls == []
+
+    def test_cached_scaling_matches_a_fresh_one(self):
+        rng = random.Random(3002)
+        g = pb.rooted_cube(4)
+        for _ in range(100):
+            weights = [x if rng.random() < 0.7 else 0 for x in mixed_weights(g, rng)]
+            w = pb.WeightFunction(g, tuple(weights))
+            ints, scale = w.integers
+            assert w.integers == _integers(w.weights)
+            assert [Fraction(x, scale) for x in ints] == weights and w.total == sum(weights, start=Fraction(0))
+        empty = linear_program([1, "1/2"], [], [])
+        assert empty.integer_rows == () and empty.integer_objective == ((2, 1), 2)
+        assert solve_lp(empty).status == UNBOUNDED
+        for lp in (*mixed_denominator_programs(rng), empty):
+            assert lp.integer_rows == tuple(_integers((*row, b)) for row, b in zip(lp.rows, lp.rhs))
+            assert lp.integer_objective == _integers(lp.objective)
+            for (ints, scale), row, b in zip(lp.integer_rows, lp.rows, lp.rhs):
+                assert scale == math.lcm(*(x.denominator for x in (*row, b)))
+                assert [Fraction(x, scale) for x in ints] == [*row, b]
