@@ -38,7 +38,7 @@ from .fileformats import (
 )
 from .graphs import cycle_graph, generate, hypercube, rooted_cube
 from .lp import lp_pebbling_bound
-from .pebbling_number import _symmetry_mode, down_set_sizes, pi_rooted, search_nodes
+from .pebbling_number import _symmetry_mode, down_set_sizes, pi_rooted
 from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
     certify,
@@ -260,7 +260,7 @@ def _cmd_bound(args) -> int:
         emit(**{f"cert{i}_bound": single})
     optimum, bound = lp_pebbling_bound(g, certs)
     lower = diameter_lower_bound(g)
-    _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, search_nodes(g))
+    _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, shared_solver(g).stats.nodes)
     emit(bound=bound, optimum=optimum)
     emit(lower=lower)
     return 0 if lower <= bound else 1
@@ -284,7 +284,7 @@ def _target_odd_cycle(k: int, args) -> int:
     g = cycle_graph(2 * k + 1)
     expected = 2 * ((1 << (k + 1)) // 3) + 1
     start = time.monotonic()
-    nodes_before = search_nodes(g)
+    nodes_before = shared_solver(g).stats.nodes
     result = pi_rooted(g, limits=_limits(args))
     combined = construction_certificate("cycle_combined", k)
     upper = weight_function_bound(combined)
@@ -298,7 +298,7 @@ def _target_odd_cycle(k: int, args) -> int:
     _report(
         g, lower, "stuck configuration on the two farthest vertices",
         min(upper, lp_bound), "combined weight cap and strategy LP",
-        (*combined.components, combined), start, search_nodes(g) - nodes_before,
+        (*combined.components, combined), start, shared_solver(g).stats.nodes - nodes_before,
     )
     emit(pi=result.value, lower=lower, upper=upper, bound=lp_bound, optimum=optimum)
     return 0 if result.value == expected == lower == upper == lp_bound else 1
@@ -326,7 +326,7 @@ def _target_prop_q3(args) -> int:
 def _target_thm2_q4(args) -> int:
     start = time.monotonic()
     base_graph = rooted_cube(4)  # the lemma5 base graph
-    nodes_before = search_nodes(base_graph)
+    nodes_before = shared_solver(base_graph).stats.nodes
     # raises, and so exits 2, unless the four lemma5 copies sum to q4star
     cert = construction_certificate("q4star", limits=_limits(args))
     base = cert.components[0]
@@ -335,7 +335,7 @@ def _target_thm2_q4(args) -> int:
     note(f"base certificate: {base.notes}")
     _report(
         cert.graph, lower, "diameter stack", upper, "weight cap of the four-copy decomposition",
-        (base, cert), start, search_nodes(base_graph) - nodes_before,
+        (base, cert), start, shared_solver(base_graph).stats.nodes - nodes_before,
     )
     fields = {"lower": lower, "upper": upper}
     if lower == upper:

@@ -112,19 +112,14 @@ def parse_graph(text: str) -> Graph:
     for v, (idx, _) in labels.items():
         if not 0 <= v < n:
             raise ParseError(idx, f"label for vertex {v} out of range [0, {n})")
-    label_tuple = None
-    if labels:
-        label_tuple = tuple(labels[v][1] if v in labels else str(v) for v in range(n))
+    label_tuple = tuple(labels[v][1] if v in labels else str(v) for v in range(n)) if labels else None
     return build_graph(n, list(edges), root, labels=label_tuple)
 
 
 def serialize_graph(g: Graph) -> str:
     out = [f"{GRAPH_HEADER} {FORMAT_VERSION}", f"vertices {g.vertex_count}", f"root {g.root}"]
-    for u, v in g.edges:
-        out.append(f"edge {u} {v}")
-    if g.labels is not None:
-        for v in range(g.vertex_count):
-            out.append(f"label {v} {g.labels[v]}")
+    out += [f"edge {u} {v}" for u, v in g.edges]
+    out += [f"label {v} {label}" for v, label in enumerate(g.labels or ())]
     return "\n".join(out) + "\n"
 
 

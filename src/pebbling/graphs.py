@@ -55,7 +55,13 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edge_set
 
 
+def _check_int(what: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameterError(f"{what} must be an integer, not {value!r}")
+
+
 def _check_vertex(g_or_n, v: int) -> None:
+    _check_int("vertex", v)
     n = g_or_n.vertex_count if isinstance(g_or_n, Graph) else g_or_n
     if not (0 <= v < n):
         raise BadParameterError(f"vertex {v} out of range [0, {n})")
@@ -64,9 +70,12 @@ def _check_vertex(g_or_n, v: int) -> None:
 def build_graph(vertex_count: int, edges, root: int, labels=None) -> Graph:
     """Validate and construct a rooted graph.
 
-    Rejects self-loops, duplicate edges, out-of-range roots,
-    disconnected inputs and labels that a graph file cannot carry.
+    Rejects a vertex count, root or endpoint that is not an int,
+    self-loops, duplicate edges, out-of-range roots, disconnected inputs
+    and labels that a graph file cannot carry.
     """
+    _check_int("vertex_count", vertex_count)
+    _check_int("root", root)
     if vertex_count < 1:
         raise BadParameterError("vertex_count must be at least 1")
     if not (0 <= root < vertex_count):
@@ -312,19 +321,21 @@ def rooted_cube(n: int) -> Graph:
     return build_graph(q.vertex_count + 1, edges, root=0, labels=("r", *cube_labels))
 
 
-@lru_cache(maxsize=None)
 def lollipop(n: int, m: int | None = None) -> Graph:
     """Path of length n from the root into a bundle of m parallel
     length-2 paths sharing both endpoints.
 
     Ids: root 0, then v_n .. v_1 along the path, u_0 (far shared
     endpoint), u_1 .. u_m (middles, which are twins). Defaults to
-    m = 2^(n+1) arms.
+    m = 2^(n+1) arms, resolved before the cache: one graph per (n, m).
     """
     if n < 1:
         raise BadParameterError("path length must be at least 1")
-    if m is None:
-        m = 1 << (n + 1)
+    return _lollipop(n, 1 << (n + 1) if m is None else m)
+
+
+@lru_cache(maxsize=None)
+def _lollipop(n: int, m: int) -> Graph:
     if m < 1:
         raise BadParameterError("need at least one parallel path")
     v1 = n
@@ -356,5 +367,7 @@ def generate(family: str, *params: int) -> Graph:
     allowed = (arity,) if isinstance(arity, int) else arity
     if len(params) not in allowed:
         raise BadParameterError(f"family {family!r} takes {allowed} parameter(s), got {len(params)}")
+    for p in params:
+        _check_int(f"{family} parameter", p)
     return fn(*params)
 

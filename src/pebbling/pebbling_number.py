@@ -208,15 +208,14 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     DownSet summary is kept.
 
     The greatest member of the last level, pi's witness, is re-verified
-    once per build by a new solver with a fresh memo under the same
-    limits, so the check leans on neither the builder nor a shared memo;
-    its stats are kept for search_nodes. Once it passes, its memo joins
-    that of ``solver``, the graph's shared solver (both key exact
-    verdicts at target 1), to serve later queries. Cached on the graph
-    only once complete and checked: a resource limit hit part-way
-    (running out of memory is one) leaves neither a summary nor memo
-    entries behind, and its error carries the levels completed as
-    ``pi_lower``.
+    once per build on ``solver``, the graph's shared solver, from an
+    empty memo under a fresh budget of the same limits; the builder
+    writes no memo entries, so the check leans on neither it nor earlier
+    queries, and its nodes count in ``solver.stats``. Once it passes, the
+    memo set aside joins the re-check's. Cached on the graph only once
+    complete and checked: a resource limit hit part-way (running out of
+    memory is one) or a failed check leaves no summary and ``solver.memo``
+    as it was, and a limit's error carries the levels done as ``pi_lower``.
     """
     cache = g._cache
     if "down_set" in cache:
@@ -224,6 +223,7 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     kind, data = _symmetry_mode(g, solver)
     levels = representatives = 0
     maximal: list[tuple[int, ...]] = []
+    kept = solver.memo
     try:
         for level in _levels(g, solver, maximal):
             levels += 1
@@ -231,9 +231,11 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
             last = level
         # a group's representatives are maxima in the builder's order only
         witness = max(perm(c) for c in last for perm in data) if kind == "group" else max(last)
-        check = Solver(g, 1, solver.limits)
-        if check.decide(witness):
+        solver.memo = {}
+        if solver.begin(solver.limits).decide(witness):
             raise InternalError("internal error: witness re-verification failed")
+        solver.memo.update(kept)
+        kept = solver.memo
     except ResourceLimitError as exc:
         # levels 0..levels-1 are complete and non-empty
         exc.pi_lower = levels
@@ -242,21 +244,13 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         # raised after the handler, whose traceback holds the half-built level
         maximal = last = level = None
     else:
-        check.memo.update(solver.memo)
-        solver.memo = check.memo
-        cache["witness_check"] = check.stats
         cache["down_set"] = down = DownSet(levels, representatives, witness, tuple(maximal))
         return down
+    finally:
+        solver.memo = kept
     exc = ResourceLimitError("out of memory building the down-set")
     exc.pi_lower = levels
     raise exc
-
-
-def search_nodes(g: Graph) -> int:
-    """The search nodes counted on g so far: by its shared solver and
-    by the witness re-check of its down-set."""
-    check = g._cache.get("witness_check")
-    return shared_solver(g).stats.nodes + (check.nodes if check else 0)
 
 
 def down_set_sizes(g: Graph) -> tuple[int, int, int]:

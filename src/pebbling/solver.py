@@ -45,7 +45,7 @@ from operator import mul
 
 from .configurations import Configuration, apply_move
 from .errors import BadParameterError, InternalError, MoveError, ResourceLimitError
-from .graphs import Graph, distances_from, shortest_path
+from .graphs import Graph, _check_int, distances_from, shortest_path
 
 DEFAULT_MAX_NODES = 10**8
 
@@ -138,21 +138,18 @@ class Solver:
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
+        _check_int("target", target)
         if target < 1:
             raise BadParameterError("target pebble count must be at least 1")
         self.graph = graph
         self.target = target
-        dist = distances_from(graph, graph.root)
-        self.dist = dist
+        self.dist = dist = distances_from(graph, graph.root)
         depth = max(dist)
         # integer-scaled potential: weight 2^(depth - d), target t * 2^depth
         self._pot = tuple(1 << (depth - d) for d in dist)
         self._pot_target = target << depth
         self.stack_threshold = tuple(target << d for d in dist)
-        moves = []
-        for u in range(graph.vertex_count):
-            for v in graph.neighbors[u]:
-                moves.append((u, v))
+        moves = [(u, v) for u in range(graph.vertex_count) for v in graph.neighbors[u]]
         moves.sort(key=lambda m: (0 if dist[m[1]] < dist[m[0]] else 1, dist[m[0]], m))
         self._moves = tuple(moves)
         pot, unit = self._pot, packed_units(dist, target)
@@ -304,6 +301,7 @@ class Solver:
 def shared_solver(g: Graph, target: int = 1) -> Solver:
     """The graph's one cached solver for ``target``: every query reuses
     its memo, whatever its limits, after ``begin(limits)``."""
+    _check_int("target", target)  # 1.0 and True would find the solver for 1
     cache = g._cache
     if ("solver", target) not in cache:
         cache["solver", target] = Solver(g, target)

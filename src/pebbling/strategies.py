@@ -357,10 +357,10 @@ def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
 
 
 def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
-    """The two mirrored path strategies on C_{2k+1}, tree-certified.
-
-    Each is the 2^i path weighting on a path through k+2 of the cycle's
-    vertices, zero elsewhere; their sum is the combined cycle function.
+    """The two mirrored path strategies on C_{2k+1}, each composed of
+    the tree-checked 2^i weighting of path(k + 1) carried onto a path
+    through k+2 of the cycle's vertices, zero elsewhere; their sum is the
+    combined cycle function.
     """
     if k < 1:
         raise BadParameterError("need an odd cycle of length at least 3")
@@ -371,7 +371,7 @@ def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
     emb_a = tuple((k + 1 - j) % length for j in range(k + 2))
     emb_b = tuple((k + j) % length for j in range(k + 2))
     a, b = (WeightFunction(cycle, _zero_extended(cycle, cert, emb)) for emb in (emb_a, emb_b))
-    return Certificate(a, TREE_CHECKED), Certificate(b, TREE_CHECKED)
+    return Certificate(a, COMPOSED, (cert,)), Certificate(b, COMPOSED, (cert,))
 
 
 def _lollipop_weights(n: int, m: int | None = None) -> tuple[Graph, WeightFunction]:

@@ -186,6 +186,14 @@ def builder_levels(g, solver=None):
     return tuple(map(set, _levels(g, solver or pb.Solver(g), [])))
 
 
+def build_nodes(g):
+    """The search nodes of g's down-set build alone, one per candidate
+    decided, counted on a solver of its own: no witness re-check."""
+    solver = pb.Solver(g)
+    builder_levels(g, solver)
+    return solver.stats.nodes
+
+
 def maximal_elements(levels):
     """The members p of a full down-set (one set per size, from size 0)
     with no p + e_v in the next size."""

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import pebbling as pb
+from conftest import build_nodes
 from pebbling import cli, errors, lp, pebbling_number, strategies
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
@@ -387,11 +388,11 @@ class TestPaperTargets:
 
     def test_thm1_k4_fits_the_largest_single_search(self, capsys):
         # the cap bounds each call: the down-set build, the witness
-        # re-check by a new solver and the stuck check each get their own
+        # re-check from an empty memo and the stuck check each get their own
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
         witness = pb.pi_rooted(c9).witness_unsolvable
-        build = shared_solver(c9).stats.nodes
+        build = build_nodes(c9)
         recheck = pb.Solver(c9).solve(witness).stats.nodes
         stuck = pb.is_solvable(c9, pb.configuration(c9, {4: 10, 5: 10})).stats.nodes
         largest = max(build, recheck, stuck)
@@ -404,15 +405,30 @@ class TestPaperTargets:
         assert "proven pi >= 21" in err
 
     def test_thm1_k4_reports_every_search_node(self, capsys):
-        # the down-set build 9,394, the witness re-check by a new solver
-        # 10,757 and the stuck check 317, which runs on the re-check's
-        # memo handed to the shared solver; a repeat reads the cached
-        # down-set and finds the stuck check in the memo
+        # the down-set build 9,394, the witness re-check from an empty
+        # memo 10,757 and the stuck check 317, which runs on the memo the
+        # re-check leaves, all on the shared solver; a repeat reads the
+        # cached down-set and finds the stuck check in the memo
         pb.cycle_graph(9)._cache.clear()
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
         assert code == 0 and err.endswith(", 20468 search nodes\n"), err
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
         assert code == 0 and err.endswith(", 1 search nodes\n"), err
+
+    def test_thm1_k4_builds_one_solver(self, capsys, monkeypatch):
+        # the build, the witness re-check and the stuck check share it
+        built = []
+        original = pb.Solver.__init__
+
+        def counted(self, graph, *args, **kwargs):
+            built.append(graph)
+            original(self, graph, *args, **kwargs)
+
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        monkeypatch.setattr(pb.Solver, "__init__", counted)
+        assert run_cli(capsys, "paper", "thm1-k4")[0] == 0
+        assert built == [c9]
 
     def test_q4_bruteforce(self, capsys):
         q4 = pb.hypercube(4)
@@ -602,12 +618,9 @@ class TestPlumbing:
             assert code == 2 and f"error: {exc}" in err
 
     def test_failed_witness_reverification_exits_4(self, capsys, monkeypatch, c5_file):
-        class AlwaysSolvable(pb.Solver):
-            def decide(self, counts):
-                return True
-
-        # only the re-verification builds its own solver
-        monkeypatch.setattr(pebbling_number, "Solver", AlwaysSolvable)
+        # the builder decides its candidates by lookups, so only the
+        # re-verification of pi's witness calls decide
+        monkeypatch.setattr(pb.Solver, "decide", lambda self, counts: True)
         code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
         assert code == 4
         assert results == [] and "witness re-verification failed" in err

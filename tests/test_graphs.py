@@ -63,6 +63,19 @@ class TestBuildGraph:
         with pytest.raises(BadParameterError):
             pb.build_graph(2, [(0, 5)], root=0)
 
+    def test_rejects_parameters_that_are_not_ints(self):
+        # a graph file reads each of them as an integer, and the search indexes by them
+        cases = [
+            ((True, [], 0), "vertex_count must be an integer, not True"),
+            ((2.0, [(0, 1)], 0), "vertex_count must be an integer, not 2.0"),
+            ((2, [(0, 1)], True), "root must be an integer, not True"),
+            ((3, [(0, 1.0), (1, 2)], 0), "vertex must be an integer, not 1.0"),
+            ((3, [(0, 1), (False, 2)], 0), "vertex must be an integer, not False"),
+        ]
+        for args, message in cases:
+            with pytest.raises(BadParameterError, match=message):
+                pb.build_graph(*args)
+
     def test_rejects_labels_the_file_format_cannot_carry(self):
         # a graph file writes "label <v> <label>" on one line and strips it, so
         # these would fail to parse or come back changed
@@ -182,6 +195,16 @@ class TestGenerate:
             pb.generate("cycle")
         with pytest.raises(BadParameterError):
             pb.generate("cycle", 2)
+        for family, params in (("path", (True,)), ("path", (2.0,)), ("cycle", ("5",)), ("lollipop", (2, None))):
+            with pytest.raises(BadParameterError, match=f"{family} parameter must be an integer, not {params[-1]!r}"):
+                pb.generate(family, *params)
+
+    def test_one_lollipop_per_arm_count(self):
+        # the default m = 2^(n+1) is resolved before the cache
+        g = pb.lollipop(3)
+        assert pb.lollipop(3, None) is g and pb.lollipop(3, 16) is g
+        assert pb.construction("lollipop", 3)[0] is g and pb.generate("lollipop", 3, 16) is g
+        assert pb.lollipop(3, 15) is not g
 
     def test_symmetry_permutations_are_root_fixing_automorphisms(self):
         for g in [pb.cycle_graph(9), pb.hypercube(4), pb.rooted_cube(4), pb.lollipop(2)]:

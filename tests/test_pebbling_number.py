@@ -8,6 +8,7 @@ import pytest
 
 import pebbling as pb
 from conftest import (
+    build_nodes,
     builder_levels,
     builder_order,
     greatest,
@@ -26,7 +27,7 @@ from conftest import (
     twin_blocks,
 )
 from pebbling import pebbling_number as engine
-from pebbling.errors import ResourceLimitError
+from pebbling.errors import InternalError, ResourceLimitError
 from pebbling.fileformats import parse_graph, serialize_graph
 
 
@@ -133,12 +134,12 @@ class TestPiRooted:
         assert ResourceLimitError("plain cap").pi_lower is None
 
     def test_cap_in_the_witness_check_reports_every_level(self):
-        # the re-check of pi's witness by a new solver outgrows the build
-        # on C9, so a cap between the two trips with the down-set complete
+        # the re-check of pi's witness from an empty memo outgrows the
+        # build on C9, so a cap between the two trips with the down-set complete
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
         witness = pb.pi_rooted(c9).witness_unsolvable
-        build = engine.shared_solver(c9).stats.nodes
+        build = build_nodes(c9)
         recheck = pb.Solver(c9).solve(witness).stats.nodes
         assert build < recheck
         c9._cache.clear()
@@ -149,8 +150,16 @@ class TestPiRooted:
 
 
 class TestWitnessCheckMemo:
-    """Once the witness re-check passes, its memo joins the graph's
-    shared solver, so later queries reuse its verdicts."""
+    """The witness re-check runs on the graph's shared solver from an
+    empty memo; once it passes, the memo set aside joins its memo, so
+    later queries reuse its verdicts."""
+
+    def test_the_shared_solver_counts_the_build_and_the_check(self):
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        witness = pb.pi_rooted(c9).witness_unsolvable
+        assert (build_nodes(c9), pb.Solver(c9).solve(witness).stats.nodes) == (9_394, 10_757)
+        assert engine.shared_solver(c9).stats.nodes == 20_151
 
     def test_witness_query_is_one_memo_hit(self):
         c9 = pb.cycle_graph(9)
@@ -176,8 +185,7 @@ class TestWitnessCheckMemo:
         # outgrows it on C9 (test_cap_in_the_witness_check_reports_every_level)
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
-        pb.pi_rooted(c9)
-        build = engine.shared_solver(c9).stats.nodes
+        build = build_nodes(c9)
         c9._cache.clear()
         solver = engine.shared_solver(c9)
         pb.is_solvable(c9, pb.Configuration(c9, (0, 0, 3, 0, 0, 0, 0, 3, 0)))
@@ -187,6 +195,44 @@ class TestWitnessCheckMemo:
             pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
         assert engine.shared_solver(c9) is solver
         assert solver.memo is memo and memo == before
+
+    def test_earlier_entries_join_the_checks_memo(self):
+        # the re-check starts from an empty memo; the entries set aside
+        # for it are merged into its memo once it passes
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        solver = engine.shared_solver(c9)
+        pb.is_solvable(c9, pb.Configuration(c9, (0, 0, 3, 0, 0, 0, 0, 3, 0)))
+        before = dict(solver.memo)
+        witness = pb.pi_rooted(c9).witness_unsolvable
+        check = pb.Solver(c9)
+        assert not check.solve(witness).solvable
+        assert before and not before.keys() <= check.memo.keys()
+        assert solver.memo == {**check.memo, **before}
+
+    def test_the_check_reads_no_earlier_entry(self):
+        # a wrong verdict left in the shared memo cannot pass the witness
+        c9 = pb.cycle_graph(9)
+        c9._cache.clear()
+        witness = pb.pi_rooted(c9).witness_unsolvable.counts
+        c9._cache.clear()
+        solver = engine.shared_solver(c9)
+        solver.memo[sum(map(mul, witness, solver._unit))] = True
+        assert pb.pi_rooted(c9).witness_unsolvable.counts == witness
+
+    def test_a_failed_check_hands_nothing_over(self, monkeypatch):
+        c5 = pb.cycle_graph(5)
+        c5._cache.clear()
+        solver = engine.shared_solver(c5)
+        pb.is_solvable(c5, pb.Configuration(c5, (0, 0, 2, 2, 0)))
+        memo, before = solver.memo, dict(solver.memo)
+        assert before
+        # the builder decides by lookups, so only the re-check calls decide
+        monkeypatch.setattr(pb.Solver, "decide", lambda self, counts: True)
+        with pytest.raises(InternalError, match="witness re-verification failed"):
+            pb.pi_rooted(c5)
+        assert solver.memo is memo and memo == before
+        assert "down_set" not in c5._cache
 
 
 def _adjacent_twin_graphs():
@@ -438,7 +484,8 @@ class TestNearestFirstOrder:
                 return tuple(out)
 
             res = pb.pi_rooted(h)
-            nodes.add(engine.search_nodes(h))
+            # the build and the witness re-check, both on the shared solver
+            nodes.add(engine.shared_solver(h).stats.nodes)
             assert res.value == len(full), h.edges
             assert res.witness_unsolvable.counts == max(map(moved, full[-1])), h.edges
             assert set(h._cache["down_set"].maximal) == set(map(moved, expected)), h.edges

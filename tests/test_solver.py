@@ -6,6 +6,7 @@ import pytest
 import pebbling as pb
 from conftest import (
     all_counts,
+    build_nodes,
     naive_solvable,
     random_connected_graph,
     random_counts,
@@ -89,6 +90,15 @@ class TestIsSolvable:
         assert solver.begin(pb.SearchLimits(max_nodes=1)) is solver
         assert solver.decide((1, 0, 0, 0, 0))  # one node: the root holds the target
 
+    def test_target_must_be_an_int(self, c5):
+        p = pb.configuration(c5, {2: 2, 3: 2})
+        shared_solver(c5)  # 1.0 and True compare equal to the target 1 it is cached under
+        for bad in (1.5, 2.0, 1.0, True):
+            with pytest.raises(BadParameterError, match=f"target must be an integer, not {bad!r}"):
+                pb.is_solvable(c5, p, t=bad)
+            with pytest.raises(BadParameterError, match=f"target must be an integer, not {bad!r}"):
+                pb.Solver(c5, bad)
+
     def test_nan_or_negative_cap_is_refused(self):
         nan = float("nan")
         for caps in ({"max_seconds": nan}, {"max_seconds": -0.5}, {"max_nodes": -3}, {"max_nodes": nan}):
@@ -119,8 +129,7 @@ class TestLimitsPerCall:
     def test_trivial_query_after_a_capped_scan(self):
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
-        pb.pi_rooted(c9)
-        limits = pb.SearchLimits(max_nodes=shared_solver(c9).stats.nodes // 2)
+        limits = pb.SearchLimits(max_nodes=build_nodes(c9) // 2)
         c9._cache.clear()
         with pytest.raises(ResourceLimitError):
             pb.pi_rooted(c9, limits=limits)
@@ -135,7 +144,7 @@ class TestLimitsPerCall:
         witness = pb.pi_rooted(c9).witness_unsolvable
         # the larger of the down-set build and the witness re-check
         recheck = pb.Solver(c9).solve(witness).stats.nodes
-        limits = pb.SearchLimits(max_nodes=max(shared_solver(c9).stats.nodes, recheck))
+        limits = pb.SearchLimits(max_nodes=max(build_nodes(c9), recheck))
         c9._cache.clear()
         assert pb.pi_rooted(c9, limits=limits).value == 21
         stuck = pb.configuration(c9, {4: 10, 5: 10})

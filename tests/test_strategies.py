@@ -353,6 +353,59 @@ class TestBounds:
         assert pb.diameter_lower_bound(q3) == pb.weight_function_bound(uniform) == 8
 
 
+# every named construction, at the sizes the rest of the suite runs
+_CONSTRUCTION_SIZES = {
+    "fig2": [()],
+    "q3prime": [()],
+    "lemma5": [()],
+    "q4star": [()],
+    "conjecture": [(3,), (4,)],
+    "lollipop": [(1,), (2,)],
+    "lollipop_general": [(1, 5)],
+    "cycle_combined": [(1,), (2,), (3,), (4,)],
+    "path": [(1,), (2,), (3,), (4,)],
+}
+
+
+def _rederive(cert):
+    """Make the check cert's status names on its own graph again, then
+    those of its components in turn."""
+    g, w = cert.graph, cert.weight_function
+    if cert.status == "tree-checked":
+        assert pb.check_tree_strategy(g, w), g.edges
+    elif cert.status == "oracle-checked":
+        assert pb.verify_validity_oracle(g, w).valid, g.edges
+    else:
+        assert cert.status == "composed" and cert.components, g.edges
+    for component in cert.components:
+        _rederive(component)
+
+
+class TestStatusesAreRederived:
+    """No certificate claims a check that was not made: each status
+    holds again on the certificate's own graph, recursively."""
+
+    def test_the_table_covers_every_construction(self):
+        assert set(_CONSTRUCTION_SIZES) == set(strategies._CONSTRUCTIONS)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [(name, params) for name, sizes in _CONSTRUCTION_SIZES.items() for params in sizes],
+        ids=["-".join(map(str, (name, *params))) for name, sizes in _CONSTRUCTION_SIZES.items() for params in sizes],
+    )
+    def test_construction_certificates(self, name, params):
+        _rederive(pb.construction_certificate(name, *params))
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_cycle_strategy_pair(self, k):
+        # each strategy is composed of the tree-checked path(k + 1)
+        # weights, which on C3 are not a tree strategy of the cycle
+        for cert in pb.cycle_strategy_pair(k):
+            assert cert.status == "composed"
+            assert [c.graph for c in cert.components] == [pb.path_graph(k + 1)]
+            _rederive(cert)
+
+
 class TestCertificateRouting:
     def test_tree_route(self):
         cert = pb.construction_certificate("path", 3)
