@@ -42,7 +42,6 @@ from .pebbling_number import _symmetry_mode, down_set_sizes, pi_rooted
 from .solver import SearchLimits, is_solvable, shared_solver
 from .strategies import (
     certify,
-    check_tree_strategy,
     construction,
     construction_certificate,
     cube_copy_embeddings,
@@ -98,6 +97,19 @@ def _note_down_set(g) -> None:
     representatives built, and the maximal ones the graph keeps."""
     levels, representatives, maximal = down_set_sizes(g)
     note(f"down-set: {levels} levels, {representatives} representatives, {maximal} maximal")
+
+
+def _certified(g, w, method: str, limits: SearchLimits | None = None):
+    """``certify(g, w, method)``, or None once its refusal is reported as a
+    verdict: the check's message on stderr, then ``RESULT valid=false reason=``
+    not-a-tree, parent-halving (a failed tree check of method "tree") or counterexample."""
+    try:
+        return certify(g, w, method, limits=limits)
+    except (NotATreeError, UncertifiedWeightError) as exc:
+        note(str(exc))
+        failed = "parent-halving" if method == "tree" else "counterexample"
+        emit(valid=False, reason="not-a-tree" if isinstance(exc, NotATreeError) else failed)
+        return None
 
 
 def _limits(args) -> SearchLimits:
@@ -211,17 +223,10 @@ def _cmd_verify(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
     w = parse_weights(args.weights.read_text(encoding="utf-8"), g)
     if args.mode == "tree":
-        try:
-            ok = check_tree_strategy(g, w)
-        except NotATreeError as exc:
-            note(str(exc))
-            emit(valid=False, reason="not-a-tree")
+        if _certified(g, w, "tree") is None:
             return 1
-        if ok:
-            emit(valid=True, mode="tree")
-            return 0
-        emit(valid=False, reason="parent-halving")
-        return 1
+        emit(valid=True, mode="tree")
+        return 0
     limits = _limits(args)
     _note_symmetry(g, limits)
     result = verify_validity_oracle(g, w, limits=limits)
@@ -244,13 +249,8 @@ def _cmd_bound(args) -> int:
     certs = []
     for i, path in enumerate(args.weights):
         w = parse_weights(path.read_text(encoding="utf-8"), g)
-        try:
-            cert = certify(g, w, args.certify, limits=_limits(args))
-        except (NotATreeError, UncertifiedWeightError) as exc:
-            # only --certify tree stops at a failed tree check; else the oracle refused w
-            note(str(exc))
-            failed = "parent-halving" if args.certify == "tree" else "counterexample"
-            emit(valid=False, reason="not-a-tree" if isinstance(exc, NotATreeError) else failed)
+        cert = _certified(g, w, args.certify, _limits(args))
+        if cert is None:
             return 1
         certs.append(cert)
         try:

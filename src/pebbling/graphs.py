@@ -231,17 +231,6 @@ def diameter(g: Graph) -> int:
     return cache["diameter"]
 
 
-def shortest_path(g: Graph, src: int, dst: int) -> tuple[int, ...]:
-    """One shortest path, deterministic (lowest-id parents)."""
-    dist = distances_from(g, dst)
-    path = [src]
-    x = src
-    while x != dst:
-        x = min(y for y in g.neighbors[x] if dist[y] == dist[x] - 1)
-        path.append(x)
-    return tuple(path)
-
-
 # ---------------------------------------------------------------------------
 # family generators
 # ---------------------------------------------------------------------------
@@ -258,6 +247,7 @@ def path_graph(k: int) -> Graph:
     Vertex i carries label v_i and sits at distance k-i from the root,
     which is the last index.
     """
+    _check_int("path length", k)
     if k < 1:
         raise BadParameterError("path length must be at least 1")
     labels = tuple(f"v_{i}" for i in range(k)) + ("r",)
@@ -266,6 +256,7 @@ def path_graph(k: int) -> Graph:
 
 @lru_cache(maxsize=None)
 def cycle_graph(length: int) -> Graph:
+    _check_int("cycle length", length)
     if length < 3:
         raise BadParameterError("cycle length must be at least 3")
     edges = [(i, (i + 1) % length) for i in range(length)]
@@ -275,6 +266,7 @@ def cycle_graph(length: int) -> Graph:
 @lru_cache(maxsize=None)
 def hypercube(n: int) -> Graph:
     """Q_n rooted at the all-zeros vertex; vertex ids are coordinate words."""
+    _check_int("hypercube dimension", n)
     if n < 1:
         raise BadParameterError("hypercube dimension must be at least 1")
     size = 1 << n
@@ -301,6 +293,7 @@ def rooted_cube(n: int) -> Graph:
     instance instead carries the conventional u/x_i/y_i/z names of its
     figure (u adjacent to the root, z opposite).
     """
+    _check_int("rooted cube dimension", n)
     if n < 2:
         raise BadParameterError("rooted cube needs dimension at least 2")
     q = hypercube(n - 1)
@@ -327,11 +320,15 @@ def lollipop(n: int, m: int | None = None) -> Graph:
 
     Ids: root 0, then v_n .. v_1 along the path, u_0 (far shared
     endpoint), u_1 .. u_m (middles, which are twins). Defaults to
-    m = 2^(n+1) arms, resolved before the cache: one graph per (n, m).
+    m = 2^(n+1) arms, resolved and checked before the cache, whose key
+    (1, True) would find (1, 1): one graph per (n, m).
     """
+    _check_int("path length", n)
     if n < 1:
         raise BadParameterError("path length must be at least 1")
-    return _lollipop(n, 1 << (n + 1) if m is None else m)
+    m = 1 << (n + 1) if m is None else m
+    _check_int("parallel path count", m)
+    return _lollipop(n, m)
 
 
 @lru_cache(maxsize=None)

@@ -37,6 +37,7 @@ target raises InternalError.
 
 from __future__ import annotations
 
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -45,9 +46,7 @@ from operator import mul
 
 from .configurations import Configuration, apply_move
 from .errors import BadParameterError, InternalError, MoveError, ResourceLimitError
-from .graphs import Graph, _check_int, distances_from, shortest_path
-
-DEFAULT_MAX_NODES = 10**8
+from .graphs import Graph, _check_int, distances_from
 
 Move = tuple[int, int]
 
@@ -62,24 +61,21 @@ def _env_number(name: str, parse, default):
         raise BadParameterError(f"{name}={raw!r} is not a number") from None
 
 
-def default_max_nodes() -> int:
-    """The node cap: PEBBLE_MAX_NODES when set, else DEFAULT_MAX_NODES."""
-    return _env_number("PEBBLE_MAX_NODES", int, DEFAULT_MAX_NODES)
-
-
-def default_max_seconds() -> float | None:
-    """The wall-clock cap: PEBBLE_MAX_SECONDS when set, else none."""
-    return _env_number("PEBBLE_MAX_SECONDS", float, None)
-
-
 @dataclass
 class SearchLimits:
-    max_nodes: int = field(default_factory=default_max_nodes)
-    max_seconds: float | None = field(default_factory=default_max_seconds)
+    """A node cap (PEBBLE_MAX_NODES when set, else 10^8) and a wall-clock
+    cap in seconds (PEBBLE_MAX_SECONDS when set, else none)."""
+
+    max_nodes: int = field(default_factory=lambda: _env_number("PEBBLE_MAX_NODES", int, 10**8))
+    max_seconds: float | None = field(default_factory=lambda: _env_number("PEBBLE_MAX_SECONDS", float, None))
 
     def __post_init__(self):
+        _check_int("max_nodes", self.max_nodes)
+        seconds = self.max_seconds
+        if seconds is not None and (isinstance(seconds, bool) or not isinstance(seconds, numbers.Real)):
+            raise BadParameterError(f"max_seconds must be a number, not {seconds!r}")
         # NaN fails every comparison, so a NaN cap would never be hit
-        for name, value in (("max_nodes", self.max_nodes), ("max_seconds", self.max_seconds)):
+        for name, value in (("max_nodes", self.max_nodes), ("max_seconds", seconds)):
             if value is not None and not value >= 0:
                 raise BadParameterError(f"{name} must be a nonnegative number, not {value!r}")
 
@@ -236,14 +232,14 @@ class Solver:
 
     def _stack_witness(self, v: int) -> list[Move]:
         """The moves that carry a stack of t * 2^d(v,r) from v to the
-        root along a shortest path; pebbles beyond it stay on v."""
-        path = shortest_path(self.graph, v, self.graph.root)
-        moves: list[Move] = []
-        carry = self.stack_threshold[v]
-        for a, b in zip(path, path[1:]):
-            k = carry // 2
-            moves.extend([(a, b)] * k)
-            carry = k
+        root along a shortest path, each step to the lowest-id neighbour
+        one nearer the root; pebbles beyond it stay on v."""
+        dist, moves, carry = self.dist, [], self.stack_threshold[v]
+        while v != self.graph.root:
+            up = next(u for u in self.graph.neighbors[v] if dist[u] < dist[v])  # neighbours are sorted
+            carry //= 2
+            moves += [(v, up)] * carry
+            v = up
         return moves
 
     def _witness(self, counts: tuple[int, ...]) -> list[Move] | None:

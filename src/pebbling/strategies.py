@@ -1,10 +1,14 @@
 """Weight-function certificates and the named constructions.
 
 A weight function assigns a nonnegative rational to every vertex with 0
-at the root. It is *valid* when the root is its only zero and every
-unsolvable configuration p satisfies w(p) <= w(1_G); a valid function
+at the root. It is *valid* when every unsolvable configuration p
+satisfies w(p) <= w(1_G): that cap inequality is what a certificate
+proves, whatever the support. A valid function positive off the root
 caps the pebbling number at floor(w(1_G)/m) + 1 where m is the minimum
-weight. Three verification routes produce certificates:
+weight; one with zeros, such as a path strategy carried onto a cycle,
+bounds it only as a row of the strategy LP. The bound and the oracle
+refuse a zero off the root, and the LP a vertex that no row covers.
+Three verification routes produce certificates:
 
 * tree check: the positive support plus the root induces a tree and
   every supported vertex not adjacent to the root weighs at most half
@@ -14,7 +18,8 @@ weight. Three verification routes produce certificates:
   unsolvable configurations, kept as orbit representatives of its
   symmetry (twins or the root-fixing group) whatever the weights,
 * combination: conic combinations of already certified functions on
-  embedded subgraphs; a decomposition is the combination with every
+  embedded subgraphs (conic_combine, the one builder of a composed
+  certificate); a decomposition is the combination with every
   coefficient 1, checked to equal w.
 
 Every certificate status names a check made in this process; no
@@ -36,7 +41,7 @@ from fractions import Fraction
 from .configurations import Configuration, _integers
 from .errors import BadParameterError, InternalError, NotATreeError, UncertifiedWeightError, WeightNotPositiveError
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
-from .graphs import _check_vertex
+from .graphs import _check_int, _check_vertex
 from .pebbling_number import max_unsolvable_weight
 from .solver import SearchLimits
 
@@ -77,6 +82,13 @@ class WeightFunction:
         return min(positives)
 
 
+def _exact(what: str, x) -> Fraction:
+    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
+        return Fraction(x)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise BadParameterError(f"{what} is not an exact rational: {exc}") from exc
+
+
 def weight_function(g: Graph, values) -> WeightFunction:
     """Build from a sequence or a {vertex: weight} mapping (others 0)."""
     if isinstance(values, dict):
@@ -85,11 +97,7 @@ def weight_function(g: Graph, values) -> WeightFunction:
             _check_vertex(g, v)
             arr[v] = x
         values = arr
-    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
-        exact = tuple(Fraction(x) for x in values)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise BadParameterError(f"weight is not an exact rational: {exc}") from exc
-    return WeightFunction(g, exact)
+    return WeightFunction(g, tuple(_exact("weight", x) for x in values))
 
 
 @dataclass(frozen=True)
@@ -231,48 +239,34 @@ def _check_induced_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]
     return emb
 
 
-def _zero_extended(g: Graph, cert: Certificate, embedding) -> tuple[Fraction, ...]:
-    """A subgraph certificate's weights carried onto g, zero elsewhere.
-
-    The weight cap inequality survives extension: an unsolvable
-    configuration on g restricts to an unsolvable one on the embedded
-    subgraph and the extension carries weight only there.
-    """
-    if embedding is None:
-        if cert.graph is not g:
-            raise BadParameterError("no embedding given and the graphs differ")
-        return cert.weight_function.weights
-    emb = _check_subgraph_embedding(g, cert.graph, embedding)
-    arr = [Fraction(0)] * g.vertex_count
-    for v, x in zip(emb, cert.weight_function.weights):
-        arr[v] = x
-    return tuple(arr)
-
-
 def conic_combine(g: Graph, components) -> Certificate:
-    """Nonnegative combination of certified functions on embedded subgraphs.
+    """Nonnegative combination of certified functions on embedded
+    subgraphs: the one builder of a composed certificate.
 
     components: iterable of (coefficient, certificate, embedding); pass
-    embedding None for a component already on g. Every non-root vertex
-    must end up with positive weight, matching the hypothesis under
-    which combinations stay valid.
+    embedding None for a component already on g. Each component is
+    carried onto g with weight 0 off its embedding. The cap inequality
+    survives that, since an unsolvable configuration on g restricts to
+    an unsolvable one on the embedded subgraph, and it survives
+    nonnegative sums. So vertices may end at weight 0; a bound from the
+    result checks positivity itself. Coefficients are read exactly, as
+    weight_function reads weights.
     """
     total = [Fraction(0)] * g.vertex_count
     certs = []
     for coef, cert, embedding in components:
-        coef = Fraction(coef)
+        coef = _exact("coefficient", coef)
         if coef < 0:
             raise BadParameterError(f"coefficient {coef} is negative")
         if not isinstance(cert, Certificate):
             raise UncertifiedWeightError("every component must carry a certificate")
-        for v, x in enumerate(_zero_extended(g, cert, embedding)):
+        if embedding is None and cert.graph is not g:
+            raise BadParameterError("no embedding given and the graphs differ")
+        emb = range(g.vertex_count) if embedding is None else _check_subgraph_embedding(g, cert.graph, embedding)
+        for v, x in zip(emb, cert.weight_function.weights):
             total[v] += coef * x
         certs.append(cert)
-    for v in range(g.vertex_count):
-        if v != g.root and total[v] == 0:
-            raise WeightNotPositiveError(f"vertex {v} received zero total weight")
-    wf = WeightFunction(g, tuple(total))
-    return Certificate(wf, COMPOSED, components=tuple(certs))
+    return Certificate(WeightFunction(g, tuple(total)), COMPOSED, components=tuple(certs))
 
 
 def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
@@ -357,21 +351,20 @@ def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
 
 
 def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
-    """The two mirrored path strategies on C_{2k+1}, each composed of
-    the tree-checked 2^i weighting of path(k + 1) carried onto a path
-    through k+2 of the cycle's vertices, zero elsewhere; their sum is the
-    combined cycle function.
+    """The two mirrored path strategies on C_{2k+1}, each the conic
+    combination of the tree-checked 2^i weighting of path(k + 1) alone,
+    carried onto a path through k+2 of the cycle's vertices, zero
+    elsewhere; their sum is the combined cycle function.
     """
+    _check_int("k", k)
     if k < 1:
         raise BadParameterError("need an odd cycle of length at least 3")
-    cycle = cycle_graph(2 * k + 1)
-    path, wf = _path_weights(k + 1)
-    cert = certify_tree(path, wf)
     length = 2 * k + 1
-    emb_a = tuple((k + 1 - j) % length for j in range(k + 2))
-    emb_b = tuple((k + j) % length for j in range(k + 2))
-    a, b = (WeightFunction(cycle, _zero_extended(cycle, cert, emb)) for emb in (emb_a, emb_b))
-    return Certificate(a, COMPOSED, (cert,)), Certificate(b, COMPOSED, (cert,))
+    cycle = cycle_graph(length)
+    cert = certify_tree(*_path_weights(k + 1))
+    emb_a = [(k + 1 - j) % length for j in range(k + 2)]
+    emb_b = [(k + j) % length for j in range(k + 2)]
+    return conic_combine(cycle, [(1, cert, emb_a)]), conic_combine(cycle, [(1, cert, emb_b)])
 
 
 def _lollipop_weights(n: int, m: int | None = None) -> tuple[Graph, WeightFunction]:
@@ -418,6 +411,8 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
     bad = BadParameterError(f"bad parameters {params} for {name!r}")
     if len(params) != arity:
         raise bad
+    for p in params:  # True would build the instance for 1
+        _check_int(f"{name} parameter", p)
     try:
         return build(*params)
     except BadParameterError:
@@ -479,6 +474,7 @@ def cube_copy_embeddings(n: int) -> tuple[tuple[int, ...], ...]:
     dropping that coordinate identifies the rest with the smaller cube,
     and the root's pendant edge lands on the unit vector e_i.
     """
+    _check_int("dimension", n)
     if n < 3:
         raise BadParameterError("needs dimension at least 3")
     embs = []

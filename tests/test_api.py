@@ -4,6 +4,8 @@ and the helpers that had no caller outside the tests are gone."""
 import re
 from pathlib import Path
 
+import pytest
+
 import pebbling as pb
 from pebbling import errors
 
@@ -67,3 +69,33 @@ def test_every_error_class_is_raised_or_caught():
     for name in classes:
         used = rf"raise {name}\(|except \(?[\w, ]*\b{name}\b"
         assert re.search(used, source), name
+
+
+# each call reached its family or construction without passing generate,
+# which was the only place that checked: floats failed on a shift or a
+# range with a bare TypeError, and True built the instance for 1
+NOT_INT_PARAMETERS = [
+    ("path_graph", (2.0,), "path length must be an integer, not 2.0"),
+    ("path_graph", (True,), "path length must be an integer, not True"),
+    ("cycle_graph", (5.0,), "cycle length must be an integer, not 5.0"),
+    ("hypercube", (3.0,), "hypercube dimension must be an integer, not 3.0"),
+    ("hypercube", (True,), "hypercube dimension must be an integer, not True"),
+    ("rooted_cube", (3.0,), "rooted cube dimension must be an integer, not 3.0"),
+    ("lollipop", (2.0,), "path length must be an integer, not 2.0"),
+    ("lollipop", (1, 4.0), "parallel path count must be an integer, not 4.0"),
+    ("lollipop", (1, True), "parallel path count must be an integer, not True"),
+    ("construction", ("path", 2.0), "path parameter must be an integer, not 2.0"),
+    ("construction", ("cycle_combined", True), "cycle_combined parameter must be an integer, not True"),
+    ("construction_certificate", ("path", 2.5), "path parameter must be an integer, not 2.5"),
+    ("cycle_strategy_pair", (True,), "k must be an integer, not True"),
+    ("cube_copy_embeddings", (3.0,), "dimension must be an integer, not 3.0"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, message", NOT_INT_PARAMETERS, ids=[f"{n}{p!r}" for n, p, _ in NOT_INT_PARAMETERS]
+)
+def test_parameters_that_are_not_ints_are_refused(name, params, message):
+    pb.lollipop(1, 1)  # cached: lru_cache's key (1, True) equals (1, 1)
+    with pytest.raises(errors.BadParameterError, match=re.escape(message)):
+        getattr(pb, name)(*params)

@@ -285,6 +285,18 @@ class TestBound:
             assert (code, results) == (1, [f"RESULT valid=false reason={reason}"]), mode
             assert "error" not in err, mode
 
+    def test_tree_refusals_match_verify(self, capsys, tmp_path, fig2_files):
+        # one report for both subcommands: the same RESULT line and exit 1
+        gp = tmp_path / "p3.graph"
+        wp = tmp_path / "flat.weights"
+        gp.write_text(serialize_graph(pb.path_graph(3)), encoding="utf-8")
+        wp.write_text("pebbleweights 1\nw 0 1\nw 1 1\nw 2 1\n", encoding="utf-8")
+        for files, reason in ((fig2_files, "not-a-tree"), (("-g", str(gp), "-w", str(wp)), "parent-halving")):
+            verify = run_cli(capsys, "verify", *files, "--mode", "tree")
+            bound = run_cli(capsys, "bound", *files, "--certify", "tree")
+            assert verify[:2] == bound[:2] == (1, [f"RESULT valid=false reason={reason}"]), reason
+            assert verify[2] == bound[2], reason
+
     def test_certify_unknown_method_exits_2(self, capsys, fig2_files):
         code, results, _ = run_cli(capsys, "bound", *fig2_files, "--certify", "recorded")
         assert code == 2 and results == []

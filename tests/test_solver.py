@@ -107,6 +107,28 @@ class TestIsSolvable:
         zero = pb.SearchLimits(max_nodes=0, max_seconds=0.0)
         assert (zero.max_nodes, zero.max_seconds) == (0, 0.0)
 
+    def test_cap_of_the_wrong_type_is_refused(self):
+        # a bool is an int to Python but no cap; 1.5 nodes, "5" and None are no count
+        for caps in (
+            {"max_nodes": 1.5},
+            {"max_nodes": True},
+            {"max_nodes": "5"},
+            {"max_nodes": None},
+            {"max_seconds": True},
+            {"max_seconds": "5"},
+        ):
+            with pytest.raises(BadParameterError, match="must be an integer|must be a number"):
+                pb.SearchLimits(**caps)
+        assert pb.SearchLimits(max_seconds=0).max_seconds == 0
+
+    def test_caps_default_to_the_environment(self, monkeypatch):
+        monkeypatch.delenv("PEBBLE_MAX_NODES", raising=False)
+        monkeypatch.delenv("PEBBLE_MAX_SECONDS", raising=False)
+        assert (pb.SearchLimits().max_nodes, pb.SearchLimits().max_seconds) == (10**8, None)
+        monkeypatch.setenv("PEBBLE_MAX_NODES", "7")
+        monkeypatch.setenv("PEBBLE_MAX_SECONDS", "2.5")
+        assert (pb.SearchLimits().max_nodes, pb.SearchLimits().max_seconds) == (7, 2.5)
+
     def test_stats_counted(self, c5):
         out = pb.is_solvable(c5, pb.configuration(c5, {2: 2, 3: 2}))
         assert out.stats.nodes > 0

@@ -1,14 +1,18 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import pebbling as pb
+from conftest import naive_unsolvable_levels
 from pebbling import pebbling_number as engine
 from pebbling import strategies
 from pebbling.errors import (
     BadParameterError,
     InternalError,
+    LpError,
     NotATreeError,
     ResourceLimitError,
     UncertifiedWeightError,
@@ -207,10 +211,50 @@ class TestConicCombine:
             pb.conic_combine(fig2, [(-1, base, None)])
 
     def test_uncovered_vertex(self, q3):
+        # one fig2 copy leaves vertices 2, 4 and 6 of Q3 at weight 0: the
+        # combination is a certificate, as the cap inequality holds for any
+        # nonnegative support, but neither bound can read it alone
         base = pb.construction_certificate("fig2")
-        embs = pb.cube_copy_embeddings(3)
-        with pytest.raises(WeightNotPositiveError, match="vertex 2 received zero total weight"):
-            pb.conic_combine(q3, [(1, base, embs[0])])
+        cert = pb.conic_combine(q3, [(1, base, pb.cube_copy_embeddings(3)[0])])
+        w = cert.weight_function
+        assert cert.status == "composed" and cert.components == (base,)
+        assert [v for v, x in enumerate(w.weights) if x == 0] == [0, 2, 4, 6]
+        with pytest.raises(WeightNotPositiveError):
+            pb.weight_function_bound(cert)
+        with pytest.raises(LpError, match="vertex 2 has zero weight in every certificate"):
+            pb.lp_pebbling_bound(q3, [cert])
+        unsolvable = [p for level in naive_unsolvable_levels(q3) for p in level]
+        assert len(unsolvable) == 261  # pi(Q3) = 8: sizes 0 to 7
+        assert max(sum(c * x for c, x in zip(p, w.weights)) for p in unsolvable) == w.total
+
+    def test_coefficients_are_read_exactly(self, fig2):
+        base = pb.construction_certificate("fig2")
+        # Fraction's own errors: NaN is a ValueError, inf an OverflowError, "1/0" a ZeroDivisionError
+        for bad in (float("nan"), float("inf"), "1/0", "x"):
+            with pytest.raises(BadParameterError, match="coefficient is not an exact rational"):
+                pb.conic_combine(fig2, [(bad, base, None)])
+        assert pb.conic_combine(fig2, [("1/2", base, None)]).weight_function.total == Fraction(11, 6)
+        assert pb.conic_combine(fig2, [(0.5, base, None)]).weight_function.total == Fraction(11, 6)
+
+    def test_conic_combine_is_the_one_composer(self):
+        # every Certificate(...) in src/ that passes the composed status
+        # is the one in conic_combine, so every composition follows its rules
+        def composed(node):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            return name == "COMPOSED" or (isinstance(node, ast.Constant) and node.value == "composed")
+
+        found = []
+        for path in sorted(Path(strategies.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            scope = {}  # node -> its innermost enclosing function: ast.walk goes outside in
+            for fn in ast.walk(tree):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    scope.update(dict.fromkeys(ast.walk(fn), getattr(fn, "name", "<lambda>")))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Certificate":
+                    if any(composed(arg) for arg in [*node.args, *(k.value for k in node.keywords)]):
+                        found.append((path.name, scope.get(node, "<module>")))
+        assert found == [("strategies.py", "conic_combine")]
 
     def test_uncertified_component(self, fig2):
         _, w = pb.construction("fig2")
