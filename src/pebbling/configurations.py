@@ -9,6 +9,7 @@ with counts descending, which makes runs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Iterator
 
@@ -41,15 +42,28 @@ def _integers(values) -> tuple[tuple[int, ...], int]:
     return tuple([v.numerator * (scale // d) for v, d in zip(values, denominators)]), scale
 
 
+def _exact(x, error: type[Exception], what: str) -> Fraction:
+    """x read as an exact rational, else ``error`` naming ``what``."""
+    try:  # ints, strings and finite floats are read exactly; NaN, infinities, "1/0" and non-numbers are refused
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise error(f"{what} is not an exact rational: {exc}") from exc
+
+
+def _per_vertex(g: Graph, values):
+    """A sequence as given, or a {vertex: value} mapping spread over g's vertices (others 0)."""
+    if not isinstance(values, dict):
+        return values
+    arr = [0] * g.vertex_count
+    for v, x in values.items():
+        _check_vertex(g, v)
+        arr[v] = x
+    return arr
+
+
 def configuration(g: Graph, counts) -> Configuration:
     """Build a configuration from a sequence or a {vertex: count} mapping."""
-    if isinstance(counts, dict):
-        arr = [0] * g.vertex_count
-        for v, c in counts.items():
-            _check_vertex(g, v)
-            arr[v] = c
-        counts = arr
-    return Configuration(g, tuple(counts))
+    return Configuration(g, tuple(_per_vertex(g, counts)))
 
 
 def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:

@@ -39,7 +39,8 @@ class NotATreeError(PebblingError, ValueError):
 
 
 class WeightNotPositiveError(PebblingError, ValueError):
-    """A check requires every non-root vertex to carry positive weight."""
+    """weight_function_bound met a non-root vertex of zero weight; such a
+    function still bounds as a row of the strategy LP."""
 
 
 class UncertifiedWeightError(PebblingError, ValueError):

@@ -30,14 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .configurations import _integers
+from .configurations import _exact, _integers
 from .errors import InternalError, LpError, UncertifiedWeightError
 from .graphs import Graph
 from .strategies import Certificate
-
-
-class _DualCheckError(LpError, InternalError):
-    """The dual certificate of an optimal solution failed its exact re-check."""
 
 
 OPTIMAL = "optimal"
@@ -70,10 +66,7 @@ class LinearProgram:
 
 
 def linear_program(objective, rows, rhs) -> LinearProgram:
-    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
-        exact = [tuple(map(Fraction, v)) for v in (objective, rhs, *rows)]
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise LpError(f"entry is not an exact rational: {exc}") from exc
+    exact = [tuple(_exact(x, LpError, "entry") for x in v) for v in (objective, rhs, *rows)]
     return LinearProgram(exact[0], tuple(exact[2:]), exact[1])
 
 
@@ -222,7 +215,7 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
         raise LpError(f"strategy LP ended {sol.status}")
     problem = _dual_problem(lp, sol)
     if problem:
-        raise _DualCheckError(f"internal error: {problem}")
+        raise InternalError(f"internal error: {problem}")
     bound = math.floor(sol.optimum) + 1
     if return_lp:
         return sol.optimum, bound, lp, sol

@@ -6,8 +6,9 @@ satisfies w(p) <= w(1_G): that cap inequality is what a certificate
 proves, whatever the support. A valid function positive off the root
 caps the pebbling number at floor(w(1_G)/m) + 1 where m is the minimum
 weight; one with zeros, such as a path strategy carried onto a cycle,
-bounds it only as a row of the strategy LP. The bound and the oracle
-refuse a zero off the root, and the LP a vertex that no row covers.
+bounds it only as a row of the strategy LP. The tree check, the oracle
+and conic_combine accept any nonnegative support; the bound alone
+refuses a zero off the root, and the LP a vertex that no row covers.
 Three verification routes produce certificates:
 
 * tree check: the positive support plus the root induces a tree and
@@ -20,7 +21,7 @@ Three verification routes produce certificates:
 * combination: conic combinations of already certified functions on
   embedded subgraphs (conic_combine, the one builder of a composed
   certificate); a decomposition is the combination with every
-  coefficient 1, checked to equal w.
+  coefficient 1 on induced embeddings, checked to equal w.
 
 Every certificate status names a check made in this process; no
 validity is taken on record.
@@ -29,19 +30,19 @@ All arithmetic is exact: weights are Fractions, summed and compared as
 integers over their common denominator, as validity hinges on
 comparisons like 46/3 vs 15 that floats get wrong. A WeightFunction
 scales itself once, when it is built (``integers``), and the total, the
-tree check, the oracle and the strategy LP all read that scaling.
+tree check, the oracle, the bound and the strategy LP all read that
+scaling.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, _integers
+from .configurations import Configuration, _exact, _integers, _per_vertex
 from .errors import BadParameterError, InternalError, NotATreeError, UncertifiedWeightError, WeightNotPositiveError
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
-from .graphs import _check_int, _check_vertex
+from .graphs import _check_int
 from .pebbling_number import max_unsolvable_weight
 from .solver import SearchLimits
 
@@ -74,30 +75,10 @@ class WeightFunction:
         ints, scale = self.integers
         return Fraction(sum(ints), scale)
 
-    @property
-    def min_positive(self) -> Fraction:
-        positives = [x for x in self.weights if x > 0]
-        if not positives:
-            raise WeightNotPositiveError("weight function has empty support")
-        return min(positives)
-
-
-def _exact(what: str, x) -> Fraction:
-    try:  # ints, strings and finite floats are read exactly; NaN, infinities and "1/0" are refused
-        return Fraction(x)
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise BadParameterError(f"{what} is not an exact rational: {exc}") from exc
-
 
 def weight_function(g: Graph, values) -> WeightFunction:
     """Build from a sequence or a {vertex: weight} mapping (others 0)."""
-    if isinstance(values, dict):
-        arr = [0] * g.vertex_count
-        for v, x in values.items():
-            _check_vertex(g, v)
-            arr[v] = x
-        values = arr
-    return WeightFunction(g, tuple(_exact("weight", x) for x in values))
+    return WeightFunction(g, tuple(_exact(x, BadParameterError, "weight") for x in _per_vertex(g, values)))
 
 
 @dataclass(frozen=True)
@@ -184,17 +165,13 @@ def verify_validity_oracle(
     limits: SearchLimits | None = None,
     threads: int = 1,
 ) -> ValidityResult:
-    """Exhaustive validity decision.
+    """Exhaustive validity decision for any nonnegative support.
 
-    Requires strictly positive weights off the root. Maximizes w over
-    every unsolvable configuration, read from the one down-set cached on
-    the graph, whose witness check runs when it is built.
+    Maximizes w over every unsolvable configuration, read from the one
+    down-set cached on the graph, whose witness check runs when it is
+    built; max_unsolvable_weight refuses weights from another graph.
     ``threads`` is accepted for compatibility and selects nothing.
     """
-    if w.graph is not g:
-        raise BadParameterError("weights belong to a different graph")
-    if any(x <= 0 for v, x in enumerate(w.integers[0]) if v != g.root):
-        raise WeightNotPositiveError("every non-root vertex needs positive weight")
     worst, achiever = max_unsolvable_weight(g, w, limits=limits)
     cap = w.total
     if worst <= cap:
@@ -230,13 +207,12 @@ def _check_subgraph_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...
     return emb
 
 
-def _check_induced_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]:
-    emb = _check_subgraph_embedding(g, sub, embedding)
+def _check_induced(g: Graph, sub: Graph, emb: tuple[int, ...]) -> None:
+    """Refuse an extra edge among the images of a checked embedding."""
     for i in range(sub.vertex_count):
         for j in range(i + 1, sub.vertex_count):
             if g.has_edge(emb[i], emb[j]) and not sub.has_edge(i, j):
                 raise BadParameterError("embedding is not induced: image has an extra edge")
-    return emb
 
 
 def conic_combine(g: Graph, components) -> Certificate:
@@ -255,7 +231,7 @@ def conic_combine(g: Graph, components) -> Certificate:
     total = [Fraction(0)] * g.vertex_count
     certs = []
     for coef, cert, embedding in components:
-        coef = _exact("coefficient", coef)
+        coef = _exact(coef, BadParameterError, "coefficient")
         if coef < 0:
             raise BadParameterError(f"coefficient {coef} is negative")
         if not isinstance(cert, Certificate):
@@ -280,7 +256,8 @@ def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
         raise BadParameterError("weights belong to a different graph")
     total = [Fraction(0)] * g.vertex_count
     for embedding, base in copies:
-        emb = _check_induced_embedding(g, base.graph, embedding)
+        emb = _check_subgraph_embedding(g, base.graph, embedding)
+        _check_induced(g, base.graph, emb)
         for v in range(base.graph.vertex_count):
             total[emb[v]] += base.weights[v]
     return tuple(total) == w.weights
@@ -289,16 +266,20 @@ def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
 def certify_by_decomposition(g: Graph, w: WeightFunction, copies) -> Certificate:
     """Certificate for w as the sum of certified copies on induced embeddings.
 
-    copies: iterable of (embedding, base Certificate). The copies must
-    sum to w exactly (UncertifiedWeightError otherwise); the result is
-    their conic combination with every coefficient 1, status composed.
+    copies: iterable of (embedding, base Certificate). The result is
+    their conic combination with every coefficient 1, status composed;
+    each embedding must also be induced (BadParameterError otherwise)
+    and the sum must equal w exactly (UncertifiedWeightError otherwise).
     """
-    copies = list(copies)
-    if not all(isinstance(cert, Certificate) for _, cert in copies):
-        raise UncertifiedWeightError("every copy must carry a certificate")
-    if not verify_decomposition(g, w, [(emb, cert.weight_function) for emb, cert in copies]):
+    if w.graph is not g:
+        raise BadParameterError("weights belong to a different graph")
+    copies = [(tuple(emb), cert) for emb, cert in copies]
+    cert = conic_combine(g, [(1, base, emb) for emb, base in copies])
+    for emb, base in copies:
+        _check_induced(g, base.graph, emb)
+    if cert.weight_function.weights != w.weights:
         raise UncertifiedWeightError("copies do not sum to the target weight function")
-    return conic_combine(g, [(1, cert, emb) for emb, cert in copies])
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +288,22 @@ def certify_by_decomposition(g: Graph, w: WeightFunction, copies) -> Certificate
 
 
 def weight_function_bound(cert: Certificate) -> int:
-    """Upper bound floor(w(1_G)/m) + 1 from a certified weight function.
+    """Upper bound floor(w(1_G)/m) + 1 from a certified weight function,
+    m its least weight off the root.
 
-    Needs strictly positive weights off the root: any size above the
-    bound then forces w(p) > w(1_G), hence solvability.
+    The one check that needs strictly positive weights off the root
+    (WeightNotPositiveError otherwise): any size above the bound then
+    forces w(p) > w(1_G), hence solvability. The scale cancels in
+    w(1_G)/m, so the quotient is taken on w's integers.
     """
     if not isinstance(cert, Certificate):
         raise UncertifiedWeightError("the bound needs a certificate")
     w = cert.weight_function
-    g = w.graph
-    if any(x <= 0 for v, x in enumerate(w.integers[0]) if v != g.root):
+    ints = w.integers[0]
+    least = min((x for v, x in enumerate(ints) if v != w.graph.root), default=0)
+    if least <= 0:
         raise WeightNotPositiveError("bound requires positive weight on every non-root vertex")
-    return math.floor(w.total / w.min_positive) + 1
+    return sum(ints) // least + 1
 
 
 def diameter_lower_bound(g: Graph) -> int:

@@ -10,7 +10,7 @@ import pytest
 
 import pebbling as pb
 from conftest import build_nodes
-from pebbling import cli, errors, lp, pebbling_number, strategies
+from pebbling import cli, errors, pebbling_number, strategies
 from pebbling.cli import main
 from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
 from pebbling.solver import shared_solver
@@ -33,10 +33,7 @@ def result_map(line):
 
 # every error class the package defines, found by walking the module, so
 # a new class must end in one of the three exit codes below
-ERROR_CLASSES = [
-    *(c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PebblingError)),
-    lp._DualCheckError,
-]
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.PebblingError)]
 
 
 @pytest.fixture
@@ -224,6 +221,14 @@ class TestVerify:
         assert fields["weight"] == "6/1"
         assert fields["cap"] == "3/1"
 
+    def test_oracle_mode_partial_support(self, capsys, tmp_path, c5_file):
+        # one path strategy on C5, zero on vertex 4: a verdict, not a refusal
+        wp = tmp_path / "c5-a.weights"
+        wp.write_text("pebbleweights 1\nw 1 4\nw 2 2\nw 3 1\n", encoding="utf-8")
+        code, results, err = run_cli(capsys, "verify", "-g", str(c5_file), "-w", str(wp))
+        assert (code, results) == (0, ["RESULT valid=true max_weight=7/1 cap=7/1"])
+        assert "error" not in err
+
 
 class TestBound:
     def test_c5_strategy_files(self, capsys, tmp_path, c5_file, c5):
@@ -241,6 +246,24 @@ class TestBound:
         assert fields == {"bound": "5", "optimum": "14/3"}
         singles = [result_map(r) for r in results if "cert" in r]
         assert [s.get("cert0_bound", s.get("cert1_bound")) for s in singles] == ["none", "none"]
+
+    def test_c5_strategy_files_by_oracle(self, capsys, tmp_path, c5_file):
+        # each partial-support row is certified by the oracle, and the LP
+        # gives what it gives from the tree-checked rows
+        files = []
+        for name, text in (("a", "w 1 4\nw 2 2\nw 3 1"), ("b", "w 4 4\nw 3 2\nw 2 1")):
+            path = tmp_path / f"c5-{name}.weights"
+            path.write_text(f"pebbleweights 1\n{text}\n", encoding="utf-8")
+            files += ["-w", str(path)]
+        code, results, err = run_cli(capsys, "bound", "-g", str(c5_file), *files, "--certify", "oracle")
+        assert code == 0
+        assert results == [
+            "RESULT cert0_bound=none",
+            "RESULT cert1_bound=none",
+            "RESULT bound=5 optimum=14/3",
+            "RESULT lower=4",
+        ]
+        assert "certificates: oracle-checked, oracle-checked;" in err
 
     def test_full_support_single_bound(self, capsys, tmp_path, c5_file):
         _, w = pb.construction("cycle_combined", 2)

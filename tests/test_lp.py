@@ -12,7 +12,7 @@ import pebbling as pb
 import pebbling.lp as lp_module
 from pebbling import configurations, pebbling_number, strategies
 from pebbling.configurations import _integers
-from pebbling.errors import LpError, UncertifiedWeightError
+from pebbling.errors import InternalError, LpError, UncertifiedWeightError
 from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, _dual_problem, linear_program, solve_lp
 
 
@@ -326,7 +326,7 @@ class TestEntries:
         assert all(type(x) is Fraction for x in (*lp.objective, *lp.rows[0], *lp.rhs))
 
     def test_nan_infinities_and_unreadable_strings_are_lp_errors(self):
-        for bad in (float("nan"), float("inf"), float("-inf"), "one third", "1/0"):
+        for bad in (float("nan"), float("inf"), float("-inf"), "one third", "1/0", None, [1], object()):
             for objective, rows, rhs in (([bad], [[1]], [1]), ([1], [[bad]], [1]), ([1], [[1]], [bad])):
                 with pytest.raises(LpError, match="not an exact rational"):
                     linear_program(objective, rows, rhs)
@@ -443,7 +443,7 @@ class TestPebblingBound:
             return replace(sol, dual=(sol.dual[0] + 1,) + sol.dual[1:])
 
         monkeypatch.setattr(lp_module, "solve_lp", off_by_one)
-        with pytest.raises(LpError, match="internal error"):
+        with pytest.raises(InternalError, match="internal error"):
             pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
 
     def test_empty_set(self, c5):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import pebbling as pb
-from conftest import naive_unsolvable_levels
+from conftest import naive_unsolvable_levels, random_connected_graph
 from pebbling import pebbling_number as engine
 from pebbling import strategies
 from pebbling.errors import (
@@ -58,8 +58,9 @@ class TestWeightFunction:
         for weights in ((0.5, 1.0, 0), (0.1, 0.2, 0), (Fraction(1, 2), "1", 0)):
             with pytest.raises(BadParameterError):
                 pb.WeightFunction(g, weights)
-        # Fraction's own errors: NaN is a ValueError, inf an OverflowError, "1/0" a ZeroDivisionError
-        for bad in (float("nan"), float("inf"), "1/0", "x"):
+        # Fraction's own errors: NaN is a ValueError, inf an OverflowError,
+        # "1/0" a ZeroDivisionError and a non-number a TypeError
+        for bad in (float("nan"), float("inf"), "1/0", "x", None, [1], object()):
             with pytest.raises(BadParameterError, match="not an exact rational"):
                 pb.weight_function(g, (bad, 1, 0))
             with pytest.raises(BadParameterError, match="not an exact rational"):
@@ -142,10 +143,32 @@ class TestOracle:
         assert res.valid
         assert res.max_unsolvable == 15 == res.cap
 
-    def test_rejects_zero_weights(self, c5):
-        w = pb.weight_function(c5, {1: 1, 2: 1, 3: 1})
-        with pytest.raises(WeightNotPositiveError):
-            pb.verify_validity_oracle(c5, w)
+    def test_zero_weights_agree_with_the_reference(self):
+        # the cap inequality needs no positive support: with a zero off
+        # the root the oracle's maximum is still the reference maximum,
+        # and a counterexample is one of the reference's configurations
+        def weight(w, counts):
+            return sum(c * x for c, x in zip(counts, w.weights))
+
+        rng = random.Random(3303)
+        verdicts = set()
+        for _ in range(30):
+            g = random_connected_graph(rng, n_min=3, n_max=5)
+            reference = naive_unsolvable_levels(g)
+            others = [v for v in range(g.vertex_count) if v != g.root]
+            for _ in range(3):
+                values = {v: rng.choice((0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3))) for v in others}
+                values[rng.choice(others)] = 0
+                w = pb.weight_function(g, values)
+                best = max(weight(w, p) for level in reference for p in level)
+                res = pb.verify_validity_oracle(g, w)
+                assert res.max_unsolvable == best and res.cap == w.total, g.edges
+                assert res.valid == (best <= w.total), g.edges
+                if not res.valid:
+                    p = res.counterexample
+                    assert p.counts in reference[p.size] and weight(w, p.counts) == best, g.edges
+                verdicts.add(res.valid)
+        assert verdicts == {True, False}
 
     def test_scale_invariance_on_fig2(self, fig2):
         _, w = pb.construction("fig2")
@@ -229,8 +252,9 @@ class TestConicCombine:
 
     def test_coefficients_are_read_exactly(self, fig2):
         base = pb.construction_certificate("fig2")
-        # Fraction's own errors: NaN is a ValueError, inf an OverflowError, "1/0" a ZeroDivisionError
-        for bad in (float("nan"), float("inf"), "1/0", "x"):
+        # Fraction's own errors: NaN is a ValueError, inf an OverflowError,
+        # "1/0" a ZeroDivisionError and a non-number a TypeError
+        for bad in (float("nan"), float("inf"), "1/0", "x", None, [1], object()):
             with pytest.raises(BadParameterError, match="coefficient is not an exact rational"):
                 pb.conic_combine(fig2, [(bad, base, None)])
         assert pb.conic_combine(fig2, [("1/2", base, None)]).weight_function.total == Fraction(11, 6)
@@ -308,6 +332,37 @@ class TestDecomposition:
         cert = pb.certify_by_decomposition(q4, w_star, [(emb, base) for emb in pb.cube_copy_embeddings(4)])
         assert cert.status == "composed"
         assert len(cert.components) == 4
+
+    def test_certify_by_decomposition_sums_once(self, monkeypatch):
+        # one conic combination, compared with w; verify_decomposition is not consulted
+        q4, w_star = pb.construction("q4star")
+        base = pb.construction_certificate("lemma5")
+        calls = []
+
+        def counted(g, components):
+            calls.append(g)
+            return combine(g, components)
+
+        def refuse(*args):
+            raise AssertionError("verify_decomposition called")
+
+        combine = strategies.conic_combine
+        monkeypatch.setattr(strategies, "conic_combine", counted)
+        monkeypatch.setattr(strategies, "verify_decomposition", refuse)
+        copies = [(emb, base) for emb in pb.cube_copy_embeddings(4)]
+        assert pb.certify_by_decomposition(q4, w_star, copies).weight_function.weights == w_star.weights
+        assert calls == [q4]
+        with pytest.raises(UncertifiedWeightError, match="copies do not sum to the target weight function"):
+            pb.certify_by_decomposition(q4, w_star, copies[:3])
+
+    def test_certify_by_decomposition_needs_induced_copies(self):
+        # the 2-path laid around the triangle is a subgraph, so
+        # conic_combine takes it, but the closing chord makes it not induced
+        c3 = pb.cycle_graph(3)
+        cert = pb.construction_certificate("path", 2)
+        w = pb.weight_function(c3, {1: 2, 2: 1})
+        with pytest.raises(BadParameterError, match="embedding is not induced"):
+            pb.certify_by_decomposition(c3, w, [((2, 1, 0), cert)])
 
 
 class TestConstructions:
@@ -458,6 +513,17 @@ class TestCertificateRouting:
     def test_oracle_route(self):
         cert = pb.construction_certificate("fig2")
         assert cert.status == "oracle-checked"
+
+    def test_oracle_route_takes_a_partial_support(self, q3):
+        # the support {1, 2, 3} closes a 4-cycle with the root, so the tree
+        # check refuses it; the oracle certifies it, and the refusal of
+        # the uncovered vertex 4 comes from the LP that needs it
+        cert = strategies.certify(q3, pb.weight_function(q3, {1: 2, 2: 2, 3: 1}))
+        assert cert.status == "oracle-checked"
+        with pytest.raises(WeightNotPositiveError):
+            pb.weight_function_bound(cert)
+        with pytest.raises(LpError, match="vertex 4 has zero weight in every certificate"):
+            pb.lp_pebbling_bound(q3, [cert])
 
     def test_unknown_method_refused(self):
         with pytest.raises(BadParameterError):
