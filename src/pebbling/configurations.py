@@ -50,20 +50,26 @@ def _exact(x, error: type[Exception], what: str) -> Fraction:
         raise error(f"{what} is not an exact rational: {exc}") from exc
 
 
-def _per_vertex(g: Graph, values):
-    """A sequence as given, or a {vertex: value} mapping spread over g's vertices (others 0)."""
+def _sequence(values, error: type[Exception], what: str) -> tuple:
+    """values as a tuple, else ``error`` naming ``what``."""
+    try:
+        return tuple(values)
+    except TypeError as exc:
+        raise error(f"{what} is not a sequence: {exc}") from exc
+
+
+def _per_vertex(g: Graph, values, what: str) -> tuple:
+    """A sequence, or a {vertex: value} mapping spread over g's vertices (others 0), as a tuple."""
     if not isinstance(values, dict):
-        return values
-    arr = [0] * g.vertex_count
-    for v, x in values.items():
+        return _sequence(values, BadParameterError, what)
+    for v in values:
         _check_vertex(g, v)
-        arr[v] = x
-    return arr
+    return tuple(values.get(v, 0) for v in range(g.vertex_count))
 
 
 def configuration(g: Graph, counts) -> Configuration:
     """Build a configuration from a sequence or a {vertex: count} mapping."""
-    return Configuration(g, tuple(_per_vertex(g, counts)))
+    return Configuration(g, _per_vertex(g, counts, "counts"))
 
 
 def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:

@@ -1,20 +1,18 @@
 """Exact-rational linear programming over strategy sets.
 
-A dense one-phase simplex from the slack basis on an integer-preserving
-tableau (Edmonds' fraction-free pivots, Bareiss 1968). The column of
-largest objective improvement enters, ties to the least index, so it
-cannot cycle: in a cycle every pivot is degenerate, every gain 0, and
-the tie takes Bland's column, which never cycles. No phase one is needed:
-``LinearProgram`` refuses a negative right-hand side, so x = 0 is
-always feasible. Each row with its right-hand side, and the objective,
-is scaled to integers once, when the LinearProgram is built; every pivot
-then divides exactly by the previous pivot, so the loop runs on plain
-ints with no gcd. The dual is read from the final reduced costs of the
-slack columns, an optimality certificate that _dual_problem re-checks on
-that scaling and the dual's own, never on the tableau. Fractions are
-built only for what is returned: the optimum, the point and the dual.
-Instances stay small (one variable per non-root vertex, one row per
-certificate), so no sparse machinery is warranted.
+A dense one-phase simplex from the slack basis on a condensed
+integer-preserving tableau (Edmonds' fraction-free pivots, Bareiss 1968)
+of the nonbasic columns and the right-hand side: a basic column is det
+times a unit vector, so a pivot only swaps the entering variable's column
+for the leaving one's. The largest objective improvement enters, ties to
+the least variable, so it cannot cycle: in a cycle every gain is 0 and
+the tie takes Bland's column. ``LinearProgram`` refuses a negative
+right-hand side, so x = 0 is feasible and no phase one is needed. Rows
+and objective are scaled to integers once, when the LinearProgram is
+built, and each pivot divides exactly by the last, so the loop runs on
+plain ints. y_i is minus the final reduced cost of slack i, or 0 while
+it is basic; _dual_problem re-checks that certificate without the
+tableau. Instances stay small, so no sparse machinery is warranted.
 
 The pebbling application: every unsolvable configuration is a feasible
 integer point of { p >= 0 : w_i . p <= w_i(1) for every certificate },
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .configurations import _exact, _integers
+from .configurations import _exact, _integers, _sequence
 from .errors import InternalError, LpError, UncertifiedWeightError
 from .graphs import Graph
 from .strategies import Certificate
@@ -54,9 +52,8 @@ class LinearProgram:
             raise LpError("entries must be integers or fractions; linear_program converts other numbers")
         if len(self.rows) != len(self.rhs):
             raise LpError("row and right-hand-side counts differ")
-        for row in self.rows:
-            if len(row) != n:
-                raise LpError("row length does not match the objective")
+        if any(len(row) != n for row in self.rows):
+            raise LpError("row length does not match the objective")
         for i, b in enumerate(self.rhs):
             if b < 0:
                 raise LpError(f"right-hand side {i} is {b}; solve_lp needs a nonnegative right-hand side")
@@ -66,7 +63,9 @@ class LinearProgram:
 
 
 def linear_program(objective, rows, rhs) -> LinearProgram:
-    exact = [tuple(_exact(x, LpError, "entry") for x in v) for v in (objective, rhs, *rows)]
+    vectors = [_sequence(objective, LpError, "objective"), _sequence(rhs, LpError, "right-hand side")]
+    vectors += [_sequence(row, LpError, "row") for row in _sequence(rows, LpError, "rows")]
+    exact = [tuple(_exact(x, LpError, "entry") for x in v) for v in vectors]
     return LinearProgram(exact[0], tuple(exact[2:]), exact[1])
 
 
@@ -85,7 +84,8 @@ def _pivot(tab, row, col, det):
 
     Every row holds det times its rational counterpart, so the exact
     quotient by the previous pivot ``det`` keeps all entries integral.
-    The pivot row itself is unchanged.
+    Column col then holds the leaving variable's full-tableau column:
+    -t_i,col off the pivot row, det in it; the rest of that row is kept.
     """
     prow = tab[row]
     p = prow[col]
@@ -94,9 +94,11 @@ def _pivot(tab, row, col, det):
             continue
         f = r[col]
         if f:
-            tab[i] = [(a * p - f * b) // det for a, b in zip(r, prow)]
+            r = tab[i] = [(a * p - f * b) // det for a, b in zip(r, prow)]
+            r[col] = -f
         elif p != det:
             tab[i] = [a * p // det for a in r]
+    prow[col] = det
     return p
 
 
@@ -104,55 +106,46 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact simplex from the slack basis; deterministic largest-improvement pivots.
 
     The column whose reduced cost times least ratio rhs / entry is largest
-    enters, ties to the least column; that row leaves, ties to the smaller
-    basis index. A positive reduced cost over no positive entry is unbounded.
-    Every pivot entry is positive, so det stays positive and signs, ratio
-    and gain orders read off the integers match the rational tableau.
+    enters, ties to the least variable; that row leaves, ties to the least
+    basic variable. A positive reduced cost over no positive entry is
+    unbounded. Every pivot entry is positive, so det stays positive and the
+    orders read off the integers match the rational tableau's.
     """
     m, n = len(lp.rows), len(lp.objective)
 
-    # columns: n structural, m slacks, rhs last; row i is scaled to
-    # integers by its scale and its slack by 1/scale; the cost row is last
-    tab: list[list[int]] = []
-    for i, (values, _) in enumerate(lp.integer_rows):
-        row = [*values[:n], *[0] * m, values[-1]]
-        row[n + i] = 1
-        tab.append(row)
-    basis = list(range(n, n + m))
-    objective, obj_scale = lp.integer_objective
-    tab.append([*objective, *[0] * (m + 1)])
-
-    det = 1
+    # columns: the nonbasic variables (structural j < n, slack i as n + i)
+    # and the rhs; row i is [row | rhs] scaled to integers, the cost row last
+    tab = [list(values) for values, _ in lp.integer_rows]
+    tab.append([*lp.integer_objective[0], 0])
+    nonbasic, basis, det = list(range(n)), list(range(n, n + m)), 1
     while True:
-        cost = tab[m]
+        *columns, rhs = zip(*tab)
         enter = -1
-        for j in range(n + m):
-            if cost[j] <= 0:
+        for j, column in enumerate(columns):
+            c = column[m]
+            if c <= 0:
                 continue
             row = -1
             for i in range(m):
-                a = tab[i][j]
-                if a > 0 and (row < 0 or (tab[i][-1] * den, basis[i]) < (num * a, basis[row])):
-                    row, num, den = i, tab[i][-1], a
+                a = column[i]
+                if a > 0 and (row < 0 or (x := rhs[i] * den) < (y := num * a) or x == y and basis[i] < basis[row]):
+                    row, num, den = i, rhs[i], a
             if row < 0:
                 return LpSolution(UNBOUNDED, None, None, None)
-            # gain cost * num / den, det * obj_scale times the rational one
-            if enter < 0 or cost[j] * num * best_den > best_num * den:
-                enter, leave, best_num, best_den = j, row, cost[j] * num, den
+            # gain c * num / den, det * (objective scale) times the rational one
+            if enter < 0 or (c * num * best_den, nonbasic[enter]) > (best_num * den, nonbasic[j]):
+                enter, leave, best_num, best_den = j, row, c * num, den
         if enter < 0:
             break
         det = _pivot(tab, leave, enter, det)
-        basis[leave] = enter
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
 
-    point = [Fraction(0)] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            point[b] = Fraction(tab[i][-1], det)
-    denominator = det * obj_scale
-    optimum = Fraction(-cost[-1], denominator)
-    # y_i is minus the reduced cost of slack i, undone for both scalings
-    dual = tuple(Fraction(-cost[n + i] * scale, denominator) for i, (_, scale) in enumerate(lp.integer_rows))
-    return LpSolution(OPTIMAL, optimum, tuple(point), dual)
+    values, cost = dict(zip(basis, rhs)), dict(zip(nonbasic, tab[m]))
+    point = tuple(Fraction(values.get(j, 0), det) for j in range(n))
+    # y_i is minus the reduced cost of slack i (0 while basic), undone for both scalings
+    denominator = det * lp.integer_objective[1]
+    dual = tuple(Fraction(-cost.get(n + i, 0) * s, denominator) for i, (_, s) in enumerate(lp.integer_rows))
+    return LpSolution(OPTIMAL, Fraction(-rhs[m], denominator), point, dual)
 
 
 def _dual_problem(lp: LinearProgram, sol: LpSolution) -> str | None:
@@ -188,13 +181,14 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     """LP upper bound on the rooted pebbling number from a strategy set.
 
     One nonnegative variable per non-root vertex, objective the total
-    size, one row per certificate capping its weighted sum at the
-    certificate's all-ones weight. Every row must be a Certificate
-    (UncertifiedWeightError otherwise). Every non-root vertex must carry
-    positive weight in some certificate, otherwise stacking pebbles
-    there is unconstrained and the program is unbounded. Weights and caps
-    are nonnegative, so the simplex starts at x = 0 with no phase one.
-    The optimum is re-proved from its dual before it is returned.
+    size, one row per certificate: its weights scaled to integers
+    (``integers``) capped at their sum, so sol.dual is per scaled row.
+    Every row must be a Certificate (UncertifiedWeightError otherwise).
+    Every non-root vertex must carry positive weight in some certificate,
+    otherwise stacking pebbles there is unconstrained and the program is
+    unbounded. Weights and caps are nonnegative, so the simplex starts at
+    x = 0 with no phase one. The optimum is re-proved from its dual
+    before it is returned.
     """
     certs = list(certs)
     if not certs:
@@ -208,8 +202,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     for v in variables:
         if not any(ints[v] for ints in scaled):
             raise LpError(f"vertex {v} has zero weight in every certificate")
-    rows = tuple(tuple(c.weight_function.weights[v] for v in variables) for c in certs)
-    lp = LinearProgram((1,) * len(variables), rows, tuple(c.weight_function.total for c in certs))
+    rows = tuple(tuple(ints[v] for v in variables) for ints in scaled)
+    lp = LinearProgram((1,) * len(variables), rows, tuple(sum(ints) for ints in scaled))
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise LpError(f"strategy LP ended {sol.status}")

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .configurations import Configuration, _exact, _integers, _per_vertex
+from .configurations import Configuration, _exact, _integers, _per_vertex, _sequence
 from .errors import BadParameterError, InternalError, NotATreeError, UncertifiedWeightError, WeightNotPositiveError
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
 from .graphs import _check_int
@@ -78,7 +78,7 @@ class WeightFunction:
 
 def weight_function(g: Graph, values) -> WeightFunction:
     """Build from a sequence or a {vertex: weight} mapping (others 0)."""
-    return WeightFunction(g, tuple(_exact(x, BadParameterError, "weight") for x in _per_vertex(g, values)))
+    return WeightFunction(g, tuple(_exact(x, BadParameterError, "weight") for x in _per_vertex(g, values, "weights")))
 
 
 @dataclass(frozen=True)
@@ -194,7 +194,7 @@ def certify_by_oracle(g: Graph, w: WeightFunction, **kwargs) -> Certificate:
 
 
 def _check_subgraph_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]:
-    emb = tuple(embedding)
+    emb = _sequence(embedding, BadParameterError, "embedding")
     if len(emb) != sub.vertex_count:
         raise BadParameterError("embedding length does not match the subgraph")
     if len(set(emb)) != len(emb) or any(not 0 <= x < g.vertex_count for x in emb):
@@ -273,7 +273,7 @@ def certify_by_decomposition(g: Graph, w: WeightFunction, copies) -> Certificate
     """
     if w.graph is not g:
         raise BadParameterError("weights belong to a different graph")
-    copies = [(tuple(emb), cert) for emb, cert in copies]
+    copies = [(_sequence(emb, BadParameterError, "embedding"), cert) for emb, cert in copies]
     cert = conic_combine(g, [(1, base, emb) for emb, base in copies])
     for emb, base in copies:
         _check_induced(g, base.graph, emb)

@@ -62,6 +62,14 @@ class TestMappingConstructor:
                 pb.configuration(g, {key: 3})
 
 
+class TestNonSequenceCounts:
+    def test_non_iterable_counts_refused(self):
+        g = pb.path_graph(3)
+        for counts in (None, 5):
+            with pytest.raises(BadParameterError, match="counts is not a sequence"):
+                pb.configuration(g, counts)
+
+
 class TestEnumerate:
     def test_three_vertices_size_two(self):
         g = pb.path_graph(2)

@@ -192,13 +192,14 @@ def count_pivots(monkeypatch):
     return pivots
 
 
-def random_program(rng, degenerate=False):
+def random_program(rng, degenerate=False, shape=None):
     """Objective, rows and rhs of a small LP with signed fractional data.
 
     degenerate: every right-hand side is nonnegative and many are 0, and
     rows get scaled duplicates, so ratio ties and pivots at 0 are common.
+    shape: (n, m) variables and rows before duplicates, else drawn at random.
     """
-    n, m = rng.randint(1, 5), rng.randint(0 if not degenerate else 1, 5)
+    n, m = shape or (rng.randint(1, 5), rng.randint(0 if not degenerate else 1, 5))
 
     def q():
         return Fraction(rng.randint(-5, 8), rng.choice((1, 1, 2, 3, 4)))
@@ -290,6 +291,49 @@ class TestAgainstReference:
             assert sol.status == OPTIMAL
             assert sol == reference_solve_lp(lp)
 
+    def test_tall_programs(self, monkeypatch):
+        # 40 rows over 3 columns: most slacks stay basic, so most of the
+        # dual is read as 0 and the few stored columns carry every pivot
+        pivots = count_pivots(monkeypatch)
+        rng = random.Random(3401)
+        optimal = 0
+        for degenerate in (False, True):
+            for _ in range(25):
+                objective, rows, rhs = random_program(rng, degenerate, shape=(3, 40))
+                lp = linear_program(objective, rows, [abs(b) for b in rhs])
+                sol = solve_lp(lp)
+                assert sol == reference_solve_lp(lp)
+                optimal += sol.status == OPTIMAL
+        assert optimal >= 25
+        assert any(b == 0 for _, b in pivots)
+        assert all(entry > 0 for entry, _ in pivots)
+
+    def test_tall_strategy_programs_on_q4(self):
+        # strategy programs of 100+ rows, the shape of a large strategy set
+        for seed, rows in ((0, 100), (1, 150)):
+            lp = strategy_program(pb.hypercube(4), random.Random(seed), rows, 7)
+            sol = solve_lp(lp)
+            assert len(lp.rows) >= rows and sol.status == OPTIMAL
+            assert sol == reference_solve_lp(lp)
+
+    def test_no_rows_or_no_columns(self):
+        # m = 0 leaves only the cost row in the tableau, n = 0 only the rhs column
+        cases = [
+            ([1], [], []),
+            ([0, "-1/2"], [], []),
+            ([-1, 2, 0], [], []),
+            ([], [], []),
+            ([], [[], []], [0, 3]),
+            ([], [[]], ["5/2"]),
+        ]
+        expected = [UNBOUNDED, OPTIMAL, UNBOUNDED, OPTIMAL, OPTIMAL, OPTIMAL]
+        for (objective, rows, rhs), status in zip(cases, expected):
+            lp = linear_program(objective, rows, rhs)
+            sol = solve_lp(lp)
+            assert sol.status == status and sol == reference_solve_lp(lp)
+            if status == OPTIMAL:
+                assert sol.optimum == 0 and sol.point == (0,) * len(objective) and sol.dual == (0,) * len(rows)
+
     def test_strategy_programs_on_q5_take_few_pivots(self, monkeypatch):
         # 25 induced trees of 10 vertices, as in the certify benchmark;
         # largest-improvement entry takes 11-14 pivots here, Bland's 115-168
@@ -330,6 +374,17 @@ class TestEntries:
             for objective, rows, rhs in (([bad], [[1]], [1]), ([1], [[bad]], [1]), ([1], [[1]], [bad])):
                 with pytest.raises(LpError, match="not an exact rational"):
                     linear_program(objective, rows, rhs)
+
+    def test_non_sequences_are_lp_errors(self):
+        cases = [
+            (([1], None, [1]), "rows is not a sequence"),
+            (([1], [1], [1]), "row is not a sequence"),
+            ((None, [[1]], [1]), "objective is not a sequence"),
+            (([1], [[1]], 1), "right-hand side is not a sequence"),
+        ]
+        for args, message in cases:
+            with pytest.raises(LpError, match=message):
+                linear_program(*args)
 
     def test_shape_and_sign_errors_keep_their_messages(self):
         # the conversion guard must not swallow LinearProgram's own errors
@@ -445,6 +500,31 @@ class TestPebblingBound:
         monkeypatch.setattr(lp_module, "solve_lp", off_by_one)
         with pytest.raises(InternalError, match="internal error"):
             pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
+
+    def test_rows_are_the_certificates_integers(self):
+        # each row is its certificate's integers without the root, capped at
+        # their sum: the same optimum as the Fraction rows, and a dual per
+        # scaled row that both dual checks accept
+        rng = random.Random(3402)
+        q4 = pb.hypercube(4)
+        cases = [(pb.cycle_graph(5), list(pb.cycle_strategy_pair(2))), (q4, [pb.construction_certificate("q4star")])]
+        program = strategy_program(q4, rng, 10, 6)
+        factors = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 7))) for _ in program.rows]
+        weights = [[0, *(x * f for x in row)] for row, f in zip(program.rows, factors)]
+        cases.append((q4, [pb.certify_tree(q4, pb.weight_function(q4, w)) for w in weights]))
+        for g, certs in cases:
+            optimum, _, lp, sol = pb.lp_pebbling_bound(g, certs, return_lp=True)
+            ints = [c.weight_function.integers[0] for c in certs]
+            assert lp.rows == tuple(tuple(x for v, x in enumerate(row) if v != g.root) for row in ints)
+            assert lp.rhs == tuple(sum(row) for row in ints)
+            fractions = linear_program(
+                lp.objective,
+                [[x for v, x in enumerate(c.weight_function.weights) if v != g.root] for c in certs],
+                [c.weight_function.total for c in certs],
+            )
+            assert optimum == sol.optimum == solve_lp(fractions).optimum
+            assert _dual_problem(lp, sol) is None and reference_dual_problem(lp, sol) is None
+        assert any(scale > 1 for _, scale in (c.weight_function.integers for c in cases[-1][1]))
 
     def test_empty_set(self, c5):
         with pytest.raises(LpError, match="need at least one certificate"):

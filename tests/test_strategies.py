@@ -68,6 +68,12 @@ class TestWeightFunction:
         assert pb.WeightFunction(g, (1, Fraction(1, 2), 0)).total == Fraction(3, 2)
         assert pb.weight_function(g, (0.5, 1.0, 0)).weights == (Fraction(1, 2), 1, 0)
 
+    def test_non_iterable_weights_refused(self):
+        g = pb.path_graph(2)
+        for values in (None, 5):
+            with pytest.raises(BadParameterError, match="weights is not a sequence"):
+                pb.weight_function(g, values)
+
 
 class TestTreeChecker:
     def test_path_weights_pass(self):
@@ -280,6 +286,12 @@ class TestConicCombine:
                         found.append((path.name, scope.get(node, "<module>")))
         assert found == [("strategies.py", "conic_combine")]
 
+    def test_non_iterable_embedding_refused(self, q3):
+        base = pb.construction_certificate("fig2")
+        for embedding in (5, object()):
+            with pytest.raises(BadParameterError, match="embedding is not a sequence"):
+                pb.conic_combine(q3, [(1, base, embedding)])
+
     def test_uncertified_component(self, fig2):
         _, w = pb.construction("fig2")
         with pytest.raises(UncertifiedWeightError, match="every component must carry a certificate"):
@@ -318,6 +330,16 @@ class TestDecomposition:
         w = pb.weight_function(path, (1, 2, 0))
         with pytest.raises(BadParameterError, match="embedding is not induced: image has an extra edge"):
             pb.verify_decomposition(c3, pb.weight_function(c3, {1: 2, 2: 1}), [((2, 1, 0), w)])
+
+    def test_missing_embedding_refused(self):
+        # an embedding of None means "already on g" only to conic_combine
+        q4, w_star = pb.construction("q4star")
+        _, base = pb.construction("lemma5")
+        cert = pb.construction_certificate("lemma5")
+        with pytest.raises(BadParameterError, match="embedding is not a sequence"):
+            pb.verify_decomposition(q4, w_star, [(None, base)])
+        with pytest.raises(BadParameterError, match="embedding is not a sequence"):
+            pb.certify_by_decomposition(q4, w_star, [(None, cert)])
 
     def test_root_must_map_to_root(self, c5):
         path = pb.path_graph(2)
