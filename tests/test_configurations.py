@@ -52,6 +52,12 @@ class TestCountsMustBeIntegers:
         with pytest.raises(BadParameterError):
             pb.configuration(g, [count, 0])
 
+    def test_non_iterable_counts_refused(self):
+        g = pb.path_graph(3)
+        for counts in (None, 5):
+            with pytest.raises(BadParameterError, match="counts is not a sequence"):
+                pb.configuration(g, counts)
+
 
 class TestMappingConstructor:
     def test_key_outside_the_vertices_refused(self):
@@ -60,14 +66,6 @@ class TestMappingConstructor:
         for key in (-1, -4, 4, 9):
             with pytest.raises(BadParameterError):
                 pb.configuration(g, {key: 3})
-
-
-class TestNonSequenceCounts:
-    def test_non_iterable_counts_refused(self):
-        g = pb.path_graph(3)
-        for counts in (None, 5):
-            with pytest.raises(BadParameterError, match="counts is not a sequence"):
-                pb.configuration(g, counts)
 
 
 class TestEnumerate:
