@@ -9,7 +9,8 @@ weight; one with zeros, such as a path strategy carried onto a cycle,
 bounds it only as a row of the strategy LP. The tree check, the oracle
 and conic_combine accept any nonnegative support; the bound alone
 refuses a zero off the root, and the LP a vertex that no row covers.
-Three verification routes produce certificates:
+Three verification routes produce certificates, and nothing else can
+build one; certify is the one public router to the first two:
 
 * tree check: the positive support plus the root induces a tree and
   every supported vertex not adjacent to the root weighs at most half
@@ -24,7 +25,8 @@ Three verification routes produce certificates:
   coefficient 1 on induced embeddings, checked to equal w.
 
 Every certificate status names a check made in this process; no
-validity is taken on record.
+validity is taken on record. A Certificate built by hand, or copied
+with dataclasses.replace, raises UncertifiedWeightError.
 
 All arithmetic is exact: weights are Fractions, summed and compared as
 integers over their common denominator, as validity hinges on
@@ -36,7 +38,7 @@ scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .configurations import Configuration, _exact, _integers, _per_vertex, _sequence
@@ -49,7 +51,7 @@ from .solver import SearchLimits
 TREE_CHECKED = "tree-checked"
 ORACLE_CHECKED = "oracle-checked"
 COMPOSED = "composed"
-_CERTIFIED = {TREE_CHECKED, ORACLE_CHECKED, COMPOSED}
+_CHECKED = object()  # the token a check hands Certificate; see its docstring
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,16 +85,25 @@ def weight_function(g: Graph, values) -> WeightFunction:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A weight function together with the check, made in this process, that found it valid."""
+    """A weight function together with the check, made in this process,
+    that found it valid.
+
+    Only the checks build one: certify_tree, certify's oracle branch and
+    conic_combine pass the module's private token, which is cleared once
+    it is read, so a certificate made by hand, or by dataclasses.replace
+    from a checked one, raises UncertifiedWeightError.
+    """
 
     weight_function: WeightFunction
     status: str
     components: tuple["Certificate", ...] = ()
     notes: str = ""
+    _token: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.status not in _CERTIFIED:
-            raise UncertifiedWeightError(f"certificate status {self.status!r} is not certified")
+        if self._token is not _CHECKED:
+            raise UncertifiedWeightError("certificates come only from certify, certify_tree or conic_combine")
+        object.__setattr__(self, "_token", None)
 
     @property
     def graph(self) -> Graph:
@@ -108,46 +119,33 @@ def check_tree_strategy(g: Graph, w: WeightFunction) -> bool:
     """Sufficient tree condition: parent weight at least twice the child's.
 
     The positive support plus the root must induce a tree rooted at r
-    (NotATreeError otherwise). Vertices adjacent to the root in that
-    tree are unconstrained.
+    (NotATreeError otherwise): it has one induced edge fewer than
+    vertices, counted on g's adjacency, and a walk from the root along
+    g.neighbors, kept inside the set, reaches all of it. Vertices
+    adjacent to the root in that tree are unconstrained.
     """
     if w.graph is not g:
         raise BadParameterError("weights belong to a different graph")
     wi = w.integers[0]
-    support = [v for v in range(g.vertex_count) if wi[v] > 0]
-    nodes = set(support) | {g.root}
-    edges = [(u, v) for u, v in g.edges if u in nodes and v in nodes]
-    if len(edges) != len(nodes) - 1:
+    nodes = {v for v in range(g.vertex_count) if wi[v] > 0} | {g.root}
+    if sum(y in nodes for x in nodes for y in g.neighbors[x]) != 2 * (len(nodes) - 1):
         raise NotATreeError("support plus root does not induce a tree")
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {g.root: None}
-    frontier = [g.root]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    nxt.append(y)
-        frontier = nxt
-    if len(parent) != len(nodes):
+    parent = {g.root: g.root}
+    order = [g.root]
+    for x in order:
+        for y in g.neighbors[x]:
+            if y in nodes and y not in parent:
+                parent[y] = x
+                order.append(y)
+    if len(order) != len(nodes):
         raise NotATreeError("support plus root is not connected to the root")
-    for v in support:
-        up = parent[v]
-        if up == g.root:
-            continue
-        if wi[up] < 2 * wi[v]:
-            return False
-    return True
+    return all(up == g.root or wi[up] >= 2 * wi[v] for v, up in parent.items())
 
 
 def certify_tree(g: Graph, w: WeightFunction) -> Certificate:
     if not check_tree_strategy(g, w):
         raise UncertifiedWeightError("tree condition failed")
-    return Certificate(w, TREE_CHECKED)
+    return Certificate(w, TREE_CHECKED, _token=_CHECKED)
 
 
 @dataclass(frozen=True)
@@ -179,13 +177,35 @@ def verify_validity_oracle(
     return ValidityResult(False, achiever, worst, cap)
 
 
-def certify_by_oracle(g: Graph, w: WeightFunction, **kwargs) -> Certificate:
-    result = verify_validity_oracle(g, w, **kwargs)
+def certify(
+    g: Graph,
+    w: WeightFunction,
+    method: str = "auto",
+    *,
+    limits: SearchLimits | None = None,
+) -> Certificate:
+    """The one router to a certificate for w on g, checked in this process.
+
+    method "tree" runs the tree check (certify_tree), "oracle" the
+    exhaustive oracle (verify_validity_oracle) under ``limits``, and
+    "auto" the tree check, falling back to the oracle when it cannot
+    certify w. A refusal raises NotATreeError (tree only) or
+    UncertifiedWeightError.
+    """
+    if method not in ("auto", "tree", "oracle"):
+        raise BadParameterError(f"unknown certification method {method!r}")
+    if method != "oracle":
+        try:
+            return certify_tree(g, w)
+        except (NotATreeError, UncertifiedWeightError):
+            if method == "tree":
+                raise
+    result = verify_validity_oracle(g, w, limits=limits)
     if not result.valid:
         raise UncertifiedWeightError(
             f"oracle found an unsolvable configuration of weight {result.max_unsolvable} > {result.cap}"
         )
-    return Certificate(w, ORACLE_CHECKED, notes=f"max unsolvable weight {result.max_unsolvable}")
+    return Certificate(w, ORACLE_CHECKED, notes=f"max unsolvable weight {result.max_unsolvable}", _token=_CHECKED)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +262,7 @@ def conic_combine(g: Graph, components) -> Certificate:
         for v, x in zip(emb, cert.weight_function.weights):
             total[v] += coef * x
         certs.append(cert)
-    return Certificate(WeightFunction(g, tuple(total)), COMPOSED, components=tuple(certs))
+    return Certificate(WeightFunction(g, tuple(total)), COMPOSED, components=tuple(certs), _token=_CHECKED)
 
 
 def verify_decomposition(g: Graph, w: WeightFunction, copies) -> bool:
@@ -365,9 +385,10 @@ def _conjecture_weights(n: int) -> tuple[Graph, WeightFunction]:
 
 
 def _lollipop_general_weights(n: int, m: int) -> tuple[Graph, WeightFunction]:
+    g, w = _lollipop_weights(n, m)  # lollipop refuses n < 1 before the shift below
     if m < (1 << (n + 1)) + 1:
         raise BadParameterError(f"generalized form needs at least {(1 << (n + 1)) + 1} parallel paths")
-    return _lollipop_weights(n, m)
+    return g, w
 
 
 # name -> (builder of the graph and its weights, number of parameters)
@@ -393,41 +414,11 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
     if name not in _CONSTRUCTIONS:
         raise BadParameterError(f"unknown construction {name!r}")
     build, arity = _CONSTRUCTIONS[name]
-    bad = BadParameterError(f"bad parameters {params} for {name!r}")
     if len(params) != arity:
-        raise bad
+        raise BadParameterError(f"bad parameters {params} for {name!r}")
     for p in params:  # True would build the instance for 1
         _check_int(f"{name} parameter", p)
-    try:
-        return build(*params)
-    except BadParameterError:
-        raise
-    except ValueError as exc:  # e.g. a negative shift count
-        raise bad from exc
-
-
-def certify(
-    g: Graph,
-    w: WeightFunction,
-    method: str = "auto",
-    *,
-    limits: SearchLimits | None = None,
-) -> Certificate:
-    """Certificate for w on g, checked in this process.
-
-    method "tree" runs the tree check, "oracle" the exhaustive oracle
-    under ``limits``, and "auto" the tree check, falling back to the
-    oracle when it cannot certify w.
-    """
-    if method not in ("auto", "tree", "oracle"):
-        raise BadParameterError(f"unknown certification method {method!r}")
-    if method != "oracle":
-        try:
-            return certify_tree(g, w)
-        except (NotATreeError, UncertifiedWeightError):
-            if method == "tree":
-                raise
-    return certify_by_oracle(g, w, limits=limits)
+    return build(*params)
 
 
 def construction_certificate(name: str, *params: int, limits: SearchLimits | None = None) -> Certificate:

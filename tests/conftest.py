@@ -27,7 +27,10 @@ for the graph's root-fixing automorphism group, and symmetry_orbit
 expands a representative into its orbit (block by block for twins, over
 that group otherwise), so that a reduced down-set can be checked
 against a full one; greatest picks an orbit's representative, its
-greatest member in the builder's vertex order.
+greatest member in the builder's vertex order. reference_tree_check
+reads the tree condition with networkx (is_tree on the induced support,
+then halving along BFS parents, on the Fraction weights), which
+check_tree_strategy must match, bool and refusal message alike.
 """
 
 import weakref
@@ -294,6 +297,23 @@ def root_fixing_automorphisms(g):
     h.add_edges_from(g.edges)
     matcher = GraphMatcher(h, h, node_match=lambda a, b: a["root"] == b["root"])
     return {tuple(m[v] for v in range(g.vertex_count)) for m in matcher.isomorphisms_iter()}
+
+
+def reference_tree_check(g, w):
+    """The tree condition read with networkx: the halving verdict when the
+    positive support plus the root induces a tree, else the message of the
+    NotATreeError that check_tree_strategy must raise (no edge count of
+    a tree, or a tree's count but not connected)."""
+    from networkx import Graph, bfs_predecessors, is_tree
+
+    plain = Graph(g.edges)
+    plain.add_nodes_from(range(g.vertex_count))
+    h = plain.subgraph([v for v in range(g.vertex_count) if v == g.root or w.weights[v] > 0])
+    if not is_tree(h):
+        if h.number_of_edges() != h.number_of_nodes() - 1:
+            return "support plus root does not induce a tree"
+        return "support plus root is not connected to the root"
+    return all(up == g.root or w.weights[up] >= 2 * w.weights[v] for v, up in bfs_predecessors(h, g.root))
 
 
 def symmetry_closure(g, gens=None):

@@ -106,10 +106,10 @@ def test_criterion_3_oracle_validates_certificates(lemma5_validation):
 
 
 def test_criterion_4_q4_pipeline(lemma5_validation):
-    _, w5, lemma5_result, _ = lemma5_validation
+    g4, w5, lemma5_result, _ = lemma5_validation
     assert lemma5_result.valid
     start = time.monotonic()
-    base = pb.Certificate(w5, "oracle-checked", notes="validated by the criterion 3 oracle run")
+    base = pb.certify(g4, w5, "oracle")  # reads the down-set criterion 3 cached
     q4, w_star = pb.construction("q4star")
     embeddings = pb.cube_copy_embeddings(4)
     decomposes = pb.verify_decomposition(q4, w_star, [(emb, w5) for emb in embeddings])

@@ -1,7 +1,12 @@
 """The package's public surface: what ``__all__`` promises resolves,
-and the helpers that had no caller outside the tests are gone."""
+the helpers that had no caller outside the tests are gone, and the
+README's library tour runs and evaluates to what its comments say."""
 
+import ast
+import io
 import re
+import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ REMOVED = [
     "eccentricity",
     "evaluate",
     "extend_certificate",
+    "certify_by_oracle",
 ]
 
 # error classes that no caller told apart from the class they merged into
@@ -99,3 +105,40 @@ def test_parameters_that_are_not_ints_are_refused(name, params, message):
     pb.lollipop(1, 1)  # cached: lru_cache's key (1, True) equals (1, 1)
     with pytest.raises(errors.BadParameterError, match=re.escape(message)):
         getattr(pb, name)(*params)
+
+
+def _expected(comment: str):
+    """The value a tour comment starts with, up to a ';', when that part is
+    a Python literal (Fraction calls allowed); None for a prose comment."""
+    text = comment.lstrip("#").split(";")[0].strip()
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return None
+    literal = (ast.Expression, ast.Constant, ast.Tuple, ast.List, ast.UnaryOp, ast.USub, ast.Load, ast.Call, ast.Name)
+    for node in ast.walk(tree):
+        if not isinstance(node, literal) or isinstance(node, ast.Name) and node.id != "Fraction":
+            return None
+    return eval(compile(tree, "<comment>", "eval"), {"Fraction": Fraction})
+
+
+def test_readme_library_tour_runs():
+    # each line of the README's python block runs in order; one whose
+    # comment starts with a value must evaluate to it, type included
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+    comments = {
+        tok.start[0]: tok for tok in tokenize.generate_tokens(io.StringIO(block).readline) if tok.type == tokenize.COMMENT
+    }
+    namespace, checked = {}, 0
+    for number, line in enumerate(block.splitlines(), start=1):
+        comment = comments.get(number)
+        code = line[: comment.start[1]] if comment else line
+        expected = _expected(comment.string) if comment else None
+        if expected is None:
+            exec(code, namespace)
+            continue
+        actual = eval(code, namespace)
+        assert actual == expected and type(actual) is type(expected), (line, actual)
+        checked += 1
+    assert checked == 6

@@ -1,12 +1,14 @@
 import ast
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pebbling as pb
-from conftest import naive_unsolvable_levels, random_connected_graph
+from conftest import naive_unsolvable_levels, random_connected_graph, reference_tree_check
 from pebbling import pebbling_number as engine
 from pebbling import strategies
 from pebbling.errors import (
@@ -122,6 +124,28 @@ class TestTreeChecker:
         g = pb.build_graph(3, [(0, 1), (0, 2)], root=0)
         w = pb.weight_function(g, {1: 100, 2: 1})
         assert pb.check_tree_strategy(g, w)
+
+    def test_agrees_with_the_networkx_reference(self):
+        # random connected graphs, weights 0 or 2^(6-d) at distance d times
+        # a factor, 1 most often: supports come out cyclic, cut off from
+        # the root, exactly halving and not, and each verdict must occur
+        rng = random.Random(3501)
+        seen = Counter()
+        for _ in range(600):
+            g = random_connected_graph(rng, n_max=10, max_extra=6)
+            dist = pb.distances_from(g, g.root)
+            factors = (0, 0, 1, 1, 1, Fraction(3, 2), Fraction(1, 3))
+            w = pb.weight_function(
+                g, {v: Fraction(2) ** (6 - dist[v]) * rng.choice(factors) for v in range(g.vertex_count) if v != g.root}
+            )
+            expected = reference_tree_check(g, w)
+            try:
+                got = pb.check_tree_strategy(g, w)
+            except NotATreeError as exc:
+                got = str(exc)
+            assert got == expected, (g.edges, g.root, w.weights)
+            seen[expected] += 1
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
 class TestOracle:
@@ -298,7 +322,7 @@ class TestConicCombine:
             pb.conic_combine(fig2, [(1, w, None)])
 
     def test_conjecture_copies_make_uniform_weights_on_q3(self, q3):
-        base = pb.certify_by_oracle(*pb.construction("conjecture", 3))
+        base = pb.certify(*pb.construction("conjecture", 3), "oracle")
         cert = pb.conic_combine(q3, [(1, base, emb) for emb in pb.cube_copy_embeddings(3)])
         assert all(x == 1 for v, x in enumerate(cert.weight_function.weights) if v != q3.root)
         assert pb.weight_function_bound(cert) == 8
@@ -445,6 +469,22 @@ class TestBounds:
         with pytest.raises(UncertifiedWeightError):
             pb.Certificate(w, "hearsay")
 
+    def test_certificate_cannot_be_forged(self):
+        # (1, 1, 1) on P3 fails the tree check and the oracle (pi is 8), yet
+        # a certificate built by hand or copied onto it by replace would
+        # bound pi by 4: only a check builds one, so both are refused
+        g = pb.path_graph(3)
+        w = pb.weight_function(g, [1, 1, 1, 0])
+        assert not pb.check_tree_strategy(g, w) and not pb.verify_validity_oracle(g, w).valid
+        for status in ("tree-checked", "oracle-checked", "composed"):
+            with pytest.raises(UncertifiedWeightError):
+                pb.Certificate(w, status)
+        checked = pb.certify(*pb.construction("path", 3))
+        for changes in ({"weight_function": w}, {}):
+            with pytest.raises(UncertifiedWeightError):
+                dataclasses.replace(checked, **changes)
+        assert pb.weight_function_bound(checked) == 8 == pb.pi_rooted(g).value
+
     def test_bare_weight_function_rejected(self, fig2):
         _, w = pb.construction("fig2")
         with pytest.raises(UncertifiedWeightError, match="the bound needs a certificate"):
@@ -465,11 +505,11 @@ class TestBounds:
             assert lower <= value <= upper
             assert value == upper
         q3 = pb.hypercube(3)
-        cert = pb.certify_by_oracle(*pb.construction("q3prime"))
+        cert = pb.certify(*pb.construction("q3prime"), "oracle")
         assert pb.diameter_lower_bound(q3) <= pb.pi_rooted(q3).value <= pb.weight_function_bound(cert)
 
     def test_single_point_interval_via_uniform_cube_weights(self, q3):
-        base = pb.certify_by_oracle(*pb.construction("conjecture", 3))
+        base = pb.certify(*pb.construction("conjecture", 3), "oracle")
         uniform = pb.conic_combine(q3, [(1, base, emb) for emb in pb.cube_copy_embeddings(3)])
         assert pb.diameter_lower_bound(q3) == pb.weight_function_bound(uniform) == 8
 
@@ -580,5 +620,9 @@ class TestCertificateRouting:
             pb.construction("path", 1, 2)
         with pytest.raises(BadParameterError):
             pb.construction("lollipop_general", -2, 5)
+        # refused by lollipop itself, before the arm count's shift by n + 1
+        for params in ((-5, 10), (-1, 3)):
+            with pytest.raises(BadParameterError, match="path length must be at least 1"):
+                pb.construction("lollipop_general", *params)
         with pytest.raises(BadParameterError, match="unknown construction 'recorded'"):
             pb.construction("recorded")
