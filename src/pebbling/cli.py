@@ -190,11 +190,13 @@ def _cmd_gen(args) -> int:
     g = generate(args.family, *args.params)
     text = serialize_graph(g)
     if args.output is None:
+        # stdout carries the graph alone, so it can be redirected to a file
         sys.stdout.write(text)
+        note(f"vertices={g.vertex_count} edges={len(g.edges)}")
     else:
         args.output.write_text(text, encoding="utf-8")
         note(f"wrote {args.output}")
-    emit(vertices=g.vertex_count, edges=len(g.edges))
+        emit(vertices=g.vertex_count, edges=len(g.edges))
     return 0
 
 

@@ -20,12 +20,15 @@ maximum in the builder's vertex order (below), which for twins is the
 tuple sorted descending within each block. Only this module reduces
 orbits; the solver memoizes configurations as they are.
 
-While a level is built, each configuration is a packed integer key:
-vertex v owns a field of d(v,r)+1 bits (solver.packed_units at target
-1), most significant first in the builder's order under a group and in
-the ids' otherwise. No field carries into the next (none holds
-more than 2^d(v,r)), so integer order is lexicographic order in that
-order. The builder yields each level as a list of counts tuples.
+The builder stores each configuration as a packed integer key and
+nothing else: vertex v owns a field of d(v,r)+1 bits
+(solver.packed_units at target 1), most significant first in the
+builder's order under a group and in the ids' otherwise. No field
+carries into the next (none holds more than 2^d(v,r)), so integer order
+is lexicographic order in that order, and a count is read off its field
+with a shift and a mask. The builder yields each level as its keys;
+only what leaves it is decoded into counts tuples: the last level, for
+the witness, and the maximal representatives.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate whose distance potential sum q(v) 2^-d(v,r) is below 1 is
@@ -42,10 +45,13 @@ holds a stack of 2^d(v,r) on v, or is a root-free configuration of
 size s below the caps. The first two are solvable and in no level (the
 symmetries fix the root, so they keep distances); the third is
 unsolvable exactly when level s holds it, one representative per
-orbit, by induction on s. So one set lookup decides each move. A child is one subtraction, q - delta(u, v)
-with delta(u, v) = 2^(off(u)+1) - 2^off(v), and a representative
-carries the deltas of its legal moves: its parent's, plus the new
-vertex's once it holds 2.
+orbit, by induction on s. So one set lookup decides each move. A
+child is one subtraction, q - delta(u, v) with
+delta(u, v) = 2^(off(u)+1) - 2^off(v). A level maps each key to the
+deltas of its legal moves from outside the blocks: its parent's, plus
+the new vertex's once it holds 2. The deltas of the moves out of a
+block depend on the block's counts alone, so they are cached on the
+bits of the key that span the block's fields.
 
 Candidates are generated in order (orderly generation, McKay 1998): a
 representative p of level s is extended only at root-free vertices v >=
@@ -229,8 +235,10 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
             levels += 1
             representatives += len(level)
             last = level
-        # a group's representatives are maxima in the builder's order only
-        witness = max(perm(c) for c in last for perm in data) if kind == "group" else max(last)
+        # a group's representatives are maxima in the builder's order
+        # only; else the key's fields are in the ids' order
+        unpack = _layout(g, kind)[2]
+        witness = max(perm(c) for c in map(unpack, last) for perm in data) if kind == "group" else unpack(max(last))
         solver.memo = {}
         if solver.begin(solver.limits).decide(witness):
             raise InternalError("internal error: witness re-verification failed")
@@ -260,15 +268,30 @@ def down_set_sizes(g: Graph) -> tuple[int, int, int]:
     return down.levels, down.representatives, len(down.maximal)
 
 
-def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
-    """Yield the levels, each a list of the counts of its orbit
-    representatives, generated in order and looked up as packed integer
-    keys (see the module docstring); once level s+1 is built, append the
-    counts of level s's maximal representatives to ``maximal``.
+def _layout(g: Graph, kind: str):
+    """The builder's vertex order under ``kind``, the unit of each
+    vertex's field in a packed key (see the module docstring) and the
+    function that decodes a key into its counts tuple."""
+    n, dist = g.vertex_count, distances_from(g, g.root)
+    # nearest the root first, ties to the smaller id, but for twins; the
+    # fields are laid out in it only under a group (any layout is exact
+    # else, and the ids' keeps near vertices' units small on a long path)
+    order = range(n) if kind == "blocks" else sorted(range(n), key=lambda v: (dist[v], v))
+    unit = packed_units(dist, order=order if kind == "group" else None)
+    fields = [(u.bit_length() - 1, (2 << d) - 1) for u, d in zip(unit, dist)]
+    return order, unit, lambda key: tuple(key >> s & m for s, m in fields)
 
-    Each representative carries its counts, its legal moves' deltas, its
-    potential scaled by 2^max(dist) and, under a group, its images, so
-    an extension costs additions and a child one subtraction.
+
+def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
+    """Yield the levels, each the packed keys of its orbit
+    representatives, generated in order and looked up as keys (see the
+    module docstring); once level s+1 is built, append the counts of
+    level s's maximal representatives, decoded, to ``maximal``.
+
+    A level maps each key to its legal moves' deltas, its potential
+    scaled by 2^max(dist) and, under a group, its images, so an
+    extension costs additions and a child one subtraction. A count is
+    read off its field of the key with a shift and a mask.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
@@ -281,11 +304,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
     dist = distances_from(g, g.root)
-    # nearest the root first, ties to the smaller id, but for twins; the
-    # fields are laid out in it only under a group (any layout is exact
-    # else, and the ids' keeps near vertices' units small on a long path)
-    order = range(n) if kind == "blocks" else sorted(range(n), key=lambda v: (dist[v], v))
-    unit = packed_units(dist, order=order if kind == "group" else None)
+    order, unit, unpack = _layout(g, kind)
     targets: list[list[int]] = [[] for _ in range(n)]
     for a, t in solver._moves:
         targets[a].append(t)
@@ -298,10 +317,13 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     ]
     # the moves from outside the blocks; _block_deltas derives the others
     delta = [() if a in head else tuple(2 * unit[a] - t for t in lands[a]) for a in range(n)]
-    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit) if blocks else None
-    prev = {v: u for block in blocks for u, v in zip(block, block[1:])}
-    # descending in the builder's order, so the walk over p can stop at last(p)
-    top = [(v, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(order) if v != g.root]
+    shift = [u.bit_length() - 1 for u in unit]
+    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit, shift, dist) if blocks else None
+    prev = {v: shift[u] for block in blocks for u, v in zip(block, block[1:])}
+    # descending in the builder's order, so the walk over p can stop at
+    # last(p): each vertex with its field's shift and mask, its cap and
+    # the shift of the twin before it (twins share the mask)
+    top = [(v, shift[v], (2 << dist[v]) - 1, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(order) if v != g.root]
     # maximality lookups go farthest vertex first, where an extension of
     # an unsolvable configuration most often stays unsolvable
     far = sorted(top, key=lambda t: -dist[t[0]])
@@ -318,28 +340,30 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
     floor = pw[g.root]
 
     stats, node_cap = solver.stats, solver._node_cap
-    reps = {0: ((0,) * n, (), (0,) * len(perms), 0)}
+    nodes = stats.nodes
+    reps = {0: ((), (0,) * len(perms), 0)}
     members = reps if not group else {0}
     while reps:
-        yield list(map(itemgetter(0), reps.values()))
+        yield reps.keys()
         solver.check_deadline()
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
         # the representatives with no admitted extension
         pending = []
-        for p, (pc, legal, images, pot) in reps.items():
+        for p, (legal, images, pot) in reps.items():
             extended = False
-            for v, cap, u in top:
-                c = pc[v]
-                if c < cap and (u is None or pc[u] > c):
+            for v, sh, mask, cap, prev_sh in top:
+                c = p >> sh & mask
+                if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
                     q = p + unit[v]
                     q_images = tuple(map(add, images, lift[v])) if group else ()
                     # an orbit's maximum is generated once, so skip the rest
                     if not q_images or max(q_images) == q:
                         q_legal = legal + delta[v] if c == 1 else legal
                         q_pot = pot + pw[v]
-                        stats.nodes = nodes = stats.nodes + 1
+                        nodes += 1
                         if nodes > node_cap or not nodes & 4095:
+                            stats.nodes = nodes
                             solver._check_limits()
                         # below the floor q is unsolvable outright, else
                         # one lookup per legal move in the level below;
@@ -347,54 +371,65 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator[list]:
                         if q_pot < floor:
                             moves = ()
                         elif blocks:
-                            moves = chain(q_legal, block_deltas(pc, v))
+                            moves = chain(q_legal, *block_deltas(q))
                         else:
                             moves = q_legal
                         for d in moves:
                             if q - d not in members:
                                 break
                         else:
-                            nxt[q] = (pc[:v] + (c + 1,) + pc[v + 1 :], q_legal, q_images, q_pot)
+                            nxt[q] = (q_legal, q_images, q_pot)
                             extended = True
                             if group:
                                 nxt_members.update(q_images)
                 if c:
                     break
             if not extended:
-                pending.append((p, pc))
-        for p, pc in pending:
-            for v, cap, u in far:
-                c = pc[v]
-                if c < cap and (u is None or pc[u] > c) and p + unit[v] in nxt_members:
+                pending.append(p)
+        stats.nodes = nodes
+        for p in pending:
+            for v, sh, mask, cap, prev_sh in far:
+                c = p >> sh & mask
+                if c < cap and (prev_sh is None or p >> prev_sh & mask > c) and p + unit[v] in nxt_members:
                     break
             else:
-                maximal.append(pc)
+                maximal.append(unpack(p))
         reps = nxt
         members = nxt_members
 
 
-def _block_deltas(blocks, lands, unit):
-    """Return block_deltas(pc, v), which gives, for the block-sorted
-    q = p + e_v with pc the counts of p, the deltas q - child of q's
-    moves out of a block: one source per run of equal counts of at least
-    2, paired with each landing unit of the block in ``lands`` (see the
-    module docstring)."""
+def _block_deltas(blocks, lands, unit, shift, dist):
+    """Return block_deltas(q), which gives, for a block-sorted packed
+    key q, one list per block of the deltas q - child of q's moves out of
+    it: one source per run of equal counts of at least 2, paired with
+    each landing unit of the block in ``lands`` (see the module
+    docstring). A list is cached on the bits of q that span its block's
+    fields, which hold its counts."""
+    spans = []
+    for block, landing in zip(blocks, lands):
+        # twins share a distance, so their fields share a width
+        low, width = min(map(shift.__getitem__, block)), dist[block[0]] + 1
+        span = (1 << (max(map(shift.__getitem__, block)) + width - low)) - 1
+        spans.append((low, span, (1 << width) - 1, block, landing, {}))
 
-    def block_deltas(pc, v):
-        counts = list(pc)
-        counts[v] += 1
+    def block_deltas(q):
         out = []
-        for block, landing in zip(blocks, lands):
-            # a sorted block holds each count in one run, largest first,
-            # so last maps the runs' counts, in order, to their ends
-            last = {counts[j]: j for j in block}
-            for x, j in last.items():
-                if x < 2:
-                    break
-                # the source pebbles come off the end of the run, one of
-                # them off the end of the run of x-1 if there is one
-                sub = unit[j] + unit[last.get(x - 1, j)]
-                out += [sub - t for t in landing]
+        for low, span, mask, block, landing, cache in spans:
+            bits = q >> low & span
+            deltas = cache.get(bits)
+            if deltas is None:
+                # a sorted block holds each count in one run, largest
+                # first, so last maps the runs' counts, in order, to their ends
+                last = {q >> shift[j] & mask: j for j in block}
+                deltas = cache[bits] = []
+                for x, j in last.items():
+                    if x < 2:
+                        break
+                    # the source pebbles come off the end of the run, one
+                    # of them off the end of the run of x-1 if there is one
+                    sub = unit[j] + unit[last.get(x - 1, j)]
+                    deltas += [sub - t for t in landing]
+            out.append(deltas)
         return out
 
     return block_deltas

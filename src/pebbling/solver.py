@@ -24,7 +24,10 @@ and the key is injective. ``decide`` packs the query once; below it, one
 counts list is moved in place and restored after each child. A child
 differs from its parent only at the move's ends u -> v, and the parent
 held no stack, so its checks are O(1): a stack test on v, then its
-potential and key, each the parent's plus a constant of the move.
+potential and key, each the parent's plus a constant of the move. The
+child's key is looked up in the memo before the search descends, so a
+memo hit costs no call; it counts one node and one hit, as a descent
+that found the key would.
 
 A witness is read off ``decide`` rather than searched for again: from
 the queried configuration, until the root holds the target, take the
@@ -193,17 +196,19 @@ class Solver:
                 pot += c * pw[v]
         if pot < self._pot_target:
             return False
-        return self._search(list(counts), sum(map(mul, counts, self._unit)), pot)
-
-    def _search(self, cnt: list[int], key: int, pot: int) -> bool:
-        """Whether ``cnt``, counted as a node, holding no stack, of
-        potential ``pot`` at least the target and packed as ``key``, is
-        solvable. Each child is one step on ``cnt``, undone after it."""
+        key = sum(map(mul, counts, self._unit))
         cached = self.memo.get(key)
         if cached is not None:
             self.stats.memo_hits += 1
             return cached
-        stats, cap, thr, floor = self.stats, self._node_cap, self.stack_threshold, self._pot_target
+        return self._search(list(counts), key, pot)
+
+    def _search(self, cnt: list[int], key: int, pot: int) -> bool:
+        """Whether ``cnt``, counted as a node, holding no stack, of
+        potential ``pot`` at least the target, packed as ``key`` and not
+        in the memo, is solvable. Each child is one step on ``cnt``,
+        undone after it; a child in the memo is a hit, with no call."""
+        stats, cap, thr, floor, memo = self.stats, self._node_cap, self.stack_threshold, self._pot_target, self.memo
         result = False
         for u, v, dpot, dkey in self._steps:
             if cnt[u] >= 2:
@@ -217,15 +222,20 @@ class Solver:
                     break
                 if pot + dpot < floor:
                     continue
-                cnt[u] -= 2
-                cnt[v] = c
-                found = self._search(cnt, key + dkey, pot + dpot)
-                cnt[u] += 2
-                cnt[v] = c - 1
+                child = key + dkey
+                found = memo.get(child)
+                if found is None:
+                    cnt[u] -= 2
+                    cnt[v] = c
+                    found = self._search(cnt, child, pot + dpot)
+                    cnt[u] += 2
+                    cnt[v] = c - 1
+                else:
+                    stats.memo_hits += 1
                 if found:
                     result = True
                     break
-        self.memo[key] = result
+        memo[key] = result
         return result
 
     # -- witness construction ------------------------------------------

@@ -43,7 +43,7 @@ import pytest
 import pebbling as pb
 from pebbling.graphs import GROUP_SIZE_CAP, distances_from, twin_classes
 from pebbling.lp import OPTIMAL, UNBOUNDED, LpSolution
-from pebbling.pebbling_number import _levels
+from pebbling.pebbling_number import _layout, _levels, _symmetry_mode
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -183,10 +183,11 @@ def reference_unsolvable_levels(g, solver, full=False):
 
 def builder_levels(g, solver=None):
     """The levels pebbling_number._levels yields, each a set of counts
-    tuples, built with ``solver`` (a new one by default). Nothing is
-    cached, the witness is not re-checked, and the maximal
-    representatives the builder hands over are dropped."""
-    return tuple(map(set, _levels(g, solver or pb.Solver(g), [])))
+    tuples decoded from its packed keys, built with ``solver`` (a new one
+    by default). Nothing is cached, the witness is not re-checked, and
+    the maximal representatives the builder hands over are dropped."""
+    unpack = _layout(g, _symmetry_mode(g)[0])[2]
+    return tuple(set(map(unpack, level)) for level in _levels(g, solver or pb.Solver(g), []))
 
 
 def build_nodes(g):

@@ -12,7 +12,7 @@ import pebbling as pb
 from conftest import build_nodes
 from pebbling import cli, errors, pebbling_number, strategies
 from pebbling.cli import main
-from pebbling.fileformats import serialize_config, serialize_graph, serialize_weights
+from pebbling.fileformats import parse_graph, serialize_config, serialize_graph, serialize_weights
 from pebbling.solver import shared_solver
 
 
@@ -106,8 +106,13 @@ class TestGen:
         assert "proven pi >= 2" in err and "Traceback" not in err, err
 
     def test_gen_stdout(self, capsys):
-        code, _, _ = run_cli(capsys, "gen", "hypercube", "3")
-        assert code == 0
+        # without -o, stdout is the graph file alone: it reads back as the
+        # graph, and the summary goes to stderr
+        assert main(["gen", "hypercube", "3"]) == 0
+        captured = capsys.readouterr()
+        assert parse_graph(captured.out).edges == pb.hypercube(3).edges
+        assert captured.out == serialize_graph(pb.hypercube(3))
+        assert captured.err == "vertices=8 edges=12\n"
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "gen", "moebius", "3")

@@ -158,7 +158,8 @@ class TestWitnessCheckMemo:
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
         witness = pb.pi_rooted(c9).witness_unsolvable
-        assert (build_nodes(c9), pb.Solver(c9).solve(witness).stats.nodes) == (9_394, 10_757)
+        check = pb.Solver(c9).solve(witness).stats
+        assert (build_nodes(c9), check.nodes, check.memo_hits) == (9_394, 10_757, 6_832)
         assert engine.shared_solver(c9).stats.nodes == 20_151
 
     def test_witness_query_is_one_memo_hit(self):
@@ -322,6 +323,20 @@ class TestMaximalRepresentatives:
         levels = builder_levels(c9)
         assert (len(levels), sum(map(len, levels))) == (21, 7_572)
         assert down.witness == max(set().union(*map(symmetry_orbit(c9), levels[-1])))
+
+    def test_the_same_work_in_every_mode(self):
+        # one graph per symmetry regime: the candidates its build decides,
+        # its representatives and its maximal representatives
+        cases = (
+            (pb.path_graph(6), "none", (27_330, 25_510, 1_626)),
+            (pb.rooted_cube(4), "group", (1_101, 779, 88)),
+            (pb.lollipop(2), "blocks", (1_095, 920, 51)),
+        )
+        for g, kind, sizes in cases:
+            g._cache.clear()
+            assert engine._symmetry_mode(g)[0] == kind
+            down = engine._down_set(g, pb.Solver(g))
+            assert (build_nodes(g), down.representatives, len(down.maximal)) == sizes, kind
 
 
 def _relabeled_from_file(g, seed):
@@ -616,6 +631,39 @@ class TestTwinsFromTheEdges:
         assert worst == Fraction(13, 2) > w.total
         res = pb.verify_validity_oracle(g, w)
         assert not res.valid and res.max_unsolvable == worst
+
+
+class TestScatteredTwins:
+    """The builder caches a block's move deltas on the bits of the
+    packed key that span the block's fields. In a relabeled file the
+    twins' ids, and so their fields, are scattered among other
+    vertices', whose counts then take part in the cache key."""
+
+    def _scattered(self, g, seed):
+        h = _relabeled_from_file(g, seed)
+        kind, (block,) = engine._symmetry_mode(h)
+        assert kind == "blocks" and max(block) - min(block) >= len(block), block
+        return h
+
+    def test_levels_match_the_naive_oracle(self):
+        h = self._scattered(pb.lollipop(1, 4), 2)
+        reference = naive_unsolvable_levels(h)
+        orbit_of = symmetry_orbit(h)
+        levels = builder_levels(h)
+        assert [set().union(*map(orbit_of, level)) for level in levels] == reference[:-1]
+
+    def test_eight_scattered_twins_match_a_scan_without_symmetry(self):
+        # too large for the naive oracle: the no-symmetry scan of the same
+        # graph decides 154,458 configurations and derives no block deltas
+        h = self._scattered(pb.lollipop(2), 1)
+        plain = pb.build_graph(h.vertex_count, h.edges, h.root)
+        plain._cache["symmetry_mode"] = ("none", None)
+        full = builder_levels(plain)
+        orbit_of = symmetry_orbit(h)
+        assert tuple(set().union(*map(orbit_of, level)) for level in builder_levels(h)) == full
+        res = pb.pi_rooted(h)
+        assert res.value == len(full) == 16
+        assert res.witness_unsolvable.counts == max(full[-1])
 
 
 def _heaviest(g, weights):

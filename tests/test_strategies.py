@@ -206,13 +206,17 @@ class TestOracle:
             assert pb.verify_validity_oracle(fig2, pb.weight_function(fig2, [factor * x for x in w.weights])).valid
 
     def test_checks_the_witness_without_pi(self, monkeypatch, p3):
-        # a down-set whose last level gains a solvable maximum, (4, 0, 0)
+        # a down-set whose last level gains a solvable maximum, (4, 0, 0),
+        # planted as its packed key
         levels = engine._levels
+        _, unit, unpack = engine._layout(p3, "none")
+        planted = 4 * unit[0]
+        assert unpack(planted) == (4, 0, 0)
 
         def tampered(g, solver, maximal):
             *below, last = levels(g, solver, maximal)
             yield from below
-            yield last + [(4, 0, 0)]
+            yield {*last, planted}
 
         p3._cache.clear()
         monkeypatch.setattr(engine, "_levels", tampered)
