@@ -78,11 +78,16 @@ How a child is looked up depends on the symmetry. Without it the child
 is looked up as it is. Under a group of at most GROUP_SIZE_CAP
 permutations, the builder keeps beside each level of representatives
 the set of all their orbit members, so a child is looked up as it is,
-with no canonicalization. A representative carries its |G| images, image k
-holding p(v) pebbles on perm_k(v); those of p + e_v add the unit of
-perm_k(v) to image k, so they cost |G| additions. They are computed
-before a candidate is decided, to tell whether it is its orbit's
-maximum, and become members of the next level when it is unsolvable.
+with no canonicalization. A representative carries its images under
+the group but the identity, packed as one integer: the key of image k,
+holding p(v) pebbles on perm_k(v), sits in lane k, one guard bit wider
+than a key. Those of p + e_v are one addition away, of the units of
+every perm_k(v) in their lanes. They are computed before a candidate
+q is decided, to tell whether it is its orbit's maximum: q copied into
+every lane with the guard bits set, less the images, keeps every guard
+bit exactly when q is at least each image, and no borrow crosses a
+lane (_ImageLanes). When q is unsolvable, it and its images become
+members of the next level, unpacked from their lanes once.
 Under block symmetry a move out of a block yields the block-sorted
 child directly: the two source pebbles come off the last vertex of their
 run of equal counts (one of them off the last vertex of the next run
@@ -150,7 +155,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add, itemgetter, mul
+from operator import itemgetter, mul
 from typing import Iterator, NamedTuple
 
 from .configurations import Configuration
@@ -289,9 +294,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     level s's maximal representatives, decoded, to ``maximal``.
 
     A level maps each key to its legal moves' deltas, its potential
-    scaled by 2^max(dist) and, under a group, its images, so an
-    extension costs additions and a child one subtraction. A count is
-    read off its field of the key with a shift and a mask.
+    scaled by 2^max(dist) and, under a group, its images packed in the
+    lanes of one integer (_ImageLanes), so an extension costs additions
+    and its orbit-maximum test and a child one subtraction each. A count
+    is read off its field of the key with a shift and a mask.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
@@ -329,10 +335,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     far = sorted(top, key=lambda t: -dist[t[0]])
 
     group = data if kind == "group" else ()
-    # the images of p are sum over v of p(v) unit[perm_k(v)], one per k,
-    # so those of p + e_v add unit[perm_k(v)] to each
-    perms = [perm(tuple(range(n))) for perm in group]
-    lift = [tuple(unit[perm[v]] for perm in perms) for v in range(n)]
+    if group:
+        lanes = _ImageLanes(group, unit, dist)
+        lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
+        one_lane = len(group) == 2
 
     # the solver's potential, scaled by 2^max(dist); the root's weight is
     # the target-1 floor, below which a configuration is unsolvable
@@ -341,7 +347,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
 
     stats, node_cap = solver.stats, solver._node_cap
     nodes = stats.nodes
-    reps = {0: ((), (0,) * len(perms), 0)}
+    reps = {0: ((), 0, 0)}
     members = reps if not group else {0}
     while reps:
         yield reps.keys()
@@ -356,9 +362,11 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
                     q = p + unit[v]
-                    q_images = tuple(map(add, images, lift[v])) if group else ()
-                    # an orbit's maximum is generated once, so skip the rest
-                    if not q_images or max(q_images) == q:
+                    q_images = images + lift[v] if group else 0
+                    # an orbit's maximum is generated once, so skip the
+                    # rest (_ImageLanes.is_max, inline: q is one when
+                    # every lane keeps its guard bit)
+                    if not group or (q * spread | guards) - q_images & guards == guards:
                         q_legal = legal + delta[v] if c == 1 else legal
                         q_pot = pot + pw[v]
                         nodes += 1
@@ -381,7 +389,11 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             nxt[q] = (q_legal, q_images, q_pot)
                             extended = True
                             if group:
-                                nxt_members.update(q_images)
+                                nxt_members.add(q)
+                                if one_lane:
+                                    nxt_members.add(q_images)
+                                else:
+                                    nxt_members.update(unpack_lanes(q_images))
                 if c:
                     break
             if not extended:
@@ -396,6 +408,40 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                 maximal.append(unpack(p))
         reps = nxt
         members = nxt_members
+
+
+class _ImageLanes:
+    """A packed key's images under a group but its identity, its first
+    element, as one integer: image k in lane k, of ``width`` + 1 bits,
+    the key's ``width`` bits and a guard bit above them (see the module
+    docstring). ``group`` holds one getter per permutation, as
+    _symmetry_mode gives it."""
+
+    def __init__(self, group, unit, dist):
+        n = len(unit)
+        perms = [perm(tuple(range(n))) for perm in group]
+        if perms[0] != tuple(range(n)):
+            raise InternalError("internal error: a symmetry group does not start with the identity")
+        self.width = width = max(u.bit_length() + d for u, d in zip(unit, dist))
+        self.mask = (1 << width) - 1
+        self.shifts = range(0, (len(perms) - 1) * (width + 1), width + 1)
+        # q copied into every lane is q * spread
+        self.spread = sum(1 << s for s in self.shifts)
+        self.guards = self.spread << width
+        # image k holds p(v) pebbles on perm_k(v), so p + e_v adds lift[v]
+        self.lift = [sum(unit[perm[v]] << s for perm, s in zip(perms[1:], self.shifts)) for v in range(n)]
+
+    def unpack(self, images: int) -> list[int]:
+        mask = self.mask
+        return [images >> s & mask for s in self.shifts]
+
+    def is_max(self, q: int, images: int) -> bool:
+        """Whether key q is at least each image. Lane k of
+        (q * spread | guards) - images holds 2^width + q - image k, in
+        [1, 2^(width+1)) as both are below 2^width, so no borrow crosses
+        a lane and its guard bit survives exactly when q >= image k.
+        _levels runs this test inline."""
+        return (q * self.spread | self.guards) - images & self.guards == self.guards
 
 
 def _block_deltas(blocks, lands, unit, shift, dist):

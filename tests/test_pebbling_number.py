@@ -29,6 +29,7 @@ from conftest import (
 from pebbling import pebbling_number as engine
 from pebbling.errors import InternalError, ResourceLimitError
 from pebbling.fileformats import parse_graph, serialize_graph
+from pebbling.graphs import distances_from
 
 
 def fresh(builder, g, **kwargs):
@@ -329,12 +330,18 @@ class TestMaximalRepresentatives:
         # its representatives and its maximal representatives
         cases = (
             (pb.path_graph(6), "none", (27_330, 25_510, 1_626)),
+            # one image lane: the reflection is the only other element
+            (pb.cycle_graph(9), "group", (9_394, 7_572, 612)),
             (pb.rooted_cube(4), "group", (1_101, 779, 88)),
             (pb.lollipop(2), "blocks", (1_095, 920, 51)),
         )
         for g, kind, sizes in cases:
             g._cache.clear()
-            assert engine._symmetry_mode(g)[0] == kind
+            mode, data = engine._symmetry_mode(g)
+            assert mode == kind
+            if kind == "group":
+                # the builder drops the first element as the identity
+                assert data[0](tuple(range(g.vertex_count))) == tuple(range(g.vertex_count))
             down = engine._down_set(g, pb.Solver(g))
             assert (build_nodes(g), down.representatives, len(down.maximal)) == sizes, kind
 
@@ -384,6 +391,88 @@ class TestAgainstReferenceBuilder:
                 assert set().union(*map(orbit_of, down.maximal)) == maximal_elements(full), (g.edges, h)
                 assert down.witness == max(full[-1]), (g.edges, h)
             assert levels == reduced, (g.edges, g.root)
+
+
+def _image_lanes(g):
+    """The builder's image lanes for g's group, and pack(counts): the
+    packed key of a counts tuple and its packed images."""
+    kind, group = engine._symmetry_mode(g)
+    assert kind == "group"
+    unit = engine._layout(g, kind)[1]
+    lanes = engine._ImageLanes(group, unit, distances_from(g, g.root))
+
+    def pack(counts):
+        return sum(map(mul, counts, unit)), sum(map(mul, counts, lanes.lift))
+
+    return lanes, pack
+
+
+class TestImageLanes:
+    """A key's images under the group, but the identity, packed as lanes
+    of one integer: the lifts build them, unpacking gives them back and
+    the guard bits compare the key with each, checked against the
+    reference group (symmetry_closure) and orbits."""
+
+    CASES = (
+        (pb.cycle_graph, 9, 1, 29),
+        (pb.rooted_cube, 4, 5, 29),
+        (pb.rooted_cube, 5, 23, 65),
+    )
+
+    @pytest.mark.parametrize("family, size, lanes_count, width", CASES)
+    def test_lanes_hold_the_orbit(self, family, size, lanes_count, width):
+        g = family(size)
+        lanes, pack = _image_lanes(g)
+        closure = symmetry_closure(g)
+        assert (len(lanes.shifts), lanes.width) == (lanes_count, width) and len(closure) == lanes_count + 1
+        dist = distances_from(g, g.root)
+        rng = random.Random(3_701 + size)
+        # any count that fits its field, the root's too, so a key's top
+        # bit is set (the builder's keys leave the root's field empty)
+        configs = [tuple(0 for _ in dist), tuple((2 << d) - 1 for d in dist)]
+        configs += [tuple(rng.randrange(2 << d) for d in dist) for _ in range(150)]
+        for counts in configs:
+            key, images = pack(counts)
+            images_of = orbit(closure, counts)
+            members = {pack(c)[0] for c in images_of}
+            unpacked = lanes.unpack(images)
+            assert len(unpacked) == lanes_count and {key, *unpacked} == members, counts
+            assert lanes.is_max(key, images) == (key == max(members)), counts
+            best = max(images_of, key=lambda c: pack(c)[0])
+            assert lanes.is_max(*pack(best)), best
+
+    @pytest.mark.parametrize("family, size", [case[:2] for case in CASES])
+    def test_a_fixed_key_equals_its_image(self, family, size):
+        # a configuration constant on the cycles of a non-identity
+        # automorphism is its own image there, so the test must pass on
+        # equality at the orbit's maximum
+        g = family(size)
+        lanes, pack = _image_lanes(g)
+        closure = sorted(symmetry_closure(g))
+        n, dist = g.vertex_count, distances_from(g, g.root)
+        rng = random.Random(3_709 + size)
+        for _ in range(60):
+            perm = rng.choice(closure[1:])
+            counts = [0] * n
+            for v in range(n):
+                if counts[v] == 0:
+                    c, u = rng.randrange(1, 2 << dist[v]), v
+                    while True:
+                        counts[u], u = c, perm[u]
+                        if u == v:
+                            break
+            best = max(orbit(closure, counts), key=lambda c: pack(c)[0])
+            key, images = pack(best)
+            assert key in lanes.unpack(images) and lanes.is_max(key, images), best
+            for c in orbit(closure, counts):
+                if pack(c)[0] != key:
+                    assert not lanes.is_max(*pack(c)), c
+
+    def test_the_identity_comes_first(self):
+        g = pb.rooted_cube(4)
+        group, unit = engine._symmetry_mode(g)[1], engine._layout(g, "group")[1]
+        with pytest.raises(InternalError):
+            engine._ImageLanes(group[::-1], unit, distances_from(g, g.root))
 
 
 class TestOrbitBuilder:
