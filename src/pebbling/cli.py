@@ -419,9 +419,6 @@ def main(argv=None) -> int:
         proven = "" if exc.pi_lower is None else f"; proven pi >= {exc.pi_lower}"
         note(f"resource limit: {exc}{proven}")
         return 3
-    except RecursionError as exc:
-        note(f"resource limit: {exc}: the search is deeper than the interpreter's stack")
-        return 3
     except InternalError as exc:
         note(f"error: {exc}")
         return 4

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
 from typing import Iterator
 
@@ -74,15 +75,26 @@ def configuration(g: Graph, counts) -> Configuration:
 
 def apply_move(g: Graph, p: Configuration, frm: int, to: int) -> Configuration:
     """Remove two pebbles from ``frm`` and place one on the adjacent ``to``."""
+    return apply_moves(g, p, ((frm, to),))
+
+
+def apply_moves(g: Graph, p: Configuration, moves) -> Configuration:
+    """Apply ``moves``, (from, to) pairs, in order. A run of k equal moves
+    u -> v is checked at once: u and v are adjacent and u holds 2k
+    pebbles. An illegal move raises the MoveError that applying the
+    moves one at a time would, with its place in ``moves`` as ``index``."""
     if p.graph is not g:
         raise BadParameterError("configuration belongs to a different graph")
-    if not g.has_edge(frm, to):
-        raise MoveError(f"{frm} and {to} are not adjacent")
-    if p.counts[frm] < 2:
-        raise MoveError(f"vertex {frm} holds {p.counts[frm]} < 2 pebbles")
-    arr = list(p.counts)
-    arr[frm] -= 2
-    arr[to] += 1
+    arr, done = list(p.counts), 0
+    for (frm, to), run in groupby(moves):
+        k = sum(1 for _ in run)
+        if not g.has_edge(frm, to):
+            raise MoveError(f"{frm} and {to} are not adjacent", done)
+        if arr[frm] < 2 * k:
+            raise MoveError(f"vertex {frm} holds {arr[frm] % 2} < 2 pebbles", done + arr[frm] // 2)
+        arr[frm] -= 2 * k
+        arr[to] += k
+        done += k
     return Configuration(g, tuple(arr))
 
 

@@ -17,7 +17,14 @@ class BadParameterError(PebblingError, ValueError):
 
 
 class MoveError(PebblingError, ValueError):
-    """A pebbling move between non-adjacent vertices or from fewer than 2 pebbles."""
+    """A pebbling move between non-adjacent vertices or from fewer than 2 pebbles.
+
+    ``index`` is the illegal move's place in the moves applied, 0 for one.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class ResourceLimitError(PebblingError, RuntimeError):

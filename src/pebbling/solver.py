@@ -5,12 +5,22 @@ configurations as they are; the solver ignores the graph's symmetry
 (its twins and root-fixing automorphisms), which only the down-set
 builder uses.
 Every move shrinks the configuration by one pebble, so the search graph
-is acyclic and a plain two-valued memo is sound. Exactly two shortcuts are used, both of which are exact:
+is acyclic and a plain two-valued memo is sound. Exactly three
+shortcuts are used, all of them exact:
 
 * a configuration whose distance potential sum(p(v) * 2^-d(v,r)) is
   below the target can never reach the root (moves never increase the
   potential);
-* a vertex holding t * 2^d(v,r) pebbles alone suffices.
+* a vertex holding t * 2^d(v,r) pebbles alone suffices;
+* a query to ``solve`` that holds no such stack is settled, in one
+  node, when the pebbles on one shortest path carry the target. Let
+  up(x) be x's lowest-id neighbour one nearer the root, and need(x) the
+  moves x -> up(x) that path asks for, nearest vertices first:
+  max(0, t - p(r)) on the root's neighbours, else
+  max(0, 2 * need(up(x)) - p(up(x))). The first vertex v in id order
+  with 0 < 2 * need(v) <= p(v) settles the query: need(x) moves from
+  each x on v's path, farthest first, bring each up(x) to the
+  2 * need(up(x)) pebbles it moves on, and the root to t.
 
 No dominance tables or other heuristics take part in the verdict, which
 keeps the oracle auditable. Move ordering prefers moves toward the root;
@@ -26,16 +36,20 @@ differs from its parent only at the move's ends u -> v, and the parent
 held no stack, so its checks are O(1): a stack test on v, then its
 potential and key, each the parent's plus a constant of the move. The
 child's key is looked up in the memo before the search descends, so a
-memo hit costs no call; it counts one node and one hit, as a descent
-that found the key would.
+memo hit costs no descent; it counts one node and one hit, as a descent
+that found the key would. The search keeps its own stack of frames, so
+its depth, one frame per move, is not bounded by the interpreter's.
 
-A witness is read off ``decide`` rather than searched for again: from
+A witness is read off the search rather than searched for again: from
 the queried configuration, until the root holds the target, take the
 first stack that suffices (in vertex order), else the first move whose
-child ``decide`` accepts, mostly a memo hit; a stack moves only its
-t * 2^d(v,r) pebbles, in t * (2^d(v,r) - 1) moves. Every witness is then
-replayed through ``apply_move``; a replay that does not reach the
-target raises InternalError.
+child is solvable, mostly a memo hit; a stack moves only its
+t * 2^d(v,r) pebbles, in t * (2^d(v,r) - 1) moves. The walk moves one
+counts list, key and potential, so each child it tries costs the checks
+a child costs in the search. A query the path rule settles takes the
+rule's moves instead. Every witness is then replayed through
+``apply_moves``; a replay that does not reach the target raises
+InternalError.
 """
 
 from __future__ import annotations
@@ -47,7 +61,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .configurations import Configuration, apply_move
+from .configurations import Configuration, apply_moves
 from .errors import BadParameterError, InternalError, MoveError, ResourceLimitError
 from .graphs import Graph, _check_int, distances_from
 
@@ -133,7 +147,9 @@ class Solver:
     solver; limits do not: ``begin(limits)`` gives the operation that
     follows its own node and time budget. Witness queries leave solvable
     (True) entries in the memo as well as unsolvable ones, and count a
-    node for every ``decide`` call along the walk.
+    node for the query and for every child tried along the walk, as
+    ``decide`` on that child would. A query the path rule settles counts
+    one node and leaves the memo as it was.
     """
 
     def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
@@ -142,12 +158,15 @@ class Solver:
             raise BadParameterError("target pebble count must be at least 1")
         self.graph = graph
         self.target = target
-        self.dist = dist = distances_from(graph, graph.root)
+        dist = distances_from(graph, graph.root)
         depth = max(dist)
         # integer-scaled potential: weight 2^(depth - d), target t * 2^depth
         self._pot = tuple(1 << (depth - d) for d in dist)
         self._pot_target = target << depth
         self.stack_threshold = tuple(target << d for d in dist)
+        # each vertex's lowest-id neighbour one nearer the root (neighbours are sorted)
+        self._up = tuple(next((u for u in graph.neighbors[v] if dist[u] < dist[v]), v) for v in range(graph.vertex_count))
+        self._outward = tuple(sorted((v for v in range(graph.vertex_count) if v != graph.root), key=dist.__getitem__))
         moves = [(u, v) for u in range(graph.vertex_count) for v in graph.neighbors[u]]
         moves.sort(key=lambda m: (0 if dist[m[1]] < dist[m[0]] else 1, dist[m[0]], m))
         self._moves = tuple(moves)
@@ -207,83 +226,142 @@ class Solver:
         """Whether ``cnt``, counted as a node, holding no stack, of
         potential ``pot`` at least the target, packed as ``key`` and not
         in the memo, is solvable. Each child is one step on ``cnt``,
-        undone after it; a child in the memo is a hit, with no call."""
-        stats, cap, thr, floor, memo = self.stats, self._node_cap, self.stack_threshold, self._pot_target, self.memo
-        result = False
-        for u, v, dpot, dkey in self._steps:
-            if cnt[u] >= 2:
-                # count_node, inlined
-                stats.nodes = nodes = stats.nodes + 1
-                if nodes > cap or not nodes & 4095:
-                    self._check_limits()
-                c = cnt[v] + 1
-                if c >= thr[v]:
-                    result = True
-                    break
-                if pot + dpot < floor:
-                    continue
-                child = key + dkey
-                found = memo.get(child)
-                if found is None:
-                    cnt[u] -= 2
-                    cnt[v] = c
-                    found = self._search(cnt, child, pot + dpot)
-                    cnt[u] += 2
-                    cnt[v] = c - 1
+        undone when its frame is left; a child in the memo is a hit, with
+        no descent. A frame is (key, potential, step iterator, move), and
+        ``cnt`` is as it was on return."""
+        stats, cap, thr, floor, memo, steps = self.stats, self._node_cap, self.stack_threshold, self._pot_target, self.memo, self._steps
+        nodes, hits = stats.nodes, stats.memo_hits
+        frames: list[tuple] = []
+        it = iter(steps)
+        try:
+            while True:
+                for u, v, dpot, dkey in it:
+                    if cnt[u] >= 2:
+                        # count_node, inlined
+                        nodes += 1
+                        if nodes > cap or not nodes & 4095:
+                            stats.nodes, stats.memo_hits = nodes, hits
+                            self._check_limits()
+                        c = cnt[v] + 1
+                        if c >= thr[v]:
+                            result = True
+                            break
+                        if pot + dpot < floor:
+                            continue
+                        child = key + dkey
+                        found = memo.get(child)
+                        if found is None:
+                            frames.append((key, pot, it, u, v))
+                            cnt[u] -= 2
+                            cnt[v] = c
+                            key, pot, it = child, pot + dpot, iter(steps)
+                            result = None
+                            break
+                        hits += 1
+                        if found:
+                            result = True
+                            break
                 else:
-                    stats.memo_hits += 1
-                if found:
-                    result = True
-                    break
-        memo[key] = result
-        return result
+                    result = False
+                if result is None:  # descend into the child
+                    continue
+                memo[key] = result
+                # leave the frame; a solvable child makes every frame below it solvable
+                while frames:
+                    key, pot, it, u, v = frames.pop()
+                    cnt[u] += 2
+                    cnt[v] -= 1
+                    if not result:
+                        break
+                    memo[key] = True
+                else:
+                    return result
+        finally:
+            stats.nodes, stats.memo_hits = nodes, hits
 
     # -- witness construction ------------------------------------------
 
+    def _first_stack(self, counts) -> int | None:
+        """The lowest-id vertex holding a stack that suffices, or None."""
+        thr = self.stack_threshold
+        return next((v for v, c in enumerate(counts) if c >= thr[v]), None)
+
+    def _moves_up(self, v: int, runs) -> list[Move]:
+        """runs[x] moves x -> up(x) from each x on v's shortest path, the
+        one that steps to the lowest-id neighbour nearer the root, farthest
+        first."""
+        up, moves = self._up, []
+        while v != self.graph.root:
+            moves += [(v, up[v])] * runs[v]
+            v = up[v]
+        return moves
+
     def _stack_witness(self, v: int) -> list[Move]:
         """The moves that carry a stack of t * 2^d(v,r) from v to the
-        root along a shortest path, each step to the lowest-id neighbour
-        one nearer the root; pebbles beyond it stay on v."""
-        dist, moves, carry = self.dist, [], self.stack_threshold[v]
-        while v != self.graph.root:
-            up = next(u for u in self.graph.neighbors[v] if dist[u] < dist[v])  # neighbours are sorted
-            carry //= 2
-            moves += [(v, up)] * carry
-            v = up
-        return moves
+        root: t * 2^(d(x,r) - 1) from each x on v's path; pebbles beyond
+        it stay on v."""
+        return self._moves_up(v, [c // 2 for c in self.stack_threshold])
+
+    def _path_need(self, counts: tuple[int, ...]) -> tuple[int, list[int]] | None:
+        """The path rule (module docstring): the first vertex v that
+        settles ``counts`` and every vertex's need, or None."""
+        root, up = self.graph.root, self._up
+        need = [0] * len(counts)
+        short = max(0, self.target - counts[root])
+        for x in self._outward:
+            u = up[x]
+            need[x] = short if u == root else max(0, 2 * need[u] - counts[u])
+        v = next((x for x, c in enumerate(counts) if 0 < 2 * need[x] <= c), None)
+        return None if v is None else (v, need)
 
     def _witness(self, counts: tuple[int, ...]) -> list[Move] | None:
-        """The witness read off ``decide`` (see the module docstring), or None."""
+        """The witness read off the search (see the module docstring), or None."""
         if not self.decide(counts):
             return None
-        root, target, thr = self.graph.root, self.target, self.stack_threshold
+        root = self.graph.root
+        if counts[root] >= self.target:
+            return []
+        stack = self._first_stack(counts)
+        if stack is not None:
+            return self._stack_witness(stack)
+        stats, thr, floor, memo = self.stats, self.stack_threshold, self._pot_target, self.memo
+        cnt = list(counts)
+        key = sum(map(mul, counts, self._unit))
+        pot = sum(map(mul, counts, self._pot))
         moves: list[Move] = []
-        while counts[root] < target:
-            stack = next((v for v, c in enumerate(counts) if c >= thr[v]), None)
-            if stack is not None:
-                moves += self._stack_witness(stack)
-                break
-            for u, v in self._moves:
-                if counts[u] >= 2:
-                    child = list(counts)
-                    child[u] -= 2
-                    child[v] += 1
-                    child = tuple(child)
-                    if self.decide(child):
+        while True:
+            for u, v, dpot, dkey in self._steps:
+                if cnt[u] >= 2:
+                    self.count_node()
+                    c = cnt[v] + 1
+                    if c >= thr[v]:  # v alone holds a stack: the root, or a stack to carry there
                         moves.append((u, v))
-                        counts = child
+                        return moves if v == root else moves + self._stack_witness(v)
+                    if pot + dpot < floor:
+                        continue
+                    child = key + dkey
+                    cnt[u] -= 2
+                    cnt[v] = c
+                    found = memo.get(child)
+                    if found is None:
+                        found = self._search(cnt, child, pot + dpot)
+                    else:
+                        stats.memo_hits += 1
+                    if found:
+                        moves.append((u, v))
+                        key, pot = child, pot + dpot
                         break
+                    cnt[u] += 2
+                    cnt[v] = c - 1
             else:
                 raise InternalError("internal error: a solvable configuration has no solvable child")
-        return moves
 
     def _replay(self, p: Configuration, moves: list[Move]) -> None:
-        """Check a witness through ``apply_move``, independently of the search."""
+        """Check a witness through ``apply_moves``, independently of the search."""
         try:
-            for u, v in moves:
-                p = apply_move(self.graph, p, u, v)
+            p = apply_moves(self.graph, p, moves)
         except MoveError as exc:
-            raise InternalError(f"internal error: witness replay failed: {exc}") from None
+            raise InternalError(f"internal error: witness replay failed at move {exc.index}: {exc}") from None
         if p.counts[self.graph.root] < self.target:
             raise InternalError("internal error: witness replay falls short of the target")
 
@@ -291,17 +369,20 @@ class Solver:
         if p.graph is not self.graph:
             raise BadParameterError("configuration belongs to a different graph")
         nodes0, hits0 = self.stats.nodes, self.stats.memo_hits
-        if want_witness:
-            moves = self._witness(p.counts)
+        counts = p.counts
+        path = None if self._first_stack(counts) is not None else self._path_need(counts)
+        if path is not None:
+            self.count_node()
+            solvable, moves = True, self._moves_up(*path) if want_witness else None
+        elif want_witness:
+            moves = self._witness(counts)
             solvable = moves is not None
-            if solvable:
-                self._replay(p, moves)
-            witness = tuple(moves) if solvable else None
         else:
-            solvable = self.decide(p.counts)
-            witness = None
+            solvable, moves = self.decide(counts), None
+        if moves is not None:
+            self._replay(p, moves)
         stats = SolveStats(self.stats.nodes - nodes0, self.stats.memo_hits - hits0)
-        return SolveOutcome(solvable, witness, stats)
+        return SolveOutcome(solvable, None if moves is None else tuple(moves), stats)
 
 
 def shared_solver(g: Graph, target: int = 1) -> Solver:

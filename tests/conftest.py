@@ -17,7 +17,8 @@ those levels off the builder, since the graph keeps none of them, and
 maximal_elements picks out the maximal members of a full down-set,
 which the maximal representatives the graph keeps must expand to.
 reference_witness is
-the earlier recursive witness search, whose moves the witnesses read
+the earlier recursive witness search behind the path rule, which
+reference_path_witness writes out, whose moves the witnesses read
 off Solver.decide must equal, and reference_decide the earlier
 tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
 memo size the packed-key search must reproduce. twin_transpositions
@@ -242,13 +243,41 @@ def reference_decide(solver, counts):
     return result
 
 
+def reference_path_witness(g, counts, t=1):
+    """The path rule, written out on its own: each vertex's need, the
+    moves to its lowest-id neighbour one nearer the root that carry t
+    pebbles there along that path, nearest vertices first; the first
+    vertex holding twice its (positive) need gives the moves, farthest
+    first. None when no vertex does."""
+    dist = distances_from(g, g.root)
+    up = {v: min(u for u in g.neighbors[v] if dist[u] < dist[v]) for v in range(g.vertex_count) if v != g.root}
+    need = {g.root: 0}
+    for v in sorted(up, key=lambda v: dist[v]):
+        u = up[v]
+        need[v] = max(0, t - counts[u]) if u == g.root else max(0, 2 * need[u] - counts[u])
+    for v in range(g.vertex_count):
+        if 0 < 2 * need[v] <= counts[v]:
+            moves = []
+            while v != g.root:
+                moves += [(v, up[v])] * need[v]
+                v = up[v]
+            return moves
+    return None
+
+
 def reference_witness(g, counts, t=1):
     """The earlier witness search: a second recursive copy of
     Solver.decide that carries the moves, with its own memo of
-    unsolvable (False) entries only. Solver witnesses must equal its
-    result exactly."""
+    unsolvable (False) entries only, behind the query-level path rule
+    (reference_path_witness) when the query holds no stack. Solver
+    witnesses must equal its result exactly."""
     solver = pb.Solver(g, t)
     memo = {}
+    thr = solver.stack_threshold
+    if counts[g.root] < t and not any(c >= thr[v] for v, c in enumerate(counts)):
+        path = reference_path_witness(g, counts, t)
+        if path is not None:
+            return path
 
     def witness(counts):
         solver.count_node()

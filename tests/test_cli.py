@@ -145,17 +145,25 @@ class TestSolve:
         assert results == ["RESULT solvable=false"]
 
 
-    def test_deep_path_query_is_a_resource_limit(self, capsys, tmp_path):
-        # the far end of P12 holds a 4095 stack and one pebble: the search
-        # recurses once per move, deeper than the interpreter's stack
+    def test_deep_path_query_solves(self, capsys, tmp_path):
+        # the far end of P12 holds a 4095 stack and one pebble beside it:
+        # the path carries a pebble to the root in 2047 moves from the far
+        # end and 2^(d - 1) from the vertex at each distance d < 12
         g = pb.path_graph(12)
         gp = tmp_path / "p12.graph"
         cfg = tmp_path / "deep.config"
         gp.write_text(serialize_graph(g), encoding="utf-8")
-        cfg.write_text(serialize_config(pb.configuration(g, {0: 4095, 1: 1})), encoding="utf-8")
-        code, results, err = run_cli(capsys, "solve", "-g", str(gp), "-c", str(cfg))
-        assert code == 3
-        assert results == [] and err.startswith("resource limit: ") and "Traceback" not in err
+        p = pb.configuration(g, {0: 4095, 1: 1})
+        cfg.write_text(serialize_config(p), encoding="utf-8")
+        code, results, err = run_cli(capsys, "solve", "-g", str(gp), "-c", str(cfg), "--witness")
+        assert code == 0
+        assert results == ["RESULT solvable=true"]
+        (line,) = [line for line in err.splitlines() if line.startswith("witness:")]
+        moves = [tuple(map(int, move.split("->"))) for move in line.split()[1:]]
+        assert len(moves) == 4094
+        for u, v in moves:
+            p = pb.apply_move(g, p, u, v)
+        assert p.counts[g.root] == 1
 
 
 class TestVerify:

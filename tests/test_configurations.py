@@ -1,8 +1,19 @@
 import math
+import random
+
 import pytest
 
 import pebbling as pb
-from conftest import all_counts, block_orbit, orbit, symmetry_closure, twin_blocks, twin_transpositions
+from conftest import (
+    all_counts,
+    block_orbit,
+    orbit,
+    random_connected_graph,
+    random_counts,
+    symmetry_closure,
+    twin_blocks,
+    twin_transpositions,
+)
 from pebbling.errors import BadParameterError, MoveError
 from pebbling.pebbling_number import _symmetry_mode
 
@@ -41,6 +52,50 @@ class TestApplyMove:
     def test_graph_mismatch(self, c4, c5):
         with pytest.raises(BadParameterError, match="configuration belongs to a different graph"):
             pb.apply_move(c5, pb.configuration(c4, (2, 0, 0, 0)), 0, 1)
+
+
+class TestApplyMoves:
+    """apply_moves checks a run of equal moves at once; it must end as
+    apply_move applied one move at a time does: the same counts, or the
+    same MoveError at the same move."""
+
+    @staticmethod
+    def one_at_a_time(g, p, moves):
+        for i, (u, v) in enumerate(moves):
+            try:
+                p = pb.apply_move(g, p, u, v)
+            except MoveError as exc:
+                return "error", i, str(exc)
+        return "counts", p.counts
+
+    @staticmethod
+    def at_once(g, p, moves):
+        try:
+            return "counts", pb.apply_moves(g, p, moves).counts
+        except MoveError as exc:
+            return "error", exc.index, str(exc)
+
+    def test_same_end_as_one_move_at_a_time(self):
+        rng = random.Random(38_038)
+        kinds = set()
+        for _ in range(300):
+            g = random_connected_graph(rng, n_min=3, n_max=7)
+            p = pb.configuration(g, random_counts(rng, g, max_total=30))
+            moves = []
+            for _ in range(rng.randint(1, 5)):
+                u = rng.randrange(g.vertex_count)
+                others = [v for v in range(g.vertex_count) if v != u]
+                v = rng.choice(others if rng.random() < 0.1 else g.neighbors[u])
+                moves += [(u, v)] * rng.randint(1, 6)
+            end = self.one_at_a_time(g, p, moves)
+            assert self.at_once(g, p, moves) == end, (g.edges, p.counts, moves)
+            if end[0] == "counts":
+                kinds.add("legal")
+            elif "adjacent" in end[2]:
+                kinds.add("not adjacent")
+            elif end[1] and moves[end[1] - 1] == moves[end[1]]:
+                kinds.add("illegal part-way through a run")
+        assert kinds == {"legal", "not adjacent", "illegal part-way through a run"}
 
 
 class TestCountsMustBeIntegers:

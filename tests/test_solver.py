@@ -139,8 +139,9 @@ class TestLimitsPerCall:
     on the graph's one shared solver."""
 
     def test_repeated_query_fits_its_own_count(self):
-        g = pb.path_graph(5)
-        p = pb.Configuration(g, (31, 1, 0, 0, 0, 0))
+        # one pebble past C7's stuck 5 + 5: no single shortest path carries it
+        g = pb.cycle_graph(7)
+        p = pb.Configuration(g, (0, 0, 0, 6, 5, 0, 0))
         own = pb.Solver(g).solve(p).stats.nodes
         assert own > 1
         g._cache.clear()
@@ -234,7 +235,9 @@ class TestPackedSearch:
 
     @staticmethod
     def nodes(g, t, counts):
-        return pb.Solver(g, t).solve(pb.Configuration(g, counts)).stats.nodes
+        solver = pb.Solver(g, t)
+        solver.decide(counts)
+        return solver.stats.nodes
 
     def test_matches_the_tuple_keyed_decide(self):
         rng = random.Random(16_016)
@@ -326,6 +329,54 @@ class TestWitness:
         monkeypatch.setattr(pb.Solver, "_stack_witness", short)
         with pytest.raises(InternalError, match="replay"):
             pb.is_solvable(c5, pb.configuration(c5, {2: 4}), want_witness=True)
+
+
+class TestPathRule:
+    """A query holding no stack is settled in one node, with no search,
+    when the pebbles on one shortest path carry the target; every such
+    verdict must hold against the exhaustive reference, and its witness
+    replay move by move."""
+
+    def test_settled_queries_are_solvable(self):
+        rng = random.Random(38_001)
+        settled = 0
+        for _ in range(40):
+            g = random_connected_graph(rng, n_max=7)
+            for t in (1, 2, 3):
+                solver = pb.Solver(g, t)
+                for _ in range(20):
+                    counts = random_counts(rng, g, max_total=4 * t + 4)
+                    if solver._first_stack(counts) is not None or solver._path_need(counts) is None:
+                        continue
+                    memo, p = dict(solver.memo), pb.Configuration(g, counts)
+                    out = solver.solve(p, want_witness=True)
+                    assert out.solvable and out.stats.nodes == 1 and solver.memo == memo, (g.edges, t, counts)
+                    assert naive_solvable(g, counts, t), (g.edges, t, counts)
+                    assert replay(g, p, out.witness).counts[g.root] >= t
+                    assert solver.solve(p).stats.nodes == 1
+                    settled += 1
+        assert settled >= 200
+
+
+class TestDeepPaths:
+    """pi(P_k) = 2^k: a stack of 2^k - 1 on the far end is stuck, and one
+    pebble more on any vertex makes it solvable. The search keeps its own
+    stack of frames, one per move and thousands deep on P12, so it raises
+    no RecursionError."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_stuck_stack_plus_one(self, k):
+        g = pb.path_graph(k)
+        stuck = ((1 << k) - 1,) + (0,) * k  # vertex 0 is the far end
+        assert not pb.is_solvable(g, pb.Configuration(g, stuck)).solvable
+        assert not pb.Solver(g).decide(stuck)
+        for v in range(k + 1):
+            counts = stuck[:v] + (stuck[v] + 1,) + stuck[v + 1 :]
+            p = pb.Configuration(g, counts)
+            out = pb.is_solvable(g, p, want_witness=True)
+            assert out.solvable
+            assert replay(g, p, out.witness).counts[g.root] >= 1
+            assert pb.Solver(g).decide(counts)
 
 
 class TestPathExactness:
