@@ -12,15 +12,15 @@ shortcuts are used, all of them exact:
   below the target can never reach the root (moves never increase the
   potential);
 * a vertex holding t * 2^d(v,r) pebbles alone suffices;
-* a query to ``solve`` that holds no such stack is settled, in one
-  node, when the pebbles on one shortest path carry the target. Let
-  up(x) be x's lowest-id neighbour one nearer the root, and need(x) the
-  moves x -> up(x) that path asks for, nearest vertices first:
-  max(0, t - p(r)) on the root's neighbours, else
-  max(0, 2 * need(up(x)) - p(up(x))). The first vertex v in id order
-  with 0 < 2 * need(v) <= p(v) settles the query: need(x) moves from
-  each x on v's path, farthest first, bring each up(x) to the
-  2 * need(up(x)) pebbles it moves on, and the root to t.
+* a query to ``solve`` is settled, in one node, when the pebbles on
+  one shortest path carry the target. Let up(x) be x's lowest-id
+  neighbour one nearer the root, and need(x) the moves x -> up(x) that
+  path asks for, nearest vertices first: max(0, t - p(r)) on the root's
+  neighbours, else max(0, 2 * need(up(x)) - p(up(x))). The root if it
+  holds t, else the first v in id order with 0 < 2 * need(v) <= p(v),
+  settles the query: need(x) moves from each x on v's path, farthest
+  first, bring each up(x) to the 2 * need(up(x)) it moves on, and the
+  root to t. As need at most doubles per step, a stack always settles.
 
 No dominance tables or other heuristics take part in the verdict, which
 keeps the oracle auditable. Move ordering prefers moves toward the root;
@@ -40,15 +40,14 @@ memo hit costs no descent; it counts one node and one hit, as a descent
 that found the key would. The search keeps its own stack of frames, so
 its depth, one frame per move, is not bounded by the interpreter's.
 
-A witness is read off the search rather than searched for again: from
-the queried configuration, until the root holds the target, take the
-first stack that suffices (in vertex order), else the first move whose
-child is solvable, mostly a memo hit; a stack moves only its
-t * 2^d(v,r) pebbles, in t * (2^d(v,r) - 1) moves. The walk moves one
-counts list, key and potential, so each child it tries costs the checks
-a child costs in the search. A query the path rule settles takes the
-rule's moves instead. Every witness is then replayed through
-``apply_moves``; a replay that does not reach the target raises
+A query the path rule settles takes the rule's moves as its witness.
+Any other witness is read off the search rather than searched for
+again: from the queried configuration, take the first move whose child
+is solvable, mostly a memo hit, until a move lands a stack (on the root,
+t pebbles); the path rule then finishes from that child. The walk moves
+one counts list, key and potential, so each child it tries costs the
+checks a child costs in the search. Every witness is then replayed
+through ``apply_moves``; a replay that does not reach the target raises
 InternalError.
 """
 
@@ -145,14 +144,15 @@ class Solver:
     the same graph without: same verdicts, witnesses, node counts and
     memo. The memo table and ``stats`` persist across calls on the same
     solver; limits do not: ``begin(limits)`` gives the operation that
-    follows its own node and time budget. Witness queries leave solvable
-    (True) entries in the memo as well as unsolvable ones, and count a
-    node for the query and for every child tried along the walk, as
-    ``decide`` on that child would. A query the path rule settles counts
-    one node and leaves the memo as it was.
+    follows its own node and time budget (a new solver has the default
+    one). Witness queries leave solvable (True) entries in the memo as
+    well as unsolvable ones, and count a node for the query and for
+    every child tried along the walk, as ``decide`` on that child would.
+    A query the path rule settles, as is every query holding a stack or
+    t on the root, counts one node and leaves the memo as it was.
     """
 
-    def __init__(self, graph: Graph, target: int = 1, limits: SearchLimits | None = None):
+    def __init__(self, graph: Graph, target: int = 1):
         _check_int("target", target)
         if target < 1:
             raise BadParameterError("target pebble count must be at least 1")
@@ -174,7 +174,7 @@ class Solver:
         self._unit, self._steps = unit, tuple((u, v, pot[v] - 2 * pot[u], unit[v] - 2 * unit[u]) for u, v in moves)
         self.memo: dict[int, bool] = {}
         self.stats = SolveStats()
-        self.begin(limits)
+        self.begin(None)
 
     def begin(self, limits: SearchLimits | None) -> Solver:
         """Start an operation: it may count ``limits.max_nodes`` more
@@ -281,11 +281,6 @@ class Solver:
 
     # -- witness construction ------------------------------------------
 
-    def _first_stack(self, counts) -> int | None:
-        """The lowest-id vertex holding a stack that suffices, or None."""
-        thr = self.stack_threshold
-        return next((v for v, c in enumerate(counts) if c >= thr[v]), None)
-
     def _moves_up(self, v: int, runs) -> list[Move]:
         """runs[x] moves x -> up(x) from each x on v's shortest path, the
         one that steps to the lowest-id neighbour nearer the root, farthest
@@ -296,18 +291,14 @@ class Solver:
             v = up[v]
         return moves
 
-    def _stack_witness(self, v: int) -> list[Move]:
-        """The moves that carry a stack of t * 2^d(v,r) from v to the
-        root: t * 2^(d(x,r) - 1) from each x on v's path; pebbles beyond
-        it stay on v."""
-        return self._moves_up(v, [c // 2 for c in self.stack_threshold])
-
-    def _path_need(self, counts: tuple[int, ...]) -> tuple[int, list[int]] | None:
-        """The path rule (module docstring): the first vertex v that
-        settles ``counts`` and every vertex's need, or None."""
+    def _path_need(self, counts) -> tuple[int, list[int]] | None:
+        """The path rule (module docstring): the vertex that settles
+        ``counts``, the root if it holds t, and every need; or None."""
         root, up = self.graph.root, self._up
         need = [0] * len(counts)
-        short = max(0, self.target - counts[root])
+        short = self.target - counts[root]
+        if short <= 0:
+            return root, need
         for x in self._outward:
             u = up[x]
             need[x] = short if u == root else max(0, 2 * need[u] - counts[u])
@@ -318,12 +309,6 @@ class Solver:
         """The witness read off the search (see the module docstring), or None."""
         if not self.decide(counts):
             return None
-        root = self.graph.root
-        if counts[root] >= self.target:
-            return []
-        stack = self._first_stack(counts)
-        if stack is not None:
-            return self._stack_witness(stack)
         stats, thr, floor, memo = self.stats, self.stack_threshold, self._pot_target, self.memo
         cnt = list(counts)
         key = sum(map(mul, counts, self._unit))
@@ -334,14 +319,13 @@ class Solver:
                 if cnt[u] >= 2:
                     self.count_node()
                     c = cnt[v] + 1
-                    if c >= thr[v]:  # v alone holds a stack: the root, or a stack to carry there
-                        moves.append((u, v))
-                        return moves if v == root else moves + self._stack_witness(v)
-                    if pot + dpot < floor:
+                    if pot + dpot < floor:  # a stack's potential alone reaches the floor
                         continue
-                    child = key + dkey
                     cnt[u] -= 2
                     cnt[v] = c
+                    if c >= thr[v]:  # v holds a stack: the path rule finishes from the child
+                        return [*moves, (u, v), *self._moves_up(*self._path_need(cnt))]
+                    child = key + dkey
                     found = memo.get(child)
                     if found is None:
                         found = self._search(cnt, child, pot + dpot)
@@ -369,16 +353,15 @@ class Solver:
         if p.graph is not self.graph:
             raise BadParameterError("configuration belongs to a different graph")
         nodes0, hits0 = self.stats.nodes, self.stats.memo_hits
-        counts = p.counts
-        path = None if self._first_stack(counts) is not None else self._path_need(counts)
+        path = self._path_need(p.counts)
         if path is not None:
             self.count_node()
             solvable, moves = True, self._moves_up(*path) if want_witness else None
         elif want_witness:
-            moves = self._witness(counts)
+            moves = self._witness(p.counts)
             solvable = moves is not None
         else:
-            solvable, moves = self.decide(counts), None
+            solvable, moves = self.decide(p.counts), None
         if moves is not None:
             self._replay(p, moves)
         stats = SolveStats(self.stats.nodes - nodes0, self.stats.memo_hits - hits0)

@@ -215,6 +215,8 @@ def certify(
 
 def _check_subgraph_embedding(g: Graph, sub: Graph, embedding) -> tuple[int, ...]:
     emb = _sequence(embedding, BadParameterError, "embedding")
+    for x in emb:  # True would embed as vertex 1
+        _check_int("embedding entry", x)
     if len(emb) != sub.vertex_count:
         raise BadParameterError("embedding length does not match the subgraph")
     if len(set(emb)) != len(emb) or any(not 0 <= x < g.vertex_count for x in emb):

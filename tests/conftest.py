@@ -18,10 +18,11 @@ maximal_elements picks out the maximal members of a full down-set,
 which the maximal representatives the graph keeps must expand to.
 reference_witness is
 the earlier recursive witness search behind the path rule, which
-reference_path_witness writes out, whose moves the witnesses read
-off Solver.decide must equal, and reference_decide the earlier
-tuple-keyed Solver.decide, whose verdicts, node counts, memo hits and
-memo size the packed-key search must reproduce. twin_transpositions
+reference_path_witness writes out and which finishes it at every
+stack, whose moves the witnesses read off Solver.decide must equal,
+and reference_decide the earlier tuple-keyed Solver.decide, whose
+verdicts, node counts, memo hits and memo size the packed-key search
+must reproduce. twin_transpositions
 finds the interchangeable vertices by applying every root-fixing
 transposition to the edge set, root_fixing_automorphisms asks networkx
 for the graph's root-fixing automorphism group, and symmetry_orbit
@@ -244,11 +245,14 @@ def reference_decide(solver, counts):
 
 
 def reference_path_witness(g, counts, t=1):
-    """The path rule, written out on its own: each vertex's need, the
-    moves to its lowest-id neighbour one nearer the root that carry t
-    pebbles there along that path, nearest vertices first; the first
-    vertex holding twice its (positive) need gives the moves, farthest
-    first. None when no vertex does."""
+    """The path rule, written out on its own: no moves when the root
+    holds t; else each vertex's need, the moves to its lowest-id
+    neighbour one nearer the root that carry t pebbles there along that
+    path, nearest vertices first; the first vertex holding twice its
+    (positive) need gives the moves, farthest first. None when no vertex
+    does."""
+    if counts[g.root] >= t:
+        return []
     dist = distances_from(g, g.root)
     up = {v: min(u for u in g.neighbors[v] if dist[u] < dist[v]) for v in range(g.vertex_count) if v != g.root}
     need = {g.root: 0}
@@ -269,28 +273,25 @@ def reference_witness(g, counts, t=1):
     """The earlier witness search: a second recursive copy of
     Solver.decide that carries the moves, with its own memo of
     unsolvable (False) entries only, behind the query-level path rule
-    (reference_path_witness) when the query holds no stack. Solver
-    witnesses must equal its result exactly."""
+    (reference_path_witness), which also finishes from the first
+    configuration the search reaches that holds a stack (t on the root
+    among them). Solver witnesses must equal its result exactly."""
     solver = pb.Solver(g, t)
     memo = {}
-    thr = solver.stack_threshold
-    if counts[g.root] < t and not any(c >= thr[v] for v, c in enumerate(counts)):
-        path = reference_path_witness(g, counts, t)
-        if path is not None:
-            return path
+    path = reference_path_witness(g, counts, t)
+    if path is not None:
+        return path
 
     def witness(counts):
         solver.count_node()
         stats = solver.stats
-        if counts[solver.graph.root] >= solver.target:
-            return []
         thr = solver.stack_threshold
         pot = 0
         pw = solver._pot
         for v, c in enumerate(counts):
             if c:
                 if c >= thr[v]:
-                    return solver._stack_witness(v)
+                    return reference_path_witness(g, counts, t)
                 pot += c * pw[v]
         if pot < solver._pot_target:
             return None

@@ -674,11 +674,11 @@ class TestPlumbing:
         assert results == [] and "witness re-verification failed" in err
 
     def test_failed_witness_replay_exits_4(self, capsys, monkeypatch, tmp_path, c5_file, c5):
-        def short(self, v):
-            return original(self, v)[:-1]
+        def short(self, v, runs):
+            return original(self, v, runs)[:-1]
 
-        original = pb.Solver._stack_witness
-        monkeypatch.setattr(pb.Solver, "_stack_witness", short)
+        original = pb.Solver._moves_up
+        monkeypatch.setattr(pb.Solver, "_moves_up", short)
         cfg = tmp_path / "p.config"
         cfg.write_text(serialize_config(pb.configuration(c5, {2: 4})), encoding="utf-8")
         code, results, err = run_cli(capsys, "solve", "-g", str(c5_file), "-c", str(cfg), "--witness")

@@ -11,6 +11,7 @@ from conftest import (
     random_connected_graph,
     random_counts,
     reference_decide,
+    reference_path_witness,
     reference_witness,
     root_zero_counts,
     stripped,
@@ -83,7 +84,7 @@ class TestIsSolvable:
                 assert pb.Solver(c4, target=2).decide(counts) == naive_solvable(c4, counts, t=2)
 
     def test_resource_limit_is_an_error(self, c5):
-        solver = pb.Solver(c5, limits=pb.SearchLimits(max_nodes=1))
+        solver = pb.Solver(c5).begin(pb.SearchLimits(max_nodes=1))
         with pytest.raises(ResourceLimitError):
             solver.decide((0, 1, 2, 2, 1))
         # begin gives the next operation a node budget of its own
@@ -264,7 +265,7 @@ class TestPackedSearch:
             for k in sorted({*range(min(total, 40) + 1), *range(0, total, 1 + total // 40), total - 1, total}):
                 outcomes = []
                 for decide in (pb.Solver.decide, reference_decide):
-                    solver = pb.Solver(g, t, pb.SearchLimits(max_nodes=k))
+                    solver = pb.Solver(g, t).begin(pb.SearchLimits(max_nodes=k))
                     try:
                         verdict = decide(solver, counts)
                     except ResourceLimitError:
@@ -311,7 +312,7 @@ class TestWitness:
                     assert out.witness == (None if expected is None else tuple(expected)), (g.edges, counts, t)
                     assert out.solvable == (expected is not None)
 
-    def test_stack_witness_carries_only_the_stack(self):
+    def test_lone_stack_carries_only_the_target(self):
         # a stack of t * 2^d reaches the root in t * (2^d - 1) moves, however large
         for g, v, t, size in ((pb.path_graph(3), 0, 1, 1_000_001), (pb.path_graph(4), 0, 3, 48), (pb.cycle_graph(9), 4, 2, 77)):
             p = pb.configuration(g, {v: size})
@@ -322,20 +323,20 @@ class TestWitness:
             assert out.witness == tuple(reference_witness(g, p.counts, t))
 
     def test_short_witness_fails_the_replay(self, monkeypatch, c5):
-        def short(self, v):
-            return original(self, v)[:-1]
+        def short(self, v, runs):
+            return original(self, v, runs)[:-1]
 
-        original = pb.Solver._stack_witness
-        monkeypatch.setattr(pb.Solver, "_stack_witness", short)
+        original = pb.Solver._moves_up
+        monkeypatch.setattr(pb.Solver, "_moves_up", short)
         with pytest.raises(InternalError, match="replay"):
             pb.is_solvable(c5, pb.configuration(c5, {2: 4}), want_witness=True)
 
 
 class TestPathRule:
-    """A query holding no stack is settled in one node, with no search,
-    when the pebbles on one shortest path carry the target; every such
-    verdict must hold against the exhaustive reference, and its witness
-    replay move by move."""
+    """A query is settled in one node, with no search, when the pebbles
+    on one shortest path carry the target; every such verdict must hold
+    against the exhaustive reference, and its witness replay move by
+    move. Every query holding a stack, or t on the root, is settled so."""
 
     def test_settled_queries_are_solvable(self):
         rng = random.Random(38_001)
@@ -346,7 +347,7 @@ class TestPathRule:
                 solver = pb.Solver(g, t)
                 for _ in range(20):
                     counts = random_counts(rng, g, max_total=4 * t + 4)
-                    if solver._first_stack(counts) is not None or solver._path_need(counts) is None:
+                    if solver._path_need(counts) is None:
                         continue
                     memo, p = dict(solver.memo), pb.Configuration(g, counts)
                     out = solver.solve(p, want_witness=True)
@@ -356,6 +357,29 @@ class TestPathRule:
                     assert solver.solve(p).stats.nodes == 1
                     settled += 1
         assert settled >= 200
+
+    def test_stacks_and_a_full_root_are_settled(self):
+        rng = random.Random(39_001)
+        full_roots = 0
+        for _ in range(40):
+            g = random_connected_graph(rng, n_max=7)
+            for t in (1, 2, 3):
+                solver = pb.Solver(g, t)
+                thr = solver.stack_threshold
+                for _ in range(10):
+                    counts = list(random_counts(rng, g, max_total=2 * t))
+                    v = rng.randrange(g.vertex_count)  # the root's stack is t pebbles
+                    counts[v] = max(counts[v], thr[v] + rng.randrange(3))
+                    counts = tuple(counts)
+                    assert solver._path_need(counts) is not None, (g.edges, t, counts)
+                    memo, p = dict(solver.memo), pb.Configuration(g, counts)
+                    out = solver.solve(p, want_witness=True)
+                    assert out.solvable and out.stats.nodes == 1 and solver.memo == memo, (g.edges, t, counts)
+                    assert out.witness == tuple(reference_path_witness(g, counts, t))
+                    assert replay(g, p, out.witness).counts[g.root] >= t
+                    assert solver.solve(p).stats.nodes == 1 and solver.memo == memo
+                    full_roots += counts[g.root] >= t
+        assert full_roots >= 50
 
 
 class TestDeepPaths:

@@ -369,6 +369,22 @@ class TestDecomposition:
         with pytest.raises(BadParameterError, match="embedding is not a sequence"):
             pb.certify_by_decomposition(q4, w_star, [(None, cert)])
 
+    def test_embedding_entries_must_be_ints(self, c5):
+        # True would embed as vertex 1; 1.0 and "1" escaped as a bare TypeError
+        g, w = pb.construction("path", 2)
+        cert = pb.certify(g, w, "tree")
+        target = pb.weight_function(c5, {1: 2, 2: 1})
+        for bad in (True, 1.0, "1"):
+            emb = (2, bad, 0)
+            with pytest.raises(BadParameterError, match=f"embedding entry must be an integer, not {bad!r}"):
+                pb.conic_combine(c5, [(1, cert, emb)])
+            with pytest.raises(BadParameterError, match=f"embedding entry must be an integer, not {bad!r}"):
+                pb.verify_decomposition(c5, target, [(emb, w)])
+            with pytest.raises(BadParameterError, match=f"embedding entry must be an integer, not {bad!r}"):
+                pb.certify_by_decomposition(c5, target, [(emb, cert)])
+        assert pb.verify_decomposition(c5, target, [((2, 1, 0), w)])
+        assert pb.certify_by_decomposition(c5, target, [((2, 1, 0), cert)]).weight_function.weights == target.weights
+
     def test_root_must_map_to_root(self, c5):
         path = pb.path_graph(2)
         w = pb.weight_function(path, (1, 2, 0))
