@@ -94,9 +94,10 @@ def _note_symmetry(g, limits) -> None:
 
 def _note_down_set(g) -> None:
     """Size the down-set cached on g: its levels, the orbit
-    representatives built, and the maximal ones the graph keeps."""
-    levels, representatives, maximal = down_set_sizes(g)
-    note(f"down-set: {levels} levels, {representatives} representatives, {maximal} maximal")
+    representatives built, those below the solver's floor, and the
+    maximal ones the graph keeps."""
+    levels, representatives, maximal, below = down_set_sizes(g)
+    note(f"down-set: {levels} levels, {representatives} representatives ({below} below the floor), {maximal} maximal")
 
 
 def _certified(g, w, method: str, limits: SearchLimits | None = None):

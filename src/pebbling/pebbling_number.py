@@ -31,13 +31,19 @@ only what leaves it is decoded into counts tuples: the last level, for
 the witness, and the maximal representatives.
 
 Each candidate is decided by one step on level s, with no search. A
-candidate whose distance potential sum q(v) 2^-d(v,r) is below 1 is
-admitted outright, with no lookup: a move u -> v changes the potential
-by 2^-d(v,r) - 2^(1-d(u,r)) <= 0, as d(v,r) >= d(u,r) - 1, and a pebble
-on r alone is worth 1. The symmetries keep distances, so the whole
-orbit is unsolvable. Any other candidate q of size s+1 is unsolvable
-exactly when every legal move u -> v (q(u) >= 2) leaves a child whose
-orbit is in level s (under block symmetry, every move that does not
+candidate below the solver's floor is admitted outright, with no
+lookup: Phi_a(q) = sum q(v) 2^-d'(v,a) < 2 for every root neighbour a,
+d'(v,a) being the distance in G - r (weight 0 where a cannot reach v).
+The first pebble on r comes by a move a -> r while a holds 2, so
+Phi_a >= 2, and each move before it, u -> v in G - r, changes Phi_a by
+2^-d'(v,a) - 2^(1-d'(u,a)) <= 0, as d'(v,a) >= d'(u,a) - 1. The
+symmetries fix r, so the whole orbit is unsolvable. As d(v,r) <=
+d'(v,a) + 1, Phi_a <= 2 sum q(v) 2^-d(v,r): the floor prunes all the
+distance potential < 1 does, and is that test when r has one
+neighbour. On a cycle it is exact (G - r is a path ending at both root
+neighbours). Any other candidate q of size s+1 is unsolvable exactly
+when every legal move u -> v (q(u) >= 2) leaves a child whose orbit is
+in level s (under block symmetry, every move that does not
 stay inside a block and enters a block only at its first vertex; see
 below). A solving sequence starts with one move (under block symmetry,
 one of those), and its child either holds a pebble on the root, or
@@ -208,6 +214,7 @@ class DownSet(NamedTuple):
 
     levels: int
     representatives: int
+    below_floor: int
     witness: tuple[int, ...]
     maximal: tuple[tuple[int, ...], ...]
 
@@ -233,6 +240,7 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         return cache["down_set"]
     kind, data = _symmetry_mode(g, solver)
     levels = representatives = 0
+    nodes, above = solver.stats.nodes, solver.stats.above_floor
     maximal: list[tuple[int, ...]] = []
     kept = solver.memo
     try:
@@ -240,6 +248,8 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
             levels += 1
             representatives += len(level)
             last = level
+        # a candidate is admitted below the floor or looked up; the empty one is below it
+        below = 1 + solver.stats.nodes - nodes - solver.stats.above_floor + above
         # a group's representatives are maxima in the builder's order
         # only; else the key's fields are in the ids' order
         unpack = _layout(g, kind)[2]
@@ -257,7 +267,7 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         # raised after the handler, whose traceback holds the half-built level
         maximal = last = level = None
     else:
-        cache["down_set"] = down = DownSet(levels, representatives, witness, tuple(maximal))
+        cache["down_set"] = down = DownSet(levels, representatives, below, witness, tuple(maximal))
         return down
     finally:
         solver.memo = kept
@@ -266,11 +276,11 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     raise exc
 
 
-def down_set_sizes(g: Graph) -> tuple[int, int, int]:
-    """The levels, representatives and maximal representatives of the
-    down-set cached on g."""
+def down_set_sizes(g: Graph) -> tuple[int, int, int, int]:
+    """The levels, representatives, maximal representatives and
+    representatives below the floor of the down-set cached on g."""
     down = g._cache["down_set"]
-    return down.levels, down.representatives, len(down.maximal)
+    return down.levels, down.representatives, len(down.maximal), down.below_floor
 
 
 def _layout(g: Graph, kind: str):
@@ -293,11 +303,12 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     module docstring); once level s+1 is built, append the counts of
     level s's maximal representatives, decoded, to ``maximal``.
 
-    A level maps each key to its legal moves' deltas, its potential
-    scaled by 2^max(dist) and, under a group, its images packed in the
-    lanes of one integer (_ImageLanes), so an extension costs additions
-    and its orbit-maximum test and a child one subtraction each. A count
-    is read off its field of the key with a shift and a mask.
+    A level maps each key to its legal moves' deltas, the solver's floor
+    lanes and, under a group, its images packed in the lanes of one
+    integer (_ImageLanes), so an extension costs additions and its
+    orbit-maximum test and a child one subtraction each. A count is read
+    off its field of the key with a shift and a mask. The candidates
+    looked up, above the floor, count in ``solver.stats.above_floor``.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
@@ -340,13 +351,12 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
         one_lane = len(group) == 2
 
-    # the solver's potential, scaled by 2^max(dist); the root's weight is
-    # the target-1 floor, below which a configuration is unsolvable
-    pw = solver._pot
-    floor = pw[g.root]
+    # the solver's floor: a configuration whose lanes (the sum of its
+    # counts times weight) set no bit of high is unsolvable
+    weight, high = solver._lanes, solver._high
 
     stats, node_cap = solver.stats, solver._node_cap
-    nodes = stats.nodes
+    nodes, above = stats.nodes, stats.above_floor
     reps = {0: ((), 0, 0)}
     members = reps if not group else {0}
     while reps:
@@ -356,7 +366,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         nxt_members = nxt if not group else set()
         # the representatives with no admitted extension
         pending = []
-        for p, (legal, images, pot) in reps.items():
+        for p, (legal, images, phi) in reps.items():
             extended = False
             for v, sh, mask, cap, prev_sh in top:
                 c = p >> sh & mask
@@ -368,7 +378,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                     # every lane keeps its guard bit)
                     if not group or (q * spread | guards) - q_images & guards == guards:
                         q_legal = legal + delta[v] if c == 1 else legal
-                        q_pot = pot + pw[v]
+                        q_phi = phi + weight[v]
                         nodes += 1
                         if nodes > node_cap or not nodes & 4095:
                             stats.nodes = nodes
@@ -376,17 +386,16 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                         # below the floor q is unsolvable outright, else
                         # one lookup per legal move in the level below;
                         # a child missing from it makes q solvable
-                        if q_pot < floor:
-                            moves = ()
-                        elif blocks:
-                            moves = chain(q_legal, *block_deltas(q))
+                        if q_phi & high:
+                            above += 1
+                            moves = chain(q_legal, *block_deltas(q)) if blocks else q_legal
                         else:
-                            moves = q_legal
+                            moves = ()
                         for d in moves:
                             if q - d not in members:
                                 break
                         else:
-                            nxt[q] = (q_legal, q_images, q_pot)
+                            nxt[q] = (q_legal, q_images, q_phi)
                             extended = True
                             if group:
                                 nxt_members.add(q)
@@ -398,7 +407,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                     break
             if not extended:
                 pending.append(p)
-        stats.nodes = nodes
+        stats.nodes, stats.above_floor = nodes, above
         for p in pending:
             for v, sh, mask, cap, prev_sh in far:
                 c = p >> sh & mask

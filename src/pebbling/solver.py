@@ -8,9 +8,14 @@ Every move shrinks the configuration by one pebble, so the search graph
 is acyclic and a plain two-valued memo is sound. Exactly three
 shortcuts are used, all of them exact:
 
-* a configuration whose distance potential sum(p(v) * 2^-d(v,r)) is
-  below the target can never reach the root (moves never increase the
-  potential);
+* a configuration below the floor can never reach the root. At t = 1
+  the floor is Phi_a(p) = sum(p(v) * 2^-d'(v,a)) >= 2 for some root
+  neighbour a, d'(v,a) the distance in G - r (weight 0 where a cannot
+  reach v): the first pebble on r comes from an a holding 2, and no move
+  before it, all in G - r, raises Phi_a. It prunes all the distance
+  potential sum(p(v) * 2^-d(v,r)) < 1 does, and is exact on cycles
+  (proofs in the pebbling_number docstring). At t >= 2 it is that
+  potential at least t, as no move raises it;
 * a vertex holding t * 2^d(v,r) pebbles alone suffices;
 * a query to ``solve`` is settled, in one node, when the pebbles on
   one shortest path carry the target. Let up(x) be x's lowest-id
@@ -30,22 +35,30 @@ The memo is keyed on packed integers (packed_units): vertex v owns
 d(v,r) + bitlen(t) bits, vertex 0 the most significant. A memoized
 configuration has passed the stack test, so p(v) < t * 2^d(v,r) <
 2^(d(v,r) + bitlen(t)) fits its field, no field carries into the next,
-and the key is injective. ``decide`` packs the query once; below it, one
-counts list is moved in place and restored after each child. A child
-differs from its parent only at the move's ends u -> v, and the parent
-held no stack, so its checks are O(1): a stack test on v, then its
-potential and key, each the parent's plus a constant of the move. The
-child's key is looked up in the memo before the search descends, so a
-memo hit costs no descent; it counts one node and one hit, as a descent
-that found the key would. The search keeps its own stack of frames, so
-its depth, one frame per move, is not bounded by the interpreter's.
+and the key is injective. The floor is packed in lanes of one integer:
+at t = 1 with two root neighbours or more, Phi_a * 2^D in one lane per
+root neighbour a, D the largest d', D + 1 + bitlen(n) bits wide (no
+count past the stack test exceeds 2^d(v,r) <= 2^(d'(v,a)+1)), and a root
+pebble worth 2^(D+1) in lane 0; else the potential * 2^D plus
+2^K - t * 2^D in one lane, 2^K the least power of two from t * 2^D (with
+one root neighbour a, Phi_a is twice the potential). So the test is one
+AND with the bits of each lane from its threshold up. ``decide`` packs
+the query once; below it, one counts list is moved in place and restored
+after each child. A child differs from its parent only at the move's
+ends u -> v, and the parent held no stack, so its checks are O(1): a
+stack test on v, then its floor lanes and key, each the parent's plus a
+constant of the move. The child's key is looked up in the memo before
+the search descends, so a memo hit costs no descent; it counts one node
+and one hit, as a descent that found the key would. The search keeps its
+own stack of frames, so its depth, one frame per move, is not bounded by
+the interpreter's.
 
 A query the path rule settles takes the rule's moves as its witness.
 Any other witness is read off the search rather than searched for
 again: from the queried configuration, take the first move whose child
 is solvable, mostly a memo hit, until a move lands a stack (on the root,
 t pebbles); the path rule then finishes from that child. The walk moves
-one counts list, key and potential, so each child it tries costs the
+one counts list, key and floor lanes, so each child it tries costs the
 checks a child costs in the search. Every witness is then replayed
 through ``apply_moves``; a replay that does not reach the target raises
 InternalError.
@@ -103,6 +116,7 @@ class SearchLimits:
 class SolveStats:
     nodes: int = 0
     memo_hits: int = 0
+    above_floor: int = 0  # candidates the down-set builder looked up
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,7 @@ class Solver:
     """Reusable decision engine for one graph and one target count.
 
     The memo is keyed on packed counts and each move is one precomputed
-    step (u, v, potential change, key change). Neither reads the graph's
+    step (u, v, floor lanes' change, key change). Neither reads the graph's
     symmetry, so a solver on a graph with it searches exactly as one on
     the same graph without: same verdicts, witnesses, node counts and
     memo. The memo table and ``stats`` persist across calls on the same
@@ -158,11 +172,25 @@ class Solver:
             raise BadParameterError("target pebble count must be at least 1")
         self.graph = graph
         self.target = target
-        dist = distances_from(graph, graph.root)
-        depth = max(dist)
-        # integer-scaled potential: weight 2^(depth - d), target t * 2^depth
-        self._pot = tuple(1 << (depth - d) for d in dist)
-        self._pot_target = target << depth
+        root, n = graph.root, graph.vertex_count
+        dist = distances_from(graph, root)
+        if target == 1 and len(graph.neighbors[root]) > 1:
+            # Phi_a * 2^depth in lane k for the k-th root neighbour a; in G - r,
+            # where r is isolated, distances_from gives -1 where a cannot reach
+            rest = Graph(n, tuple(e for e in graph.edges if root not in e), root)
+            far = [distances_from(rest, a) for a in graph.neighbors[root]]
+            depth = max(map(max, far))
+            width = depth + 1 + n.bit_length()
+            lanes = [sum(1 << depth - f[v] + k * width for k, f in enumerate(far) if f[v] >= 0) for v in range(n)]
+            lanes[root] = 2 << depth
+            self._lanes, self._base, self._high = lanes, 0, sum((1 << width) - (2 << depth) << k * width for k in range(len(far)))
+        else:
+            # the distance potential * 2^depth, its threshold t * 2^depth
+            # offset to a power of two; with one root neighbour a, Phi_a is
+            # twice it (d'(v,a) = d(v,r) - 1), so at t = 1 it is the floor
+            depth = max(dist)
+            lanes, top = [1 << depth - d for d in dist], ((target << depth) - 1).bit_length()
+            self._lanes, self._base, self._high = lanes, (1 << top) - (target << depth), -1 << top
         self.stack_threshold = tuple(target << d for d in dist)
         # each vertex's lowest-id neighbour one nearer the root (neighbours are sorted)
         self._up = tuple(next((u for u in graph.neighbors[v] if dist[u] < dist[v]), v) for v in range(graph.vertex_count))
@@ -170,8 +198,8 @@ class Solver:
         moves = [(u, v) for u in range(graph.vertex_count) for v in graph.neighbors[u]]
         moves.sort(key=lambda m: (0 if dist[m[1]] < dist[m[0]] else 1, dist[m[0]], m))
         self._moves = tuple(moves)
-        pot, unit = self._pot, packed_units(dist, target)
-        self._unit, self._steps = unit, tuple((u, v, pot[v] - 2 * pot[u], unit[v] - 2 * unit[u]) for u, v in moves)
+        unit = packed_units(dist, target)
+        self._unit, self._steps = unit, tuple((u, v, lanes[v] - 2 * lanes[u], unit[v] - 2 * unit[u]) for u, v in moves)
         self.memo: dict[int, bool] = {}
         self.stats = SolveStats()
         self.begin(None)
@@ -206,36 +234,36 @@ class Solver:
     def decide(self, counts: tuple[int, ...]) -> bool:
         self.count_node()
         thr = self.stack_threshold
-        pot = 0
-        pw = self._pot
+        lanes = self._base
+        lw = self._lanes
         for v, c in enumerate(counts):
             if c:
                 if c >= thr[v]:
                     return True
-                pot += c * pw[v]
-        if pot < self._pot_target:
+                lanes += c * lw[v]
+        if not lanes & self._high:
             return False
         key = sum(map(mul, counts, self._unit))
         cached = self.memo.get(key)
         if cached is not None:
             self.stats.memo_hits += 1
             return cached
-        return self._search(list(counts), key, pot)
+        return self._search(list(counts), key, lanes)
 
-    def _search(self, cnt: list[int], key: int, pot: int) -> bool:
-        """Whether ``cnt``, counted as a node, holding no stack, of
-        potential ``pot`` at least the target, packed as ``key`` and not
-        in the memo, is solvable. Each child is one step on ``cnt``,
-        undone when its frame is left; a child in the memo is a hit, with
-        no descent. A frame is (key, potential, step iterator, move), and
-        ``cnt`` is as it was on return."""
-        stats, cap, thr, floor, memo, steps = self.stats, self._node_cap, self.stack_threshold, self._pot_target, self.memo, self._steps
+    def _search(self, cnt: list[int], key: int, lanes: int) -> bool:
+        """Whether ``cnt``, counted as a node, holding no stack, with
+        ``lanes`` above the floor, packed as ``key`` and not in the memo,
+        is solvable. Each child is one step on ``cnt``, undone when its
+        frame is left; a child in the memo is a hit, with no descent. A
+        frame is (key, lanes, step iterator, move), and ``cnt`` is as it
+        was on return."""
+        stats, cap, thr, high, memo, steps = self.stats, self._node_cap, self.stack_threshold, self._high, self.memo, self._steps
         nodes, hits = stats.nodes, stats.memo_hits
         frames: list[tuple] = []
         it = iter(steps)
         try:
             while True:
-                for u, v, dpot, dkey in it:
+                for u, v, dlanes, dkey in it:
                     if cnt[u] >= 2:
                         # count_node, inlined
                         nodes += 1
@@ -246,15 +274,15 @@ class Solver:
                         if c >= thr[v]:
                             result = True
                             break
-                        if pot + dpot < floor:
+                        if not lanes + dlanes & high:
                             continue
                         child = key + dkey
                         found = memo.get(child)
                         if found is None:
-                            frames.append((key, pot, it, u, v))
+                            frames.append((key, lanes, it, u, v))
                             cnt[u] -= 2
                             cnt[v] = c
-                            key, pot, it = child, pot + dpot, iter(steps)
+                            key, lanes, it = child, lanes + dlanes, iter(steps)
                             result = None
                             break
                         hits += 1
@@ -268,7 +296,7 @@ class Solver:
                 memo[key] = result
                 # leave the frame; a solvable child makes every frame below it solvable
                 while frames:
-                    key, pot, it, u, v = frames.pop()
+                    key, lanes, it, u, v = frames.pop()
                     cnt[u] += 2
                     cnt[v] -= 1
                     if not result:
@@ -309,17 +337,17 @@ class Solver:
         """The witness read off the search (see the module docstring), or None."""
         if not self.decide(counts):
             return None
-        stats, thr, floor, memo = self.stats, self.stack_threshold, self._pot_target, self.memo
+        stats, thr, high, memo = self.stats, self.stack_threshold, self._high, self.memo
         cnt = list(counts)
         key = sum(map(mul, counts, self._unit))
-        pot = sum(map(mul, counts, self._pot))
+        lanes = self._base + sum(map(mul, counts, self._lanes))
         moves: list[Move] = []
         while True:
-            for u, v, dpot, dkey in self._steps:
+            for u, v, dlanes, dkey in self._steps:
                 if cnt[u] >= 2:
                     self.count_node()
                     c = cnt[v] + 1
-                    if pot + dpot < floor:  # a stack's potential alone reaches the floor
+                    if not lanes + dlanes & high:  # a stack or a root pebble alone is above the floor
                         continue
                     cnt[u] -= 2
                     cnt[v] = c
@@ -328,12 +356,12 @@ class Solver:
                     child = key + dkey
                     found = memo.get(child)
                     if found is None:
-                        found = self._search(cnt, child, pot + dpot)
+                        found = self._search(cnt, child, lanes + dlanes)
                     else:
                         stats.memo_hits += 1
                     if found:
                         moves.append((u, v))
-                        key, pot = child, pot + dpot
+                        key, lanes = child, lanes + dlanes
                         break
                     cnt[u] += 2
                     cnt[v] = c - 1

@@ -22,7 +22,9 @@ reference_path_witness writes out and which finishes it at every
 stack, whose moves the witnesses read off Solver.decide must equal,
 and reference_decide the earlier tuple-keyed Solver.decide, whose
 verdicts, node counts, memo hits and memo size the packed-key search
-must reproduce. twin_transpositions
+must reproduce. Both prune with reference_floor, the solver's floor
+written out from its definition in Fractions, which borrows nothing
+from the solver. twin_transpositions
 finds the interchangeable vertices by applying every root-fixing
 transposition to the edge set, root_fixing_automorphisms asks networkx
 for the graph's root-fixing automorphism group, and symmetry_orbit
@@ -211,21 +213,41 @@ def maximal_elements(levels):
     return out
 
 
+def reference_floor(g, counts, t=1):
+    """Whether ``counts`` is below the solver's floor, so unsolvable, from
+    the definitions in Fractions. For t = 1: no pebble on the root, and
+    Phi_a = sum p(v) 2^-d'(v,a) below 2 for every root neighbour a, d'
+    the distances in G - r (a breadth-first walk that never enters r),
+    unreachable vertices weighing nothing. For t >= 2: the distance
+    potential sum p(v) 2^-d(v,r) below t."""
+    if t > 1:
+        dist = distances_from(g, g.root)
+        return sum(Fraction(c, 2 ** dist[v]) for v, c in enumerate(counts)) < t
+    for a in g.neighbors[g.root]:
+        far = {a: 0}
+        queue = deque([a])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors[x]:
+                if y != g.root and y not in far:
+                    far[y] = far[x] + 1
+                    queue.append(y)
+        if sum(Fraction(counts[v], 2 ** d) for v, d in far.items()) >= 2:
+            return False
+    return counts[g.root] == 0
+
+
 def reference_decide(solver, counts):
-    """The earlier Solver.decide, verbatim but for ``self``: each child
-    a new counts tuple, the memo keyed on the tuples themselves. Run on
-    a solver of its own, which only it searches."""
+    """The earlier Solver.decide, but for ``self`` and its floor, which
+    is reference_floor: each child a new counts tuple, the memo keyed on
+    the tuples themselves. Run on a solver of its own, which only it
+    searches."""
     solver.count_node()
     stats = solver.stats
     thr = solver.stack_threshold
-    pot = 0
-    pw = solver._pot
-    for v, c in enumerate(counts):
-        if c:
-            if c >= thr[v]:
-                return True
-            pot += c * pw[v]
-    if pot < solver._pot_target:
+    if any(c >= thr[v] for v, c in enumerate(counts)):
+        return True
+    if reference_floor(solver.graph, counts, solver.target):
         return False
     cached = solver.memo.get(counts)
     if cached is not None:
@@ -286,14 +308,9 @@ def reference_witness(g, counts, t=1):
         solver.count_node()
         stats = solver.stats
         thr = solver.stack_threshold
-        pot = 0
-        pw = solver._pot
-        for v, c in enumerate(counts):
-            if c:
-                if c >= thr[v]:
-                    return reference_path_witness(g, counts, t)
-                pot += c * pw[v]
-        if pot < solver._pot_target:
+        if any(c >= thr[v] for v, c in enumerate(counts)):
+            return reference_path_witness(g, counts, t)
+        if reference_floor(g, counts, t):
             return None
         if memo.get(counts) is False:
             stats.memo_hits += 1

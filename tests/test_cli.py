@@ -61,16 +61,24 @@ class TestGen:
         code, results, err = run_cli(capsys, "pi", "-g", str(out), "--max-seconds", "10")
         assert (code, results) == (0, ["RESULT pi=32"])
         assert "symmetry: blocks 16\n" in err
-        assert "down-set: 32 levels, 44248 representatives, 939 maximal\n" in err
+        assert "down-set: 32 levels, 44248 representatives (12568 below the floor), 939 maximal\n" in err
         code, results, err = run_cli(capsys, "pi", "-g", str(c5_file))
         assert (code, results) == (0, ["RESULT pi=5"])
         assert "symmetry: group 2\n" in err
-        assert "down-set: 5 levels, 17 representatives, 4 maximal\n" in err
+        assert "down-set: 5 levels, 17 representatives (17 below the floor), 4 maximal\n" in err
         out = tmp_path / "p4.graph"
         run_cli(capsys, "gen", "path", "4", "-o", str(out))
         code, results, err = run_cli(capsys, "pi", "-g", str(out))
         assert (code, results) == (0, ["RESULT pi=16"])
         assert "symmetry: none\n" in err
+
+    def test_one_vertex_file(self, capsys, tmp_path):
+        # the root has no neighbour, so the floor has no lane
+        out = tmp_path / "k1.graph"
+        out.write_text("pebblegraph 1\nvertices 1\nroot 0\n", encoding="utf-8")
+        code, results, err = run_cli(capsys, "pi", "-g", str(out))
+        assert (code, results) == (0, ["RESULT pi=1"]), err
+        assert "down-set: 1 levels, 1 representatives (1 below the floor), 1 maximal\n" in err
 
     def test_group_search_runs_under_the_deadline(self, capsys, tmp_path):
         # Q8's root-fixing group has 8! elements, past the cap; finding
@@ -219,7 +227,7 @@ class TestVerify:
         assert code == 1
         assert results == ["RESULT valid=false counterexample=0,0,1,1,1,1,3 weight=13/2 cap=6/1"]
         assert "symmetry: blocks 4\n" in err
-        assert "down-set: 8 levels, 56 representatives, 7 maximal\n" in err
+        assert "down-set: 8 levels, 56 representatives (34 below the floor), 7 maximal\n" in err
 
     def test_oracle_mode_counterexample(self, capsys, tmp_path, p3):
         gp = tmp_path / "p3.graph"
@@ -453,13 +461,13 @@ class TestPaperTargets:
         assert "proven pi >= 21" in err
 
     def test_thm1_k4_reports_every_search_node(self, capsys):
-        # the down-set build 9,394, the witness re-check from an empty
-        # memo 10,757 and the stuck check 317, which runs on the memo the
-        # re-check leaves, all on the shared solver; a repeat reads the
-        # cached down-set and finds the stuck check in the memo
+        # the down-set build 9,394, then the witness re-check and the
+        # stuck check, one node each, both below the floor, all on the
+        # shared solver; a repeat reads the cached down-set and decides the
+        # stuck check at the floor again
         pb.cycle_graph(9)._cache.clear()
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
-        assert code == 0 and err.endswith(", 20468 search nodes\n"), err
+        assert code == 0 and err.endswith(", 9396 search nodes\n"), err
         code, _, err = run_cli(capsys, "paper", "thm1-k4")
         assert code == 0 and err.endswith(", 1 search nodes\n"), err
 

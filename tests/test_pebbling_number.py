@@ -30,6 +30,7 @@ from pebbling import pebbling_number as engine
 from pebbling.errors import InternalError, ResourceLimitError
 from pebbling.fileformats import parse_graph, serialize_graph
 from pebbling.graphs import distances_from
+from pebbling.strategies import construction
 
 
 def fresh(builder, g, **kwargs):
@@ -136,18 +137,27 @@ class TestPiRooted:
 
     def test_cap_in_the_witness_check_reports_every_level(self):
         # the re-check of pi's witness from an empty memo outgrows the
-        # build on C9, so a cap between the two trips with the down-set complete
-        c9 = pb.cycle_graph(9)
-        c9._cache.clear()
-        witness = pb.pi_rooted(c9).witness_unsolvable
-        build = build_nodes(c9)
-        recheck = pb.Solver(c9).solve(witness).stats.nodes
+        # build on the Theorem 3 lollipop (n = 1, m = 6), so a cap between
+        # the two trips with the down-set complete
+        g = _lollipop_1_6()
+        witness = pb.pi_rooted(g).witness_unsolvable
+        build = build_nodes(g)
+        recheck = pb.Solver(g).solve(witness).stats.nodes
         assert build < recheck
-        c9._cache.clear()
+        g._cache.clear()
         with pytest.raises(ResourceLimitError) as caught:
-            pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
-        assert caught.value.pi_lower == 21
-        assert "down_set" not in c9._cache
+            pb.pi_rooted(g, limits=pb.SearchLimits(max_nodes=build))
+        assert caught.value.pi_lower == 10
+        assert "down_set" not in g._cache
+
+
+def _lollipop_1_6():
+    """Theorem 3's lollipop at n = 1, m = 6, its down-set dropped: its
+    root is pendant, and pi's witness, 3 on u_0 and one on every middle,
+    is above the floor, so the re-check searches from an empty memo."""
+    g = construction("lollipop_general", 1, 6)[0]
+    g._cache.clear()
+    return g
 
 
 class TestWitnessCheckMemo:
@@ -156,21 +166,25 @@ class TestWitnessCheckMemo:
     later queries reuse its verdicts."""
 
     def test_the_shared_solver_counts_the_build_and_the_check(self):
-        c9 = pb.cycle_graph(9)
-        c9._cache.clear()
-        witness = pb.pi_rooted(c9).witness_unsolvable
-        check = pb.Solver(c9).solve(witness).stats
-        assert (build_nodes(c9), check.nodes, check.memo_hits) == (9_394, 10_757, 6_832)
-        assert engine.shared_solver(c9).stats.nodes == 20_151
+        # every member of C9's down-set is below the floor, pi's witness
+        # among them, so its re-check is one node; not so on the lollipop
+        for g, counts in ((pb.cycle_graph(9), (9_394, 1, 0)), (_lollipop_1_6(), (94, 115, 35))):
+            g._cache.clear()
+            witness = pb.pi_rooted(g).witness_unsolvable
+            check = pb.Solver(g).solve(witness).stats
+            assert (build_nodes(g), check.nodes, check.memo_hits) == counts
+            assert engine.shared_solver(g).stats.nodes == counts[0] + counts[1]
 
-    def test_witness_query_is_one_memo_hit(self):
+    def test_witness_query_is_one_floor_verdict(self):
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
         for g in (c9, stripped(c9)):
             witness = pb.pi_rooted(g).witness_unsolvable
+            memo = dict(engine.shared_solver(g).memo)
             out = pb.is_solvable(g, witness)
             assert not out.solvable, engine._symmetry_mode(g)
-            assert (out.stats.nodes, out.stats.memo_hits) == (1, 1), engine._symmetry_mode(g)
+            assert (out.stats.nodes, out.stats.memo_hits) == (1, 0), engine._symmetry_mode(g)
+            assert engine.shared_solver(g).memo == memo
 
     def test_later_queries_match_the_reference(self, c5, fig2):
         rng = random.Random(9_173)
@@ -184,57 +198,53 @@ class TestWitnessCheckMemo:
 
     def test_a_capped_check_hands_nothing_over(self):
         # the cap lets the build finish and stops the re-check, which
-        # outgrows it on C9 (test_cap_in_the_witness_check_reports_every_level)
-        c9 = pb.cycle_graph(9)
-        c9._cache.clear()
-        build = build_nodes(c9)
-        c9._cache.clear()
-        solver = engine.shared_solver(c9)
-        pb.is_solvable(c9, pb.Configuration(c9, (0, 0, 3, 0, 0, 0, 0, 3, 0)))
+        # outgrows it (test_cap_in_the_witness_check_reports_every_level)
+        g = _lollipop_1_6()
+        build = build_nodes(g)
+        g._cache.clear()
+        solver = engine.shared_solver(g)
+        pb.is_solvable(g, pb.Configuration(g, (0, 0, 1, 3, 1, 1, 1, 0, 0)))
         memo, before = solver.memo, dict(solver.memo)
         assert before
         with pytest.raises(ResourceLimitError):
-            pb.pi_rooted(c9, limits=pb.SearchLimits(max_nodes=build))
-        assert engine.shared_solver(c9) is solver
+            pb.pi_rooted(g, limits=pb.SearchLimits(max_nodes=build))
+        assert engine.shared_solver(g) is solver
         assert solver.memo is memo and memo == before
 
     def test_earlier_entries_join_the_checks_memo(self):
         # the re-check starts from an empty memo; the entries set aside
         # for it are merged into its memo once it passes
-        c9 = pb.cycle_graph(9)
-        c9._cache.clear()
-        solver = engine.shared_solver(c9)
-        pb.is_solvable(c9, pb.Configuration(c9, (0, 0, 3, 0, 0, 0, 0, 3, 0)))
+        g = _lollipop_1_6()
+        solver = engine.shared_solver(g)
+        pb.is_solvable(g, pb.Configuration(g, (0, 0, 1, 3, 1, 1, 1, 0, 0)))
         before = dict(solver.memo)
-        witness = pb.pi_rooted(c9).witness_unsolvable
-        check = pb.Solver(c9)
+        witness = pb.pi_rooted(g).witness_unsolvable
+        check = pb.Solver(g)
         assert not check.solve(witness).solvable
         assert before and not before.keys() <= check.memo.keys()
         assert solver.memo == {**check.memo, **before}
 
     def test_the_check_reads_no_earlier_entry(self):
         # a wrong verdict left in the shared memo cannot pass the witness
-        c9 = pb.cycle_graph(9)
-        c9._cache.clear()
-        witness = pb.pi_rooted(c9).witness_unsolvable.counts
-        c9._cache.clear()
-        solver = engine.shared_solver(c9)
+        g = _lollipop_1_6()
+        witness = pb.pi_rooted(g).witness_unsolvable.counts
+        g._cache.clear()
+        solver = engine.shared_solver(g)
         solver.memo[sum(map(mul, witness, solver._unit))] = True
-        assert pb.pi_rooted(c9).witness_unsolvable.counts == witness
+        assert pb.pi_rooted(g).witness_unsolvable.counts == witness
 
     def test_a_failed_check_hands_nothing_over(self, monkeypatch):
-        c5 = pb.cycle_graph(5)
-        c5._cache.clear()
-        solver = engine.shared_solver(c5)
-        pb.is_solvable(c5, pb.Configuration(c5, (0, 0, 2, 2, 0)))
+        g = _lollipop_1_6()
+        solver = engine.shared_solver(g)
+        pb.is_solvable(g, pb.Configuration(g, (0, 0, 1, 3, 1, 1, 1, 0, 0)))
         memo, before = solver.memo, dict(solver.memo)
         assert before
         # the builder decides by lookups, so only the re-check calls decide
         monkeypatch.setattr(pb.Solver, "decide", lambda self, counts: True)
         with pytest.raises(InternalError, match="witness re-verification failed"):
-            pb.pi_rooted(c5)
+            pb.pi_rooted(g)
         assert solver.memo is memo and memo == before
-        assert "down_set" not in c5._cache
+        assert "down_set" not in g._cache
 
 
 def _adjacent_twin_graphs():
@@ -320,7 +330,7 @@ class TestMaximalRepresentatives:
         c9._cache.clear()
         down = engine._down_set(c9, pb.Solver(c9))
         assert (down.levels, down.representatives, len(down.maximal)) == (21, 7_572, 612)
-        assert engine.down_set_sizes(c9) == (21, 7_572, 612)
+        assert engine.down_set_sizes(c9) == (21, 7_572, 612, 7_572)
         levels = builder_levels(c9)
         assert (len(levels), sum(map(len, levels))) == (21, 7_572)
         assert down.witness == max(set().union(*map(symmetry_orbit(c9), levels[-1])))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -11,6 +12,7 @@ from conftest import (
     random_connected_graph,
     random_counts,
     reference_decide,
+    reference_floor,
     reference_path_witness,
     reference_witness,
     root_zero_counts,
@@ -273,6 +275,88 @@ class TestPackedSearch:
                     outcomes.append((verdict, self.observed(solver)))
                 assert outcomes[0] == outcomes[1], (g.edges, t, counts, k)
                 assert (outcomes[0][0] == "capped") == (k < total)
+
+
+class TestFloor:
+    """The solver's floor (conftest.reference_floor written out from its
+    definition) against no floor at all: naive_solvable, a breadth-first
+    walk over every move sequence."""
+
+    @staticmethod
+    def floor_verdict(g, t, counts):
+        # decide settles a configuration below the floor in one node and
+        # writes no memo entry; any other it searches, memoizing at least it
+        solver = pb.Solver(g, t)
+        return not solver.decide(counts) and solver.stats.nodes == 1 and not solver.memo
+
+    def test_below_the_floor_is_unsolvable(self):
+        rng = random.Random(40_040)
+        below = sharper = 0
+        for _ in range(60):
+            g = random_connected_graph(rng, n_max=7)
+            dist = pb.distances_from(g, g.root)
+            for t in (1, 2, 3):
+                top = [(t << d) - 1 for d in dist]
+                for _ in range(20):
+                    counts = [rng.choice((0, x, rng.randint(0, x))) for x in top]
+                    if rng.random() < 0.5:
+                        counts = list(random_counts(rng, g, max_total=6 * t))
+                    counts[g.root] = min(counts[g.root], t - 1)
+                    counts = tuple(counts)
+                    floor = reference_floor(g, counts, t)
+                    assert not (floor and naive_solvable(g, counts, t)), (g.edges, g.root, t, counts)
+                    below += floor
+                    # the distance potential alone would not prune it
+                    sharper += floor and sum(Fraction(c, 2 ** d) for c, d in zip(counts, dist)) >= t
+        assert below > 500 and sharper > 50, (below, sharper)
+
+    def test_the_packed_lanes_hold_the_floor(self):
+        # the solver's one AND, on counts up to the stacks, root included
+        rng = random.Random(40_042)
+        for _ in range(40):
+            g = random_connected_graph(rng, n_max=7)
+            for t in (1, 2, 3):
+                solver = pb.Solver(g, t)
+                for _ in range(20):
+                    counts = tuple(rng.choice((0, x, rng.randint(0, x))) for x in solver.stack_threshold)
+                    lanes = solver._base + sum(map(mul, counts, solver._lanes))
+                    assert (not lanes & solver._high) == reference_floor(g, counts, t), (g.edges, g.root, t, counts)
+
+    def test_exact_on_cycles(self):
+        # G - r is a path with both root neighbours at its ends, where
+        # Phi_a >= 2 also suffices: every size up to pi + 1 on C3-C6, and
+        # counts drawn below the caps on C7-C9
+        rng = random.Random(40_041)
+        for n in range(3, 10):
+            g = pb.cycle_graph(n)
+            if n <= 6:
+                queries = [c for s in range(pb.pi_rooted(g).value + 2) for c in root_zero_counts(g, s)]
+            else:
+                top = [(1 << d) - 1 for d in pb.distances_from(g, g.root)]
+                queries = [tuple(rng.choice((0, x, rng.randint(0, x))) for x in top) for _ in range(300)]
+            for counts in queries:
+                assert reference_floor(g, counts) != naive_solvable(g, counts), (n, counts)
+
+    def test_theorem_1_lower_bounds_without_the_floor(self):
+        # pi(C9)'s witness, thm1-k4's stuck configuration and thm1-k5's
+        # (pi(C11)'s witness too) are unsolvable to the walk with no
+        # floor, not to the floor alone
+        cases = [(9, (0, 0, 0, 1, 9, 9, 1, 0, 0)), (9, (0, 0, 0, 0, 10, 10, 0, 0, 0))]
+        cases.append((11, (0, 0, 0, 0, 0, 21, 21, 0, 0, 0, 0)))
+        for n, counts in cases:
+            g = pb.cycle_graph(n)
+            assert reference_floor(g, counts)
+            assert not naive_solvable(g, counts)
+            assert self.floor_verdict(g, 1, counts)
+
+    def test_one_vertex(self):
+        # no root neighbour: the floor is the distance potential, and the
+        # empty configuration is below it, a root pebble is not
+        g = pb.build_graph(1, [], 0)
+        assert reference_floor(g, (0,)) and self.floor_verdict(g, 1, (0,))
+        solver = pb.Solver(g)
+        assert not reference_floor(g, (1,)) and solver.decide((1,))
+        assert solver._lanes[0] & solver._high
 
 
 class TestWitness:
