@@ -51,13 +51,13 @@ holds a stack of 2^d(v,r) on v, or is a root-free configuration of
 size s below the caps. The first two are solvable and in no level (the
 symmetries fix the root, so they keep distances); the third is
 unsolvable exactly when level s holds it, one representative per
-orbit, by induction on s. So one set lookup decides each move. A
-child is one subtraction, q - delta(u, v) with
-delta(u, v) = 2^(off(u)+1) - 2^off(v). A level maps each key to the
-deltas of its legal moves from outside the blocks: its parent's, plus
-the new vertex's once it holds 2. The deltas of the moves out of a
-block depend on the block's counts alone, so they are cached on the
-bits of the key that span the block's fields.
+orbit, by induction on s. So one set lookup decides each move (under
+a group, the floor may stand in for it; below). A child is one subtraction,
+q - delta(u, v) with delta(u, v) = 2^(off(u)+1) - 2^off(v). A level
+maps each key to the deltas of its legal moves from outside the
+blocks: its parent's, plus the new vertex's once it holds 2. The
+deltas of the moves out of a block depend on the block's counts alone,
+so they are cached on the bits of the key that span the block's fields.
 
 Candidates are generated in order (orderly generation, McKay 1998): a
 representative p of level s is extended only at root-free vertices v >=
@@ -83,17 +83,24 @@ made. On twins it is the ids, as nearest-first measured worse
 How a child is looked up depends on the symmetry. Without it the child
 is looked up as it is. Under a group of at most GROUP_SIZE_CAP
 permutations, the builder keeps beside each level of representatives
-the set of all their orbit members, so a child is looked up as it is,
-with no canonicalization. A representative carries its images under
-the group but the identity, packed as one integer: the key of image k,
-holding p(v) pebbles on perm_k(v), sits in lane k, one guard bit wider
-than a key. Those of p + e_v are one addition away, of the units of
-every perm_k(v) in their lanes. They are computed before a candidate
-q is decided, to tell whether it is its orbit's maximum: q copied into
-every lane with the guard bits set, less the images, keeps every guard
-bit exactly when q is at least each image, and no borrow crosses a
-lane (_ImageLanes). When q is unsolvable, it and its images become
-members of the next level, unpacked from their lanes once.
+the set of their orbit members above the floor, so a child is looked
+up as it is, with no canonicalization, unless it is below the floor:
+then it is unsolvable, root-free and below the caps (a root pebble or
+a stack is above the floor), so in level s, and the floor holds on
+whole orbits (the symmetries fix r, so they permute its neighbours a
+and keep d'). Its floor lanes are q's less the move's change, keyed by
+delta(u, v), a difference of two distinct powers of two (a non-root
+field is 2 bits wide or more), which names the move. A representative
+carries its images under the group but the identity, packed as one
+integer: the key of image k, holding p(v) pebbles on perm_k(v), sits in
+lane k, one guard bit wider than a key. Those of p + e_v are one
+addition away, of the units of every perm_k(v) in their lanes. They are
+computed before a candidate q is decided, to tell whether it is its
+orbit's maximum: q copied into every lane with the guard bits set, less
+the images, keeps every guard bit exactly when q is at least each
+image, and no borrow crosses a lane (_ImageLanes). When q is
+unsolvable and above the floor, it and its images become members of
+the next level, unpacked from their lanes once.
 Under block symmetry a move out of a block yields the block-sorted
 child directly: the two source pebbles come off the last vertex of their
 run of equal counts (one of them off the last vertex of the next run
@@ -226,10 +233,12 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     DownSet summary is kept.
 
     The greatest member of the last level, pi's witness, is re-verified
-    once per build on ``solver``, the graph's shared solver, from an
-    empty memo under a fresh budget of the same limits; the builder
-    writes no memo entries, so the check leans on neither it nor earlier
-    queries, and its nodes count in ``solver.stats``. Once it passes, the
+    once per build: the floor verdict the build leans on, derived again
+    from its definition, must match the solver's lanes, and it is
+    decided on ``solver``, the graph's shared solver, from an empty memo
+    under a fresh budget of the same limits; the builder writes no memo
+    entries, so the check leans on neither it nor earlier queries, and
+    its nodes count in ``solver.stats``. Once it passes, the
     memo set aside joins the re-check's. Cached on the graph only once
     complete and checked: a resource limit hit part-way (running out of
     memory is one) or a failed check leaves no summary and ``solver.memo``
@@ -254,6 +263,16 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         # only; else the key's fields are in the ids' order
         unpack = _layout(g, kind)[2]
         witness = max(perm(c) for c in map(unpack, last) for perm in data) if kind == "group" else unpack(max(last))
+        above = False  # the floor from its definition: Phi_a >= 2 for a root neighbour a
+        for a in g.neighbors[g.root]:
+            seen, ring, phi, d = {g.root, a}, {a}, Fraction(0), 0
+            while ring:  # the vertices at distance d from a in G - r
+                phi, d = phi + Fraction(sum(map(witness.__getitem__, ring)), 1 << d), d + 1
+                ring = {y for x in ring for y in g.neighbors[x]} - seen
+                seen |= ring
+            above = above or phi >= 2
+        if above != bool(solver._base + sum(map(mul, witness, solver._lanes)) & solver._high):
+            raise InternalError("internal error: the solver's floor disagrees with its definition on the witness")
         solver.memo = {}
         if solver.begin(solver.limits).decide(witness):
             raise InternalError("internal error: witness re-verification failed")
@@ -312,11 +331,12 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
-    is looked up once level s+1 is built: each p + e_v below the caps
+    is tested once level s+1 is built: each p + e_v below the caps
     that stays block-sorted (the first vertex of a run of equal counts
-    stands for its twins in the run) among the next level's members,
-    all their images under a group. It is maximal when every lookup
-    misses.
+    stands for its twins in the run) is unsolvable when it is among the
+    next level's members or, under a group (whose members are only the
+    images above the floor), below the floor. It is maximal when no
+    p + e_v is.
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
@@ -345,20 +365,21 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # an unsolvable configuration most often stays unsolvable
     far = sorted(top, key=lambda t: -dist[t[0]])
 
-    group = data if kind == "group" else ()
-    if group:
-        lanes = _ImageLanes(group, unit, dist)
-        lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
-        one_lane = len(group) == 2
-
     # the solver's floor: a configuration whose lanes (the sum of its
     # counts times weight) set no bit of high is unsolvable
     weight, high = solver._lanes, solver._high
 
+    group = data if kind == "group" else ()
+    if group:
+        lanes = _ImageLanes(group, unit, dist)
+        lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
+        # each move's change of the floor lanes, keyed by its delta
+        lane_change = {2 * unit[a] - unit[t]: 2 * weight[a] - weight[t] for a, t in solver._moves if a != g.root}
+
     stats, node_cap = solver.stats, solver._node_cap
     nodes, above = stats.nodes, stats.above_floor
     reps = {0: ((), 0, 0)}
-    members = reps if not group else {0}
+    members = reps if not group else set()
     while reps:
         yield reps.keys()
         solver.check_deadline()
@@ -392,27 +413,26 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                         else:
                             moves = ()
                         for d in moves:
-                            if q - d not in members:
+                            if q - d not in members and (not group or q_phi - lane_change[d] & high):
                                 break
                         else:
                             nxt[q] = (q_legal, q_images, q_phi)
                             extended = True
-                            if group:
+                            if group and q_phi & high:
                                 nxt_members.add(q)
-                                if one_lane:
-                                    nxt_members.add(q_images)
-                                else:
-                                    nxt_members.update(unpack_lanes(q_images))
+                                nxt_members.update(unpack_lanes(q_images))
                 if c:
                     break
             if not extended:
                 pending.append(p)
         stats.nodes, stats.above_floor = nodes, above
         for p in pending:
+            phi = reps[p][2] if group else None
             for v, sh, mask, cap, prev_sh in far:
                 c = p >> sh & mask
-                if c < cap and (prev_sh is None or p >> prev_sh & mask > c) and p + unit[v] in nxt_members:
-                    break
+                if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
+                    if p + unit[v] in nxt_members or group and not phi + weight[v] & high:
+                        break
             else:
                 maximal.append(unpack(p))
         reps = nxt

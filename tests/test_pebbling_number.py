@@ -246,6 +246,21 @@ class TestWitnessCheckMemo:
         assert solver.memo is memo and memo == before
         assert "down_set" not in g._cache
 
+    def test_a_loosened_floor_fails_the_check(self):
+        # a planted fault: the floor's threshold raised from 2 to 4 on C5.
+        # The build then admits solvable configurations below it and ends
+        # at a wrong pi, and the witness's decide reads the same floor, so
+        # only the floor derived again from its definition catches it
+        # (on a copy: the family's graph, and so its solver, is shared)
+        g = pb.build_graph(5, pb.cycle_graph(5).edges, 0)
+        solver = engine.shared_solver(g)
+        solver._high &= solver._high << 1
+        loose = builder_levels(g, solver)
+        assert len(loose) == 9 and any(naive_solvable(g, c) for c in loose[-1])
+        with pytest.raises(InternalError, match="floor disagrees with its definition"):
+            pb.pi_rooted(g)
+        assert "down_set" not in g._cache
+
 
 def _adjacent_twin_graphs():
     """Graphs with adjacent twins, so a move can stay inside one block,
@@ -401,6 +416,35 @@ class TestAgainstReferenceBuilder:
                 assert set().union(*map(orbit_of, down.maximal)) == maximal_elements(full), (g.edges, h)
                 assert down.witness == max(full[-1]), (g.edges, h)
             assert levels == reduced, (g.edges, g.root)
+
+    def test_mixed_floors_under_a_group(self):
+        # under a group the level sets keep only the members above the
+        # floor; on these graphs the root has several neighbours, so the
+        # floor has several lanes, and representatives fall on both sides
+        # of it: Q3 (57 of 85 below) and seeded random graphs
+        def mixed(g):
+            if engine._symmetry_mode(g)[0] != "group" or len(g.neighbors[g.root]) < 2:
+                return False
+            engine._down_set(g, pb.Solver(g))
+            _, reps, _, below = engine.down_set_sizes(g)
+            return 0 < below < reps
+
+        q3 = pb.hypercube(3)
+        rng = random.Random(41_041)
+        graphs = [pb.build_graph(q3.vertex_count, q3.edges, q3.root)]
+        while len(graphs) < 6:
+            g = random_connected_graph(rng, n_min=5, n_max=8)
+            if mixed(g):
+                graphs.append(g)
+        for g in graphs:
+            assert mixed(g), (g.edges, g.root)
+            down = g._cache["down_set"]
+            full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
+            orbit_of = symmetry_orbit(g)
+            orbits = tuple(set().union(*map(orbit_of, level)) for level in builder_levels(g))
+            assert orbits == full, (g.edges, g.root)
+            assert set().union(*map(orbit_of, down.maximal)) == maximal_elements(full), (g.edges, g.root)
+            assert down.witness == max(full[-1]), (g.edges, g.root)
 
 
 def _image_lanes(g):
