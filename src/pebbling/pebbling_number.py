@@ -26,9 +26,10 @@ nothing else: vertex v owns a field of d(v,r)+1 bits
 builder's order under a group and in the ids' otherwise. No field
 carries into the next (none holds more than 2^d(v,r)), so integer order
 is lexicographic order in that order, and a count is read off its field
-with a shift and a mask. The builder yields each level as its keys;
-only what leaves it is decoded into counts tuples: the last level, for
-the witness, and the maximal representatives.
+with a shift and a mask. The builder yields each level as its keys and
+its runs' (below); only what leaves it is decoded into counts tuples:
+the last level, for the witness, and the maximal representatives, when
+first read.
 
 Each candidate is decided by one step on level s, with no search. A
 candidate below the solver's floor is admitted outright, with no
@@ -142,9 +143,34 @@ contradiction. The source move found has a child in the orbit of one
 looked up (transpose v with its block's first vertex and a with the end
 of its run), so that lookup finds q solvable.
 
+Runs. Let v0 be the last vertex of the builder's order (under blocks
+the last non-root id, else the farthest, ties to the larger id). A
+candidate q at v0 has one extension, q + e_v0, so q, q + e_v0, ..., q +
+k e_v0 is a path of the generation tree. When q is admitted below the
+floor and q + e_v0 would be too, the builder admits this run in one
+step, as each admission test is monotone along it: v0's cap and the
+count of the twin before v0 bound v0's count, the lanes only grow, and
+once a member is not its orbit's maximum no later one is (q - e_L of an
+orbit maximum is one). So k, the largest count passing all four, is
+found by bisection in at most d(v0) + 1 steps (k is near 2^d(v0) on a
+long path). A run is one record until its last level, its members in no
+level dict or member set; its last member is decided on with its
+level's keys, each other has the next as its extension. Outside a
+group, a child missing from its level is unsolvable exactly when it is
+a run member, which holds a pebble on v0 and is below the floor, so the
+floor decides such a child. Its lanes are q's less the move's change,
+keyed by the delta, which names it: a delta is 2^a + 2^a' - 2^b, a and
+a' the source fields' offsets in one block (a = a' from outside the
+blocks), b the target's, outside it. Two moves with one delta give 2^a
++ 2^a' + 2^b' = 2^c + 2^c' + 2^b; two multisets of three exponents with
+one sum hold two pairs of adjacent exponents between them, and only the
+root's field is 1 bit wide, so the multisets are one, two of its three
+in the source block: the same move (_block_deltas checks it).
+
 Each candidate decided counts as one search node against the solver's
-limits, whose deadline is also read once per level. A limit hit
-part-way reports the complete levels, a proven lower bound on pi.
+limits (a run's members at once: a cap may trip a run early), whose
+deadline is also read once per level. A limit hit part-way reports the
+complete levels, a proven lower bound on pi.
 
 The symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph, and
@@ -166,10 +192,11 @@ checks on one graph reuse one enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, mul
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .configurations import Configuration
 from .errors import BadParameterError, InternalError, ResourceLimitError
@@ -213,17 +240,19 @@ def _symmetry_mode(g: Graph, solver: Solver | None = None):
     return cache["symmetry_mode"]
 
 
-class DownSet(NamedTuple):
-    """What a graph keeps of its down-set (see the module docstring):
-    the number of levels (pi), of representatives built, the greatest
-    member of the last level (pi's witness) and the maximal
-    representatives."""
+class DownSet:
+    """What a graph keeps of its down-set (see the module docstring): the
+    number of levels (pi), of representatives built and of those below the
+    floor, the greatest member of the last level (pi's witness) and the
+    maximal representatives, packed ``keys`` decoded on the first read."""
 
-    levels: int
-    representatives: int
-    below_floor: int
-    witness: tuple[int, ...]
-    maximal: tuple[tuple[int, ...], ...]
+    def __init__(self, levels: int, representatives: int, below_floor: int, witness: tuple[int, ...], keys: tuple[int, ...], unpack):
+        self.levels, self.representatives, self.below_floor, self.witness = levels, representatives, below_floor, witness
+        self.keys, self.unpack = keys, unpack
+
+    @cached_property
+    def maximal(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(self.unpack, self.keys))
 
 
 def _down_set(g: Graph, solver: Solver) -> DownSet:
@@ -250,7 +279,7 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     kind, data = _symmetry_mode(g, solver)
     levels = representatives = 0
     nodes, above = solver.stats.nodes, solver.stats.above_floor
-    maximal: list[tuple[int, ...]] = []
+    maximal: list[int] = []
     kept = solver.memo
     try:
         for level in _levels(g, solver, maximal):
@@ -286,7 +315,7 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         # raised after the handler, whose traceback holds the half-built level
         maximal = last = level = None
     else:
-        cache["down_set"] = down = DownSet(levels, representatives, below, witness, tuple(maximal))
+        cache["down_set"] = down = DownSet(levels, representatives, below, witness, tuple(maximal), unpack)
         return down
     finally:
         solver.memo = kept
@@ -299,7 +328,7 @@ def down_set_sizes(g: Graph) -> tuple[int, int, int, int]:
     """The levels, representatives, maximal representatives and
     representatives below the floor of the down-set cached on g."""
     down = g._cache["down_set"]
-    return down.levels, down.representatives, len(down.maximal), down.below_floor
+    return down.levels, down.representatives, len(down.keys), down.below_floor
 
 
 def _layout(g: Graph, kind: str):
@@ -319,43 +348,47 @@ def _layout(g: Graph, kind: str):
 def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     """Yield the levels, each the packed keys of its orbit
     representatives, generated in order and looked up as keys (see the
-    module docstring); once level s+1 is built, append the counts of
-    level s's maximal representatives, decoded, to ``maximal``.
+    module docstring): a _Level, a level dict's keys and its runs'
+    members; once level s+1 is built, append the keys of level s's
+    maximal representatives to ``maximal``.
 
-    A level maps each key to its legal moves' deltas, the solver's floor
-    lanes and, under a group, its images packed in the lanes of one
+    A level dict maps each key to its legal moves' deltas, the solver's
+    floor lanes and, under a group, its images packed in the lanes of one
     integer (_ImageLanes), so an extension costs additions and its
     orbit-maximum test and a child one subtraction each. A count is read
     off its field of the key with a shift and a mask. The candidates
-    looked up, above the floor, count in ``solver.stats.above_floor``.
+    looked up, above the floor, count in ``solver.stats.above_floor``,
+    and the members admitted in runs in ``solver.stats.in_runs``.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
     is tested once level s+1 is built: each p + e_v below the caps
     that stays block-sorted (the first vertex of a run of equal counts
     stands for its twins in the run) is unsolvable when it is among the
-    next level's members or, under a group (whose members are only the
-    images above the floor), below the floor. It is maximal when no
-    p + e_v is.
+    next level's members or below the floor, outside a group only with a
+    pebble on v0 (a run member). It is maximal when no p + e_v is.
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
     dist = distances_from(g, g.root)
-    order, unit, unpack = _layout(g, kind)
+    order, unit, _ = _layout(g, kind)
     targets: list[list[int]] = [[] for _ in range(n)]
     for a, t in solver._moves:
         targets[a].append(t)
     blocks = data if kind == "blocks" else ()
     # a move into a block lands on its first vertex; none stays inside one
     head = {v: block[0] for block in blocks for v in block}
-    lands = [
-        tuple(dict.fromkeys(unit[head.get(t, t)] for t in targets[a] if head.get(t, t) != head.get(a, a)))
-        for a in range(n)
-    ]
+    lands = [tuple(dict.fromkeys(head.get(t, t) for t in targets[a] if head.get(t, t) != head.get(a, a))) for a in range(n)]
     # the moves from outside the blocks; _block_deltas derives the others
-    delta = [() if a in head else tuple(2 * unit[a] - t for t in lands[a]) for a in range(n)]
+    delta = [() if a in head else tuple(2 * unit[a] - unit[t] for t in lands[a]) for a in range(n)]
     shift = [u.bit_length() - 1 for u in unit]
-    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit, shift, dist) if blocks else None
+
+    # the solver's floor: a configuration whose lanes (the sum of its counts
+    # times weight) set no bit of high is unsolvable; each move's change of
+    # the lanes, keyed by its delta (_block_deltas adds the block moves')
+    weight, high = solver._lanes, solver._high
+    lane_change = {2 * unit[a] - unit[t]: 2 * weight[a] - weight[t] for a, t in solver._moves if a != g.root}
+    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit, shift, dist, weight, lane_change) if blocks else None
     prev = {v: shift[u] for block in blocks for u, v in zip(block, block[1:])}
     # descending in the builder's order, so the walk over p can stop at
     # last(p): each vertex with its field's shift and mask, its cap and
@@ -364,30 +397,36 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # maximality lookups go farthest vertex first, where an extension of
     # an unsolvable configuration most often stays unsolvable
     far = sorted(top, key=lambda t: -dist[t[0]])
-
-    # the solver's floor: a configuration whose lanes (the sum of its
-    # counts times weight) set no bit of high is unsolvable
-    weight, high = solver._lanes, solver._high
+    # runs go along the last vertex v0 (module docstring); one vertex has none
+    v0, sh0, mask0 = top[0][:3] if top else (g.root, 0, 0)
+    u0, w0 = unit[v0], weight[v0]
 
     group = data if kind == "group" else ()
     if group:
         lanes = _ImageLanes(group, unit, dist)
         lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
-        # each move's change of the floor lanes, keyed by its delta
-        lane_change = {2 * unit[a] - unit[t]: 2 * weight[a] - weight[t] for a, t in solver._moves if a != g.root}
+    lift0 = lift[v0] if group else 0
 
     stats, node_cap = solver.stats, solver._node_cap
-    nodes, above = stats.nodes, stats.above_floor
+    nodes, above, in_runs = stats.nodes, stats.above_floor, stats.in_runs
     reps = {0: ((), 0, 0)}
     members = reps if not group else set()
-    while reps:
-        yield reps.keys()
+    # each run as (first member, its size, legal moves, images, lanes, its
+    # count on v0, the last member's), by the size of its last member
+    runs: dict[int, list[tuple]] = {}
+    size = alive = 0
+    while reps or alive:
+        ending = runs.pop(size, [])
+        yield _Level(reps.keys(), [ending, *runs.values()], size, u0, len(reps) + alive)
         solver.check_deadline()
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
-        # the representatives with no admitted extension
+        # the representatives with no admitted extension, with their lanes
         pending = []
-        for p, (legal, images, phi) in reps.items():
+        # a run's last member is decided on with the level's keys
+        ends = ((first + (k - c) * u0, (legal + delta[v0] if c == 1 else legal, images + (k - c) * lift0, phi + (k - c) * w0))
+                for first, _, legal, images, phi, c, k in ending)
+        for p, (legal, images, phi) in chain(reps.items(), ends):
             extended = False
             for v, sh, mask, cap, prev_sh in top:
                 c = p >> sh & mask
@@ -404,39 +443,70 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                         if nodes > node_cap or not nodes & 4095:
                             stats.nodes = nodes
                             solver._check_limits()
-                        # below the floor q is unsolvable outright, else
-                        # one lookup per legal move in the level below;
-                        # a child missing from it makes q solvable
                         if q_phi & high:
+                            # one lookup per legal move in the level below; a child missing
+                            # from it makes q solvable unless below the floor (runs hold v0)
                             above += 1
-                            moves = chain(q_legal, *block_deltas(q)) if blocks else q_legal
+                            for d in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
+                                if q - d not in members and (not group and not q - d >> sh0 & mask0 or q_phi - lane_change[d] & high):
+                                    break
+                            else:
+                                nxt[q] = (q_legal, q_images, q_phi)
+                                extended = True
+                                if group:
+                                    nxt_members.add(q)
+                                    nxt_members.update(unpack_lanes(q_images))
                         else:
-                            moves = ()
-                        for d in moves:
-                            if q - d not in members and (not group or q_phi - lane_change[d] & high):
-                                break
-                        else:
-                            nxt[q] = (q_legal, q_images, q_phi)
+                            # below the floor q is unsolvable outright; at v0 so is each
+                            # q + j e_v0 up to the last passing the caps, floor and orbit test
                             extended = True
-                            if group and q_phi & high:
-                                nxt_members.add(q)
-                                nxt_members.update(unpack_lanes(q_images))
+                            lo, hi = 0, (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1 if v == v0 else 0
+                            while lo < hi:
+                                j = (lo + hi + 1) >> 1
+                                if q_phi + j * w0 & high or group and ((q + j * u0) * spread | guards) - (q_images + j * lift0) & guards != guards:
+                                    hi = j - 1
+                                else:
+                                    lo = j
+                            if lo:
+                                nodes += lo
+                                if nodes > node_cap or nodes >> 12 != nodes - lo >> 12:
+                                    stats.nodes = nodes
+                                    solver._check_limits()
+                                runs.setdefault(size + 1 + lo, []).append((q, size + 1, q_legal, q_images, q_phi, c + 1, c + 1 + lo))
+                                alive += 1
+                                in_runs += lo + 1
+                            else:
+                                nxt[q] = (q_legal, q_images, q_phi)
                 if c:
                     break
             if not extended:
-                pending.append(p)
-        stats.nodes, stats.above_floor = nodes, above
-        for p in pending:
-            phi = reps[p][2] if group else None
+                pending.append((p, phi))
+        stats.nodes, stats.above_floor, stats.in_runs = nodes, above, in_runs
+        for p, phi in pending:
             for v, sh, mask, cap, prev_sh in far:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
-                    if p + unit[v] in nxt_members or group and not phi + weight[v] & high:
+                    q = p + unit[v]
+                    if q in nxt_members or (group or q >> sh0 & mask0) and not phi + weight[v] & high:
                         break
             else:
-                maximal.append(unpack(p))
-        reps = nxt
-        members = nxt_members
+                maximal.append(p)
+        reps, members, size, alive = nxt, nxt_members, size + 1, alive - len(ending)
+
+
+class _Level:
+    """A level as _levels yields it: its explicit keys, then the member of
+    each run alive in it (in the buckets of ``runs``); ``count`` is its length."""
+
+    def __init__(self, keys, runs, size, step, count):
+        self.keys, self.runs, self.size, self.step, self.count = keys, runs, size, step, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[int]:
+        at = self.size
+        return chain(self.keys, (first + (at - start) * self.step for bucket in self.runs for first, start, *_ in bucket if start <= at))
 
 
 class _ImageLanes:
@@ -473,13 +543,14 @@ class _ImageLanes:
         return (q * self.spread | self.guards) - images & self.guards == self.guards
 
 
-def _block_deltas(blocks, lands, unit, shift, dist):
+def _block_deltas(blocks, lands, unit, shift, dist, weight, lane_change):
     """Return block_deltas(q), which gives, for a block-sorted packed
     key q, one list per block of the deltas q - child of q's moves out of
     it: one source per run of equal counts of at least 2, paired with
-    each landing unit of the block in ``lands`` (see the module
+    each landing vertex of the block in ``lands`` (see the module
     docstring). A list is cached on the bits of q that span its block's
-    fields, which hold its counts."""
+    fields, which hold its counts. A delta's change of the floor lanes
+    (``weight``) joins ``lane_change`` when the delta is first formed."""
     spans = []
     for block, landing in zip(blocks, lands):
         # twins share a distance, so their fields share a width
@@ -502,8 +573,12 @@ def _block_deltas(blocks, lands, unit, shift, dist):
                         break
                     # the source pebbles come off the end of the run, one
                     # of them off the end of the run of x-1 if there is one
-                    sub = unit[j] + unit[last.get(x - 1, j)]
-                    deltas += [sub - t for t in landing]
+                    i = last.get(x - 1, j)
+                    for t in landing:
+                        d, change = unit[j] + unit[i] - unit[t], weight[j] + weight[i] - weight[t]
+                        if lane_change.setdefault(d, change) != change:
+                            raise InternalError("internal error: a block move's delta names two changes of the floor")
+                        deltas.append(d)
             out.append(deltas)
         return out
 

@@ -117,6 +117,7 @@ class SolveStats:
     nodes: int = 0
     memo_hits: int = 0
     above_floor: int = 0  # candidates the down-set builder looked up
+    in_runs: int = 0  # members the down-set builder admitted in runs
 
 
 @dataclass(frozen=True)

@@ -135,6 +135,20 @@ class TestPiRooted:
             assert 1 <= caught.value.pi_lower < 21, engine._symmetry_mode(g)
         assert ResourceLimitError("plain cap").pi_lower is None
 
+    def test_cap_inside_a_run(self):
+        # on P6 a run's members are counted at once, so the cap trips part
+        # way through one, past its first excess node; the complete levels
+        # still bound pi from below and nothing is cached
+        p6 = pb.path_graph(6)
+        p6._cache.clear()
+        solver = engine.shared_solver(p6)
+        start = solver.stats.nodes
+        with pytest.raises(ResourceLimitError) as caught:
+            pb.pi_rooted(p6, limits=pb.SearchLimits(max_nodes=10_000))
+        assert 1 <= caught.value.pi_lower < 64
+        assert solver.stats.nodes - start > 10_001
+        assert "down_set" not in p6._cache
+
     def test_cap_in_the_witness_check_reports_every_level(self):
         # the re-check of pi's witness from an empty memo outgrows the
         # build on the Theorem 3 lollipop (n = 1, m = 6), so a cap between
@@ -344,8 +358,10 @@ class TestMaximalRepresentatives:
         c9 = pb.cycle_graph(9)
         c9._cache.clear()
         down = engine._down_set(c9, pb.Solver(c9))
+        # the maximal representatives stay packed keys until first read
+        assert engine.down_set_sizes(c9) == (21, 7_572, 612, 7_572) and "maximal" not in vars(down)
         assert (down.levels, down.representatives, len(down.maximal)) == (21, 7_572, 612)
-        assert engine.down_set_sizes(c9) == (21, 7_572, 612, 7_572)
+        assert down.maximal is down.maximal
         levels = builder_levels(c9)
         assert (len(levels), sum(map(len, levels))) == (21, 7_572)
         assert down.witness == max(set().union(*map(symmetry_orbit(c9), levels[-1])))
@@ -371,6 +387,16 @@ class TestMaximalRepresentatives:
             assert (build_nodes(g), down.representatives, len(down.maximal)) == sizes, kind
 
 
+def _spider(*legs):
+    """The spider rooted at its centre 0, with a leg of each length."""
+    edges, n = [], 1
+    for length in legs:
+        for k in range(length):
+            edges.append((n - 1 if k else 0, n))
+            n += 1
+    return pb.build_graph(n, edges, root=0)
+
+
 def _relabeled_from_file(g, seed):
     """A seeded relabeling of g, read back through the file format: its
     symmetry is found from its edges, as a generated graph's is."""
@@ -382,6 +408,56 @@ def _relabeled_from_file(g, seed):
 
 def _relabeled_path_from_file(k, seed):
     return _relabeled_from_file(pb.path_graph(k), seed)
+
+
+class TestRuns:
+    """The members below the floor that follow one another along the
+    builder's last vertex are admitted as one run each and kept in no
+    level dict (see the module docstring); they must come out as the
+    members one at a time did."""
+
+    def test_members_admitted_in_runs(self):
+        # a change that stops making runs changes these counts
+        cases = (
+            (pb.path_graph(6), "none", 23_718),
+            (pb.cycle_graph(9), "group", 5_749),
+            (pb.rooted_cube(4), "group", 353),
+            # the last vertex is a twin held to its block's order
+            (pb.lollipop(3), "blocks", 0),
+        )
+        for g, kind, in_runs in cases:
+            assert engine._symmetry_mode(g)[0] == kind
+            solver = pb.Solver(g)
+            builder_levels(g, solver)
+            assert solver.stats.in_runs == in_runs, kind
+
+    def test_levels_match_the_full_reference_in_every_mode(self):
+        cases = (
+            # twin root neighbours 1 and 2, so the floor lanes differ across the block
+            (_spider(1, 1, 3), "blocks", 54),
+            # the last vertex, 5, is a twin of 4
+            (pb.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], root=0), "blocks", 242),
+            (_spider(3, 3), "group", 267),
+            (_relabeled_path_from_file(6, 104_729), "none", 23_718),
+        )
+        for g, kind, in_runs in cases:
+            g._cache.clear()
+            assert engine._symmetry_mode(g)[0] == kind
+            full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
+            solver = pb.Solver(g)
+            unpack = engine._layout(g, kind)[2]
+            orbit_of = symmetry_orbit(g)
+            levels = []
+            for level in engine._levels(g, solver, []):
+                keys = list(level)
+                # a level's length counts its run members without building them
+                assert len(level) == len(set(keys)) == len(keys), (g.edges, len(levels))
+                levels.append(set().union(*(orbit_of(unpack(key)) for key in keys)))
+            assert solver.stats.in_runs == in_runs, g.edges
+            assert tuple(levels) == full, g.edges
+            down = engine._down_set(g, pb.Solver(g))
+            assert set().union(*map(orbit_of, down.maximal)) == maximal_elements(full), g.edges
+            assert down.witness == max(full[-1]), g.edges
 
 
 class TestAgainstReferenceBuilder:
