@@ -52,13 +52,14 @@ holds a stack of 2^d(v,r) on v, or is a root-free configuration of
 size s below the caps. The first two are solvable and in no level (the
 symmetries fix the root, so they keep distances); the third is
 unsolvable exactly when level s holds it, one representative per
-orbit, by induction on s. So one set lookup decides each move (under
-a group, the floor may stand in for it; below). A child is one subtraction,
-q - delta(u, v) with delta(u, v) = 2^(off(u)+1) - 2^off(v). A level
-maps each key to the deltas of its legal moves from outside the
-blocks: its parent's, plus the new vertex's once it holds 2. The
-deltas of the moves out of a block depend on the block's counts alone,
-so they are cached on the bits of the key that span the block's fields.
+orbit, by induction on s. So one rule decides each move (below). A
+child is one subtraction, q - delta(u, v) with delta(u, v) =
+2^(off(u)+1) - 2^off(v), and its floor lanes are q's less the move's
+change, which each move carries beside its delta. A level maps each key
+to its legal moves from outside the blocks, as these pairs: its
+parent's, plus the new vertex's once it holds 2. The moves out of a
+block depend on the block's counts alone, so they are cached on the
+bits of the key that span the block's fields.
 
 Candidates are generated in order (orderly generation, McKay 1998): a
 representative p of level s is extended only at root-free vertices v >=
@@ -81,17 +82,18 @@ is p's farthest pebble, worth least, so fewer solvable candidates are
 made. On twins it is the ids, as nearest-first measured worse
 (lollipop(3): 55,177 candidates, not 47,836).
 
-How a child is looked up depends on the symmetry. Without it the child
-is looked up as it is. Under a group of at most GROUP_SIZE_CAP
-permutations, the builder keeps beside each level of representatives
-the set of their orbit members above the floor, so a child is looked
-up as it is, with no canonicalization, unless it is below the floor:
-then it is unsolvable, root-free and below the caps (a root pebble or
-a stack is above the floor), so in level s, and the floor holds on
-whole orbits (the symmetries fix r, so they permute its neighbours a
-and keep d'). Its floor lanes are q's less the move's change, keyed by
-delta(u, v), a difference of two distinct powers of two (a non-root
-field is 2 bits wide or more), which names the move. A representative
+One rule decides a child in every regime: it is unsolvable exactly
+when it is below the floor or among level s's members. A child below
+the floor is unsolvable, root-free and below the caps (a root pebble or
+a stack is above the floor), so its orbit is in level s, and the floor
+holds on whole orbits (the symmetries fix r, so they permute its
+neighbours a and keep d'). So a level's members need only cover its
+orbits above the floor, and a child is looked up as it is, with no
+canonicalization. With no symmetry or under blocks they are the level
+dict's keys (a run's members, below, are in none of them). Under a
+group of at most GROUP_SIZE_CAP permutations the builder keeps beside
+each level of representatives the set of their orbit members above the
+floor. A representative
 carries its images under the group but the identity, packed as one
 integer: the key of image k, holding p(v) pebbles on perm_k(v), sits in
 lane k, one guard bit wider than a key. Those of p + e_v are one
@@ -155,17 +157,8 @@ orbit maximum is one). So k, the largest count passing all four, is
 found by bisection in at most d(v0) + 1 steps (k is near 2^d(v0) on a
 long path). A run is one record until its last level, its members in no
 level dict or member set; its last member is decided on with its
-level's keys, each other has the next as its extension. Outside a
-group, a child missing from its level is unsolvable exactly when it is
-a run member, which holds a pebble on v0 and is below the floor, so the
-floor decides such a child. Its lanes are q's less the move's change,
-keyed by the delta, which names it: a delta is 2^a + 2^a' - 2^b, a and
-a' the source fields' offsets in one block (a = a' from outside the
-blocks), b the target's, outside it. Two moves with one delta give 2^a
-+ 2^a' + 2^b' = 2^c + 2^c' + 2^b; two multisets of three exponents with
-one sum hold two pairs of adjacent exponents between them, and only the
-root's field is 1 bit wide, so the multisets are one, two of its three
-in the source block: the same move (_block_deltas checks it).
+level's keys, each other has the next as its extension. Run members
+are below the floor, so the one rule decides a child that is one.
 
 Each candidate decided counts as one search node against the solver's
 limits (a run's members at once: a cap may trip a run early), whose
@@ -267,11 +260,12 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     decided on ``solver``, the graph's shared solver, from an empty memo
     under a fresh budget of the same limits; the builder writes no memo
     entries, so the check leans on neither it nor earlier queries, and
-    its nodes count in ``solver.stats``. Once it passes, the
-    memo set aside joins the re-check's. Cached on the graph only once
-    complete and checked: a resource limit hit part-way (running out of
-    memory is one) or a failed check leaves no summary and ``solver.memo``
-    as it was, and a limit's error carries the levels done as ``pi_lower``.
+    its nodes count in ``solver.stats``. The check's memo is then
+    dropped: ``solver.memo`` is left as it was, whatever the outcome.
+    Cached on the graph only once complete and checked: a resource limit
+    hit part-way (running out of memory is one) or a failed check leaves
+    no summary, and a limit's error carries the levels done as
+    ``pi_lower``.
     """
     cache = g._cache
     if "down_set" in cache:
@@ -305,8 +299,6 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         solver.memo = {}
         if solver.begin(solver.limits).decide(witness):
             raise InternalError("internal error: witness re-verification failed")
-        solver.memo.update(kept)
-        kept = solver.memo
     except ResourceLimitError as exc:
         # levels 0..levels-1 are complete and non-empty
         exc.pi_lower = levels
@@ -352,9 +344,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     members; once level s+1 is built, append the keys of level s's
     maximal representatives to ``maximal``.
 
-    A level dict maps each key to its legal moves' deltas, the solver's
-    floor lanes and, under a group, its images packed in the lanes of one
-    integer (_ImageLanes), so an extension costs additions and its
+    A level dict maps each key to its legal moves, each as its change of
+    the key and of the solver's floor lanes, the key's floor lanes and,
+    under a group, its images packed in the lanes of one integer
+    (_ImageLanes), so an extension costs additions and its
     orbit-maximum test and a child one subtraction each. A count is read
     off its field of the key with a shift and a mask. The candidates
     looked up, above the floor, count in ``solver.stats.above_floor``,
@@ -364,9 +357,9 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     with an admitted extension is not, and needs no lookup. Any other
     is tested once level s+1 is built: each p + e_v below the caps
     that stays block-sorted (the first vertex of a run of equal counts
-    stands for its twins in the run) is unsolvable when it is among the
-    next level's members or below the floor, outside a group only with a
-    pebble on v0 (a run member). It is maximal when no p + e_v is.
+    stands for its twins in the run) is unsolvable when it is below the
+    floor or among the next level's members. It is maximal when no p + e_v
+    is.
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
@@ -379,16 +372,14 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # a move into a block lands on its first vertex; none stays inside one
     head = {v: block[0] for block in blocks for v in block}
     lands = [tuple(dict.fromkeys(head.get(t, t) for t in targets[a] if head.get(t, t) != head.get(a, a))) for a in range(n)]
-    # the moves from outside the blocks; _block_deltas derives the others
-    delta = [() if a in head else tuple(2 * unit[a] - unit[t] for t in lands[a]) for a in range(n)]
-    shift = [u.bit_length() - 1 for u in unit]
-
     # the solver's floor: a configuration whose lanes (the sum of its counts
-    # times weight) set no bit of high is unsolvable; each move's change of
-    # the lanes, keyed by its delta (_block_deltas adds the block moves')
+    # times weight) set no bit of high is unsolvable
     weight, high = solver._lanes, solver._high
-    lane_change = {2 * unit[a] - unit[t]: 2 * weight[a] - weight[t] for a, t in solver._moves if a != g.root}
-    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit, shift, dist, weight, lane_change) if blocks else None
+    # each move from outside the blocks as its change of the key and of the
+    # lanes; _block_deltas derives the others
+    delta = [() if a in head else tuple((2 * unit[a] - unit[t], 2 * weight[a] - weight[t]) for t in lands[a]) for a in range(n)]
+    shift = [u.bit_length() - 1 for u in unit]
+    block_deltas = _block_deltas(blocks, [lands[block[0]] for block in blocks], unit, shift, dist, weight) if blocks else None
     prev = {v: shift[u] for block in blocks for u, v in zip(block, block[1:])}
     # descending in the builder's order, so the walk over p can stop at
     # last(p): each vertex with its field's shift and mask, its cap and
@@ -398,7 +389,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # an unsolvable configuration most often stays unsolvable
     far = sorted(top, key=lambda t: -dist[t[0]])
     # runs go along the last vertex v0 (module docstring); one vertex has none
-    v0, sh0, mask0 = top[0][:3] if top else (g.root, 0, 0)
+    v0 = top[0][0] if top else g.root
     u0, w0 = unit[v0], weight[v0]
 
     group = data if kind == "group" else ()
@@ -444,11 +435,11 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             stats.nodes = nodes
                             solver._check_limits()
                         if q_phi & high:
-                            # one lookup per legal move in the level below; a child missing
-                            # from it makes q solvable unless below the floor (runs hold v0)
+                            # one lookup per legal move in the level below: a child
+                            # missing from its members makes q solvable when above the floor
                             above += 1
-                            for d in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
-                                if q - d not in members and (not group and not q - d >> sh0 & mask0 or q_phi - lane_change[d] & high):
+                            for d, change in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
+                                if q_phi - change & high and q - d not in members:
                                     break
                             else:
                                 nxt[q] = (q_legal, q_images, q_phi)
@@ -487,7 +478,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
                     q = p + unit[v]
-                    if q in nxt_members or (group or q >> sh0 & mask0) and not phi + weight[v] & high:
+                    if not phi + weight[v] & high or q in nxt_members:
                         break
             else:
                 maximal.append(p)
@@ -543,15 +534,16 @@ class _ImageLanes:
         return (q * self.spread | self.guards) - images & self.guards == self.guards
 
 
-def _block_deltas(blocks, lands, unit, shift, dist, weight, lane_change):
+def _block_deltas(blocks, lands, unit, shift, dist, weight):
     """Return block_deltas(q), which gives, for a block-sorted packed
-    key q, one list per block of the deltas q - child of q's moves out of
-    it: one source per run of equal counts of at least 2, paired with
-    each landing vertex of the block in ``lands`` (see the module
-    docstring). A list is cached on the bits of q that span its block's
-    fields, which hold its counts. A delta's change of the floor lanes
-    (``weight``) joins ``lane_change`` when the delta is first formed."""
-    spans = []
+    key q, one list per block of q's moves out of it, each as its change
+    q - child of the key and its change of the floor lanes (``weight``):
+    one source per run of equal counts of at least 2, paired with each
+    landing vertex of the block in ``lands`` (see the module docstring).
+    A list is cached on the bits of q that span its block's fields, which
+    hold its counts; the pairs from one source (j, i), built once, are
+    shared by every list that holds them."""
+    spans, moves = [], {}
     for block, landing in zip(blocks, lands):
         # twins share a distance, so their fields share a width
         low, width = min(map(shift.__getitem__, block)), dist[block[0]] + 1
@@ -574,11 +566,9 @@ def _block_deltas(blocks, lands, unit, shift, dist, weight, lane_change):
                     # the source pebbles come off the end of the run, one
                     # of them off the end of the run of x-1 if there is one
                     i = last.get(x - 1, j)
-                    for t in landing:
-                        d, change = unit[j] + unit[i] - unit[t], weight[j] + weight[i] - weight[t]
-                        if lane_change.setdefault(d, change) != change:
-                            raise InternalError("internal error: a block move's delta names two changes of the floor")
-                        deltas.append(d)
+                    if (j, i) not in moves:
+                        moves[j, i] = tuple((unit[j] + unit[i] - unit[t], weight[j] + weight[i] - weight[t]) for t in landing)
+                    deltas += moves[j, i]
             out.append(deltas)
         return out
 

@@ -70,7 +70,6 @@ import numbers
 import os
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import mul
 
 from .configurations import Configuration, apply_moves
@@ -125,17 +124,6 @@ class SolveOutcome:
     solvable: bool
     witness: tuple[Move, ...] | None
     stats: SolveStats
-
-
-def potential(g: Graph, p: Configuration) -> Fraction:
-    """sum over vertices of p(v) * 2^-d(v, root), exactly."""
-    if p.graph is not g:
-        raise BadParameterError("configuration belongs to a different graph")
-    dist = distances_from(g, g.root)
-    return sum(
-        (Fraction(c, 1 << dist[v]) for v, c in enumerate(p.counts) if c),
-        start=Fraction(0),
-    )
 
 
 def packed_units(dist: tuple[int, ...], target: int = 1, order=None) -> tuple[int, ...]:

@@ -24,7 +24,8 @@ and reference_decide the earlier tuple-keyed Solver.decide, whose
 verdicts, node counts, memo hits and memo size the packed-key search
 must reproduce. Both prune with reference_floor, the solver's floor
 written out from its definition in Fractions, which borrows nothing
-from the solver. twin_transpositions
+from the solver; reference_potential writes out the distance potential
+in Fractions for the tests that read it. twin_transpositions
 finds the interchangeable vertices by applying every root-fixing
 transposition to the edge set, root_fixing_automorphisms asks networkx
 for the graph's root-fixing automorphism group, and symmetry_orbit
@@ -213,6 +214,13 @@ def maximal_elements(levels):
     return out
 
 
+def reference_potential(g, counts):
+    """The distance potential sum p(v) 2^-d(v,r) of ``counts``, in
+    Fractions."""
+    dist = distances_from(g, g.root)
+    return sum((Fraction(c, 2 ** dist[v]) for v, c in enumerate(counts)), start=Fraction(0))
+
+
 def reference_floor(g, counts, t=1):
     """Whether ``counts`` is below the solver's floor, so unsolvable, from
     the definitions in Fractions. For t = 1: no pebble on the root, and
@@ -221,8 +229,7 @@ def reference_floor(g, counts, t=1):
     unreachable vertices weighing nothing. For t >= 2: the distance
     potential sum p(v) 2^-d(v,r) below t."""
     if t > 1:
-        dist = distances_from(g, g.root)
-        return sum(Fraction(c, 2 ** dist[v]) for v, c in enumerate(counts)) < t
+        return reference_potential(g, counts) < t
     for a in g.neighbors[g.root]:
         far = {a: 0}
         queue = deque([a])

@@ -19,6 +19,7 @@ from conftest import (
     orbit,
     random_connected_graph,
     random_counts,
+    reference_potential,
     reference_unsolvable_levels,
     root_zero_counts,
     stripped,
@@ -176,8 +177,8 @@ def _lollipop_1_6():
 
 class TestWitnessCheckMemo:
     """The witness re-check runs on the graph's shared solver from an
-    empty memo; once it passes, the memo set aside joins its memo, so
-    later queries reuse its verdicts."""
+    empty memo and then drops it, so it leaves the solver's memo as it
+    was, whether it passes, fails or hits a cap."""
 
     def test_the_shared_solver_counts_the_build_and_the_check(self):
         # every member of C9's down-set is below the floor, pi's witness
@@ -225,18 +226,18 @@ class TestWitnessCheckMemo:
         assert engine.shared_solver(g) is solver
         assert solver.memo is memo and memo == before
 
-    def test_earlier_entries_join_the_checks_memo(self):
-        # the re-check starts from an empty memo; the entries set aside
-        # for it are merged into its memo once it passes
+    def test_a_passed_check_hands_nothing_over(self):
+        # the re-check searches from an empty memo and fills it, then the
+        # memo set aside for it is put back as it was
         g = _lollipop_1_6()
         solver = engine.shared_solver(g)
         pb.is_solvable(g, pb.Configuration(g, (0, 0, 1, 3, 1, 1, 1, 0, 0)))
-        before = dict(solver.memo)
+        memo, before = solver.memo, dict(solver.memo)
         witness = pb.pi_rooted(g).witness_unsolvable
         check = pb.Solver(g)
         assert not check.solve(witness).solvable
-        assert before and not before.keys() <= check.memo.keys()
-        assert solver.memo == {**check.memo, **before}
+        assert before and not check.memo.keys() <= before.keys()
+        assert solver.memo is memo and memo == before
 
     def test_the_check_reads_no_earlier_entry(self):
         # a wrong verdict left in the shared memo cannot pass the witness
@@ -261,19 +262,24 @@ class TestWitnessCheckMemo:
         assert "down_set" not in g._cache
 
     def test_a_loosened_floor_fails_the_check(self):
-        # a planted fault: the floor's threshold raised from 2 to 4 on C5.
-        # The build then admits solvable configurations below it and ends
-        # at a wrong pi, and the witness's decide reads the same floor, so
-        # only the floor derived again from its definition catches it
-        # (on a copy: the family's graph, and so its solver, is shared)
-        g = pb.build_graph(5, pb.cycle_graph(5).edges, 0)
-        solver = engine.shared_solver(g)
-        solver._high &= solver._high << 1
-        loose = builder_levels(g, solver)
-        assert len(loose) == 9 and any(naive_solvable(g, c) for c in loose[-1])
-        with pytest.raises(InternalError, match="floor disagrees with its definition"):
-            pb.pi_rooted(g)
-        assert "down_set" not in g._cache
+        # a planted fault: the floor's threshold doubled, in each symmetry
+        # regime (C5 under a group, P5 rooted at an end under none and
+        # lollipop(1, 3) under blocks). The build then admits solvable
+        # configurations below it and ends at a wrong pi, and the witness's
+        # decide reads the same floor, so only the floor derived again
+        # from its definition catches it (on a copy: the family's graph,
+        # and so its solver, is shared)
+        # (pi is 5, 32 and 8)
+        for base, kind, levels in ((pb.cycle_graph(5), "group", 9), (pb.path_graph(5), "none", 47), (pb.lollipop(1, 3), "blocks", 12)):
+            g = pb.build_graph(base.vertex_count, base.edges, base.root)
+            assert engine._symmetry_mode(g)[0] == kind
+            solver = engine.shared_solver(g)
+            solver._high &= solver._high << 1
+            loose = builder_levels(g, solver)
+            assert len(loose) == levels and any(naive_solvable(g, c) for c in loose[-1]), kind
+            with pytest.raises(InternalError, match="floor disagrees with its definition"):
+                pb.pi_rooted(g)
+            assert "down_set" not in g._cache
 
 
 def _adjacent_twin_graphs():
@@ -776,7 +782,7 @@ class TestPotentialFloor:
             assert engine._symmetry_mode(g)[0] == kind
             dist = pb.distances_from(g, g.root)
             q = tuple(int(d == 1) for d in dist)
-            assert pb.potential(g, pb.Configuration(g, q)) == 1
+            assert reference_potential(g, q) == 1
             levels = builder_levels(g)
             assert q in levels[2], kind
             orbit_of = symmetry_orbit(g)
