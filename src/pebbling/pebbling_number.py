@@ -77,10 +77,10 @@ extension only when it is the maximum of its orbit (under block
 symmetry, every extension it generates is), and in every mode each
 candidate decided is a representative and is decided once. That holds
 in any order in which the packed maxima are the orbit maxima. The
-builder's is nearest the root first, ties to the smaller id: last(p)
-is p's farthest pebble, worth least, so fewer solvable candidates are
-made. On twins it is the ids, as nearest-first measured worse
-(lollipop(3): 55,177 candidates, not 47,836).
+builder's is nearest the root first, ties to the smaller id, in every
+regime: last(p) is p's farthest pebble, worth least, so fewer solvable
+candidates are made. Twins share their distance, so each block keeps
+its id order and the block-sorted tuples are the orbit maxima in it.
 
 One rule decides a child in every regime: it is unsolvable exactly
 when it is below the floor or among level s's members. A child below
@@ -145,20 +145,22 @@ contradiction. The source move found has a child in the orbit of one
 looked up (transpose v with its block's first vertex and a with the end
 of its run), so that lookup finds q solvable.
 
-Runs. Let v0 be the last vertex of the builder's order (under blocks
-the last non-root id, else the farthest, ties to the larger id). A
-candidate q at v0 has one extension, q + e_v0, so q, q + e_v0, ..., q +
-k e_v0 is a path of the generation tree. When q is admitted below the
-floor and q + e_v0 would be too, the builder admits this run in one
-step, as each admission test is monotone along it: v0's cap and the
-count of the twin before v0 bound v0's count, the lanes only grow, and
-once a member is not its orbit's maximum no later one is (q - e_L of an
-orbit maximum is one). So k, the largest count passing all four, is
-found by bisection in at most d(v0) + 1 steps (k is near 2^d(v0) on a
-long path). A run is one record until its last level, its members in no
-level dict or member set; its last member is decided on with its
-level's keys, each other has the next as its extension. Run members
-are below the floor, so the one rule decides a child that is one.
+Runs. Let v0 be the last vertex of the builder's order, the farthest,
+ties to the larger id (u_0 on a lollipop, no twin). A candidate q at v0
+has one extension, q + e_v0, so q, q + e_v0, ..., q + k e_v0 is a path
+of the generation tree. When q is admitted below the floor and q + e_v0
+would be too, the builder admits this run in one step. No key field or
+floor lane carries while each count stays under its cap, and no image
+lane borrows, so each admission test of q + j e_v0 is linear in j and k
+is the least of their bounds, with no search: v0's cap and the count of
+the twin before v0; (limit - lane) // w for each floor lane where v0
+weighs w > 0 (Solver.floor_lanes); and (q - image k) // (unit of
+perm_k(v0) - u0) for each image k with perm_k(v0) != v0, as v0, last in
+the group layout, has the least unit u0. A run is one record until its
+last level, its members in no level dict or member set; its last member
+is decided on with its level's keys, each other has the next as its
+extension. Run members are below the floor, so the one rule decides a
+child that is one.
 
 Each candidate decided counts as one search node against the solver's
 limits (a run's members at once: a cap may trip a run early), whose
@@ -324,14 +326,14 @@ def down_set_sizes(g: Graph) -> tuple[int, int, int, int]:
 
 
 def _layout(g: Graph, kind: str):
-    """The builder's vertex order under ``kind``, the unit of each
-    vertex's field in a packed key (see the module docstring) and the
+    """The builder's vertex order, the unit of each vertex's field in a
+    packed key under ``kind`` (see the module docstring) and the
     function that decodes a key into its counts tuple."""
     n, dist = g.vertex_count, distances_from(g, g.root)
-    # nearest the root first, ties to the smaller id, but for twins; the
-    # fields are laid out in it only under a group (any layout is exact
+    # nearest the root first, ties to the smaller id (twins keep id order);
+    # the fields are laid out in it only under a group (any layout is exact
     # else, and the ids' keeps near vertices' units small on a long path)
-    order = range(n) if kind == "blocks" else sorted(range(n), key=lambda v: (dist[v], v))
+    order = sorted(range(n), key=lambda v: (dist[v], v))
     unit = packed_units(dist, order=order if kind == "group" else None)
     fields = [(u.bit_length() - 1, (2 << d) - 1) for u, d in zip(unit, dist)]
     return order, unit, lambda key: tuple(key >> s & m for s, m in fields)
@@ -391,12 +393,18 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # runs go along the last vertex v0 (module docstring); one vertex has none
     v0 = top[0][0] if top else g.root
     u0, w0 = unit[v0], weight[v0]
+    # the floor lanes where v0 weighs w > 0, as (shift, mask, limit, w)
+    floor0 = [(sh, mask, limit, w0 >> sh & mask) for sh, mask, limit in solver.floor_lanes if w0 >> sh & mask]
 
     group = data if kind == "group" else ()
+    lift0, image0 = 0, ()
     if group:
         lanes = _ImageLanes(group, unit, dist)
-        lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
-    lift0 = lift[v0] if group else 0
+        lift, spread, guards, unpack_lanes, lane_mask = lanes.lift, lanes.spread, lanes.guards, lanes.unpack, lanes.mask
+        lift0 = lift[v0]
+        # the image lanes k where perm_k(v0) != v0, as (shift, unit[perm_k(v0)] - u0);
+        # v0 is last in the layout, so u0 = 1 is the least unit
+        image0 = [(s, (lift0 >> s & lane_mask) - u0) for s in lanes.shifts if lift0 >> s & lane_mask != u0]
 
     stats, node_cap = solver.stats, solver._node_cap
     nodes, above, in_runs = stats.nodes, stats.above_floor, stats.in_runs
@@ -448,17 +456,20 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                                     nxt_members.add(q)
                                     nxt_members.update(unpack_lanes(q_images))
                         else:
-                            # below the floor q is unsolvable outright; at v0 so is each
-                            # q + j e_v0 up to the last passing the caps, floor and orbit test
+                            # below the floor q is unsolvable outright; at v0 so is each q + j e_v0
+                            # up to the least bound of the caps, floor and orbit test, all linear in j
                             extended = True
-                            lo, hi = 0, (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1 if v == v0 else 0
-                            while lo < hi:
-                                j = (lo + hi + 1) >> 1
-                                if q_phi + j * w0 & high or group and ((q + j * u0) * spread | guards) - (q_images + j * lift0) & guards != guards:
-                                    hi = j - 1
-                                else:
-                                    lo = j
-                            if lo:
+                            lo = (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1 if v == v0 else 0
+                            if lo > 0:
+                                for sl, ml, limit, w in floor0:
+                                    j = (limit - (q_phi >> sl & ml)) // w
+                                    if j < lo:
+                                        lo = j
+                                for sk, step in image0:
+                                    j = (q - (q_images >> sk & lane_mask)) // step
+                                    if j < lo:
+                                        lo = j
+                            if lo > 0:
                                 nodes += lo
                                 if nodes > node_cap or nodes >> 12 != nodes - lo >> 12:
                                     stats.nodes = nodes

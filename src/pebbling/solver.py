@@ -153,6 +153,9 @@ class Solver:
     every child tried along the walk, as ``decide`` on that child would.
     A query the path rule settles, as is every query holding a stack or
     t on the root, counts one node and leaves the memo as it was.
+    ``floor_lanes`` holds a (shift, mask, limit) per floor lane: p is
+    below the floor exactly when each lane of x = sum(p(v) * _lanes[v]),
+    x >> shift & mask, is at most limit (one lane has mask -1).
     """
 
     def __init__(self, graph: Graph, target: int = 1):
@@ -173,6 +176,7 @@ class Solver:
             lanes = [sum(1 << depth - f[v] + k * width for k, f in enumerate(far) if f[v] >= 0) for v in range(n)]
             lanes[root] = 2 << depth
             self._lanes, self._base, self._high = lanes, 0, sum((1 << width) - (2 << depth) << k * width for k in range(len(far)))
+            self.floor_lanes = tuple((k * width, (1 << width) - 1, (2 << depth) - 1) for k in range(len(far)))
         else:
             # the distance potential * 2^depth, its threshold t * 2^depth
             # offset to a power of two; with one root neighbour a, Phi_a is
@@ -180,6 +184,7 @@ class Solver:
             depth = max(dist)
             lanes, top = [1 << depth - d for d in dist], ((target << depth) - 1).bit_length()
             self._lanes, self._base, self._high = lanes, (1 << top) - (target << depth), -1 << top
+            self.floor_lanes = ((0, -1, (target << depth) - 1),)
         self.stack_threshold = tuple(target << d for d in dist)
         # each vertex's lowest-id neighbour one nearer the root (neighbours are sorted)
         self._up = tuple(next((u for u in graph.neighbors[v] if dist[u] < dist[v]), v) for v in range(graph.vertex_count))

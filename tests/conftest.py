@@ -475,10 +475,7 @@ def symmetry_orbit(g):
 
 def builder_order(g):
     """The down-set builder's vertex order, derived without
-    pebbling_number: the ids when g has twins, else nearest the root
-    first, ties to the smaller id."""
-    if twin_blocks(g):
-        return list(range(g.vertex_count))
+    pebbling_number: nearest the root first, ties to the smaller id."""
     dist = distances_from(g, g.root)
     return sorted(range(g.vertex_count), key=lambda v: (dist[v], v))
 

@@ -31,16 +31,32 @@ def replay(g, p, witness):
 
 
 class TestPotential:
+    """With one root neighbour the floor is the distance potential below
+    1, so a fresh solver settles such a configuration in one node, by the
+    floor alone, and memoizes nothing."""
+
+    @staticmethod
+    def verdict(g, counts):
+        solver = pb.Solver(g)
+        solvable = solver.decide(counts)
+        return solvable, solver.stats.nodes, len(solver.memo)
+
     def test_pebble_on_root(self, p3):
-        assert reference_potential(p3, pb.configuration(p3, {p3.root: 1}).counts) == 1
+        counts = pb.configuration(p3, {p3.root: 1}).counts
+        assert reference_potential(p3, counts) == 1
+        assert self.verdict(p3, counts) == (True, 1, 0)
 
     def test_far_stack_on_rooted_cube(self):
         g4 = pb.rooted_cube(4)
-        z = g4.labels.index("z")
-        assert reference_potential(g4, pb.configuration(g4, {z: 15}).counts) == Fraction(15, 16)
+        assert len(g4.neighbors[g4.root]) == 1
+        counts = pb.configuration(g4, {g4.labels.index("z"): 15}).counts
+        assert reference_potential(g4, counts) == Fraction(15, 16)
+        assert self.verdict(g4, counts) == (False, 1, 0)
 
     def test_path(self, p3):
+        assert len(p3.neighbors[p3.root]) == 1
         assert reference_potential(p3, (3, 0, 0)) == Fraction(3, 4)
+        assert self.verdict(p3, (3, 0, 0)) == (False, 1, 0)
 
 
 class TestIsSolvable:
@@ -321,7 +337,11 @@ class TestFloor:
                 for _ in range(20):
                     counts = tuple(rng.choice((0, x, rng.randint(0, x))) for x in solver.stack_threshold)
                     lanes = solver._base + sum(map(mul, counts, solver._lanes))
-                    assert (not lanes & solver._high) == reference_floor(g, counts, t), (g.edges, g.root, t, counts)
+                    floor = reference_floor(g, counts, t)
+                    assert (not lanes & solver._high) == floor, (g.edges, g.root, t, counts)
+                    # the same verdict from the lanes' layout, which the down-set builder reads
+                    lanes -= solver._base
+                    assert all(lanes >> sh & mask <= limit for sh, mask, limit in solver.floor_lanes) == floor, (g.edges, g.root, t)
 
     def test_exact_on_cycles(self):
         # G - r is a path with both root neighbours at its ends, where
