@@ -5,7 +5,7 @@ The 14 default targets, brute-force Q4 (0.1 s) and the 16-arm
 lollipop (thm3-n3, 0.1-0.2 s) included, took 0.32-0.38 s in all over
 three runs on a shared 2-vCPU Xeon virtual machine. Pass --allow-long to
 also run the three long targets: Theorem 1 on C11 (thm1-k5), which took
-a further 0.7-0.8 s there, the dimension-5 reciprocal weights (conj-n5),
+a further 0.4-0.5 s there, the dimension-5 reciprocal weights (conj-n5),
 a further 3.5-4.3 s, and Theorem 3 at n = 4 (thm3-n4), a further
 52-59 s; under a node or wall-clock cap each may end with exit code 3.
 

@@ -162,6 +162,25 @@ is decided on with its level's keys, each other has the next as its
 extension. Run members are below the floor, so the one rule decides a
 child that is one.
 
+Where a level holds no member above the floor (on a cycle, and on a
+path or spider rooted at an end or its centre, none does), the floor
+decides alone. Suppose level s holds none. A candidate q of size s+1
+above the floor is then solvable exactly when some vertex holds two
+pebbles: one AND of its key with the bits of each field above its
+lowest, and no lookup. Take a root neighbour a with
+Phi_a(q) >= 2 and a vertex u with q(u) >= 2. If u is adjacent to r, the
+move u -> r lands a root pebble. If u is in a's component of G - r, the
+move one vertex nearer a keeps Phi_a; otherwise every move from u does.
+So the child holds a root pebble, or a stack, or is a root-free
+configuration of size s above the floor, which level s does not hold:
+it is solvable. A q with no two pebbles on a vertex has no move, so it
+is unsolvable. Likewise, when level s+1 holds no member above the
+floor, p + e_v is unsolvable exactly when it is below the floor, and
+the maximality pass makes no lookup. With one floor lane (r has one
+neighbour) weight falls with distance and the pass walks the farthest
+vertex first, so the first p + e_v it tests is the lightest and decides
+alone. Each level counts the members it admits above the floor.
+
 Each candidate decided counts as one search node against the solver's
 limits (a run's members at once: a cap may trip a run early), whose
 deadline is also read once per level. A limit hit part-way reports the
@@ -361,7 +380,11 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     that stays block-sorted (the first vertex of a run of equal counts
     stands for its twins in the run) is unsolvable when it is below the
     floor or among the next level's members. It is maximal when no p + e_v
-    is.
+    is. Where a level holds no member above the floor (each level counts
+    those it admits), the floor decides with no lookup: a candidate above
+    it by whether a vertex holds two pebbles, and p + e_v by the floor
+    alone, its first test deciding p when the floor has one lane (see the
+    module docstring).
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
@@ -385,11 +408,13 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     prev = {v: shift[u] for block in blocks for u, v in zip(block, block[1:])}
     # descending in the builder's order, so the walk over p can stop at
     # last(p): each vertex with its field's shift and mask, its cap and
-    # the shift of the twin before it (twins share the mask)
+    # the shift of the twin before it (twins share the mask); farthest
+    # first, it is also where the maximality pass finds an unsolvable
+    # extension soonest
     top = [(v, shift[v], (2 << dist[v]) - 1, (1 << dist[v]) - 1, prev.get(v)) for v in reversed(order) if v != g.root]
-    # maximality lookups go farthest vertex first, where an extension of
-    # an unsolvable configuration most often stays unsolvable
-    far = sorted(top, key=lambda t: -dist[t[0]])
+    # the bits of each field above its lowest: a key sets one exactly when
+    # some vertex holds two pebbles
+    twos = sum(unit[v] * ((2 << dist[v]) - 2) for v in range(n) if v != g.root)
     # runs go along the last vertex v0 (module docstring); one vertex has none
     v0 = top[0][0] if top else g.root
     u0, w0 = unit[v0], weight[v0]
@@ -410,6 +435,8 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     nodes, above, in_runs = stats.nodes, stats.above_floor, stats.in_runs
     reps = {0: ((), 0, 0)}
     members = reps if not group else set()
+    # how many of the level's members were admitted above the floor
+    up = 0
     # each run as (first member, its size, legal moves, images, lanes, its
     # count on v0, the last member's), by the size of its last member
     runs: dict[int, list[tuple]] = {}
@@ -420,6 +447,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         solver.check_deadline()
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
+        nxt_up = 0
         # the representatives with no admitted extension, with their lanes
         pending = []
         # a run's last member is decided on with the level's keys
@@ -443,18 +471,22 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             stats.nodes = nodes
                             solver._check_limits()
                         if q_phi & high:
-                            # one lookup per legal move in the level below: a child
-                            # missing from its members makes q solvable when above the floor
                             above += 1
-                            for d, change in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
-                                if q_phi - change & high and q - d not in members:
-                                    break
-                            else:
-                                nxt[q] = (q_legal, q_images, q_phi)
-                                extended = True
-                                if group:
-                                    nxt_members.add(q)
-                                    nxt_members.update(unpack_lanes(q_images))
+                            # one lookup per legal move in the level below: a child
+                            # missing from its members makes q solvable when above the
+                            # floor. With no member above it, every child is, so q is
+                            # solvable exactly when it has a move, and none is looked up
+                            if up or not q & twos:
+                                for d, change in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
+                                    if q_phi - change & high and q - d not in members:
+                                        break
+                                else:
+                                    nxt[q] = (q_legal, q_images, q_phi)
+                                    nxt_up += 1
+                                    extended = True
+                                    if group:
+                                        nxt_members.add(q)
+                                        nxt_members.update(unpack_lanes(q_images))
                         else:
                             # below the floor q is unsolvable outright; at v0 so is each q + j e_v0
                             # up to the least bound of the caps, floor and orbit test, all linear in j
@@ -484,16 +516,22 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
             if not extended:
                 pending.append((p, phi))
         stats.nodes, stats.above_floor, stats.in_runs = nodes, above, in_runs
+        # with no member above the floor in level s+1, p + e_v is unsolvable
+        # exactly when it is below the floor; with one floor lane weight falls
+        # with distance, so the first p + e_v tested, the lightest, decides
+        first = len(solver.floor_lanes) == 1 and not nxt_up
         for p, phi in pending:
-            for v, sh, mask, cap, prev_sh in far:
+            for v, sh, mask, cap, prev_sh in top:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
-                    q = p + unit[v]
-                    if not phi + weight[v] & high or q in nxt_members:
+                    if not phi + weight[v] & high or nxt_up and p + unit[v] in nxt_members:
+                        break
+                    if first:
+                        maximal.append(p)
                         break
             else:
                 maximal.append(p)
-        reps, members, size, alive = nxt, nxt_members, size + 1, alive - len(ending)
+        reps, members, up, size, alive = nxt, nxt_members, nxt_up, size + 1, alive - len(ending)
 
 
 class _Level:

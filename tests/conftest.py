@@ -36,6 +36,8 @@ greatest member in the builder's vertex order. reference_tree_check
 reads the tree condition with networkx (is_tree on the induced support,
 then halving along BFS parents, on the Fraction weights), which
 check_tree_strategy must match, bool and refusal message alike.
+chung_tree_pi is Chung's closed form for the rooted pebbling number of
+a tree, from its maximum path partition.
 """
 
 import weakref
@@ -485,6 +487,35 @@ def greatest(g):
     its greatest member in builder_order(g)."""
     order = builder_order(g)
     return lambda configurations: max(configurations, key=lambda c: [c[v] for v in order])
+
+
+def chung_tree_pi(g):
+    """pi(T, r) of a tree T rooted at r by Chung's formula (Pebbling in
+    hypercubes, SIAM J. Discrete Math. 2, 1989): the sum of 2^a_i - q + 1
+    over the lengths a_1, ..., a_q of a maximum path partition. That
+    partition splits the edges into paths, each running down from a
+    vertex to a leaf: a path entering a vertex goes on into its tallest
+    subtree, and every other edge down from it, as every edge out of r,
+    starts a path of its own. Reads the edges alone, with its own
+    breadth-first walk from r."""
+    parent, order = {g.root: None}, [g.root]
+    for x in order:
+        for y in g.neighbors[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    assert len(order) == g.vertex_count == len(g.edges) + 1, "not a tree"
+    # the edges on the longest way down from each vertex, children first
+    height = dict.fromkeys(order, 0)
+    for v in reversed(order[1:]):
+        height[parent[v]] = max(height[parent[v]], height[v] + 1)
+    lengths = []
+    for v in order:
+        children = sorted((c for c in g.neighbors[v] if parent[c] == v), key=height.get)
+        # a path coming down into v goes on into its tallest child
+        starts = children if v == g.root else children[:-1]
+        lengths += [height[c] + 1 for c in starts]
+    return sum(2**a for a in lengths) - len(lengths) + 1
 
 
 def random_connected_graph(rng, n_min=2, n_max=8, max_extra=3):

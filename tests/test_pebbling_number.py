@@ -11,6 +11,7 @@ from conftest import (
     build_nodes,
     builder_levels,
     builder_order,
+    chung_tree_pi,
     greatest,
     maximal_elements,
     naive_pi_rooted,
@@ -19,6 +20,8 @@ from conftest import (
     orbit,
     random_connected_graph,
     random_counts,
+    random_tree,
+    reference_floor,
     reference_potential,
     reference_unsolvable_levels,
     root_zero_counts,
@@ -468,6 +471,76 @@ class TestRuns:
             assert down.witness == max(full[-1]), g.edges
 
 
+class TestTheFloorDecidesWholeLevels:
+    """Where level s holds no member above the floor, the builder decides
+    each candidate of size s+1 above it by whether some vertex holds two
+    pebbles, with no lookup (see the module docstring). These tests check
+    that rule on full down-sets that the solver decides candidate by
+    candidate, and on reference_floor, none of it the builder's."""
+
+    def test_no_stack_above_the_floor_after_a_level_with_none(self):
+        rng = random.Random(45_045)
+        graphs = [pb.cycle_graph(5), pb.path_graph(4), pb.rooted_cube(3)]
+        graphs += [random_connected_graph(rng, n_min=2, n_max=6) for _ in range(30)]
+        applied = admitted = 0
+        for g in graphs:
+            full = reference_unsolvable_levels(g, pb.Solver(g), full=True)
+            above = [{p for p in level if not reference_floor(g, p)} for level in full]
+            free = [v for v in range(g.vertex_count) if v != g.root]
+            for s, nxt in enumerate(above[1:]):
+                if not above[s]:
+                    applied += 1
+                    admitted += len(nxt)
+                    assert all(max(p) < 2 for p in nxt), (g.edges, g.root, s)
+                    # and each with no two on a vertex has no move, so it is a member
+                    ones = (tuple(int(v in vs) for v in range(g.vertex_count)) for vs in combinations(free, s + 1))
+                    assert {p for p in ones if not reference_floor(g, p)} <= nxt, (g.edges, g.root, s)
+        assert applied > 100 and admitted > 10
+
+    def test_a_member_with_no_stack_is_admitted(self):
+        # root 0 - a 1 - {b 2, c 3}: (a, b, c) = (1, 1, 1) has Phi_a = 2, the
+        # first member above the floor, and no move
+        g = pb.build_graph(4, [(0, 1), (1, 2), (1, 3)], root=0)
+        assert engine._symmetry_mode(g)[0] == "blocks"
+        levels = builder_levels(g)
+        above = [{p for p in level if not reference_floor(g, p)} for level in levels]
+        assert above == [set(), set(), set(), {(0, 1, 1, 1)}, {(0, 0, 3, 1)}]
+        # level 3 holds one, so the rule does not decide level 4: (0, 0, 3, 1)
+        # holds a stack of 3, and b -> a leaves one pebble on each of a, b, c
+        orbit_of = symmetry_orbit(g)
+        assert [set().union(*map(orbit_of, level)) for level in levels] == naive_unsolvable_levels(g)[:-1]
+        assert pb.pi_rooted(g).value == chung_tree_pi(g) == 5
+
+
+class TestChungTrees:
+    """pi_rooted on trees against Chung's formula (conftest.chung_tree_pi).
+    On paths and spiders no level holds a member above the floor, so the
+    floor and the two-pebble test decide every candidate; a tree that
+    branches away from the root has members above it."""
+
+    def test_trees_match_the_formula(self):
+        for legs, pi in (((1, 1, 3), 10), ((3, 3), 15), ((2, 2, 1), 8)):
+            g = _spider(*legs)
+            assert chung_tree_pi(g) == pb.pi_rooted(g).value == pi, legs
+        # seeded random trees, bounds fixed up front: 2 to 9 vertices, and
+        # those whose formula gives more than 40 skipped (a long path takes seconds)
+        rng = random.Random(1_989)
+        checked = branching = mixed = 0
+        for n in range(2, 10):
+            for _ in range(8):
+                g = random_tree(rng, n, n)
+                expected = chung_tree_pi(g)
+                if expected > 40:
+                    continue
+                assert pb.pi_rooted(g).value == expected, (g.edges, g.root)
+                _, reps, _, below = engine.down_set_sizes(g)
+                checked += 1
+                branching += any(len(g.neighbors[v]) > 2 for v in range(n) if v != g.root)
+                mixed += below < reps
+        # members above the floor occur, on trees whose non-root vertices branch
+        assert checked >= 60 and branching >= 20 and mixed >= 20
+
+
 class TestAgainstReferenceBuilder:
     def test_levels_match_the_solver_driven_builder(self):
         # graphs too large for naive_unsolvable_levels
@@ -516,10 +589,15 @@ class TestAgainstReferenceBuilder:
         q3 = pb.hypercube(3)
         rng = random.Random(41_041)
         graphs = [pb.build_graph(q3.vertex_count, q3.edges, q3.root)]
-        while len(graphs) < 6:
+        # 126 draws find the five; a bound, so a builder that admits no
+        # member above the floor fails here instead of drawing forever
+        for _ in range(1_000):
+            if len(graphs) == 6:
+                break
             g = random_connected_graph(rng, n_min=5, n_max=8)
             if mixed(g):
                 graphs.append(g)
+        assert len(graphs) == 6
         for g in graphs:
             assert mixed(g), (g.edges, g.root)
             down = g._cache["down_set"]
