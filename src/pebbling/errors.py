@@ -28,9 +28,10 @@ class MoveError(PebblingError, ValueError):
 
 
 class ResourceLimitError(PebblingError, RuntimeError):
-    """A configured node or size cap was exceeded; not a verdict.
+    """A configured node or size cap was exceeded, or memory ran out or an
+    interrupt came during a down-set build; not a verdict.
 
-    ``pi_lower`` is set when the cap stopped a down-set build: that many
+    ``pi_lower`` is set when it stopped a down-set build: that many
     levels were complete, so the rooted pebbling number is at least it.
     """
 

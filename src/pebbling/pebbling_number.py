@@ -284,9 +284,9 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     its nodes count in ``solver.stats``. The check's memo is then
     dropped: ``solver.memo`` is left as it was, whatever the outcome.
     Cached on the graph only once complete and checked: a resource limit
-    hit part-way (running out of memory is one) or a failed check leaves
-    no summary, and a limit's error carries the levels done as
-    ``pi_lower``.
+    hit part-way (running out of memory or an interrupt is one) or a
+    failed check leaves no summary, and a limit's error carries the
+    levels done as ``pi_lower``.
     """
     cache = g._cache
     if "down_set" in cache:
@@ -324,15 +324,16 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         # levels 0..levels-1 are complete and non-empty
         exc.pi_lower = levels
         raise
-    except MemoryError:
+    except (MemoryError, KeyboardInterrupt) as caught:
         # raised after the handler, whose traceback holds the half-built level
         maximal = last = level = None
+        reason = "interrupted" if isinstance(caught, KeyboardInterrupt) else "out of memory building the down-set"
     else:
         cache["down_set"] = down = DownSet(levels, representatives, below, witness, tuple(maximal), unpack)
         return down
     finally:
         solver.memo = kept
-    exc = ResourceLimitError("out of memory building the down-set")
+    exc = ResourceLimitError(reason)
     exc.pi_lower = levels
     raise exc
 
@@ -371,8 +372,9 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     (_ImageLanes), so an extension costs additions and its
     orbit-maximum test and a child one subtraction each. A count is read
     off its field of the key with a shift and a mask. The candidates
-    looked up, above the floor, count in ``solver.stats.above_floor``,
-    and the members admitted in runs in ``solver.stats.in_runs``.
+    above the floor count in ``solver.stats.above_floor``, those of them
+    decided by lookups in ``solver.stats.lookups`` and the members
+    admitted in runs in ``solver.stats.in_runs``.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not, and needs no lookup. Any other
@@ -432,7 +434,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         image0 = [(s, (lift0 >> s & lane_mask) - u0) for s in lanes.shifts if lift0 >> s & lane_mask != u0]
 
     stats, node_cap = solver.stats, solver._node_cap
-    nodes, above, in_runs = stats.nodes, stats.above_floor, stats.in_runs
+    nodes, above, lookups, in_runs = stats.nodes, stats.above_floor, stats.lookups, stats.in_runs
     reps = {0: ((), 0, 0)}
     members = reps if not group else set()
     # how many of the level's members were admitted above the floor
@@ -477,6 +479,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             # floor. With no member above it, every child is, so q is
                             # solvable exactly when it has a move, and none is looked up
                             if up or not q & twos:
+                                lookups += 1
                                 for d, change in chain(q_legal, *block_deltas(q)) if blocks else q_legal:
                                     if q_phi - change & high and q - d not in members:
                                         break
@@ -515,7 +518,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                     break
             if not extended:
                 pending.append((p, phi))
-        stats.nodes, stats.above_floor, stats.in_runs = nodes, above, in_runs
+        stats.nodes, stats.above_floor, stats.lookups, stats.in_runs = nodes, above, lookups, in_runs
         # with no member above the floor in level s+1, p + e_v is unsolvable
         # exactly when it is below the floor; with one floor lane weight falls
         # with distance, so the first p + e_v tested, the lightest, decides

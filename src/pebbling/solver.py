@@ -5,7 +5,7 @@ configurations as they are; the solver ignores the graph's symmetry
 (its twins and root-fixing automorphisms), which only the down-set
 builder uses.
 Every move shrinks the configuration by one pebble, so the search graph
-is acyclic and a plain two-valued memo is sound. Exactly three
+is acyclic and a memo of final verdicts is sound. Exactly three
 shortcuts are used, all of them exact:
 
 * a configuration below the floor can never reach the root. At t = 1
@@ -29,7 +29,7 @@ shortcuts are used, all of them exact:
 
 No dominance tables or other heuristics take part in the verdict, which
 keeps the oracle auditable. Move ordering prefers moves toward the root;
-it only affects how fast witnesses are found.
+it only affects how fast a verdict comes and which witness is recorded.
 
 The memo is keyed on packed integers (packed_units): vertex v owns
 d(v,r) + bitlen(t) bits, vertex 0 the most significant. A memoized
@@ -54,13 +54,12 @@ own stack of frames, so its depth, one frame per move, is not bounded by
 the interpreter's.
 
 A query the path rule settles takes the rule's moves as its witness.
-Any other witness is read off the search rather than searched for
-again: from the queried configuration, take the first move whose child
-is solvable, mostly a memo hit, until a move lands a stack (on the root,
-t pebbles); the path rule then finishes from that child. The walk moves
-one counts list, key and floor lanes, so each child it tries costs the
-checks a child costs in the search. Every witness is then replayed
-through ``apply_moves``; a replay that does not reach the target raises
+Any other is read off the memo: a solvable configuration's entry is its
+first move, in move order, whose child holds a stack or is solvable.
+After ``decide``, follow those moves until one lands a stack (on the
+root, t pebbles); the path rule then finishes from that child, and the
+read counts no node. Every witness is then replayed through
+``apply_moves``; a replay that does not reach the target raises
 InternalError.
 """
 
@@ -115,7 +114,8 @@ class SearchLimits:
 class SolveStats:
     nodes: int = 0
     memo_hits: int = 0
-    above_floor: int = 0  # candidates the down-set builder looked up
+    above_floor: int = 0  # candidates above the floor in the down-set builder
+    lookups: int = 0  # of those, the ones it decided by member lookups
     in_runs: int = 0  # members the down-set builder admitted in runs
 
 
@@ -148,11 +148,11 @@ class Solver:
     memo. The memo table and ``stats`` persist across calls on the same
     solver; limits do not: ``begin(limits)`` gives the operation that
     follows its own node and time budget (a new solver has the default
-    one). Witness queries leave solvable (True) entries in the memo as
-    well as unsolvable ones, and count a node for the query and for
-    every child tried along the walk, as ``decide`` on that child would.
-    A query the path rule settles, as is every query holding a stack or
-    t on the root, counts one node and leaves the memo as it was.
+    one). The memo maps a key to False or to a record, a legal move
+    (u, v) of the configuration the key packs whose child holds a stack
+    or has a record too. A query the path rule settles, as is every
+    query holding a stack or t on the root, counts one node and leaves
+    the memo as it was; any other counts the nodes of its ``decide``.
     ``floor_lanes`` holds a (shift, mask, limit) per floor lane: p is
     below the floor exactly when each lane of x = sum(p(v) * _lanes[v]),
     x >> shift & mask, is at most limit (one lane has mask -1).
@@ -194,7 +194,8 @@ class Solver:
         self._moves = tuple(moves)
         unit = packed_units(dist, target)
         self._unit, self._steps = unit, tuple((u, v, lanes[v] - 2 * lanes[u], unit[v] - 2 * unit[u]) for u, v in moves)
-        self.memo: dict[int, bool] = {}
+        self._record = [{v: (u, v) for v in graph.neighbors[u]} for u in range(n)]  # the memo's records, one per move
+        self.memo: dict[int, Move | bool] = {}  # False or a record
         self.stats = SolveStats()
         self.begin(None)
 
@@ -241,17 +242,17 @@ class Solver:
         cached = self.memo.get(key)
         if cached is not None:
             self.stats.memo_hits += 1
-            return cached
+            return bool(cached)
         return self._search(list(counts), key, lanes)
 
     def _search(self, cnt: list[int], key: int, lanes: int) -> bool:
         """Whether ``cnt``, counted as a node, holding no stack, with
         ``lanes`` above the floor, packed as ``key`` and not in the memo,
-        is solvable. Each child is one step on ``cnt``, undone when its
-        frame is left; a child in the memo is a hit, with no descent. A
-        frame is (key, lanes, step iterator, move), and ``cnt`` is as it
-        was on return."""
-        stats, cap, thr, high, memo, steps = self.stats, self._node_cap, self.stack_threshold, self._high, self.memo, self._steps
+        is solvable; it is memoized as False or its record. Each child is
+        one step on ``cnt``, undone when its frame is left; a child in the
+        memo is a hit, with no descent. A frame is (key, lanes, step
+        iterator, move), and ``cnt`` is as it was on return."""
+        stats, cap, thr, high, memo, steps, record = self.stats, self._node_cap, self.stack_threshold, self._high, self.memo, self._steps, self._record
         nodes, hits = stats.nodes, stats.memo_hits
         frames: list[tuple] = []
         it = iter(steps)
@@ -266,7 +267,7 @@ class Solver:
                             self._check_limits()
                         c = cnt[v] + 1
                         if c >= thr[v]:
-                            result = True
+                            result = record[u][v]
                             break
                         if not lanes + dlanes & high:
                             continue
@@ -281,23 +282,23 @@ class Solver:
                             break
                         hits += 1
                         if found:
-                            result = True
+                            result = record[u][v]
                             break
                 else:
                     result = False
                 if result is None:  # descend into the child
                     continue
                 memo[key] = result
-                # leave the frame; a solvable child makes every frame below it solvable
+                # leave the frame; a solvable child makes every frame below it solvable, by the move to it
                 while frames:
                     key, lanes, it, u, v = frames.pop()
                     cnt[u] += 2
                     cnt[v] -= 1
                     if not result:
                         break
-                    memo[key] = True
+                    memo[key] = result = record[u][v]
                 else:
-                    return result
+                    return bool(result)
         finally:
             stats.nodes, stats.memo_hits = nodes, hits
 
@@ -327,40 +328,23 @@ class Solver:
         v = next((x for x, c in enumerate(counts) if 0 < 2 * need[x] <= c), None)
         return None if v is None else (v, need)
 
-    def _witness(self, counts: tuple[int, ...]) -> list[Move] | None:
-        """The witness read off the search (see the module docstring), or None."""
-        if not self.decide(counts):
-            return None
-        stats, thr, high, memo = self.stats, self.stack_threshold, self._high, self.memo
-        cnt = list(counts)
-        key = sum(map(mul, counts, self._unit))
-        lanes = self._base + sum(map(mul, counts, self._lanes))
-        moves: list[Move] = []
+    def _witness(self, counts: tuple[int, ...]) -> list[Move]:
+        """The witness of ``counts``, just decided solvable, read off the memo
+        (see the module docstring)."""
+        memo, thr, unit = self.memo, self.stack_threshold, self._unit
+        cnt, moves = list(counts), []
+        key = sum(map(mul, counts, unit))
         while True:
-            for u, v, dlanes, dkey in self._steps:
-                if cnt[u] >= 2:
-                    self.count_node()
-                    c = cnt[v] + 1
-                    if not lanes + dlanes & high:  # a stack or a root pebble alone is above the floor
-                        continue
-                    cnt[u] -= 2
-                    cnt[v] = c
-                    if c >= thr[v]:  # v holds a stack: the path rule finishes from the child
-                        return [*moves, (u, v), *self._moves_up(*self._path_need(cnt))]
-                    child = key + dkey
-                    found = memo.get(child)
-                    if found is None:
-                        found = self._search(cnt, child, lanes + dlanes)
-                    else:
-                        stats.memo_hits += 1
-                    if found:
-                        moves.append((u, v))
-                        key, lanes = child, lanes + dlanes
-                        break
-                    cnt[u] += 2
-                    cnt[v] = c - 1
-            else:
-                raise InternalError("internal error: a solvable configuration has no solvable child")
+            move = memo.get(key)
+            if not move:
+                raise InternalError("internal error: a solvable configuration has no record in the memo")
+            u, v = move
+            moves.append(move)
+            cnt[u] -= 2
+            cnt[v] += 1
+            if cnt[v] >= thr[v]:  # v holds a stack: the path rule finishes from the child
+                return moves + self._moves_up(*self._path_need(cnt))
+            key += unit[v] - 2 * unit[u]
 
     def _replay(self, p: Configuration, moves: list[Move]) -> None:
         """Check a witness through ``apply_moves``, independently of the search."""
@@ -379,11 +363,9 @@ class Solver:
         if path is not None:
             self.count_node()
             solvable, moves = True, self._moves_up(*path) if want_witness else None
-        elif want_witness:
-            moves = self._witness(p.counts)
-            solvable = moves is not None
         else:
-            solvable, moves = self.decide(p.counts), None
+            solvable = self.decide(p.counts)
+            moves = self._witness(p.counts) if solvable and want_witness else None
         if moves is not None:
             self._replay(p, moves)
         stats = SolveStats(self.stats.nodes - nodes0, self.stats.memo_hits - hits0)

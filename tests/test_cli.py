@@ -113,6 +113,27 @@ class TestGen:
         assert code == 3 and results == []
         assert "proven pi >= 2" in err and "Traceback" not in err, err
 
+    def test_an_interrupt_is_a_resource_limit(self, capsys, monkeypatch, tmp_path, c5_file):
+        # SIGINT, as KeyboardInterrupt, after the builder completes levels
+        # 0 and 1: each command that builds the down-set keeps the bound
+        levels = pebbling_number._levels
+
+        def two_then_interrupt(g, solver, maximal):
+            yield from islice(levels(g, solver, maximal), 2)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pebbling_number, "_levels", two_then_interrupt)
+        weights = tmp_path / "c5.weights"
+        weights.write_text("pebbleweights 1\nw 1 4\nw 2 2\nw 3 1\n", encoding="utf-8")
+        for argv in (
+            ("pi", "-g", str(c5_file)),
+            ("verify", "-g", str(c5_file), "-w", str(weights)),
+            ("bound", "-g", str(c5_file), "-w", str(weights), "--certify", "oracle"),
+        ):
+            code, results, err = run_cli(capsys, *argv)
+            assert code == 3 and results == [], argv
+            assert "resource limit: interrupted; proven pi >= 2\n" in err and "Traceback" not in err, err
+
     def test_gen_stdout(self, capsys):
         # without -o, stdout is the graph file alone: it reads back as the
         # graph, and the summary goes to stderr

@@ -22,7 +22,6 @@ from conftest import (
     random_counts,
     random_tree,
     reference_floor,
-    reference_potential,
     reference_unsolvable_levels,
     root_zero_counts,
     stripped,
@@ -512,6 +511,22 @@ class TestTheFloorDecidesWholeLevels:
         assert pb.pi_rooted(g).value == chung_tree_pi(g) == 5
 
 
+    def test_lookups_are_counted(self):
+        # on paths, cycles and spiders no level holds a member above the
+        # floor, so the floor decides every candidate and none is looked
+        # up; a `twos` mask that misses a stack sends candidates back to
+        # the lookups and changes these counts
+        cases = [(pb.path_graph(6), 0), (pb.cycle_graph(5), 0), (pb.cycle_graph(9), 0)]
+        cases += [(_spider(1, 1, 3), 0), (_spider(3, 3), 0), (_spider(5, 5), 0)]
+        cases += [(pb.rooted_cube(3), 14), (pb.hypercube(3), 65), (pb.rooted_cube(4), 582)]
+        cases += [(pb.lollipop(2), 806), (pb.lollipop(3), 42_605)]
+        for g, lookups in cases:
+            solver = pb.Solver(g)
+            for _ in engine._levels(g, solver, []):
+                pass
+            assert solver.stats.lookups == lookups, g.edges
+
+
 class TestChungTrees:
     """pi_rooted on trees against Chung's formula (conftest.chung_tree_pi).
     On paths and spiders no level holds a member above the floor, so the
@@ -842,8 +857,11 @@ class TestNearestFirstOrder:
 
 
 class TestPotentialFloor:
-    """A candidate of distance potential below 1 is admitted without a
-    lookup; one of potential exactly 1 is still decided by lookups."""
+    """A candidate below the floor, Phi_a < 2 for every root neighbour a,
+    is admitted without a lookup. One on it or above is decided by the
+    lookup branch, unless the floor decides its whole level: a member
+    when none of its moves leads out of the level below, so a candidate
+    with no move at all is one."""
 
     def test_potential_one_is_not_below_the_floor(self, p3):
         p3._cache.clear()
@@ -853,18 +871,20 @@ class TestPotentialFloor:
         # (3, 0, 0) has potential 3/4
         assert (3, 0, 0) in levels[3]
 
-    def test_no_legal_move_is_admitted(self, c4, c5):
-        # one pebble on each root neighbour: potential exactly 1, so the
-        # candidate is looked up, but it has no move to look up
-        # a C5 file has the reflection too, found from its edges
-        cases = [(stripped(c5), "none"), (parse_graph(serialize_graph(c5)), "group"), (c5, "group"), (c4, "blocks")]
-        for g, kind in cases:
+    def test_no_legal_move_is_admitted(self):
+        # root 0 - a 1 - {b 2, c 3}: one pebble on each of a, b and c has
+        # Phi_a = 1 + 1/2 + 1/2 = 2 and no move, so the lookup branch
+        # admits it with nothing to look up. b - d 4 leaves no symmetry,
+        # and c - e 5 then brings back b <-> c, d <-> e, not as twins
+        base = [(0, 1), (1, 2), (1, 3)]
+        for extra, kind, lookups in (([], "blocks", 4), ([(2, 4)], "none", 33), ([(2, 4), (3, 5)], "group", 91)):
+            g = pb.build_graph(4 + len(extra), base + extra, root=0)
             assert engine._symmetry_mode(g)[0] == kind
-            dist = pb.distances_from(g, g.root)
-            q = tuple(int(d == 1) for d in dist)
-            assert reference_potential(g, q) == 1
-            levels = builder_levels(g)
-            assert q in levels[2], kind
+            q = (0, 1, 1, 1) + (0,) * len(extra)
+            assert not reference_floor(g, q)
+            solver = pb.Solver(g)
+            levels = builder_levels(g, solver)
+            assert q in levels[3] and solver.stats.lookups == lookups, kind
             orbit_of = symmetry_orbit(g)
             reference = naive_unsolvable_levels(g)
             assert [set().union(*map(orbit_of, level)) for level in levels] == reference[:-1], kind

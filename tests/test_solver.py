@@ -417,6 +417,41 @@ class TestWitness:
                     assert out.witness == (None if expected is None else tuple(expected)), (g.edges, counts, t)
                     assert out.solvable == (expected is not None)
 
+    def test_memo_records_are_proofs(self):
+        # every memo entry, its key decoded from the packed layout (vertex v
+        # owns d(v,r) + bitlen(t) bits, vertex 0 the most significant): a
+        # False entry is unsolvable, and a record is a legal move whose
+        # child holds a stack or is solvable
+        rng = random.Random(46_046)
+        falses = records = 0
+        for _ in range(40):
+            g = random_connected_graph(rng, n_min=4, n_max=7)
+            dist = pb.distances_from(g, g.root)
+            for t in (1, 2):
+                solver = pb.Solver(g, t)
+                for _ in range(20):
+                    # each count 0, the largest below a stack or between
+                    counts = [rng.choice((0, x, rng.randint(0, x))) for x in (c - 1 for c in solver.stack_threshold)]
+                    counts[g.root] = 0
+                    solver.solve(pb.configuration(g, counts), want_witness=True)
+                for key, entry in solver.memo.items():
+                    counts = [0] * g.vertex_count
+                    for v in reversed(range(g.vertex_count)):
+                        bits = dist[v] + t.bit_length()
+                        counts[v], key = key & (1 << bits) - 1, key >> bits
+                    assert key == 0
+                    if entry is False:
+                        assert reference_witness(g, counts, t) is None, (g.edges, t, counts)
+                        falses += 1
+                        continue
+                    u, v = entry
+                    assert counts[u] >= 2 and v in g.neighbors[u], (g.edges, t, counts, entry)
+                    counts[u] -= 2
+                    counts[v] += 1
+                    assert counts[v] >= t << dist[v] or reference_witness(g, counts, t) is not None, (g.edges, t, counts)
+                    records += 1
+        assert falses > 100 and records > 500, (falses, records)
+
     def test_lone_stack_carries_only_the_target(self):
         # a stack of t * 2^d reaches the root in t * (2^d - 1) moves, however large
         for g, v, t, size in ((pb.path_graph(3), 0, 1, 1_000_001), (pb.path_graph(4), 0, 3, 48), (pb.cycle_graph(9), 4, 2, 77)):
@@ -435,6 +470,14 @@ class TestWitness:
         monkeypatch.setattr(pb.Solver, "_moves_up", short)
         with pytest.raises(InternalError, match="replay"):
             pb.is_solvable(c5, pb.configuration(c5, {2: 4}), want_witness=True)
+
+
+    def test_a_missing_record_is_an_internal_error(self, monkeypatch, c5):
+        # a solvable verdict with no record behind it: the read stops there
+        # and searches nothing
+        monkeypatch.setattr(pb.Solver, "decide", lambda self, counts: True)
+        with pytest.raises(InternalError, match="no record"):
+            pb.Solver(c5).solve(pb.configuration(c5, {2: 2, 3: 2}), want_witness=True)
 
 
 class TestPathRule:
