@@ -87,7 +87,7 @@ def apply_moves(g: Graph, p: Configuration, moves) -> Configuration:
         raise BadParameterError("configuration belongs to a different graph")
     arr, done = list(p.counts), 0
     for (frm, to), run in groupby(moves):
-        k = sum(1 for _ in run)
+        k = len(list(run))
         if not g.has_edge(frm, to):
             raise MoveError(f"{frm} and {to} are not adjacent", done)
         if arr[frm] < 2 * k:

@@ -160,7 +160,10 @@ the group layout, has the least unit u0. A run is one record until its
 last level, its members in no level dict or member set; its last member
 is decided on with its level's keys, each other has the next as its
 extension. Run members are below the floor, so the one rule decides a
-child that is one.
+child that is one. A run records whether a floor lane's bound is
+strictly its least: the last member's one extension, at v0, is then
+above the floor, and else it is not made (it meets the cap or the
+twin's count, or fails the orbit test).
 
 Where a level holds no member above the floor (on a cycle, and on a
 path or spider rooted at an end or its centre, none does), the floor
@@ -174,12 +177,19 @@ move one vertex nearer a keeps Phi_a; otherwise every move from u does.
 So the child holds a root pebble, or a stack, or is a root-free
 configuration of size s above the floor, which level s does not hold:
 it is solvable. A q with no two pebbles on a vertex has no move, so it
-is unsolvable. Likewise, when level s+1 holds no member above the
-floor, p + e_v is unsolvable exactly when it is below the floor, and
-the maximality pass makes no lookup. With one floor lane (r has one
-neighbour) weight falls with distance and the pass walks the farthest
-vertex first, so the first p + e_v it tests is the lightest and decides
-alone. Each level counts the members it admits above the floor.
+is unsolvable. So a run's last member is decided from its record: its
+extension is one solvable node (two pebbles on v0) or none, counted
+after the level's loop, where run ends come last (a cap trips at the
+same level). Likewise, when level s+1 holds no member above the floor,
+p + e_v is unsolvable exactly when it is below the floor, and the
+maximality pass makes no lookup and no cap or block-order test, and
+tries one vertex per Pareto-minimal floor lane vector (one lane: the
+lightest). At a cap p + e_v holds 2^d(v,r) on v, so Phi_a >= 2 for the
+root neighbour a ending a shortest v-r path. If v follows a twin with
+as many pebbles, p + e_v is the image of p + e_u, u the first twin of
+that run, under their transposition; the floor holds on whole orbits.
+If u's lanes are each at most v's, p + e_u is below the floor when
+p + e_v is. Each level counts the members it admits above the floor.
 
 Each candidate decided counts as one search node against the solver's
 limits (a run's members at once: a cap may trip a run early), whose
@@ -209,7 +219,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter, mul
+from operator import itemgetter, le, mul
 from typing import Iterator
 
 from .configurations import Configuration
@@ -384,9 +394,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     floor or among the next level's members. It is maximal when no p + e_v
     is. Where a level holds no member above the floor (each level counts
     those it admits), the floor decides with no lookup: a candidate above
-    it by whether a vertex holds two pebbles, and p + e_v by the floor
-    alone, its first test deciding p when the floor has one lane (see the
-    module docstring).
+    it by whether a vertex holds two pebbles, a run's last member by its
+    record (``solver.stats.run_ends``), and p + e_v by the floor alone at
+    the Pareto-minimal vertices, each a ``solver.stats.maximality_tests``
+    (see the module docstring).
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
@@ -422,6 +433,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     u0, w0 = unit[v0], weight[v0]
     # the floor lanes where v0 weighs w > 0, as (shift, mask, limit, w)
     floor0 = [(sh, mask, limit, w0 >> sh & mask) for sh, mask, limit in solver.floor_lanes if w0 >> sh & mask]
+    # where level s+1 holds no member above the floor, the maximality pass tries one
+    # vertex per Pareto-minimal lane vector, as `top` entries whose field reads 0
+    vectors = {weight[v]: (v, [weight[v] >> sh & mask for sh, mask, _ in solver.floor_lanes]) for v, *_ in top}
+    light = [(v, 0, 0, 1, None) for v, x in vectors.values() if not any(y != x and all(map(le, y, x)) for _, y in vectors.values())]
 
     group = data if kind == "group" else ()
     lift0, image0 = 0, ()
@@ -434,13 +449,13 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         image0 = [(s, (lift0 >> s & lane_mask) - u0) for s in lanes.shifts if lift0 >> s & lane_mask != u0]
 
     stats, node_cap = solver.stats, solver._node_cap
-    nodes, above, lookups, in_runs = stats.nodes, stats.above_floor, stats.lookups, stats.in_runs
+    nodes, above, lookups, in_runs, run_ends, tests = stats.nodes, stats.above_floor, stats.lookups, stats.in_runs, stats.run_ends, stats.maximality_tests
     reps = {0: ((), 0, 0)}
     members = reps if not group else set()
     # how many of the level's members were admitted above the floor
     up = 0
-    # each run as (first member, its size, legal moves, images, lanes, its
-    # count on v0, the last member's), by the size of its last member
+    # each run as (first member, its size, legal moves, images, lanes, its count
+    # on v0, the last member's, whether a floor lane ended it), by its last size
     runs: dict[int, list[tuple]] = {}
     size = alive = 0
     while reps or alive:
@@ -452,10 +467,10 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         nxt_up = 0
         # the representatives with no admitted extension, with their lanes
         pending = []
-        # a run's last member is decided on with the level's keys
+        # with a member above the floor in level s, a run's last member is decided with its keys
         ends = ((first + (k - c) * u0, (legal + delta[v0] if c == 1 else legal, images + (k - c) * lift0, phi + (k - c) * w0))
-                for first, _, legal, images, phi, c, k in ending)
-        for p, (legal, images, phi) in chain(reps.items(), ends):
+                for first, _, legal, images, phi, c, k, _ in ending)
+        for p, (legal, images, phi) in chain(reps.items(), ends if up else ()):
             extended = False
             for v, sh, mask, cap, prev_sh in top:
                 c = p >> sh & mask
@@ -496,20 +511,23 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             extended = True
                             lo = (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1 if v == v0 else 0
                             if lo > 0:
+                                cap_lo = lo
                                 for sl, ml, limit, w in floor0:
                                     j = (limit - (q_phi >> sl & ml)) // w
                                     if j < lo:
                                         lo = j
+                                # a floor lane's bound strictly least: the end's extension is above it
+                                floored = lo < cap_lo
                                 for sk, step in image0:
                                     j = (q - (q_images >> sk & lane_mask)) // step
-                                    if j < lo:
-                                        lo = j
+                                    if j <= lo:
+                                        lo, floored = j, False
                             if lo > 0:
                                 nodes += lo
                                 if nodes > node_cap or nodes >> 12 != nodes - lo >> 12:
                                     stats.nodes = nodes
                                     solver._check_limits()
-                                runs.setdefault(size + 1 + lo, []).append((q, size + 1, q_legal, q_images, q_phi, c + 1, c + 1 + lo))
+                                runs.setdefault(size + 1 + lo, []).append((q, size + 1, q_legal, q_images, q_phi, c + 1, c + 1 + lo, floored))
                                 alive += 1
                                 in_runs += lo + 1
                             else:
@@ -518,22 +536,27 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                     break
             if not extended:
                 pending.append((p, phi))
-        stats.nodes, stats.above_floor, stats.lookups, stats.in_runs = nodes, above, lookups, in_runs
+        if not up:
+            # a run's last member has one extension: a solvable node if a floor
+            # lane ended the run, else none (module docstring)
+            pending += [(first + (k - c) * u0, phi + (k - c) * w0) for first, _, _, _, phi, c, k, _ in ending]
+            made = sum(run[-1] for run in ending)
+            nodes, above, run_ends = nodes + made, above + made, run_ends + len(ending)
+            if nodes > node_cap or nodes >> 12 != nodes - made >> 12:
+                stats.nodes = nodes
+                solver._check_limits()
         # with no member above the floor in level s+1, p + e_v is unsolvable
-        # exactly when it is below the floor; with one floor lane weight falls
-        # with distance, so the first p + e_v tested, the lightest, decides
-        first = len(solver.floor_lanes) == 1 and not nxt_up
+        # exactly when it is below the floor, so the lightest vertices decide
         for p, phi in pending:
-            for v, sh, mask, cap, prev_sh in top:
+            for v, sh, mask, cap, prev_sh in top if nxt_up else light:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
+                    tests += 1
                     if not phi + weight[v] & high or nxt_up and p + unit[v] in nxt_members:
-                        break
-                    if first:
-                        maximal.append(p)
                         break
             else:
                 maximal.append(p)
+        stats.nodes, stats.above_floor, stats.lookups, stats.in_runs, stats.run_ends, stats.maximality_tests = nodes, above, lookups, in_runs, run_ends, tests
         reps, members, up, size, alive = nxt, nxt_members, nxt_up, size + 1, alive - len(ending)
 
 

@@ -117,6 +117,8 @@ class SolveStats:
     above_floor: int = 0  # candidates above the floor in the down-set builder
     lookups: int = 0  # of those, the ones it decided by member lookups
     in_runs: int = 0  # members the down-set builder admitted in runs
+    run_ends: int = 0  # runs' last members it decided from their record
+    maximality_tests: int = 0  # extensions its maximality pass tested
 
 
 @dataclass(frozen=True)

@@ -114,9 +114,9 @@ class TestPiRooted:
     def test_wall_clock_cap_raises(self):
         q4 = pb.hypercube(4)
         q4._cache.clear()
-        # the symmetric Q4 down-set takes about 0.3 s, six times the cap
+        # the symmetric Q4 down-set takes about 0.05 s, ten times the cap
         with pytest.raises(ResourceLimitError):
-            pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.05))
+            pb.pi_rooted(q4, limits=pb.SearchLimits(max_seconds=0.005))
         # a run cut short leaves no partial down-set behind
         assert "down_set" not in q4._cache
 
@@ -525,6 +525,27 @@ class TestTheFloorDecidesWholeLevels:
             for _ in engine._levels(g, solver, []):
                 pass
             assert solver.stats.lookups == lookups, g.edges
+
+    def test_run_ends_and_maximality_tests_are_counted(self):
+        # where a level holds no member above the floor, each run's last
+        # member is decided from its record and the maximality pass tests
+        # only the lightest vertices; both shortcuts are exact, so walking
+        # those members and vertices as before changes only these counts
+        cases = (
+            (pb.path_graph(6), "none", 1_460, 1_626),
+            # two floor lanes, one per root neighbour
+            (pb.cycle_graph(9), "group", 1_044, 7_568),
+            # five lanes; the three leaves on the root are twins whose lanes differ
+            (_spider(4, 4, 1, 1, 1), "blocks", 13_280, 38_584),
+            # lookups on most levels: few runs end on a level the floor decides
+            (pb.rooted_cube(4), "group", 14, 867),
+        )
+        for g, kind, run_ends, tests in cases:
+            assert engine._symmetry_mode(g)[0] == kind
+            solver = pb.Solver(g)
+            for _ in engine._levels(g, solver, []):
+                pass
+            assert (solver.stats.run_ends, solver.stats.maximality_tests) == (run_ends, tests), g.edges
 
 
 class TestChungTrees:
