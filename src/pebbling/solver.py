@@ -8,14 +8,16 @@ Every move shrinks the configuration by one pebble, so the search graph
 is acyclic and a memo of final verdicts is sound. Exactly three
 shortcuts are used, all of them exact:
 
-* a configuration below the floor can never reach the root. At t = 1
-  the floor is Phi_a(p) = sum(p(v) * 2^-d'(v,a)) >= 2 for some root
-  neighbour a, d'(v,a) the distance in G - r (weight 0 where a cannot
-  reach v): the first pebble on r comes from an a holding 2, and no move
-  before it, all in G - r, raises Phi_a. It prunes all the distance
-  potential sum(p(v) * 2^-d(v,r)) < 1 does, and is exact on cycles
-  (proofs in the pebbling_number docstring). At t >= 2 it is that
-  potential at least t, as no move raises it;
+* a configuration below the floor can never reach the root. The floor
+  is Phi_k(p) = sum(p(v) * 2^-d'_k(v)) >= 2t for some distance table
+  d'_k, a root pebble weighing 2. At t = 1 with two root neighbours or
+  more, d'_k is the distance in G - r from the k-th root neighbour a (0
+  weight where a cannot reach v): the first pebble on r comes from an a
+  holding 2, and no move before it, all in G - r, raises Phi_a. It
+  prunes all the distance potential sum(p(v) * 2^-d(v,r)) < 1 does, and
+  is exact on cycles (proofs in the pebbling_number docstring). Else
+  d'(v) = d(v,r) - 1 (d'(v,a) for a lone root neighbour a), so Phi is
+  twice the potential, and the floor that potential at least t;
 * a vertex holding t * 2^d(v,r) pebbles alone suffices;
 * a query to ``solve`` is settled, in one node, when the pebbles on
   one shortest path carry the target. Let up(x) be x's lowest-id
@@ -35,23 +37,23 @@ The memo is keyed on packed integers (packed_units): vertex v owns
 d(v,r) + bitlen(t) bits, vertex 0 the most significant. A memoized
 configuration has passed the stack test, so p(v) < t * 2^d(v,r) <
 2^(d(v,r) + bitlen(t)) fits its field, no field carries into the next,
-and the key is injective. The floor is packed in lanes of one integer:
-at t = 1 with two root neighbours or more, Phi_a * 2^D in one lane per
-root neighbour a, D the largest d', D + 1 + bitlen(n) bits wide (no
-count past the stack test exceeds 2^d(v,r) <= 2^(d'(v,a)+1)), and a root
-pebble worth 2^(D+1) in lane 0; else the potential * 2^D plus
-2^K - t * 2^D in one lane, 2^K the least power of two from t * 2^D (with
-one root neighbour a, Phi_a is twice the potential). So the test is one
-AND with the bits of each lane from its threshold up. ``decide`` packs
-the query once; below it, one counts list is moved in place and restored
-after each child. A child differs from its parent only at the move's
-ends u -> v, and the parent held no stack, so its checks are O(1): a
-stack test on v, then its floor lanes and key, each the parent's plus a
-constant of the move. The child's key is looked up in the memo before
-the search descends, so a memo hit costs no descent; it counts one node
-and one hit, as a descent that found the key would. The search keeps its
-own stack of frames, so its depth, one frame per move, is not bounded by
-the interpreter's.
+and the key is injective. The floor is packed in lanes of one integer,
+Phi_k * 2^D in lane k, D the largest d'. Each lane has one limit,
+t * 2^(D+1) - 1, of K bits, lifted to 2^K - 1 by adding
+2^K - t * 2^(D+1) (0 at t = 1), and is K + bitlen(n) bits wide: a
+count past the stack test is below t * 2^d(v,r) <= t * 2^(d'_k(v)+1),
+so each vertex adds less than 2^K to a lane, all n and the lift less
+than 2^(K+bitlen(n)), and no lane carries. So the test is one AND
+with each lane's bits from K up. ``decide`` packs the query once; below
+it, one counts list is moved in place and restored after each child. A
+child differs from its parent only at the move's ends u -> v, and the
+parent held no stack, so its checks are O(1): a stack test on v, then
+its floor lanes and key, each the parent's plus a constant of the move.
+The child's key is looked up in the memo before the search descends, so
+a memo hit costs no descent; it counts one node and one hit, as a
+descent that found the key would. The search keeps its own stack of
+frames, so its depth, one frame per move, is not bounded by the
+interpreter's.
 
 A query the path rule settles takes the rule's moves as its witness.
 Any other is read off the memo: a solvable configuration's entry is its
@@ -155,9 +157,10 @@ class Solver:
     or has a record too. A query the path rule settles, as is every
     query holding a stack or t on the root, counts one node and leaves
     the memo as it was; any other counts the nodes of its ``decide``.
-    ``floor_lanes`` holds a (shift, mask, limit) per floor lane: p is
-    below the floor exactly when each lane of x = sum(p(v) * _lanes[v]),
-    x >> shift & mask, is at most limit (one lane has mask -1).
+    ``floor_lanes`` holds a (shift, mask, limit) per floor lane, all with
+    one mask and one limit: p is below the floor exactly when each lane
+    of x = sum(p(v) * _lanes[v]), x >> shift & mask, is at most limit,
+    that is when _base + x sets no bit of _high.
     """
 
     def __init__(self, graph: Graph, target: int = 1):
@@ -169,24 +172,21 @@ class Solver:
         root, n = graph.root, graph.vertex_count
         dist = distances_from(graph, root)
         if target == 1 and len(graph.neighbors[root]) > 1:
-            # Phi_a * 2^depth in lane k for the k-th root neighbour a; in G - r,
-            # where r is isolated, distances_from gives -1 where a cannot reach
+            # d'_k: distances from each root neighbour in G - r, r isolated (-1: unreached)
             rest = Graph(n, tuple(e for e in graph.edges if root not in e), root)
             far = [distances_from(rest, a) for a in graph.neighbors[root]]
-            depth = max(map(max, far))
-            width = depth + 1 + n.bit_length()
-            lanes = [sum(1 << depth - f[v] + k * width for k, f in enumerate(far) if f[v] >= 0) for v in range(n)]
-            lanes[root] = 2 << depth
-            self._lanes, self._base, self._high = lanes, 0, sum((1 << width) - (2 << depth) << k * width for k in range(len(far)))
-            self.floor_lanes = tuple((k * width, (1 << width) - 1, (2 << depth) - 1) for k in range(len(far)))
         else:
-            # the distance potential * 2^depth, its threshold t * 2^depth
-            # offset to a power of two; with one root neighbour a, Phi_a is
-            # twice it (d'(v,a) = d(v,r) - 1), so at t = 1 it is the floor
-            depth = max(dist)
-            lanes, top = [1 << depth - d for d in dist], ((target << depth) - 1).bit_length()
-            self._lanes, self._base, self._high = lanes, (1 << top) - (target << depth), -1 << top
-            self.floor_lanes = ((0, -1, (target << depth) - 1),)
+            far = [[d - 1 for d in dist]]  # the potential as one lane, -1 on the root
+        # lane k holds sum(p(v) * 2^(depth - d'_k(v))), a root pebble 2^(depth+1) in lane 0;
+        # every lane has one limit, which _base lifts to 2^top - 1
+        depth = max(map(max, far))
+        limit = (target << depth + 1) - 1
+        top, width = limit.bit_length(), limit.bit_length() + n.bit_length()
+        spread = sum(1 << k * width for k in range(len(far)))
+        lanes = [sum(1 << depth - f[v] + k * width for k, f in enumerate(far) if f[v] >= 0) for v in range(n)]
+        lanes[root] = 1 << depth + 1
+        self._lanes, self._base, self._high = lanes, ((1 << top) - limit - 1) * spread, ((1 << width) - (1 << top)) * spread
+        self.floor_lanes = tuple((k * width, (1 << width) - 1, limit) for k in range(len(far)))
         self.stack_threshold = tuple(target << d for d in dist)
         # each vertex's lowest-id neighbour one nearer the root (neighbours are sorted)
         self._up = tuple(next((u for u in graph.neighbors[v] if dist[u] < dist[v]), v) for v in range(graph.vertex_count))

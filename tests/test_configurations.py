@@ -107,6 +107,11 @@ class TestCountsMustBeIntegers:
         with pytest.raises(BadParameterError):
             pb.configuration(g, [count, 0])
 
+    @pytest.mark.parametrize("counts", [(), (0, 1), (0, 1, 2, 3)], ids=["empty", "short", "long"])
+    def test_counts_of_another_length_refused(self, counts):
+        with pytest.raises(BadParameterError, match="counts length does not match the graph"):
+            pb.configuration(pb.path_graph(2), counts)
+
     def test_non_iterable_counts_refused(self):
         g = pb.path_graph(3)
         for counts in (None, 5):

@@ -73,6 +73,11 @@ class TestGraphFormat:
             (_P2.replace("root 0", "root 7"), 3),
             (_P2.replace("root 0", "root -1"), 3),
             ("pebblegraph 1\nvertices 0\nroot 0\n", 2),
+            ("", 1),
+            ("# only a comment\n\n", 1),
+            (_P2 + "label 1 a\nlabel 1 b\n", 7),
+            ("pebblegraph 1\nroot 0\n", 1),
+            ("pebblegraph 1\nvertices 3\n", 1),
         ],
         ids=[
             "label-past-last-vertex",
@@ -86,6 +91,11 @@ class TestGraphFormat:
             "root-past-last-vertex",
             "negative-root",
             "no-vertices",
+            "empty-file",
+            "no-header",
+            "duplicate-label",
+            "no-vertices-record",
+            "no-root-record",
         ],
     )
     def test_bad_record_rejected_with_line_number(self, text, line):
@@ -208,6 +218,23 @@ class TestCopiesManifest:
     def test_map_before_copy(self, q3, tmp_path):
         with pytest.raises(ParseError):
             parse_copies_manifest("pebblecopies 1\nmap 0 0\n", tmp_path, q3)
+
+    @pytest.mark.parametrize(
+        "records, line",
+        [
+            ("copy w.weights\nmap 0 0\nmap 0 1\n", 4),
+            ("copy w.weights\nweights w.weights\n", 3),
+            ("copy w.weights\nmap 0 0\nmap 2 1\n", 2),
+            ("copy w.weights\nmap 0 0\nmap 1 0\n", 2),
+            ("copy w.weights\nmap 0 0\nmap 1 8\n", 2),
+        ],
+        ids=["duplicate-map", "unknown-record", "sub-ids-not-dense", "two-sub-vertices-on-one", "target-out-of-range"],
+    )
+    def test_bad_record_rejected_with_line_number(self, q3, tmp_path, records, line):
+        # each is refused before any weight file is read
+        with pytest.raises(ParseError) as err:
+            parse_copies_manifest("pebblecopies 1\n" + records, tmp_path, q3)
+        assert err.value.line_number == line
 
     def test_root_must_be_covered(self, q3, tmp_path):
         (tmp_path / "w.weights").write_text("pebbleweights 1\n", encoding="utf-8")

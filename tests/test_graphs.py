@@ -63,6 +63,20 @@ class TestBuildGraph:
         with pytest.raises(BadParameterError):
             pb.build_graph(2, [(0, 5)], root=0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, [], 0), "vertex_count must be at least 1"),
+            ((-2, [], 0), "vertex_count must be at least 1"),
+            ((3, [(0, 1), (1, 2)], 0, ("r", "a")), "labels length mismatch"),
+            ((2, [(0, 1)], 0, ("r", "a", "b")), "labels length mismatch"),
+        ],
+        ids=["no-vertices", "negative-count", "too-few-labels", "too-many-labels"],
+    )
+    def test_rejects_a_count_or_labels_that_do_not_fit(self, args, message):
+        with pytest.raises(BadParameterError, match=message):
+            pb.build_graph(*args)
+
     def test_rejects_parameters_that_are_not_ints(self):
         # a graph file reads each of them as an integer, and the search indexes by them
         cases = [

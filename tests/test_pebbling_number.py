@@ -30,7 +30,7 @@ from conftest import (
     twin_blocks,
 )
 from pebbling import pebbling_number as engine
-from pebbling.errors import InternalError, ResourceLimitError
+from pebbling.errors import BadParameterError, InternalError, ResourceLimitError
 from pebbling.fileformats import parse_graph, serialize_graph
 from pebbling.graphs import distances_from
 from pebbling.strategies import construction
@@ -870,9 +870,10 @@ class TestNearestFirstOrder:
         with pytest.raises(ResourceLimitError) as caught:
             engine._down_set(g, solver.begin(pb.SearchLimits(max_seconds=0)))
         assert (caught.value.pi_lower, solver.stats.nodes) == (1, 0)
-        # the full build takes about 0.5 s, ten times the cap
+        # the full build takes about 0.35 s (best of five on a shared
+        # 2-vCPU VM), seventy times the cap
         with pytest.raises(ResourceLimitError) as caught:
-            pb.pi_rooted(g, limits=pb.SearchLimits(max_seconds=0.05))
+            pb.pi_rooted(g, limits=pb.SearchLimits(max_seconds=0.005))
         assert 1 <= caught.value.pi_lower < 16
         assert "down_set" not in g._cache
 
@@ -943,6 +944,13 @@ class TestMaxUnsolvableWeight:
         worst, achiever = pb.max_unsolvable_weight(c5, w)
         assert not pb.is_solvable(c5, achiever).solvable
         assert worst <= w.total
+
+    @pytest.mark.parametrize("other", ["cycle 4", "a copy"])
+    def test_weights_of_another_graph_refused(self, c5, other):
+        # equality of graphs is identity, so a copy with the same edges is another graph
+        g = pb.cycle_graph(4) if other == "cycle 4" else pb.build_graph(5, c5.edges, c5.root)
+        with pytest.raises(BadParameterError, match="weight function belongs to a different graph"):
+            pb.max_unsolvable_weight(c5, pb.weight_function(g, {1: 1}))
 
     def test_asymmetric_weights_stay_exact(self, q3):
         # a weight function not constant on the orbits reads the same down-set

@@ -153,6 +153,20 @@ class TestIsSolvable:
         out = pb.is_solvable(c5, pb.configuration(c5, {2: 2, 3: 2}))
         assert out.stats.nodes > 0
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c4, c5: pb.Solver(c5, 0), "target pebble count must be at least 1"),
+            (lambda c4, c5: pb.Solver(c5, -2), "target pebble count must be at least 1"),
+            (lambda c4, c5: pb.Solver(c5).solve(pb.configuration(c4, {2: 2})), "configuration belongs to a different graph"),
+            (lambda c4, c5: pb.is_solvable(c5, pb.configuration(c4, {2: 2})), "configuration belongs to a different graph"),
+        ],
+        ids=["zero-target", "negative-target", "solve-other-graph", "is-solvable-other-graph"],
+    )
+    def test_refused_input(self, c4, c5, call, message):
+        with pytest.raises(BadParameterError, match=message):
+            call(c4, c5)
+
 
 class TestLimitsPerCall:
     """Each operation gets the full caps, however many came before it
@@ -370,6 +384,27 @@ class TestFloor:
             assert not naive_solvable(g, counts)
             assert self.floor_verdict(g, 1, counts)
 
+    @pytest.mark.parametrize("t", (1, 2, 3))
+    def test_one_layout_for_every_floor(self, t):
+        # one lane per root neighbour at t = 1 on a root with two or more,
+        # else the potential as one lane; either way every lane has one
+        # mask, one limit that t root pebbles pass and _base lifts to the
+        # lane's lowest bit of _high, and nothing above the last lane
+        for g in (pb.path_graph(4), pb.cycle_graph(5), pb.rooted_cube(3), pb.build_graph(1, [], 0)):
+            solver = pb.Solver(g, t)
+            degree = len(g.neighbors[g.root])
+            assert len(solver.floor_lanes) == (degree if t == 1 and degree > 1 else 1)
+            (_, mask, limit), *_ = solver.floor_lanes
+            assert mask > 0 and not mask & mask + 1 and limit == t * solver._lanes[g.root] - 1
+            width, top = mask.bit_length(), limit.bit_length()
+            assert solver.floor_lanes == tuple((k * width, mask, limit) for k in range(len(solver.floor_lanes)))
+            spread = sum(1 << sh for sh, *_ in solver.floor_lanes)
+            assert solver._high == (mask - (1 << top) + 1) * spread > 0
+            assert solver._base == ((1 << top) - limit - 1) * spread
+            assert solver._high < 1 << width * len(solver.floor_lanes)
+            if t == 1:
+                assert solver._base == 0
+
     def test_one_vertex(self):
         # no root neighbour: the floor is the distance potential, and the
         # empty configuration is below it, a root pebble is not
@@ -471,6 +506,21 @@ class TestWitness:
         with pytest.raises(InternalError, match="replay"):
             pb.is_solvable(c5, pb.configuration(c5, {2: 4}), want_witness=True)
 
+    def test_a_forged_record_fails_the_replay(self):
+        # a searched query (no shortest path carries the pebble) on a graph
+        # of its own, so its shared solver's memo is this test's: its second
+        # record, overwritten with a pair that is no edge, lands a root
+        # pebble, so the read ends there and the replay names that move
+        g = pb.build_graph(5, pb.cycle_graph(5).edges, 0)
+        p = pb.configuration(g, (0, 0, 2, 1, 1))
+        out = pb.is_solvable(g, p, want_witness=True)
+        assert out.witness == ((2, 3), (3, 4), (4, 0)) and out.stats.nodes > 1
+        solver = shared_solver(g)
+        key = sum(map(mul, (0, 0, 0, 2, 1), solver._unit))
+        assert solver.memo[key] == (3, 4)
+        solver.memo[key] = (3, 0)
+        with pytest.raises(InternalError, match="witness replay failed at move 1: 3 and 0 are not adjacent"):
+            pb.is_solvable(g, p, want_witness=True)
 
     def test_a_missing_record_is_an_internal_error(self, monkeypatch, c5):
         # a solvable verdict with no record behind it: the read stops there

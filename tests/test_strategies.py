@@ -314,6 +314,26 @@ class TestConicCombine:
                         found.append((path.name, scope.get(node, "<module>")))
         assert found == [("strategies.py", "conic_combine")]
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c5, cert: pb.weight_function(c5, (0, 1)), "weights length does not match the graph"),
+            (lambda c5, cert: pb.weight_function(c5, (0, -1, 0, 0, 0)), "weights must be nonnegative"),
+            (lambda c5, cert: pb.weight_function(c5, (1, 1, 0, 0, 0)), "root weight must be 0"),
+            (lambda c5, cert: pb.conic_combine(c5, [(1, cert, (2, 1))]), "embedding length does not match the subgraph"),
+            (lambda c5, cert: pb.conic_combine(c5, [(1, cert, (1, 1, 0))]), "embedding must be injective"),
+            (lambda c5, cert: pb.conic_combine(c5, [(1, cert, (2, 5, 0))]), "embedding must be injective"),
+            (lambda c5, cert: pb.conic_combine(c5, [(1, cert, (3, 1, 0))]), r"edge \(0,1\) has no image edge"),
+            (lambda c5, cert: pb.conic_combine(c5, [(1, cert, None)]), "no embedding given and the graphs differ"),
+        ],
+        ids=["short-weights", "negative-weight", "root-weight", "short-embedding", "repeated-vertex", "vertex-out-of-range", "edge-not-kept", "no-embedding"],
+    )
+    def test_refused_weights_and_embeddings(self, c5, call, message):
+        # the path 0-1-2 rooted at 2, certified by the tree check
+        g, w = pb.construction("path", 2)
+        with pytest.raises(BadParameterError, match=message):
+            call(c5, pb.certify(g, w, "tree"))
+
     def test_non_iterable_embedding_refused(self, q3):
         base = pb.construction_certificate("fig2")
         for embedding in (5, object()):
