@@ -9,6 +9,7 @@ twin_classes and root_automorphisms, each cached on the graph.
 build_graph checks connectivity with the one BFS of distances_from and
 leaves the root's distances cached, so no later reader runs a second
 BFS from the root. rooted_cube(n) is hypercube(n - 1) plus a pendant root.
+generate and strategies.construction check a name and its parameters in _named.
 """
 
 from __future__ import annotations
@@ -280,9 +281,6 @@ def hypercube(n: int) -> Graph:
     return build_graph(size, edges, root=0, labels=labels)
 
 
-_LEMMA5_DOUBLE_NAMES = {3: "y_3", 5: "y_2", 6: "y_1"}
-
-
 @lru_cache(maxsize=None)
 def rooted_cube(n: int) -> Graph:
     """A pendant root attached to the all-zeros vertex of Q_{n-1}.
@@ -298,19 +296,8 @@ def rooted_cube(n: int) -> Graph:
         raise BadParameterError("rooted cube needs dimension at least 2")
     q = hypercube(n - 1)
     edges = [(0, 1)] + [(1 + u, 1 + v) for u, v in q.edges]
-    cube_labels = q.labels
-    if n == 4:
-        cube_labels = []
-        for c in range(8):
-            ones = bin(c).count("1")
-            if ones == 0:
-                cube_labels.append("u")
-            elif ones == 1:
-                cube_labels.append(f"x_{c.bit_length()}")
-            elif ones == 2:
-                cube_labels.append(_LEMMA5_DOUBLE_NAMES[c])
-            else:
-                cube_labels.append("z")
+    # indexed by the coordinate word; y_i is the vertex missing coordinate i
+    cube_labels = ("u", "x_1", "x_2", "y_3", "x_3", "y_2", "y_1", "z") if n == 4 else q.labels
     return build_graph(q.vertex_count + 1, edges, root=0, labels=("r", *cube_labels))
 
 
@@ -356,15 +343,20 @@ _FAMILIES = {
 }
 
 
+def _named(table, what: str, name: str, params):
+    """Call ``name``'s builder in a {name: (builder, count or counts)} table
+    once the count and each parameter are checked: True is not the int 1."""
+    if name not in table:
+        raise BadParameterError(f"unknown {what} {name!r}; choose from {sorted(table)}")
+    build, counts = table[name]
+    counts = (counts,) if isinstance(counts, int) else counts
+    if len(params) not in counts:
+        raise BadParameterError(f"{what} {name!r} takes {counts} parameter(s), got {len(params)}")
+    for p in params:
+        _check_int(f"{name} parameter", p)
+    return build(*params)
+
+
 def generate(family: str, *params: int) -> Graph:
     """Build a graph family instance by name, e.g. generate("lollipop", 1, 4)."""
-    if family not in _FAMILIES:
-        raise BadParameterError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    fn, arity = _FAMILIES[family]
-    allowed = (arity,) if isinstance(arity, int) else arity
-    if len(params) not in allowed:
-        raise BadParameterError(f"family {family!r} takes {allowed} parameter(s), got {len(params)}")
-    for p in params:
-        _check_int(f"{family} parameter", p)
-    return fn(*params)
-
+    return _named(_FAMILIES, "family", family, params)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from .configurations import Configuration, _exact, _integers, _per_vertex, _sequence
 from .errors import BadParameterError, InternalError, NotATreeError, UncertifiedWeightError, WeightNotPositiveError
 from .graphs import Graph, cycle_graph, distances_from, diameter, hypercube, lollipop, path_graph, rooted_cube
-from .graphs import _check_int
+from .graphs import _check_int, _named
 from .pebbling_number import max_unsolvable_weight
 from .solver import SearchLimits
 
@@ -352,8 +352,6 @@ def _path_weights(k: int) -> tuple[Graph, WeightFunction]:
 def _cycle_combined(k: int) -> tuple[Graph, WeightFunction]:
     # mirror-symmetric sum of the two path strategies around the cycle:
     # 2^k, ..., 2^2 down each side, 3 on both farthest vertices
-    if k < 1:
-        raise BadParameterError("need an odd cycle of length at least 3")
     return _weights_by_distance(cycle_graph(2 * k + 1), {d: 1 << (k + 1 - d) for d in range(1, k)} | {k: 3})
 
 
@@ -361,11 +359,10 @@ def cycle_strategy_pair(k: int) -> tuple[Certificate, Certificate]:
     """The two mirrored path strategies on C_{2k+1}, each the conic
     combination of the tree-checked 2^i weighting of path(k + 1) alone,
     carried onto a path through k+2 of the cycle's vertices, zero
-    elsewhere; their sum is the combined cycle function.
+    elsewhere; their sum is the combined cycle function; cycle_graph
+    refuses a k below 1 as a cycle length below 3.
     """
     _check_int("k", k)
-    if k < 1:
-        raise BadParameterError("need an odd cycle of length at least 3")
     length = 2 * k + 1
     cycle = cycle_graph(length)
     cert = certify_tree(*_path_weights(k + 1))
@@ -411,16 +408,10 @@ def construction(name: str, *params: int) -> tuple[Graph, WeightFunction]:
     """Named (graph, weights) pairs bundled with the library.
 
     Names: fig2, q3prime, lemma5, q4star, conjecture(n), lollipop(n),
-    lollipop_general(n, m), cycle_combined(k), path(k).
+    lollipop_general(n, m), cycle_combined(k), path(k); graphs._named
+    checks the name, the parameter count and each parameter.
     """
-    if name not in _CONSTRUCTIONS:
-        raise BadParameterError(f"unknown construction {name!r}")
-    build, arity = _CONSTRUCTIONS[name]
-    if len(params) != arity:
-        raise BadParameterError(f"bad parameters {params} for {name!r}")
-    for p in params:  # True would build the instance for 1
-        _check_int(f"{name} parameter", p)
-    return build(*params)
+    return _named(_CONSTRUCTIONS, "construction", name, params)
 
 
 def construction_certificate(name: str, *params: int, limits: SearchLimits | None = None) -> Certificate:

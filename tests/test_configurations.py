@@ -180,6 +180,12 @@ class TestEnumerate:
         for p in pb.enumerate_configurations(q3, 2, exclude_root=True):
             assert {perm(p.counts) for perm in perms} == orbit(group, p.counts)
 
+    @pytest.mark.parametrize("size", [-1, -5])
+    def test_negative_size_refused(self, c4, size):
+        # a generator: the refusal comes with the first configuration asked for
+        with pytest.raises(BadParameterError, match="size must be nonnegative"):
+            next(pb.enumerate_configurations(c4, size))
+
     def test_stream_is_descending_lex(self, c4):
         for s in (3, 5):
             got = [p.counts for p in pb.enumerate_configurations(c4, s)]

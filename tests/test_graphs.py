@@ -179,6 +179,10 @@ class TestGenerate:
         assert len(g.edges) == 13
         assert sorted(g.labels) == sorted(["r", "u", "x_1", "x_2", "x_3", "y_1", "y_2", "y_3", "z"])
 
+    def test_rooted_cube_4_label_order(self):
+        # cube vertex c is 1 + c; y_i is the vertex missing coordinate i
+        assert pb.rooted_cube(4).labels == ("r", "u", "x_1", "x_2", "y_3", "x_3", "y_2", "y_1", "z")
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_rooted_cube_matches_independent_construction(self, n):
         g = pb.rooted_cube(n)
@@ -212,6 +216,20 @@ class TestGenerate:
         for family, params in (("path", (True,)), ("path", (2.0,)), ("cycle", ("5",)), ("lollipop", (2, None))):
             with pytest.raises(BadParameterError, match=f"{family} parameter must be an integer, not {params[-1]!r}"):
                 pb.generate(family, *params)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("path", 0), "path length must be at least 1"),
+            (("hypercube", 0), "hypercube dimension must be at least 1"),
+            (("rooted_cube", 1), "rooted cube needs dimension at least 2"),
+            (("lollipop", 1, 0), "need at least one parallel path"),
+        ],
+        ids=["path", "hypercube", "rooted-cube", "lollipop-arms"],
+    )
+    def test_out_of_range_parameter_refused(self, params, message):
+        with pytest.raises(BadParameterError, match=message):
+            pb.generate(*params)
 
     def test_one_lollipop_per_arm_count(self):
         # the default m = 2^(n+1) is resolved before the cache

@@ -476,6 +476,22 @@ class TestConstructions:
         g, w = pb.construction("lollipop_general", 1, 5)
         assert g.vertex_count == 8
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda c5, w: pb.check_tree_strategy(c5, w), "weights belong to a different graph"),
+            (lambda c5, w: pb.verify_decomposition(c5, w, []), "weights belong to a different graph"),
+            (lambda c5, w: pb.certify_by_decomposition(c5, w, []), "weights belong to a different graph"),
+            (lambda c5, w: pb.construction("conjecture", 2), "reciprocal-distance weights start at dimension 3"),
+            (lambda c5, w: pb.cube_copy_embeddings(2), "needs dimension at least 3"),
+        ],
+        ids=["tree-check", "verify-decomposition", "certify-by-decomposition", "conjecture-dimension", "cube-copies"],
+    )
+    def test_refused_graph_or_dimension(self, c5, call, message):
+        # the weights belong to the path 0-1-2, not to c5
+        with pytest.raises(BadParameterError, match=message):
+            call(c5, pb.construction("path", 2)[1])
+
     def test_fig2_weights_by_distance(self, fig2):
         _, w = pb.construction("fig2")
         dist = pb.distances_from(fig2, fig2.root)
