@@ -1,4 +1,4 @@
-from .cli import main
+from .cli import entry
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

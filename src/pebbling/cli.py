@@ -416,9 +416,9 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except ResourceLimitError as exc:
-        proven = "" if exc.pi_lower is None else f"; proven pi >= {exc.pi_lower}"
-        note(f"resource limit: {exc}{proven}")
+    except (ResourceLimitError, KeyboardInterrupt) as exc:  # an interrupt in a build is the former
+        proven = "" if getattr(exc, "pi_lower", None) is None else f"; proven pi >= {exc.pi_lower}"
+        note(f"resource limit: {str(exc) or 'interrupted'}{proven}")
         return 3
     except InternalError as exc:
         note(f"error: {exc}")
@@ -432,5 +432,8 @@ def main(argv=None) -> int:
         return 4
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def entry() -> int:
+    """``python -m pebbling`` and ``pebble``: main, with SIGTERM an interrupt (main's in-process callers keep theirs)."""
+    import signal  # here, not at the top: it would cost every caller of main memory
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
+    return main()

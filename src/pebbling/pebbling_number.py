@@ -180,16 +180,17 @@ it is solvable. A q with no two pebbles on a vertex has no move, so it
 is unsolvable. So a run's last member is decided from its record: its
 extension is one solvable node (two pebbles on v0) or none, counted
 after the level's loop, where run ends come last (a cap trips at the
-same level). Likewise, when level s+1 holds no member above the floor,
-p + e_v is unsolvable exactly when it is below the floor, and the
-maximality pass makes no lookup and no cap or block-order test, and
-tries one vertex per Pareto-minimal floor lane vector (one lane: the
-lightest). At a cap p + e_v holds 2^d(v,r) on v, so Phi_a >= 2 for the
-root neighbour a ending a shortest v-r path. If v follows a twin with
-as many pebbles, p + e_v is the image of p + e_u, u the first twin of
-that run, under their transposition; the floor holds on whole orbits.
-If u's lanes are each at most v's, p + e_u is below the floor when
-p + e_v is. Each level counts the members it admits above the floor.
+same level). Each level counts the members it admits above the floor.
+The maximality pass asks, on every level, whether p has an extension
+below the floor: one is unsolvable whatever its cap, twin order or
+orbit, and if any is, so is one at a light vertex (a Pareto-minimal lane
+vector). A bisect of the light vectors, sorted by lane 0, on p's slack
+there gives the prefix that fits lane 0: one lane decides there; with
+two, lane 1 falls along it (a staircase), so its last entry decides;
+with more, it is tested from its end. Else p + e_v is unsolvable exactly
+when level s+1's members hold it, looked up where some are above the
+floor, below the caps (a stack is solvable) and where the twin before v
+holds more (else it is an image of one at the first twin of v's run).
 
 Each candidate decided counts as one search node against the solver's
 limits (a run's members at once: a cap may trip a run early), whose
@@ -215,6 +216,7 @@ checks on one graph reuse one enumeration.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -387,17 +389,13 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     admitted in runs in ``solver.stats.in_runs``.
 
     A representative p is maximal when no p + e_v is unsolvable. One
-    with an admitted extension is not, and needs no lookup. Any other
-    is tested once level s+1 is built: each p + e_v below the caps
-    that stays block-sorted (the first vertex of a run of equal counts
-    stands for its twins in the run) is unsolvable when it is below the
-    floor or among the next level's members. It is maximal when no p + e_v
-    is. Where a level holds no member above the floor (each level counts
-    those it admits), the floor decides with no lookup: a candidate above
-    it by whether a vertex holds two pebbles, a run's last member by its
-    record (``solver.stats.run_ends``), and p + e_v by the floor alone at
-    the Pareto-minimal vertices, each a ``solver.stats.maximality_tests``
-    (see the module docstring).
+    with an admitted extension is not; any other is tested once level s+1
+    is built, by a bisect and floor tests of the light lane vectors, then,
+    where level s+1 holds members above the floor, a lookup of each
+    block-sorted p + e_v below the caps, each test and lookup a
+    ``solver.stats.maximality_tests``. Where a level holds no member above
+    the floor, a candidate above it is decided by whether a vertex holds
+    two pebbles, a run's last member by its record (``stats.run_ends``).
     """
     kind, data = _symmetry_mode(g, solver)
     n = g.vertex_count
@@ -433,10 +431,11 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     u0, w0 = unit[v0], weight[v0]
     # the floor lanes where v0 weighs w > 0, as (shift, mask, limit, w)
     floor0 = [(sh, mask, limit, w0 >> sh & mask) for sh, mask, limit in solver.floor_lanes if w0 >> sh & mask]
-    # where level s+1 holds no member above the floor, the maximality pass tries one
-    # vertex per Pareto-minimal lane vector, as `top` entries whose field reads 0
-    vectors = {weight[v]: (v, [weight[v] >> sh & mask for sh, mask, _ in solver.floor_lanes]) for v, *_ in top}
-    light = [(v, 0, 0, 1, None) for v, x in vectors.values() if not any(y != x and all(map(le, y, x)) for _, y in vectors.values())]
+    # the light (Pareto-minimal) floor lane vectors' lane 0 and weights, sorted
+    vectors = {tuple(weight[v] >> sh & mask for sh, mask, _ in solver.floor_lanes): weight[v] for v, *_ in top}
+    light = sorted((x[0], w) for x, w in vectors.items() if not any(y != x and all(map(le, y, x)) for y in vectors))
+    light0, light = [x for x, _ in light], [w for _, w in light]
+    (_, mask0, limit0), lanes_n = solver.floor_lanes[0], len(solver.floor_lanes)
 
     group = data if kind == "group" else ()
     lift0, image0 = 0, ()
@@ -545,17 +544,30 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
             if nodes > node_cap or nodes >> 12 != nodes - made >> 12:
                 stats.nodes = nodes
                 solver._check_limits()
-        # with no member above the floor in level s+1, p + e_v is unsolvable
-        # exactly when it is below the floor, so the lightest vertices decide
+        # is some p + e_v below the floor? a Pareto staircase query (module docstring)
+        walk = top if nxt_up else ()
         for p, phi in pending:
-            for v, sh, mask, cap, prev_sh in top if nxt_up else light:
-                c = p >> sh & mask
-                if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
-                    tests += 1
-                    if not phi + weight[v] & high or nxt_up and p + unit[v] in nxt_members:
-                        break
+            i = bisect_right(light0, limit0 - (phi & mask0))
+            if i:
+                if lanes_n == 1:
+                    continue
+                tests += 1
+                if not phi + light[i - 1] & high:
+                    continue
+            for w in reversed(light[:i - 1]) if i > 1 and lanes_n > 2 else ():
+                tests += 1
+                if not phi + w & high:
+                    break
             else:
-                maximal.append(p)
+                # above the floor, p + e_v is unsolvable exactly when level s+1 holds it
+                for v, sh, mask, cap, prev_sh in walk:
+                    c = p >> sh & mask
+                    if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
+                        tests += 1
+                        if p + unit[v] in nxt_members:
+                            break
+                else:
+                    maximal.append(p)
         stats.nodes, stats.above_floor, stats.lookups, stats.in_runs, stats.run_ends, stats.maximality_tests = nodes, above, lookups, in_runs, run_ends, tests
         reps, members, up, size, alive = nxt, nxt_members, nxt_up, size + 1, alive - len(ending)
 

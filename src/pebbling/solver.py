@@ -120,7 +120,7 @@ class SolveStats:
     lookups: int = 0  # of those, the ones it decided by member lookups
     in_runs: int = 0  # members the down-set builder admitted in runs
     run_ends: int = 0  # runs' last members it decided from their record
-    maximality_tests: int = 0  # extensions its maximality pass tested
+    maximality_tests: int = 0  # its maximality pass's floor tests of light vectors and member lookups
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -133,6 +134,56 @@ class TestGen:
             code, results, err = run_cli(capsys, *argv)
             assert code == 3 and results == [], argv
             assert "resource limit: interrupted; proven pi >= 2\n" in err and "Traceback" not in err, err
+
+    def test_an_interrupt_outside_a_build_is_a_resource_limit(self, capsys, monkeypatch, tmp_path, c5_file, c5):
+        # SIGINT in the solver or the LP, where no level bounds pi; `bound`
+        # has printed its certificate's own bound, not the LP's
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        cfg = tmp_path / "one.config"
+        cfg.write_text(serialize_config(pb.configuration(c5, {2: 1})), encoding="utf-8")
+        weights = tmp_path / "c5.weights"
+        weights.write_text("pebbleweights 1\nw 1 4\nw 2 2\nw 3 1\n", encoding="utf-8")
+        monkeypatch.setattr(pb.Solver, "decide", interrupt)
+        monkeypatch.setattr(cli, "lp_pebbling_bound", interrupt)
+        for argv in (
+            ("solve", "-g", str(c5_file), "-c", str(cfg)),
+            ("bound", "-g", str(c5_file), "-w", str(weights), "--certify", "tree"),
+        ):
+            code, results, err = run_cli(capsys, *argv)
+            assert (code, err) == (3, "resource limit: interrupted\n"), argv
+            assert results in ([], ["RESULT cert0_bound=none"]), argv
+
+    def test_sigterm_ends_the_program_as_an_interrupt(self, capsys, c5_file):
+        # `python -m pebbling` run in a child whose builder sends itself
+        # SIGTERM after levels 0 and 1; main alone installs no handler
+        before = signal.getsignal(signal.SIGTERM)
+        assert run_cli(capsys, "pi", "-g", str(c5_file))[0] == 0 and signal.getsignal(signal.SIGTERM) is before
+        src = str(Path(pb.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = (
+            "import os, runpy, signal, sys, time\n"
+            "from itertools import islice\n"
+            "from pebbling import pebbling_number\n"
+            "levels = pebbling_number._levels\n"
+            "def two_then_sigterm(g, solver, maximal):\n"
+            "    yield from islice(levels(g, solver, maximal), 2)\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "    time.sleep(60)\n"
+            "pebbling_number._levels = two_then_sigterm\n"
+            "sys.argv = ['pebble', 'pi', '-g', sys.argv[1]]\n"
+            "runpy.run_module('pebbling', run_name='__main__')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(c5_file)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 3 and proc.stdout == "", (proc.stdout, proc.stderr)
+        assert "resource limit: interrupted; proven pi >= 2\n" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_gen_stdout(self, capsys):
         # without -o, stdout is the graph file alone: it reads back as the

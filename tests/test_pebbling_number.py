@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from itertools import chain, combinations
 from math import factorial, lcm, prod
-from operator import mul
+from operator import le, mul
 
 import pytest
 
@@ -516,9 +516,9 @@ class TestTheFloorDecidesWholeLevels:
         # floor, so the floor decides every candidate and none is looked
         # up; a `twos` mask that misses a stack sends candidates back to
         # the lookups and changes these counts
-        cases = [(pb.path_graph(6), 0), (pb.cycle_graph(5), 0), (pb.cycle_graph(9), 0)]
+        cases = [(pb.path_graph(6), 0), (pb.path_graph(7), 0), (pb.cycle_graph(5), 0), (pb.cycle_graph(9), 0), (pb.cycle_graph(11), 0)]
         cases += [(_spider(1, 1, 3), 0), (_spider(3, 3), 0), (_spider(5, 5), 0)]
-        cases += [(pb.rooted_cube(3), 14), (pb.hypercube(3), 65), (pb.rooted_cube(4), 582)]
+        cases += [(pb.rooted_cube(3), 14), (pb.hypercube(3), 65), (pb.rooted_cube(4), 582), (pb.hypercube(4), 11_892)]
         cases += [(pb.lollipop(2), 806), (pb.lollipop(3), 42_605)]
         for g, lookups in cases:
             solver = pb.Solver(g)
@@ -528,17 +528,20 @@ class TestTheFloorDecidesWholeLevels:
 
     def test_run_ends_and_maximality_tests_are_counted(self):
         # where a level holds no member above the floor, each run's last
-        # member is decided from its record and the maximality pass tests
-        # only the lightest vertices; both shortcuts are exact, so walking
-        # those members and vertices as before changes only these counts
+        # member is decided from its record; the maximality pass bisects the
+        # staircase of light lane vectors on lane 0, then makes a floor test
+        # per light vector it must try (none with one lane, one with two) and
+        # a member lookup per extension only where the next level holds
+        # members above the floor; each shortcut is exact, so walking those
+        # members and every vertex instead changes only these counts
         cases = (
-            (pb.path_graph(6), "none", 1_460, 1_626),
+            (pb.path_graph(6), "none", 1_460, 0),
             # two floor lanes, one per root neighbour
-            (pb.cycle_graph(9), "group", 1_044, 7_568),
+            (pb.cycle_graph(9), "group", 1_044, 1_486),
             # five lanes; the three leaves on the root are twins whose lanes differ
-            (_spider(4, 4, 1, 1, 1), "blocks", 13_280, 38_584),
+            (_spider(4, 4, 1, 1, 1), "blocks", 13_280, 19_292),
             # lookups on most levels: few runs end on a level the floor decides
-            (pb.rooted_cube(4), "group", 14, 867),
+            (pb.rooted_cube(4), "group", 14, 837),
         )
         for g, kind, run_ends, tests in cases:
             assert engine._symmetry_mode(g)[0] == kind
@@ -546,6 +549,37 @@ class TestTheFloorDecidesWholeLevels:
             for _ in engine._levels(g, solver, []):
                 pass
             assert (solver.stats.run_ends, solver.stats.maximality_tests) == (run_ends, tests), g.edges
+
+    def test_the_staircase_query_matches_the_vertex_walk(self):
+        # the maximality pass asks whether some p + e_v is below the floor by a
+        # bisect on lane 0 and the light vectors it must try; walk every
+        # root-free vertex instead, on reference_floor. Where level s+1 holds
+        # no member above the floor, the query alone decides maximality; else
+        # a maximal p still has no extension below it
+        rng = random.Random(50_050)
+        graphs = [pb.build_graph(1, [], 0), pb.cycle_graph(7), _spider(2, 2, 1, 1), pb.hypercube(3)]
+        graphs += [random_connected_graph(rng, n_min=2, n_max=7, max_extra=4) for _ in range(80)]
+        degrees, ties, decided = set(), 0, 0
+        for g in graphs:
+            n, solver, maximal = g.vertex_count, pb.Solver(g), []
+            unpack = engine._layout(g, engine._symmetry_mode(g)[0])[2]
+            levels = [list(map(unpack, level)) for level in engine._levels(g, solver, maximal)]
+            maximal = set(map(unpack, maximal))
+            free = [v for v in range(n) if v != g.root]
+            vectors = {tuple(solver._lanes[v] >> sh & mask for sh, mask, _ in solver.floor_lanes) for v in free}
+            light0 = [x[0] for x in vectors if not any(y != x and all(map(le, y, x)) for y in vectors)]
+            degrees.add(min(len(g.neighbors[g.root]), 3))
+            ties += len(set(light0)) < len(light0)
+            for level, nxt in zip(levels, levels[1:] + [[]]):
+                floor_alone = all(map(reference_floor, [g] * len(nxt), nxt))
+                for p in level:
+                    below = any(reference_floor(g, tuple(c + (v == u) for u, c in enumerate(p))) for v in free)
+                    assert p not in maximal or not below, (g.edges, g.root, p)
+                    if floor_alone:
+                        assert (p in maximal) != below, (g.edges, g.root, p)
+                        decided += 1
+        # roots of degree 0 (one vertex), 1, 2 and 3 or more; ties in lane 0 need three lanes
+        assert degrees == {0, 1, 2, 3} and ties >= 5 and decided > 3_000
 
 
 class TestChungTrees:
