@@ -49,6 +49,10 @@ FAULTS = [
     (BUILDER, "if not phi + light[i - 1] & high:", "if not phi + light[0] & high:", "the prefix's first entry tested instead of its last"),
     (BUILDER, "walk = top if nxt_up else ()", "walk = ()", "the membership walk dropped"),
     (BUILDER, "limit0 - (phi & mask0)", "limit0 - (phi >> mask0.bit_length() & mask0)", "lane 1's slack bisected against the lane-0 weights"),
+    # one limit check and one early-end handler (a dropped deadline test is
+    # caught only by a run of several minutes, past the per-fault timeout)
+    (SOLVER, "if nodes > self._node_cap:", "if nodes > self._node_cap + 1:", "the node test one node late"),
+    (BUILDER, "exc.pi_lower = levels", "exc.pi_lower = exc.pi_lower", "the early-end handler leaving pi_lower unset"),
 ]
 
 

@@ -249,7 +249,7 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     g = parse_graph(args.graph.read_text(encoding="utf-8"))
     start = time.monotonic()
-    certs = []
+    certs, singles = [], {}
     for i, path in enumerate(args.weights):
         w = parse_weights(path.read_text(encoding="utf-8"), g)
         cert = _certified(g, w, args.certify, _limits(args))
@@ -257,13 +257,15 @@ def _cmd_bound(args) -> int:
             return 1
         certs.append(cert)
         try:
-            single = weight_function_bound(cert)
+            singles[f"cert{i}_bound"] = weight_function_bound(cert)
         except WeightNotPositiveError:
-            single = "none"  # partial support: only the LP can use this row
-        emit(**{f"cert{i}_bound": single})
+            singles[f"cert{i}_bound"] = "none"  # partial support: only the LP can use this row
+    # nothing is printed until the last search and the LP are done, so an early end prints no RESULT
     optimum, bound = lp_pebbling_bound(g, certs)
     lower = diameter_lower_bound(g)
     _report(g, lower, "diameter stack", bound, "strategy LP", certs, start, shared_solver(g).stats.nodes)
+    for key, single in singles.items():
+        emit(**{key: single})
     emit(bound=bound, optimum=optimum)
     emit(lower=lower)
     return 0 if lower <= bound else 1

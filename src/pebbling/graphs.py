@@ -148,7 +148,7 @@ def root_automorphisms(g: Graph, check=None) -> tuple[Perm, ...] | None:
     before it. So every full map keeps adjacency both ways, and every
     root-fixing automorphism meets each condition. The walk keeps its
     own stack, so a long path does not recurse once per vertex, and
-    calls ``check`` (a deadline test, say) every 1,024 placements.
+    calls ``check`` (Solver.check_limits, say) every 1,024 placements.
     """
     cache = g._cache
     if "automorphisms" in cache:

@@ -205,8 +205,8 @@ def lp_pebbling_bound(g: Graph, certs, *, return_lp: bool = False):
     rows = tuple(tuple(ints[v] for v in variables) for ints in scaled)
     lp = LinearProgram((1,) * len(variables), rows, tuple(sum(ints) for ints in scaled))
     sol = solve_lp(lp)
-    if sol.status != OPTIMAL:
-        raise LpError(f"strategy LP ended {sol.status}")
+    if sol.status != OPTIMAL:  # the program is bounded, see above
+        raise InternalError(f"internal error: strategy LP ended {sol.status}")
     problem = _dual_problem(lp, sol)
     if problem:
         raise InternalError(f"internal error: {problem}")

@@ -193,9 +193,9 @@ floor, below the caps (a stack is solvable) and where the twin before v
 holds more (else it is an image of one at the first twin of v's run).
 
 Each candidate decided counts as one search node against the solver's
-limits (a run's members at once: a cap may trip a run early), whose
-deadline is also read once per level. A limit hit part-way reports the
-complete levels, a proven lower bound on pi.
+limits (a run's members at once: a cap may trip a run early), and
+Solver.check_limits also runs once per level. A limit hit part-way
+reports the complete levels, a proven lower bound on pi.
 
 The symmetry is a property of the graph, so each graph has one
 down-set. It answers every weight-function question on the graph, and
@@ -253,13 +253,13 @@ def _symmetry_mode(g: Graph, solver: Solver | None = None):
     ("blocks", graphs.twin_classes) when it has twins; else ("group",
     getters), one ``itemgetter`` per element of graphs.root_automorphisms
     (applying one is a C call), when that group is nontrivial and within
-    the cap; else ("none", None). The group search reads the deadline of
-    ``solver``, if given. Cached per graph.
+    the cap; else ("none", None). The group search runs under
+    ``solver.check_limits``, if given. Cached per graph.
     """
     cache = g._cache
     if "symmetry_mode" not in cache:
         mode = ("blocks", twin_classes(g)) if twin_classes(g) else ("none", None)
-        group = () if twin_classes(g) else root_automorphisms(g, solver and solver.check_deadline) or ()
+        group = () if twin_classes(g) else root_automorphisms(g, solver and (lambda: solver.check_limits(solver.stats.nodes))) or ()
         if len(group) > 1:
             mode = ("group", tuple(itemgetter(*p) for p in group))
         cache["symmetry_mode"] = mode
@@ -295,10 +295,10 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
     entries, so the check leans on neither it nor earlier queries, and
     its nodes count in ``solver.stats``. The check's memo is then
     dropped: ``solver.memo`` is left as it was, whatever the outcome.
-    Cached on the graph only once complete and checked: a resource limit
-    hit part-way (running out of memory or an interrupt is one) or a
-    failed check leaves no summary, and a limit's error carries the
-    levels done as ``pi_lower``.
+    Cached on the graph only once complete and checked: a failed check
+    leaves no summary, nor does an early end (a resource limit, running
+    out of memory or an interrupt), which one handler turns into one
+    ResourceLimitError carrying the levels done as ``pi_lower``.
     """
     cache = g._cache
     if "down_set" in cache:
@@ -332,21 +332,17 @@ def _down_set(g: Graph, solver: Solver) -> DownSet:
         solver.memo = {}
         if solver.begin(solver.limits).decide(witness):
             raise InternalError("internal error: witness re-verification failed")
-    except ResourceLimitError as exc:
-        # levels 0..levels-1 are complete and non-empty
-        exc.pi_lower = levels
-        raise
-    except (MemoryError, KeyboardInterrupt) as caught:
+    except (ResourceLimitError, MemoryError, KeyboardInterrupt) as caught:
         # raised after the handler, whose traceback holds the half-built level
         maximal = last = level = None
         reason = "interrupted" if isinstance(caught, KeyboardInterrupt) else "out of memory building the down-set"
+        exc = caught if isinstance(caught, ResourceLimitError) else ResourceLimitError(reason)
     else:
         cache["down_set"] = down = DownSet(levels, representatives, below, witness, tuple(maximal), unpack)
         return down
     finally:
         solver.memo = kept
-    exc = ResourceLimitError(reason)
-    exc.pi_lower = levels
+    exc.pi_lower = levels  # levels 0..levels-1 are complete and non-empty
     raise exc
 
 
@@ -460,7 +456,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     while reps or alive:
         ending = runs.pop(size, [])
         yield _Level(reps.keys(), [ending, *runs.values()], size, u0, len(reps) + alive)
-        solver.check_deadline()
+        solver.check_limits(nodes)
         nxt: dict[int, tuple] = {}
         nxt_members = nxt if not group else set()
         nxt_up = 0
@@ -484,8 +480,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                         q_phi = phi + weight[v]
                         nodes += 1
                         if nodes > node_cap or not nodes & 4095:
-                            stats.nodes = nodes
-                            solver._check_limits()
+                            solver.check_limits(nodes)
                         if q_phi & high:
                             above += 1
                             # one lookup per legal move in the level below: a child
@@ -524,8 +519,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             if lo > 0:
                                 nodes += lo
                                 if nodes > node_cap or nodes >> 12 != nodes - lo >> 12:
-                                    stats.nodes = nodes
-                                    solver._check_limits()
+                                    solver.check_limits(nodes)
                                 runs.setdefault(size + 1 + lo, []).append((q, size + 1, q_legal, q_images, q_phi, c + 1, c + 1 + lo, floored))
                                 alive += 1
                                 in_runs += lo + 1
@@ -542,8 +536,7 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
             made = sum(run[-1] for run in ending)
             nodes, above, run_ends = nodes + made, above + made, run_ends + len(ending)
             if nodes > node_cap or nodes >> 12 != nodes - made >> 12:
-                stats.nodes = nodes
-                solver._check_limits()
+                solver.check_limits(nodes)
         # is some p + e_v below the floor? a Pareto staircase query (module docstring)
         walk = top if nxt_up else ()
         for p, phi in pending:

@@ -108,9 +108,6 @@ class SearchLimits:
             if value is not None and not value >= 0:
                 raise BadParameterError(f"{name} must be a nonnegative number, not {value!r}")
 
-    def deadline(self) -> float | None:
-        return None if self.max_seconds is None else time.monotonic() + self.max_seconds
-
 
 @dataclass
 class SolveStats:
@@ -146,21 +143,22 @@ class Solver:
     """Reusable decision engine for one graph and one target count.
 
     The memo is keyed on packed counts and each move is one precomputed
-    step (u, v, floor lanes' change, key change). Neither reads the graph's
-    symmetry, so a solver on a graph with it searches exactly as one on
-    the same graph without: same verdicts, witnesses, node counts and
-    memo. The memo table and ``stats`` persist across calls on the same
-    solver; limits do not: ``begin(limits)`` gives the operation that
-    follows its own node and time budget (a new solver has the default
-    one). The memo maps a key to False or to a record, a legal move
-    (u, v) of the configuration the key packs whose child holds a stack
-    or has a record too. A query the path rule settles, as is every
-    query holding a stack or t on the root, counts one node and leaves
-    the memo as it was; any other counts the nodes of its ``decide``.
-    ``floor_lanes`` holds a (shift, mask, limit) per floor lane, all with
-    one mask and one limit: p is below the floor exactly when each lane
-    of x = sum(p(v) * _lanes[v]), x >> shift & mask, is at most limit,
-    that is when _base + x sets no bit of _high.
+    step (u, v, floor lanes' change, key change). Neither reads the
+    graph's symmetry, so a solver on a graph with it searches exactly as
+    one on the same graph without: same verdicts, witnesses, node counts
+    and memo. The memo table and ``stats`` persist across calls on the
+    same solver; limits do not: ``begin(limits)`` gives the operation
+    that follows its own node and time budget (a new solver has the
+    default one), and every checkpoint, the builder's too, tests it by
+    ``check_limits``. The memo maps a key to False or to a record, a
+    legal move (u, v) of the configuration the key packs whose child
+    holds a stack or has a record too. A query the path rule settles, as
+    is every query holding a stack or t on the root, counts one node and
+    leaves the memo as it was; any other counts the nodes of its
+    ``decide``. ``floor_lanes`` holds a (shift, mask, limit) per floor
+    lane, all with one mask and one limit: p is below the floor exactly
+    when each lane of x = sum(p(v) * _lanes[v]), x >> shift & mask, is
+    at most limit, that is when _base + x sets no bit of _high.
     """
 
     def __init__(self, graph: Graph, target: int = 1):
@@ -204,27 +202,26 @@ class Solver:
     def begin(self, limits: SearchLimits | None) -> Solver:
         """Start an operation: it may count ``limits.max_nodes`` more
         nodes and run ``limits.max_seconds`` from now. Returns self."""
-        self.limits = limits or SearchLimits()
-        self._node_cap = self.stats.nodes + self.limits.max_nodes
-        self._deadline = self.limits.deadline()
+        self.limits = limits = limits or SearchLimits()
+        self._node_cap = self.stats.nodes + limits.max_nodes
+        self._deadline = None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         return self
 
-    def check_deadline(self) -> None:
+    def check_limits(self, nodes: int) -> None:
+        """The one limit check: record ``nodes`` in ``stats.nodes``, then
+        raise ResourceLimitError past the node cap, then past the deadline."""
+        self.stats.nodes = nodes
+        if nodes > self._node_cap:
+            raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise ResourceLimitError(f"search exceeded {self.limits.max_seconds} seconds")
 
     def count_node(self) -> None:
         """Count one search node against the node cap and, every 4096
         nodes, the deadline."""
-        stats = self.stats
-        stats.nodes += 1
-        if stats.nodes > self._node_cap or not stats.nodes & 4095:
-            self._check_limits()
-
-    def _check_limits(self) -> None:
-        if self.stats.nodes > self._node_cap:
-            raise ResourceLimitError(f"search exceeded {self.limits.max_nodes} nodes")
-        self.check_deadline()
+        nodes = self.stats.nodes = self.stats.nodes + 1
+        if nodes > self._node_cap or not nodes & 4095:
+            self.check_limits(nodes)
 
     # -- decision without witness -------------------------------------
 
@@ -265,8 +262,7 @@ class Solver:
                         # count_node, inlined
                         nodes += 1
                         if nodes > cap or not nodes & 4095:
-                            stats.nodes, stats.memo_hits = nodes, hits
-                            self._check_limits()
+                            self.check_limits(nodes)
                         c = cnt[v] + 1
                         if c >= thr[v]:
                             result = record[u][v]

@@ -174,7 +174,7 @@ def reference_unsolvable_levels(g, solver, full=False):
         tried: set[tuple[int, ...]] = set()
         nxt = set()
         for p in level:
-            solver.check_deadline()
+            solver.check_limits(solver.stats.nodes)
             for v, cap in top:
                 if p[v] < cap:
                     q = list(p)

@@ -10,10 +10,11 @@ from scipy.optimize import linprog
 
 import pebbling as pb
 import pebbling.lp as lp_module
-from pebbling import configurations, pebbling_number, strategies
+from pebbling import cli, configurations, pebbling_number, strategies
 from pebbling.configurations import _integers
 from pebbling.errors import InternalError, LpError, UncertifiedWeightError
-from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, _dual_problem, linear_program, solve_lp
+from pebbling.fileformats import serialize_graph, serialize_weights
+from pebbling.lp import OPTIMAL, UNBOUNDED, LinearProgram, LpSolution, _dual_problem, linear_program, solve_lp
 
 
 def two_var_vertex_optimum(rows, rhs):
@@ -500,6 +501,19 @@ class TestPebblingBound:
         monkeypatch.setattr(lp_module, "solve_lp", off_by_one)
         with pytest.raises(InternalError, match="internal error"):
             pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
+
+    def test_an_unbounded_strategy_lp_is_an_internal_error(self, c5, monkeypatch, capsys, tmp_path):
+        # every variable has a positive entry in some row, and rows and caps
+        # are nonnegative, so valid input never makes the program unbounded:
+        # that status is an internal fault, exit 4, not a bad input's 2
+        monkeypatch.setattr(lp_module, "solve_lp", lambda lp: LpSolution(UNBOUNDED, None, None, None))
+        with pytest.raises(InternalError, match="internal error: strategy LP ended unbounded"):
+            pb.lp_pebbling_bound(c5, list(pb.cycle_strategy_pair(2)))
+        graph, weights = tmp_path / "c5.graph", tmp_path / "c5.weights"
+        graph.write_text(serialize_graph(c5), encoding="utf-8")
+        weights.write_text(serialize_weights(pb.construction("cycle_combined", 2)[1]), encoding="utf-8")
+        assert cli.main(["bound", "-g", str(graph), "-w", str(weights)]) == 4
+        assert "error: internal error: strategy LP ended unbounded\n" in capsys.readouterr().err
 
     def test_rows_are_the_certificates_integers(self):
         # each row is its certificate's integers without the root, capped at
