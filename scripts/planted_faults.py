@@ -34,7 +34,7 @@ FAULTS = [
     (BUILDER, ("chain(reps.items(), ends if up else ())", "        if not up:\n            # a run's last member"),
      ("chain(reps.items(), ends)", "        if False:\n            # a run's last member"), "run-end rule switched off"),
     (BUILDER, "walk = top if nxt_up else ()", "walk = top", "membership walk on every level, as the pass walked before"),
-    (BUILDER, "if j <= lo:", "if j < lo:", "image bound tying the floor bound counted as floor-bound"),
+    (BUILDER, "lo, floored = ok, False", "lo, floored = ok, floored and ok == lo", "image bound tying the floor bound counted as floor-bound"),
     (BUILDER, "floored = lo < cap_lo", "floored = lo <= cap_lo", "cap-bound end counted as floor-bound"),
     (BUILDER, "for y in vectors))", "for y in vectors))[:1]", "Pareto list cut to its lightest vector"),
     # one floor construction in the solver
@@ -53,6 +53,10 @@ FAULTS = [
     # caught only by a run of several minutes, past the per-fault timeout)
     (SOLVER, "if nodes > self._node_cap:", "if nodes > self._node_cap + 1:", "the node test one node late"),
     (BUILDER, "exc.pi_lower = levels", "exc.pi_lower = exc.pi_lower", "the early-end handler leaving pi_lower unset"),
+    # runs along every vertex
+    (BUILDER, "if ((q + j * u_v) * spread", "if ((q + j * u0) * spread", "image bound stepped by v0's unit, not v's"),
+    (BUILDER, "for sl, ml, limit, w in floor_at[v]:", "for sl, ml, limit, w in floor_at[v0]:", "floor-lane bound with v0's weights"),
+    (BUILDER, "(*along[v], size + 1 + lo,", "(*along[v], size + 2 + lo,", "a run along a vertex other than v0 one member too long"),
 ]
 
 

@@ -2,16 +2,20 @@
 """Run every bundled reproduction target and tabulate the RESULT lines.
 
 The 14 default targets, brute-force Q4 (0.1 s) and the 16-arm
-lollipop (thm3-n3, 0.1-0.2 s) included, took 0.32-0.38 s in all over
-three runs on a shared 2-vCPU Xeon virtual machine. Pass --allow-long to
-also run the three long targets: Theorem 1 on C11 (thm1-k5), which took
-a further 0.4-0.5 s there, the dimension-5 reciprocal weights (conj-n5),
-a further 3.5-4.3 s, and Theorem 3 at n = 4 (thm3-n4), a further
-52-59 s; under a node or wall-clock cap each may end with exit code 3.
+lollipop (thm3-n3, 0.1-0.2 s) included, took 0.35-0.41 s of wall time
+per run of this script over three runs on a shared 2-vCPU Xeon virtual
+machine. Pass --allow-long to also run the three long targets: Theorem 1
+on C11 (thm1-k5), which took a further 0.3-0.6 s there, the dimension-5
+reciprocal weights (conj-n5), a further 3.5-4.5 s, and Theorem 3 at
+n = 4 (thm3-n4), a further 61 s (63 s before runs went along every
+vertex, back to back on the same machine); under a node or wall-clock
+cap each may end with exit code 3.
 
 Each row also shows the peak resident set size of this process so far.
 Run alone, q4-bruteforce peaked at 24 MB, thm3-n3 at 18 MB, thm1-k5 at
-30 MB, conj-n5 at 201 MB and thm3-n4 at 190 MB.
+30 MB, conj-n5 at 201 MB and thm3-n4 at 190 MB; in one --allow-long run
+the process peaked at 33 MB after thm1-k5, 208 MB after conj-n5 and
+225 MB after thm3-n4.
 
 Usage:
     python scripts/reproduce_results.py [--allow-long]

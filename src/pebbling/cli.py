@@ -435,7 +435,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> int:
-    """``python -m pebbling`` and ``pebble``: main, with SIGTERM an interrupt (main's in-process callers keep theirs)."""
+    """``python -m pebbling`` and ``pebble``: main, with SIGINT and SIGTERM
+    each an interrupt the first time (main's in-process callers keep their
+    handlers). The first restores both signals' default action, so a second
+    ends the process at once. A signal ignored at start stays ignored."""
     import signal  # here, not at the top: it would cost every caller of main memory
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
+
+    def interrupt(signum, frame):
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            signal.signal(sig, signal.SIG_DFL)
+        raise KeyboardInterrupt
+
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        if signal.getsignal(sig) is not signal.SIG_IGN:
+            signal.signal(sig, interrupt)
     return main()

@@ -145,25 +145,39 @@ contradiction. The source move found has a child in the orbit of one
 looked up (transpose v with its block's first vertex and a with the end
 of its run), so that lookup finds q solvable.
 
-Runs. Let v0 be the last vertex of the builder's order, the farthest,
-ties to the larger id (u_0 on a lollipop, no twin). A candidate q at v0
-has one extension, q + e_v0, so q, q + e_v0, ..., q + k e_v0 is a path
-of the generation tree. When q is admitted below the floor and q + e_v0
-would be too, the builder admits this run in one step. No key field or
-floor lane carries while each count stays under its cap, and no image
-lane borrows, so each admission test of q + j e_v0 is linear in j and k
-is the least of their bounds, with no search: v0's cap and the count of
-the twin before v0; (limit - lane) // w for each floor lane where v0
-weighs w > 0 (Solver.floor_lanes); and (q - image k) // (unit of
-perm_k(v0) - u0) for each image k with perm_k(v0) != v0, as v0, last in
-the group layout, has the least unit u0. A run is one record until its
-last level, its members in no level dict or member set; its last member
-is decided on with its level's keys, each other has the next as its
-extension. Run members are below the floor, so the one rule decides a
-child that is one. A run records whether a floor lane's bound is
-strictly its least: the last member's one extension, at v0, is then
-above the floor, and else it is not made (it meets the cap or the
-twin's count, or fails the orbit test).
+Runs. A candidate q = p + e_v admitted below the floor keeps v last, so
+q + e_v is one of its extensions, and q, q + e_v, ..., q + k e_v is a path
+of the generation tree. When q + e_v would be admitted below the floor
+too, the builder admits this run in one step. No key field or floor lane
+carries while each count stays under its cap, and no image lane borrows,
+so each admission test of q + j e_v is linear in j and k is the least of
+their bounds, with no search: v's cap and the count of the twin before
+v; (limit - lane) // w for each floor lane where v weighs w > 0
+(Solver.floor_lanes); and (q - image k) // (u' - u) for each image k
+whose unit u' at v, that of perm_k(v), is above v's unit u (an image
+whose unit there is not above it only falls behind q). The orbit test is
+absorbing along the run: q - e_last(q) is its orbit's maximum whenever q
+is (above). So when q + t e_v passes, t the run's length under the caps
+and the floor (one more if a floor lane's bound is the least), no image
+bound cuts the run; else the least image bound is the last t that
+passes, found by a bisection on the test, and a tie with a floor lane's
+bound makes the run's end an image's. Orderly
+generation makes these the only extensions of the run's members at v, so
+the run decides them: each member but the last is walked only at the vertices
+after v in the builder's order. The last member is walked at v too: its
+extension there is decided like any candidate, or from the record where
+the floor decides the level (below). A run records whether a floor
+lane's bound is strictly its least: that extension is then above the
+floor, and else it is not made (it meets the cap or the twin's count,
+or fails the orbit test). Let v0 be the last vertex of the builder's
+order, the farthest, ties to the larger id (u_0 on a lollipop, no twin).
+Nothing comes after it, so a run along v0 is one record until its last
+level, its members in no level dict or member set, and its last member
+is decided on with its level's keys. A run along another vertex is
+carried from level to level: a member's entry in its level dict names
+the run, and walking the member puts the next one in the next level's
+dict. Run members are below the floor, so the one rule decides a child
+that is one, and no member set holds them.
 
 Where a level holds no member above the floor (on a cycle, and on a
 path or spider rooted at an end or its centre, none does), the floor
@@ -177,10 +191,10 @@ move one vertex nearer a keeps Phi_a; otherwise every move from u does.
 So the child holds a root pebble, or a stack, or is a root-free
 configuration of size s above the floor, which level s does not hold:
 it is solvable. A q with no two pebbles on a vertex has no move, so it
-is unsolvable. So a run's last member is decided from its record: its
-extension is one solvable node (two pebbles on v0) or none, counted
-after the level's loop, where run ends come last (a cap trips at the
-same level). Each level counts the members it admits above the floor.
+is unsolvable. So a run's last member's extension at v is decided from
+its record: one solvable node (at least three pebbles on v) or none,
+counted by the level's end (a cap trips at the same level). Each level
+counts the members it admits above the floor.
 The maximality pass asks, on every level, whether p has an extension
 below the floor: one is unsolvable whatever its cap, twin order or
 orbit, and if any is, so is one at a light vertex (a Pareto-minimal lane
@@ -217,6 +231,7 @@ checks on one graph reuse one enumeration.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -258,11 +273,10 @@ def _symmetry_mode(g: Graph, solver: Solver | None = None):
     """
     cache = g._cache
     if "symmetry_mode" not in cache:
-        mode = ("blocks", twin_classes(g)) if twin_classes(g) else ("none", None)
-        group = () if twin_classes(g) else root_automorphisms(g, solver and (lambda: solver.check_limits(solver.stats.nodes))) or ()
-        if len(group) > 1:
-            mode = ("group", tuple(itemgetter(*p) for p in group))
-        cache["symmetry_mode"] = mode
+        twins = twin_classes(g)
+        group = () if twins else root_automorphisms(g, solver and (lambda: solver.check_limits(solver.stats.nodes))) or ()
+        mode = ("group", tuple(itemgetter(*p) for p in group)) if len(group) > 1 else ("none", None)
+        cache["symmetry_mode"] = ("blocks", twins) if twins else mode
     return cache["symmetry_mode"]
 
 
@@ -378,11 +392,13 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     the key and of the solver's floor lanes, the key's floor lanes and,
     under a group, its images packed in the lanes of one integer
     (_ImageLanes), so an extension costs additions and its
-    orbit-maximum test and a child one subtraction each. A count is read
-    off its field of the key with a shift and a mask. The candidates
-    above the floor count in ``solver.stats.above_floor``, those of them
-    decided by lookups in ``solver.stats.lookups`` and the members
-    admitted in runs in ``solver.stats.in_runs``.
+    orbit-maximum test and a child one subtraction each, and, for a member
+    of a run along a vertex other than v0, the run. A count is read off its
+    field of the key with a shift and a mask. The candidates above the
+    floor count in ``solver.stats.above_floor``, those of them decided by
+    lookups in ``solver.stats.lookups`` and by the two-pebble test in
+    ``solver.stats.two_pebble_tests``, and the members admitted in runs in
+    ``solver.stats.in_runs``.
 
     A representative p is maximal when no p + e_v is unsolvable. One
     with an admitted extension is not; any other is tested once level s+1
@@ -422,36 +438,51 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
     # the bits of each field above its lowest: a key sets one exactly when
     # some vertex holds two pebbles
     twos = sum(unit[v] * ((2 << dist[v]) - 2) for v in range(n) if v != g.root)
-    # runs go along the last vertex v0 (module docstring); one vertex has none
+    # runs (module docstring): one along the last vertex v0 is a record until
+    # its last level; one along any other vertex v is carried from level to
+    # level in the level dicts, each member walked at the vertices before v in
+    # top, its last member at v too where lookups decide
     v0 = top[0][0] if top else g.root
     u0, w0 = unit[v0], weight[v0]
-    # the floor lanes where v0 weighs w > 0, as (shift, mask, limit, w)
-    floor0 = [(sh, mask, limit, w0 >> sh & mask) for sh, mask, limit in solver.floor_lanes if w0 >> sh & mask]
+    group = data if kind == "group" else ()
+    lift, moved = [0] * n, [False] * n
+    if group:
+        lanes = _ImageLanes(group, unit, dist)
+        lift, spread, guards, unpack_lanes = lanes.lift, lanes.spread, lanes.guards, lanes.unpack
+        # whether some element of the group moves v: only then can an image bound a run along v
+        moved = [x != u * spread for u, x in zip(unit, lift)]
+    lift0 = lift[v0]
+    # per root-free vertex v: its floor lane vector; the floor lanes where it
+    # weighs w > 0, as (shift, mask, limit, w), which bound a run along v; and
+    # along[v], v's unit, lift and weight, by which a run along v steps, and
+    # the vertices before v in top and through v
+    vectors, floor_at, along = {}, [()] * n, {}
+    for i, (v, *_) in enumerate(top):
+        x = tuple(weight[v] >> sh & mask for sh, mask, _ in solver.floor_lanes)
+        vectors[x] = weight[v]
+        floor_at[v] = [(sh, mask, limit, w) for (sh, mask, limit), w in zip(solver.floor_lanes, x) if w]
+        along[v] = (unit[v], lift[v], weight[v], tuple(top[:i]), tuple(top[:i + 1]))
     # the light (Pareto-minimal) floor lane vectors' lane 0 and weights, sorted
-    vectors = {tuple(weight[v] >> sh & mask for sh, mask, _ in solver.floor_lanes): weight[v] for v, *_ in top}
     light = sorted((x[0], w) for x, w in vectors.items() if not any(y != x and all(map(le, y, x)) for y in vectors))
     light0, light = [x for x, _ in light], [w for _, w in light]
     (_, mask0, limit0), lanes_n = solver.floor_lanes[0], len(solver.floor_lanes)
 
-    group = data if kind == "group" else ()
-    lift0, image0 = 0, ()
-    if group:
-        lanes = _ImageLanes(group, unit, dist)
-        lift, spread, guards, unpack_lanes, lane_mask = lanes.lift, lanes.spread, lanes.guards, lanes.unpack, lanes.mask
-        lift0 = lift[v0]
-        # the image lanes k where perm_k(v0) != v0, as (shift, unit[perm_k(v0)] - u0);
-        # v0 is last in the layout, so u0 = 1 is the least unit
-        image0 = [(s, (lift0 >> s & lane_mask) - u0) for s in lanes.shifts if lift0 >> s & lane_mask != u0]
-
     stats, node_cap = solver.stats, solver._node_cap
-    nodes, above, lookups, in_runs, run_ends, tests = stats.nodes, stats.above_floor, stats.lookups, stats.in_runs, stats.run_ends, stats.maximality_tests
-    reps = {0: ((), 0, 0)}
+    nodes, above, lookups, by_twos = stats.nodes, stats.above_floor, stats.lookups, stats.two_pebble_tests
+    in_runs, run_ends, tests = stats.in_runs, stats.run_ends, stats.maximality_tests
+    # check_limits runs once nodes passes the cap or a multiple of 4096
+    checkpoint = min(node_cap, nodes | 4095)
+    # a level dict maps a key to its legal moves, images, lanes and run: None,
+    # or, for a member of a run along v != v0, (*along[v], the run's last size,
+    # the legal moves of its members but the first, whether a floor lane ended it)
+    reps = {0: ((), 0, 0, None)}
     members = reps if not group else set()
     # how many of the level's members were admitted above the floor
     up = 0
-    # each run as (first member, its size, legal moves, images, lanes, its count
-    # on v0, the last member's, whether a floor lane ended it), by its last size
-    runs: dict[int, list[tuple]] = {}
+    # each run along v0 as (first member, its size, legal moves, images, lanes,
+    # its count on v0, the members after it, whether a floor lane ended it), by
+    # its last size
+    runs: dict[int, list[tuple]] = defaultdict(list)
     size = alive = 0
     while reps or alive:
         ending = runs.pop(size, [])
@@ -462,12 +493,28 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
         nxt_up = 0
         # the representatives with no admitted extension, with their lanes
         pending = []
-        # with a member above the floor in level s, a run's last member is decided with its keys
-        ends = ((first + (k - c) * u0, (legal + delta[v0] if c == 1 else legal, images + (k - c) * lift0, phi + (k - c) * w0))
-                for first, _, legal, images, phi, c, k, _ in ending)
-        for p, (legal, images, phi) in chain(reps.items(), ends if up else ()):
-            extended = False
-            for v, sh, mask, cap, prev_sh in top:
+        # the runs' last members decided from their record: how many, and the
+        # solvable nodes among their extensions
+        ended = made = 0
+        # with a member above the floor in level s, a run's last member along v0 is decided with its keys
+        ends = ((first + lo * u0, (legal + delta[v0] if c == 1 else legal, images + lo * lift0, phi + lo * w0, None))
+                for first, _, legal, images, phi, c, lo, _ in ending)
+        for p, (legal, images, phi, run) in chain(reps.items(), ends if up else ()):
+            walk, extended = top, False
+            if run:
+                # a member of a run along v: the next member, admitted with the
+                # run, goes on to the next level, and this one is walked before v
+                u_v, lift_v, w_v, before, through, last, after, floored = run
+                if size < last:
+                    nxt[p + u_v] = (after, images + lift_v, phi + w_v, run)
+                    walk, extended = before, True
+                elif up:
+                    walk, extended = through, False
+                else:
+                    # the last member's extension at v is decided from the record
+                    walk, extended = before, False
+                    ended, made = ended + 1, made + floored
+            for v, sh, mask, cap, prev_sh in walk:
                 c = p >> sh & mask
                 if c < cap and (prev_sh is None or p >> prev_sh & mask > c):
                     q = p + unit[v]
@@ -479,8 +526,9 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                         q_legal = legal + delta[v] if c == 1 else legal
                         q_phi = phi + weight[v]
                         nodes += 1
-                        if nodes > node_cap or not nodes & 4095:
+                        if nodes > checkpoint:
                             solver.check_limits(nodes)
+                            checkpoint = min(node_cap, nodes | 4095)
                         if q_phi & high:
                             above += 1
                             # one lookup per legal move in the level below: a child
@@ -493,50 +541,71 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                                     if q_phi - change & high and q - d not in members:
                                         break
                                 else:
-                                    nxt[q] = (q_legal, q_images, q_phi)
+                                    nxt[q] = (q_legal, q_images, q_phi, None)
                                     nxt_up += 1
                                     extended = True
                                     if group:
                                         nxt_members.add(q)
                                         nxt_members.update(unpack_lanes(q_images))
+                            else:
+                                by_twos += 1
                         else:
-                            # below the floor q is unsolvable outright; at v0 so is each q + j e_v0
-                            # up to the least bound of the caps, floor and orbit test, all linear in j
+                            # below the floor q is unsolvable outright, and so is each
+                            # q + j e_v up to the least bound of the caps, floor and
+                            # orbit test, all linear in j
                             extended = True
-                            lo = (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1 if v == v0 else 0
+                            lo = (cap if prev_sh is None else min(cap, p >> prev_sh & mask)) - c - 1
                             if lo > 0:
                                 cap_lo = lo
-                                for sl, ml, limit, w in floor0:
+                                for sl, ml, limit, w in floor_at[v]:
                                     j = (limit - (q_phi >> sl & ml)) // w
                                     if j < lo:
                                         lo = j
-                                # a floor lane's bound strictly least: the end's extension is above it
+                                        if not j:
+                                            break
+                                # a floor lane's bound strictly least: the end's extension at v is above it
                                 floored = lo < cap_lo
-                                for sk, step in image0:
-                                    j = (q - (q_images >> sk & lane_mask)) // step
-                                    if j <= lo:
-                                        lo, floored = j, False
+                                if moved[v] and lo:
+                                    # q + t e_v is an orbit maximum up to the least image bound
+                                    # (the test is absorbing), so a test at the run's end, or one
+                                    # past it if a floor lane ended it, clears every image; else
+                                    # a bisection on the test finds the last member that passes
+                                    ok, t, u_v, lift_v = 0, lo + floored, unit[v], lift[v]
+                                    if ((q + t * u_v) * spread | guards) - (q_images + t * lift_v) & guards != guards:
+                                        while t - ok > 1:
+                                            j = (ok + t) // 2
+                                            if ((q + j * u_v) * spread | guards) - (q_images + j * lift_v) & guards == guards:
+                                                ok = j
+                                            else:
+                                                t = j
+                                        lo, floored = ok, False
                             if lo > 0:
                                 nodes += lo
-                                if nodes > node_cap or nodes >> 12 != nodes - lo >> 12:
+                                if nodes > checkpoint:
                                     solver.check_limits(nodes)
-                                runs.setdefault(size + 1 + lo, []).append((q, size + 1, q_legal, q_images, q_phi, c + 1, c + 1 + lo, floored))
-                                alive += 1
+                                    checkpoint = min(node_cap, nodes | 4095)
                                 in_runs += lo + 1
+                                if v == v0:
+                                    runs[size + 1 + lo].append((q, size + 1, q_legal, q_images, q_phi, c + 1, lo, floored))
+                                    alive += 1
+                                else:
+                                    # the others' legal moves gain v's once it holds 2
+                                    nxt[q] = (q_legal, q_images, q_phi, (*along[v], size + 1 + lo, q_legal if c else q_legal + delta[v], floored))
                             else:
-                                nxt[q] = (q_legal, q_images, q_phi)
+                                nxt[q] = (q_legal, q_images, q_phi, None)
                 if c:
                     break
             if not extended:
                 pending.append((p, phi))
         if not up:
-            # a run's last member has one extension: a solvable node if a floor
-            # lane ended the run, else none (module docstring)
-            pending += [(first + (k - c) * u0, phi + (k - c) * w0) for first, _, _, _, phi, c, k, _ in ending]
-            made = sum(run[-1] for run in ending)
-            nodes, above, run_ends = nodes + made, above + made, run_ends + len(ending)
-            if nodes > node_cap or nodes >> 12 != nodes - made >> 12:
+            # a run's last member has one extension at its vertex: a solvable
+            # node if a floor lane ended the run, else none (module docstring)
+            pending += [(first + lo * u0, phi + lo * w0) for first, _, _, _, phi, _, lo, _ in ending]
+            made += sum(map(itemgetter(7), ending))
+            nodes, above, run_ends = nodes + made, above + made, run_ends + ended + len(ending)
+            if nodes > checkpoint:
                 solver.check_limits(nodes)
+                checkpoint = min(node_cap, nodes | 4095)
         # is some p + e_v below the floor? a Pareto staircase query (module docstring)
         walk = top if nxt_up else ()
         for p, phi in pending:
@@ -561,13 +630,16 @@ def _levels(g: Graph, solver: Solver, maximal: list) -> Iterator:
                             break
                 else:
                     maximal.append(p)
-        stats.nodes, stats.above_floor, stats.lookups, stats.in_runs, stats.run_ends, stats.maximality_tests = nodes, above, lookups, in_runs, run_ends, tests
+        stats.nodes, stats.above_floor, stats.lookups, stats.two_pebble_tests = nodes, above, lookups, by_twos
+        stats.in_runs, stats.run_ends, stats.maximality_tests = in_runs, run_ends, tests
         reps, members, up, size, alive = nxt, nxt_members, nxt_up, size + 1, alive - len(ending)
 
 
 class _Level:
-    """A level as _levels yields it: its explicit keys, then the member of
-    each run alive in it (in the buckets of ``runs``); ``count`` is its length."""
+    """A level as _levels yields it: its level dict's keys (the members of
+    runs along vertices other than v0 among them), then the member of each
+    run along v0 alive in it (in the buckets of ``runs``); ``count`` is its
+    length."""
 
     def __init__(self, keys, runs, size, step, count):
         self.keys, self.runs, self.size, self.step, self.count = keys, runs, size, step, count

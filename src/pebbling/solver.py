@@ -115,6 +115,7 @@ class SolveStats:
     memo_hits: int = 0
     above_floor: int = 0  # candidates above the floor in the down-set builder
     lookups: int = 0  # of those, the ones it decided by member lookups
+    two_pebble_tests: int = 0  # and those it decided by whether a vertex holds two pebbles
     in_runs: int = 0  # members the down-set builder admitted in runs
     run_ends: int = 0  # runs' last members it decided from their record
     maximality_tests: int = 0  # its maximality pass's floor tests of light vectors and member lookups

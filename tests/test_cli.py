@@ -185,6 +185,41 @@ class TestGen:
         assert proc.returncode == 3 and proc.stdout == "", (proc.stdout, proc.stderr)
         assert "resource limit: interrupted; proven pi >= 2\n" in proc.stderr and "Traceback" not in proc.stderr
 
+    def test_a_second_interrupt_ends_the_process(self, monkeypatch):
+        # the entry's handler, called as the first SIGTERM would call it,
+        # restores both signals' default action before it raises, so a second
+        # signal ends the process at once; no signal is sent, so none races
+        sigs = (signal.SIGINT, signal.SIGTERM)
+        saved = {sig: signal.getsignal(sig) for sig in sigs}
+        seen = {}
+
+        def first_interrupt_in_main():
+            handler = signal.getsignal(signal.SIGTERM)
+            seen["installed"] = handler is signal.getsignal(signal.SIGINT) and handler not in (signal.SIG_DFL, signal.default_int_handler)
+            try:
+                handler(signal.SIGTERM, None)
+            except KeyboardInterrupt:
+                seen["after"] = tuple(map(signal.getsignal, sigs))
+            return 3
+
+        def ignored_stays_ignored():
+            seen["ignored"] = signal.getsignal(signal.SIGTERM)
+            return 0
+
+        monkeypatch.setattr(cli, "main", first_interrupt_in_main)
+        try:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            assert cli.entry() == 3
+            # a signal ignored at start, as under nohup, is left ignored
+            monkeypatch.setattr(cli, "main", ignored_stays_ignored)
+            signal.signal(signal.SIGTERM, signal.SIG_IGN)
+            assert cli.entry() == 0
+        finally:
+            for sig, handler in saved.items():
+                signal.signal(sig, handler)
+        assert seen == {"installed": True, "after": (signal.SIG_DFL, signal.SIG_DFL), "ignored": signal.SIG_IGN}
+
     def test_real_signals_keep_the_proven_bound(self, capsys, tmp_path):
         # SIGINT to one `python -m pebbling pi` child and SIGTERM to another,
         # 2 s in on lollipop(3, 17): the build (about 0.3 s) is done and the

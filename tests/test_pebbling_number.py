@@ -419,19 +419,21 @@ def _relabeled_path_from_file(k, seed):
 
 
 class TestRuns:
-    """The members below the floor that follow one another along the
-    builder's last vertex are admitted as one run each and kept in no
-    level dict (see the module docstring); they must come out as the
-    members one at a time did."""
+    """The members below the floor that follow one another along a vertex
+    v are admitted as one run each (see the module docstring): along the
+    builder's last vertex as one record, along any other vertex carried
+    from level to level and walked only before v; they must come out as
+    the members one at a time did."""
 
     def test_members_admitted_in_runs(self):
-        # a change that stops making runs changes these counts
+        # a change that stops making runs, or makes them along the last
+        # vertex only, changes these counts
         cases = (
-            (pb.path_graph(6), "none", 23_718),
-            (pb.cycle_graph(9), "group", 5_749),
-            (pb.rooted_cube(4), "group", 353),
+            (pb.path_graph(6), "none", 25_307),
+            (pb.cycle_graph(9), "group", 7_193),
+            (pb.rooted_cube(4), "group", 424),
             # the last vertex is u_0, the farthest, not a twin
-            (pb.lollipop(3), "blocks", 10_056),
+            (pb.lollipop(3), "blocks", 10_905),
         )
         for g, kind, in_runs in cases:
             assert engine._symmetry_mode(g)[0] == kind
@@ -442,13 +444,13 @@ class TestRuns:
     def test_levels_match_the_full_reference_in_every_mode(self):
         cases = (
             # twin root neighbours 1 and 2, so the floor lanes differ across the block
-            (_spider(1, 1, 3), "blocks", 54),
+            (_spider(1, 1, 3), "blocks", 63),
             # the last vertex, 5, is a twin of 4
-            (pb.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], root=0), "blocks", 242),
-            # runs along u_0, past the twin middles
-            (pb.lollipop(2, 3), "blocks", 254),
-            (_spider(3, 3), "group", 267),
-            (_relabeled_path_from_file(6, 104_729), "none", 23_718),
+            (pb.build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], root=0), "blocks", 397),
+            # runs along u_0 and along the twin middles, each bounded by the twin before it
+            (pb.lollipop(2, 3), "blocks", 293),
+            (_spider(3, 3), "group", 322),
+            (_relabeled_path_from_file(6, 104_729), "none", 25_307),
         )
         for g, kind, in_runs in cases:
             g._cache.clear()
@@ -534,21 +536,28 @@ class TestTheFloorDecidesWholeLevels:
         # a member lookup per extension only where the next level holds
         # members above the floor; each shortcut is exact, so walking those
         # members and every vertex instead changes only these counts
+        # the two-pebble test's decisions are counted too: where a level holds
+        # no member above the floor, each candidate above it with two pebbles
+        # on a vertex is one
         cases = (
-            (pb.path_graph(6), "none", 1_460, 0),
+            (pb.path_graph(6), "none", 1_625, 0, 201),
             # two floor lanes, one per root neighbour
-            (pb.cycle_graph(9), "group", 1_044, 1_486),
+            (pb.cycle_graph(9), "group", 1_354, 1_486, 584),
             # five lanes; the three leaves on the root are twins whose lanes differ
-            (_spider(4, 4, 1, 1, 1), "blocks", 13_280, 19_292),
+            (_spider(4, 4, 1, 1, 1), "blocks", 15_904, 19_292, 4_896),
             # lookups on most levels: few runs end on a level the floor decides
-            (pb.rooted_cube(4), "group", 14, 837),
+            (pb.rooted_cube(4), "group", 14, 837, 1),
         )
-        for g, kind, run_ends, tests in cases:
+        for g, kind, run_ends, tests, twos in cases:
             assert engine._symmetry_mode(g)[0] == kind
             solver = pb.Solver(g)
             for _ in engine._levels(g, solver, []):
                 pass
-            assert (solver.stats.run_ends, solver.stats.maximality_tests) == (run_ends, tests), g.edges
+            stats = solver.stats
+            assert (stats.run_ends, stats.maximality_tests, stats.two_pebble_tests) == (run_ends, tests, twos), g.edges
+            # each candidate above the floor is decided by lookups, by the
+            # two-pebble test or from a run's record
+            assert stats.above_floor >= stats.lookups + stats.two_pebble_tests, g.edges
 
     def test_the_staircase_query_matches_the_vertex_walk(self):
         # the maximality pass asks whether some p + e_v is below the floor by a
